@@ -1,8 +1,11 @@
 """Reverse-mode gradients: discrete and continuous adjoints.
 
-The discrete adjoint transposes the solver's own step maps, so it returns
-the exact derivative of the discretized loss on a fixed grid.  The
-continuous adjoint integrates the costate ODE
+The discrete adjoint transposes the solver's own Runge-Kutta stage
+recursion (Hager 2000, Numer. Math. 87; Sandu 2006, ICCS), so it returns
+the exact derivative of the discretized loss on a fixed grid.  Each step
+costs one float re-run of its stages plus one Jacobian pair per stage,
+analytic when the problem supplies them, else one multidual right-hand
+side.  The continuous adjoint integrates the costate ODE
 
     dlambda/dt = -(df/du)^T lambda - (dh/du)^T
 
@@ -34,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import dual
 from .core import (
     IntegratedLoss,
     OdeProblem,
@@ -120,22 +122,41 @@ def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, loss):
 def step_vjp(problem: OdeProblem, tableau, u, theta, t, dt, lam_in):
     """Transposed Jacobians of one solver step applied to a costate.
 
-    The one-step map's Jacobians with respect to state and parameters are
-    built columnwise by pushing multidual seeds through the step, then
-    applied as ``((dPhi/du)^T lam, (dPhi/dtheta)^T lam)``.
+    Returns ``((dPhi/du)^T lam, (dPhi/dtheta)^T lam)`` for the step map
+    ``Phi`` from ``(t, u)`` with stepsize ``dt``, by the transposed stage
+    recursion of Hager (2000) and Sandu (2006).  The stages ``Y_i`` are
+    re-run in floats through ``rk_step``, then traversed in reverse:
+
+        kbar_i = dt b_i lam + sum_(j>i) dt a_ji Ybar_j
+        Ybar_i = J_u(Y_i)^T kbar_i
+
+    giving ``lam + sum_i Ybar_i`` and ``sum_i J_theta(Y_i)^T kbar_i``.  The
+    cost is one Jacobian pair per stage from ``jacobian_assembly``.
     """
-    u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    n, p = u.size, theta.size
-    eye = np.eye(n + p)
-    u_d = np.array([dual.MultiDual(u[i], eye[i]) for i in range(n)], dtype=object)
-    th_d = np.array(
-        [dual.MultiDual(theta[j], eye[n + j]) for j in range(p)], dtype=object
-    )
-    u_next, _, _ = rk_step(tableau, problem.rhs, u_d, th_d, t, dt)
-    jac = dual.jacobian_from_duals(u_next, n + p)
-    lam_in = np.asarray(lam_in, dtype=float)
-    return jac[:, :n].T @ lam_in, jac[:, n:].T @ lam_in
+    stages = []
+
+    def recording_rhs(y, th, ts):
+        stages.append((y, ts))
+        return problem.rhs(y, th, ts)
+
+    rk_step(tableau, recording_rhs, np.asarray(u, dtype=float), theta, t, dt)
+    a, b = tableau.a, tableau.b
+    lam = np.asarray(lam_in, dtype=float)
+    ybar = [None] * len(stages)
+    lam_out = lam
+    grad = np.zeros(theta.size)
+    for i in range(len(stages) - 1, -1, -1):
+        kbar = (dt * b[i]) * lam
+        for j in range(i + 1, len(stages)):
+            if a[j, i] != 0.0:
+                kbar = kbar + (dt * a[j, i]) * ybar[j]
+        y, ts = stages[i]
+        J_u, J_theta = jacobian_assembly(problem, y, theta, ts)
+        ybar[i] = J_u.T @ kbar
+        lam_out = lam_out + ybar[i]
+        grad = grad + J_theta.T @ kbar
+    return lam_out, grad
 
 
 # ---------------------------------------------------------------------
@@ -143,13 +164,29 @@ def step_vjp(problem: OdeProblem, tableau, u, theta, t, dt, lam_in):
 
 
 def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
+    """The problem with its RHS and analytic Jacobian calls counted in ``stats``."""
     rhs = problem.rhs
 
     def counted_rhs(u, theta, t):
         stats.rhs_evaluations += 1
         return rhs(u, theta, t)
 
-    return replace(problem, rhs=counted_rhs)
+    def counted_jac(jac):
+        if jac is None:
+            return None
+
+        def counted(u, theta, t):
+            stats.jacobian_evaluations += 1
+            return jac(u, theta, t)
+
+        return counted
+
+    return replace(
+        problem,
+        rhs=counted_rhs,
+        rhs_jac_u=counted_jac(problem.rhs_jac_u),
+        rhs_jac_theta=counted_jac(problem.rhs_jac_theta),
+    )
 
 
 def _span_tol(problem):
@@ -319,7 +356,10 @@ def discrete_adjoint(
     states (or checkpoints plus replay); the reverse pass seeds the
     costate with the final observation term and recurses
     ``lam_m = (dPhi_m/du)^T lam_(m+1) + w_m (u^m - u_m^obs)``, accumulating
-    ``(dPhi_m/dtheta)^T lam_(m+1)`` into the gradient.
+    ``(dPhi_m/dtheta)^T lam_(m+1)`` into the gradient.  Each transposed
+    step is ``step_vjp``'s stage recursion (Hager 2000, Sandu 2006): per
+    step one float re-run of the stages and one Jacobian pair per stage,
+    analytic when the problem supplies them, else one multidual RHS each.
     """
     fwd = config.solver_config
     if fwd.adaptive:

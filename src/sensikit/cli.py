@@ -41,7 +41,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 SWEEP_HEADER = "method,epsilon,gradient,abs_rel_error,rhs_evaluations"
-COMPARE_HEADER = "method,gradient,abs_rel_error,rhs_evaluations,peak_stored_states,status"
+COMPARE_HEADER = (
+    "method,gradient,abs_rel_error,rhs_evaluations,peak_stored_states,status,"
+    "jacobian_evaluations"
+)
 FIT_HEADER = "iteration,theta,loss,grad_norm"
 
 ADJOINT_METHODS = (
@@ -296,7 +299,7 @@ def cmd_compare_adjoints(config: RunConfig) -> int:
         try:
             res = _adjoint_gradient(method, entry, config)
         except SensikitError as err:
-            rows.append((method, "nan", "nan", "0", "0", f"blowup: {type(err).__name__}"))
+            rows.append((method, "nan", "nan", "0", "0", f"blowup: {type(err).__name__}", "0"))
             continue
         grad = res.gradient
         rows.append(
@@ -307,6 +310,7 @@ def cmd_compare_adjoints(config: RunConfig) -> int:
                 str(res.stats.rhs_evaluations),
                 str(res.peak_stored_states or 0),
                 "ok",
+                str(res.stats.jacobian_evaluations),
             )
         )
     _write_rows(config.out, COMPARE_HEADER, rows)

@@ -144,14 +144,18 @@ PointwiseLoss = (SquaredErrorLoss, LinearStateLoss)
 
 @dataclass
 class SolverStats:
+    """Work counters; ``jacobian_evaluations`` counts analytic Jacobian calls."""
+
     accepted_steps: int = 0
     rejected_steps: int = 0
     rhs_evaluations: int = 0
+    jacobian_evaluations: int = 0
 
     def merge(self, other: "SolverStats") -> None:
         self.accepted_steps += other.accepted_steps
         self.rejected_steps += other.rejected_steps
         self.rhs_evaluations += other.rhs_evaluations
+        self.jacobian_evaluations += other.jacobian_evaluations
 
 
 @dataclass

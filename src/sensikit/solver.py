@@ -105,7 +105,6 @@ class CheckpointStore:
     stepsizes from a snapshot reproduces the original trajectory bitwise.
     """
 
-    capacity: int
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     node_indices: list = field(default_factory=list)
@@ -281,7 +280,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
     plan = None
     if keep_checkpoints:
         plan = checkpoint_plan(problem.tspan, config.checkpoints)
-        store = CheckpointStore(capacity=config.checkpoints + 1)
+        store = CheckpointStore()
 
     f_curr = eval_rhs(u, theta, t0)
     node_times = [t0]

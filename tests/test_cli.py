@@ -86,11 +86,17 @@ def test_compare_adjoints_harmonic(tmp_path):
     rc = run_main(["compare-adjoints", "--problem", "harmonic",
                    "--abstol", "1e-10", "--reltol", "1e-10", "--out", str(out)])
     assert rc == 0
+    assert out.read_text().splitlines()[0] == (
+        "method,gradient,abs_rel_error,rhs_evaluations,peak_stored_states,status,"
+        "jacobian_evaluations"
+    )
     rows = read_csv(out)
     assert [r["method"] for r in rows] == list(cli.ADJOINT_METHODS)
     for r in rows:
         assert r["status"] == "ok"
         assert abs(float(r["gradient"]) - (-43.539778)) <= 1e-4 * 43.54
+        if r["method"] != "forward_sensitivity":
+            assert int(r["jacobian_evaluations"]) > 0
 
 
 def test_compare_adjoints_predprey(tmp_path):
