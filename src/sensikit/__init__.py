@@ -15,9 +15,7 @@ from .core import (
     Solution,
     SolverStats,
     SquaredErrorLoss,
-    chain_gradient,
     loss_eval,
-    loss_grad_u,
 )
 from .dual import DualScalar, MultiDual
 from .solver import (
@@ -37,8 +35,8 @@ from .tableaus import DOPRI5, EULER, RK4, ButcherTableau
 from .direct import (
     complexstep_gradient,
     fd_gradient,
-    fd_jvp,
     forwardad_gradient,
+    gradient,
 )
 from .sensitivity import forward_sensitivity, jacobian_assembly, sensitivity_rhs
 from .adjoint import (
@@ -75,20 +73,18 @@ __all__ = [
     "SquaredErrorLoss",
     "StepController",
     "adjoint_rhs",
-    "chain_gradient",
     "checkpoint_plan",
     "complexstep_gradient",
     "continuous_adjoint",
     "dense_eval",
     "discrete_adjoint",
     "fd_gradient",
-    "fd_jvp",
     "forward_sensitivity",
     "forwardad_gradient",
     "gauss_legendre",
+    "gradient",
     "jacobian_assembly",
     "loss_eval",
-    "loss_grad_u",
     "make_harmonic",
     "make_heat1d",
     "make_predprey",

@@ -44,14 +44,13 @@ from .core import (
     SensitivityResult,
     Solution,
     SolverStats,
-    loss_direct_gradient,
 )
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
     StepsizeUnderflowError,
 )
-from .sensitivity import jacobian_assembly
+from .sensitivity import _counted, jacobian_assembly
 from .solver import SolverConfig, dense_eval, rk_step, solve
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
@@ -161,32 +160,6 @@ def step_vjp(problem: OdeProblem, tableau, u, theta, t, dt, lam_in):
 
 # ---------------------------------------------------------------------
 # shared reverse-pass plumbing
-
-
-def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
-    """The problem with its RHS and analytic Jacobian calls counted in ``stats``."""
-    rhs = problem.rhs
-
-    def counted_rhs(u, theta, t):
-        stats.rhs_evaluations += 1
-        return rhs(u, theta, t)
-
-    def counted_jac(jac):
-        if jac is None:
-            return None
-
-        def counted(u, theta, t):
-            stats.jacobian_evaluations += 1
-            return jac(u, theta, t)
-
-        return counted
-
-    return replace(
-        problem,
-        rhs=counted_rhs,
-        rhs_jac_u=counted_jac(problem.rhs_jac_u),
-        rhs_jac_theta=counted_jac(problem.rhs_jac_theta),
-    )
 
 
 def _span_tol(problem):
@@ -390,7 +363,7 @@ def discrete_adjoint(
 
     n = problem.n
     lam = np.zeros(n)
-    gradient = loss_direct_gradient(loss, theta)
+    gradient = np.zeros(theta.size)
     peak = 0
     for base, ts, states, _ in _segments_reverse(problem, sol, theta, tableau):
         ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
@@ -429,6 +402,8 @@ def continuous_adjoint(
     """Continuous-adjoint gradient in the configured realization."""
     if config.variant == "discrete":
         return discrete_adjoint(problem, loss, config, theta=theta)
+    if not isinstance(loss, (*PointwiseLoss, IntegratedLoss)):
+        raise TypeError(f"unknown loss specification {type(loss).__name__}")
     theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
     stats = SolverStats()
     counted = _counted(problem, stats)
@@ -441,11 +416,6 @@ def continuous_adjoint(
     else:  # pragma: no cover - guarded by AdjointConfig
         raise ValueError(config.variant)
     return out
-
-
-def _finish_gradient(problem, loss, theta, lam0, g):
-    direct = loss_direct_gradient(loss, theta)
-    return g + problem.initial_state_jacobian().T @ lam0 + direct
 
 
 def _dense_reverse(problem, loss, config, theta, stats, quadrature):
@@ -498,7 +468,7 @@ def _dense_reverse(problem, loss, config, theta, stats, quadrature):
     lam = _apply_jumps(
         lam, problem.tspan[0], lambda tq: problem.u0, loss, jumps, done, tol
     )
-    gradient = _finish_gradient(problem, loss, theta, lam, g)
+    gradient = g + problem.initial_state_jacobian().T @ lam
     method = "continuous_quadrature" if quadrature else "continuous_interpolating"
     return SensitivityResult(
         gradient=np.asarray(gradient, dtype=float),
@@ -586,7 +556,7 @@ def _backsolve(problem, loss, config, theta, stats):
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 
     lam = _apply_jumps(lam, t0, lambda tq: u, loss, jumps, done, tol)
-    gradient = _finish_gradient(problem, loss, theta, lam, g)
+    gradient = g + problem.initial_state_jacobian().T @ lam
     return SensitivityResult(
         gradient=np.asarray(gradient, dtype=float),
         method="continuous_backsolve",

@@ -20,20 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointConfig, continuous_adjoint, discrete_adjoint
 from .core import SquaredErrorLoss, loss_eval
-from .direct import (
-    complexstep_gradient,
-    default_epsilon,
-    fd_gradient,
-    forwardad_gradient,
-    solver_loss_fn,
-)
+from .direct import complexstep_gradient, default_epsilon, fd_gradient, gradient
 from .dual import seed, tangents, value
 from .errors import DivergenceError, SensikitError
 from .problems import CATALOG, make_problem
-from .sensitivity import forward_sensitivity
-from .solver import PRIMAL_ONLY, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_GRADCHECK_FAILED = 1
@@ -73,7 +65,6 @@ class RunConfig:
     tolerances: tuple = (1e-6, 1e-12)
     methods: Optional[tuple] = None
     out: Optional[str] = None
-    seed: int = 0
     alpha: float = 1e-3
     max_iters: int = 5000
     gtol: float = 1e-6
@@ -226,14 +217,10 @@ def cmd_sweep_direct(config: RunConfig) -> int:
         tag = f"solver-{tol:g}"
         cfg = config.solver_config(abstol=tol, reltol=tol)
         for eps in grid:
-            for method, scheme in (("forward_fd", "forward"), ("centered_fd", "centered")):
-                fn = solver_loss_fn(entry.problem, entry.loss, cfg)
-                grad = fd_gradient(fn, theta, eps, scheme=scheme)[0]
-                add(f"{method}/{tag}", eps, grad, fn.stats.rhs_evaluations)
-            fn = solver_loss_fn(entry.problem, entry.loss, cfg)
-            grad = complexstep_gradient(fn, theta, eps)[0]
-            add(f"complex_step/{tag}", eps, grad, fn.stats.rhs_evaluations)
-        res = forwardad_gradient(entry.problem, entry.loss, cfg)
+            for method in ("forward_fd", "centered_fd", "complex_step"):
+                res = gradient(entry.problem, entry.loss, method, cfg, epsilon=eps)
+                add(f"{method}/{tag}", eps, res.gradient[0], res.stats.rhs_evaluations)
+        res = gradient(entry.problem, entry.loss, "forward_ad", cfg)
         add(f"forward_ad/{tag}", 0.0, res.gradient[0], res.stats.rhs_evaluations)
 
     _write_rows(config.out, SWEEP_HEADER, rows)
@@ -244,60 +231,43 @@ def cmd_sweep_direct(config: RunConfig) -> int:
 # compare-adjoints
 
 
-def _adjoint_gradient(method, entry, config: RunConfig):
-    """Run one solver-based gradient method; returns a SensitivityResult."""
-    problem, loss = entry.problem, entry.loss
+def _solver_gradient(method, entry, config: RunConfig, epsilon=None):
+    """``gradient`` of a catalog entry under the command's solver settings.
+
+    The discrete adjoint runs fixed-step RK4 at ``--dt``, with a warning
+    when that step violates the problem's explicit stability bound.
+    """
     solver_cfg = config.solver_config()
-    if method == "forward_sensitivity":
-        return forward_sensitivity(problem, loss, solver_cfg)
-    if method == "forward_ad":
-        return forwardad_gradient(problem, loss, solver_cfg)
-    if method == "forward_ad_primal_only":
-        cfg = config.solver_config(norm_mode=PRIMAL_ONLY, saveat=getattr(loss, "times", None))
-        res = forwardad_gradient(problem, loss, cfg)
-        res.method = "forward_ad_primal_only"
-        return res
     if method == "discrete_adjoint":
-        dt = config.dt
-        if entry.cfl_dt is not None and dt > entry.cfl_dt:
+        if entry.cfl_dt is not None and config.dt > entry.cfl_dt:
             print(
-                f"warning: dt={dt:g} violates the explicit stability bound "
+                f"warning: dt={config.dt:g} violates the explicit stability bound "
                 f"dt <= {entry.cfl_dt:g} for {entry.id}",
                 file=sys.stderr,
             )
-        acfg = AdjointConfig(
-            variant="discrete",
-            solver_config=SolverConfig(method="rk4", dt=dt),
-            checkpoints=config.checkpoints,
-        )
-        return discrete_adjoint(problem, loss, acfg)
-    if method.startswith("continuous_"):
-        acfg = AdjointConfig(
-            variant=method.removeprefix("continuous_"),
-            solver_config=config.solver_config(),
-            checkpoints=config.checkpoints,
-            quadrature_order=config.quadrature_order,
-        )
-        return continuous_adjoint(problem, loss, acfg)
-    raise ValueError(f"unknown gradient method {method!r}")
+        solver_cfg = SolverConfig(method="rk4", dt=config.dt)
+    return gradient(
+        entry.problem, entry.loss, method, solver_cfg,
+        epsilon=epsilon,
+        checkpoints=config.checkpoints,
+        quadrature_order=config.quadrature_order,
+    )
 
 
 def _reference_gradient(entry, config: RunConfig):
     if entry.analytic_gradient is not None:
-        return np.asarray(entry.analytic_gradient(), dtype=float), "analytic"
-    fn = solver_loss_fn(entry.problem, entry.loss, config.solver_config())
-    eps = default_epsilon("centered_fd", entry.problem.theta)
-    return fd_gradient(fn, entry.problem.theta, eps, scheme="centered"), "centered_fd"
+        return np.asarray(entry.analytic_gradient(), dtype=float)
+    return _solver_gradient("centered_fd", entry, config).gradient
 
 
 def cmd_compare_adjoints(config: RunConfig) -> int:
     entry = config.make_entry()
-    ref, _ = _reference_gradient(entry, config)
+    ref = _reference_gradient(entry, config)
     methods = config.methods or ADJOINT_METHODS
     rows = []
     for method in methods:
         try:
-            res = _adjoint_gradient(method, entry, config)
+            res = _solver_gradient(method, entry, config)
         except SensikitError as err:
             rows.append((method, "nan", "nan", "0", "0", f"blowup: {type(err).__name__}", "0"))
             continue
@@ -338,8 +308,9 @@ GRADCHECK_TOLERANCE = 1e-3
 def cmd_gradcheck(config: RunConfig, entries=None) -> int:
     """Compare every applicable method against centered finite differences.
 
-    Prints one PASS/FAIL line per (problem, method); methods whose reverse
-    dynamics blow up are reported and skipped rather than failed.  Exits
+    Prints one PASS/FAIL line per (problem, method); a method that raises a
+    numerical failure (such as an unstable backsolve) is reported and
+    skipped rather than failed.  Exits
     nonzero when any accuracy comparison fails.
     """
     if entries is None:
@@ -355,36 +326,21 @@ def cmd_gradcheck(config: RunConfig, entries=None) -> int:
     for entry in entries:
         if entry.problem.p == 0:
             continue
-        fn = solver_loss_fn(entry.problem, entry.loss, config.solver_config())
+        # every method gets the FD-sized eps.  Complex step is as accurate
+        # through the solver at its 1e-12 default; the FD-sized eps keeps
+        # its truncation error (order eps^2) far below the gate and matches
+        # the complex-step requests of bench/workloads.py.
         eps = default_epsilon("centered_fd", entry.problem.theta)
-        ref = fd_gradient(fn, entry.problem.theta, eps, scheme="centered")
+        ref = _solver_gradient("centered_fd", entry, config, epsilon=eps).gradient
         for method in methods:
-            if method == "forward_fd":
-                fn = solver_loss_fn(entry.problem, entry.loss, config.solver_config())
-                grad = fd_gradient(
-                    fn, entry.problem.theta,
-                    default_epsilon("centered_fd", entry.problem.theta),
-                    scheme="forward",
+            try:
+                grad = _solver_gradient(method, entry, config, epsilon=eps).gradient
+            except SensikitError as err:
+                lines.append(
+                    f"SKIP  {entry.id:10s} {method:28s} "
+                    f"(inapplicable: {type(err).__name__})"
                 )
-            elif method == "complex_step":
-                # through a solver, the controller bounds the imaginary-part
-                # error at absolute scale abstol/eps, so the tiny analytic-map
-                # default eps would drown the derivative; FD-sized eps keeps
-                # truncation negligible while that bound stays harmless
-                fn = solver_loss_fn(entry.problem, entry.loss, config.solver_config())
-                grad = complexstep_gradient(
-                    fn, entry.problem.theta,
-                    default_epsilon("centered_fd", entry.problem.theta),
-                )
-            else:
-                try:
-                    grad = _adjoint_gradient(method, entry, config).gradient
-                except SensikitError as err:
-                    lines.append(
-                        f"SKIP  {entry.id:10s} {method:28s} "
-                        f"(inapplicable: {type(err).__name__})"
-                    )
-                    continue
+                continue
             err_rel = _rel_error(grad, ref)
             ok = err_rel <= GRADCHECK_TOLERANCE
             failures += 0 if ok else 1
@@ -426,21 +382,13 @@ def cmd_fit(config: RunConfig) -> int:
     if config.problem != "harmonic":
         raise ValueError("the fit demo is wired to the harmonic problem")
     problem, loss = synthetic_harmonic_fit(config)
-    solver_cfg = SolverConfig(method="dopri5", abstol=config.abstol, reltol=config.reltol)
-
-    def gradient_at(theta):
-        if config.grad_method == "forward_sensitivity":
-            return forward_sensitivity(problem, loss, solver_cfg, theta=theta)
-        if config.grad_method == "forward_ad":
-            return forwardad_gradient(problem, loss, solver_cfg, theta=theta)
-        raise ValueError(f"unsupported fit gradient method {config.grad_method!r}")
-
+    solver_cfg = config.solver_config()
     theta = np.array([config.theta_init])
     rows = []
     worse = 0
     prev_loss = None
     for iteration in range(config.max_iters + 1):
-        res = gradient_at(theta)
+        res = gradient(problem, loss, config.grad_method, solver_cfg, theta=theta)
         sol = solve(problem, solver_cfg, theta=theta)
         loss_value = loss_eval(sol, loss)
         grad_norm = float(np.linalg.norm(res.gradient))
@@ -495,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated method list")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--config", default=None, help="key-value config file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--checkpoints", type=int, default=None)
         p.add_argument("--quadrature-order", type=int, default=7,
                        dest="quadrature_order")
@@ -538,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _CONFIG_CASTS = {
     "theta": float, "heat_n": int, "eps_min": float, "eps_max": float,
     "eps_count": int, "abstol": float, "reltol": float, "dt": float,
-    "seed": int, "alpha": float, "max_iters": int, "gtol": float,
+    "alpha": float, "max_iters": int, "gtol": float,
     "theta_init": float, "theta_star": float, "include_primal_only":
     lambda s: s.lower() in ("1", "true", "yes"), "checkpoints": int,
     "quadrature_order": int,

@@ -7,8 +7,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import dual
-
 
 @dataclass(frozen=True)
 class OdeProblem:
@@ -259,47 +257,3 @@ def _trapezoid(vals, ts):
     for k in range(len(ts) - 1):
         total = total + 0.5 * (ts[k + 1] - ts[k]) * (vals[k] + vals[k + 1])
     return total
-
-
-def loss_grad_u(sol: Solution, loss, t: float, theta=None) -> np.ndarray:
-    """Partial derivative of the loss with respect to the state at time ``t``.
-
-    For pointwise losses ``t`` must be an observation time; for integrated
-    losses this is the integrand partial ``dh/du`` at the trajectory state.
-    """
-    if isinstance(loss, PointwiseLoss):
-        _check_obs_in_span(loss, sol)
-        matches = np.nonzero(
-            np.isclose(loss.times, t, rtol=0, atol=1e-9 * max(sol.t1 - sol.t0, 1.0))
-        )[0]
-        if len(matches) == 0:
-            raise ValueError(f"{t} is not an observation time of this loss")
-        u = dual.values(state_at(sol, t))
-        return sum(loss.grad_u_at(u, int(i)) for i in matches)
-    if isinstance(loss, IntegratedLoss):
-        u = dual.values(state_at(sol, t))
-        return np.asarray(loss.dh_du(u, theta), dtype=float)
-    raise TypeError(f"unknown loss specification {type(loss).__name__}")
-
-
-def chain_gradient(vjp_term: np.ndarray, direct_term: np.ndarray) -> np.ndarray:
-    """Total gradient ``(dL/du)(du/dtheta) + dL/dtheta`` from its two parts."""
-    vjp_term = np.asarray(vjp_term, dtype=float)
-    direct_term = np.asarray(direct_term, dtype=float)
-    if vjp_term.shape != direct_term.shape:
-        raise ValueError(
-            f"gradient part shapes differ: {vjp_term.shape} vs {direct_term.shape}"
-        )
-    return vjp_term + direct_term
-
-
-def loss_direct_gradient(loss, theta) -> np.ndarray:
-    """Lump-sum direct parameter dependence ``dL/dtheta`` of a loss.
-
-    Zero for the built-in loss kinds: data-fit losses depend on theta only
-    through the trajectory, and the ``dh/dtheta`` part of integrated losses
-    enters through the gradient integrand rather than as a lump.
-    """
-    if isinstance(loss, PointwiseLoss) or isinstance(loss, IntegratedLoss):
-        return np.zeros(np.asarray(theta).size)
-    raise TypeError(f"unknown loss specification {type(loss).__name__}")

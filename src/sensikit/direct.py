@@ -1,39 +1,39 @@
-"""Gradient drivers that differentiate through, or around, the solver.
+"""Gradient drivers, and ``gradient``: one entry point for every method.
 
 Finite differences and complex step treat the solve-plus-loss pipeline as
 a black box over real or complex scalars; forward AD re-runs the same
 pipeline on multidual scalars so the solver's own arithmetic carries the
-exact tangents.
+exact tangents.  ``gradient`` selects any of the ``METHODS`` by name: these
+drivers, forward sensitivities, the discrete adjoint and the three
+continuous adjoints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
 from . import dual
+from .adjoint import AdjointConfig, continuous_adjoint
 from .core import OdeProblem, SensitivityResult, SolverStats, loss_eval
 from .errors import NumericalBlowupError
+from .sensitivity import forward_sensitivity
 from .solver import PRIMAL_ONLY, SolverConfig, solve
 
-
-@dataclass(frozen=True)
-class DirectMethodConfig:
-    """Choice of black-box method, its perturbation size, and a solver setup."""
-
-    method: str = "centered_fd"  # forward_fd | centered_fd | complex_step | forward_ad
-    epsilon: float | None = None
-    solver_config: SolverConfig = field(default_factory=SolverConfig)
-
-    _METHODS = ("forward_fd", "centered_fd", "complex_step", "forward_ad")
-
-    def __post_init__(self):
-        if self.method not in self._METHODS:
-            raise ValueError(f"unknown direct method {self.method!r}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+METHODS = (
+    "forward_fd",
+    "centered_fd",
+    "complex_step",
+    "forward_ad",
+    "forward_ad_primal_only",
+    "forward_sensitivity",
+    "discrete_adjoint",
+    "continuous_backsolve",
+    "continuous_interpolating",
+    "continuous_quadrature",
+)
 
 
 def default_epsilon(method: str, theta) -> np.ndarray:
@@ -80,15 +80,6 @@ def fd_gradient(loss_fn, theta, eps, scheme="centered") -> np.ndarray:
             )
         grad[i] = (l_plus - l_minus) / denom
     return grad
-
-
-def fd_jvp(rhs, u, theta, t, v, eps) -> np.ndarray:
-    """Forward-difference Jacobian-vector product ``(df/du) v`` of the rhs."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    f0 = np.asarray(rhs(u, theta, t), dtype=float)
-    f1 = np.asarray(rhs(u + eps * v, theta, t), dtype=float)
-    return (f1 - f0) / eps
 
 
 def complexstep_gradient(loss_fn, theta, eps) -> np.ndarray:
@@ -175,24 +166,49 @@ def forwardad_gradient(
     )
 
 
-def direct_gradient(problem: OdeProblem, loss, dconfig: DirectMethodConfig,
-                    theta=None) -> SensitivityResult:
-    """Dispatch a black-box gradient method against the solver pipeline."""
+def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
+             theta=None, *, epsilon=None, checkpoints=None,
+             quadrature_order=7) -> SensitivityResult:
+    """Gradient of ``loss`` by the named method, one of ``METHODS``.
+
+    ``config`` is the forward solver setup; the discrete adjoint needs a
+    fixed-grid one.  ``epsilon`` is the perturbation of the finite-difference
+    and complex-step methods (``default_epsilon`` when omitted) and is
+    ignored by the others.  ``checkpoints`` and ``quadrature_order`` go to
+    the adjoint methods.  ``forward_ad_primal_only`` is forward AD under the
+    primal-only error norm, saving at the loss's observation times; it is
+    kept to reproduce that norm's wrong gradients.  Raises ``ValueError``
+    on an unknown method name.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown gradient method {method!r}")
     theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
-    if dconfig.method == "forward_ad":
-        return forwardad_gradient(problem, loss, dconfig.solver_config, theta=theta)
-    eps = dconfig.epsilon
-    if eps is None:
-        eps = default_epsilon(dconfig.method, theta)
-    fn = solver_loss_fn(problem, loss, dconfig.solver_config)
-    if dconfig.method == "complex_step":
-        grad = complexstep_gradient(fn, theta, eps)
-    else:
-        scheme = "forward" if dconfig.method == "forward_fd" else "centered"
-        grad = fd_gradient(fn, theta, eps, scheme=scheme)
-    return SensitivityResult(
-        gradient=grad,
-        method=dconfig.method,
-        stats=fn.stats,
-        metadata={"epsilon": np.asarray(eps).tolist()},
+    if method in ("forward_fd", "centered_fd", "complex_step"):
+        eps = default_epsilon(method, theta) if epsilon is None else epsilon
+        fn = solver_loss_fn(problem, loss, config)
+        if method == "complex_step":
+            grad = complexstep_gradient(fn, theta, eps)
+        else:
+            grad = fd_gradient(fn, theta, eps, scheme=method.removesuffix("_fd"))
+        return SensitivityResult(
+            gradient=grad,
+            method=method,
+            stats=fn.stats,
+            metadata={"epsilon": np.asarray(eps).tolist()},
+        )
+    if method == "forward_ad":
+        return forwardad_gradient(problem, loss, config, theta=theta)
+    if method == "forward_ad_primal_only":
+        config = replace(config, norm_mode=PRIMAL_ONLY, saveat=getattr(loss, "times", None))
+        res = forwardad_gradient(problem, loss, config, theta=theta)
+        res.method = method
+        return res
+    if method == "forward_sensitivity":
+        return forward_sensitivity(problem, loss, config, theta=theta)
+    acfg = AdjointConfig(
+        variant=method.removeprefix("continuous_").removesuffix("_adjoint"),
+        solver_config=config,
+        checkpoints=checkpoints,
+        quadrature_order=quadrature_order,
     )
+    return continuous_adjoint(problem, loss, acfg, theta=theta)

@@ -9,6 +9,8 @@ primal/tangent norm by construction.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import dual
@@ -17,10 +19,36 @@ from .core import (
     OdeProblem,
     PointwiseLoss,
     SensitivityResult,
-    loss_direct_gradient,
+    SolverStats,
     state_at,
 )
 from .solver import SolverConfig, solve
+
+
+def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
+    """The problem with its RHS and analytic Jacobian calls counted in ``stats``."""
+    rhs = problem.rhs
+
+    def counted_rhs(u, theta, t):
+        stats.rhs_evaluations += 1
+        return rhs(u, theta, t)
+
+    def counted_jac(jac):
+        if jac is None:
+            return None
+
+        def counted(u, theta, t):
+            stats.jacobian_evaluations += 1
+            return jac(u, theta, t)
+
+        return counted
+
+    return replace(
+        problem,
+        rhs=counted_rhs,
+        rhs_jac_u=counted_jac(problem.rhs_jac_u),
+        rhs_jac_theta=counted_jac(problem.rhs_jac_theta),
+    )
 
 
 def jacobian_assembly(problem: OdeProblem, u, theta, t):
@@ -118,11 +146,14 @@ def forward_sensitivity(
     """
     theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
     n, p = problem.n, theta.size
-    aug = augmented_problem(problem)
+    stats = SolverStats()
+    aug = augmented_problem(_counted(problem, stats))
 
     sol = solve(aug, config, theta=theta)
+    stats.accepted_steps = sol.stats.accepted_steps
+    stats.rejected_steps = sol.stats.rejected_steps
 
-    gradient = loss_direct_gradient(loss, theta)
+    gradient = np.zeros(p)
     if isinstance(loss, PointwiseLoss):
         for i, t in enumerate(loss.times):
             z = state_at(sol, t)
@@ -147,7 +178,7 @@ def forward_sensitivity(
     return SensitivityResult(
         gradient=np.asarray(gradient, dtype=float),
         method="forward_sensitivity",
-        stats=sol.stats,
+        stats=stats,
         sensitivity_trajectory=traj,
         trajectory_times=np.asarray(sol.times),
         peak_stored_states=len(sol.times),

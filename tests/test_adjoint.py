@@ -394,6 +394,33 @@ def test_adjoint_config_validation():
         AdjointConfig(checkpoints=0)
 
 
+def test_unknown_loss_kind_rejected():
+    calls = []
+    ent = sk.make_harmonic(0.2)
+    rhs = ent.problem.rhs
+
+    def counting_rhs(u, theta, t):
+        calls.append(t)
+        return rhs(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs=counting_rhs)
+    loss = object()
+    with pytest.raises(TypeError, match="unknown loss specification"):
+        sk.forward_sensitivity(problem, loss, tight())
+    for variant in ("backsolve", "interpolating", "quadrature"):
+        calls.clear()
+        cfg = AdjointConfig(variant=variant, solver_config=tight())
+        with pytest.raises(TypeError, match="unknown loss specification"):
+            continuous_adjoint(problem, loss, cfg)
+        # rejected before the forward and reverse solves
+        assert calls == []
+    cfg = AdjointConfig(variant="discrete",
+                        solver_config=sk.SolverConfig(method="rk4", dt=0.1))
+    with pytest.raises(ValueError, match="pointwise loss"):
+        discrete_adjoint(problem, loss, cfg)
+    assert calls == []
+
+
 ADJOINT_VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 
 

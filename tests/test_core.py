@@ -8,9 +8,7 @@ from sensikit.core import (
     IntegratedLoss,
     LinearStateLoss,
     SquaredErrorLoss,
-    chain_gradient,
     loss_eval,
-    loss_grad_u,
 )
 
 
@@ -80,25 +78,6 @@ def test_loss_grad_formula():
     assert np.allclose(g, [3.0, -6.0])
 
 
-def test_integrated_grad_is_state(harmonic_solution):
-    ent, sol = harmonic_solution
-    loss = IntegratedLoss(
-        h=lambda u, th: 0.5 * float(np.dot(u, u)),
-        dh_du=lambda u, th: u,
-        dh_dtheta=lambda u, th: np.zeros(1),
-    )
-    t = 4.0
-    g = loss_grad_u(sol, loss, t)
-    assert np.allclose(g, sk.dense_eval(sol, t))
-
-
-def test_loss_grad_requires_observation_time(harmonic_solution):
-    ent, sol = harmonic_solution
-    loss = SquaredErrorLoss([4.0], [[0.0, 0.0]])
-    with pytest.raises(ValueError):
-        loss_grad_u(sol, loss, 3.0)
-
-
 def test_loss_out_of_span_rejected(harmonic_solution):
     ent, sol = harmonic_solution
     loss = SquaredErrorLoss([11.0], [[0.0, 0.0]])
@@ -120,16 +99,6 @@ def test_loss_grad_matches_finite_difference():
             e[j] = h
             fd = (loss.value_at(u + e, 0) - loss.value_at(u - e, 0)) / (2 * h)
             assert g[j] == pytest.approx(fd, rel=1e-8, abs=1e-10)
-
-
-def test_chain_gradient_examples():
-    assert np.allclose(chain_gradient([1.0, 2.0], [3.0, 4.0]), [4.0, 6.0])
-    assert np.allclose(chain_gradient([0.0], [0.0]), [0.0])
-    # pure data loss: direct term zero leaves the VJP part unchanged
-    vjp = np.array([5.0, -2.0])
-    assert np.array_equal(chain_gradient(vjp, np.zeros(2)), vjp)
-    with pytest.raises(ValueError):
-        chain_gradient([1.0], [1.0, 2.0])
 
 
 def test_linear_state_loss_selects_components(harmonic_solution):

@@ -5,12 +5,10 @@ import pytest
 
 import sensikit as sk
 from sensikit.direct import (
-    DirectMethodConfig,
+    METHODS,
     complexstep_gradient,
     default_epsilon,
-    direct_gradient,
     fd_gradient,
-    fd_jvp,
     forwardad_gradient,
     solver_loss_fn,
 )
@@ -74,27 +72,6 @@ def test_fd_propagates_nonfinite_with_component():
         fd_gradient(fn, np.array([1.0, 2.0]), 1e-3, scheme="centered")
 
 
-def test_fd_jvp_linear_rhs_exact():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(3, 3))
-
-    def rhs(u, p, t):
-        return A @ u
-
-    u = rng.normal(size=3)
-    v = rng.normal(size=3)
-    got = fd_jvp(rhs, u, np.zeros(1), 0.0, v, 1e-7)
-    assert np.allclose(got, A @ v, atol=1e-6)
-    assert np.allclose(fd_jvp(rhs, u, np.zeros(1), 0.0, np.zeros(3), 1e-7), 0.0)
-
-
-def test_fd_jvp_harmonic_jacobian_column():
-    ent = sk.make_harmonic(0.2)
-    u = np.array([1.0, 0.5])
-    got = fd_jvp(ent.problem.rhs, u, THETA, 0.0, np.array([1.0, 0.0]), 1e-7)
-    assert np.allclose(got, [0.0, -0.04], atol=1e-6)
-
-
 def test_complexstep_quadratic():
     g = complexstep_gradient(lambda th: th[0] ** 2, np.array([3.0]), 1e-12)
     assert g[0] == pytest.approx(6.0, rel=1e-12)
@@ -156,15 +133,17 @@ def test_forwardad_predprey_norm_modes():
     assert "warning" in bad.metadata
 
 
-def test_direct_dispatcher():
+@pytest.mark.parametrize("method", METHODS)
+def test_gradient_dispatcher(method):
     ent = sk.make_harmonic(0.2)
     cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
-    for method in ("forward_fd", "centered_fd", "complex_step", "forward_ad"):
-        res = direct_gradient(ent.problem, ent.loss, DirectMethodConfig(method=method, solver_config=cfg))
-        assert res.gradient[0] == pytest.approx(REF, rel=1e-4)
-        assert res.method in (method, "forward_ad")
-    with pytest.raises(ValueError):
-        DirectMethodConfig(method="sideways")
+    if method == "discrete_adjoint":
+        cfg = sk.SolverConfig(method="rk4", dt=1e-2)
+    res = sk.gradient(ent.problem, ent.loss, method, cfg)
+    assert res.gradient[0] == pytest.approx(REF, rel=1e-4)
+    assert res.method == method
+    with pytest.raises(ValueError, match="sideways"):
+        sk.gradient(ent.problem, ent.loss, "sideways", cfg)
 
 
 def test_v_shape_of_centered_fd_error():
