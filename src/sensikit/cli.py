@@ -15,7 +15,7 @@ import argparse
 import configparser
 import io
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -315,7 +315,7 @@ def cmd_gradcheck(config: RunConfig, entries=None) -> int:
     """
     if entries is None:
         if config.problem == "all":
-            entries = [make_problem(pid) for pid in sorted(CATALOG)]
+            entries = [replace(config, problem=pid).make_entry() for pid in sorted(CATALOG)]
         else:
             entries = [config.make_entry()]
     methods = config.methods or GRADCHECK_METHODS

@@ -1,11 +1,13 @@
-"""First-order dual and multidual scalars for forward-mode differentiation.
+"""First-order dual numbers for forward-mode differentiation.
 
 A dual number ``a + eps*b`` carries a value coordinate and a tangent
 coordinate under truncated-Taylor arithmetic (``eps**2 == 0``), so pushing
 seeded inputs through ordinary arithmetic yields exact first derivatives.
-``MultiDual`` keeps one tangent per parameter direction, with
-``eps_i * eps_j == 0`` for every pair, which produces full Jacobian rows in
-a single evaluation.
+``MultiDual`` is the one dual type: it keeps one tangent per parameter
+direction, with ``eps_i * eps_j == 0`` for every pair, which produces full
+Jacobian rows in a single evaluation.  ``DualScalar(value, tangent)`` is
+its arity-1 constructor, and ``MultiDual.tangent`` reads that single
+coordinate back as a float.
 
 Comparisons and ``bool`` conversion look at the value coordinate only, so
 solver control flow (step acceptance, bracketing) runs unmodified on dual
@@ -31,142 +33,6 @@ from .errors import AnalyticityError, NonSmoothPointError
 _SCALARS = (int, float, np.integer, np.floating)
 
 
-class DualScalar:
-    """Scalar dual number: value plus a single tangent coordinate."""
-
-    __slots__ = ("value", "tangent")
-
-    def __init__(self, value, tangent=0.0):
-        self.value = float(value)
-        self.tangent = float(tangent)
-
-    def __repr__(self):
-        return f"DualScalar({self.value!r}, {self.tangent!r})"
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.value + other.value, self.tangent + other.tangent)
-        if isinstance(other, _SCALARS):
-            return DualScalar(self.value + other, self.tangent)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.value - other.value, self.tangent - other.tangent)
-        if isinstance(other, _SCALARS):
-            return DualScalar(self.value - other, self.tangent)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return DualScalar(other - self.value, -self.tangent)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(
-                self.value * other.value,
-                self.value * other.tangent + self.tangent * other.value,
-            )
-        if isinstance(other, _SCALARS):
-            return DualScalar(self.value * other, self.tangent * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DualScalar):
-            if other.value == 0.0:
-                raise ZeroDivisionError("dual division by zero value coordinate")
-            q = self.value / other.value
-            return DualScalar(q, (self.tangent - q * other.tangent) / other.value)
-        if isinstance(other, _SCALARS):
-            return DualScalar(self.value / other, self.tangent / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            if self.value == 0.0:
-                raise ZeroDivisionError("dual division by zero value coordinate")
-            q = other / self.value
-            return DualScalar(q, -q * self.tangent / self.value)
-        return NotImplemented
-
-    def __neg__(self):
-        return DualScalar(-self.value, -self.tangent)
-
-    def __pos__(self):
-        return self
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, DualScalar):
-            # x**y = exp(y log x); requires x > 0 for a real tangent
-            return exp(exponent * log(self))
-        if isinstance(exponent, _SCALARS):
-            v = self.value ** exponent
-            return DualScalar(v, exponent * self.value ** (exponent - 1) * self.tangent)
-        return NotImplemented
-
-    def __abs__(self):
-        if self.value == 0.0:
-            raise NonSmoothPointError("abs is not differentiable at 0")
-        s = math.copysign(1.0, self.value)
-        return DualScalar(abs(self.value), s * self.tangent)
-
-    # -- value-coordinate comparisons (one-sided through branches) ----
-
-    def __lt__(self, other):
-        return self.value < _value_of(other)
-
-    def __le__(self, other):
-        return self.value <= _value_of(other)
-
-    def __gt__(self, other):
-        return self.value > _value_of(other)
-
-    def __ge__(self, other):
-        return self.value >= _value_of(other)
-
-    def __eq__(self, other):
-        return self.value == _value_of(other)
-
-    def __ne__(self, other):
-        return self.value != _value_of(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return self.value
-
-    # -- lifted elementary functions (numpy dispatches to these) ------
-
-    def sin(self):
-        return DualScalar(math.sin(self.value), self.tangent * math.cos(self.value))
-
-    def cos(self):
-        return DualScalar(math.cos(self.value), -self.tangent * math.sin(self.value))
-
-    def exp(self):
-        v = math.exp(self.value)
-        return DualScalar(v, self.tangent * v)
-
-    def log(self):
-        if self.value <= 0.0:
-            raise NonSmoothPointError("log requires a positive value coordinate")
-        return DualScalar(math.log(self.value), self.tangent / self.value)
-
-    def sqrt(self):
-        if self.value <= 0.0:
-            raise NonSmoothPointError("sqrt tangent undefined at a non-positive value")
-        v = math.sqrt(self.value)
-        return DualScalar(v, self.tangent / (2.0 * v))
-
-
 class MultiDual:
     """Dual number with one tangent coordinate per parameter direction.
 
@@ -183,6 +49,15 @@ class MultiDual:
     @property
     def arity(self):
         return self.tangents.shape[0]
+
+    @property
+    def tangent(self):
+        """The single tangent coordinate of an arity-1 dual, as a float."""
+        if self.arity != 1:
+            raise ValueError(
+                f"tangent needs arity 1, this dual has arity {self.arity}; read tangents"
+            )
+        return float(self.tangents[0])
 
     def __repr__(self):
         return f"MultiDual({self.value!r}, {self.tangents.tolist()!r})"
@@ -252,7 +127,7 @@ class MultiDual:
 
     def __pow__(self, exponent):
         if isinstance(exponent, MultiDual):
-            return exp(exponent * log(self))
+            return (exponent * self.log()).exp()
         if isinstance(exponent, _SCALARS):
             v = self.value ** exponent
             return MultiDual(
@@ -312,25 +187,22 @@ class MultiDual:
         return MultiDual(v, self.tangents / (2.0 * v))
 
 
+def DualScalar(value, tangent=0.0) -> MultiDual:
+    """Dual number with a single tangent coordinate: an arity-1 ``MultiDual``."""
+    return MultiDual(value, [tangent])
+
+
 def _value_of(x):
-    if isinstance(x, (DualScalar, MultiDual)):
+    if isinstance(x, MultiDual):
         return x.value
     return x
 
 
 def value(x):
     """Value coordinate of a scalar, stripping any tangent information."""
-    if isinstance(x, (DualScalar, MultiDual)):
+    if isinstance(x, MultiDual):
         return x.value
     return float(np.real(x)) if np.iscomplexobj(x) else float(x)
-
-
-def values(state):
-    """Float array of value coordinates of a (possibly dual) state vector."""
-    state = np.asarray(state)
-    if state.dtype == object:
-        return np.array([_value_of(x) for x in state.ravel()]).reshape(state.shape)
-    return state
 
 
 def tangents(x, arity=None):
@@ -340,8 +212,6 @@ def tangents(x, arity=None):
     """
     if isinstance(x, MultiDual):
         return x.tangents
-    if isinstance(x, DualScalar):
-        return np.array([x.tangent])
     if arity is None:
         raise ValueError("arity required to build zero tangents of a plain number")
     return np.zeros(arity)
@@ -384,38 +254,6 @@ def jacobian_from_duals(state, p):
     """Extract the n-by-p tangent matrix from a multidual state vector."""
     state = np.asarray(state)
     return np.array([tangents(x, p) for x in state.ravel()]).reshape(state.shape + (p,))
-
-
-# -- generic elementary functions -------------------------------------
-#
-# These accept plain floats, complex numbers, duals, and arrays of any of
-# those.  numpy ufuncs already dispatch to the ``sin``/``cos``/... methods
-# for object arrays and scalars, so most of these are thin wrappers; they
-# exist so right-hand sides can be written once for every scalar kind.
-
-
-def sin(x):
-    return np.sin(x)
-
-
-def cos(x):
-    return np.cos(x)
-
-
-def exp(x):
-    return np.exp(x)
-
-
-def log(x):
-    return np.log(x)
-
-
-def sqrt(x):
-    return np.sqrt(x)
-
-
-def power(x, exponent):
-    return x ** exponent
 
 
 def absolute(x):

@@ -73,32 +73,12 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t):
     need_theta = jac_theta is None
     arity = (n if need_u else 0) + (p if need_theta else 0)
     eye = np.eye(arity)
-    col = 0
-    if need_u:
-        u_in = np.array(
-            [dual.MultiDual(u[i], eye[col + i]) for i in range(n)], dtype=object
-        )
-        col += n
-    else:
-        u_in = u
-    if need_theta:
-        th_in = np.array(
-            [dual.MultiDual(theta[j], eye[col + j]) for j in range(p)], dtype=object
-        )
-    else:
-        th_in = theta
-    out = np.asarray(problem.rhs(u_in, th_in, t))
-    jac = dual.jacobian_from_duals(out, arity)
-    col = 0
-    if need_u:
-        J_u = jac[:, :n]
-        col = n
-    else:
-        J_u = np.asarray(jac_u(u, theta, t), dtype=float)
-    if need_theta:
-        J_theta = jac[:, col : col + p]
-    else:
-        J_theta = np.asarray(jac_theta(u, theta, t), dtype=float)
+    col = n if need_u else 0
+    u_in = dual.seed_state(u, eye[:n], arity) if need_u else u
+    th_in = dual.seed_state(theta, eye[col:], arity) if need_theta else theta
+    jac = dual.jacobian_from_duals(np.asarray(problem.rhs(u_in, th_in, t)), arity)
+    J_u = jac[:, :n] if need_u else np.asarray(jac_u(u, theta, t), dtype=float)
+    J_theta = jac[:, col:] if need_theta else np.asarray(jac_theta(u, theta, t), dtype=float)
     return J_u, J_theta
 
 
@@ -144,6 +124,8 @@ def forward_sensitivity(
     save times alongside the assembled gradient
     ``sum_i (dL/du)(t_i) s(t_i) + dL/dtheta``.
     """
+    if not isinstance(loss, (*PointwiseLoss, IntegratedLoss)):
+        raise TypeError(f"unknown loss specification {type(loss).__name__}")
     theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
     n, p = problem.n, theta.size
     stats = SolverStats()
@@ -159,7 +141,7 @@ def forward_sensitivity(
             z = state_at(sol, t)
             u, s = _unpack(z, n, p)
             gradient = gradient + loss.grad_u_at(u, i) @ s
-    elif isinstance(loss, IntegratedLoss):
+    else:
         # trapezoid of dh/du s + dh/dtheta over the saved nodes
         vals = []
         for z in sol.states:
@@ -171,8 +153,6 @@ def forward_sensitivity(
         ts = sol.times
         for k in range(len(ts) - 1):
             gradient = gradient + 0.5 * (ts[k + 1] - ts[k]) * (vals[k] + vals[k + 1])
-    else:
-        raise TypeError(f"unknown loss specification {type(loss).__name__}")
 
     traj = np.array([_unpack(z, n, p)[1] for z in sol.states])
     return SensitivityResult(

@@ -1,8 +1,8 @@
 """Explicit Runge-Kutta integration, generic over the scalar kind.
 
-One stepper serves plain, complex, dual, and multidual states: stage
-algebra is written against numpy arrays whose elements may be any of those
-scalars.  Adaptive runs use the embedded error estimate with a scaled norm
+One stepper serves plain, complex and dual states: stage algebra is
+written against numpy arrays whose elements may be any of those scalars.
+Adaptive runs use the embedded error estimate with a scaled norm
 and a proportional-integral stepsize controller; the norm can optionally
 cover the tangent coordinates of dual states so that sensitivity error is
 controlled alongside the primal error.
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import OdeProblem, Solution, SolverStats
-from .dual import DualScalar, MultiDual
+from .dual import MultiDual, tangents, value
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -168,37 +168,26 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
 def _values_finite(state) -> bool:
     state = np.asarray(state)
     if state.dtype == object:
-        return all(math.isfinite(x.value if isinstance(x, (DualScalar, MultiDual)) else x)
-                   for x in state.ravel())
+        # a generator stops at the first non-finite entry and builds no array
+        return all(math.isfinite(value(x)) for x in state.flat)
     return bool(np.all(np.isfinite(state)))
 
 
 def _error_coordinates(x, x_hat, joint):
-    """Pairs of (delta, magnitude-scale) floats for one state entry."""
-    if isinstance(x, (DualScalar, MultiDual)) or isinstance(x_hat, (DualScalar, MultiDual)):
-        xv = x.value if isinstance(x, (DualScalar, MultiDual)) else float(x)
-        hv = x_hat.value if isinstance(x_hat, (DualScalar, MultiDual)) else float(x_hat)
-        out = [(abs(xv - hv), max(abs(xv), abs(hv)))]
-        if joint:
-            xt = _tangent_vector(x, x_hat)
-            ht = _tangent_vector(x_hat, x)
-            for d, m in zip(
-                np.abs(xt - ht), np.maximum(np.abs(xt), np.abs(ht))
-            ):
-                out.append((d, m))
-        return out
-    d = abs(x - x_hat)
-    return [(d, max(abs(x), abs(x_hat)))]
+    """Pairs of (delta, magnitude-scale) floats for one state entry.
 
-
-def _tangent_vector(x, template):
-    if isinstance(x, MultiDual):
-        return x.tangents
-    if isinstance(x, DualScalar):
-        return np.array([x.tangent])
-    if isinstance(template, MultiDual):
-        return np.zeros_like(template.tangents)
-    return np.zeros(1)
+    The entry adds its tangent coordinates in joint mode only when either
+    side is dual; the plain side then counts as having zero tangents.
+    """
+    if not (isinstance(x, MultiDual) or isinstance(x_hat, MultiDual)):
+        return [(abs(x - x_hat), max(abs(x), abs(x_hat)))]
+    xv, hv = value(x), value(x_hat)
+    out = [(abs(xv - hv), max(abs(xv), abs(hv)))]
+    if joint:
+        arity = (x if isinstance(x, MultiDual) else x_hat).arity
+        xt, ht = tangents(x, arity), tangents(x_hat, arity)
+        out.extend(zip(np.abs(xt - ht), np.maximum(np.abs(xt), np.abs(ht))))
+    return out
 
 
 def scaled_error(u, u_hat, abstol, reltol, norm_mode=PRIMAL_ONLY) -> float:

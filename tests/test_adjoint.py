@@ -407,6 +407,8 @@ def test_unknown_loss_kind_rejected():
     loss = object()
     with pytest.raises(TypeError, match="unknown loss specification"):
         sk.forward_sensitivity(problem, loss, tight())
+    # rejected before the augmented solve
+    assert calls == []
     for variant in ("backsolve", "interpolating", "quadrature"):
         calls.clear()
         cfg = AdjointConfig(variant=variant, solver_config=tight())

@@ -137,6 +137,17 @@ def test_gradcheck_primal_only_failure_row(capsys):
     assert "forward_ad_primal_only" in out
 
 
+def test_gradcheck_all_honours_problem_flags(capsys):
+    # --problem all builds each entry from the same flags as a single problem
+    flags = ["--heat-n", "8", "--method", "forward_sensitivity"]
+    run_main(["gradcheck", "--problem", "heat1d"] + flags)
+    single = capsys.readouterr().out
+    run_main(["gradcheck", "--problem", "all"] + flags)
+    heat_rows = [ln for ln in capsys.readouterr().out.splitlines() if " heat1d " in ln]
+    assert single.splitlines() == heat_rows
+    assert len(heat_rows) == 1
+
+
 def test_gradcheck_zero_parameter_problem_vacuous(capsys):
     prob = sk.OdeProblem(
         rhs=lambda u, p, t: -u, u0=[1.0], tspan=(0.0, 1.0), theta=np.zeros(0)

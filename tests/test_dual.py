@@ -97,6 +97,36 @@ def test_mixed_arity_rejected():
         MultiDual(1.0, [1.0]) + MultiDual(1.0, [1.0, 0.0])
 
 
+def test_dualscalar_is_arity_one_multidual():
+    x = DualScalar(2.0, 1.0)
+    assert isinstance(x, MultiDual)
+    assert x.arity == 1
+    assert DualScalar(2.0).tangent == 0.0
+
+
+def test_tangent_after_reflected_and_mixed_operations():
+    x = DualScalar(2.0, 1.0)
+    assert (1.0 / x).tangent == -0.25
+    assert (2.0 - x).tangent == -1.0
+    assert (3.0 * x).tangent == 3.0
+    r = x ** DualScalar(2.0, 0.0)
+    assert r.value == pytest.approx(4.0, rel=1e-15)
+    assert r.tangent == pytest.approx(4.0, rel=1e-15)
+    assert isinstance(r.tangent, float)
+
+
+def test_tangent_requires_arity_one():
+    with pytest.raises(ValueError, match="arity 2"):
+        MultiDual(1.0, [1.0, 0.0]).tangent
+
+
+def test_dualscalar_with_wider_multidual_rejected():
+    with pytest.raises(ValueError, match="mixed multidual arities"):
+        DualScalar(1.0, 1.0) + MultiDual(1.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match="mixed multidual arities"):
+        MultiDual(1.0, [1.0, 0.0]) * DualScalar(1.0, 1.0)
+
+
 def test_comparisons_use_value_coordinate():
     a = DualScalar(1.0, 100.0)
     b = DualScalar(2.0, -100.0)
@@ -157,9 +187,11 @@ def test_multidual_arity_one_matches_dualscalar():
     for _ in range(100):
         v = rng.uniform(0.2, 2.0)
         a = expression(DualScalar(v, 1.0), 1.0, 2.0)
-        b = expression(MultiDual(v, [1.0]), 1.0, 2.0)
+        # the same direction as the first of two tangent slots
+        b = expression(MultiDual(v, [1.0, 0.0]), 1.0, 2.0)
         assert a.value == pytest.approx(b.value, rel=1e-15)
         assert a.tangent == pytest.approx(b.tangents[0], rel=1e-15)
+        assert b.tangents[1] == 0.0
 
 
 def test_state_seeding_with_jacobian():

@@ -79,6 +79,13 @@ def test_scaled_error_joint_sees_tangent_error():
     joint = scaled_error(u, u_hat, abstol, 0.0, JOINT_PRIMAL_DUAL)
     n, p = 1, 1
     assert joint == pytest.approx(math.sqrt(1.0 / (n * (p + 1))))
+    # a dual entry paired with a plain float adds its value and its p tangent
+    # coordinates (the float counts as zero tangents); a float-float entry
+    # adds its value only: 1 + 2 + 1 coordinates
+    u = np.array([MultiDual(1.0, [2 * abstol, 0.0]), 0.0], dtype=object)
+    u_hat = np.array([1.0, abstol], dtype=object)
+    joint = scaled_error(u, u_hat, abstol, 0.0, JOINT_PRIMAL_DUAL)
+    assert joint == pytest.approx(math.sqrt((0.0 + 4.0 + 0.0 + 1.0) / 4.0), rel=1e-12)
 
 
 def test_propose_dt_unit_errors_keep_dt():
