@@ -50,7 +50,7 @@ from .errors import (
     NumericalBlowupError,
     StepsizeUnderflowError,
 )
-from .sensitivity import _counted, jacobian_assembly
+from .sensitivity import _counted, _jacobians_and_rhs, jacobian_assembly
 from .solver import SolverConfig, dense_eval, rk_step, solve
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
@@ -110,6 +110,10 @@ def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, loss):
     jumps during the reverse traversal.
     """
     J_u, J_theta = jacobian_assembly(problem, u, theta, t)
+    return _costate_derivatives(J_u, J_theta, u, lam, theta, loss)
+
+
+def _costate_derivatives(J_u, J_theta, u, lam, theta, loss):
     dlam = -(J_u.T @ lam)
     dg = J_theta.T @ lam
     if isinstance(loss, IntegratedLoss):
@@ -518,9 +522,12 @@ def _backsolve(problem, loss, config, theta, stats):
     def rhs_rev(z, th, sigma, t_ref):
         t = t_ref - sigma
         uu, ll = z[:n], z[n : 2 * n]
-        du = -np.asarray(problem.rhs(uu, th, t), dtype=float)
-        dlam, dg = adjoint_rhs(uu, ll, th, t, problem, loss)
-        return np.concatenate([du, -dlam, dg])
+        # f(u) from the multidual Jacobian call when there is one
+        J_u, J_theta, f = _jacobians_and_rhs(problem, uu, th, t)
+        if f is None:
+            f = problem.rhs(uu, th, t)
+        dlam, dg = _costate_derivatives(J_u, J_theta, uu, ll, th, loss)
+        return np.concatenate([-np.asarray(f, dtype=float), -dlam, dg])
 
     # unstable reverse dynamics manifest as unbounded reverse work, not
     # always as a clean overflow; cap the reverse budget relative to the

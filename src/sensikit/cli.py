@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -124,39 +123,6 @@ def _rel_error(g, ref):
     if scale == 0:
         return float(np.linalg.norm(g - ref))
     return float(np.linalg.norm(g - ref) / scale)
-
-
-# ---------------------------------------------------------------------
-# problem/loss config-file round trip
-
-
-def problem_to_config(entry) -> str:
-    """Serialize a catalog entry to the flat key-value config format."""
-    buf = io.StringIO()
-    buf.write("[problem]\n")
-    buf.write(f"id = {entry.id}\n")
-    for key, val in entry.params.items():
-        if isinstance(val, float):
-            buf.write(f"{key} = {fmt(val)}\n")
-        else:
-            buf.write(f"{key} = {val}\n")
-    return buf.getvalue()
-
-
-def problem_from_config(text):
-    """Rebuild a catalog entry from its config serialization."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_string(text)
-    if "problem" not in parser:
-        raise ValueError("config text lacks a [problem] section")
-    section = dict(parser["problem"])
-    problem_id = section.pop("id", None)
-    if problem_id not in CATALOG:
-        raise ValueError(f"unknown problem id {problem_id!r}")
-    kwargs = {}
-    for key, raw in section.items():
-        kwargs[key] = int(raw) if key in ("n_cells",) else float(raw)
-    return make_problem(problem_id, **kwargs)
 
 
 # ---------------------------------------------------------------------

@@ -13,7 +13,14 @@ class OdeProblem:
     """First-order ODE ``du/dt = f(u, theta, t)`` on a time span.
 
     ``rhs`` must be generic over the scalar kind of ``u`` and ``theta``:
-    the same callable is used for plain, complex, and dual states.
+    the same callable is used for plain, complex, and dual states.  A dual
+    state or parameter vector is a ``dual.DualArray``; on it ``rhs`` may use
+    arithmetic with numbers, float arrays and other duals, negation,
+    ``float_matrix @ u``, indexing (an integer gives a ``MultiDual``),
+    ``len``/iteration, ``np.concatenate``, ``np.sum``, ``np.sin``/``cos``/
+    ``exp``/``log``/``sqrt``, and may return ``np.array([...])`` of scalar
+    entries; it may not write into its arguments or build arrays with
+    ``np.zeros_like``/``np.empty_like`` and fill them.
     ``u0_jacobian`` is the n-by-p derivative of the initial state with
     respect to the parameters (zero when omitted).  Analytic Jacobians of
     the right-hand side are optional; when absent they are assembled with

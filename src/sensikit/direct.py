@@ -148,7 +148,7 @@ def forwardad_gradient(
     # a copy: the loss dual's tangents may be shared with other duals
     gradient = np.array(dual.tangents(loss_d, p), dtype=float)
 
-    traj = np.array([dual.jacobian_from_duals(z, p) for z in sol.states])
+    traj = dual.jacobian_from_duals(sol.states, p)
     metadata = {"norm_mode": config.norm_mode}
     if config.norm_mode == PRIMAL_ONLY:
         metadata["warning"] = (

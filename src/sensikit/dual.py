@@ -3,24 +3,45 @@
 A dual number ``a + eps*b`` carries a value coordinate and a tangent
 coordinate under truncated-Taylor arithmetic (``eps**2 == 0``), so pushing
 seeded inputs through ordinary arithmetic yields exact first derivatives.
-``MultiDual`` is the one dual type: it keeps one tangent per parameter
+``MultiDual`` is the one dual scalar: it keeps one tangent per parameter
 direction, with ``eps_i * eps_j == 0`` for every pair, which produces full
 Jacobian rows in a single evaluation.  ``DualScalar(value, tangent)`` is
 its arity-1 constructor, and ``MultiDual.tangent`` reads that single
 coordinate back as a float.
 
-Plain real operands (``int``, ``float``, numpy real scalars) are constants
-that never get a zero tangent array: ``d + c`` and ``d - c`` keep
-``d.tangents``, ``c - d``, ``d * c`` and ``d / c`` build one new array.
-Tangent arrays may therefore be shared between duals (and with the rows a
-dual was seeded from); no code writes one in place.  Operator results are
-built through ``_dual``, which skips the type conversion and shape check
-of the public ``MultiDual(value, tangents)`` constructor.
+``DualArray`` is the one dual container: a state vector of multiduals kept
+as one value array of shape ``S`` and one tangent array of shape
+``S + (k,)`` (the chunked layout of Revels, Lubin & Papamarkou 2016,
+arXiv 1607.07892).  ``seed``/``seed_state`` return one, forward AD
+integrates on it, and Jacobian assembly makes one right-hand-side call on
+it.  Its operators compute, entry by entry, the same floating-point
+operations in the same order as ``MultiDual``, so both give the same bits.
+A generic right-hand side may use on a dual state: ``+ - * / **`` with
+plain numbers, float arrays, multiduals and dual arrays in either order,
+negation, ``float_matrix @ state``, integer indexing (a ``MultiDual``),
+slices and index arrays (a ``DualArray``), ``len`` and iteration,
+``np.concatenate`` with float operands, ``np.sum``, the ufuncs ``sin``,
+``cos``, ``exp``, ``log`` and ``sqrt``, and ``np.array([...])`` of scalar
+entries.  It may not write into a dual array in place.  ``asarray`` is the
+boundary conversion the solver applies to every right-hand-side result: it
+packs an object array of multiduals (plain entries get zero tangents) into
+a ``DualArray`` and passes float and complex arrays through.
 
-Comparisons and ``bool`` conversion look at the value coordinate only, so
-solver control flow (step acceptance, bracketing) runs unmodified on dual
-states.  Derivatives across a value-order-dependent branch are therefore
-one-sided.
+Plain real operands (``int``, ``float``, numpy real scalars and arrays)
+are constants that never get a zero tangent array: ``d + c`` and ``d - c``
+keep ``d.tangents``, ``c - d``, ``d * c`` and ``d / c`` build one new
+array.  Tangent arrays may therefore be shared between duals (and with the
+rows a dual was seeded from); no code writes one in place.  Operator
+results are built through ``_dual``/``_dual_array``, which skip the type
+conversion and shape check of the public constructors.  Elementary
+functions and powers use numpy's implementations for both types: numpy's
+``exp``, ``log`` and ``power`` differ from the ``math`` module's in the
+last bit for some arguments, and the two types must agree.
+
+Comparisons and ``bool`` conversion of a ``MultiDual`` look at the value
+coordinate only, so solver control flow (step acceptance, bracketing) runs
+unmodified on dual states.  Derivatives across a value-order-dependent
+branch are therefore one-sided.
 
 Complex scalars for complex-step differentiation are the native Python /
 numpy complex numbers: the imaginary part carries the eps-scaled
@@ -147,10 +168,19 @@ class MultiDual:
         if isinstance(exponent, MultiDual):
             return (exponent * self.log()).exp()
         if isinstance(exponent, _SCALARS):
-            v = self.value ** exponent
             return _dual(
-                float(v), exponent * self.value ** (exponent - 1) * self.tangents
+                float(np.power(self.value, exponent)),
+                float(exponent * np.power(self.value, exponent - 1)) * self.tangents,
             )
+        return NotImplemented
+
+    def __rpow__(self, base):
+        if isinstance(base, _SCALARS):
+            c = float(base)
+            if c <= 0.0:
+                raise NonSmoothPointError("power needs a positive base to differentiate its exponent")
+            v = float(np.power(c, self.value))
+            return _dual(v, float(v * np.log(c)) * self.tangents)
         return NotImplemented
 
     def __abs__(self):
@@ -184,24 +214,24 @@ class MultiDual:
         return self.value
 
     def sin(self):
-        return _dual(math.sin(self.value), self.tangents * math.cos(self.value))
+        return _dual(float(np.sin(self.value)), self.tangents * np.cos(self.value))
 
     def cos(self):
-        return _dual(math.cos(self.value), -self.tangents * math.sin(self.value))
+        return _dual(float(np.cos(self.value)), -self.tangents * np.sin(self.value))
 
     def exp(self):
-        v = math.exp(self.value)
+        v = float(np.exp(self.value))
         return _dual(v, self.tangents * v)
 
     def log(self):
         if self.value <= 0.0:
             raise NonSmoothPointError("log requires a positive value coordinate")
-        return _dual(math.log(self.value), self.tangents / self.value)
+        return _dual(float(np.log(self.value)), self.tangents / self.value)
 
     def sqrt(self):
         if self.value <= 0.0:
             raise NonSmoothPointError("sqrt tangent undefined at a non-positive value")
-        v = math.sqrt(self.value)
+        v = float(np.sqrt(self.value))
         return _dual(v, self.tangents / (2.0 * v))
 
 
@@ -218,6 +248,341 @@ def _dual(value, tangents):
 
 def _mixed_arities(a, b):
     return ValueError(f"mixed multidual arities {a.arity} and {b.arity}")
+
+
+class DualArray:
+    """Array of multiduals kept as one value array and one tangent array.
+
+    ``value`` is a float array of shape ``S`` and ``tangents`` a float array
+    of shape ``S + (k,)``; entry ``i`` is ``MultiDual(value[i],
+    tangents[i])``.  Every operator applies ``MultiDual``'s formula to whole
+    arrays, so each entry of a result has the bits the entry-wise multidual
+    operation gives.  ``np.concatenate`` and packing lift plain entries to
+    zero tangents.  Operands of another arity raise ``ValueError``; complex
+    operands are rejected with ``TypeError``.  Division by a zero value
+    coordinate follows numpy (``inf``/``nan`` and a warning), which the
+    solver reports as a non-finite stage.
+
+    ``dtype`` reads ``object``, as an object array of multiduals did, so
+    code asking for the scalar kind of a state sees a dual one.  There is
+    deliberately no ``__array__``: ``np.asarray`` would drop the tangents.
+    """
+
+    __slots__ = ("value", "tangents")
+
+    dtype = np.dtype(object)
+
+    def __init__(self, value, tangents):
+        value = np.asarray(value, dtype=float)
+        tangents = np.asarray(tangents, dtype=float)
+        if tangents.shape[:-1] != value.shape or tangents.ndim != value.ndim + 1:
+            raise ValueError(
+                f"tangents of shape {tangents.shape} do not extend values of shape {value.shape}"
+            )
+        self.value = value
+        self.tangents = tangents
+
+    @property
+    def arity(self):
+        return self.tangents.shape[-1]
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    @property
+    def ndim(self):
+        return self.value.ndim
+
+    def __len__(self):
+        return len(self.value)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.value)))
+
+    def __getitem__(self, key):
+        return _entries(self.value[key], self.tangents[key])
+
+    def __repr__(self):
+        return f"DualArray({self.value.tolist()!r}, {self.tangents.tolist()!r})"
+
+    def _operand(self, other):
+        """``other`` as a dual of this arity or a float constant; None if unsupported."""
+        if isinstance(other, np.ndarray) and other.dtype == object:
+            other = asarray(other)
+        if isinstance(other, _DUALS):
+            if other.tangents.shape[-1] != self.tangents.shape[-1]:
+                raise _mixed_arities(self, other)
+            return other
+        if isinstance(other, _SCALARS):
+            return float(other)
+        if isinstance(other, np.ndarray) and other.dtype.kind in "iuf":
+            return other
+        return None
+
+    def __add__(self, other):
+        if type(other) is DualArray and other.tangents.shape == self.tangents.shape:
+            return _dual_array(self.value + other.value, self.tangents + other.tangents)
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            return _dual_array(self.value + o.value, self.tangents + o.tangents)
+        return _spread(self.value + o, self.tangents)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            return _dual_array(self.value - o.value, self.tangents - o.tangents)
+        return _spread(self.value - o, self.tangents)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            return _dual_array(o.value - self.value, o.tangents - self.tangents)
+        return _spread(o - self.value, -self.tangents)
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            c = float(other)
+            return _dual_array(self.value * c, self.tangents * c)
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            return _dual_array(
+                self.value * o.value,
+                self.value[..., None] * o.tangents + self.tangents * _col(o.value),
+            )
+        return _dual_array(self.value * o, self.tangents * _col(o))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            q = self.value / o.value
+            return _dual_array(q, (self.tangents - q[..., None] * o.tangents) / _col(o.value))
+        return _dual_array(self.value / o, self.tangents / _col(o))
+
+    def __rtruediv__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            q = o.value / self.value
+            return _dual_array(q, (o.tangents - q[..., None] * self.tangents) / self.value[..., None])
+        q = o / self.value
+        # (-q * t) / v, as MultiDual rounds it
+        return _dual_array(q, (-q[..., None] * self.tangents) / self.value[..., None])
+
+    def __neg__(self):
+        return _dual_array(-self.value, -self.tangents)
+
+    def __pow__(self, exponent):
+        o = self._operand(exponent)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            return (o * self.log()).exp()
+        return _dual_array(
+            np.power(self.value, o),
+            (o * np.power(self.value, o - 1))[..., None] * self.tangents,
+        )
+
+    def __rpow__(self, base):
+        o = self._operand(base)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, _DUALS):
+            return (self * o.log()).exp()
+        if np.any(np.less_equal(o, 0.0)):
+            raise NonSmoothPointError("power needs a positive base to differentiate its exponent")
+        v = np.power(o, self.value)
+        return _dual_array(v, (v * np.log(o))[..., None] * self.tangents)
+
+    def __rmatmul__(self, other):
+        if not (isinstance(other, np.ndarray) and other.dtype.kind in "iuf" and self.value.ndim == 1):
+            return NotImplemented
+        return _entries(other @ self.value, other @ self.tangents)
+
+    def sin(self):
+        return _dual_array(np.sin(self.value), self.tangents * np.cos(self.value)[..., None])
+
+    def cos(self):
+        return _dual_array(np.cos(self.value), -self.tangents * np.sin(self.value)[..., None])
+
+    def exp(self):
+        v = np.exp(self.value)
+        return _dual_array(v, self.tangents * v[..., None])
+
+    def log(self):
+        if np.any(self.value <= 0.0):
+            raise NonSmoothPointError("log requires a positive value coordinate")
+        return _dual_array(np.log(self.value), self.tangents / self.value[..., None])
+
+    def sqrt(self):
+        if np.any(self.value <= 0.0):
+            raise NonSmoothPointError("sqrt tangent undefined at a non-positive value")
+        v = np.sqrt(self.value)
+        return _dual_array(v, self.tangents / (2.0 * v)[..., None])
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if len(inputs) == 1:
+            fn = _UNARY_UFUNCS.get(ufunc)
+            return NotImplemented if fn is None else fn(self)
+        own, reflected = _BINARY_UFUNCS.get(ufunc, (None, None))
+        a, b = inputs
+        name, other = (own, b) if a is self else (reflected, a)
+        return NotImplemented if name is None else getattr(self, name)(other)
+
+    def __array_function__(self, func, types, args, kwargs):
+        fn = _FUNCTIONS.get(func)
+        if fn is None:
+            return NotImplemented
+        return fn(*args, **kwargs)
+
+
+def _dual_array(value, tangents):
+    """A ``DualArray`` from float arrays of matching shapes, skipping ``__init__``."""
+    d = object.__new__(DualArray)
+    d.value = value
+    d.tangents = tangents
+    return d
+
+
+def _entries(value, tangents):
+    """One entry as a ``MultiDual`` when ``value`` is 0-d, else a ``DualArray``."""
+    if value.ndim:
+        return _dual_array(value, tangents)
+    return _dual(float(value), tangents)
+
+
+def _spread(value, tangents):
+    # a constant operand may broadcast the value to more entries
+    if tangents.shape[:-1] != value.shape:
+        tangents = np.broadcast_to(tangents, value.shape + tangents.shape[-1:])
+    return _dual_array(value, tangents)
+
+
+def _col(v):
+    # a per-entry factor against an S + (k,) tangent array
+    return v[..., None] if isinstance(v, np.ndarray) else v
+
+
+def asarray(x):
+    """A state as an array: the conversion applied to right-hand-side results.
+
+    A ``DualArray`` passes as it is; an object array holding multiduals is
+    packed into one (plain entries get zero tangents); anything else goes
+    through ``np.asarray``, so float and complex arrays pass unchanged.
+    """
+    if isinstance(x, DualArray):
+        return x
+    x = np.asarray(x)
+    if x.dtype == object:
+        return _pack(x)
+    return x
+
+
+def _pack(entries):
+    flat = entries.ravel().tolist()
+    arity = next((x.arity for x in flat if isinstance(x, MultiDual)), None)
+    if arity is None:
+        return np.array(flat).reshape(entries.shape)
+    zero = np.zeros(arity)
+    try:
+        tangents = np.array([x.tangents if isinstance(x, MultiDual) else zero for x in flat])
+    except ValueError as err:  # rows of different lengths
+        raise ValueError("mixed multidual arities in one array") from err
+    values = np.array([x.value if isinstance(x, MultiDual) else x for x in flat], dtype=float)
+    return _dual_array(
+        values.reshape(entries.shape), tangents.reshape(entries.shape + (arity,))
+    )
+
+
+def as_dual(x, arity):
+    """``x`` as a ``DualArray`` of the given arity; plain entries get zero tangents."""
+    x = asarray(x)
+    if not isinstance(x, DualArray):
+        x = np.asarray(x, dtype=float)
+        return _dual_array(x, np.zeros(x.shape + (arity,)))
+    if x.arity != arity:
+        raise ValueError(f"mixed multidual arities {x.arity} and {arity}")
+    return x
+
+
+def norm_coordinates(u, u_hat, joint):
+    """Flat float coordinates an error norm compares, for two dual states.
+
+    At least one of ``u`` and ``u_hat`` is a ``DualArray``; a plain one
+    counts as zero tangents.  The order is entry by entry: the value, then,
+    when ``joint``, that entry's tangents.
+    """
+    arity = (u if isinstance(u, DualArray) else u_hat).arity
+    u, u_hat = as_dual(u, arity), as_dual(u_hat, arity)
+    if not joint:
+        return u.value.ravel(), u_hat.value.ravel()
+    return tuple(
+        np.concatenate((x.value[..., None], x.tangents), axis=-1).ravel() for x in (u, u_hat)
+    )
+
+
+def _concatenate(arrays, axis=0):
+    parts = [asarray(a) for a in arrays]
+    arity = next(p.arity for p in parts if isinstance(p, DualArray))
+    parts = [as_dual(p, arity) for p in parts]
+    if axis < 0:
+        axis += parts[0].value.ndim
+    return _dual_array(
+        np.concatenate([p.value for p in parts], axis),
+        np.concatenate([p.tangents for p in parts], axis),
+    )
+
+
+def _vstack(tup):
+    parts = [asarray(a) for a in tup]
+    return _concatenate([p[None] if p.ndim == 1 else p for p in parts])
+
+
+def _sum(a):
+    # every entry, left to right, as numpy sums an object array: pairwise
+    # summation would change bits
+    value = a.value.reshape(-1)
+    tangents = a.tangents.reshape(-1, a.arity)
+    return _dual(float(np.cumsum(value)[-1]), np.cumsum(tangents, axis=0)[-1])
+
+
+_DUALS = (MultiDual, DualArray)
+
+_UNARY_UFUNCS = {
+    np.negative: DualArray.__neg__,
+    np.sin: DualArray.sin,
+    np.cos: DualArray.cos,
+    np.exp: DualArray.exp,
+    np.log: DualArray.log,
+    np.sqrt: DualArray.sqrt,
+    np.isfinite: lambda d: np.isfinite(d.value),
+}
+_BINARY_UFUNCS = {
+    np.add: ("__add__", "__radd__"),
+    np.subtract: ("__sub__", "__rsub__"),
+    np.multiply: ("__mul__", "__rmul__"),
+    np.true_divide: ("__truediv__", "__rtruediv__"),
+    np.power: ("__pow__", "__rpow__"),
+    np.matmul: (None, "__rmatmul__"),
+}
+_FUNCTIONS = {np.concatenate: _concatenate, np.vstack: _vstack, np.sum: _sum}
 
 
 def DualScalar(value, tangent=0.0) -> MultiDual:
@@ -251,43 +616,41 @@ def tangents(x, arity=None):
 
 
 def seed(theta):
-    """Seed a parameter vector as multiduals with canonical basis tangents.
+    """Seed a parameter vector as a ``DualArray`` with canonical basis tangents.
 
     Entry ``i`` gets value ``theta[i]`` and tangent vector ``e_i``, so a
     computation on the seeded vector carries the full Jacobian with respect
     to ``theta``.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
         raise ValueError("parameter vector must be 1-D and non-empty")
-    eye = np.eye(theta.size)
-    return np.array([_dual(v, row) for v, row in zip(theta.tolist(), eye)], dtype=object)
+    return _dual_array(theta, np.eye(theta.size))
 
 
 def seed_state(u0, u0_jacobian, p):
-    """Lift an initial state to multiduals with tangents from its Jacobian.
+    """Lift an initial state to a ``DualArray`` with tangents from its Jacobian.
 
     ``u0_jacobian`` is the n-by-p matrix of initial-state derivatives with
     respect to the parameters (zero when the initial condition does not
     depend on them).
     """
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.array(u0, dtype=float).reshape(-1)
     if u0_jacobian is None:
         u0_jacobian = np.zeros((u0.size, p))
     u0_jacobian = np.asarray(u0_jacobian, dtype=float)
     if u0_jacobian.shape != (u0.size, p):
         raise ValueError(f"initial-state jacobian must be {(u0.size, p)}")
-    return np.array(
-        [_dual(v, row) for v, row in zip(u0.tolist(), u0_jacobian)], dtype=object
-    )
+    return _dual_array(u0, u0_jacobian)
 
 
 def jacobian_from_duals(state, p):
-    """Extract the n-by-p tangent matrix from a multidual state vector."""
-    state = np.asarray(state)
-    zero = np.zeros(p)
-    rows = [x.tangents if isinstance(x, MultiDual) else zero for x in state.ravel()]
-    return np.array(rows).reshape(state.shape + (p,))
+    """A copy of the tangents of a dual state: the n-by-p matrix for a vector.
+
+    Plain entries, as a right-hand side with a constant component returns,
+    give zero rows.
+    """
+    return np.array(as_dual(state, p).tangents)
 
 
 def absolute(x):

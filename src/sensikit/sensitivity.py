@@ -58,6 +58,16 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t):
     missing one is assembled column-by-column from a single multidual
     right-hand-side evaluation seeded in the needed directions.
     """
+    J_u, J_theta, _ = _jacobians_and_rhs(problem, u, theta, t)
+    return J_u, J_theta
+
+
+def _jacobians_and_rhs(problem: OdeProblem, u, theta, t):
+    """``jacobian_assembly`` plus ``f(u)`` when a multidual call computed it.
+
+    The third item is the value coordinate of that call, or None when both
+    Jacobians are analytic and no right-hand side was evaluated.
+    """
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n, p = u.size, theta.size
@@ -67,6 +77,7 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t):
         return (
             np.asarray(jac_u(u, theta, t), dtype=float),
             np.asarray(jac_theta(u, theta, t), dtype=float),
+            None,
         )
     # seed only the directions we cannot get analytically
     need_u = jac_u is None
@@ -76,16 +87,25 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t):
     col = n if need_u else 0
     u_in = dual.seed_state(u, eye[:n], arity) if need_u else u
     th_in = dual.seed_state(theta, eye[col:], arity) if need_theta else theta
-    jac = dual.jacobian_from_duals(np.asarray(problem.rhs(u_in, th_in, t)), arity)
-    J_u = jac[:, :n] if need_u else np.asarray(jac_u(u, theta, t), dtype=float)
-    J_theta = jac[:, col:] if need_theta else np.asarray(jac_theta(u, theta, t), dtype=float)
-    return J_u, J_theta
+    out = dual.as_dual(problem.rhs(u_in, th_in, t), arity)
+    J_u = out.tangents[:, :n] if need_u else np.asarray(jac_u(u, theta, t), dtype=float)
+    J_theta = (
+        out.tangents[:, col:] if need_theta else np.asarray(jac_theta(u, theta, t), dtype=float)
+    )
+    return J_u, J_theta, out.value
 
 
 def sensitivity_rhs(u, s, theta, t, problem: OdeProblem):
-    """Time derivatives of state and sensitivity: ``(f, (df/du) s + df/dtheta)``."""
-    J_u, J_theta = jacobian_assembly(problem, u, theta, t)
-    du = np.asarray(problem.rhs(np.asarray(u, dtype=float), np.asarray(theta, dtype=float), t), dtype=float)
+    """Time derivatives of state and sensitivity: ``(f, (df/du) s + df/dtheta)``.
+
+    ``f`` is read off the multidual Jacobian call when there is one, so
+    each point costs one right-hand-side evaluation, not two.
+    """
+    J_u, J_theta, du = _jacobians_and_rhs(problem, u, theta, t)
+    if du is None:
+        du = np.asarray(
+            problem.rhs(np.asarray(u, dtype=float), np.asarray(theta, dtype=float), t), dtype=float
+        )
     return du, J_u @ s + J_theta
 
 

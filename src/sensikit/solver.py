@@ -1,7 +1,9 @@
 """Explicit Runge-Kutta integration, generic over the scalar kind.
 
 One stepper serves plain, complex and dual states: stage algebra is
-written against numpy arrays whose elements may be any of those scalars.
+written against float or complex numpy arrays or ``dual.DualArray``
+states, and every right-hand-side result passes through ``dual.asarray``,
+which packs an object array of multiduals into a ``DualArray``.
 Adaptive runs use the embedded error estimate with a scaled norm
 and a proportional-integral stepsize controller; the norm can optionally
 cover the tangent coordinates of dual states so that sensitivity error is
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import OdeProblem, Solution, SolverStats
-from .dual import MultiDual, tangents, value
+from .dual import DualArray, asarray, norm_coordinates
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -135,7 +137,9 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a, b, c = tableau.a, tableau.b, tableau.c
+    # Python floats: a numpy scalar times a DualArray would go through
+    # numpy's ufunc dispatch on every stage update
+    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     s = tableau.stages
     k = [None] * s
     for i in range(s):
@@ -144,11 +148,11 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
         else:
             ui = u
             for j in range(i):
-                aij = a[i, j]
+                aij = a[i][j]
                 if aij != 0.0:
                     ui = ui + (dt * aij) * k[j]
-            k[i] = np.asarray(rhs(ui, theta, t + c[i] * dt))
-        if not _values_finite(k[i]):
+            k[i] = asarray(rhs(ui, theta, t + c[i] * dt))
+        if not np.isfinite(k[i]).all():
             raise NumericalBlowupError(
                 f"non-finite stage value at t={t!r}, dt={dt!r}", t=t, dt=dt
             )
@@ -158,36 +162,12 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
             u_next = u_next + (dt * b[i]) * k[i]
     u_emb = None
     if tableau.b_hat is not None:
+        b_hat = tableau.b_hat.tolist()
         u_emb = u
         for i in range(s):
-            if tableau.b_hat[i] != 0.0:
-                u_emb = u_emb + (dt * tableau.b_hat[i]) * k[i]
+            if b_hat[i] != 0.0:
+                u_emb = u_emb + (dt * b_hat[i]) * k[i]
     return u_next, u_emb, k
-
-
-def _values_finite(state) -> bool:
-    state = np.asarray(state)
-    if state.dtype == object:
-        # a generator stops at the first non-finite entry and builds no array
-        return all(math.isfinite(value(x)) for x in state.flat)
-    return bool(np.all(np.isfinite(state)))
-
-
-def _error_coordinates(x, x_hat, joint):
-    """Pairs of (delta, magnitude-scale) floats for one state entry.
-
-    The entry adds its tangent coordinates in joint mode only when either
-    side is dual; the plain side then counts as having zero tangents.
-    """
-    if not (isinstance(x, MultiDual) or isinstance(x_hat, MultiDual)):
-        return [(abs(x - x_hat), max(abs(x), abs(x_hat)))]
-    xv, hv = value(x), value(x_hat)
-    out = [(abs(xv - hv), max(abs(xv), abs(hv)))]
-    if joint:
-        arity = (x if isinstance(x, MultiDual) else x_hat).arity
-        xt, ht = tangents(x, arity), tangents(x_hat, arity)
-        out.extend(zip(np.abs(xt - ht), np.maximum(np.abs(xt), np.abs(ht))))
-    return out
 
 
 def scaled_error(u, u_hat, abstol, reltol, norm_mode=PRIMAL_ONLY) -> float:
@@ -196,24 +176,23 @@ def scaled_error(u, u_hat, abstol, reltol, norm_mode=PRIMAL_ONLY) -> float:
     Each coordinate contributes ``|u_i - u_hat_i| / (abstol + reltol * M_i)``
     with ``M_i = max(|u_i|, |u_hat_i|)``; the result is the root mean square.
     In joint mode, dual states contribute their tangent coordinates as well,
-    extending the sum over all ``n * (p + 1)`` value-and-tangent entries.
+    extending the sum over all ``n * (p + 1)`` value-and-tangent entries (a
+    plain state paired with a dual one counts as zero tangents).
     """
-    u = np.asarray(u)
-    u_hat = np.asarray(u_hat)
+    u, u_hat = asarray(u), asarray(u_hat)
     if u.shape != u_hat.shape:
         raise ValueError("state shapes differ")
-    joint = norm_mode == JOINT_PRIMAL_DUAL
-    if u.dtype == object or u_hat.dtype == object:
-        total = 0.0
-        count = 0
-        for x, xh in zip(u.ravel(), u_hat.ravel()):
-            for d, m in _error_coordinates(x, xh, joint):
-                total += (d / (abstol + reltol * m)) ** 2
-                count += 1
-        return math.sqrt(total / count)
+    dual_state = isinstance(u, DualArray) or isinstance(u_hat, DualArray)
+    if dual_state:
+        u, u_hat = norm_coordinates(u, u_hat, norm_mode == JOINT_PRIMAL_DUAL)
     err = np.abs(u - u_hat)
     scale = abstol + reltol * np.maximum(np.abs(u), np.abs(u_hat))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    terms = (err / scale) ** 2
+    if dual_state:
+        # left to right, entry by entry, as the multidual error norm has always
+        # summed: numpy's pairwise mean would change the step sequence's bits
+        return math.sqrt(np.cumsum(terms)[-1] / terms.size)
+    return float(np.sqrt(np.mean(terms)))
 
 
 def propose_dt(dt_prev, w_history, controller: StepController, order: int) -> float:
@@ -242,8 +221,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
     """
     t0, t1 = problem.tspan
     span = t1 - t0
-    theta = problem.theta if theta is None else np.asarray(theta)
-    u = np.asarray(problem.u0 if u0 is None else u0)
+    theta = problem.theta if theta is None else asarray(theta)
+    u = asarray(problem.u0 if u0 is None else u0)
     rhs = problem.rhs
     tableau = config.tableau
     adaptive = config.adaptive
@@ -251,7 +230,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
 
     def eval_rhs(state, th, tt):
         stats.rhs_evaluations += 1
-        return np.asarray(rhs(state, th, tt))
+        return rhs(state, th, tt)
 
     if config.saveat is not None:
         grid = config.saveat
@@ -271,7 +250,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
         plan = checkpoint_plan(problem.tspan, config.checkpoints)
         store = CheckpointStore()
 
-    f_curr = eval_rhs(u, theta, t0)
+    f_curr = asarray(eval_rhs(u, theta, t0))
     node_times = [t0]
     node_states = [u]
     node_derivs = [f_curr]
@@ -312,7 +291,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
             w = (1.0 / err) if err > 0 else math.inf
             step_errors.append(err)
         t_new = t1 if is_last else t + dt_attempt
-        f_next = k[-1] if tableau.fsal else eval_rhs(u_next, theta, t_new)
+        f_next = k[-1] if tableau.fsal else asarray(eval_rhs(u_next, theta, t_new))
         stats.accepted_steps += 1
         step_index += 1
         step_dts.append(dt_attempt)
@@ -338,8 +317,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
     node_times = np.asarray(node_times)
     dense = retain_nodes
     if retain_nodes:
-        node_state_arr = _stack(node_states)
-        node_deriv_arr = _stack(node_derivs)
+        node_state_arr = np.vstack(node_states)
+        node_deriv_arr = np.vstack(node_derivs)
     else:
         node_state_arr = None
         node_deriv_arr = None
@@ -358,16 +337,11 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
     )
 
     if config.saveat is not None:
-        sol.states = _stack([_state_on_mesh(sol, ti, tableau) for ti in config.saveat])
+        sol.states = np.vstack([_state_on_mesh(sol, ti, tableau) for ti in config.saveat])
     elif config.save == "final":
         sol.times = np.array([t0, t1])
-        sol.states = _stack([np.asarray(problem.u0 if u0 is None else u0), u])
+        sol.states = np.vstack([node_states[0], u])
     return sol
-
-
-def _stack(states):
-    arr = np.vstack([np.asarray(s) for s in states])
-    return arr
 
 
 def _state_on_mesh(sol, t, tableau):

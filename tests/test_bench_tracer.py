@@ -6,6 +6,7 @@ per-layer metric (``dual.ops``, ``dual.self_s``, ...).  The tracer is loaded
 from its file and only read, never edited.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -45,3 +46,22 @@ def test_tracer_finds_every_layer_and_restores_the_originals():
         assert MultiDual.__dict__[op] is fn
     assert solver.rk_step is rk_step
     assert res.gradient[0] == pytest.approx(entry.analytic_gradient()[0], rel=1e-5)
+
+
+def test_tracer_sees_dual_array_steps_without_analytic_jacobians():
+    # the state is a DualArray here, not an object array of multiduals: the
+    # tracer must still split its rk_step spans off as dual ones
+    tracing = _load_tracing()
+    entry = sk.make_heat1d(8)
+    problem = dataclasses.replace(entry.problem, rhs_jac_u=None, rhs_jac_theta=None)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        res = sk.gradient(problem, entry.loss, "forward_ad", sk.SolverConfig())
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert tracer.summary()["by_name"]["solver.rk_step[dual]"]["calls"] > 0
+    # the wrappers only pass values through; forward AD needs no Jacobians
+    plain = sk.gradient(entry.problem, entry.loss, "forward_ad", sk.SolverConfig())
+    assert res.gradient.tobytes() == plain.gradient.tobytes()

@@ -287,3 +287,194 @@ def test_constructor_rejects_non_1d_tangents():
     with pytest.raises(ValueError, match=r"1-D.*\(\)"):
         MultiDual(1.0, 2.0)
     assert MultiDual(np.float64(1.0), (1, 2)).tangents.dtype == np.float64
+
+
+# -- DualArray: the struct-of-arrays container ------------------------------
+
+_ARRAY_VALUES = [0.7, -1.3, 2.9, 0.45, -0.2]
+_ARRAY_TANGENTS = [[0.5, -0.0], [1.25, 3.0], [-2.0, 0.0], [0.0, 1e-3], [7.0, -0.75]]
+_POSITIVE_VALUES = [0.7, 1.3, 2.9, 0.45, 0.2]
+
+
+def _dual_array(values=_ARRAY_VALUES):
+    return dual.DualArray(values, _ARRAY_TANGENTS)
+
+
+def _entries(d):
+    return [MultiDual(v, t) for v, t in zip(d.value.tolist(), d.tangents)]
+
+
+def _assert_entries_bitwise(got, want):
+    assert isinstance(got, dual.DualArray)
+    assert got.value.dtype == np.float64 and got.tangents.dtype == np.float64
+    assert got.value.tobytes() == np.array([w.value for w in want]).tobytes()
+    assert got.tangents.tobytes() == np.array([w.tangents for w in want]).tobytes()
+
+
+def _operands(positive):
+    """(operand, its entry i) pairs of every supported kind."""
+    rng = np.random.default_rng(5)
+    arr = rng.uniform(0.5, 2.0, size=5) * (1.0 if positive else rng.choice([-1.0, 1.0], size=5))
+    other = dual.DualArray(rng.uniform(0.5, 2.0, size=5), rng.normal(size=(5, 2)))
+    m = MultiDual(1.7, [0.3, -1.1])
+    return [
+        (2.5, lambda i: 2.5),
+        (3, lambda i: 3),
+        (np.float64(0.75), lambda i: np.float64(0.75)),
+        (np.float32(1.5), lambda i: np.float32(1.5)),
+        (arr, lambda i: float(arr[i])),
+        (m, lambda i: m),
+        (other, lambda i: other[i]),
+    ]
+
+
+@pytest.mark.parametrize("op", _ARITH_OPS + [operator.pow], ids=lambda op: op.__name__)
+def test_dual_array_operators_match_entrywise_multidual(op):
+    positive = op is operator.pow
+    d = _dual_array(_POSITIVE_VALUES if positive else _ARRAY_VALUES)
+    entries = _entries(d)
+    for x, entry in _operands(positive):
+        if op is operator.pow and isinstance(x, (int, np.float32)):
+            continue  # covered by the float and float64 exponents
+        _assert_entries_bitwise(op(d, x), [op(e, entry(i)) for i, e in enumerate(entries)])
+        _assert_entries_bitwise(op(x, d), [op(entry(i), e) for i, e in enumerate(entries)])
+    assert d.tangents.tobytes() == np.array(_ARRAY_TANGENTS).tobytes()
+
+
+def test_dual_array_integer_powers_and_negation():
+    d = _dual_array()
+    entries = _entries(d)
+    for k in (2, 3, -1):
+        _assert_entries_bitwise(d ** k, [e ** k for e in entries])
+    _assert_entries_bitwise(-d, [-e for e in entries])
+    _assert_entries_bitwise(np.negative(d), [-e for e in entries])
+
+
+def test_dual_array_broadcasts_against_larger_constants():
+    d = _dual_array()
+    rows = np.array([[1.0], [-2.0]]) * np.ones((2, 5))
+    entries = _entries(d)
+    cases = (
+        (d + rows, lambda e, c: e + c),
+        (rows - d, lambda e, c: c - e),
+        (d * rows, lambda e, c: e * c),
+    )
+    for got, entrywise in cases:
+        assert got.shape == (2, 5) and got.tangents.shape == (2, 5, 2)
+        for r in range(2):
+            _assert_entries_bitwise(got[r], [entrywise(e, float(c)) for e, c in zip(entries, rows[r])])
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "exp", "log", "sqrt"])
+def test_dual_array_ufuncs_match_entrywise_multidual(name):
+    d = _dual_array(_POSITIVE_VALUES)
+    ufunc = getattr(np, name)
+    _assert_entries_bitwise(ufunc(d), [ufunc(e) for e in _entries(d)])
+
+
+def test_dual_array_indexing():
+    d = _dual_array()
+    entries = _entries(d)
+    first = d[1]
+    assert isinstance(first, MultiDual) and type(first.value) is float
+    assert _bits(first) == _bits(entries[1])
+    assert _bits(d[-1]) == _bits(entries[-1])
+    _assert_entries_bitwise(d[1:4], entries[1:4])
+    _assert_entries_bitwise(d[::2], entries[::2])
+    _assert_entries_bitwise(d[np.array([3, 0, 3])], [entries[3], entries[0], entries[3]])
+    mask = np.array([True, False, False, True, True])
+    _assert_entries_bitwise(d[mask], [e for e, keep in zip(entries, mask) if keep])
+    assert len(d) == 5 and d.shape == (5,) and d.arity == 2 and d.dtype == object
+    assert [_bits(e) for e in d] == [_bits(e) for e in entries]
+
+
+def test_dual_array_concatenate_and_sum():
+    d = _dual_array()
+    entries = _entries(d)
+    padded = np.concatenate(([0.0], d, [1.5, -2.0]))
+    zero = MultiDual(0.0, [0.0, 0.0])
+    _assert_entries_bitwise(
+        padded, [zero] + entries + [MultiDual(1.5, [0.0, 0.0]), MultiDual(-2.0, [0.0, 0.0])]
+    )
+    _assert_entries_bitwise(np.concatenate((d, d[:2])), entries + entries[:2])
+    total = np.sum(d)
+    assert isinstance(total, MultiDual)
+    assert _bits(total) == _bits(np.sum(np.array(entries, dtype=object)))
+    # left to right, as numpy sums an object array of multiduals; numpy's
+    # pairwise float summation would differ in the last bits here
+    rng = np.random.default_rng(9)
+    long = dual.DualArray(rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, 40), rng.normal(size=(40, 3)))
+    want = np.sum(np.array(_entries(long), dtype=object))
+    assert _bits(np.sum(long)) == _bits(want)
+    assert float(np.sum(long.value)) != want.value
+
+
+def test_dual_array_matmul_matches_entrywise_sum():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 5))
+    d = _dual_array()
+    got = a @ d
+    entries = _entries(d)
+    want = [sum((float(a[i, j]) * entries[j] for j in range(1, 5)), float(a[i, 0]) * entries[0])
+            for i in range(4)]
+    want_v = np.array([w.value for w in want])
+    want_t = np.array([w.tangents for w in want])
+    assert np.linalg.norm(got.value - want_v) <= 1e-15 * np.linalg.norm(want_v)
+    assert np.linalg.norm(got.tangents - want_t) <= 1e-15 * np.linalg.norm(want_t)
+    row = a[0] @ d
+    assert isinstance(row, MultiDual)
+    assert row.value == pytest.approx(want[0].value, rel=1e-15)
+
+
+def test_dual_array_mixed_arities_rejected():
+    d = _dual_array()
+    wide = dual.DualArray(np.ones(5), np.ones((5, 3)))
+    for other in (wide, MultiDual(1.0, [1.0, 2.0, 3.0])):
+        for op in _ARITH_OPS:
+            with pytest.raises(ValueError, match="mixed multidual arities"):
+                op(d, other)
+            with pytest.raises(ValueError, match="mixed multidual arities"):
+                op(other, d)
+    with pytest.raises(ValueError, match="mixed multidual arities"):
+        np.concatenate((d, wide))
+    with pytest.raises(ValueError, match="mixed multidual arities"):
+        dual.asarray(np.array([MultiDual(1.0, [1.0]), MultiDual(1.0, [1.0, 2.0])], dtype=object))
+    with pytest.raises(ValueError):
+        dual.DualArray(np.ones(3), np.ones((2, 2)))
+
+
+def test_dual_array_log_and_sqrt_guard_non_positive_values():
+    for bad in (0.0, -1.0):
+        d = dual.DualArray([1.0, bad], [[1.0], [1.0]])
+        with pytest.raises(NonSmoothPointError):
+            np.log(d)
+        with pytest.raises(NonSmoothPointError):
+            np.sqrt(d)
+        with pytest.raises(NonSmoothPointError):
+            d ** MultiDual(2.0, [1.0])
+
+
+def test_dual_array_rejects_complex_operands():
+    d = _dual_array()
+    for c in (1j, np.complex128(1.0 + 1.0j), np.ones(5, dtype=complex)):
+        for op in _ARITH_OPS:
+            with pytest.raises(TypeError):
+                op(d, c)
+            with pytest.raises(TypeError):
+                op(c, d)
+
+
+def test_boundary_packing():
+    m = MultiDual(1.0, [1.0, 2.0])
+    packed = dual.asarray(np.array([m, 0.5, 3], dtype=object))
+    assert isinstance(packed, dual.DualArray)
+    assert packed.value.tolist() == [1.0, 0.5, 3.0]
+    # plain entries get zero tangents
+    assert packed.tangents.tolist() == [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
+    for plain in (np.array([1.0, 2.0]), np.array([1.0 + 2.0j])):
+        assert dual.asarray(plain) is plain
+    d = _dual_array()
+    assert dual.asarray(d) is d
+    # numpy reads a DualArray as a sequence of multiduals; packing restores it
+    assert not hasattr(dual.DualArray, "__array__")
+    _assert_entries_bitwise(dual.asarray(np.asarray(d)), _entries(d))

@@ -5,7 +5,6 @@ import pytest
 
 import sensikit as sk
 from sensikit.adjoint import AdjointConfig, continuous_adjoint
-from sensikit.cli import problem_from_config, problem_to_config
 from sensikit.problems import CATALOG, make_problem
 
 
@@ -114,18 +113,3 @@ def test_make_problem_dispatch():
         make_problem("lorenz")
 
 
-@pytest.mark.parametrize("pid,kwargs", [
-    ("harmonic", {"theta": 0.312498231}),
-    ("predprey", {"a": 1.25}),
-    ("heat1d", {"n_cells": 48, "theta": 0.07}),
-])
-def test_catalog_config_round_trip(pid, kwargs):
-    entry = make_problem(pid, **kwargs)
-    text = problem_to_config(entry)
-    back = problem_from_config(text)
-    assert back.id == entry.id
-    assert back.params == entry.params
-    assert np.array_equal(back.problem.u0, entry.problem.u0)
-    assert np.array_equal(back.problem.theta, entry.problem.theta)
-    # double round trip is exact as well
-    assert problem_to_config(back) == text

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sensikit as sk
-from sensikit.dual import MultiDual
+from sensikit.dual import DualArray, MultiDual
 from sensikit.errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -79,13 +79,35 @@ def test_scaled_error_joint_sees_tangent_error():
     joint = scaled_error(u, u_hat, abstol, 0.0, JOINT_PRIMAL_DUAL)
     n, p = 1, 1
     assert joint == pytest.approx(math.sqrt(1.0 / (n * (p + 1))))
-    # a dual entry paired with a plain float adds its value and its p tangent
-    # coordinates (the float counts as zero tangents); a float-float entry
-    # adds its value only: 1 + 2 + 1 coordinates
+    # a dual state is packed into one DualArray: each entry, plain ones
+    # included, adds its value and its p tangent coordinates (a plain entry
+    # and a plain state count as zero tangents): 2 * (1 + 2) coordinates
     u = np.array([MultiDual(1.0, [2 * abstol, 0.0]), 0.0], dtype=object)
     u_hat = np.array([1.0, abstol], dtype=object)
     joint = scaled_error(u, u_hat, abstol, 0.0, JOINT_PRIMAL_DUAL)
-    assert joint == pytest.approx(math.sqrt((0.0 + 4.0 + 0.0 + 1.0) / 4.0), rel=1e-12)
+    assert joint == pytest.approx(math.sqrt((0.0 + 4.0 + 0.0 + 1.0 + 0.0 + 0.0) / 6.0), rel=1e-12)
+    assert scaled_error(u, u_hat, abstol, 0.0, PRIMAL_ONLY) == pytest.approx(
+        math.sqrt(1.0 / 2.0), rel=1e-12
+    )
+
+
+def test_scaled_error_of_dual_states_sums_left_to_right():
+    # the dual norm adds value and tangent terms entry by entry in order, as
+    # the multidual loop it replaced did; a reordered sum changes the step
+    # sequence's bits
+    rng = np.random.default_rng(4)
+    n, p = 15, 8
+    u = DualArray(rng.normal(size=n), rng.normal(size=(n, p)))
+    u_hat = DualArray(u.value + 1e-6 * rng.normal(size=n), u.tangents + 1e-6 * rng.normal(size=(n, p)))
+    for mode, cols in ((JOINT_PRIMAL_DUAL, p + 1), (PRIMAL_ONLY, 1)):
+        x = np.concatenate((u.value[:, None], u.tangents), axis=1)[:, :cols].ravel().tolist()
+        y = np.concatenate((u_hat.value[:, None], u_hat.tangents), axis=1)[:, :cols].ravel().tolist()
+        total = 0.0
+        for a, b in zip(x, y):
+            total += (abs(a - b) / (1e-8 + 1e-6 * max(abs(a), abs(b)))) * (
+                abs(a - b) / (1e-8 + 1e-6 * max(abs(a), abs(b)))
+            )
+        assert scaled_error(u, u_hat, 1e-8, 1e-6, mode) == math.sqrt(total / len(x))
 
 
 def test_propose_dt_unit_errors_keep_dt():
