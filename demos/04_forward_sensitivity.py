@@ -20,7 +20,7 @@ cfg = SolverConfig(method="dopri5", abstol=1e-12, reltol=1e-12)
 
 # the Jacobians that drive the sensitivity equation, assembled analytically
 # here (multidual seeding fills in when a problem supplies none)
-J_u, J_theta = jacobian_assembly(ent.problem, np.array([1.0, 0.0]), ent.problem.theta, 0.0)
+J_u, J_theta, _ = jacobian_assembly(ent.problem, np.array([1.0, 0.0]), ent.problem.theta, 0.0)
 print("df/du at u=(1,0):")
 print(J_u)
 print("df/dtheta at u=(1,0):", J_theta.ravel())

@@ -3,9 +3,10 @@
 The discrete adjoint transposes the solver's own Runge-Kutta stage
 recursion (Hager 2000, Numer. Math. 87; Sandu 2006, ICCS), so it returns
 the exact derivative of the discretized loss on a fixed grid.  Each step
-costs one float re-run of its stages plus one Jacobian pair per stage,
-analytic when the problem supplies them, else one multidual right-hand
-side.  The continuous adjoint integrates the costate ODE
+re-runs its stages with one Jacobian pair per stage: analytic when the
+problem supplies them (plus a float right-hand side for the stage
+value), else one multidual right-hand side that gives both.  The
+continuous adjoint integrates the costate ODE
 
     dlambda/dt = -(df/du)^T lambda - (dh/du)^T
 
@@ -50,10 +51,16 @@ from .errors import (
     NumericalBlowupError,
     StepsizeUnderflowError,
 )
-from .sensitivity import _counted, _jacobians_and_rhs, jacobian_assembly
-from .solver import SolverConfig, dense_eval, rk_step, solve
+from .sensitivity import _counted, jacobian_assembly
+from .solver import SolverConfig, dense_eval, rk_step, scaled_error, solve
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
+
+# largest tolerance-scaled error (``solver.scaled_error`` under the reverse
+# tolerances) with which backsolve may reconstruct a stored forward state.
+# Stable problems read about 2 at tol 1e-8; a reversed state that blew up
+# reads the 1/reltol ceiling (1e6 and more).
+MAX_RECONSTRUCTION_ERROR = 1e3
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, loss):
     losses contribute no ``dh`` terms here; their observations enter as
     jumps during the reverse traversal.
     """
-    J_u, J_theta = jacobian_assembly(problem, u, theta, t)
+    J_u, J_theta, _ = jacobian_assembly(problem, u, theta, t)
     return _costate_derivatives(J_u, J_theta, u, lam, theta, loss)
 
 
@@ -128,34 +135,37 @@ def step_vjp(problem: OdeProblem, tableau, u, theta, t, dt, lam_in):
     Returns ``((dPhi/du)^T lam, (dPhi/dtheta)^T lam)`` for the step map
     ``Phi`` from ``(t, u)`` with stepsize ``dt``, by the transposed stage
     recursion of Hager (2000) and Sandu (2006).  The stages ``Y_i`` are
-    re-run in floats through ``rk_step``, then traversed in reverse:
+    re-run in floats through ``rk_step``, whose right-hand side is the
+    stage's ``jacobian_assembly``: it records the Jacobian pair and returns
+    the multidual call's value coordinate as ``f(Y_i)``, so a stage costs
+    one right-hand-side evaluation (a float one besides the Jacobians when
+    both are analytic).  The stages are then traversed in reverse:
 
         kbar_i = dt b_i lam + sum_(j>i) dt a_ji Ybar_j
         Ybar_i = J_u(Y_i)^T kbar_i
 
-    giving ``lam + sum_i Ybar_i`` and ``sum_i J_theta(Y_i)^T kbar_i``.  The
-    cost is one Jacobian pair per stage from ``jacobian_assembly``.
+    giving ``lam + sum_i Ybar_i`` and ``sum_i J_theta(Y_i)^T kbar_i``.
     """
     theta = np.asarray(theta, dtype=float)
-    stages = []
+    jacobians = []
 
     def recording_rhs(y, th, ts):
-        stages.append((y, ts))
-        return problem.rhs(y, th, ts)
+        J_u, J_theta, f = jacobian_assembly(problem, y, th, ts)
+        jacobians.append((J_u, J_theta))
+        return problem.rhs(y, th, ts) if f is None else f
 
     rk_step(tableau, recording_rhs, np.asarray(u, dtype=float), theta, t, dt)
     a, b = tableau.a, tableau.b
     lam = np.asarray(lam_in, dtype=float)
-    ybar = [None] * len(stages)
+    ybar = [None] * len(jacobians)
     lam_out = lam
     grad = np.zeros(theta.size)
-    for i in range(len(stages) - 1, -1, -1):
+    for i in range(len(jacobians) - 1, -1, -1):
         kbar = (dt * b[i]) * lam
-        for j in range(i + 1, len(stages)):
+        for j in range(i + 1, len(jacobians)):
             if a[j, i] != 0.0:
                 kbar = kbar + (dt * a[j, i]) * ybar[j]
-        y, ts = stages[i]
-        J_u, J_theta = jacobian_assembly(problem, y, theta, ts)
+        J_u, J_theta = jacobians[i]
         ybar[i] = J_u.T @ kbar
         lam_out = lam_out + ybar[i]
         grad = grad + J_theta.T @ kbar
@@ -335,8 +345,9 @@ def discrete_adjoint(
     ``lam_m = (dPhi_m/du)^T lam_(m+1) + w_m (u^m - u_m^obs)``, accumulating
     ``(dPhi_m/dtheta)^T lam_(m+1)`` into the gradient.  Each transposed
     step is ``step_vjp``'s stage recursion (Hager 2000, Sandu 2006): per
-    step one float re-run of the stages and one Jacobian pair per stage,
-    analytic when the problem supplies them, else one multidual RHS each.
+    step one re-run of the stages with one Jacobian pair per stage,
+    analytic when the problem supplies them, else one multidual RHS each
+    that also gives the stage value.
     """
     fwd = config.solver_config
     if fwd.adaptive:
@@ -488,9 +499,12 @@ def _backsolve(problem, loss, config, theta, stats):
 
     The forward state is re-solved backwards from its stored final value;
     when checkpoints are available the reverse state is reset to each
-    snapshot, discarding accumulated reverse error.  Unstable reverse
-    dynamics surface as a blowup error recommending the interpolating
-    variant.
+    snapshot, discarding accumulated reverse error.  At every reset and at
+    ``t0`` the reconstructed state is compared with the stored one; the
+    largest scaled error is reported as ``reconstruction_error``.  Unstable
+    reverse dynamics surface as a blowup error recommending the
+    interpolating variant: when the reverse solve fails, or when a
+    reconstruction error exceeds ``MAX_RECONSTRUCTION_ERROR``.
     """
     rev = config.reverse()
     tol = _span_tol(problem)
@@ -523,7 +537,7 @@ def _backsolve(problem, loss, config, theta, stats):
         t = t_ref - sigma
         uu, ll = z[:n], z[n : 2 * n]
         # f(u) from the multidual Jacobian call when there is one
-        J_u, J_theta, f = _jacobians_and_rhs(problem, uu, th, t)
+        J_u, J_theta, f = jacobian_assembly(problem, uu, th, t)
         if f is None:
             f = problem.rhs(uu, th, t)
         dlam, dg = _costate_derivatives(J_u, J_theta, uu, ll, th, loss)
@@ -536,9 +550,24 @@ def _backsolve(problem, loss, config, theta, stats):
     rev_cfg = replace(
         rev, save="final", saveat=None, checkpoints=None, max_steps=reverse_budget
     )
+    reconstruction_error = 0.0
+
+    def check_reconstruction(u, stored, t):
+        nonlocal reconstruction_error
+        err = scaled_error(u, stored, rev.abstol, rev.reltol)
+        reconstruction_error = max(reconstruction_error, err)
+        if not err <= MAX_RECONSTRUCTION_ERROR:
+            raise NumericalBlowupError(
+                f"backsolve reconstructed the forward state at t={t!r} with "
+                f"scaled error {err:.3g} (the reversed state dynamics are "
+                "unstable); use the interpolating adjoint variant instead",
+                t=t,
+            )
+
     for t_hi, t_lo in zip(breakpoints[:-1], breakpoints[1:]):
         lam = _apply_jumps(lam, t_hi, lambda tq: u, loss, jumps, done, tol)
         if t_hi in resets:
+            check_reconstruction(u, resets[t_hi], t_hi)
             u = resets[t_hi]
         z0 = np.concatenate([u, lam, g])
         sub_problem = OdeProblem(
@@ -562,6 +591,7 @@ def _backsolve(problem, loss, config, theta, stats):
         z = sub.final_state()
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 
+    check_reconstruction(u, problem.u0, t0)
     lam = _apply_jumps(lam, t0, lambda tq: u, loss, jumps, done, tol)
     gradient = g + problem.initial_state_jacobian().T @ lam
     return SensitivityResult(
@@ -569,5 +599,9 @@ def _backsolve(problem, loss, config, theta, stats):
         method="continuous_backsolve",
         stats=stats,
         peak_stored_states=2 + len(resets),
-        metadata={"lambda0": lam, "u0_recovered": u},
+        metadata={
+            "lambda0": lam,
+            "u0_recovered": u,
+            "reconstruction_error": reconstruction_error,
+        },
     )

@@ -14,9 +14,9 @@ class OdeProblem:
 
     ``rhs`` must be generic over the scalar kind of ``u`` and ``theta``:
     the same callable is used for plain, complex, and dual states.  A dual
-    state or parameter vector is a ``dual.DualArray``; on it ``rhs`` may use
-    arithmetic with numbers, float arrays and other duals, negation,
-    ``float_matrix @ u``, indexing (an integer gives a ``MultiDual``),
+    state or parameter vector is an array ``dual.MultiDual``; on it ``rhs``
+    may use arithmetic with numbers, float arrays and other duals, negation,
+    ``float_matrix @ u``, indexing (an integer gives a scalar multidual),
     ``len``/iteration, ``np.concatenate``, ``np.sum``, ``np.sin``/``cos``/
     ``exp``/``log``/``sqrt``, and may return ``np.array([...])`` of scalar
     entries; it may not write into its arguments or build arrays with

@@ -3,45 +3,49 @@
 A dual number ``a + eps*b`` carries a value coordinate and a tangent
 coordinate under truncated-Taylor arithmetic (``eps**2 == 0``), so pushing
 seeded inputs through ordinary arithmetic yields exact first derivatives.
-``MultiDual`` is the one dual scalar: it keeps one tangent per parameter
+``MultiDual`` is the one dual type: it keeps one tangent per parameter
 direction, with ``eps_i * eps_j == 0`` for every pair, which produces full
 Jacobian rows in a single evaluation.  ``DualScalar(value, tangent)`` is
-its arity-1 constructor, and ``MultiDual.tangent`` reads that single
+its arity-1 scalar constructor, and ``MultiDual.tangent`` reads that single
 coordinate back as a float.
 
-``DualArray`` is the one dual container: a state vector of multiduals kept
-as one value array of shape ``S`` and one tangent array of shape
-``S + (k,)`` (the chunked layout of Revels, Lubin & Papamarkou 2016,
-arXiv 1607.07892).  ``seed``/``seed_state`` return one, forward AD
-integrates on it, and Jacobian assembly makes one right-hand-side call on
-it.  Its operators compute, entry by entry, the same floating-point
-operations in the same order as ``MultiDual``, so both give the same bits.
-A generic right-hand side may use on a dual state: ``+ - * / **`` with
-plain numbers, float arrays, multiduals and dual arrays in either order,
-negation, ``float_matrix @ state``, integer indexing (a ``MultiDual``),
-slices and index arrays (a ``DualArray``), ``len`` and iteration,
-``np.concatenate`` with float operands, ``np.sum``, the ufuncs ``sin``,
-``cos``, ``exp``, ``log`` and ``sqrt``, and ``np.array([...])`` of scalar
-entries.  It may not write into a dual array in place.  ``asarray`` is the
-boundary conversion the solver applies to every right-hand-side result: it
-packs an object array of multiduals (plain entries get zero tangents) into
-a ``DualArray`` and passes float and complex arrays through.
+A multidual is a scalar or an array of entries: ``value`` is a Python
+float or a float array of shape ``S``, and ``tangents`` a float array of
+shape ``S + (k,)`` (the chunked layout of Revels, Lubin & Papamarkou 2016,
+arXiv 1607.07892).  ``seed``/``seed_state`` return arrays, forward AD
+integrates on one, and Jacobian assembly makes one right-hand-side call on
+one.  Each operator is written once, for whole arrays; on a scalar it
+computes the same floating-point operations, so an array entry and the
+scalar holding it give the same bits.  A generic right-hand side may use
+on a dual state: ``+ - * / **`` with plain numbers, float arrays and
+multiduals in either order, negation, ``float_matrix @ state``, integer
+indexing (a scalar), slices and index arrays (an array), ``len`` and
+iteration, ``np.concatenate`` with float operands, ``np.sum``, the ufuncs
+``sin``, ``cos``, ``exp``, ``log``, ``sqrt`` and ``abs``, and
+``np.array([...])`` of scalar entries.  It may not write into a dual array
+in place.  ``asarray`` is the boundary conversion the solver applies to
+every right-hand-side result: it packs an object array of multiduals
+(plain entries get zero tangents) into one array multidual and passes
+float and complex arrays through.
 
 Plain real operands (``int``, ``float``, numpy real scalars and arrays)
 are constants that never get a zero tangent array: ``d + c`` and ``d - c``
 keep ``d.tangents``, ``c - d``, ``d * c`` and ``d / c`` build one new
 array.  Tangent arrays may therefore be shared between duals (and with the
 rows a dual was seeded from); no code writes one in place.  Operator
-results are built through ``_dual``/``_dual_array``, which skip the type
-conversion and shape check of the public constructors.  Elementary
-functions and powers use numpy's implementations for both types: numpy's
-``exp``, ``log`` and ``power`` differ from the ``math`` module's in the
-last bit for some arguments, and the two types must agree.
+results are built through ``_dual``, which skips the type conversion and
+shape check of the constructor.  A scalar's value coordinate stays a
+Python float, so dividing by a zero scalar raises ``ZeroDivisionError``,
+while array division follows numpy (``inf``/``nan`` and a warning, which
+the solver reports as a non-finite stage).  Elementary functions and
+powers use numpy's implementations: numpy's ``exp``, ``log`` and ``power``
+differ from the ``math`` module's in the last bit for some arguments, and
+scalars and array entries must agree.
 
-Comparisons and ``bool`` conversion of a ``MultiDual`` look at the value
-coordinate only, so solver control flow (step acceptance, bracketing) runs
-unmodified on dual states.  Derivatives across a value-order-dependent
-branch are therefore one-sided.
+Comparisons of a ``MultiDual`` look at the value coordinate only, so
+solver control flow (step acceptance, bracketing) runs unmodified on dual
+states.  Derivatives across a value-order-dependent branch are therefore
+one-sided.  ``bool`` of a scalar is always true, as for any object.
 
 Complex scalars for complex-step differentiation are the native Python /
 numpy complex numbers: the imaginary part carries the eps-scaled
@@ -53,8 +57,6 @@ cannot be recovered by dividing the imaginary part back out.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import AnalyticityError, NonSmoothPointError
@@ -63,100 +65,155 @@ _SCALARS = (float, int, np.integer, np.floating)
 
 
 class MultiDual:
-    """Dual number with one tangent coordinate per parameter direction.
+    """Dual number, or array of them, with one tangent per parameter direction.
 
-    The tangent arity is fixed when the computation is seeded; combining
-    operands of different arity is an error rather than a broadcast.
-    A plain real operand is a constant whose zero tangents are never
-    allocated, so ``tangents`` (a 1-D float array) may be shared with other
-    duals (``d + 2.0`` keeps it) and is never written in place.  Division
-    by a zero value coordinate raises ``ZeroDivisionError`` from the float
-    division of the values, before any tangent is computed.
+    ``value`` is a Python float or a float array of shape ``S``, and
+    ``tangents`` a float array of shape ``S + (k,)``; entry ``i`` of an
+    array is ``MultiDual(value[i], tangents[i])``.  The arity ``k`` is fixed
+    when the computation is seeded: operands of another arity raise
+    ``ValueError`` rather than broadcast, and complex operands raise
+    ``TypeError``.  A plain real operand is a constant whose zero tangents
+    are never allocated, so ``tangents`` may be shared with other duals
+    (``d + 2.0`` keeps it) and is never written in place.
+
+    ``dtype`` reads ``object``, as an object array of multiduals did, so
+    code asking for the scalar kind of a state sees a dual one.  There is
+    deliberately no ``__array__``: ``np.asarray`` would drop the tangents.
     """
 
     __slots__ = ("value", "tangents")
 
+    dtype = np.dtype(object)
+
     def __init__(self, value, tangents):
+        value = np.asarray(value, dtype=float)
         tangents = np.asarray(tangents, dtype=float)
-        if tangents.ndim != 1:
-            raise ValueError(f"multidual tangents must be 1-D, got shape {tangents.shape}")
-        self.value = float(value)
+        if tangents.shape[:-1] != value.shape or tangents.ndim != value.ndim + 1:
+            raise ValueError(
+                f"multidual tangents must add one 1-D axis to the value shape "
+                f"{value.shape}, got shape {tangents.shape}"
+            )
+        self.value = _val(value)
         self.tangents = tangents
 
     @property
     def arity(self):
-        return self.tangents.shape[0]
+        return self.tangents.shape[-1]
+
+    @property
+    def shape(self):
+        return self.tangents.shape[:-1]
+
+    @property
+    def ndim(self):
+        return self.tangents.ndim - 1
 
     @property
     def tangent(self):
-        """The single tangent coordinate of an arity-1 dual, as a float."""
+        """The single tangent coordinate of an arity-1 dual (a float for a scalar)."""
         if self.arity != 1:
             raise ValueError(
                 f"tangent needs arity 1, this dual has arity {self.arity}; read tangents"
             )
-        return float(self.tangents[0])
+        return _val(self.tangents[..., 0])
 
     def __repr__(self):
-        return f"MultiDual({self.value!r}, {self.tangents.tolist()!r})"
+        return f"MultiDual({np.asarray(self.value).tolist()!r}, {self.tangents.tolist()!r})"
+
+    def __len__(self):
+        return len(self.value)  # TypeError for a scalar, whose value is a float
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.value)))
+
+    def __getitem__(self, key):
+        return _dual(_val(self.value[key]), self.tangents[key])
+
+    def __bool__(self):
+        # a scalar is true, as any object; an array is a sequence
+        return type(self.value) is float or len(self.value) > 0
+
+    def _operand(self, other):
+        """``other`` as a multidual of this arity or a float constant; None if unsupported.
+
+        ``+ - * /`` skip the call for a Python float or a multidual of their
+        own shape, the common operands.
+        """
+        if isinstance(other, MultiDual):
+            if other.tangents.shape[-1] != self.tangents.shape[-1]:
+                raise _mixed_arities(self, other)
+            return other
+        if isinstance(other, _SCALARS):
+            return float(other)
+        if isinstance(other, np.ndarray):
+            if other.dtype == object:
+                return self._operand(asarray(other))
+            if other.dtype.kind in "iuf":
+                return other if other.ndim else float(other)
+        return None
 
     def __add__(self, other):
-        if isinstance(other, MultiDual):
-            if other.tangents.shape != self.tangents.shape:
-                raise _mixed_arities(self, other)
-            return _dual(self.value + other.value, self.tangents + other.tangents)
-        if isinstance(other, _SCALARS):
-            return _dual(self.value + float(other), self.tangents)
-        return NotImplemented
+        o = (other if type(other) is float or type(other) is MultiDual
+             and other.tangents.shape == self.tangents.shape else self._operand(other))
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
+            return _dual(self.value + o.value, self.tangents + o.tangents)
+        return _spread(self.value + o, self.tangents)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, MultiDual):
-            if other.tangents.shape != self.tangents.shape:
-                raise _mixed_arities(self, other)
-            return _dual(self.value - other.value, self.tangents - other.tangents)
-        if isinstance(other, _SCALARS):
-            return _dual(self.value - float(other), self.tangents)
-        return NotImplemented
+        o = (other if type(other) is float or type(other) is MultiDual
+             and other.tangents.shape == self.tangents.shape else self._operand(other))
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
+            return _dual(self.value - o.value, self.tangents - o.tangents)
+        return _spread(self.value - o, self.tangents)
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return _dual(float(other) - self.value, -self.tangents)
-        return NotImplemented
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
+            return o - self
+        return _spread(o - self.value, -self.tangents)
 
     def __mul__(self, other):
-        if isinstance(other, MultiDual):
-            if other.tangents.shape != self.tangents.shape:
-                raise _mixed_arities(self, other)
+        o = (other if type(other) is float or type(other) is MultiDual
+             and other.tangents.shape == self.tangents.shape else self._operand(other))
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
             return _dual(
-                self.value * other.value,
-                self.value * other.tangents + self.tangents * other.value,
+                self.value * o.value,
+                _col(self.value) * o.tangents + self.tangents * _col(o.value),
             )
-        if isinstance(other, _SCALARS):
-            c = float(other)
-            return _dual(self.value * c, self.tangents * c)
-        return NotImplemented
+        return _dual(self.value * o, self.tangents * _col(o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, MultiDual):
-            if other.tangents.shape != self.tangents.shape:
-                raise _mixed_arities(self, other)
-            q = self.value / other.value
-            return _dual(q, (self.tangents - q * other.tangents) / other.value)
-        if isinstance(other, _SCALARS):
-            c = float(other)
-            return _dual(self.value / c, self.tangents / c)
-        return NotImplemented
+        o = (other if type(other) is float or type(other) is MultiDual
+             and other.tangents.shape == self.tangents.shape else self._operand(other))
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
+            q = self.value / o.value
+            return _dual(q, (self.tangents - _col(q) * o.tangents) / _col(o.value))
+        return _dual(self.value / o, self.tangents / _col(o))
 
     def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            q = float(other) / self.value
-            # (-q * t) / v, not t * (-q / v): the same rounding as the
-            # quotient rule of two duals
-            return _dual(q, (-q * self.tangents) / self.value)
-        return NotImplemented
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
+            return o / self
+        q = o / self.value
+        # (-q * t) / v, not t * (-q / v): the same rounding as the quotient
+        # rule of two duals
+        return _dual(q, (-_col(q) * self.tangents) / _col(self.value))
 
     def __neg__(self):
         return _dual(-self.value, -self.tangents)
@@ -165,29 +222,36 @@ class MultiDual:
         return self
 
     def __pow__(self, exponent):
-        if isinstance(exponent, MultiDual):
-            return (exponent * self.log()).exp()
-        if isinstance(exponent, _SCALARS):
-            return _dual(
-                float(np.power(self.value, exponent)),
-                float(exponent * np.power(self.value, exponent - 1)) * self.tangents,
-            )
-        return NotImplemented
+        o = self._operand(exponent)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
+            return (o * self.log()).exp()
+        return _dual(
+            _val(np.power(self.value, o)),
+            _col(o * np.power(self.value, o - 1)) * self.tangents,
+        )
 
     def __rpow__(self, base):
-        if isinstance(base, _SCALARS):
-            c = float(base)
-            if c <= 0.0:
-                raise NonSmoothPointError("power needs a positive base to differentiate its exponent")
-            v = float(np.power(c, self.value))
-            return _dual(v, float(v * np.log(c)) * self.tangents)
-        return NotImplemented
+        o = self._operand(base)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, MultiDual):
+            return o ** self
+        if np.any(np.less_equal(o, 0.0)):
+            raise NonSmoothPointError("power needs a positive base to differentiate its exponent")
+        v = np.power(o, self.value)
+        return _dual(_val(v), _col(v * np.log(o)) * self.tangents)
+
+    def __rmatmul__(self, other):
+        if not (isinstance(other, np.ndarray) and other.dtype.kind in "iuf" and self.ndim == 1):
+            return NotImplemented
+        return _dual(_val(other @ self.value), other @ self.tangents)
 
     def __abs__(self):
-        if self.value == 0.0:
+        if np.any(np.equal(self.value, 0.0)):
             raise NonSmoothPointError("abs is not differentiable at 0")
-        s = math.copysign(1.0, self.value)
-        return _dual(abs(self.value), s * self.tangents)
+        return _dual(abs(self.value), _col(np.copysign(1.0, self.value)) * self.tangents)
 
     def __lt__(self, other):
         return self.value < _value_of(other)
@@ -214,233 +278,36 @@ class MultiDual:
         return self.value
 
     def sin(self):
-        return _dual(float(np.sin(self.value)), self.tangents * np.cos(self.value))
+        return _dual(_val(np.sin(self.value)), self.tangents * _col(np.cos(self.value)))
 
     def cos(self):
-        return _dual(float(np.cos(self.value)), -self.tangents * np.sin(self.value))
-
-    def exp(self):
-        v = float(np.exp(self.value))
-        return _dual(v, self.tangents * v)
-
-    def log(self):
-        if self.value <= 0.0:
-            raise NonSmoothPointError("log requires a positive value coordinate")
-        return _dual(float(np.log(self.value)), self.tangents / self.value)
-
-    def sqrt(self):
-        if self.value <= 0.0:
-            raise NonSmoothPointError("sqrt tangent undefined at a non-positive value")
-        v = float(np.sqrt(self.value))
-        return _dual(v, self.tangents / (2.0 * v))
-
-
-def _dual(value, tangents):
-    """A ``MultiDual`` from a float and a 1-D float array, skipping ``__init__``.
-
-    The caller guarantees the types, so the hot path pays no conversion.
-    """
-    d = object.__new__(MultiDual)
-    d.value = value
-    d.tangents = tangents
-    return d
-
-
-def _mixed_arities(a, b):
-    return ValueError(f"mixed multidual arities {a.arity} and {b.arity}")
-
-
-class DualArray:
-    """Array of multiduals kept as one value array and one tangent array.
-
-    ``value`` is a float array of shape ``S`` and ``tangents`` a float array
-    of shape ``S + (k,)``; entry ``i`` is ``MultiDual(value[i],
-    tangents[i])``.  Every operator applies ``MultiDual``'s formula to whole
-    arrays, so each entry of a result has the bits the entry-wise multidual
-    operation gives.  ``np.concatenate`` and packing lift plain entries to
-    zero tangents.  Operands of another arity raise ``ValueError``; complex
-    operands are rejected with ``TypeError``.  Division by a zero value
-    coordinate follows numpy (``inf``/``nan`` and a warning), which the
-    solver reports as a non-finite stage.
-
-    ``dtype`` reads ``object``, as an object array of multiduals did, so
-    code asking for the scalar kind of a state sees a dual one.  There is
-    deliberately no ``__array__``: ``np.asarray`` would drop the tangents.
-    """
-
-    __slots__ = ("value", "tangents")
-
-    dtype = np.dtype(object)
-
-    def __init__(self, value, tangents):
-        value = np.asarray(value, dtype=float)
-        tangents = np.asarray(tangents, dtype=float)
-        if tangents.shape[:-1] != value.shape or tangents.ndim != value.ndim + 1:
-            raise ValueError(
-                f"tangents of shape {tangents.shape} do not extend values of shape {value.shape}"
-            )
-        self.value = value
-        self.tangents = tangents
-
-    @property
-    def arity(self):
-        return self.tangents.shape[-1]
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def __len__(self):
-        return len(self.value)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self.value)))
-
-    def __getitem__(self, key):
-        return _entries(self.value[key], self.tangents[key])
-
-    def __repr__(self):
-        return f"DualArray({self.value.tolist()!r}, {self.tangents.tolist()!r})"
-
-    def _operand(self, other):
-        """``other`` as a dual of this arity or a float constant; None if unsupported."""
-        if isinstance(other, np.ndarray) and other.dtype == object:
-            other = asarray(other)
-        if isinstance(other, _DUALS):
-            if other.tangents.shape[-1] != self.tangents.shape[-1]:
-                raise _mixed_arities(self, other)
-            return other
-        if isinstance(other, _SCALARS):
-            return float(other)
-        if isinstance(other, np.ndarray) and other.dtype.kind in "iuf":
-            return other
-        return None
-
-    def __add__(self, other):
-        if type(other) is DualArray and other.tangents.shape == self.tangents.shape:
-            return _dual_array(self.value + other.value, self.tangents + other.tangents)
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            return _dual_array(self.value + o.value, self.tangents + o.tangents)
-        return _spread(self.value + o, self.tangents)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            return _dual_array(self.value - o.value, self.tangents - o.tangents)
-        return _spread(self.value - o, self.tangents)
-
-    def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            return _dual_array(o.value - self.value, o.tangents - self.tangents)
-        return _spread(o - self.value, -self.tangents)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            c = float(other)
-            return _dual_array(self.value * c, self.tangents * c)
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            return _dual_array(
-                self.value * o.value,
-                self.value[..., None] * o.tangents + self.tangents * _col(o.value),
-            )
-        return _dual_array(self.value * o, self.tangents * _col(o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            q = self.value / o.value
-            return _dual_array(q, (self.tangents - q[..., None] * o.tangents) / _col(o.value))
-        return _dual_array(self.value / o, self.tangents / _col(o))
-
-    def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            q = o.value / self.value
-            return _dual_array(q, (o.tangents - q[..., None] * self.tangents) / self.value[..., None])
-        q = o / self.value
-        # (-q * t) / v, as MultiDual rounds it
-        return _dual_array(q, (-q[..., None] * self.tangents) / self.value[..., None])
-
-    def __neg__(self):
-        return _dual_array(-self.value, -self.tangents)
-
-    def __pow__(self, exponent):
-        o = self._operand(exponent)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            return (o * self.log()).exp()
-        return _dual_array(
-            np.power(self.value, o),
-            (o * np.power(self.value, o - 1))[..., None] * self.tangents,
-        )
-
-    def __rpow__(self, base):
-        o = self._operand(base)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, _DUALS):
-            return (self * o.log()).exp()
-        if np.any(np.less_equal(o, 0.0)):
-            raise NonSmoothPointError("power needs a positive base to differentiate its exponent")
-        v = np.power(o, self.value)
-        return _dual_array(v, (v * np.log(o))[..., None] * self.tangents)
-
-    def __rmatmul__(self, other):
-        if not (isinstance(other, np.ndarray) and other.dtype.kind in "iuf" and self.value.ndim == 1):
-            return NotImplemented
-        return _entries(other @ self.value, other @ self.tangents)
-
-    def sin(self):
-        return _dual_array(np.sin(self.value), self.tangents * np.cos(self.value)[..., None])
-
-    def cos(self):
-        return _dual_array(np.cos(self.value), -self.tangents * np.sin(self.value)[..., None])
+        return _dual(_val(np.cos(self.value)), -self.tangents * _col(np.sin(self.value)))
 
     def exp(self):
         v = np.exp(self.value)
-        return _dual_array(v, self.tangents * v[..., None])
+        return _dual(_val(v), self.tangents * _col(v))
 
     def log(self):
-        if np.any(self.value <= 0.0):
+        if np.any(np.less_equal(self.value, 0.0)):
             raise NonSmoothPointError("log requires a positive value coordinate")
-        return _dual_array(np.log(self.value), self.tangents / self.value[..., None])
+        return _dual(_val(np.log(self.value)), self.tangents / _col(self.value))
 
     def sqrt(self):
-        if np.any(self.value <= 0.0):
+        if np.any(np.less_equal(self.value, 0.0)):
             raise NonSmoothPointError("sqrt tangent undefined at a non-positive value")
         v = np.sqrt(self.value)
-        return _dual_array(v, self.tangents / (2.0 * v)[..., None])
+        return _dual(_val(v), self.tangents / _col(2.0 * v))
+
+    def isfinite(self):
+        """Finiteness of the value coordinates, as ``np.isfinite`` gives it."""
+        return np.isfinite(self.value)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
             return NotImplemented
         if len(inputs) == 1:
-            fn = _UNARY_UFUNCS.get(ufunc)
-            return NotImplemented if fn is None else fn(self)
+            name = _UNARY_UFUNCS.get(ufunc)
+            return NotImplemented if name is None else getattr(self, name)()
         own, reflected = _BINARY_UFUNCS.get(ufunc, (None, None))
         a, b = inputs
         name, other = (own, b) if a is self else (reflected, a)
@@ -453,41 +320,48 @@ class DualArray:
         return fn(*args, **kwargs)
 
 
-def _dual_array(value, tangents):
-    """A ``DualArray`` from float arrays of matching shapes, skipping ``__init__``."""
-    d = object.__new__(DualArray)
+def _dual(value, tangents):
+    """A ``MultiDual`` from its coordinates, skipping ``__init__``.
+
+    The caller guarantees the types (a Python float or a float array, and
+    a float array of that shape plus one axis), so the hot path pays no
+    conversion.
+    """
+    d = object.__new__(MultiDual)
     d.value = value
     d.tangents = tangents
     return d
 
 
-def _entries(value, tangents):
-    """One entry as a ``MultiDual`` when ``value`` is 0-d, else a ``DualArray``."""
-    if value.ndim:
-        return _dual_array(value, tangents)
-    return _dual(float(value), tangents)
+def _mixed_arities(a, b):
+    return ValueError(f"mixed multidual arities {a.arity} and {b.arity}")
 
 
-def _spread(value, tangents):
-    # a constant operand may broadcast the value to more entries
-    if tangents.shape[:-1] != value.shape:
-        tangents = np.broadcast_to(tangents, value.shape + tangents.shape[-1:])
-    return _dual_array(value, tangents)
+def _val(v):
+    # a value coordinate: a 0-d result becomes a Python float
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 def _col(v):
-    # a per-entry factor against an S + (k,) tangent array
+    # a per-entry factor against an S + (k,) tangent array; a float as it is
     return v[..., None] if isinstance(v, np.ndarray) else v
+
+
+def _spread(value, tangents):
+    # an array constant may broadcast the value to more entries
+    if isinstance(value, np.ndarray) and tangents.shape[:-1] != value.shape:
+        tangents = np.broadcast_to(tangents, value.shape + tangents.shape[-1:])
+    return _dual(value, tangents)
 
 
 def asarray(x):
     """A state as an array: the conversion applied to right-hand-side results.
 
-    A ``DualArray`` passes as it is; an object array holding multiduals is
+    A ``MultiDual`` passes as it is; an object array holding multiduals is
     packed into one (plain entries get zero tangents); anything else goes
     through ``np.asarray``, so float and complex arrays pass unchanged.
     """
-    if isinstance(x, DualArray):
+    if isinstance(x, MultiDual):
         return x
     x = np.asarray(x)
     if x.dtype == object:
@@ -497,26 +371,28 @@ def asarray(x):
 
 def _pack(entries):
     flat = entries.ravel().tolist()
-    arity = next((x.arity for x in flat if isinstance(x, MultiDual)), None)
-    if arity is None:
+    for x in flat:
+        if isinstance(x, MultiDual):
+            arity = x.arity
+            break
+    else:
         return np.array(flat).reshape(entries.shape)
-    zero = np.zeros(arity)
     try:
-        tangents = np.array([x.tangents if isinstance(x, MultiDual) else zero for x in flat])
+        tangents = np.array(
+            [x.tangents if isinstance(x, MultiDual) else np.zeros(arity) for x in flat]
+        )
     except ValueError as err:  # rows of different lengths
         raise ValueError("mixed multidual arities in one array") from err
     values = np.array([x.value if isinstance(x, MultiDual) else x for x in flat], dtype=float)
-    return _dual_array(
-        values.reshape(entries.shape), tangents.reshape(entries.shape + (arity,))
-    )
+    return _dual(_val(values.reshape(entries.shape)), tangents.reshape(entries.shape + (arity,)))
 
 
 def as_dual(x, arity):
-    """``x`` as a ``DualArray`` of the given arity; plain entries get zero tangents."""
+    """``x`` as a ``MultiDual`` of the given arity; plain entries get zero tangents."""
     x = asarray(x)
-    if not isinstance(x, DualArray):
+    if not isinstance(x, MultiDual):
         x = np.asarray(x, dtype=float)
-        return _dual_array(x, np.zeros(x.shape + (arity,)))
+        return _dual(_val(x), np.zeros(x.shape + (arity,)))
     if x.arity != arity:
         raise ValueError(f"mixed multidual arities {x.arity} and {arity}")
     return x
@@ -525,26 +401,27 @@ def as_dual(x, arity):
 def norm_coordinates(u, u_hat, joint):
     """Flat float coordinates an error norm compares, for two dual states.
 
-    At least one of ``u`` and ``u_hat`` is a ``DualArray``; a plain one
+    At least one of ``u`` and ``u_hat`` is a ``MultiDual``; a plain one
     counts as zero tangents.  The order is entry by entry: the value, then,
     when ``joint``, that entry's tangents.
     """
-    arity = (u if isinstance(u, DualArray) else u_hat).arity
+    arity = (u if isinstance(u, MultiDual) else u_hat).arity
     u, u_hat = as_dual(u, arity), as_dual(u_hat, arity)
     if not joint:
-        return u.value.ravel(), u_hat.value.ravel()
+        return np.ravel(u.value), np.ravel(u_hat.value)
     return tuple(
-        np.concatenate((x.value[..., None], x.tangents), axis=-1).ravel() for x in (u, u_hat)
+        np.concatenate((_col(np.asarray(x.value)), x.tangents), axis=-1).ravel()
+        for x in (u, u_hat)
     )
 
 
 def _concatenate(arrays, axis=0):
     parts = [asarray(a) for a in arrays]
-    arity = next(p.arity for p in parts if isinstance(p, DualArray))
+    arity = next(p.arity for p in parts if isinstance(p, MultiDual))
     parts = [as_dual(p, arity) for p in parts]
     if axis < 0:
-        axis += parts[0].value.ndim
-    return _dual_array(
+        axis += parts[0].ndim
+    return _dual(
         np.concatenate([p.value for p in parts], axis),
         np.concatenate([p.tangents for p in parts], axis),
     )
@@ -558,21 +435,21 @@ def _vstack(tup):
 def _sum(a):
     # every entry, left to right, as numpy sums an object array: pairwise
     # summation would change bits
-    value = a.value.reshape(-1)
+    value = np.ravel(a.value)
     tangents = a.tangents.reshape(-1, a.arity)
     return _dual(float(np.cumsum(value)[-1]), np.cumsum(tangents, axis=0)[-1])
 
 
-_DUALS = (MultiDual, DualArray)
-
+# ufunc -> method name(s): the dispatch goes through the class attributes
 _UNARY_UFUNCS = {
-    np.negative: DualArray.__neg__,
-    np.sin: DualArray.sin,
-    np.cos: DualArray.cos,
-    np.exp: DualArray.exp,
-    np.log: DualArray.log,
-    np.sqrt: DualArray.sqrt,
-    np.isfinite: lambda d: np.isfinite(d.value),
+    np.negative: "__neg__",
+    np.absolute: "__abs__",
+    np.sin: "sin",
+    np.cos: "cos",
+    np.exp: "exp",
+    np.log: "log",
+    np.sqrt: "sqrt",
+    np.isfinite: "isfinite",
 }
 _BINARY_UFUNCS = {
     np.add: ("__add__", "__radd__"),
@@ -581,6 +458,12 @@ _BINARY_UFUNCS = {
     np.true_divide: ("__truediv__", "__rtruediv__"),
     np.power: ("__pow__", "__rpow__"),
     np.matmul: (None, "__rmatmul__"),
+    np.less: ("__lt__", "__gt__"),
+    np.less_equal: ("__le__", "__ge__"),
+    np.greater: ("__gt__", "__lt__"),
+    np.greater_equal: ("__ge__", "__le__"),
+    np.equal: ("__eq__", "__eq__"),
+    np.not_equal: ("__ne__", "__ne__"),
 }
 _FUNCTIONS = {np.concatenate: _concatenate, np.vstack: _vstack, np.sum: _sum}
 
@@ -616,7 +499,7 @@ def tangents(x, arity=None):
 
 
 def seed(theta):
-    """Seed a parameter vector as a ``DualArray`` with canonical basis tangents.
+    """Seed a parameter vector as a ``MultiDual`` array with canonical basis tangents.
 
     Entry ``i`` gets value ``theta[i]`` and tangent vector ``e_i``, so a
     computation on the seeded vector carries the full Jacobian with respect
@@ -625,11 +508,11 @@ def seed(theta):
     theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
         raise ValueError("parameter vector must be 1-D and non-empty")
-    return _dual_array(theta, np.eye(theta.size))
+    return _dual(theta, np.eye(theta.size))
 
 
 def seed_state(u0, u0_jacobian, p):
-    """Lift an initial state to a ``DualArray`` with tangents from its Jacobian.
+    """Lift an initial state to a ``MultiDual`` array with tangents from its Jacobian.
 
     ``u0_jacobian`` is the n-by-p matrix of initial-state derivatives with
     respect to the parameters (zero when the initial condition does not
@@ -641,7 +524,7 @@ def seed_state(u0, u0_jacobian, p):
     u0_jacobian = np.asarray(u0_jacobian, dtype=float)
     if u0_jacobian.shape != (u0.size, p):
         raise ValueError(f"initial-state jacobian must be {(u0.size, p)}")
-    return _dual_array(u0, u0_jacobian)
+    return _dual(u0, u0_jacobian)
 
 
 def jacobian_from_duals(state, p):

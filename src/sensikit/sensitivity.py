@@ -52,21 +52,14 @@ def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
 
 
 def jacobian_assembly(problem: OdeProblem, u, theta, t):
-    """Jacobians ``df/du`` and ``df/dtheta`` at a point along the trajectory.
+    """Jacobians ``df/du`` and ``df/dtheta`` at a point, plus ``f`` when computed.
 
-    Analytic Jacobians supplied on the problem are returned verbatim; a
-    missing one is assembled column-by-column from a single multidual
-    right-hand-side evaluation seeded in the needed directions.
-    """
-    J_u, J_theta, _ = _jacobians_and_rhs(problem, u, theta, t)
-    return J_u, J_theta
-
-
-def _jacobians_and_rhs(problem: OdeProblem, u, theta, t):
-    """``jacobian_assembly`` plus ``f(u)`` when a multidual call computed it.
-
-    The third item is the value coordinate of that call, or None when both
-    Jacobians are analytic and no right-hand side was evaluated.
+    Returns ``(J_u, J_theta, f)``.  Analytic Jacobians supplied on the
+    problem are returned verbatim; a missing one is assembled
+    column-by-column from a single multidual right-hand-side evaluation
+    seeded in the needed directions, and ``f`` is that call's value
+    coordinate.  ``f`` is None when both Jacobians are analytic and no
+    right-hand side was evaluated.
     """
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -101,7 +94,7 @@ def sensitivity_rhs(u, s, theta, t, problem: OdeProblem):
     ``f`` is read off the multidual Jacobian call when there is one, so
     each point costs one right-hand-side evaluation, not two.
     """
-    J_u, J_theta, du = _jacobians_and_rhs(problem, u, theta, t)
+    J_u, J_theta, du = jacobian_assembly(problem, u, theta, t)
     if du is None:
         du = np.asarray(
             problem.rhs(np.asarray(u, dtype=float), np.asarray(theta, dtype=float), t), dtype=float

@@ -1,9 +1,9 @@
 """Explicit Runge-Kutta integration, generic over the scalar kind.
 
 One stepper serves plain, complex and dual states: stage algebra is
-written against float or complex numpy arrays or ``dual.DualArray``
+written against float or complex numpy arrays or array ``dual.MultiDual``
 states, and every right-hand-side result passes through ``dual.asarray``,
-which packs an object array of multiduals into a ``DualArray``.
+which packs an object array of multiduals into one array multidual.
 Adaptive runs use the embedded error estimate with a scaled norm
 and a proportional-integral stepsize controller; the norm can optionally
 cover the tangent coordinates of dual states so that sensitivity error is
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import OdeProblem, Solution, SolverStats
-from .dual import DualArray, asarray, norm_coordinates
+from .dual import MultiDual, asarray, norm_coordinates
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -137,7 +137,7 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # Python floats: a numpy scalar times a DualArray would go through
+    # Python floats: a numpy scalar times a multidual would go through
     # numpy's ufunc dispatch on every stage update
     a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
     s = tableau.stages
@@ -182,7 +182,7 @@ def scaled_error(u, u_hat, abstol, reltol, norm_mode=PRIMAL_ONLY) -> float:
     u, u_hat = asarray(u), asarray(u_hat)
     if u.shape != u_hat.shape:
         raise ValueError("state shapes differ")
-    dual_state = isinstance(u, DualArray) or isinstance(u_hat, DualArray)
+    dual_state = isinstance(u, MultiDual) or isinstance(u_hat, MultiDual)
     if dual_state:
         u, u_hat = norm_coordinates(u, u_hat, norm_mode == JOINT_PRIMAL_DUAL)
     err = np.abs(u - u_hat)

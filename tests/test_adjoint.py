@@ -7,6 +7,7 @@ import pytest
 import sensikit as sk
 from sensikit import dual
 from sensikit.adjoint import (
+    MAX_RECONSTRUCTION_ERROR,
     AdjointConfig,
     adjoint_rhs,
     continuous_adjoint,
@@ -154,8 +155,9 @@ def test_discrete_adjoint_counts_jacobian_calls():
     stripped = dataclasses.replace(ent.problem, rhs_jac_u=None, rhs_jac_theta=None)
     bare = discrete_adjoint(stripped, ent.loss, cfg)
     assert bare.stats.jacobian_evaluations == 0
-    # the multidual RHS per stage replaces the Jacobian pair
-    assert bare.stats.rhs_evaluations == res.stats.rhs_evaluations + 4 * steps
+    # the multidual RHS per stage replaces the Jacobian pair, and its value
+    # coordinate is the stage's f(Y_i): no float call besides it
+    assert bare.stats.rhs_evaluations == res.stats.rhs_evaluations
     assert bare.gradient[0] == pytest.approx(res.gradient[0], rel=1e-13)
 
 
@@ -291,6 +293,35 @@ def test_backsolve_blowup_recommends_interpolating():
     cfg = AdjointConfig(variant="backsolve", solver_config=sk.SolverConfig(abstol=1e-8, reltol=1e-8))
     with pytest.raises(NumericalBlowupError, match="interpolating"):
         continuous_adjoint(ent.problem, ent.loss, cfg)
+
+
+def test_backsolve_heat1d_16_raises_instead_of_a_wrong_gradient():
+    # the reversed diffusion amplifies the reconstruction error until u(t0)
+    # is off by ~1e15 without a non-finite value: backsolve used to return
+    # +17.92 here against the analytic -3.013
+    ent = sk.make_heat1d(n_cells=16)
+    with pytest.raises(NumericalBlowupError, match="interpolating") as err:
+        sk.gradient(ent.problem, ent.loss, "continuous_backsolve",
+                    sk.SolverConfig(abstol=1e-6, reltol=1e-6))
+    assert "reconstruct" in str(err.value)
+    assert err.value.t == ent.problem.tspan[0]
+
+
+def test_backsolve_reports_its_reconstruction_error():
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    ent = sk.make_predprey(0.95)
+    full = sk.gradient(ent.problem, ent.loss, "continuous_backsolve", cfg)
+    # without checkpoints the one comparison is at t0
+    assert full.metadata["reconstruction_error"] == sk.solver.scaled_error(
+        full.metadata["u0_recovered"], ent.problem.u0, 1e-8, 1e-8
+    )
+    assert 0.0 < full.metadata["reconstruction_error"] <= MAX_RECONSTRUCTION_ERROR
+    # with checkpoints every reset is compared too and the largest error is
+    # reported: here a reset's, above the one at t0
+    ent = sk.make_harmonic(0.2)
+    ck = sk.gradient(ent.problem, ent.loss, "continuous_backsolve", cfg, checkpoints=4)
+    at_t0 = sk.solver.scaled_error(ck.metadata["u0_recovered"], ent.problem.u0, 1e-8, 1e-8)
+    assert at_t0 < ck.metadata["reconstruction_error"] <= MAX_RECONSTRUCTION_ERROR
 
 
 def test_initial_condition_adjoint_is_lambda0():

@@ -10,6 +10,7 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sensikit as sk
@@ -49,7 +50,7 @@ def test_tracer_finds_every_layer_and_restores_the_originals():
 
 
 def test_tracer_sees_dual_array_steps_without_analytic_jacobians():
-    # the state is a DualArray here, not an object array of multiduals: the
+    # the state is an array multidual here, not an object array of them: the
     # tracer must still split its rk_step spans off as dual ones
     tracing = _load_tracing()
     entry = sk.make_heat1d(8)
@@ -64,4 +65,42 @@ def test_tracer_sees_dual_array_steps_without_analytic_jacobians():
     assert tracer.summary()["by_name"]["solver.rk_step[dual]"]["calls"] > 0
     # the wrappers only pass values through; forward AD needs no Jacobians
     plain = sk.gradient(entry.problem, entry.loss, "forward_ad", sk.SolverConfig())
+    assert res.gradient.tobytes() == plain.gradient.tobytes()
+
+
+def test_tracer_counts_array_level_dual_arithmetic():
+    # a diffusion-style rhs that never touches a scalar entry: every dual
+    # operation is an operator of a whole array, and the tracer must still
+    # count it and charge its time (dual.ops, dual.self_s)
+    n_cells, p = 8, 4
+    segment = (np.arange(n_cells) * p) // n_cells
+
+    def rhs(u, theta, t):
+        padded = np.concatenate(([0.0], u, [0.0]))
+        flux = theta[segment] * (padded[1:] - padded[:-1])
+        return (flux[1:] - flux[:-1]) * (n_cells * n_cells)
+
+    x = np.arange(1, n_cells) / n_cells
+    problem = sk.OdeProblem(rhs=rhs, u0=np.sin(np.pi * x), tspan=(0.0, 0.1), theta=np.full(p, 0.1))
+    loss = sk.LinearStateLoss([0.1], [np.ones(n_cells - 1)])
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        res = sk.gradient(problem, loss, "forward_ad", sk.SolverConfig())
+        # numpy's ufuncs dispatch to the operators by name, so they count too
+        ops = tracer.dual_ops
+        np.exp(np.sin(MultiDual(np.ones(3), np.ones((3, 2)))))
+        ufunc_ops = tracer.dual_ops - ops
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert ufunc_ops == 2
+    assert tracer.dual_ops > 0
+    assert tracer.summary()["dual_s"] > 0
+    # the stage algebra and the rhs, not only the scalar loss evaluation
+    spans = tracer.arrays()
+    step = list(spans["names"]).index("solver.rk_step[dual]")
+    assert spans["dual_s"][spans["name"] == step].sum() > 0
+    plain = sk.gradient(problem, loss, "forward_ad", sk.SolverConfig())
     assert res.gradient.tobytes() == plain.gradient.tobytes()

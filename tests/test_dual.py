@@ -138,6 +138,29 @@ def test_comparisons_use_value_coordinate():
     assert MultiDual(3.0, [0.0]) > 2.5
 
 
+def test_comparisons_with_numpy_operands_on_the_left():
+    d = MultiDual(3.0, [1.0])
+    assert np.float64(2.0) < d and np.float64(3.0) <= d and np.float64(4.0) > d
+    assert np.float64(3.0) == d and not np.float64(3.0) != d
+    arr = MultiDual([1.0, 4.0], [[1.0], [1.0]])
+    assert (np.array([2.0, 2.0]) < arr).tolist() == [False, True]
+
+
+def test_scalar_multidual_is_not_a_sequence():
+    # the class indexes arrays, but a scalar has no length: numpy builds
+    # object arrays of scalars, and bool keeps the default of any object
+    s, t = MultiDual(0.0, [1.0]), MultiDual(2.0, [3.0])
+    assert bool(s) is True
+    with pytest.raises(TypeError):
+        len(s)
+    with pytest.raises(TypeError):
+        iter(s)
+    packed = np.array([s, t])
+    assert packed.dtype == object and packed.shape == (2,) and packed[0] is s
+    assert np.asarray(s).shape == ()
+    assert s.shape == () and s.ndim == 0 and type(s.value) is float
+
+
 _UNARY_CASES = [
     # (function of one dual, derivative oracle, sampler for admissible inputs)
     ("sin", lambda x: np.sin(x), math.sin, lambda r: r.uniform(-3, 3)),
@@ -289,7 +312,7 @@ def test_constructor_rejects_non_1d_tangents():
     assert MultiDual(np.float64(1.0), (1, 2)).tangents.dtype == np.float64
 
 
-# -- DualArray: the struct-of-arrays container ------------------------------
+# -- array multiduals: one value array and one tangent array ------------------
 
 _ARRAY_VALUES = [0.7, -1.3, 2.9, 0.45, -0.2]
 _ARRAY_TANGENTS = [[0.5, -0.0], [1.25, 3.0], [-2.0, 0.0], [0.0, 1e-3], [7.0, -0.75]]
@@ -297,7 +320,7 @@ _POSITIVE_VALUES = [0.7, 1.3, 2.9, 0.45, 0.2]
 
 
 def _dual_array(values=_ARRAY_VALUES):
-    return dual.DualArray(values, _ARRAY_TANGENTS)
+    return MultiDual(values, _ARRAY_TANGENTS)
 
 
 def _entries(d):
@@ -305,7 +328,7 @@ def _entries(d):
 
 
 def _assert_entries_bitwise(got, want):
-    assert isinstance(got, dual.DualArray)
+    assert isinstance(got, MultiDual) and isinstance(got.value, np.ndarray)
     assert got.value.dtype == np.float64 and got.tangents.dtype == np.float64
     assert got.value.tobytes() == np.array([w.value for w in want]).tobytes()
     assert got.tangents.tobytes() == np.array([w.tangents for w in want]).tobytes()
@@ -315,7 +338,7 @@ def _operands(positive):
     """(operand, its entry i) pairs of every supported kind."""
     rng = np.random.default_rng(5)
     arr = rng.uniform(0.5, 2.0, size=5) * (1.0 if positive else rng.choice([-1.0, 1.0], size=5))
-    other = dual.DualArray(rng.uniform(0.5, 2.0, size=5), rng.normal(size=(5, 2)))
+    other = MultiDual(rng.uniform(0.5, 2.0, size=5), rng.normal(size=(5, 2)))
     m = MultiDual(1.7, [0.3, -1.1])
     return [
         (2.5, lambda i: 2.5),
@@ -403,7 +426,7 @@ def test_dual_array_concatenate_and_sum():
     # left to right, as numpy sums an object array of multiduals; numpy's
     # pairwise float summation would differ in the last bits here
     rng = np.random.default_rng(9)
-    long = dual.DualArray(rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, 40), rng.normal(size=(40, 3)))
+    long = MultiDual(rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, 40), rng.normal(size=(40, 3)))
     want = np.sum(np.array(_entries(long), dtype=object))
     assert _bits(np.sum(long)) == _bits(want)
     assert float(np.sum(long.value)) != want.value
@@ -428,7 +451,7 @@ def test_dual_array_matmul_matches_entrywise_sum():
 
 def test_dual_array_mixed_arities_rejected():
     d = _dual_array()
-    wide = dual.DualArray(np.ones(5), np.ones((5, 3)))
+    wide = MultiDual(np.ones(5), np.ones((5, 3)))
     for other in (wide, MultiDual(1.0, [1.0, 2.0, 3.0])):
         for op in _ARITH_OPS:
             with pytest.raises(ValueError, match="mixed multidual arities"):
@@ -440,12 +463,12 @@ def test_dual_array_mixed_arities_rejected():
     with pytest.raises(ValueError, match="mixed multidual arities"):
         dual.asarray(np.array([MultiDual(1.0, [1.0]), MultiDual(1.0, [1.0, 2.0])], dtype=object))
     with pytest.raises(ValueError):
-        dual.DualArray(np.ones(3), np.ones((2, 2)))
+        MultiDual(np.ones(3), np.ones((2, 2)))
 
 
 def test_dual_array_log_and_sqrt_guard_non_positive_values():
     for bad in (0.0, -1.0):
-        d = dual.DualArray([1.0, bad], [[1.0], [1.0]])
+        d = MultiDual([1.0, bad], [[1.0], [1.0]])
         with pytest.raises(NonSmoothPointError):
             np.log(d)
         with pytest.raises(NonSmoothPointError):
@@ -467,7 +490,7 @@ def test_dual_array_rejects_complex_operands():
 def test_boundary_packing():
     m = MultiDual(1.0, [1.0, 2.0])
     packed = dual.asarray(np.array([m, 0.5, 3], dtype=object))
-    assert isinstance(packed, dual.DualArray)
+    assert isinstance(packed, MultiDual)
     assert packed.value.tolist() == [1.0, 0.5, 3.0]
     # plain entries get zero tangents
     assert packed.tangents.tolist() == [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
@@ -475,6 +498,7 @@ def test_boundary_packing():
         assert dual.asarray(plain) is plain
     d = _dual_array()
     assert dual.asarray(d) is d
-    # numpy reads a DualArray as a sequence of multiduals; packing restores it
-    assert not hasattr(dual.DualArray, "__array__")
+    # numpy reads an array multidual as a sequence of scalar ones; packing
+    # restores it
+    assert not hasattr(MultiDual, "__array__")
     _assert_entries_bitwise(dual.asarray(np.asarray(d)), _entries(d))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sensikit as sk
-from sensikit.dual import DualArray
+from sensikit.dual import MultiDual
 from sensikit.sensitivity import (
     augmented_problem,
     forward_sensitivity,
@@ -56,9 +56,10 @@ def test_jacobian_assembly_returns_analytic_verbatim():
         rhs_jac_u=lambda u, p, t: sentinel_u,
         rhs_jac_theta=lambda u, p, t: sentinel_t,
     )
-    J_u, J_t = jacobian_assembly(prob, prob.u0, prob.theta, 0.0)
+    J_u, J_t, f = jacobian_assembly(prob, prob.u0, prob.theta, 0.0)
     assert np.array_equal(J_u, sentinel_u)
     assert np.array_equal(J_t, sentinel_t)
+    assert f is None  # no right-hand side was evaluated
 
 
 def test_jacobian_assembly_linear_rhs_multidual():
@@ -70,9 +71,12 @@ def test_jacobian_assembly_linear_rhs_multidual():
         return A @ u + B @ p
 
     prob = sk.OdeProblem(rhs=rhs, u0=np.zeros(3), tspan=(0.0, 1.0), theta=np.zeros(2))
-    J_u, J_t = jacobian_assembly(prob, rng.normal(size=3), rng.normal(size=2), 0.0)
+    u, p = rng.normal(size=3), rng.normal(size=2)
+    J_u, J_t, f = jacobian_assembly(prob, u, p, 0.0)
     assert np.allclose(J_u, A, atol=1e-14)
     assert np.allclose(J_t, B, atol=1e-14)
+    # the value coordinate of the multidual call is the float evaluation
+    assert f.tobytes() == rhs(u, p, 0.0).tobytes()
 
 
 def test_jacobian_assembly_harmonic_theta_column():
@@ -81,7 +85,7 @@ def test_jacobian_assembly_harmonic_theta_column():
         rhs=ent.problem.rhs, u0=ent.problem.u0, tspan=ent.problem.tspan,
         theta=ent.problem.theta,
     )
-    _, J_t = jacobian_assembly(bare, np.array([1.0, 0.0]), np.array([0.2]), 0.0)
+    _, J_t, _ = jacobian_assembly(bare, np.array([1.0, 0.0]), np.array([0.2]), 0.0)
     assert np.allclose(J_t, [[0.0], [-0.4]], atol=1e-14)
 
 
@@ -92,7 +96,7 @@ def test_jacobian_assembly_partial_analytic():
         theta=ent.problem.theta, rhs_jac_u=ent.problem.rhs_jac_u,
     )
     u = np.array([0.7, -1.1])
-    J_u, J_t = jacobian_assembly(only_u, u, np.array([0.2]), 0.0)
+    J_u, J_t, _ = jacobian_assembly(only_u, u, np.array([0.2]), 0.0)
     assert np.allclose(J_u, [[0.0, 1.0], [-0.04, 0.0]])
     assert np.allclose(J_t, [[0.0], [-2 * 0.2 * 0.7]], atol=1e-14)
 
@@ -197,7 +201,7 @@ def _counting_kinds(problem):
     calls = {"float": 0, "dual": 0}
 
     def rhs(u, p, t):
-        calls["dual" if isinstance(u, DualArray) or isinstance(p, DualArray) else "float"] += 1
+        calls["dual" if isinstance(u, MultiDual) or isinstance(p, MultiDual) else "float"] += 1
         return problem.rhs(u, p, t)
 
     return dataclasses.replace(problem, rhs=rhs), calls

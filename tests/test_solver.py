@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sensikit as sk
-from sensikit.dual import DualArray, MultiDual
+from sensikit.dual import MultiDual
 from sensikit.errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -79,7 +79,7 @@ def test_scaled_error_joint_sees_tangent_error():
     joint = scaled_error(u, u_hat, abstol, 0.0, JOINT_PRIMAL_DUAL)
     n, p = 1, 1
     assert joint == pytest.approx(math.sqrt(1.0 / (n * (p + 1))))
-    # a dual state is packed into one DualArray: each entry, plain ones
+    # a dual state is packed into one array multidual: each entry, plain ones
     # included, adds its value and its p tangent coordinates (a plain entry
     # and a plain state count as zero tangents): 2 * (1 + 2) coordinates
     u = np.array([MultiDual(1.0, [2 * abstol, 0.0]), 0.0], dtype=object)
@@ -97,8 +97,8 @@ def test_scaled_error_of_dual_states_sums_left_to_right():
     # sequence's bits
     rng = np.random.default_rng(4)
     n, p = 15, 8
-    u = DualArray(rng.normal(size=n), rng.normal(size=(n, p)))
-    u_hat = DualArray(u.value + 1e-6 * rng.normal(size=n), u.tangents + 1e-6 * rng.normal(size=(n, p)))
+    u = MultiDual(rng.normal(size=n), rng.normal(size=(n, p)))
+    u_hat = MultiDual(u.value + 1e-6 * rng.normal(size=n), u.tangents + 1e-6 * rng.normal(size=(n, p)))
     for mode, cols in ((JOINT_PRIMAL_DUAL, p + 1), (PRIMAL_ONLY, 1)):
         x = np.concatenate((u.value[:, None], u.tangents), axis=1)[:, :cols].ravel().tolist()
         y = np.concatenate((u_hat.value[:, None], u_hat.tangents), axis=1)[:, :cols].ravel().tolist()
