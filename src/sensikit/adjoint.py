@@ -33,7 +33,9 @@ checkpoint count.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -59,7 +61,9 @@ VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 # largest tolerance-scaled error (``solver.scaled_error`` under the reverse
 # tolerances) with which backsolve may reconstruct a stored forward state.
 # Stable problems read about 2 at tol 1e-8; a reversed state that blew up
-# reads the 1/reltol ceiling (1e6 and more).
+# reads the 1/reltol ceiling (1e6 and more).  From reltol 1e-3 up that
+# ceiling no longer clears this bound, so the check caps the bound at half
+# the ceiling.
 MAX_RECONSTRUCTION_ERROR = 1e3
 
 
@@ -94,18 +98,29 @@ class AdjointConfig:
 
 
 def gauss_legendre(fn, a, b, order: int):
-    """Fixed-order Gauss-Legendre quadrature of a vector integrand on [a, b]."""
+    """Fixed-order Gauss-Legendre quadrature of a vector integrand on [a, b].
+
+    The rule is computed once per order (``leggauss`` solves an
+    eigenproblem) and reused by later calls; the last few orders used stay
+    cached.
+    """
     if not a < b:
         raise ValueError("need a < b")
     if order < 2:
         raise ValueError("order must be at least 2")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     total = 0.0
-    for x, w in zip(nodes, weights):
+    for x, w in _legendre_rule(order):
         total = total + (half * w) * np.asarray(fn(mid + half * x))
     return total
+
+
+@lru_cache(maxsize=8)
+def _legendre_rule(order: int) -> tuple:
+    """``(node, weight)`` pairs of the order-``order`` rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return tuple(zip(nodes, weights))
 
 
 def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, loss):
@@ -182,9 +197,14 @@ def _span_tol(problem):
 
 
 def _observation_jumps(loss, problem):
-    """Map observation time -> list of loss indices, validated in-span."""
+    """Observation time -> list of loss indices, validated in-span.
+
+    Returns ``(table, times)`` with ``times`` the table's times sorted, for
+    bisection.  The losses sort their times and reject repeats, so sorted
+    order is also the table's insertion order.
+    """
     if not isinstance(loss, PointwiseLoss):
-        return {}
+        return {}, []
     t0, t1 = problem.tspan
     tol = _span_tol(problem)
     if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
@@ -192,7 +212,7 @@ def _observation_jumps(loss, problem):
     table: dict = {}
     for i, t in enumerate(loss.times):
         table.setdefault(float(t), []).append(i)
-    return table
+    return table, sorted(table)
 
 
 def _forward_pass(problem, config: AdjointConfig, theta):
@@ -252,31 +272,52 @@ def _segment_solution(ts, states, derivs, stats) -> Solution:
     )
 
 
-def _reverse_intervals(ts, jumps, tol):
+def _near(times, t, tol):
+    """The entries of the sorted list ``times`` within ``tol`` of ``t``.
+
+    Bisects to ``t`` and widens while ``abs(q - t) <= tol`` holds, which is
+    monotone on either side of ``t``, so no entry within tol is missed.
+    """
+    i = j = bisect_left(times, t)
+    while i > 0 and abs(times[i - 1] - t) <= tol:
+        i -= 1
+    while j < len(times) and abs(times[j] - t) <= tol:
+        j += 1
+    return times[i:j]
+
+
+def _reverse_intervals(ts, obs_times, tol):
     """Split mesh intervals at interior observation times, keep reverse order.
 
     Returns a list of (t_left, t_right) pairs covering [ts[0], ts[-1]],
     rightmost first, with every observation time on an endpoint.
+    ``obs_times`` is sorted; an observation time within ``tol`` of a node,
+    or of an observation time added before it, snaps onto that point.
     """
-    points = set(float(t) for t in ts)
-    lo, hi = ts[0], ts[-1]
-    for t in jumps:
-        if lo - tol < t < hi + tol:
-            # snap near-node observation times onto the node
-            close = [q for q in points if abs(q - t) <= tol]
-            if not close:
-                points.add(t)
-    mesh = sorted(points)
+    nodes = [float(t) for t in ts]
+    lo, hi = nodes[0], nodes[-1]
+    added = []  # ascending, as obs_times is
+    first = bisect_right(obs_times, lo - tol)
+    last = bisect_left(obs_times, hi + tol)
+    for t in obs_times[first:last]:
+        if not _near(nodes, t, tol) and not _near(added, t, tol):
+            added.append(t)
+    mesh = sorted(set(nodes).union(added))
     return [(mesh[i], mesh[i + 1]) for i in range(len(mesh) - 2, -1, -1)]
 
 
 def _apply_jumps(lam, t, u_provider, loss, jumps, done, tol):
-    """Costate jump at an observation time reached during reverse traversal."""
-    for t_obs, idxs in jumps.items():
-        if t_obs in done or abs(t_obs - t) > tol:
+    """Costate jump at an observation time reached during reverse traversal.
+
+    ``jumps`` is ``_observation_jumps``'s pair; the times within ``tol`` of
+    ``t`` are found by bisection.
+    """
+    table, obs_times = jumps
+    for t_obs in _near(obs_times, t, tol):
+        if t_obs in done:
             continue
         u = np.asarray(u_provider(t_obs), dtype=float)
-        for i in idxs:
+        for i in table[t_obs]:
             lam = lam + loss.grad_u_at(u, i)
         done.add(t_obs)
     return lam
@@ -368,7 +409,7 @@ def discrete_adjoint(
     node_ts = sol.node_times
 
     jumps_by_index: dict = {}
-    for t_obs, idxs in _observation_jumps(loss, problem).items():
+    for t_obs, idxs in _observation_jumps(loss, problem)[0].items():
         idx = int(np.argmin(np.abs(node_ts - t_obs)))
         if abs(node_ts[idx] - t_obs) > tol:
             raise ValueError(
@@ -456,7 +497,7 @@ def _dense_reverse(problem, loss, config, theta, stats, quadrature):
         seg_sol = _segment_solution(ts, states, derivs, sol.stats)
         ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
         peak_forward = max(peak_forward, len(ts) + ckpt)
-        intervals = _reverse_intervals(ts, jumps, tol)
+        intervals = _reverse_intervals(ts, jumps[1], tol)
         subs = []
         for t_left, t_right in intervals:
             lam = _apply_jumps(
@@ -504,7 +545,9 @@ def _backsolve(problem, loss, config, theta, stats):
     largest scaled error is reported as ``reconstruction_error``.  Unstable
     reverse dynamics surface as a blowup error recommending the
     interpolating variant: when the reverse solve fails, or when a
-    reconstruction error exceeds ``MAX_RECONSTRUCTION_ERROR``.
+    reconstruction error exceeds ``MAX_RECONSTRUCTION_ERROR`` or half the
+    ``1/reltol`` ceiling that a lost state's scaled error saturates at,
+    whichever is smaller.
     """
     rev = config.reverse()
     tol = _span_tol(problem)
@@ -524,7 +567,7 @@ def _backsolve(problem, loss, config, theta, stats):
         }
 
     stops = {t0, t1}
-    stops.update(t for t in jumps if t0 - tol < t < t1 + tol)
+    stops.update(t for t in jumps[0] if t0 - tol < t < t1 + tol)
     stops.update(t for t in resets if t0 - tol < t < t1 + tol)
     breakpoints = sorted(stops, reverse=True)
 
@@ -551,12 +594,13 @@ def _backsolve(problem, loss, config, theta, stats):
         rev, save="final", saveat=None, checkpoints=None, max_steps=reverse_budget
     )
     reconstruction_error = 0.0
+    bound = min(MAX_RECONSTRUCTION_ERROR, 0.5 / rev.reltol)
 
     def check_reconstruction(u, stored, t):
         nonlocal reconstruction_error
         err = scaled_error(u, stored, rev.abstol, rev.reltol)
         reconstruction_error = max(reconstruction_error, err)
-        if not err <= MAX_RECONSTRUCTION_ERROR:
+        if not err <= bound:
             raise NumericalBlowupError(
                 f"backsolve reconstructed the forward state at t={t!r} with "
                 f"scaled error {err:.3g} (the reversed state dynamics are "

@@ -350,7 +350,7 @@ def _state_on_mesh(sol, t, tableau):
     Fixed-grid methods do not interpolate; a save time off the mesh is an
     error there.
     """
-    idx = _node_match(sol.node_times, t)
+    idx = _node_match(sol.node_times, t, int(sol.node_times.searchsorted(t)))
     if idx is not None:
         return sol.node_states[idx]
     if not tableau.is_embedded:
@@ -361,8 +361,8 @@ def _state_on_mesh(sol, t, tableau):
     return dense_eval(sol, t)
 
 
-def _node_match(ts, t):
-    idx = np.searchsorted(ts, t)
+def _node_match(ts, t, idx):
+    """Node within tolerance of ``t`` next to ``idx = ts.searchsorted(t)``, or None."""
     tol = 1e-9 * max(abs(ts[-1] - ts[0]), 1.0)
     for j in (idx - 1, idx, idx + 1):
         if 0 <= j < len(ts) and abs(ts[j] - t) <= tol:
@@ -374,19 +374,23 @@ def dense_eval(sol: Solution, t: float):
     """Cubic-Hermite evaluation of the stored mesh at an interior time.
 
     Uses the bracketing step's endpoint states and derivatives; exact at
-    the mesh nodes.
+    the mesh nodes.  The mesh is searched once per call: the one
+    ``searchsorted`` index serves both the node match and the bracketing
+    step.
     """
     if sol.node_states is None:
         raise ValueError("this solution retained no dense data")
     ts = sol.node_times
     if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
         raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
-    idx = _node_match(ts, t)
-    if idx is not None:
-        return sol.node_states[idx]
-    j = int(np.searchsorted(ts, t)) - 1
-    j = min(max(j, 0), len(ts) - 2)
-    ta, tb = ts[j], ts[j + 1]
+    idx = int(ts.searchsorted(t))
+    node = _node_match(ts, t, idx)
+    if node is not None:
+        return sol.node_states[node]
+    j = min(max(idx - 1, 0), len(ts) - 2)
+    # Python floats: the same IEEE operations as on numpy scalars, without
+    # numpy's per-operation scalar overhead
+    ta, tb, t = float(ts[j]), float(ts[j + 1]), float(t)
     h = tb - ta
     s = (t - ta) / h
     h00 = (1 + 2 * s) * (1 - s) ** 2

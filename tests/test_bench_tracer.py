@@ -104,3 +104,23 @@ def test_tracer_counts_array_level_dual_arithmetic():
     assert spans["dual_s"][spans["name"] == step].sum() > 0
     plain = sk.gradient(problem, loss, "forward_ad", sk.SolverConfig())
     assert res.gradient.tobytes() == plain.gradient.tobytes()
+
+
+def test_tracer_sees_dense_output_and_quadrature_in_the_quadrature_adjoint():
+    # the cached Gauss-Legendre rule and the one-search dense output must
+    # still run through the module attributes the tracer rebinds
+    tracing = _load_tracing()
+    entry = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        res = sk.gradient(entry.problem, entry.loss, "continuous_quadrature", cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    by_name = tracer.summary()["by_name"]
+    assert by_name["solver.dense_eval"]["calls"] > 0
+    assert by_name["adjoint.gauss_legendre"]["calls"] > 0
+    plain = sk.gradient(entry.problem, entry.loss, "continuous_quadrature", cfg)
+    assert res.gradient.tobytes() == plain.gradient.tobytes()

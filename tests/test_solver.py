@@ -274,6 +274,36 @@ def test_dense_eval_midpoint_accuracy():
     assert err <= 1e-7
 
 
+def test_dense_eval_is_the_hermite_formula_bitwise():
+    # the cubic Hermite interpolant written out on numpy scalars, in the
+    # order dense_eval evaluates it: one mesh search per call and Python
+    # float coefficients must not change a bit
+    ent = sk.make_predprey(0.95)
+    sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
+    ts, ys, fs = sol.node_times, sol.node_states, sol.node_derivs
+    rng = np.random.default_rng(11)
+    steps = rng.integers(0, len(ts) - 1, 500)
+    for j, frac in zip(steps, rng.uniform(0.01, 0.99, 500)):
+        ta, tb = ts[j], ts[j + 1]
+        t = ta + frac * (tb - ta)
+        h = tb - ta
+        s = (t - ta) / h
+        expected = (
+            ((1 + 2 * s) * (1 - s) ** 2) * ys[j]
+            + ((s * (1 - s) ** 2) * h) * fs[j]
+            + (s * s * (3 - 2 * s)) * ys[j + 1]
+            + ((s * s * (s - 1)) * h) * fs[j + 1]
+        )
+        assert sk.dense_eval(sol, t).tobytes() == expected.tobytes()
+    # within half the node tolerance of a node the node state comes back
+    tol = 1e-9 * max(ts[-1] - ts[0], 1.0)
+    for j in (1, len(ts) // 2, len(ts) - 2):
+        for t in (ts[j] - 0.5 * tol, ts[j] + 0.5 * tol):
+            assert sk.dense_eval(sol, t).tobytes() == ys[j].tobytes()
+    assert sk.dense_eval(sol, ts[0] + 0.5 * tol).tobytes() == ys[0].tobytes()
+    assert sk.dense_eval(sol, ts[-1] - 0.5 * tol).tobytes() == ys[-1].tobytes()
+
+
 def test_dense_eval_out_of_span():
     ent = sk.make_harmonic(0.2)
     sol = sk.solve(ent.problem, sk.SolverConfig())
