@@ -20,22 +20,26 @@ the gradient integral evaluated by fixed-order Gauss-Legendre quadrature
 per step interval (quadrature).
 
 Pointwise losses enter the reverse pass as jumps: traversed in reverse,
-the costate is incremented by the loss gradient at each observation time.
-This is the discrete-measure limit of the integrated-loss derivation and
-is cross-validated against the discrete adjoint.
+the costate is incremented at each observation time by the loss gradient
+at the state of the stop that time snapped to (a mesh node, or the time
+itself).  This is the discrete-measure limit of the integrated-loss
+derivation and is cross-validated against the discrete adjoint.  The
+discrete, interpolating and quadrature adjoints share one reverse sweep
+over the forward mesh split at the observation times.
 
 Reverse integration always runs the stepper over a forward-oriented
 clock on the reversed vector field; checkpoint segments replay the
 recorded forward stepsizes from their snapshots, which reproduces the
-original trajectory bitwise and makes gradients independent of the
-checkpoint count.
+original trajectory bitwise.  As the stops do not depend on the segment
+bounds either, the sweep's gradients are independent of the checkpoint
+count, for losses non-linear in the state too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -69,17 +73,16 @@ MAX_RECONSTRUCTION_ERROR = 1e3
 
 @dataclass(frozen=True)
 class AdjointConfig:
-    """Adjoint variant selection plus forward and reverse solver settings.
+    """Adjoint variant selection plus solver settings.
 
-    ``reverse_config`` applies where the reverse pass integrates its own
-    ODE; it defaults to the forward configuration.  ``checkpoints`` bounds
-    forward storage: snapshots are kept at that many uniform spans and the
-    trajectory between them is recomputed on demand.
+    ``solver_config`` drives the forward solve and every reverse
+    integration.  ``checkpoints`` bounds forward storage: snapshots are
+    kept at that many uniform spans and the trajectory between them is
+    recomputed on demand (backsolve resets its reconstruction to them).
     """
 
     variant: str = "interpolating"
     solver_config: SolverConfig = field(default_factory=SolverConfig)
-    reverse_config: Optional[SolverConfig] = None
     checkpoints: Optional[int] = None
     quadrature_order: int = 7
 
@@ -90,11 +93,6 @@ class AdjointConfig:
             raise ValueError("quadrature order must be at least 2")
         if self.checkpoints is not None and self.checkpoints < 1:
             raise ValueError("checkpoint count must be at least 1")
-
-    def reverse(self) -> SolverConfig:
-        if self.reverse_config is not None:
-            return self.reverse_config
-        return self.solver_config
 
 
 def gauss_legendre(fn, a, b, order: int):
@@ -197,29 +195,48 @@ def _span_tol(problem):
 
 
 def _observation_jumps(loss, problem):
-    """Observation time -> list of loss indices, validated in-span.
+    """Sorted observation times, validated in-span, and their jump cursor.
 
-    Returns ``(table, times)`` with ``times`` the table's times sorted, for
-    bisection.  The losses sort their times and reject repeats, so sorted
-    order is also the table's insertion order.
+    ``jump(lam, t, u_at)`` adds the loss gradient at ``u_at(t)``, the state
+    at the stop ``t``, of every observation at or after ``t - tol`` not yet
+    applied.  Reverse traversal reaches the stops in decreasing order, so
+    a cursor tells what is applied.  The losses sort their times and reject
+    repeats, so a time's position is its loss index.
     """
     if not isinstance(loss, PointwiseLoss):
-        return {}, []
+        return [], lambda lam, t, u_at: lam
     t0, t1 = problem.tspan
     tol = _span_tol(problem)
     if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
         raise ValueError("observation times fall outside the time span")
-    table: dict = {}
-    for i, t in enumerate(loss.times):
-        table.setdefault(float(t), []).append(i)
-    return table, sorted(table)
+    times = loss.times.tolist()
+    cursor = len(times)  # times[cursor:] are applied
+
+    def jump(lam, t, u_at):
+        nonlocal cursor
+        k = cursor
+        while k and times[k - 1] >= t - tol:
+            k -= 1
+        if k < cursor:
+            u = np.asarray(u_at(t), dtype=float)
+            for i in range(k, cursor):
+                lam = lam + loss.grad_u_at(u, i)
+            cursor = k
+        return lam
+
+    return times, jump
 
 
 def _forward_pass(problem, config: AdjointConfig, theta):
-    """Forward solve retaining either full dense data or checkpoints."""
+    """Forward solve keeping every node, or the checkpoints when configured.
+
+    Backsolve reads only the final state, so without checkpoints it keeps
+    just that.
+    """
+    keep_all = config.checkpoints is None and config.variant != "backsolve"
     fwd = replace(
         config.solver_config,
-        save="all" if config.checkpoints is None else "final",
+        save="all" if keep_all else "final",
         saveat=None,
         checkpoints=config.checkpoints,
     )
@@ -229,12 +246,12 @@ def _forward_pass(problem, config: AdjointConfig, theta):
 def _segments_reverse(problem, sol: Solution, theta, tableau):
     """Yield (base_index, times, states, derivs) mesh spans, right to left.
 
-    Full storage yields one span covering the whole mesh.  Checkpointed
-    runs replay the recorded stepsizes from each snapshot, reproducing the
+    Full storage yields the stored mesh as one span.  Checkpointed runs
+    replay the recorded stepsizes from each snapshot, reproducing the
     stored-trajectory states bitwise.
     """
     if sol.node_states is not None:
-        yield 0, sol.node_times, list(sol.node_states), list(sol.node_derivs)
+        yield 0, sol.node_times, sol.node_states, sol.node_derivs
         return
     store = sol.checkpoints
     if store is None:
@@ -258,9 +275,9 @@ def _segments_reverse(problem, sol: Solution, theta, tableau):
         yield i_a, ts, states, derivs
 
 
-def _segment_solution(ts, states, derivs, stats) -> Solution:
-    arr = np.vstack([np.asarray(s, dtype=float) for s in states])
-    der = np.vstack([np.asarray(s, dtype=float) for s in derivs])
+def _segment_solution(ts, states, derivs, step_dts, stats) -> Solution:
+    arr = np.array(states, dtype=float)
+    der = np.array(derivs, dtype=float)
     return Solution(
         times=np.asarray(ts),
         states=arr,
@@ -269,6 +286,7 @@ def _segment_solution(ts, states, derivs, stats) -> Solution:
         node_derivs=der,
         dense=True,
         stats=stats,
+        step_dts=step_dts,
     )
 
 
@@ -287,14 +305,15 @@ def _near(times, t, tol):
 
 
 def _reverse_intervals(ts, obs_times, tol):
-    """Split mesh intervals at interior observation times, keep reverse order.
+    """Split mesh steps at interior observation times, keep reverse order.
 
-    Returns a list of (t_left, t_right) pairs covering [ts[0], ts[-1]],
-    rightmost first, with every observation time on an endpoint.
+    Returns a list of ``(m, t_left, t_right)`` covering [ts[0], ts[-1]],
+    rightmost first, with every observation time on an endpoint and ``m``
+    the index of the step ``[ts[m], ts[m + 1]]`` holding the interval.
     ``obs_times`` is sorted; an observation time within ``tol`` of a node,
     or of an observation time added before it, snaps onto that point.
     """
-    nodes = [float(t) for t in ts]
+    nodes = np.asarray(ts, dtype=float).tolist()
     lo, hi = nodes[0], nodes[-1]
     added = []  # ascending, as obs_times is
     first = bisect_right(obs_times, lo - tol)
@@ -302,25 +321,52 @@ def _reverse_intervals(ts, obs_times, tol):
     for t in obs_times[first:last]:
         if not _near(nodes, t, tol) and not _near(added, t, tol):
             added.append(t)
-    mesh = sorted(set(nodes).union(added))
-    return [(mesh[i], mesh[i + 1]) for i in range(len(mesh) - 2, -1, -1)]
+    intervals = []
+    k = len(added)
+    for m in range(len(nodes) - 2, -1, -1):
+        t_right = nodes[m + 1]
+        # an added time is no node, so it lies strictly inside one step
+        while k and added[k - 1] > nodes[m]:
+            k -= 1
+            intervals.append((m, added[k], t_right))
+            t_right = added[k]
+        intervals.append((m, nodes[m], t_right))
+    return intervals
 
 
-def _apply_jumps(lam, t, u_provider, loss, jumps, done, tol):
-    """Costate jump at an observation time reached during reverse traversal.
+def _reverse_sweep(problem, loss, config, theta, stats, step):
+    """Forward pass, then a reverse walk over its mesh split at observations.
 
-    ``jumps`` is ``_observation_jumps``'s pair; the times within ``tol`` of
-    ``t`` are found by bisection.
+    Per interval, right to left, applies the jumps at the right end, then
+    ``lam = step(seg, m, t_left, t_right, lam)``: ``seg`` is the segment's
+    dense ``Solution`` with its ``step_dts``, ``m`` its step holding the
+    interval.  Returns the costate after the ``t0`` jumps and the peak
+    count of stored forward states.
     """
-    table, obs_times = jumps
-    for t_obs in _near(obs_times, t, tol):
-        if t_obs in done:
-            continue
-        u = np.asarray(u_provider(t_obs), dtype=float)
-        for i in table[t_obs]:
-            lam = lam + loss.grad_u_at(u, i)
-        done.add(t_obs)
-    return lam
+    tableau = config.solver_config.tableau
+    tol = _span_tol(problem)
+    obs_times, jump = _observation_jumps(loss, problem)
+
+    sol = _forward_pass(problem, config, theta)
+    stats.accepted_steps += sol.stats.accepted_steps
+    stats.rejected_steps += sol.stats.rejected_steps
+    ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
+
+    lam = np.zeros(problem.n)
+    peak = 0
+    for base, ts, states, derivs in _segments_reverse(problem, sol, theta, tableau):
+        peak = max(peak, len(ts) + ckpt)
+        if sol.node_states is not None:
+            seg = sol
+        else:
+            step_dts = sol.step_dts[base : base + len(ts) - 1]
+            seg = _segment_solution(ts, states, derivs, step_dts, sol.stats)
+        u_at = partial(dense_eval, seg)
+        for m, t_left, t_right in _reverse_intervals(ts, obs_times, tol):
+            lam = jump(lam, t_right, u_at)
+            lam = step(seg, m, t_left, t_right, lam)
+    lam = jump(lam, problem.tspan[0], lambda t: problem.u0)
+    return lam, peak
 
 
 def _reverse_step_config(rev: SolverConfig, h: float) -> SolverConfig:
@@ -361,16 +407,6 @@ def _integrate_costate_interval(
     return y, g, sub
 
 
-def _lambda_dense(sub: Solution, t_right):
-    """Dense costate on an interval from its reverse-clock sub-solution."""
-
-    def lam_at(t):
-        sigma = min(max(t_right - t, sub.node_times[0]), sub.node_times[-1])
-        return dense_eval(sub, sigma)
-
-    return lam_at
-
-
 # ---------------------------------------------------------------------
 # discrete adjoint
 
@@ -402,41 +438,21 @@ def discrete_adjoint(
     stats = SolverStats()
     problem = _counted(problem, stats)
     tableau = fwd.tableau
-    tol = _span_tol(problem)
-
-    sol = _forward_pass(problem, config, theta)
-    stats.accepted_steps = sol.stats.accepted_steps
-    node_ts = sol.node_times
-
-    jumps_by_index: dict = {}
-    for t_obs, idxs in _observation_jumps(loss, problem)[0].items():
-        idx = int(np.argmin(np.abs(node_ts - t_obs)))
-        if abs(node_ts[idx] - t_obs) > tol:
-            raise ValueError(
-                f"observation time {t_obs} does not sit on the fixed grid"
-            )
-        jumps_by_index.setdefault(idx, []).extend(idxs)
-
-    n = problem.n
-    lam = np.zeros(n)
     gradient = np.zeros(theta.size)
-    peak = 0
-    for base, ts, states, _ in _segments_reverse(problem, sol, theta, tableau):
-        ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
-        peak = max(peak, len(ts) + ckpt)
-        for m in range(len(ts) - 2, -1, -1):
-            right = base + m + 1
-            if right in jumps_by_index:
-                u_right = np.asarray(states[m + 1], dtype=float)
-                for i in jumps_by_index[right]:
-                    lam = lam + loss.grad_u_at(u_right, i)
-            lam, contrib = step_vjp(
-                problem, tableau, states[m], theta, ts[m], sol.step_dts[base + m], lam
-            )
-            gradient = gradient + contrib
-    if 0 in jumps_by_index:
-        for i in jumps_by_index[0]:
-            lam = lam + loss.grad_u_at(problem.u0, i)
+
+    def step(seg, m, t_left, t_right, lam):
+        nonlocal gradient
+        t = seg.node_times[m]
+        if t_left != t:
+            # an off-grid observation split the step
+            raise ValueError(f"observation time {t_left} does not sit on the fixed grid")
+        lam, contrib = step_vjp(
+            problem, tableau, seg.node_states[m], theta, t, seg.step_dts[m], lam
+        )
+        gradient = gradient + contrib
+        return lam
+
+    lam, peak = _reverse_sweep(problem, loss, config, theta, stats, step)
     gradient = gradient + problem.initial_state_jacobian().T @ lam
 
     return SensitivityResult(
@@ -464,74 +480,50 @@ def continuous_adjoint(
     stats = SolverStats()
     counted = _counted(problem, stats)
     if config.variant == "backsolve":
-        out = _backsolve(counted, loss, config, theta, stats)
-    elif config.variant == "interpolating":
-        out = _dense_reverse(counted, loss, config, theta, stats, quadrature=False)
-    elif config.variant == "quadrature":
-        out = _dense_reverse(counted, loss, config, theta, stats, quadrature=True)
-    else:  # pragma: no cover - guarded by AdjointConfig
-        raise ValueError(config.variant)
-    return out
+        return _backsolve(counted, loss, config, theta, stats)
+    return _dense_reverse(counted, loss, config, theta, stats)
 
 
-def _dense_reverse(problem, loss, config, theta, stats, quadrature):
-    """Interpolating and quadrature variants share this reverse pass."""
-    rev = config.reverse()
-    tableau = config.solver_config.tableau
-    tol = _span_tol(problem)
-    jumps = _observation_jumps(loss, problem)
-    done: set = set()
+def _dense_reverse(problem, loss, config, theta, stats):
+    """Interpolating and quadrature variants share this reverse sweep.
 
-    sol = _forward_pass(problem, config, theta)
-    stats.accepted_steps += sol.stats.accepted_steps
-    stats.rejected_steps += sol.stats.rejected_steps
-
-    n, p = problem.n, theta.size
-    lam = np.zeros(n)
-    g = np.zeros(p)
+    Quadrature adds each interval's Gauss-Legendre term right after its
+    costate solve, so it holds one dense costate sub-solution at a time.
+    """
+    rev = config.solver_config
+    quadrature = config.variant == "quadrature"
     order = config.quadrature_order
-    peak_forward = 0
-    lambda_nodes = 0
+    g = np.zeros(theta.size)
+    lambda_nodes = 0  # the largest costate sub-solution held
 
-    for base, ts, states, derivs in _segments_reverse(problem, sol, theta, tableau):
-        seg_sol = _segment_solution(ts, states, derivs, sol.stats)
-        ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
-        peak_forward = max(peak_forward, len(ts) + ckpt)
-        intervals = _reverse_intervals(ts, jumps[1], tol)
-        subs = []
-        for t_left, t_right in intervals:
-            lam = _apply_jumps(
-                lam, t_right, lambda tq: dense_eval(seg_sol, tq), loss, jumps, done, tol
-            )
-            lam, g, sub = _integrate_costate_interval(
-                problem, loss, theta, rev, t_left, t_right, lam, g, seg_sol,
-                with_g=not quadrature, agg=stats,
-            )
-            if quadrature:
-                subs.append((t_left, t_right, sub))
-                lambda_nodes += len(sub.node_times)
+    def step(seg, m, t_left, t_right, lam):
+        nonlocal g, lambda_nodes
+        lam, g, sub = _integrate_costate_interval(
+            problem, loss, theta, rev, t_left, t_right, lam, g, seg,
+            with_g=not quadrature, agg=stats,
+        )
         if quadrature:
-            for t_left, t_right, sub in subs:
-                lam_at = _lambda_dense(sub, t_right)
+            lambda_nodes = max(lambda_nodes, len(sub.node_times))
+            s_lo, s_hi = sub.node_times[0], sub.node_times[-1]
 
-                def integrand(tq):
-                    u = dense_eval(seg_sol, tq)
-                    _, dg = adjoint_rhs(u, lam_at(tq), theta, tq, problem, loss)
-                    return dg
+            def integrand(tq):
+                u = dense_eval(seg, tq)
+                lam_q = dense_eval(sub, min(max(t_right - tq, s_lo), s_hi))
+                _, dg = adjoint_rhs(u, lam_q, theta, tq, problem, loss)
+                return dg
 
-                g = g + gauss_legendre(integrand, t_left, t_right, order)
+            g = g + gauss_legendre(integrand, t_left, t_right, order)
+        return lam
 
-    lam = _apply_jumps(
-        lam, problem.tspan[0], lambda tq: problem.u0, loss, jumps, done, tol
-    )
+    lam, peak = _reverse_sweep(problem, loss, config, theta, stats, step)
     gradient = g + problem.initial_state_jacobian().T @ lam
     method = "continuous_quadrature" if quadrature else "continuous_interpolating"
     return SensitivityResult(
         gradient=np.asarray(gradient, dtype=float),
         method=method,
         stats=stats,
-        peak_stored_states=peak_forward + lambda_nodes,
-        metadata={"lambda0": lam, "checkpoints": config.checkpoints},
+        peak_stored_states=peak + lambda_nodes,
+        metadata={"lambda0": lam},
     )
 
 
@@ -549,10 +541,8 @@ def _backsolve(problem, loss, config, theta, stats):
     ``1/reltol`` ceiling that a lost state's scaled error saturates at,
     whichever is smaller.
     """
-    rev = config.reverse()
-    tol = _span_tol(problem)
-    jumps = _observation_jumps(loss, problem)
-    done: set = set()
+    rev = config.solver_config
+    obs_times, jump = _observation_jumps(loss, problem)
     t0, t1 = problem.tspan
 
     sol = _forward_pass(problem, config, theta)
@@ -566,10 +556,9 @@ def _backsolve(problem, loss, config, theta, stats):
             for t, u in zip(sol.checkpoints.times, sol.checkpoints.states)
         }
 
-    stops = {t0, t1}
-    stops.update(t for t in jumps[0] if t0 - tol < t < t1 + tol)
-    stops.update(t for t in resets if t0 - tol < t < t1 + tol)
-    breakpoints = sorted(stops, reverse=True)
+    intervals = _reverse_intervals(
+        sorted({t0, t1, *resets}), obs_times, _span_tol(problem)
+    )
 
     n, p = problem.n, theta.size
     u = np.asarray(sol.final_state(), dtype=float)
@@ -608,8 +597,8 @@ def _backsolve(problem, loss, config, theta, stats):
                 t=t,
             )
 
-    for t_hi, t_lo in zip(breakpoints[:-1], breakpoints[1:]):
-        lam = _apply_jumps(lam, t_hi, lambda tq: u, loss, jumps, done, tol)
+    for _, t_lo, t_hi in intervals:
+        lam = jump(lam, t_hi, lambda t: u)
         if t_hi in resets:
             check_reconstruction(u, resets[t_hi], t_hi)
             u = resets[t_hi]
@@ -636,7 +625,7 @@ def _backsolve(problem, loss, config, theta, stats):
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 
     check_reconstruction(u, problem.u0, t0)
-    lam = _apply_jumps(lam, t0, lambda tq: u, loss, jumps, done, tol)
+    lam = jump(lam, t0, lambda t: u)
     gradient = g + problem.initial_state_jacobian().T @ lam
     return SensitivityResult(
         gradient=np.asarray(gradient, dtype=float),

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -9,6 +10,7 @@ from sensikit import dual
 from sensikit.adjoint import (
     MAX_RECONSTRUCTION_ERROR,
     AdjointConfig,
+    _forward_pass,
     _reverse_intervals,
     adjoint_rhs,
     continuous_adjoint,
@@ -250,16 +252,32 @@ def test_discrete_adjoint_equals_forward_ad_all_problems(make, dt, method):
     assert np.linalg.norm(res.gradient - ad.gradient) / scale <= 1e-10
 
 
+def record_jumps(loss):
+    """A copy of ``loss`` that logs the index of every jump applied from it."""
+    loss = copy.copy(loss)
+    plain = loss.grad_u_at
+    loss.applied = []
+
+    def counted(u, i):
+        loss.applied.append(i)
+        return plain(u, i)
+
+    loss.grad_u_at = counted
+    return loss
+
+
 def test_discrete_adjoint_checkpoint_replay_matches_full():
-    ent = sk.make_harmonic(0.2)
     fwd = sk.SolverConfig(method="rk4", dt=0.01)
-    full = discrete_adjoint(ent.problem, ent.loss, AdjointConfig(variant="discrete", solver_config=fwd))
-    ck = discrete_adjoint(
-        ent.problem, ent.loss,
-        AdjointConfig(variant="discrete", solver_config=fwd, checkpoints=5),
-    )
-    assert ck.gradient[0] == full.gradient[0]
-    assert ck.peak_stored_states < full.peak_stored_states
+    # predprey's 101 observations sit on the grid, some on checkpoint ends
+    for ent in (sk.make_harmonic(0.2), sk.make_predprey(0.95)):
+        res = {}
+        for ck in (None, 5):
+            loss = record_jumps(ent.loss)
+            cfg = AdjointConfig(variant="discrete", solver_config=fwd, checkpoints=ck)
+            res[ck] = discrete_adjoint(ent.problem, loss, cfg)
+            assert sorted(loss.applied) == list(range(len(loss.times)))
+        assert res[5].gradient.tobytes() == res[None].gradient.tobytes()
+        assert res[5].peak_stored_states < res[None].peak_stored_states
 
 
 # -- continuous adjoint ------------------------------------------------
@@ -343,6 +361,18 @@ def test_backsolve_reports_its_reconstruction_error():
     assert at_t0 < ck.metadata["reconstruction_error"] <= MAX_RECONSTRUCTION_ERROR
 
 
+def test_backsolve_forward_pass_keeps_only_the_final_state():
+    ent = sk.make_predprey(0.95)
+    theta = ent.problem.theta
+    full = _forward_pass(ent.problem, AdjointConfig(solver_config=tight()), theta)
+    final = _forward_pass(
+        ent.problem, AdjointConfig(variant="backsolve", solver_config=tight()), theta
+    )
+    assert full.node_states is not None
+    assert final.node_states is None and len(final.states) == 2
+    assert final.final_state().tobytes() == full.final_state().tobytes()
+
+
 def test_initial_condition_adjoint_is_lambda0():
     # theta IS the initial condition (p = n, theta-free rhs): the gradient
     # reduces to lambda(t0)
@@ -408,8 +438,10 @@ def test_reverse_intervals_match_a_full_scan():
     ])
     for seg in (ts, ts[1:4], ts[2:5], ts[4:]):
         got = _reverse_intervals(seg, obs, tol)
-        assert got == _reverse_intervals_by_scan(seg, obs, tol)
-    mesh = [t_left for t_left, _ in _reverse_intervals(ts, obs, tol)[::-1]] + [4.0]
+        assert [(lo, hi) for _, lo, hi in got] == _reverse_intervals_by_scan(seg, obs, tol)
+        # m names the mesh step holding the interval
+        assert all(seg[m] <= lo < hi <= seg[m + 1] for m, lo, hi in got)
+    mesh = [t_left for _, t_left, _ in _reverse_intervals(ts, obs, tol)[::-1]] + [4.0]
     # near-node times snap onto the node; in the cluster at 2.8 the second
     # time snaps onto the first, and the third, 1.2 tol from the first, stays
     assert 2.8 in mesh and 2.8 + 0.6 * tol not in mesh and 2.8 + 1.2 * tol in mesh
@@ -432,21 +464,23 @@ def test_each_observation_jump_applies_once_with_and_without_checkpoints():
         [4.33, 4.33 + 0.6 * tol, 4.33 + 1.2 * tol],
         snaps.checkpoints.times[1:-1],                      # checkpoint segment ends
     ]))
-    grads = {}
-    for ck in (None, 4):
-        loss = sk.LinearStateLoss(times, np.ones((len(times), 2)))
-        applied = []
-        plain_grad_u_at = loss.grad_u_at
-
-        def counted(u, i, plain=plain_grad_u_at, applied=applied):
-            applied.append(i)
-            return plain(u, i)
-
-        loss.grad_u_at = counted
-        res = sk.gradient(ent.problem, loss, "continuous_interpolating", cfg, checkpoints=ck)
-        assert sorted(applied) == list(range(len(times)))
-        grads[ck] = res.gradient
-    assert grads[4].tobytes() == grads[None].tobytes()
+    # the squared error's gradient reads the state, so it also checks that a
+    # jump reads the node an observation snapped to, not a Hermite value of
+    # the checkpoint segment (1e-10 apart here)
+    losses = (sk.LinearStateLoss(times, np.ones((len(times), 2))),
+              sk.SquaredErrorLoss(times, np.ones((len(times), 2))))
+    for method in ("interpolating", "quadrature", "backsolve"):
+        for plain in losses:
+            grads = {}
+            for ck in (None, 4):
+                loss = record_jumps(plain)
+                res = sk.gradient(ent.problem, loss, f"continuous_{method}", cfg,
+                                  checkpoints=ck)
+                assert sorted(loss.applied) == list(range(len(times)))
+                grads[ck] = res.gradient
+            # backsolve's checkpoints reset its reconstructed state by design
+            if method != "backsolve":
+                assert grads[4].tobytes() == grads[None].tobytes(), (method, type(plain))
 
 
 def test_discrete_continuous_gap_shrinks_with_dt():
@@ -473,6 +507,20 @@ def test_variants_match_centered_fd_on_predprey(variant):
     fn = sk.direct.solver_loss_fn(ent.problem, ent.loss, sk.SolverConfig(abstol=1e-10, reltol=1e-10))
     fd = sk.fd_gradient(fn, ent.problem.theta, 1e-6, scheme="centered")
     assert abs(res.gradient[0] - fd[0]) / abs(fd[0]) <= 1e-4
+
+
+def test_quadrature_holds_one_costate_sub_solution():
+    # quadrature stores the forward mesh plus one interval's costate
+    # sub-solution at a time: a few nodes, however many intervals there are
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    for ck in (None, 4):
+        interp = sk.gradient(ent.problem, ent.loss, "continuous_interpolating", cfg,
+                             checkpoints=ck)
+        quad = sk.gradient(ent.problem, ent.loss, "continuous_quadrature", cfg,
+                           checkpoints=ck)
+        assert interp.peak_stored_states < quad.peak_stored_states
+        assert quad.peak_stored_states <= interp.peak_stored_states + 5
 
 
 def test_quadrature_order_convergence():
