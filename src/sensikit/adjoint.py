@@ -21,11 +21,12 @@ per step interval (quadrature).
 
 Pointwise losses enter the reverse pass as jumps: traversed in reverse,
 the costate is incremented at each observation time by the loss gradient
-at the state of the stop that time snapped to (a mesh node, or the time
-itself).  This is the discrete-measure limit of the integrated-loss
-derivation and is cross-validated against the discrete adjoint.  The
-discrete, interpolating and quadrature adjoints share one reverse sweep
-over the forward mesh split at the observation times.
+at the state of the stop that time snapped to: the mesh node within
+``core.span_tol`` of it, as in every other method, or the time itself.
+This is the discrete-measure limit of the integrated-loss derivation and
+is cross-validated against the discrete adjoint.  The discrete,
+interpolating and quadrature adjoints share one reverse sweep over the
+forward mesh split at the observation times.
 
 Reverse integration always runs the stepper over a forward-oriented
 clock on the reversed vector field; checkpoint segments replay the
@@ -51,6 +52,8 @@ from .core import (
     SensitivityResult,
     Solution,
     SolverStats,
+    match_node,
+    span_tol,
 )
 from .errors import (
     NonConvergenceError,
@@ -189,11 +192,6 @@ def step_vjp(problem: OdeProblem, tableau, u, theta, t, dt, lam_in):
 # shared reverse-pass plumbing
 
 
-def _span_tol(problem):
-    t0, t1 = problem.tspan
-    return 1e-9 * max(abs(t1 - t0), 1.0)
-
-
 def _observation_jumps(loss, problem):
     """Sorted observation times, validated in-span, and their jump cursor.
 
@@ -206,7 +204,7 @@ def _observation_jumps(loss, problem):
     if not isinstance(loss, PointwiseLoss):
         return [], lambda lam, t, u_at: lam
     t0, t1 = problem.tspan
-    tol = _span_tol(problem)
+    tol = span_tol(t0, t1)
     if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
         raise ValueError("observation times fall outside the time span")
     times = loss.times.tolist()
@@ -290,20 +288,6 @@ def _segment_solution(ts, states, derivs, step_dts, stats) -> Solution:
     )
 
 
-def _near(times, t, tol):
-    """The entries of the sorted list ``times`` within ``tol`` of ``t``.
-
-    Bisects to ``t`` and widens while ``abs(q - t) <= tol`` holds, which is
-    monotone on either side of ``t``, so no entry within tol is missed.
-    """
-    i = j = bisect_left(times, t)
-    while i > 0 and abs(times[i - 1] - t) <= tol:
-        i -= 1
-    while j < len(times) and abs(times[j] - t) <= tol:
-        j += 1
-    return times[i:j]
-
-
 def _reverse_intervals(ts, obs_times, tol):
     """Split mesh steps at interior observation times, keep reverse order.
 
@@ -319,7 +303,8 @@ def _reverse_intervals(ts, obs_times, tol):
     first = bisect_right(obs_times, lo - tol)
     last = bisect_left(obs_times, hi + tol)
     for t in obs_times[first:last]:
-        if not _near(nodes, t, tol) and not _near(added, t, tol):
+        if (match_node(nodes, t, bisect_left(nodes, t), tol) is None
+                and match_node(added, t, bisect_left(added, t), tol) is None):
             added.append(t)
     intervals = []
     k = len(added)
@@ -344,7 +329,7 @@ def _reverse_sweep(problem, loss, config, theta, stats, step):
     count of stored forward states.
     """
     tableau = config.solver_config.tableau
-    tol = _span_tol(problem)
+    tol = span_tol(*problem.tspan)
     obs_times, jump = _observation_jumps(loss, problem)
 
     sol = _forward_pass(problem, config, theta)
@@ -557,7 +542,7 @@ def _backsolve(problem, loss, config, theta, stats):
         }
 
     intervals = _reverse_intervals(
-        sorted({t0, t1, *resets}), obs_times, _span_tol(problem)
+        sorted({t0, t1, *resets}), obs_times, span_tol(t0, t1)
     )
 
     n, p = problem.n, theta.size

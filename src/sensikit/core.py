@@ -1,4 +1,8 @@
-"""Problem, loss, and solution data model shared by all gradient methods."""
+"""Problem, loss, and solution data model shared by all gradient methods.
+
+It also holds the one rule for placing a time on a trajectory, which the
+solver and the adjoints import: ``span_tol`` and ``match_node``.
+"""
 
 from __future__ import annotations
 
@@ -184,14 +188,6 @@ class Solution:
     checkpoints: Optional[object] = None  # CheckpointStore when requested
     step_dts: Optional[np.ndarray] = None  # exact accepted stepsizes, in order
 
-    @property
-    def t0(self):
-        return self.node_times[0]
-
-    @property
-    def t1(self):
-        return self.node_times[-1]
-
     def final_state(self):
         return self.states[-1]
 
@@ -203,39 +199,49 @@ class SensitivityResult:
     gradient: np.ndarray
     method: str
     stats: SolverStats
-    loss_value: Optional[float] = None
     sensitivity_trajectory: Optional[np.ndarray] = None  # (len(times), n, p)
     trajectory_times: Optional[np.ndarray] = None
     peak_stored_states: Optional[int] = None
     metadata: dict = field(default_factory=dict)
 
 
-def state_at(sol: Solution, t: float):
-    """State at ``t``: a stored save node when one matches, else dense output.
+def span_tol(t0, t1) -> float:
+    """How far outside ``[t0, t1]`` a time counts as in it, and off a node as on it."""
+    return 1e-9 * max(abs(t1 - t0), 1.0)
 
-    Solutions without dense data (fixed-grid runs saving nodes only) require
-    exact node alignment.
+
+def match_node(ts, t, idx, tol):
+    """Index of a node of sorted ``ts`` within ``tol`` of ``t``, or None.
+
+    ``idx`` is ``bisect_left(ts, t)``, which ``ts.searchsorted(t)`` equals.
     """
-    from .solver import dense_eval  # local import to avoid a cycle
-
-    idx = np.searchsorted(sol.times, t)
     for j in (idx - 1, idx, idx + 1):
-        if 0 <= j < len(sol.times) and _times_match(sol.times[j], t, sol.t0, sol.t1):
-            return sol.states[j]
+        if 0 <= j < len(ts) and abs(ts[j] - t) <= tol:
+            return j
+    return None
+
+
+def state_at(sol: Solution, t: float):
+    """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
+
+    A dense solution goes to ``solver.dense_eval``.  Any other must have a
+    node within ``span_tol`` of ``t``: a step node, or a saved endpoint
+    when the solve kept no step nodes.
+    """
     if sol.dense:
+        from .solver import dense_eval  # local import to avoid a cycle
+
         return dense_eval(sol, t)
-    raise ValueError(
-        f"time {t} is not a saved node and this solution has no dense output"
-    )
-
-
-def _times_match(a, b, t0, t1):
-    return abs(a - b) <= 1e-9 * max(abs(t1 - t0), 1.0)
-
-
-def _check_obs_in_span(loss, sol):
-    if np.any(loss.times < sol.t0 - 1e-12) or np.any(loss.times > sol.t1 + 1e-12):
-        raise ValueError("observation times fall outside the solution span")
+    if sol.node_states is None:
+        ts, states = sol.times, sol.states
+    else:
+        ts, states = sol.node_times, sol.node_states
+    j = match_node(ts, t, int(ts.searchsorted(t)), span_tol(ts[0], ts[-1]))
+    if j is None:
+        raise ValueError(
+            f"time {t} is not a saved node and this solution has no dense output"
+        )
+    return states[j]
 
 
 def loss_eval(sol: Solution, loss, theta=None):
@@ -247,7 +253,6 @@ def loss_eval(sol: Solution, loss, theta=None):
     gradient-grade quadrature lives in the adjoint path.
     """
     if isinstance(loss, PointwiseLoss):
-        _check_obs_in_span(loss, sol)
         total = 0.0
         for i, t in enumerate(loss.times):
             total = total + loss.value_at(state_at(sol, t), i)

@@ -159,7 +159,6 @@ def forwardad_gradient(
         gradient=gradient,
         method="forward_ad",
         stats=sol.stats,
-        loss_value=dual.value(loss_d),
         sensitivity_trajectory=traj,
         trajectory_times=np.asarray(sol.times),
         peak_stored_states=len(sol.times),

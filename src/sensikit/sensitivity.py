@@ -20,6 +20,7 @@ from .core import (
     PointwiseLoss,
     SensitivityResult,
     SolverStats,
+    _trapezoid,
     state_at,
 )
 from .solver import SolverConfig, solve
@@ -163,9 +164,7 @@ def forward_sensitivity(
                 np.asarray(loss.dh_du(u, theta), dtype=float) @ s
                 + np.asarray(loss.dh_dtheta(u, theta), dtype=float)
             )
-        ts = sol.times
-        for k in range(len(ts) - 1):
-            gradient = gradient + 0.5 * (ts[k + 1] - ts[k]) * (vals[k] + vals[k + 1])
+        gradient = gradient + _trapezoid(vals, sol.times)
 
     traj = np.array([_unpack(z, n, p)[1] for z in sol.states])
     return SensitivityResult(

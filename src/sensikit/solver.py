@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import OdeProblem, Solution, SolverStats
+from .core import OdeProblem, Solution, SolverStats, match_node, span_tol, state_at
 from .dual import MultiDual, asarray, norm_coordinates
 from .errors import (
     NonConvergenceError,
@@ -233,8 +233,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
         return rhs(state, th, tt)
 
     if config.saveat is not None:
-        grid = config.saveat
-        if grid[0] < t0 - 1e-12 * max(abs(span), 1.0) or grid[-1] > t1 + 1e-12 * max(abs(span), 1.0):
+        grid, tol = config.saveat, span_tol(t0, t1)
+        if grid[0] < t0 - tol or grid[-1] > t1 + tol:
             raise ValueError("saveat grid extends outside the time span")
 
     if not adaptive and config.dt is None:
@@ -337,54 +337,31 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
     )
 
     if config.saveat is not None:
-        sol.states = np.vstack([_state_on_mesh(sol, ti, tableau) for ti in config.saveat])
+        sol.states = np.vstack([state_at(sol, ti) for ti in config.saveat])
     elif config.save == "final":
         sol.times = np.array([t0, t1])
         sol.states = np.vstack([node_states[0], u])
     return sol
 
 
-def _state_on_mesh(sol, t, tableau):
-    """Mesh state at ``t``: exact node when aligned, else Hermite interpolant.
-
-    Fixed-grid methods do not interpolate; a save time off the mesh is an
-    error there.
-    """
-    idx = _node_match(sol.node_times, t, int(sol.node_times.searchsorted(t)))
-    if idx is not None:
-        return sol.node_states[idx]
-    if not tableau.is_embedded:
-        raise ValueError(
-            f"save time {t} is not a step node; fixed-grid methods require "
-            f"exact node alignment"
-        )
-    return dense_eval(sol, t)
-
-
-def _node_match(ts, t, idx):
-    """Node within tolerance of ``t`` next to ``idx = ts.searchsorted(t)``, or None."""
-    tol = 1e-9 * max(abs(ts[-1] - ts[0]), 1.0)
-    for j in (idx - 1, idx, idx + 1):
-        if 0 <= j < len(ts) and abs(ts[j] - t) <= tol:
-            return j
-    return None
-
-
 def dense_eval(sol: Solution, t: float):
-    """Cubic-Hermite evaluation of the stored mesh at an interior time.
+    """Cubic-Hermite evaluation of the stored mesh at a time in its span.
 
-    Uses the bracketing step's endpoint states and derivatives; exact at
-    the mesh nodes.  The mesh is searched once per call: the one
-    ``searchsorted`` index serves both the node match and the bracketing
-    step.
+    Uses the bracketing step's endpoint states and derivatives.  The span
+    and node rule is ``core.span_tol`` of the mesh's own first and last
+    node: a time within it of a node returns that node's state bitwise,
+    one within it outside the mesh the end node's, and one further outside
+    raises.  The mesh is searched once per call: the one ``searchsorted``
+    index serves both the node match and the bracketing step.
     """
     if sol.node_states is None:
         raise ValueError("this solution retained no dense data")
     ts = sol.node_times
-    if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
+    tol = span_tol(ts[0], ts[-1])
+    if t < ts[0] - tol or t > ts[-1] + tol:
         raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
     idx = int(ts.searchsorted(t))
-    node = _node_match(ts, t, idx)
+    node = match_node(ts, t, idx, tol)
     if node is not None:
         return sol.node_states[node]
     j = min(max(idx - 1, 0), len(ts) - 2)

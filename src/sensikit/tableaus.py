@@ -15,7 +15,7 @@ class ButcherTableau:
     ``a`` is strictly lower triangular, ``b`` the update weights, ``b_hat``
     the lower-order embedded weights when the pair provides an error
     estimate, and ``c`` the stage abscissae.  ``order`` is the convergence
-    order of the ``b`` update, ``embedded_order`` that of ``b_hat``.
+    order of the ``b`` update.
     """
 
     name: str
@@ -24,7 +24,6 @@ class ButcherTableau:
     c: np.ndarray
     order: int
     b_hat: Optional[np.ndarray] = None
-    embedded_order: Optional[int] = None
     fsal: bool = False
 
     def __post_init__(self):
@@ -103,7 +102,6 @@ DOPRI5 = ButcherTableau(
     ],
     c=[0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0],
     order=5,
-    embedded_order=4,
     fsal=True,
 )
 

@@ -167,6 +167,25 @@ def test_gradient_dispatcher(method):
         sk.gradient(ent.problem, ent.loss, "sideways", cfg)
 
 
+@pytest.mark.parametrize("times", [(5.0, 10.0 + 5e-9), (-5e-9, 5.0)])
+def test_every_method_places_observations_by_one_span_rule(times):
+    # every method places an observation within 1e-9 x span outside
+    # [t0, t1] on the end node, and every method rejects one further out
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    rk4 = sk.SolverConfig(method="rk4", dt=0.01)
+    targets = [[1.1, 0.9], [0.8, 1.2]]
+    loss = sk.SquaredErrorLoss(times, targets)
+    ref = sk.gradient(ent.problem, loss, "forward_sensitivity", cfg).gradient[0]
+    late = sk.SquaredErrorLoss([5.0, 10.0 + 2e-8], targets)
+    for method in METHODS:
+        c = rk4 if method == "discrete_adjoint" else cfg
+        g = sk.gradient(ent.problem, loss, method, c).gradient[0]
+        assert g == pytest.approx(ref, rel=1e-4), method
+        with pytest.raises(ValueError):
+            sk.gradient(ent.problem, late, method, c)
+
+
 def test_v_shape_of_centered_fd_error():
     eps_grid = 10.0 ** np.linspace(-15, -1, 29)
     errs = np.array(

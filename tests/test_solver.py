@@ -241,6 +241,11 @@ def test_saveat_via_dense_output():
     assert np.array_equal(sol.times, grid)
     expect = np.array([ent.analytic_solution(t) for t in grid])
     assert np.max(np.abs(sol.states - expect)) < 1e-7
+    # a grid ending within the span tolerance past t1 saves the final node
+    tol = 1e-9 * 10.0
+    late = np.append(grid[:-1], 10.0 + 0.5 * tol)
+    sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-10, reltol=1e-10, saveat=late))
+    assert sol.states[-1].tobytes() == sol.node_states[-1].tobytes()
 
 
 def test_saveat_fixed_grid_requires_alignment():
@@ -300,8 +305,10 @@ def test_dense_eval_is_the_hermite_formula_bitwise():
     for j in (1, len(ts) // 2, len(ts) - 2):
         for t in (ts[j] - 0.5 * tol, ts[j] + 0.5 * tol):
             assert sk.dense_eval(sol, t).tobytes() == ys[j].tobytes()
-    assert sk.dense_eval(sol, ts[0] + 0.5 * tol).tobytes() == ys[0].tobytes()
-    assert sk.dense_eval(sol, ts[-1] - 0.5 * tol).tobytes() == ys[-1].tobytes()
+    # within it outside the span too: the end nodes
+    for t, y in ((ts[0], ys[0]), (ts[-1], ys[-1])):
+        for off in (-0.5 * tol, 0.5 * tol):
+            assert sk.dense_eval(sol, t + off).tobytes() == y.tobytes()
 
 
 def test_dense_eval_out_of_span():
@@ -309,6 +316,10 @@ def test_dense_eval_out_of_span():
     sol = sk.solve(ent.problem, sk.SolverConfig())
     with pytest.raises(ValueError):
         sk.dense_eval(sol, 10.5)
+    tol = 1e-9 * 10.0
+    for t in (-2 * tol, 10.0 + 2 * tol):
+        with pytest.raises(ValueError):
+            sk.dense_eval(sol, t)
 
 
 def test_checkpoint_plan_endpoints():
