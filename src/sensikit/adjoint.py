@@ -52,6 +52,7 @@ from .core import (
     SensitivityResult,
     Solution,
     SolverStats,
+    check_request,
     match_node,
     span_tol,
 )
@@ -193,7 +194,7 @@ def step_vjp(problem: OdeProblem, tableau, u, theta, t, dt, lam_in):
 
 
 def _observation_jumps(loss, problem):
-    """Sorted observation times, validated in-span, and their jump cursor.
+    """Sorted observation times and their jump cursor.
 
     ``jump(lam, t, u_at)`` adds the loss gradient at ``u_at(t)``, the state
     at the stop ``t``, of every observation at or after ``t - tol`` not yet
@@ -203,10 +204,7 @@ def _observation_jumps(loss, problem):
     """
     if not isinstance(loss, PointwiseLoss):
         return [], lambda lam, t, u_at: lam
-    t0, t1 = problem.tspan
-    tol = span_tol(t0, t1)
-    if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
-        raise ValueError("observation times fall outside the time span")
+    tol = span_tol(*problem.tspan)
     times = loss.times.tolist()
     cursor = len(times)  # times[cursor:] are applied
 
@@ -419,7 +417,7 @@ def discrete_adjoint(
         )
     if not isinstance(loss, PointwiseLoss):
         raise ValueError("the discrete adjoint expects a pointwise loss")
-    theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = check_request(problem, loss, theta)
     stats = SolverStats()
     problem = _counted(problem, stats)
     tableau = fwd.tableau
@@ -459,9 +457,7 @@ def continuous_adjoint(
     """Continuous-adjoint gradient in the configured realization."""
     if config.variant == "discrete":
         return discrete_adjoint(problem, loss, config, theta=theta)
-    if not isinstance(loss, (*PointwiseLoss, IntegratedLoss)):
-        raise TypeError(f"unknown loss specification {type(loss).__name__}")
-    theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = check_request(problem, loss, theta)
     stats = SolverStats()
     counted = _counted(problem, stats)
     if config.variant == "backsolve":

@@ -129,27 +129,6 @@ def _rel_error(g, ref):
 # sweep-direct
 
 
-def _analytic_loss_fn(entry):
-    """Closed-form parameter-to-loss map, generic over the scalar kind."""
-    if entry.id == "harmonic":
-        t1 = entry.params["t1"]
-
-        def fn(th):
-            return np.sin(th[0] * t1) / th[0]
-
-        return fn
-    if entry.id == "heat1d":
-        t1 = entry.params["t1"]
-        # center-node value of the separable solution
-        pi2t = np.pi * np.pi * t1
-
-        def fn(th):
-            return np.exp(-pi2t * th[0])
-
-        return fn
-    return None
-
-
 def cmd_sweep_direct(config: RunConfig) -> int:
     entry = config.make_entry()
     if entry.analytic_gradient is None:
@@ -158,7 +137,12 @@ def cmd_sweep_direct(config: RunConfig) -> int:
             f"sweep-direct is unsupported for it"
         )
     ref = entry.analytic_gradient()[0]
-    analytic_fn = _analytic_loss_fn(entry)
+    t1 = entry.problem.tspan[1]
+
+    def analytic_fn(th):
+        # the canonical loss of the closed-form solution, generic over the scalar kind
+        return entry.loss.value_at(entry.analytic_solution(t1, th[0]), 0)
+
     theta = entry.problem.theta
     grid = config.epsilon_grid()
     rows = []
@@ -387,119 +371,107 @@ def cmd_fit(config: RunConfig) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers, by name.
+
+    Flags have no defaults (``argparse.SUPPRESS``): an absent flag leaves
+    its ``RunConfig`` default in place.
+    """
     parser = argparse.ArgumentParser(
         prog="sensikit",
         description="gradient-method benchmarks over the built-in ODE problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommand_parsers = {}
 
-    def common(p):
-        p.add_argument("--problem", default="harmonic",
-                       help="problem id (or 'all' for gradcheck)")
-        p.add_argument("--theta", type=float, default=None,
-                       help="override the problem parameter")
-        p.add_argument("--heat-n", type=int, default=64, dest="heat_n")
-        p.add_argument("--abstol", type=float, default=1e-12)
-        p.add_argument("--reltol", type=float, default=1e-12)
-        p.add_argument("--dt", type=float, default=1e-3,
+    def command(name, help):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--problem", help="problem id (or 'all' for gradcheck)")
+        p.add_argument("--theta", type=float, help="override the problem parameter")
+        p.add_argument("--heat-n", type=int)
+        p.add_argument("--abstol", type=float)
+        p.add_argument("--reltol", type=float)
+        p.add_argument("--dt", type=float,
                        help="fixed stepsize for the discrete adjoint forward pass")
-        p.add_argument("--method", dest="methods", default=None,
-                       help="comma-separated method list")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help="key-value config file")
-        p.add_argument("--checkpoints", type=int, default=None)
-        p.add_argument("--quadrature-order", type=int, default=7,
-                       dest="quadrature_order")
+        p.add_argument("--method", dest="methods", help="comma-separated method list",
+                       type=lambda s: tuple(m.strip() for m in s.split(",") if m.strip()))
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--config", help="key-value config file")
+        p.add_argument("--checkpoints", type=int)
+        p.add_argument("--quadrature-order", type=int)
+        return p
 
-    p_sweep = sub.add_parser("sweep-direct", help="direct-method error sweep")
-    parser.subcommand_parsers["sweep-direct"] = p_sweep
-    common(p_sweep)
-    p_sweep.add_argument("--eps-min", type=float, default=1e-15, dest="eps_min")
-    p_sweep.add_argument("--eps-max", type=float, default=1e-1, dest="eps_max")
-    p_sweep.add_argument("--eps-count", type=int, default=29, dest="eps_count")
+    p_sweep = command("sweep-direct", "direct-method error sweep")
+    p_sweep.add_argument("--eps-min", type=float)
+    p_sweep.add_argument("--eps-max", type=float)
+    p_sweep.add_argument("--eps-count", type=int)
     p_sweep.add_argument("--tolerances", type=float, nargs="+",
-                         default=[1e-6, 1e-12],
                          help="solver-mode tolerance panels")
 
-    p_cmp = sub.add_parser("compare-adjoints", help="solver-based method table")
-    parser.subcommand_parsers["compare-adjoints"] = p_cmp
-    common(p_cmp)
+    command("compare-adjoints", "solver-based method table")
 
-    p_chk = sub.add_parser("gradcheck", help="pass/fail vs centered differences")
-    parser.subcommand_parsers["gradcheck"] = p_chk
-    common(p_chk)
+    p_chk = command("gradcheck", "pass/fail vs centered differences")
     p_chk.add_argument("--include-primal-only", action="store_true",
-                       dest="include_primal_only",
                        help="also run forward AD with the primal-only norm "
                             "(reproduces its known failure)")
 
-    p_fit = sub.add_parser("fit", help="gradient-descent recovery demo")
-    parser.subcommand_parsers["fit"] = p_fit
-    common(p_fit)
-    p_fit.add_argument("--alpha", type=float, default=1e-3)
-    p_fit.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
-    p_fit.add_argument("--gtol", type=float, default=1e-6)
-    p_fit.add_argument("--theta-init", type=float, default=0.2, dest="theta_init")
-    p_fit.add_argument("--theta-star", type=float, default=0.3, dest="theta_star")
-    p_fit.add_argument("--grad-method", default="forward_sensitivity",
-                       dest="grad_method")
-    return parser
+    p_fit = command("fit", "gradient-descent recovery demo")
+    p_fit.add_argument("--alpha", type=float)
+    p_fit.add_argument("--max-iters", type=int)
+    p_fit.add_argument("--gtol", type=float)
+    p_fit.add_argument("--theta-init", type=float)
+    p_fit.add_argument("--theta-star", type=float)
+    p_fit.add_argument("--grad-method")
+    return parser, sub.choices
 
 
-_CONFIG_CASTS = {
-    "theta": float, "heat_n": int, "eps_min": float, "eps_max": float,
-    "eps_count": int, "abstol": float, "reltol": float, "dt": float,
-    "alpha": float, "max_iters": int, "gtol": float,
-    "theta_init": float, "theta_star": float, "include_primal_only":
-    lambda s: s.lower() in ("1", "true", "yes"), "checkpoints": int,
-    "quadrature_order": int,
-    "tolerances": lambda s: tuple(float(x) for x in s.replace(",", " ").split()),
-}
+def _config_argv(command, path) -> list:
+    """A config file's settings as flags of the subcommand parser ``command``.
 
-
-def _load_config_file(path) -> dict:
+    Keys are flag names (``eps-count``, or ``eps_count``) from any section.
+    A boolean flag takes a boolean word, a list flag a comma- or
+    space-separated list.  A key that is no flag of ``command`` raises
+    ``ValueError``: checked here, because argparse exits on unrecognised
+    arguments whatever ``exit_on_error`` says.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_string(fh.read())
-    merged = {}
+    argv = []
     for section in parser.sections():
         for key, raw in parser[section].items():
-            key = key.replace("-", "_")
-            cast = _CONFIG_CASTS.get(key, str)
-            merged[key] = cast(raw)
-    return merged
-
-
-def _namespace_to_runconfig(ns) -> RunConfig:
-    methods = ns.methods
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    fields = {k: v for k, v in vars(ns).items() if k not in ("config",)}
-    fields["methods"] = methods
-    if "tolerances" in fields and fields["tolerances"] is not None:
-        fields["tolerances"] = tuple(fields["tolerances"])
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    fields = {k: v for k, v in fields.items() if k in known}
-    return RunConfig(**fields)
+            flag = "--" + key.replace("_", "-")
+            action = command._option_string_actions.get(flag)
+            if action is None:
+                raise ValueError(f"unknown key {key!r}: {command.prog} has no flag {flag}")
+            if action.nargs == 0:
+                if parser[section].getboolean(key):
+                    argv.append(flag)
+            elif action.nargs == "+":
+                argv += [flag, *raw.replace(",", " ").split()]
+            else:
+                argv.append(f"{flag}={raw}")
+    return argv
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if getattr(args, "config", None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if "config" in args:
+        command = commands[args.command]
+        command.exit_on_error = False  # a bad file value returns EXIT_BAD_CONFIG
         try:
-            file_values = _load_config_file(args.config)
-        except (OSError, configparser.Error, ValueError) as err:
+            # the file's flags go first, so explicit flags still win
+            args = command.parse_args(
+                [*_config_argv(command, args.config), *argv[1:]],
+                argparse.Namespace(command=args.command),
+            )
+        except (OSError, configparser.Error, ValueError, argparse.ArgumentError) as err:
             print(f"error: bad config file: {err}", file=sys.stderr)
             return EXIT_BAD_CONFIG
-        # file values become defaults everywhere; explicit flags still win
-        parser.set_defaults(**file_values)
-        for sub_parser in parser.subcommand_parsers.values():
-            known = {a.dest for a in sub_parser._actions}
-            sub_parser.set_defaults(**{k: v for k, v in file_values.items() if k in known})
-    args = parser.parse_args(argv)
+        del args.config
+    if "tolerances" in args:
+        args.tolerances = tuple(args.tolerances)
 
     handlers = {
         "sweep-direct": cmd_sweep_direct,
@@ -508,7 +480,7 @@ def main(argv=None) -> int:
         "fit": cmd_fit,
     }
     try:
-        config = _namespace_to_runconfig(args)
+        config = RunConfig(**vars(args))
         return handlers[args.command](config)
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

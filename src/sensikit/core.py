@@ -1,7 +1,9 @@
 """Problem, loss, and solution data model shared by all gradient methods.
 
 It also holds the one rule for placing a time on a trajectory, which the
-solver and the adjoints import: ``span_tol`` and ``match_node``.
+solver and the adjoints import: ``span_tol`` and ``match_node``; and the
+one check of a gradient request, ``check_request``, which every gradient
+method calls before any solve.
 """
 
 from __future__ import annotations
@@ -208,6 +210,26 @@ class SensitivityResult:
 def span_tol(t0, t1) -> float:
     """How far outside ``[t0, t1]`` a time counts as in it, and off a node as on it."""
     return 1e-9 * max(abs(t1 - t0), 1.0)
+
+
+def check_request(problem: OdeProblem, loss, theta=None) -> np.ndarray:
+    """The parameter vector of a gradient request, after checking the request.
+
+    ``theta`` defaults to ``problem.theta`` and must have shape ``(p,)``; the
+    loss must be pointwise or integrated, with observation times in the span
+    up to ``span_tol``.  Every gradient method calls this before any solve.
+    """
+    theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
+    if theta.shape != (problem.p,):
+        raise ValueError(f"theta must have shape {(problem.p,)}, got {theta.shape}")
+    if isinstance(loss, PointwiseLoss):
+        t0, t1 = problem.tspan
+        tol = span_tol(t0, t1)
+        if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
+            raise ValueError(f"observation times fall outside the time span {problem.tspan}")
+    elif not isinstance(loss, IntegratedLoss):
+        raise TypeError(f"unknown loss specification {type(loss).__name__}")
+    return theta
 
 
 def match_node(ts, t, idx, tol):

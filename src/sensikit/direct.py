@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dual
 from .adjoint import AdjointConfig, continuous_adjoint
-from .core import OdeProblem, SensitivityResult, SolverStats, loss_eval
+from .core import OdeProblem, SensitivityResult, SolverStats, check_request, loss_eval
 from .errors import NumericalBlowupError
 from .sensitivity import forward_sensitivity
 from .solver import PRIMAL_ONLY, SolverConfig, solve
@@ -110,9 +110,10 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     """Parameter-to-loss map through the solver, generic over scalar kind.
 
     Complex parameters lift the initial state to complex; the solver and
-    loss evaluation run unchanged on either kind.
+    loss evaluation run unchanged on either kind.  The request is checked
+    when the map is built, before any solve.
     """
-
+    check_request(problem, loss)
     counter = SolverStats()
 
     def fn(theta):
@@ -138,7 +139,7 @@ def forwardad_gradient(
     tolerances shrink; the primal-only norm is kept to reproduce its known
     failure mode and is flagged in the result metadata.
     """
-    theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = check_request(problem, loss, theta)
     p = theta.size
     theta_d = dual.seed(theta)
     u0_d = dual.seed_state(problem.u0, problem.u0_jacobian, p)
@@ -149,7 +150,7 @@ def forwardad_gradient(
     gradient = np.array(dual.tangents(loss_d, p), dtype=float)
 
     traj = dual.jacobian_from_duals(sol.states, p)
-    metadata = {"norm_mode": config.norm_mode}
+    metadata = {}
     if config.norm_mode == PRIMAL_ONLY:
         metadata["warning"] = (
             "primal-only error norm ignores tangent error; the gradient "
@@ -178,11 +179,12 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
     the adjoint methods.  ``forward_ad_primal_only`` is forward AD under the
     primal-only error norm, saving at the loss's observation times; it is
     kept to reproduce that norm's wrong gradients.  Raises ``ValueError``
-    on an unknown method name.
+    on an unknown method name, and what ``core.check_request`` raises on a
+    bad request, before any solve.
     """
     if method not in METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
-    theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = check_request(problem, loss, theta)
     if method in ("forward_fd", "centered_fd", "complex_step"):
         eps = default_epsilon(method, theta) if epsilon is None else epsilon
         fn = solver_loss_fn(problem, loss, config)

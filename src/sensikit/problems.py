@@ -54,7 +54,8 @@ def make_harmonic(theta: float = 0.2, t1: float = 10.0) -> CatalogEntry:
     loss = LinearStateLoss([t1], [[1.0, 0.0]])
 
     def solution(t, th=theta):
-        return np.array([math.sin(th * t) / th, math.cos(th * t)])
+        # numpy functions, so th may be a float, complex or dual scalar
+        return np.array([np.sin(th * t) / th, np.cos(th * t)])
 
     def gradient(th=theta):
         return np.array([(t1 / th) * math.cos(th * t1) - math.sin(th * t1) / th ** 2])
@@ -164,7 +165,7 @@ def make_heat1d(n_cells: int = 64, theta: float = 0.1, t1: float = 0.5) -> Catal
     loss = LinearStateLoss([t1], [coeff])
 
     def solution(t, th=theta):
-        return math.exp(-math.pi ** 2 * th * t) * np.sin(math.pi * x)
+        return np.exp(-(np.pi * np.pi * t) * th) * np.sin(np.pi * x)
 
     def gradient(th=theta):
         u_c = math.exp(-math.pi ** 2 * th * t1) * math.sin(math.pi * x[center])

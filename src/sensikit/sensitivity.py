@@ -15,12 +15,12 @@ import numpy as np
 
 from . import dual
 from .core import (
-    IntegratedLoss,
     OdeProblem,
     PointwiseLoss,
     SensitivityResult,
     SolverStats,
     _trapezoid,
+    check_request,
     state_at,
 )
 from .solver import SolverConfig, solve
@@ -138,9 +138,7 @@ def forward_sensitivity(
     save times alongside the assembled gradient
     ``sum_i (dL/du)(t_i) s(t_i) + dL/dtheta``.
     """
-    if not isinstance(loss, (*PointwiseLoss, IntegratedLoss)):
-        raise TypeError(f"unknown loss specification {type(loss).__name__}")
-    theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = check_request(problem, loss, theta)
     n, p = problem.n, theta.size
     stats = SolverStats()
     aug = augmented_problem(_counted(problem, stats))

@@ -257,3 +257,38 @@ def test_compare_adjoints_warns_on_cfl_violation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stability bound" in err
     assert rc == 0
+
+
+def test_config_file_method_key_selects_methods(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nmethod = continuous_quadrature\nabstol = 1e-6\nreltol = 1e-6\n")
+    out = tmp_path / "cmp.csv"
+    rc = run_main(["compare-adjoints", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    assert [r["method"] for r in read_csv(out)] == ["continuous_quadrature"]
+
+
+@pytest.mark.parametrize("key", ["eps_cont", "methods", "alpha"])
+def test_config_file_unknown_key_rejected(tmp_path, capsys, key):
+    # a misspelt key, the dest name of --method, and a flag of another subcommand
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\n{key} = 3\n")
+    assert run_main(["sweep-direct", "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_file_list_and_boolean_flags(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[run]\neps-count = 2\ntolerances = 1e-6, 1e-12\n")
+    out = tmp_path / "sweep.csv"
+    assert run_main(["sweep-direct", "--config", str(cfg), "--out", str(out)]) == 0
+    tags = {r["method"].split("/")[1] for r in read_csv(out)}
+    assert tags == {"analytic", "solver-1e-06", "solver-1e-12"}
+    for flag, rows in (("true", 1), ("false", 0)):
+        cfg = tmp_path / f"check-{flag}.cfg"
+        cfg.write_text(
+            f"[run]\nmethod = forward_ad\nabstol = 1e-8\nreltol = 1e-8\n"
+            f"include-primal-only = {flag}\n"
+        )
+        assert run_main(["gradcheck", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("forward_ad_primal_only") == rows

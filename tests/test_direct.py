@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,38 @@ def test_every_method_places_observations_by_one_span_rule(times):
         assert g == pytest.approx(ref, rel=1e-4), method
         with pytest.raises(ValueError):
             sk.gradient(ent.problem, late, method, c)
+
+
+@pytest.mark.parametrize("case", ["theta_shape", "late_observation", "unknown_loss"])
+def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
+    # one check before any solve: the same exception and text from all ten
+    # methods, after no RHS call
+    ent = sk.make_predprey(0.95)
+    calls = []
+    rhs = ent.problem.rhs
+
+    def counting_rhs(u, theta, t):
+        calls.append(t)
+        return rhs(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs=counting_rhs)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    rk4 = sk.SolverConfig(method="rk4", dt=0.01)
+    loss, theta = {
+        "theta_shape": (ent.loss, np.array([0.95, 3.0])),
+        "late_observation": (
+            sk.SquaredErrorLoss([5.0, 10.0 + 2e-8], [[1.1, 0.9], [0.8, 1.2]]), None
+        ),
+        "unknown_loss": (object(), None),
+    }[case]
+    raised = set()
+    for method in METHODS:
+        c = rk4 if method == "discrete_adjoint" else cfg
+        with pytest.raises((TypeError, ValueError)) as err:
+            sk.gradient(problem, loss, method, c, theta=theta)
+        raised.add((type(err.value), str(err.value)))
+        assert calls == [], method
+    assert len(raised) == 1, raised
 
 
 def test_v_shape_of_centered_fd_error():
