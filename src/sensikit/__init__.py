@@ -23,7 +23,6 @@ from .solver import (
     PRIMAL_ONLY,
     CheckpointStore,
     SolverConfig,
-    StepController,
     checkpoint_plan,
     dense_eval,
     propose_dt,
@@ -71,7 +70,6 @@ __all__ = [
     "SolverConfig",
     "SolverStats",
     "SquaredErrorLoss",
-    "StepController",
     "adjoint_rhs",
     "checkpoint_plan",
     "complexstep_gradient",

@@ -29,15 +29,18 @@ interpolating and quadrature adjoints share one reverse sweep over the
 forward mesh split at the observation times.
 
 Reverse integration always runs the stepper over a forward-oriented
-clock on the reversed vector field; checkpoint segments replay the
-recorded forward stepsizes from their snapshots, which reproduces the
-original trajectory bitwise.  As the stops do not depend on the segment
-bounds either, the sweep's gradients are independent of the checkpoint
-count, for losses non-linear in the state too.
+clock on the reversed vector field, one interval at a time, through one
+interval integrator shared by the three continuous adjoints; checkpoint
+segments replay the recorded forward stepsizes from their snapshots,
+which reproduces the original trajectory bitwise.  As the stops do not
+depend on the segment bounds either, the sweep's gradients are
+independent of the checkpoint count, for losses non-linear in the state
+too.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -240,14 +243,16 @@ def _forward_pass(problem, config: AdjointConfig, theta):
 
 
 def _segments_reverse(problem, sol: Solution, theta, tableau):
-    """Yield (base_index, times, states, derivs) mesh spans, right to left.
+    """Yield ``(seg, times, states)`` per mesh segment, right to left.
 
-    Full storage yields the stored mesh as one span.  Checkpointed runs
-    replay the recorded stepsizes from each snapshot, reproducing the
-    stored-trajectory states bitwise.
+    ``seg`` is a dense ``Solution`` carrying its own ``step_dts``;
+    ``times`` and ``states`` are its node times and states (the benchmark
+    tracer counts the latter).  Full storage yields ``sol`` itself.
+    Checkpointed runs replay the recorded stepsizes from each snapshot,
+    reproducing the stored-trajectory states bitwise.
     """
     if sol.node_states is not None:
-        yield 0, sol.node_times, sol.node_states, sol.node_derivs
+        yield sol, sol.node_times, sol.node_states
         return
     store = sol.checkpoints
     if store is None:
@@ -255,35 +260,30 @@ def _segments_reverse(problem, sol: Solution, theta, tableau):
     for k in range(len(store) - 1, 0, -1):
         i_a, i_b = store.node_indices[k - 1], store.node_indices[k]
         ts = sol.node_times[i_a : i_b + 1]
+        step_dts = sol.step_dts[i_a:i_b]
         states = [np.asarray(store.states[k - 1], dtype=float)]
         u = states[0]
         f = np.asarray(problem.rhs(u, theta, ts[0]))
         derivs = [f]
-        for m in range(len(ts) - 1):
+        for m, dt in enumerate(step_dts):
             # the recorded stepsize, not the node-time difference, keeps the
             # replay bitwise identical to the original trajectory
-            u, _, kst = rk_step(
-                tableau, problem.rhs, u, theta, ts[m], sol.step_dts[i_a + m], f0=f
-            )
+            u, _, kst = rk_step(tableau, problem.rhs, u, theta, ts[m], dt, f0=f)
             f = kst[-1] if tableau.fsal else np.asarray(problem.rhs(u, theta, ts[m + 1]))
             states.append(u)
             derivs.append(f)
-        yield i_a, ts, states, derivs
-
-
-def _segment_solution(ts, states, derivs, step_dts, stats) -> Solution:
-    arr = np.array(states, dtype=float)
-    der = np.array(derivs, dtype=float)
-    return Solution(
-        times=np.asarray(ts),
-        states=arr,
-        node_times=np.asarray(ts),
-        node_states=arr,
-        node_derivs=der,
-        dense=True,
-        stats=stats,
-        step_dts=step_dts,
-    )
+        arr = np.array(states, dtype=float)
+        seg = Solution(
+            times=ts,
+            states=arr,
+            node_times=ts,
+            node_states=arr,
+            node_derivs=np.array(derivs, dtype=float),
+            dense=True,
+            stats=sol.stats,
+            step_dts=step_dts,
+        )
+        yield seg, ts, arr
 
 
 def _reverse_intervals(ts, obs_times, tol):
@@ -337,13 +337,8 @@ def _reverse_sweep(problem, loss, config, theta, stats, step):
 
     lam = np.zeros(problem.n)
     peak = 0
-    for base, ts, states, derivs in _segments_reverse(problem, sol, theta, tableau):
+    for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau):
         peak = max(peak, len(ts) + ckpt)
-        if sol.node_states is not None:
-            seg = sol
-        else:
-            step_dts = sol.step_dts[base : base + len(ts) - 1]
-            seg = _segment_solution(ts, states, derivs, step_dts, sol.stats)
         u_at = partial(dense_eval, seg)
         for m, t_left, t_right in _reverse_intervals(ts, obs_times, tol):
             lam = jump(lam, t_right, u_at)
@@ -352,42 +347,24 @@ def _reverse_sweep(problem, loss, config, theta, stats, step):
     return lam, peak
 
 
-def _reverse_step_config(rev: SolverConfig, h: float) -> SolverConfig:
-    # one mirrored step per mesh interval for fixed-grid reverse methods;
-    # adaptive reverse starts from the interval span and subdivides on its
-    # own error estimate
-    return replace(rev, dt=h, save="all", saveat=None, checkpoints=None)
+def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats):
+    """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left``.
 
-
-def _integrate_costate_interval(
-    problem, loss, theta, rev, t_left, t_right, lam, g, seg_sol, with_g, agg
-):
-    """Integrate the costate (and optionally the gradient) over one interval.
-
-    Runs the reverse vector field on a forward clock ``sigma = t_right - t``
-    so the stepper never sees a negative stepsize.  Returns the interval's
-    reverse-time sub-solution for dense costate use.
+    ``rhs(y, theta, t)`` is the reversed field ``dy/dsigma`` at time ``t``
+    on the forward clock ``sigma = t_right - t``, so the stepper never sees
+    a negative stepsize.  Adds the solve's steps to ``stats`` and returns
+    its sub-solution over ``sigma``.
     """
-    h = t_right - t_left
-    n = problem.n
-
-    def rhs_rev(y, th, sigma):
-        t = t_right - sigma
-        u = dense_eval(seg_sol, min(max(t, t_left), t_right))
-        dlam, dg = adjoint_rhs(u, y[:n], th, t, problem, loss)
-        if with_g:
-            return np.concatenate([-dlam, dg])
-        return -dlam
-
-    y0 = np.concatenate([lam, g]) if with_g else lam
-    sub_problem = OdeProblem(rhs=rhs_rev, u0=y0, tspan=(0.0, h), theta=theta)
-    sub = solve(sub_problem, _reverse_step_config(rev, h), theta=theta)
-    agg.accepted_steps += sub.stats.accepted_steps
-    agg.rejected_steps += sub.stats.rejected_steps
-    y = sub.final_state()
-    if with_g:
-        return y[:n], y[n:], sub
-    return y, g, sub
+    sub_problem = OdeProblem(
+        rhs=lambda z, th, sigma: rhs(z, th, t_right - sigma),
+        u0=y,
+        tspan=(0.0, t_right - t_left),
+        theta=theta,
+    )
+    sub = solve(sub_problem, cfg, theta=theta)
+    stats.accepted_steps += sub.stats.accepted_steps
+    stats.rejected_steps += sub.stats.rejected_steps
+    return sub
 
 
 # ---------------------------------------------------------------------
@@ -469,32 +446,44 @@ def _dense_reverse(problem, loss, config, theta, stats):
     """Interpolating and quadrature variants share this reverse sweep.
 
     Quadrature adds each interval's Gauss-Legendre term right after its
-    costate solve, so it holds one dense costate sub-solution at a time.
+    costate solve, so it holds one dense costate sub-solution at a time;
+    interpolating integrates the gradient alongside the costate.  With
+    ``dt=inf`` the reverse solve's first attempt spans the whole interval
+    (``solve`` clips ``dt`` to the span), so a fixed-grid method takes one
+    step per interval and an adaptive one subdivides on its own estimate.
     """
-    rev = config.solver_config
+    rev = replace(config.solver_config, dt=math.inf, save="all", saveat=None, checkpoints=None)
     quadrature = config.variant == "quadrature"
     order = config.quadrature_order
+    n = problem.n
     g = np.zeros(theta.size)
     lambda_nodes = 0  # the largest costate sub-solution held
 
     def step(seg, m, t_left, t_right, lam):
         nonlocal g, lambda_nodes
-        lam, g, sub = _integrate_costate_interval(
-            problem, loss, theta, rev, t_left, t_right, lam, g, seg,
-            with_g=not quadrature, agg=stats,
-        )
-        if quadrature:
-            lambda_nodes = max(lambda_nodes, len(sub.node_times))
-            s_lo, s_hi = sub.node_times[0], sub.node_times[-1]
 
-            def integrand(tq):
-                u = dense_eval(seg, tq)
-                lam_q = dense_eval(sub, min(max(t_right - tq, s_lo), s_hi))
-                _, dg = adjoint_rhs(u, lam_q, theta, tq, problem, loss)
-                return dg
+        def rhs(y, th, t):
+            u = dense_eval(seg, min(max(t, t_left), t_right))
+            dlam, dg = adjoint_rhs(u, y[:n], th, t, problem, loss)
+            return -dlam if quadrature else np.concatenate([-dlam, dg])
 
-            g = g + gauss_legendre(integrand, t_left, t_right, order)
-        return lam
+        y0 = lam if quadrature else np.concatenate([lam, g])
+        sub = _integrate_costate_interval(rhs, y0, t_left, t_right, theta, rev, stats)
+        y = sub.final_state()
+        if not quadrature:
+            g = y[n:]
+            return y[:n]
+        lambda_nodes = max(lambda_nodes, len(sub.node_times))
+        s_lo, s_hi = sub.node_times[0], sub.node_times[-1]
+
+        def integrand(tq):
+            u = dense_eval(seg, tq)
+            lam_q = dense_eval(sub, min(max(t_right - tq, s_lo), s_hi))
+            _, dg = adjoint_rhs(u, lam_q, theta, tq, problem, loss)
+            return dg
+
+        g = g + gauss_legendre(integrand, t_left, t_right, order)
+        return y
 
     lam, peak = _reverse_sweep(problem, loss, config, theta, stats, step)
     gradient = g + problem.initial_state_jacobian().T @ lam
@@ -546,8 +535,7 @@ def _backsolve(problem, loss, config, theta, stats):
     lam = np.zeros(n)
     g = np.zeros(p)
 
-    def rhs_rev(z, th, sigma, t_ref):
-        t = t_ref - sigma
+    def rhs(z, th, t):
         uu, ll = z[:n], z[n : 2 * n]
         # f(u) from the multidual Jacobian call when there is one
         J_u, J_theta, f = jacobian_assembly(problem, uu, th, t)
@@ -584,14 +572,8 @@ def _backsolve(problem, loss, config, theta, stats):
             check_reconstruction(u, resets[t_hi], t_hi)
             u = resets[t_hi]
         z0 = np.concatenate([u, lam, g])
-        sub_problem = OdeProblem(
-            rhs=lambda z, th, s, t_ref=t_hi: rhs_rev(z, th, s, t_ref),
-            u0=z0,
-            tspan=(0.0, t_hi - t_lo),
-            theta=theta,
-        )
         try:
-            sub = solve(sub_problem, rev_cfg, theta=theta)
+            sub = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev_cfg, stats)
         except (NumericalBlowupError, StepsizeUnderflowError, NonConvergenceError) as err:
             raise NumericalBlowupError(
                 "backsolve reverse integration blew up (the reversed state "
@@ -600,8 +582,6 @@ def _backsolve(problem, loss, config, theta, stats):
                 t=getattr(err, "t", None),
                 dt=getattr(err, "dt", None),
             ) from err
-        stats.accepted_steps += sub.stats.accepted_steps
-        stats.rejected_steps += sub.stats.rejected_steps
         z = sub.final_state()
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 

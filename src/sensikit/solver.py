@@ -4,10 +4,11 @@ One stepper serves plain, complex and dual states: stage algebra is
 written against float or complex numpy arrays or array ``dual.MultiDual``
 states, and every right-hand-side result passes through ``dual.asarray``,
 which packs an object array of multiduals into one array multidual.
-Adaptive runs use the embedded error estimate with a scaled norm
-and a proportional-integral stepsize controller; the norm can optionally
-cover the tangent coordinates of dual states so that sensitivity error is
-controlled alongside the primal error.
+Adaptive runs use the embedded error estimate with a scaled norm and
+elementary stepsize control (safety 0.9, step ratio clamped to [0.2, 10];
+Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4); the norm can
+optionally cover the tangent coordinates of dual states so that
+sensitivity error is controlled alongside the primal error.
 """
 
 from __future__ import annotations
@@ -34,36 +35,15 @@ _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class StepController:
-    """PI stepsize controller: growth factor from recent inverse errors.
-
-    The factor is ``safety * w_m^(b1/q) * w_(m-1)^(b2/q) * w_(m-2)^(b3/q)``
-    clamped to ``[eta_min, eta_max]``, with ``w`` the inverse scaled errors
-    and ``q`` the solver order.  Defaults give the elementary controller.
-    """
-
-    beta1: float = 1.0
-    beta2: float = 0.0
-    beta3: float = 0.0
-    eta_min: float = 0.2
-    eta_max: float = 10.0
-    safety: float = 0.9
-
-    def __post_init__(self):
-        if not self.eta_min < 1.0 < self.eta_max:
-            raise ValueError("controller clamp must satisfy eta_min < 1 < eta_max")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Integration settings shared by every solve."""
 
     method: str = "dopri5"          # euler | rk4 | dopri5
-    dt: Optional[float] = None      # stepsize (fixed) or initial guess (adaptive)
+    dt: Optional[float] = None      # stepsize (fixed) or initial guess (adaptive);
+                                    # solve clips it to the span
     abstol: float = 1e-6
     reltol: float = 1e-6
     max_steps: int = 1_000_000
-    controller: StepController = field(default_factory=StepController)
     norm_mode: str = JOINT_PRIMAL_DUAL
     save: str = "all"               # all | final
     saveat: Optional[np.ndarray] = None
@@ -170,7 +150,7 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
     return u_next, u_emb, k
 
 
-def scaled_error(u, u_hat, abstol, reltol, norm_mode=PRIMAL_ONLY) -> float:
+def scaled_error(u, u_hat, abstol, reltol, norm_mode=JOINT_PRIMAL_DUAL) -> float:
     """Tolerance-scaled RMS difference between two state approximations.
 
     Each coordinate contributes ``|u_i - u_hat_i| / (abstol + reltol * M_i)``
@@ -195,22 +175,15 @@ def scaled_error(u, u_hat, abstol, reltol, norm_mode=PRIMAL_ONLY) -> float:
     return float(np.sqrt(np.mean(terms)))
 
 
-def propose_dt(dt_prev, w_history, controller: StepController, order: int) -> float:
-    """Next stepsize from the PI controller and recent inverse errors.
+def propose_dt(dt_prev, w, order: int) -> float:
+    """Next stepsize from the inverse scaled error ``w`` of the last step.
 
-    ``w_history`` lists the most recent inverse scaled errors, newest
-    first; missing entries default to 1.
+    The elementary controller: ``0.9 * w^(1/order)``, clamped to
+    ``[0.2, 10]``, times ``dt_prev``.
     """
     if dt_prev <= 0:
         raise ValueError("dt_prev must be positive")
-    ws = tuple(w_history) + (1.0, 1.0, 1.0)
-    q = float(order)
-    eta = controller.safety
-    for w, beta in zip(ws[:3], (controller.beta1, controller.beta2, controller.beta3)):
-        if beta != 0.0:
-            eta *= w ** (beta / q)
-    eta = min(max(eta, controller.eta_min), controller.eta_max)
-    return eta * dt_prev
+    return min(max(0.9 * w ** (1.0 / order), 0.2), 10.0) * dt_prev
 
 
 def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Solution:
@@ -262,7 +235,6 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
         next_target = 1  # plan[0] is t0, already stored
 
     t = t0
-    w_hist: tuple = ()
     attempts = 0
     step_index = 0
     tiny = 1e-12 * max(abs(span), 1.0)
@@ -283,13 +255,13 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
             err = scaled_error(u_next, u_emb, config.abstol, config.reltol, config.norm_mode)
             if not (err <= 1.0):
                 stats.rejected_steps += 1
-                w_fail = (1.0 / err) if err > 0 else math.inf
-                dt_new = propose_dt(dt_attempt, (w_fail,) + w_hist, config.controller, tableau.order)
-                # a pathological controller must still shrink on rejection
-                dt = dt_new if dt_new < dt_attempt else 0.5 * dt_attempt
+                if err > 1.0:
+                    dt = propose_dt(dt_attempt, 1.0 / err, tableau.order)
+                else:  # a NaN error
+                    dt = 0.5 * dt_attempt
                 continue
-            w = (1.0 / err) if err > 0 else math.inf
             step_errors.append(err)
+            dt = propose_dt(dt_attempt, (1.0 / err) if err > 0 else math.inf, tableau.order)
         t_new = t1 if is_last else t + dt_attempt
         f_next = k[-1] if tableau.fsal else asarray(eval_rhs(u_next, theta, t_new))
         stats.accepted_steps += 1
@@ -307,9 +279,6 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
                     next_target += 1
 
         u, f_curr, t = u_next, f_next, t_new
-        if adaptive:
-            w_hist = ((w,) + w_hist)[:3]
-            dt = propose_dt(dt_attempt, w_hist, config.controller, tableau.order)
 
     if store is not None and store.times[-1] < t1 - tiny:
         store.add(step_index, t1, u)

@@ -124,3 +124,23 @@ def test_tracer_sees_dense_output_and_quadrature_in_the_quadrature_adjoint():
     assert by_name["adjoint.gauss_legendre"]["calls"] > 0
     plain = sk.gradient(entry.problem, entry.loss, "continuous_quadrature", cfg)
     assert res.gradient.tobytes() == plain.gradient.tobytes()
+
+
+def test_tracer_sees_backsolve_reverse_solves():
+    # backsolve integrates its reversed intervals through the same module
+    # attribute as the dense adjoints, so the tracer charges them to the
+    # reverse-solve layer
+    tracing = _load_tracing()
+    entry = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        res = sk.gradient(entry.problem, entry.loss, "continuous_backsolve", cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    by_name = tracer.summary()["by_name"]
+    assert by_name["adjoint.costate_interval"]["calls"] > 0
+    plain = sk.gradient(entry.problem, entry.loss, "continuous_backsolve", cfg)
+    assert res.gradient.tobytes() == plain.gradient.tobytes()

@@ -168,6 +168,48 @@ def test_gradient_dispatcher(method):
         sk.gradient(ent.problem, ent.loss, "sideways", cfg)
 
 
+# (accepted steps, rejected steps, RHS calls, Jacobian calls, peak stored
+# states) per method on harmonic: dopri5 at tol 1e-8, the discrete adjoint
+# on rk4 dt 0.01; the pair is (all nodes kept, 4 checkpoints)
+HARMONIC_WORK = {
+    "forward_fd": [(46, 0, 278, 0, None)] * 2,
+    "centered_fd": [(46, 0, 278, 0, None)] * 2,
+    "complex_step": [(23, 0, 139, 0, None)] * 2,
+    "forward_ad": [(34, 0, 205, 0, 35)] * 2,
+    "forward_ad_primal_only": [(23, 0, 139, 0, 1)] * 2,
+    "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
+    "discrete_adjoint": [(1000, 0, 8001, 8000, 1001), (1000, 0, 12005, 8000, 256)],
+    "continuous_backsolve": [(50, 0, 302, 326, 2), (59, 0, 359, 440, 7)],
+    "continuous_interpolating": [(51, 5, 139, 442, 24), (51, 5, 281, 442, 14)],
+    "continuous_quadrature": [(49, 3, 139, 716, 27), (49, 3, 281, 716, 17)],
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_work_counts_on_harmonic_are_pinned(method):
+    ent = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    if method == "discrete_adjoint":
+        cfg = sk.SolverConfig(method="rk4", dt=0.01)
+    for checkpoints, expected in zip((None, 4), HARMONIC_WORK[method]):
+        res = sk.gradient(ent.problem, ent.loss, method, cfg, checkpoints=checkpoints)
+        s = res.stats
+        work = (s.accepted_steps, s.rejected_steps, s.rhs_evaluations,
+                s.jacobian_evaluations, res.peak_stored_states)
+        assert work == expected, (method, checkpoints)
+
+
+@pytest.mark.parametrize("method", ["continuous_interpolating", "continuous_quadrature"])
+def test_dense_adjoints_take_one_reverse_step_per_fixed_grid_interval(method):
+    # 200 forward rk4 steps and 200 reverse ones, one per interval (the one
+    # observation sits on t1); the RHS calls are the forward solve's, 4 per
+    # step plus the initial one, as the costate field uses the analytic
+    # Jacobians
+    ent = sk.make_harmonic(0.2)
+    res = sk.gradient(ent.problem, ent.loss, method, sk.SolverConfig(method="rk4", dt=0.05))
+    assert (res.stats.accepted_steps, res.stats.rhs_evaluations) == (400, 801)
+
+
 @pytest.mark.parametrize("times", [(5.0, 10.0 + 5e-9), (-5e-9, 5.0)])
 def test_every_method_places_observations_by_one_span_rule(times):
     # every method places an observation within 1e-9 x span outside

@@ -13,7 +13,6 @@ from sensikit.errors import (
 from sensikit.solver import (
     JOINT_PRIMAL_DUAL,
     PRIMAL_ONLY,
-    StepController,
     checkpoint_plan,
     propose_dt,
     rk_step,
@@ -91,6 +90,17 @@ def test_scaled_error_joint_sees_tangent_error():
     )
 
 
+def test_scaled_error_defaults_to_the_joint_norm():
+    # the same default as SolverConfig.norm_mode: without a mode, equal values
+    # with different tangents are an error, not a match
+    u = MultiDual(np.array([1.0, 2.0]), np.array([[0.0], [0.0]]))
+    u_hat = MultiDual(np.array([1.0, 2.0]), np.array([[1e-3], [0.0]]))
+    assert scaled_error(u, u_hat, 1e-6, 1e-6) > 0.0
+    assert scaled_error(u, u_hat, 1e-6, 1e-6) == scaled_error(
+        u, u_hat, 1e-6, 1e-6, JOINT_PRIMAL_DUAL
+    )
+
+
 def test_scaled_error_of_dual_states_sums_left_to_right():
     # the dual norm adds value and tangent terms entry by entry in order, as
     # the multidual loop it replaced did; a reordered sum changes the step
@@ -110,24 +120,17 @@ def test_scaled_error_of_dual_states_sums_left_to_right():
         assert scaled_error(u, u_hat, 1e-8, 1e-6, mode) == math.sqrt(total / len(x))
 
 
-def test_propose_dt_unit_errors_keep_dt():
-    ctrl = StepController(safety=1.0)
-    assert propose_dt(0.3, (1.0, 1.0, 1.0), ctrl, 5) == pytest.approx(0.3)
-
-
 def test_propose_dt_elementary_doubling():
-    # beta = (1, 0, 0), q = 5, w = 32: eta = 32^(1/5) = 2
-    ctrl = StepController(beta1=1.0, beta2=0.0, beta3=0.0, safety=1.0)
-    assert propose_dt(0.1, (32.0,), ctrl, 5) == pytest.approx(0.2)
+    # q = 5, w = 32: 32^(1/5) = 2, times the safety 0.9
+    assert propose_dt(0.1, 32.0, 5) == pytest.approx(0.18)
 
 
 def test_propose_dt_clamps_at_eta_max():
-    ctrl = StepController(safety=1.0, eta_max=10.0)
-    assert propose_dt(0.1, (1e12,), ctrl, 5) == pytest.approx(1.0)
+    assert propose_dt(0.1, 1e12, 5) == pytest.approx(1.0)
 
 
 def test_propose_dt_default_safety():
-    assert propose_dt(1.0, (1.0,), StepController(), 5) == pytest.approx(0.9)
+    assert propose_dt(1.0, 1.0, 5) == pytest.approx(0.9)
 
 
 def test_solve_constant_problem():
@@ -348,8 +351,6 @@ def test_config_validation():
         sk.SolverConfig(abstol=-1.0)
     with pytest.raises(ValueError):
         sk.SolverConfig(norm_mode="other")
-    with pytest.raises(ValueError):
-        StepController(eta_min=1.5)
 
 
 def test_rejected_steps_shrink_and_retry():
@@ -360,3 +361,20 @@ def test_rejected_steps_shrink_and_retry():
     assert sol.stats.rejected_steps > 0
     err = np.max(np.abs(sol.final_state() - ent.analytic_solution(10.0)))
     assert err <= 100 * 1e-9
+
+
+def test_nan_error_estimate_halves_the_step(monkeypatch):
+    # a NaN error is no error ratio to scale by: the attempt is rejected and
+    # retried at half the stepsize
+    scaled = sk.solver.scaled_error
+    calls = []
+
+    def first_nan(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 1 else scaled(*args)
+
+    monkeypatch.setattr(sk.solver, "scaled_error", first_nan)
+    problem = sk.OdeProblem(rhs=exp_rhs, u0=[1.0], tspan=(0.0, 1.0), theta=[0.0])
+    sol = sk.solve(problem, sk.SolverConfig(dt=0.1))
+    assert sol.stats.rejected_steps == 1
+    assert sol.step_dts[0] == 0.05
