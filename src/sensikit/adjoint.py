@@ -3,10 +3,11 @@
 The discrete adjoint transposes the solver's own Runge-Kutta stage
 recursion (Hager 2000, Numer. Math. 87; Sandu 2006, ICCS), so it returns
 the exact derivative of the discretized loss on a fixed grid.  Each step
-re-runs its stages with one Jacobian pair per stage: analytic when the
-problem supplies them (plus a float right-hand side for the stage
-value), else one multidual right-hand side that gives both.  The
-continuous adjoint integrates the costate ODE
+reads its stage inputs off the stage tape that the forward solve, or the
+replay of a checkpoint segment, recorded, and pays one Jacobian pair per
+stage: analytic when the problem supplies them, else one multidual
+right-hand side; no step runs again.  The continuous adjoint integrates
+the costate ODE
 
     dlambda/dt = -(df/du)^T lambda - (dh/du)^T
 
@@ -32,10 +33,10 @@ Reverse integration always runs the stepper over a forward-oriented
 clock on the reversed vector field, one interval at a time, through one
 interval integrator shared by the three continuous adjoints; checkpoint
 segments replay the recorded forward stepsizes from their snapshots,
-which reproduces the original trajectory bitwise.  As the stops do not
-depend on the segment bounds either, the sweep's gradients are
-independent of the checkpoint count, for losses non-linear in the state
-too.
+which reproduces the original trajectory and its stage inputs bitwise.
+As the stops do not depend on the segment bounds either, the sweep's
+gradients are independent of the checkpoint count, for losses non-linear
+in the state too.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .errors import (
     StepsizeUnderflowError,
 )
 from .sensitivity import _counted, jacobian_assembly
-from .solver import SolverConfig, dense_eval, rk_step, scaled_error, solve
+from .solver import SolverConfig, dense_eval, rk_step, scaled_error, solve, stage_rows
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 
@@ -149,42 +150,39 @@ def _costate_derivatives(J_u, J_theta, u, lam, theta, loss):
     return dlam, dg
 
 
-def step_vjp(problem: OdeProblem, tableau, u, theta, t, dt, lam_in):
+def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
     """Transposed Jacobians of one solver step applied to a costate.
 
     Returns ``((dPhi/du)^T lam, (dPhi/dtheta)^T lam)`` for the step map
     ``Phi`` from ``(t, u)`` with stepsize ``dt``, by the transposed stage
-    recursion of Hager (2000) and Sandu (2006).  The stages ``Y_i`` are
-    re-run in floats through ``rk_step``, whose right-hand side is the
-    stage's ``jacobian_assembly``: it records the Jacobian pair and returns
-    the multidual call's value coordinate as ``f(Y_i)``, so a stage costs
-    one right-hand-side evaluation (a float one besides the Jacobians when
-    both are analytic).  The stages are then traversed in reverse:
+    recursion of Hager (2000) and Sandu (2006).  ``stages`` holds the
+    step's ``s`` stage inputs ``Y_i`` as ``rk_step`` returns them, with
+    ``Y_1 = u``; the discrete adjoint reads them off a stage tape, so the
+    step does not run again.  Each stage costs one ``jacobian_assembly``
+    at ``(Y_i, t + c_i dt)``, and the stages are traversed in reverse:
 
         kbar_i = dt b_i lam + sum_(j>i) dt a_ji Ybar_j
         Ybar_i = J_u(Y_i)^T kbar_i
 
     giving ``lam + sum_i Ybar_i`` and ``sum_i J_theta(Y_i)^T kbar_i``.
     """
+    s = tableau.stages
+    if len(stages) != s:
+        raise ValueError(f"step_vjp needs the {s} stage inputs of the step, got {len(stages)}")
     theta = np.asarray(theta, dtype=float)
-    jacobians = []
-
-    def recording_rhs(y, th, ts):
-        J_u, J_theta, f = jacobian_assembly(problem, y, th, ts)
-        jacobians.append((J_u, J_theta))
-        return problem.rhs(y, th, ts) if f is None else f
-
-    rk_step(tableau, recording_rhs, np.asarray(u, dtype=float), theta, t, dt)
-    a, b = tableau.a, tableau.b
+    a, b, c = tableau.a_rows, tableau.b_row, tableau.c_row
+    jacobians = [
+        jacobian_assembly(problem, y, theta, t + c[i] * dt)[:2] for i, y in enumerate(stages)
+    ]
     lam = np.asarray(lam_in, dtype=float)
-    ybar = [None] * len(jacobians)
+    ybar = [None] * s
     lam_out = lam
     grad = np.zeros(theta.size)
-    for i in range(len(jacobians) - 1, -1, -1):
+    for i in range(s - 1, -1, -1):
         kbar = (dt * b[i]) * lam
-        for j in range(i + 1, len(jacobians)):
-            if a[j, i] != 0.0:
-                kbar = kbar + (dt * a[j, i]) * ybar[j]
+        for j in range(i + 1, s):
+            if a[j][i] != 0.0:
+                kbar = kbar + (dt * a[j][i]) * ybar[j]
         J_u, J_theta = jacobians[i]
         ybar[i] = J_u.T @ kbar
         lam_out = lam_out + ybar[i]
@@ -245,11 +243,12 @@ def _forward_pass(problem, config: AdjointConfig, theta):
 def _segments_reverse(problem, sol: Solution, theta, tableau):
     """Yield ``(seg, times, states)`` per mesh segment, right to left.
 
-    ``seg`` is a dense ``Solution`` carrying its own ``step_dts``;
-    ``times`` and ``states`` are its node times and states (the benchmark
-    tracer counts the latter).  Full storage yields ``sol`` itself.
-    Checkpointed runs replay the recorded stepsizes from each snapshot,
-    reproducing the stored-trajectory states bitwise.
+    ``seg`` is a dense ``Solution`` carrying its own ``step_dts`` and, for
+    a fixed-step tableau, its stage tape; ``times`` and ``states`` are its
+    node times and states (the benchmark tracer counts the latter).  Full
+    storage yields ``sol`` itself.  Checkpointed runs replay the recorded
+    stepsizes from each snapshot, reproducing the stored-trajectory states
+    and stage inputs bitwise, and record the segment's tape as they go.
     """
     if sol.node_states is not None:
         yield sol, sol.node_times, sol.node_states
@@ -265,13 +264,16 @@ def _segments_reverse(problem, sol: Solution, theta, tableau):
         u = states[0]
         f = np.asarray(problem.rhs(u, theta, ts[0]))
         derivs = [f]
+        tape = None if tableau.is_embedded else []
         for m, dt in enumerate(step_dts):
             # the recorded stepsize, not the node-time difference, keeps the
             # replay bitwise identical to the original trajectory
-            u, _, kst = rk_step(tableau, problem.rhs, u, theta, ts[m], dt, f0=f)
+            u, _, kst, stages = rk_step(tableau, problem.rhs, u, theta, ts[m], dt, f0=f)
             f = kst[-1] if tableau.fsal else np.asarray(problem.rhs(u, theta, ts[m + 1]))
             states.append(u)
             derivs.append(f)
+            if tape is not None:
+                tape.append(stage_rows(stages))
         arr = np.array(states, dtype=float)
         seg = Solution(
             times=ts,
@@ -282,6 +284,7 @@ def _segments_reverse(problem, sol: Solution, theta, tableau):
             dense=True,
             stats=sol.stats,
             step_dts=step_dts,
+            stage_tape=tape,
         )
         yield seg, ts, arr
 
@@ -324,7 +327,9 @@ def _reverse_sweep(problem, loss, config, theta, stats, step):
     ``lam = step(seg, m, t_left, t_right, lam)``: ``seg`` is the segment's
     dense ``Solution`` with its ``step_dts``, ``m`` its step holding the
     interval.  Returns the costate after the ``t0`` jumps and the peak
-    count of stored forward states.
+    count of stored forward states: the state-sized vectors held at once,
+    that is the segment's node states, the ``s - 1`` stage inputs per step
+    of its stage tape, and the checkpoint snapshots.
     """
     tableau = config.solver_config.tableau
     tol = span_tol(*problem.tspan)
@@ -338,7 +343,8 @@ def _reverse_sweep(problem, loss, config, theta, stats, step):
     lam = np.zeros(problem.n)
     peak = 0
     for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau):
-        peak = max(peak, len(ts) + ckpt)
+        tape_rows = 0 if seg.stage_tape is None else (tableau.stages - 1) * len(seg.stage_tape)
+        peak = max(peak, len(ts) + tape_rows + ckpt)
         u_at = partial(dense_eval, seg)
         for m, t_left, t_right in _reverse_intervals(ts, obs_times, tol):
             lam = jump(lam, t_right, u_at)
@@ -381,10 +387,10 @@ def discrete_adjoint(
     costate with the final observation term and recurses
     ``lam_m = (dPhi_m/du)^T lam_(m+1) + w_m (u^m - u_m^obs)``, accumulating
     ``(dPhi_m/dtheta)^T lam_(m+1)`` into the gradient.  Each transposed
-    step is ``step_vjp``'s stage recursion (Hager 2000, Sandu 2006): per
-    step one re-run of the stages with one Jacobian pair per stage,
-    analytic when the problem supplies them, else one multidual RHS each
-    that also gives the stage value.
+    step is ``step_vjp``'s stage recursion (Hager 2000, Sandu 2006) over
+    the stage inputs on the segment's stage tape, with one Jacobian pair
+    per stage, analytic when the problem supplies them, else one
+    multidual RHS each; the reverse pass evaluates no right-hand side.
     """
     fwd = config.solver_config
     if fwd.adaptive:
@@ -406,9 +412,8 @@ def discrete_adjoint(
         if t_left != t:
             # an off-grid observation split the step
             raise ValueError(f"observation time {t_left} does not sit on the fixed grid")
-        lam, contrib = step_vjp(
-            problem, tableau, seg.node_states[m], theta, t, seg.step_dts[m], lam
-        )
+        stages = [seg.node_states[m], *seg.stage_tape[m]]
+        lam, contrib = step_vjp(problem, tableau, stages, theta, t, seg.step_dts[m], lam)
         gradient = gradient + contrib
         return lam
 
@@ -447,13 +452,21 @@ def _dense_reverse(problem, loss, config, theta, stats):
 
     Quadrature adds each interval's Gauss-Legendre term right after its
     costate solve, so it holds one dense costate sub-solution at a time;
-    interpolating integrates the gradient alongside the costate.  With
+    interpolating integrates the gradient alongside the costate and reads
+    only the final state of each sub-solve, so its sub-solves keep no nodes
+    (and, on a fixed-step method, skip the last end derivative).  With
     ``dt=inf`` the reverse solve's first attempt spans the whole interval
     (``solve`` clips ``dt`` to the span), so a fixed-grid method takes one
     step per interval and an adaptive one subdivides on its own estimate.
     """
-    rev = replace(config.solver_config, dt=math.inf, save="all", saveat=None, checkpoints=None)
     quadrature = config.variant == "quadrature"
+    rev = replace(
+        config.solver_config,
+        dt=math.inf,
+        save="all" if quadrature else "final",
+        saveat=None,
+        checkpoints=None,
+    )
     order = config.quadrature_order
     n = problem.n
     g = np.zeros(theta.size)

@@ -176,7 +176,10 @@ class Solution:
     ``times``/``states`` reflect the configured save policy.  ``node_*``
     arrays hold the accepted integration mesh: states and derivatives are
     retained only when the solve keeps dense data (``dense`` is then True),
-    node times are always kept.
+    node times are always kept.  A fixed-step solve that keeps its nodes
+    also keeps its stage tape: ``stage_tape[m]`` holds the stage inputs
+    ``Y_2 .. Y_s`` of step ``m`` as one ``(s - 1, n)`` array (``Y_1`` is
+    node ``m``), which the discrete adjoint transposes.
     """
 
     times: np.ndarray
@@ -189,6 +192,7 @@ class Solution:
     step_errors: list = field(default_factory=list)
     checkpoints: Optional[object] = None  # CheckpointStore when requested
     step_dts: Optional[np.ndarray] = None  # exact accepted stepsizes, in order
+    stage_tape: Optional[list] = None  # per step, its stage inputs after the first
 
     def final_state(self):
         return self.states[-1]

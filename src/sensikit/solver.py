@@ -111,43 +111,57 @@ def checkpoint_plan(tspan, count: int) -> np.ndarray:
 def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
     """One explicit Runge-Kutta step from ``(t, u)`` with stepsize ``dt``.
 
-    Returns ``(u_next, u_embedded, stages)``; ``u_embedded`` is None for
-    tableaus without an embedded pair.  ``f0`` short-circuits the first
-    stage when the caller already holds ``rhs(u, theta, t)``.
+    Returns ``(u_next, u_embedded, k, stages)``: ``u_embedded`` is None for
+    tableaus without an embedded pair, ``k`` holds the stage derivatives
+    ``f(Y_i, t + c_i dt)`` and ``stages`` the stage inputs ``Y_i``, with
+    ``stages[0]`` the state ``u`` itself.  ``f0`` short-circuits the first
+    stage when the caller already holds ``rhs(u, theta, t)``.  Finiteness is
+    checked once, on ``u_next`` and ``u_embedded``: a non-finite stage feeds
+    a weighted sum or a later stage, so it reaches one of them.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # Python floats: a numpy scalar times a multidual would go through
-    # numpy's ufunc dispatch on every stage update
-    a, b, c = tableau.a.tolist(), tableau.b.tolist(), tableau.c.tolist()
-    s = tableau.stages
-    k = [None] * s
-    for i in range(s):
-        if i == 0 and f0 is not None:
-            k[0] = f0
-        else:
-            ui = u
-            for j in range(i):
-                aij = a[i][j]
-                if aij != 0.0:
-                    ui = ui + (dt * aij) * k[j]
-            k[i] = asarray(rhs(ui, theta, t + c[i] * dt))
-        if not np.isfinite(k[i]).all():
-            raise NumericalBlowupError(
-                f"non-finite stage value at t={t!r}, dt={dt!r}", t=t, dt=dt
-            )
-    u_next = u
-    for i in range(s):
-        if b[i] != 0.0:
-            u_next = u_next + (dt * b[i]) * k[i]
+    a, c = tableau.a_rows, tableau.c_row
+    k = [asarray(rhs(u, theta, t + c[0] * dt)) if f0 is None else f0]
+    stages = [u]
+    for i in range(1, len(c)):
+        ui = u
+        row = a[i]
+        for j in range(i):
+            aij = row[j]
+            if aij != 0.0:
+                ui = ui + (dt * aij) * k[j]
+        stages.append(ui)
+        k.append(asarray(rhs(ui, theta, t + c[i] * dt)))
+    u_next = _weighted_sum(u, tableau.b_row, k, dt)
     u_emb = None
-    if tableau.b_hat is not None:
-        b_hat = tableau.b_hat.tolist()
-        u_emb = u
-        for i in range(s):
-            if b_hat[i] != 0.0:
-                u_emb = u_emb + (dt * b_hat[i]) * k[i]
-    return u_next, u_emb, k
+    if tableau.b_hat_row is not None:
+        u_emb = _weighted_sum(u, tableau.b_hat_row, k, dt)
+    if not (np.isfinite(u_next).all() and (u_emb is None or np.isfinite(u_emb).all())):
+        raise NumericalBlowupError(
+            f"non-finite stage value at t={t!r}, dt={dt!r}", t=t, dt=dt
+        )
+    return u_next, u_emb, k, stages
+
+
+def _weighted_sum(u, weights, k, dt):
+    out = u
+    for w, ki in zip(weights, k):
+        if w != 0.0:
+            out = out + (dt * w) * ki
+    return out
+
+
+def stage_rows(stages):
+    """The stage inputs ``Y_2 .. Y_s`` of one step as one ``(s - 1, n)`` array.
+
+    This is a step's entry on a stage tape: ``Y_1`` is the step's start
+    node, which the tape's owner already holds.
+    """
+    rest = stages[1:]
+    if rest and isinstance(rest[0], MultiDual):
+        return np.vstack(rest)
+    return np.array(rest)
 
 
 def scaled_error(u, u_hat, abstol, reltol, norm_mode=JOINT_PRIMAL_DUAL) -> float:
@@ -191,6 +205,9 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
 
     ``theta``/``u0`` override the problem's nominal values, which is how
     the gradient drivers push complex or dual scalars through the solver.
+    A fixed-step solve that keeps its nodes also keeps their stage tape
+    (``Solution.stage_tape``); one that keeps no nodes skips the end
+    derivative of its last step, which nothing reads.
     """
     t0, t1 = problem.tspan
     span = t1 - t0
@@ -216,6 +233,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
     dt = min(dt, span)
 
     retain_nodes = config.save == "all" or config.saveat is not None
+    tape = [] if retain_nodes and not adaptive else None
     keep_checkpoints = config.checkpoints is not None
     store = None
     plan = None
@@ -249,7 +267,9 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
         is_last = t + dt >= t1 - tiny
         dt_attempt = t1 - t if is_last else dt
         attempts += 1
-        u_next, u_emb, k = rk_step(tableau, eval_rhs, u, theta, t, dt_attempt, f0=f_curr)
+        u_next, u_emb, k, stages = rk_step(
+            tableau, eval_rhs, u, theta, t, dt_attempt, f0=f_curr
+        )
 
         if adaptive:
             err = scaled_error(u_next, u_emb, config.abstol, config.reltol, config.norm_mode)
@@ -263,7 +283,12 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
             step_errors.append(err)
             dt = propose_dt(dt_attempt, (1.0 / err) if err > 0 else math.inf, tableau.order)
         t_new = t1 if is_last else t + dt_attempt
-        f_next = k[-1] if tableau.fsal else asarray(eval_rhs(u_next, theta, t_new))
+        if tableau.fsal:
+            f_next = k[-1]
+        elif is_last and not retain_nodes:
+            f_next = None  # no node keeps it and no step follows
+        else:
+            f_next = asarray(eval_rhs(u_next, theta, t_new))
         stats.accepted_steps += 1
         step_index += 1
         step_dts.append(dt_attempt)
@@ -272,6 +297,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
         if retain_nodes:
             node_states.append(u_next)
             node_derivs.append(f_next)
+            if tape is not None:
+                tape.append(stage_rows(stages))
         if store is not None and next_target < len(plan):
             if t_new >= plan[next_target] - tiny:
                 store.add(step_index, t_new, u_next)
@@ -303,6 +330,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None) -> Sol
         step_errors=step_errors,
         checkpoints=store,
         step_dts=np.asarray(step_dts),
+        stage_tape=tape,
     )
 
     if config.saveat is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,10 @@ class ButcherTableau:
     order: int
     b_hat: Optional[np.ndarray] = None
     fsal: bool = False
+    a_rows: tuple = field(init=False, repr=False, compare=False)
+    b_row: tuple = field(init=False, repr=False, compare=False)
+    c_row: tuple = field(init=False, repr=False, compare=False)
+    b_hat_row: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -40,11 +44,16 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        bh = None
         if self.b_hat is not None:
             bh = np.asarray(self.b_hat, dtype=float)
             if bh.shape != b.shape:
                 raise ValueError("embedded weights must match stage count")
             object.__setattr__(self, "b_hat", bh)
+        object.__setattr__(self, "a_rows", tuple(map(tuple, a.tolist())))
+        object.__setattr__(self, "b_row", tuple(b.tolist()))
+        object.__setattr__(self, "c_row", tuple(c.tolist()))
+        object.__setattr__(self, "b_hat_row", None if bh is None else tuple(bh.tolist()))
 
     @property
     def stages(self) -> int:

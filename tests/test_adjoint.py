@@ -12,6 +12,7 @@ from sensikit.adjoint import (
     AdjointConfig,
     _forward_pass,
     _reverse_intervals,
+    _segments_reverse,
     adjoint_rhs,
     continuous_adjoint,
     discrete_adjoint,
@@ -67,7 +68,8 @@ def test_step_vjp_euler_linear():
     prob = sk.OdeProblem(rhs=rhs, u0=np.ones(2), tspan=(0.0, 1.0), theta=np.zeros(1))
     lam = rng.normal(size=2)
     dt = 0.125
-    lam_prop, contrib = step_vjp(prob, EULER, np.array([0.3, -0.7]), prob.theta, 0.0, dt, lam)
+    stages = sk.rk_step(EULER, rhs, np.array([0.3, -0.7]), prob.theta, 0.0, dt)[3]
+    lam_prop, contrib = step_vjp(prob, EULER, stages, prob.theta, 0.0, dt, lam)
     expect = (np.eye(2) + dt * A).T @ lam
     assert np.allclose(lam_prop, expect, atol=1e-13)
     assert np.allclose(contrib, 0.0)
@@ -75,9 +77,9 @@ def test_step_vjp_euler_linear():
 
 def test_step_vjp_zero_costate():
     ent = sk.make_harmonic(0.2)
-    lam_prop, contrib = step_vjp(
-        ent.problem, RK4, np.array([1.0, 0.0]), ent.problem.theta, 0.0, 0.1, np.zeros(2)
-    )
+    th = ent.problem.theta
+    stages = sk.rk_step(RK4, ent.problem.rhs, np.array([1.0, 0.0]), th, 0.0, 0.1)[3]
+    lam_prop, contrib = step_vjp(ent.problem, RK4, stages, th, 0.0, 0.1, np.zeros(2))
     assert np.array_equal(lam_prop, np.zeros(2))
     assert np.array_equal(contrib, np.zeros(1))
 
@@ -87,11 +89,11 @@ def test_step_vjp_matches_fd_of_step_map():
     u = np.array([0.8, -0.3])
     lam = np.array([1.3, 0.4])
     dt = 0.05
-    lam_prop, contrib = step_vjp(ent.problem, RK4, u, ent.problem.theta, 0.0, dt, lam)
+    stages = sk.rk_step(RK4, ent.problem.rhs, u, ent.problem.theta, 0.0, dt)[3]
+    lam_prop, contrib = step_vjp(ent.problem, RK4, stages, ent.problem.theta, 0.0, dt, lam)
 
     def step_map(uu, th):
-        out, _, _ = sk.rk_step(RK4, ent.problem.rhs, uu, th, 0.0, dt)
-        return out
+        return sk.rk_step(RK4, ent.problem.rhs, uu, th, 0.0, dt)[0]
 
     h = 1e-7
     for j in range(2):
@@ -111,7 +113,7 @@ def multidual_step_vjp(problem, tableau, u, theta, t, dt, lam):
     eye = np.eye(n + p)
     u_d = np.array([dual.MultiDual(u[i], eye[i]) for i in range(n)], dtype=object)
     th_d = np.array([dual.MultiDual(theta[j], eye[n + j]) for j in range(p)], dtype=object)
-    u_next, _, _ = sk.rk_step(tableau, problem.rhs, u_d, th_d, t, dt)
+    u_next = sk.rk_step(tableau, problem.rhs, u_d, th_d, t, dt)[0]
     jac = dual.jacobian_from_duals(u_next, n + p)
     return jac[:, :n].T @ lam, jac[:, n:].T @ lam
 
@@ -124,19 +126,54 @@ def test_step_vjp_matches_multidual_step_push(tableau, jacobians):
         problem = dataclasses.replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
     u = np.array([0.8, -0.3])
     lam = np.array([1.3, 0.4])
-    got = step_vjp(problem, tableau, u, problem.theta, 0.7, 0.05, lam)
+    stages = sk.rk_step(tableau, problem.rhs, u, problem.theta, 0.7, 0.05)[3]
+    got = step_vjp(problem, tableau, stages, problem.theta, 0.7, 0.05, lam)
     want = multidual_step_vjp(problem, tableau, u, problem.theta, 0.7, 0.05, lam)
     for g, w in zip(got, want):
         assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
 
-def test_step_vjp_non_finite_stage_raises():
+def test_discrete_adjoint_non_finite_stage_raises_in_forward_pass():
+    # step_vjp reads its stages off the tape and evaluates no right-hand
+    # side, so a non-finite stage is caught where the forward step runs
     def rhs(u, p, t):
         return u if t == 0.0 else u * np.nan
 
     prob = sk.OdeProblem(rhs=rhs, u0=np.ones(2), tspan=(0.0, 1.0), theta=np.zeros(1))
-    with pytest.raises(NumericalBlowupError):
-        step_vjp(prob, RK4, prob.u0, prob.theta, 0.0, 0.1, np.ones(2))
+    loss = sk.LinearStateLoss([1.0], [[1.0, 1.0]])
+    cfg = AdjointConfig(variant="discrete", solver_config=sk.SolverConfig(method="rk4", dt=0.1))
+    with pytest.raises(NumericalBlowupError, match=r"non-finite stage value at t=0\.0, dt=0\.1") as err:
+        discrete_adjoint(prob, loss, cfg)
+    assert (err.value.t, err.value.dt) == (0.0, 0.1)
+
+
+@pytest.mark.parametrize("checkpoints", [None, 4])
+def test_stage_tape_holds_the_stage_inputs_of_a_fresh_step(checkpoints):
+    # the tape of a full-storage solve and the tape recorded while a
+    # checkpoint segment replays both hold rk_step's Y_2 .. Y_s, bitwise
+    ent = sk.make_predprey(0.95)
+    fwd = sk.SolverConfig(method="rk4", dt=0.05)
+    cfg = AdjointConfig(variant="discrete", solver_config=fwd, checkpoints=checkpoints)
+    sol = _forward_pass(ent.problem, cfg, ent.problem.theta)
+    theta = ent.problem.theta
+    steps = 0
+    for seg, ts, states in _segments_reverse(ent.problem, sol, theta, RK4):
+        assert len(seg.stage_tape) == len(ts) - 1
+        for m, rows in enumerate(seg.stage_tape):
+            stages = sk.rk_step(RK4, ent.problem.rhs, states[m], theta, ts[m], seg.step_dts[m])[3]
+            assert rows.shape == (RK4.stages - 1, ent.problem.n)
+            assert np.array(stages[1:]).tobytes() == rows.tobytes()
+            steps += 1
+    assert steps == sol.stats.accepted_steps == 200
+
+
+def test_stage_tape_is_kept_exactly_with_the_nodes_of_a_fixed_step_solve():
+    prob = sk.make_harmonic(0.2).problem
+    fixed = sk.SolverConfig(method="rk4", dt=0.1)
+    assert len(sk.solve(prob, fixed).stage_tape) == 100
+    assert len(sk.solve(prob, dataclasses.replace(fixed, saveat=[5.0, 10.0])).stage_tape) == 100
+    assert sk.solve(prob, dataclasses.replace(fixed, save="final")).stage_tape is None
+    assert sk.solve(prob, sk.SolverConfig()).stage_tape is None
 
 
 def test_discrete_adjoint_heat1d_64_matches_forward_sensitivity():
@@ -158,9 +195,11 @@ def test_discrete_adjoint_counts_jacobian_calls():
     stripped = dataclasses.replace(ent.problem, rhs_jac_u=None, rhs_jac_theta=None)
     bare = discrete_adjoint(stripped, ent.loss, cfg)
     assert bare.stats.jacobian_evaluations == 0
-    # the multidual RHS per stage replaces the Jacobian pair, and its value
-    # coordinate is the stage's f(Y_i): no float call besides it
-    assert bare.stats.rhs_evaluations == res.stats.rhs_evaluations
+    # the stage inputs come off the tape: with analytic Jacobians the
+    # reverse pass evaluates no right-hand side, and without them one
+    # multidual RHS per stage replaces the Jacobian pair
+    assert res.stats.rhs_evaluations == 4 * steps + 1
+    assert bare.stats.rhs_evaluations == res.stats.rhs_evaluations + 4 * steps
     assert bare.gradient[0] == pytest.approx(res.gradient[0], rel=1e-13)
 
 

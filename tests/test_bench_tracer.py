@@ -144,3 +144,26 @@ def test_tracer_sees_backsolve_reverse_solves():
     assert by_name["adjoint.costate_interval"]["calls"] > 0
     plain = sk.gradient(entry.problem, entry.loss, "continuous_backsolve", cfg)
     assert res.gradient.tobytes() == plain.gradient.tobytes()
+
+
+def test_tracer_sees_the_discrete_adjoint_read_its_stage_tape():
+    # the reverse pass reads each step's stage inputs off the tape recorded
+    # during checkpoint replay: rk_step runs once per forward step and once
+    # per replayed step, and step_vjp once per step, evaluating no stage
+    tracing = _load_tracing()
+    entry = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(method="rk4", dt=0.01)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        res = sk.gradient(entry.problem, entry.loss, "discrete_adjoint", cfg, checkpoints=4)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    summary = tracer.summary()
+    by_name = summary["by_name"]
+    assert by_name["adjoint.step_vjp"]["calls"] == 1000
+    assert by_name["solver.rk_step[float]"]["calls"] == 1000 + 1000
+    assert summary["replay_steps"] == 1000
+    plain = sk.gradient(entry.problem, entry.loss, "discrete_adjoint", cfg, checkpoints=4)
+    assert res.gradient.tobytes() == plain.gradient.tobytes()

@@ -170,7 +170,9 @@ def test_gradient_dispatcher(method):
 
 # (accepted steps, rejected steps, RHS calls, Jacobian calls, peak stored
 # states) per method on harmonic: dopri5 at tol 1e-8, the discrete adjoint
-# on rk4 dt 0.01; the pair is (all nodes kept, 4 checkpoints)
+# on rk4 dt 0.01; the pair is (all nodes kept, 4 checkpoints).  The
+# discrete adjoint's peak counts its stage tape, 3 stage inputs per step
+# of the segment held: 1001 nodes + 3000, and 251 + 750 + 5 checkpoints
 HARMONIC_WORK = {
     "forward_fd": [(46, 0, 278, 0, None)] * 2,
     "centered_fd": [(46, 0, 278, 0, None)] * 2,
@@ -178,7 +180,7 @@ HARMONIC_WORK = {
     "forward_ad": [(34, 0, 205, 0, 35)] * 2,
     "forward_ad_primal_only": [(23, 0, 139, 0, 1)] * 2,
     "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
-    "discrete_adjoint": [(1000, 0, 8001, 8000, 1001), (1000, 0, 12005, 8000, 256)],
+    "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
     "continuous_backsolve": [(50, 0, 302, 326, 2), (59, 0, 359, 440, 7)],
     "continuous_interpolating": [(51, 5, 139, 442, 24), (51, 5, 281, 442, 14)],
     "continuous_quadrature": [(49, 3, 139, 716, 27), (49, 3, 281, 716, 17)],
@@ -208,6 +210,23 @@ def test_dense_adjoints_take_one_reverse_step_per_fixed_grid_interval(method):
     ent = sk.make_harmonic(0.2)
     res = sk.gradient(ent.problem, ent.loss, method, sk.SolverConfig(method="rk4", dt=0.05))
     assert (res.stats.accepted_steps, res.stats.rhs_evaluations) == (400, 801)
+
+
+def test_fixed_step_reverse_solves_skip_the_unread_end_derivative():
+    # a solve that keeps no nodes skips the non-FSAL derivative after its
+    # last step: interpolating's one-step rk4 costate intervals pay 4
+    # Jacobian pairs each, not 5, and backsolve's state-costate intervals
+    # (one RHS and one Jacobian pair per evaluation) pay 4 evaluations per
+    # step and nothing per interval; the forward pass with checkpoints
+    # keeps no nodes either
+    ent = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(method="rk4", dt=0.05)
+    work = {}
+    for method, checkpoints in (("continuous_interpolating", None),
+                                ("continuous_backsolve", 4)):
+        s = sk.gradient(ent.problem, ent.loss, method, cfg, checkpoints=checkpoints).stats
+        work[method] = (s.rhs_evaluations, s.jacobian_evaluations)
+    assert work == {"continuous_interpolating": (801, 1600), "continuous_backsolve": (1600, 1600)}
 
 
 @pytest.mark.parametrize("times", [(5.0, 10.0 + 5e-9), (-5e-9, 5.0)])

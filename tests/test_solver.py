@@ -26,13 +26,13 @@ def exp_rhs(u, p, t):
 
 
 def test_euler_step_exponential():
-    u1, _, _ = rk_step(EULER, exp_rhs, np.array([1.0]), np.zeros(1), 0.0, 0.1)
+    u1, _, _, _ = rk_step(EULER, exp_rhs, np.array([1.0]), np.zeros(1), 0.0, 0.1)
     assert u1[0] == pytest.approx(1.1, abs=1e-15)
 
 
 def test_rk4_step_exponential():
     # hand-evaluated classical stages: k=(1, 1.05, 1.0525, 1.10525)
-    u1, _, _ = rk_step(RK4, exp_rhs, np.array([1.0]), np.zeros(1), 0.0, 0.1)
+    u1, _, _, _ = rk_step(RK4, exp_rhs, np.array([1.0]), np.zeros(1), 0.0, 0.1)
     expect = 1 + 0.1 * (1 + 2 * 1.05 + 2 * 1.0525 + 1.10525) / 6
     assert u1[0] == pytest.approx(expect, abs=1e-15)
     assert u1[0] == pytest.approx(math.exp(0.1), abs=1e-7)
@@ -45,8 +45,25 @@ def test_time_quadrature_order_two(tableau):
         return np.array([t])
 
     h = 0.37
-    u1, _, _ = rk_step(tableau, rhs, np.array([0.0]), np.zeros(1), 0.0, h)
+    u1, _, _, _ = rk_step(tableau, rhs, np.array([0.0]), np.zeros(1), 0.0, h)
     assert u1[0] == pytest.approx(h * h / 2, rel=1e-14)
+
+
+def test_rk_step_raises_on_a_non_finite_stage_with_zero_weights():
+    # dopri5's stage 2 enters neither u_next (b_2 = 0) nor the embedded
+    # state (b_hat_2 = 0), but it feeds stage 3: the once-per-step check
+    # on both results still sees it
+    assert DOPRI5.b[1] == DOPRI5.b_hat[1] == 0.0
+    calls = []
+
+    def rhs(u, p, t):
+        calls.append(t)
+        return u * np.nan if len(calls) == 2 else u
+
+    with pytest.raises(NumericalBlowupError) as err:
+        rk_step(DOPRI5, rhs, np.array([1.0]), np.zeros(1), 2.0, 0.5)
+    assert (err.value.t, err.value.dt) == (2.0, 0.5)
+    assert calls[1] == 2.0 + 0.2 * 0.5
 
 
 def test_rk_step_blowup_carries_location():
