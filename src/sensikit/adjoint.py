@@ -9,10 +9,10 @@ stage: analytic when the problem supplies them, else one multidual
 right-hand side; no step runs again.  The continuous adjoint integrates
 the costate ODE
 
-    dlambda/dt = -(df/du)^T lambda - (dh/du)^T
+    dlambda/dt = -(df/du)^T lambda
 
 backwards from ``t1`` and assembles the gradient as
-``lambda(t0)^T s(t0) + integral of (dh/dtheta + lambda^T df/dtheta)``.
+``lambda(t0)^T s(t0) + integral of lambda^T df/dtheta``.
 Three realizations differ in how the forward state is made available on
 the reverse pass: re-solving it backwards alongside the costate
 (backsolve), Hermite dense output over stored or checkpoint-recomputed
@@ -20,12 +20,13 @@ forward steps (interpolating), and dense output plus a dense costate with
 the gradient integral evaluated by fixed-order Gauss-Legendre quadrature
 per step interval (quadrature).
 
-Pointwise losses enter the reverse pass as jumps: traversed in reverse,
-the costate is incremented at each observation time by the loss gradient
-at the state of the stop that time snapped to: the mesh node within
+The loss enters the reverse pass as jumps: traversed in reverse, the
+costate is incremented at each observation time by the loss gradient at
+the state of the stop that time snapped to: the mesh node within
 ``core.span_tol`` of it, as in every other method, or the time itself.
-This is the discrete-measure limit of the integrated-loss derivation and
-is cross-validated against the discrete adjoint.  The discrete,
+An integrated loss reaches the adjoints as the one observation ``q(t1)``
+of the running integral ``q' = h`` (``core.check_request``), so its
+``dh`` terms are rows of the extended Jacobians.  The discrete,
 interpolating and quadrature adjoints share one reverse sweep over the
 forward mesh split at the observation times.
 
@@ -50,9 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    IntegratedLoss,
     OdeProblem,
-    PointwiseLoss,
     SensitivityResult,
     Solution,
     SolverStats,
@@ -129,25 +128,15 @@ def _legendre_rule(order: int) -> tuple:
     return tuple(zip(nodes, weights))
 
 
-def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, loss):
+def adjoint_rhs(u, lam, theta, t, problem: OdeProblem):
     """Forward-time costate and gradient-integrand derivatives.
 
-    Returns ``dlambda/dt = -(df/du)^T lambda - (dh/du)^T`` and the
-    integrand ``dg = (dh/dtheta)^T + (df/dtheta)^T lambda``.  Pointwise
-    losses contribute no ``dh`` terms here; their observations enter as
-    jumps during the reverse traversal.
+    Returns ``dlambda/dt = -(df/du)^T lambda`` and the integrand
+    ``dg = (df/dtheta)^T lambda``.  The loss enters as jumps during the
+    reverse traversal.
     """
     J_u, J_theta, _ = jacobian_assembly(problem, u, theta, t)
-    return _costate_derivatives(J_u, J_theta, u, lam, theta, loss)
-
-
-def _costate_derivatives(J_u, J_theta, u, lam, theta, loss):
-    dlam = -(J_u.T @ lam)
-    dg = J_theta.T @ lam
-    if isinstance(loss, IntegratedLoss):
-        dlam = dlam - np.asarray(loss.dh_du(u, theta), dtype=float)
-        dg = dg + np.asarray(loss.dh_dtheta(u, theta), dtype=float)
-    return dlam, dg
+    return -(J_u.T @ lam), J_theta.T @ lam
 
 
 def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
@@ -203,8 +192,6 @@ def _observation_jumps(loss, problem):
     a cursor tells what is applied.  The losses sort their times and reject
     repeats, so a time's position is its loss index.
     """
-    if not isinstance(loss, PointwiseLoss):
-        return [], lambda lam, t, u_at: lam
     tol = span_tol(*problem.tspan)
     times = loss.times.tolist()
     cursor = len(times)  # times[cursor:] are applied
@@ -231,13 +218,8 @@ def _forward_pass(problem, config: AdjointConfig, theta):
     just that.
     """
     keep_all = config.checkpoints is None and config.variant != "backsolve"
-    fwd = replace(
-        config.solver_config,
-        save="all" if keep_all else "final",
-        saveat=None,
-        checkpoints=config.checkpoints,
-    )
-    return solve(problem, fwd, theta=theta)
+    fwd = replace(config.solver_config, save="all" if keep_all else "final", saveat=None)
+    return solve(problem, fwd, theta=theta, checkpoints=config.checkpoints)
 
 
 def _segments_reverse(problem, sol: Solution, theta, tableau):
@@ -398,9 +380,7 @@ def discrete_adjoint(
             "unsupported configuration: the discrete adjoint requires a "
             "reproducible fixed grid (euler or rk4 forward)"
         )
-    if not isinstance(loss, PointwiseLoss):
-        raise ValueError("the discrete adjoint expects a pointwise loss")
-    theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta)
     stats = SolverStats()
     problem = _counted(problem, stats)
     tableau = fwd.tableau
@@ -439,7 +419,7 @@ def continuous_adjoint(
     """Continuous-adjoint gradient in the configured realization."""
     if config.variant == "discrete":
         return discrete_adjoint(problem, loss, config, theta=theta)
-    theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta)
     stats = SolverStats()
     counted = _counted(problem, stats)
     if config.variant == "backsolve":
@@ -460,13 +440,8 @@ def _dense_reverse(problem, loss, config, theta, stats):
     step per interval and an adaptive one subdivides on its own estimate.
     """
     quadrature = config.variant == "quadrature"
-    rev = replace(
-        config.solver_config,
-        dt=math.inf,
-        save="all" if quadrature else "final",
-        saveat=None,
-        checkpoints=None,
-    )
+    save = "all" if quadrature else "final"
+    rev = replace(config.solver_config, dt=math.inf, save=save, saveat=None)
     order = config.quadrature_order
     n = problem.n
     g = np.zeros(theta.size)
@@ -477,7 +452,7 @@ def _dense_reverse(problem, loss, config, theta, stats):
 
         def rhs(y, th, t):
             u = dense_eval(seg, min(max(t, t_left), t_right))
-            dlam, dg = adjoint_rhs(u, y[:n], th, t, problem, loss)
+            dlam, dg = adjoint_rhs(u, y[:n], th, t, problem)
             return -dlam if quadrature else np.concatenate([-dlam, dg])
 
         y0 = lam if quadrature else np.concatenate([lam, g])
@@ -492,7 +467,7 @@ def _dense_reverse(problem, loss, config, theta, stats):
         def integrand(tq):
             u = dense_eval(seg, tq)
             lam_q = dense_eval(sub, min(max(t_right - tq, s_lo), s_hi))
-            _, dg = adjoint_rhs(u, lam_q, theta, tq, problem, loss)
+            _, dg = adjoint_rhs(u, lam_q, theta, tq, problem)
             return dg
 
         g = g + gauss_legendre(integrand, t_left, t_right, order)
@@ -554,16 +529,13 @@ def _backsolve(problem, loss, config, theta, stats):
         J_u, J_theta, f = jacobian_assembly(problem, uu, th, t)
         if f is None:
             f = problem.rhs(uu, th, t)
-        dlam, dg = _costate_derivatives(J_u, J_theta, uu, ll, th, loss)
-        return np.concatenate([-np.asarray(f, dtype=float), -dlam, dg])
+        return np.concatenate([-np.asarray(f, dtype=float), J_u.T @ ll, J_theta.T @ ll])
 
     # unstable reverse dynamics manifest as unbounded reverse work, not
     # always as a clean overflow; cap the reverse budget relative to the
     # forward cost so instability fails fast instead of grinding
     reverse_budget = min(rev.max_steps, max(10_000, 20 * sol.stats.accepted_steps))
-    rev_cfg = replace(
-        rev, save="final", saveat=None, checkpoints=None, max_steps=reverse_budget
-    )
+    rev_cfg = replace(rev, save="final", saveat=None, max_steps=reverse_budget)
     reconstruction_error = 0.0
     bound = min(MAX_RECONSTRUCTION_ERROR, 0.5 / rev.reltol)
 

@@ -3,7 +3,8 @@
 It also holds the one rule for placing a time on a trajectory, which the
 solver and the adjoints import: ``span_tol`` and ``match_node``; and the
 one check of a gradient request, ``check_request``, which every gradient
-method calls before any solve.
+method calls before any solve and which turns an integrated loss into a
+pointwise one on an extended problem.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+
+from .dual import asarray
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,32 @@ class OdeProblem:
         return self.u0_jacobian
 
 
+def _observations(times, values, weights, values_ok, values_error, vector_weights):
+    """Checked float times, values and weights of a pointwise loss, sorted by time.
+
+    ``values_ok(times, values)`` holds when there is one value per time.
+    Weights default to ones; a scalar applies to every time, and
+    ``vector_weights`` also admits one per-component vector per time.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not values_ok(times, values):
+        raise ValueError(values_error)
+    m = len(times)
+    weights = np.asarray(np.ones(m) if weights is None else weights, dtype=float)
+    if weights.ndim == 0 or not vector_weights:
+        weights = np.broadcast_to(weights, (m,)).astype(float)
+    elif weights.ndim not in (1, 2) or weights.shape[0] != m:
+        raise ValueError("one weight (scalar or per-component vector) per observation")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("observation times must be distinct")
+    return times, values[order], weights[order]
+
+
 class SquaredErrorLoss:
     """Pointwise weighted squared error ``1/2 sum_i w_i ||u(t_i) - obs_i||^2``.
 
@@ -80,27 +109,10 @@ class SquaredErrorLoss:
     """
 
     def __init__(self, times, targets, weights=None):
-        times = np.asarray(times, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if times.ndim != 1 or len(times) != len(targets):
-            raise ValueError("one target state per observation time")
-        m = len(times)
-        if weights is None:
-            weights = np.ones(m)
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim == 0:
-            weights = np.full(m, float(weights))
-        if weights.ndim not in (1, 2) or weights.shape[0] != m:
-            raise ValueError("one weight (scalar or per-component vector) per observation")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
-        # entry order is immaterial to the loss; keep times sorted internally
-        order = np.argsort(times, kind="stable")
-        self.times = times[order]
-        self.targets = targets[order]
-        self.weights = list(weights[order])
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("observation times must be distinct")
+        self.times, self.targets, weights = _observations(
+            times, targets, weights, lambda t, v: t.ndim == 1 and len(t) == len(v),
+            "one target state per observation time", vector_weights=True)
+        self.weights = list(weights)
 
     def value_at(self, u, i):
         r = u - self.targets[i]
@@ -118,21 +130,9 @@ class LinearStateLoss:
     """
 
     def __init__(self, times, coeffs, weights=None):
-        times = np.asarray(times, dtype=float)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 2 or len(coeffs) != len(times):
-            raise ValueError("one coefficient vector per observation time")
-        if weights is None:
-            weights = np.ones(len(times))
-        weights = np.broadcast_to(weights, (len(times),)).astype(float)
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
-        order = np.argsort(times, kind="stable")
-        self.times = times[order]
-        self.coeffs = coeffs[order]
-        self.weights = weights[order]
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("observation times must be distinct")
+        self.times, self.coeffs, self.weights = _observations(
+            times, coeffs, weights, lambda t, v: v.ndim == 2 and len(v) == len(t),
+            "one coefficient vector per observation time", vector_weights=False)
 
     def value_at(self, u, i):
         return self.weights[i] * np.sum(self.coeffs[i] * u)
@@ -143,9 +143,16 @@ class LinearStateLoss:
 
 @dataclass(frozen=True)
 class IntegratedLoss:
-    """Integrated loss ``\\int h(u(t), theta) dt`` with supplied partials."""
+    """Integrated loss ``\\int h(u(t), theta) dt`` with supplied partials.
 
-    h: Callable                 # (u, theta) -> real
+    ``h`` returns a scalar and, like ``OdeProblem.rhs``, must be generic
+    over the scalar kind.  A gradient request takes the integral as the
+    final value of an extra state ``q`` (see ``check_request``), so for it
+    ``lambda0``, ``sensitivity_trajectory`` and ``u0_recovered`` carry one
+    extra row, for ``q``.
+    """
+
+    h: Callable                 # (u, theta) -> scalar
     dh_du: Callable             # (u, theta) -> n-vector
     dh_dtheta: Callable         # (u, theta) -> p-vector
 
@@ -216,24 +223,62 @@ def span_tol(t0, t1) -> float:
     return 1e-9 * max(abs(t1 - t0), 1.0)
 
 
-def check_request(problem: OdeProblem, loss, theta=None) -> np.ndarray:
-    """The parameter vector of a gradient request, after checking the request.
+def check_request(problem: OdeProblem, loss, theta=None):
+    """The request ``(problem, loss, theta)`` a gradient method runs, once checked.
 
     ``theta`` defaults to ``problem.theta`` and must have shape ``(p,)``; the
-    loss must be pointwise or integrated, with observation times in the span
-    up to ``span_tol``.  Every gradient method calls this before any solve.
+    loss must be pointwise, with observation times in the span up to
+    ``span_tol``, or integrated.  A pointwise request comes back as given.
+    An integrated loss comes back as the pointwise loss ``q(t1)`` on
+    ``running_integral(problem, loss)``, so every method differentiates
+    observations only.  Every gradient method calls this before any solve.
     """
     theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
     if theta.shape != (problem.p,):
         raise ValueError(f"theta must have shape {(problem.p,)}, got {theta.shape}")
-    if isinstance(loss, PointwiseLoss):
-        t0, t1 = problem.tspan
-        tol = span_tol(t0, t1)
-        if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
-            raise ValueError(f"observation times fall outside the time span {problem.tspan}")
-    elif not isinstance(loss, IntegratedLoss):
+    if isinstance(loss, IntegratedLoss):
+        problem = running_integral(problem, loss)
+        return problem, LinearStateLoss([problem.tspan[1]], np.eye(problem.n)[-1:]), theta
+    if not isinstance(loss, PointwiseLoss):
         raise TypeError(f"unknown loss specification {type(loss).__name__}")
-    return theta
+    t0, t1 = problem.tspan
+    tol = span_tol(t0, t1)
+    if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
+        raise ValueError(f"observation times fall outside the time span {problem.tspan}")
+    return problem, loss, theta
+
+
+def running_integral(problem: OdeProblem, loss: IntegratedLoss) -> OdeProblem:
+    """The problem extended by a last state ``q' = h(u, theta)``, ``q(t0) = 0``.
+
+    Analytic Jacobians gain the rows ``dh/du`` and ``dh/dtheta`` (nothing
+    depends on ``q``); a missing one is assembled from the extended RHS.
+    """
+    n, p = problem.n, problem.p
+    rhs, jac_u, jac_theta = problem.rhs, problem.rhs_jac_u, problem.rhs_jac_theta
+
+    def extended_rhs(z, theta, t):
+        u = z[:n]
+        return np.concatenate([asarray(rhs(u, theta, t)), asarray([loss.h(u, theta)])])
+
+    def extended_jac_u(z, theta, t):
+        u = z[:n]
+        return np.pad(np.vstack([jac_u(u, theta, t), loss.dh_du(u, theta)]), ((0, 0), (0, 1)))
+
+    def extended_jac_theta(z, theta, t):
+        u = z[:n]
+        return np.vstack([jac_theta(u, theta, t), loss.dh_dtheta(u, theta)])
+
+    J0 = problem.u0_jacobian
+    return OdeProblem(
+        rhs=extended_rhs,
+        u0=np.append(problem.u0, 0.0),
+        tspan=problem.tspan,
+        theta=problem.theta,
+        u0_jacobian=None if J0 is None else np.vstack([J0, np.zeros(p)]),
+        rhs_jac_u=None if jac_u is None else extended_jac_u,
+        rhs_jac_theta=None if jac_theta is None else extended_jac_theta,
+    )
 
 
 def match_node(ts, t, idx, tol):
@@ -275,8 +320,9 @@ def loss_eval(sol: Solution, loss, theta=None):
 
     The result has the scalar kind of the trajectory (dual trajectories
     give a dual loss).  Integrated losses take the parameter vector as
-    ``theta`` and use the composite trapezoid over the saved nodes;
-    gradient-grade quadrature lives in the adjoint path.
+    ``theta``; their value is the composite trapezoid over the saved nodes
+    of this trajectory.  No gradient uses it: ``check_request`` turns an
+    integrated loss into a state of the solve.
     """
     if isinstance(loss, PointwiseLoss):
         total = 0.0

@@ -113,7 +113,7 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     loss evaluation run unchanged on either kind.  The request is checked
     when the map is built, before any solve.
     """
-    check_request(problem, loss)
+    problem, loss, _ = check_request(problem, loss)
     counter = SolverStats()
 
     def fn(theta):
@@ -139,7 +139,7 @@ def forwardad_gradient(
     tolerances shrink; the primal-only norm is kept to reproduce its known
     failure mode and is flagged in the result metadata.
     """
-    theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta)
     p = theta.size
     theta_d = dual.seed(theta)
     u0_d = dual.seed_state(problem.u0, problem.u0_jacobian, p)
@@ -184,7 +184,7 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
     """
     if method not in METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
-    theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta)
     if method in ("forward_fd", "centered_fd", "complex_step"):
         eps = default_epsilon(method, theta) if epsilon is None else epsilon
         fn = solver_loss_fn(problem, loss, config)
@@ -201,7 +201,7 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
     if method == "forward_ad":
         return forwardad_gradient(problem, loss, config, theta=theta)
     if method == "forward_ad_primal_only":
-        config = replace(config, norm_mode=PRIMAL_ONLY, saveat=getattr(loss, "times", None))
+        config = replace(config, norm_mode=PRIMAL_ONLY, saveat=loss.times)
         res = forwardad_gradient(problem, loss, config, theta=theta)
         res.method = method
         return res

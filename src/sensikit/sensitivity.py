@@ -14,15 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import dual
-from .core import (
-    OdeProblem,
-    PointwiseLoss,
-    SensitivityResult,
-    SolverStats,
-    _trapezoid,
-    check_request,
-    state_at,
-)
+from .core import OdeProblem, SensitivityResult, SolverStats, check_request, state_at
 from .solver import SolverConfig, solve
 
 
@@ -136,9 +128,9 @@ def forward_sensitivity(
 
     The returned result carries the sensitivity trajectory at the solve's
     save times alongside the assembled gradient
-    ``sum_i (dL/du)(t_i) s(t_i) + dL/dtheta``.
+    ``sum_i (dL/du)(t_i) s(t_i)``.
     """
-    theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta)
     n, p = problem.n, theta.size
     stats = SolverStats()
     aug = augmented_problem(_counted(problem, stats))
@@ -148,21 +140,10 @@ def forward_sensitivity(
     stats.rejected_steps = sol.stats.rejected_steps
 
     gradient = np.zeros(p)
-    if isinstance(loss, PointwiseLoss):
-        for i, t in enumerate(loss.times):
-            z = state_at(sol, t)
-            u, s = _unpack(z, n, p)
-            gradient = gradient + loss.grad_u_at(u, i) @ s
-    else:
-        # trapezoid of dh/du s + dh/dtheta over the saved nodes
-        vals = []
-        for z in sol.states:
-            u, s = _unpack(z, n, p)
-            vals.append(
-                np.asarray(loss.dh_du(u, theta), dtype=float) @ s
-                + np.asarray(loss.dh_dtheta(u, theta), dtype=float)
-            )
-        gradient = gradient + _trapezoid(vals, sol.times)
+    for i, t in enumerate(loss.times):
+        z = state_at(sol, t)
+        u, s = _unpack(z, n, p)
+        gradient = gradient + loss.grad_u_at(u, i) @ s
 
     traj = np.array([_unpack(z, n, p)[1] for z in sol.states])
     return SensitivityResult(

@@ -330,3 +330,52 @@ def test_solver_loss_fn_counts_evaluations():
     assert first > 0
     fn(THETA)
     assert fn.stats.rhs_evaluations == 2 * first
+
+
+# int_0^T u1^2 / 2 dt on harmonic, u1 = sin(theta t) / theta, differentiated
+# in theta in closed form (T = 10, theta = 0.2)
+INTEGRATED_REF = (-T1 / (2 * 0.2 ** 3) - T1 * math.cos(2 * 0.2 * T1) / (4 * 0.2 ** 3)
+                  + 3 * math.sin(2 * 0.2 * T1) / (8 * 0.2 ** 4))
+
+
+def half_u1_squared():
+    return sk.IntegratedLoss(
+        h=lambda u, th: 0.5 * u[0] * u[0],
+        dh_du=lambda u, th: np.array([u[0], 0.0]),
+        dh_dtheta=lambda u, th: np.zeros(1),
+    )
+
+
+@pytest.mark.parametrize("save", ["all", "final"])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_differentiates_an_integrated_loss_whatever_it_saves(method, save):
+    # the integral is a state of the solve, under the same error control as
+    # the trajectory, so no method depends on which nodes the config saves
+    assert INTEGRATED_REF == pytest.approx(-598.1119533179168, rel=1e-14)
+    ent = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8, save=save)
+    if method == "discrete_adjoint":
+        cfg = sk.SolverConfig(method="rk4", dt=0.01, save=save)
+    res = sk.gradient(ent.problem, half_u1_squared(), method, cfg)
+    rel = 1e-5 if method == "forward_fd" else 1e-6
+    assert res.gradient[0] == pytest.approx(INTEGRATED_REF, rel=rel)
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_discrete_adjoint_of_an_integrated_loss_is_exact_on_its_grid(analytic):
+    # the discrete adjoint differentiates the integral as its rk4 grid
+    # computes it, which forward AD on the same grid does too
+    ent = sk.make_predprey(0.95)
+    problem = ent.problem
+    if not analytic:
+        problem = dataclasses.replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
+    loss = sk.IntegratedLoss(
+        h=lambda u, th: u[0] * u[1],
+        dh_du=lambda u, th: np.array([u[1], u[0]]),
+        dh_dtheta=lambda u, th: np.zeros(1),
+    )
+    cfg = sk.SolverConfig(method="rk4", dt=0.01)
+    discrete = sk.gradient(problem, loss, "discrete_adjoint", cfg).gradient[0]
+    ad = sk.gradient(problem, loss, "forward_ad", cfg).gradient[0]
+    assert discrete == pytest.approx(ad, rel=1e-12)
+    assert discrete == pytest.approx(18.1695222432, rel=1e-9)

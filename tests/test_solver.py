@@ -351,8 +351,8 @@ def test_checkpoint_plan_endpoints():
 
 def test_checkpoint_store_snaps_to_nodes():
     ent = sk.make_harmonic(0.2)
-    cfg = sk.SolverConfig(abstol=1e-9, reltol=1e-9, save="final", checkpoints=4)
-    sol = sk.solve(ent.problem, cfg)
+    cfg = sk.SolverConfig(abstol=1e-9, reltol=1e-9, save="final")
+    sol = sk.solve(ent.problem, cfg, checkpoints=4)
     store = sol.checkpoints
     assert store.times[0] == 0.0
     assert store.times[-1] == 10.0
