@@ -15,16 +15,15 @@ from .core import (
     Solution,
     SolverStats,
     SquaredErrorLoss,
+    dense_eval,
     loss_eval,
 )
 from .dual import DualScalar, MultiDual
 from .solver import (
     JOINT_PRIMAL_DUAL,
     PRIMAL_ONLY,
-    CheckpointStore,
     SolverConfig,
     checkpoint_plan,
-    dense_eval,
     propose_dt,
     rk_step,
     scaled_error,
@@ -54,7 +53,6 @@ __all__ = [
     "AdjointConfig",
     "ButcherTableau",
     "CATALOG",
-    "CheckpointStore",
     "DOPRI5",
     "DualScalar",
     "EULER",

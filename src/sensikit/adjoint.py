@@ -56,6 +56,7 @@ from .core import (
     Solution,
     SolverStats,
     check_request,
+    dense_eval,
     match_node,
     span_tol,
 )
@@ -65,7 +66,7 @@ from .errors import (
     StepsizeUnderflowError,
 )
 from .sensitivity import _counted, jacobian_assembly
-from .solver import SolverConfig, dense_eval, rk_step, scaled_error, solve, stage_rows
+from .solver import SolverConfig, rk_step, scaled_error, solve, stage_rows
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 
@@ -263,7 +264,6 @@ def _segments_reverse(problem, sol: Solution, theta, tableau):
             node_times=ts,
             node_states=arr,
             node_derivs=np.array(derivs, dtype=float),
-            dense=True,
             stats=sol.stats,
             step_dts=step_dts,
             stage_tape=tape,

@@ -1,10 +1,11 @@
 """Problem, loss, and solution data model shared by all gradient methods.
 
 It also holds the one rule for placing a time on a trajectory, which the
-solver and the adjoints import: ``span_tol`` and ``match_node``; and the
-one check of a gradient request, ``check_request``, which every gradient
-method calls before any solve and which turns an integrated loss into a
-pointwise one on an extended problem.
+solver and the adjoints import: ``span_tol`` and ``match_node``; the one
+way to read a state off a solution, ``dense_eval``; and the one check of
+a gradient request, ``check_request``, which every gradient method calls
+before any solve and which turns an integrated loss into a pointwise one
+on an extended problem.  ``loss_eval`` values pointwise losses only.
 """
 
 from __future__ import annotations
@@ -181,10 +182,11 @@ class Solution:
     """Numerical trajectory plus the per-step data needed for dense output.
 
     ``times``/``states`` reflect the configured save policy.  ``node_*``
-    arrays hold the accepted integration mesh: states and derivatives are
-    retained only when the solve keeps dense data (``dense`` is then True),
-    node times are always kept.  A fixed-step solve that keeps its nodes
-    also keeps its stage tape: ``stage_tape[m]`` holds the stage inputs
+    arrays hold the accepted integration mesh: node times are always kept,
+    states and derivatives only when the solve keeps its mesh (else they
+    are None), and ``dense_eval`` reads a kept mesh by cubic Hermite
+    whatever the tableau.  A fixed-step solve that keeps its nodes also
+    keeps its stage tape: ``stage_tape[m]`` holds the stage inputs
     ``Y_2 .. Y_s`` of step ``m`` as one ``(s - 1, n)`` array (``Y_1`` is
     node ``m``), which the discrete adjoint transposes.
     """
@@ -194,7 +196,6 @@ class Solution:
     node_times: np.ndarray
     node_states: Optional[np.ndarray]
     node_derivs: Optional[np.ndarray]
-    dense: bool
     stats: SolverStats
     step_errors: list = field(default_factory=list)
     checkpoints: Optional[object] = None  # CheckpointStore when requested
@@ -292,52 +293,71 @@ def match_node(ts, t, idx, tol):
     return None
 
 
-def state_at(sol: Solution, t: float):
-    """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
+def saved_node(ts, t) -> int:
+    """Index of the node of sorted ``ts`` within ``span_tol`` of ``t``, else raise.
 
-    A dense solution goes to ``solver.dense_eval``.  Any other must have a
-    node within ``span_tol`` of ``t``: a step node, or a saved endpoint
-    when the solve kept no step nodes.
+    The lookup of a solve that keeps no mesh: its nodes are its endpoints.
     """
-    if sol.dense:
-        from .solver import dense_eval  # local import to avoid a cycle
-
-        return dense_eval(sol, t)
-    if sol.node_states is None:
-        ts, states = sol.times, sol.states
-    else:
-        ts, states = sol.node_times, sol.node_states
     j = match_node(ts, t, int(ts.searchsorted(t)), span_tol(ts[0], ts[-1]))
     if j is None:
         raise ValueError(
             f"time {t} is not a saved node and this solution has no dense output"
         )
-    return states[j]
+    return j
 
 
-def loss_eval(sol: Solution, loss, theta=None):
-    """Evaluate a loss specification on a computed trajectory.
+def dense_eval(sol: Solution, t: float):
+    """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
+
+    A kept mesh, whatever its tableau, gives cubic Hermite from the
+    bracketing step's endpoint states and derivatives; a time within
+    ``span_tol`` of a node returns that node's state bitwise, one within it
+    outside the mesh the end node's, and one further outside raises.  One
+    ``searchsorted`` serves the node match and the bracket.  A solution
+    that kept no mesh is read only at its endpoints (``saved_node``).
+    """
+    if sol.node_states is None:
+        return sol.states[saved_node(sol.times, t)]
+    ts = sol.node_times
+    tol = span_tol(ts[0], ts[-1])
+    if t < ts[0] - tol or t > ts[-1] + tol:
+        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
+    idx = int(ts.searchsorted(t))
+    node = match_node(ts, t, idx, tol)
+    if node is not None:
+        return sol.node_states[node]
+    j = min(max(idx - 1, 0), len(ts) - 2)
+    # Python floats: the same IEEE operations as on numpy scalars, without
+    # numpy's per-operation scalar overhead
+    ta, tb, t = float(ts[j]), float(ts[j + 1]), float(t)
+    h = tb - ta
+    s = (t - ta) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return (
+        h00 * sol.node_states[j]
+        + (h10 * h) * sol.node_derivs[j]
+        + h01 * sol.node_states[j + 1]
+        + (h11 * h) * sol.node_derivs[j + 1]
+    )
+
+
+def loss_eval(sol: Solution, loss):
+    """Value of a pointwise loss on a computed trajectory, read by ``dense_eval``.
 
     The result has the scalar kind of the trajectory (dual trajectories
-    give a dual loss).  Integrated losses take the parameter vector as
-    ``theta``; their value is the composite trapezoid over the saved nodes
-    of this trajectory.  No gradient uses it: ``check_request`` turns an
-    integrated loss into a state of the solve.
+    give a dual loss).  An integrated loss raises ``TypeError``: its value
+    is the last final-state component of the solved
+    ``running_integral(problem, loss)``, which every gradient differentiates.
     """
-    if isinstance(loss, PointwiseLoss):
-        total = 0.0
-        for i, t in enumerate(loss.times):
-            total = total + loss.value_at(state_at(sol, t), i)
-        return total
     if isinstance(loss, IntegratedLoss):
-        vals = [loss.h(u, theta) for u in sol.states]
-        return _trapezoid(vals, sol.times)
-    raise TypeError(f"unknown loss specification {type(loss).__name__}")
-
-
-def _trapezoid(vals, ts):
-    # generic over scalar kind, unlike numpy's trapezoid
+        raise TypeError("loss_eval reads pointwise losses only; an IntegratedLoss is "
+                        "the last final-state component of core.running_integral(problem, loss)")
+    if not isinstance(loss, PointwiseLoss):
+        raise TypeError(f"unknown loss specification {type(loss).__name__}")
     total = 0.0
-    for k in range(len(ts) - 1):
-        total = total + 0.5 * (ts[k + 1] - ts[k]) * (vals[k] + vals[k + 1])
+    for i, t in enumerate(loss.times):
+        total = total + loss.value_at(dense_eval(sol, t), i)
     return total

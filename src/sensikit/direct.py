@@ -20,7 +20,7 @@ from .adjoint import AdjointConfig, continuous_adjoint
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, loss_eval
 from .errors import NumericalBlowupError
 from .sensitivity import forward_sensitivity
-from .solver import PRIMAL_ONLY, SolverConfig, solve
+from .solver import PRIMAL_ONLY, SolverConfig, check_reads, solve
 
 METHODS = (
     "forward_fd",
@@ -110,10 +110,11 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     """Parameter-to-loss map through the solver, generic over scalar kind.
 
     Complex parameters lift the initial state to complex; the solver and
-    loss evaluation run unchanged on either kind.  The request is checked
-    when the map is built, before any solve.
+    loss evaluation run unchanged on either kind.  The request and its
+    reads are checked when the map is built, before any solve.
     """
     problem, loss, _ = check_request(problem, loss)
+    check_reads(problem, config, loss.times)
     counter = SolverStats()
 
     def fn(theta):
@@ -121,7 +122,7 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
         u0 = problem.u0.astype(complex) if np.iscomplexobj(theta) else None
         sol = solve(problem, config, theta=theta, u0=u0)
         counter.merge(sol.stats)
-        return loss_eval(sol, loss, theta=theta)
+        return loss_eval(sol, loss)
 
     fn.stats = counter
     return fn
@@ -140,12 +141,13 @@ def forwardad_gradient(
     failure mode and is flagged in the result metadata.
     """
     problem, loss, theta = check_request(problem, loss, theta)
+    check_reads(problem, config, loss.times)
     p = theta.size
     theta_d = dual.seed(theta)
     u0_d = dual.seed_state(problem.u0, problem.u0_jacobian, p)
 
     sol = solve(problem, config, theta=theta_d, u0=u0_d)
-    loss_d = loss_eval(sol, loss, theta=theta_d)
+    loss_d = loss_eval(sol, loss)
     # a copy: the loss dual's tangents may be shared with other duals
     gradient = np.array(dual.tangents(loss_d, p), dtype=float)
 

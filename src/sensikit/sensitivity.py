@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import dual
-from .core import OdeProblem, SensitivityResult, SolverStats, check_request, state_at
-from .solver import SolverConfig, solve
+from .core import OdeProblem, SensitivityResult, SolverStats, check_request, dense_eval
+from .solver import SolverConfig, check_reads, solve
 
 
 def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
@@ -131,6 +131,7 @@ def forward_sensitivity(
     ``sum_i (dL/du)(t_i) s(t_i)``.
     """
     problem, loss, theta = check_request(problem, loss, theta)
+    check_reads(problem, config, loss.times)
     n, p = problem.n, theta.size
     stats = SolverStats()
     aug = augmented_problem(_counted(problem, stats))
@@ -141,8 +142,7 @@ def forward_sensitivity(
 
     gradient = np.zeros(p)
     for i, t in enumerate(loss.times):
-        z = state_at(sol, t)
-        u, s = _unpack(z, n, p)
+        u, s = _unpack(dense_eval(sol, t), n, p)
         gradient = gradient + loss.grad_u_at(u, i) @ s
 
     traj = np.array([_unpack(z, n, p)[1] for z in sol.states])

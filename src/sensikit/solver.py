@@ -8,7 +8,9 @@ Adaptive runs use the embedded error estimate with a scaled norm and
 elementary stepsize control (safety 0.9, step ratio clamped to [0.2, 10];
 Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4); the norm can
 optionally cover the tangent coordinates of dual states so that
-sensitivity error is controlled alongside the primal error.
+sensitivity error is controlled alongside the primal error.  A kept mesh
+holds each node's state and derivative, which ``core.dense_eval`` reads by
+Hermite dense output whatever the tableau, ``saveat`` included.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import OdeProblem, Solution, SolverStats, match_node, span_tol, state_at
+from .core import OdeProblem, Solution, SolverStats, dense_eval, saved_node, span_tol
 from .dual import MultiDual, asarray, norm_coordinates
 from .errors import (
     NonConvergenceError,
@@ -197,6 +199,23 @@ def propose_dt(dt_prev, w, order: int) -> float:
     return min(max(0.9 * w ** (1.0 / order), 0.2), 10.0) * dt_prev
 
 
+def _keeps_mesh(config: SolverConfig) -> bool:
+    return config.save == "all" or config.saveat is not None
+
+
+def check_reads(problem: OdeProblem, config: SolverConfig, times) -> None:
+    """Raise before any solve what ``dense_eval`` at in-span ``times`` would after it.
+
+    A solve that keeps no mesh (``save="final"`` without ``saveat``) is read
+    only at its endpoints (``saved_node``); the forward gradient methods call
+    this after ``check_request``.
+    """
+    if not _keeps_mesh(config):
+        ends = np.asarray(problem.tspan, dtype=float)
+        for t in times:
+            saved_node(ends, t)
+
+
 def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
           checkpoints=None) -> Solution:
     """Integrate a problem over its time span under the given configuration.
@@ -232,7 +251,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
     dt = config.dt if config.dt is not None else 1e-3 * span
     dt = min(dt, span)
 
-    retain_nodes = config.save == "all" or config.saveat is not None
+    retain_nodes = _keeps_mesh(config)
     tape = [] if retain_nodes and not adaptive else None
     plan = None if checkpoints is None else checkpoint_plan(problem.tspan, checkpoints)
     store = None if checkpoints is None else CheckpointStore()
@@ -307,7 +326,6 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
         store.add(step_index, t1, u)
 
     node_times = np.asarray(node_times)
-    dense = retain_nodes
     if retain_nodes:
         node_state_arr = np.vstack(node_states)
         node_deriv_arr = np.vstack(node_derivs)
@@ -321,7 +339,6 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
         node_times=node_times,
         node_states=node_state_arr,
         node_derivs=node_deriv_arr,
-        dense=dense and tableau.is_embedded,
         stats=stats,
         step_errors=step_errors,
         checkpoints=store,
@@ -330,46 +347,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
     )
 
     if config.saveat is not None:
-        sol.states = np.vstack([state_at(sol, ti) for ti in config.saveat])
+        sol.states = np.vstack([dense_eval(sol, ti) for ti in config.saveat])
     elif config.save == "final":
         sol.times = np.array([t0, t1])
         sol.states = np.vstack([node_states[0], u])
     return sol
-
-
-def dense_eval(sol: Solution, t: float):
-    """Cubic-Hermite evaluation of the stored mesh at a time in its span.
-
-    Uses the bracketing step's endpoint states and derivatives.  The span
-    and node rule is ``core.span_tol`` of the mesh's own first and last
-    node: a time within it of a node returns that node's state bitwise,
-    one within it outside the mesh the end node's, and one further outside
-    raises.  The mesh is searched once per call: the one ``searchsorted``
-    index serves both the node match and the bracketing step.
-    """
-    if sol.node_states is None:
-        raise ValueError("this solution retained no dense data")
-    ts = sol.node_times
-    tol = span_tol(ts[0], ts[-1])
-    if t < ts[0] - tol or t > ts[-1] + tol:
-        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
-    idx = int(ts.searchsorted(t))
-    node = match_node(ts, t, idx, tol)
-    if node is not None:
-        return sol.node_states[node]
-    j = min(max(idx - 1, 0), len(ts) - 2)
-    # Python floats: the same IEEE operations as on numpy scalars, without
-    # numpy's per-operation scalar overhead
-    ta, tb, t = float(ts[j]), float(ts[j + 1]), float(t)
-    h = tb - ta
-    s = (t - ta) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return (
-        h00 * sol.node_states[j]
-        + (h10 * h) * sol.node_derivs[j]
-        + h01 * sol.node_states[j + 1]
-        + (h11 * h) * sol.node_derivs[j + 1]
-    )

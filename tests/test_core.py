@@ -9,6 +9,7 @@ from sensikit.core import (
     LinearStateLoss,
     SquaredErrorLoss,
     loss_eval,
+    running_integral,
 )
 
 
@@ -107,18 +108,22 @@ def test_linear_state_loss_selects_components(harmonic_solution):
     assert loss_eval(sol, loss) == pytest.approx(math.sin(2.0) / 0.2, rel=1e-9)
 
 
-def test_integrated_loss_trapezoid():
-    # du/dt = 0 from u0 = 2: integral of h = u1^2 over [0, 1] is exactly 4
+def test_loss_eval_refuses_an_integrated_loss_for_its_running_integral():
+    # du/dt = 0 from u0 = 2: integral of h = u1^2 over [0, 1] is exactly 4,
+    # the last final-state component of the running-integral problem
     prob = sk.OdeProblem(
         rhs=lambda u, p, t: np.zeros_like(u),
         u0=[2.0],
         tspan=(0.0, 1.0),
         theta=[0.0],
     )
-    sol = sk.solve(prob, sk.SolverConfig(method="rk4", dt=0.25))
+    cfg = sk.SolverConfig(method="rk4", dt=0.25)
     loss = IntegratedLoss(
         h=lambda u, th: float(u[0]) ** 2,
         dh_du=lambda u, th: 2 * u,
         dh_dtheta=lambda u, th: np.zeros(1),
     )
-    assert loss_eval(sol, loss) == pytest.approx(4.0, rel=1e-12)
+    with pytest.raises(TypeError, match=r"core\.running_integral"):
+        loss_eval(sk.solve(prob, cfg), loss)
+    q = sk.solve(running_integral(prob, loss), cfg).final_state()[-1]
+    assert q == pytest.approx(4.0, rel=1e-12)

@@ -280,6 +280,52 @@ def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
     assert len(raised) == 1, raised
 
 
+def test_every_method_but_the_discrete_adjoint_reads_between_fixed_steps():
+    # every kept mesh is read by Hermite dense output, whatever the tableau,
+    # so an observation between rk4 steps gets an answer from each method
+    # that reads the trajectory; the discrete adjoint differentiates the step
+    # map and needs its observations on the grid
+    ent = sk.make_predprey(0.95)
+    loss = sk.SquaredErrorLoss([5.005, 10.0], np.ones((2, 2)))
+    tight = sk.SolverConfig(abstol=1e-12, reltol=1e-12)
+    ref = sk.gradient(ent.problem, loss, "forward_sensitivity", tight).gradient[0]
+    assert ref == pytest.approx(-0.59871642, abs=1e-8)
+    rk4 = sk.SolverConfig(method="rk4", dt=0.01)
+    for method in METHODS:
+        if method == "discrete_adjoint":
+            with pytest.raises(ValueError, match="fixed grid"):
+                sk.gradient(ent.problem, loss, method, rk4)
+            continue
+        g = sk.gradient(ent.problem, loss, method, rk4).gradient[0]
+        assert g == pytest.approx(ref, rel=1e-4 if method == "forward_fd" else 1e-8), method
+
+
+def test_forward_methods_refuse_a_read_off_a_mesh_less_solve_before_any_work():
+    # save="final" keeps no mesh, so its solve is read only at t0 and t1:
+    # the forward methods say so before the solve; the adjoints choose their
+    # own storage and answer
+    ent = sk.make_harmonic(0.2)
+    calls = []
+    rhs = ent.problem.rhs
+
+    def counting_rhs(u, theta, t):
+        calls.append(t)
+        return rhs(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs=counting_rhs)
+    loss = sk.LinearStateLoss([5.0, 10.0], [[1.0, 0.0], [1.0, 0.0]])
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8, save="final")
+    for method in ("forward_fd", "centered_fd", "complex_step", "forward_ad",
+                   "forward_sensitivity"):
+        with pytest.raises(ValueError, match=r"^time 5\.0 is not a saved node"):
+            sk.gradient(problem, loss, method, cfg)
+        assert calls == [], method
+    ref = sk.gradient(problem, loss, "forward_sensitivity",
+                      dataclasses.replace(cfg, save="all")).gradient[0]
+    g = sk.gradient(problem, loss, "continuous_interpolating", cfg).gradient[0]
+    assert g == pytest.approx(ref, rel=1e-6)
+
+
 def test_v_shape_of_centered_fd_error():
     eps_grid = 10.0 ** np.linspace(-15, -1, 29)
     errs = np.array(

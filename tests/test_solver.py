@@ -268,11 +268,27 @@ def test_saveat_via_dense_output():
     assert sol.states[-1].tobytes() == sol.node_states[-1].tobytes()
 
 
-def test_saveat_fixed_grid_requires_alignment():
+def test_saveat_on_a_fixed_step_mesh_reads_dense_output():
+    # a fixed-step mesh is read like any kept mesh: Hermite between nodes,
+    # the node state itself on a node
     ent = sk.make_harmonic(0.2)
+    full = sk.solve(ent.problem, sk.SolverConfig(method="rk4", dt=0.5))
     cfg = sk.SolverConfig(method="rk4", dt=0.5, saveat=np.array([0.0, 0.25, 10.0]))
-    with pytest.raises(ValueError):
-        sk.solve(ent.problem, cfg)
+    sol = sk.solve(ent.problem, cfg)
+    assert sol.states[1].tobytes() == sk.dense_eval(full, 0.25).tobytes()
+    assert 0.25 not in full.node_times
+    assert sol.states[0].tobytes() == full.node_states[0].tobytes()
+    assert sol.states[2].tobytes() == full.node_states[-1].tobytes()
+
+
+def test_dense_eval_reads_a_mesh_less_solve_only_at_its_endpoints():
+    ent = sk.make_harmonic(0.2)
+    sol = sk.solve(ent.problem, sk.SolverConfig(method="rk4", dt=0.5, save="final"))
+    assert sol.node_states is None
+    assert sk.dense_eval(sol, 10.0).tobytes() == sol.states[-1].tobytes()
+    assert sk.dense_eval(sol, 0.0).tobytes() == sol.states[0].tobytes()
+    with pytest.raises(ValueError, match=r"^time 5\.0 is not a saved node"):
+        sk.dense_eval(sol, 5.0)
 
 
 def test_dense_eval_exact_at_nodes():
