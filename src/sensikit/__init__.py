@@ -23,7 +23,6 @@ from .solver import (
     JOINT_PRIMAL_DUAL,
     PRIMAL_ONLY,
     SolverConfig,
-    checkpoint_plan,
     propose_dt,
     rk_step,
     scaled_error,
@@ -36,13 +35,11 @@ from .direct import (
     forwardad_gradient,
     gradient,
 )
-from .sensitivity import forward_sensitivity, jacobian_assembly, sensitivity_rhs
+from .sensitivity import forward_sensitivity, jacobian_assembly
 from .adjoint import (
     AdjointConfig,
-    adjoint_rhs,
     continuous_adjoint,
     discrete_adjoint,
-    gauss_legendre,
     step_vjp,
 )
 from .problems import CATALOG, make_harmonic, make_heat1d, make_predprey, make_problem
@@ -68,8 +65,6 @@ __all__ = [
     "SolverConfig",
     "SolverStats",
     "SquaredErrorLoss",
-    "adjoint_rhs",
-    "checkpoint_plan",
     "complexstep_gradient",
     "continuous_adjoint",
     "dense_eval",
@@ -77,7 +72,6 @@ __all__ = [
     "fd_gradient",
     "forward_sensitivity",
     "forwardad_gradient",
-    "gauss_legendre",
     "gradient",
     "jacobian_assembly",
     "loss_eval",
@@ -88,7 +82,6 @@ __all__ = [
     "propose_dt",
     "rk_step",
     "scaled_error",
-    "sensitivity_rhs",
     "solve",
     "step_vjp",
 ]

@@ -30,14 +30,14 @@ of the running integral ``q' = h`` (``core.check_request``), so its
 interpolating and quadrature adjoints share one reverse sweep over the
 forward mesh split at the observation times.
 
-Reverse integration always runs the stepper over a forward-oriented
-clock on the reversed vector field, one interval at a time, through one
-interval integrator shared by the three continuous adjoints; checkpoint
-segments replay the recorded forward stepsizes from their snapshots,
-which reproduces the original trajectory and its stage inputs bitwise.
-As the stops do not depend on the segment bounds either, the sweep's
-gradients are independent of the checkpoint count, for losses non-linear
-in the state too.
+Reverse integration runs ``solve``'s own loop, ``solver._march``, on the
+reversed field over a forward-oriented clock, one interval at a time with
+no set-up.  An interval lies in one forward step, which ``dense_eval``
+reads without a mesh search, in one array lookup for quadrature's Gauss
+nodes.  Checkpoint segments rerun the recorded forward steps from their
+snapshots, reproducing the trajectory (and the discrete adjoint's stage
+inputs) bitwise.  As the stops do not depend on the segment bounds either,
+the gradients are independent of the checkpoint count, for non-linear losses too.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .errors import (
     StepsizeUnderflowError,
 )
 from .sensitivity import _counted, jacobian_assembly
-from .solver import SolverConfig, rk_step, scaled_error, solve, stage_rows
+from .solver import SolverConfig, _fixed_mesh, _march, scaled_error, solve
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 
@@ -114,19 +114,21 @@ def gauss_legendre(fn, a, b, order: int):
         raise ValueError("need a < b")
     if order < 2:
         raise ValueError("order must be at least 2")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
     total = 0.0
-    for x, w in _legendre_rule(order):
-        total = total + (half * w) * np.asarray(fn(mid + half * x))
+    for t, w in zip(*_gauss_rule(a, b, order)):
+        total = total + w * np.asarray(fn(t))
     return total
 
 
-@lru_cache(maxsize=8)
-def _legendre_rule(order: int) -> tuple:
-    """``(node, weight)`` pairs of the order-``order`` rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return tuple(zip(nodes, weights))
+def _gauss_rule(a, b, order: int):
+    """Nodes and weights of the order-``order`` Gauss-Legendre rule on [a, b]."""
+    nodes, weights = _legendre_rule(order)
+    half = 0.5 * (b - a)
+    return 0.5 * (a + b) + half * nodes, half * weights
+
+
+# the rule on [-1, 1] by order; the last few orders used stay cached
+_legendre_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 
 def adjoint_rhs(u, lam, theta, t, problem: OdeProblem):
@@ -220,18 +222,19 @@ def _forward_pass(problem, config: AdjointConfig, theta):
     """
     keep_all = config.checkpoints is None and config.variant != "backsolve"
     fwd = replace(config.solver_config, save="all" if keep_all else "final", saveat=None)
-    return solve(problem, fwd, theta=theta, checkpoints=config.checkpoints)
+    return solve(problem, fwd, theta=theta, checkpoints=config.checkpoints,
+                 _tape=config.variant == "discrete")
 
 
-def _segments_reverse(problem, sol: Solution, theta, tableau):
+def _segments_reverse(problem, sol: Solution, theta, tableau, tape=False):
     """Yield ``(seg, times, states)`` per mesh segment, right to left.
 
-    ``seg`` is a dense ``Solution`` carrying its own ``step_dts`` and, for
-    a fixed-step tableau, its stage tape; ``times`` and ``states`` are its
-    node times and states (the benchmark tracer counts the latter).  Full
-    storage yields ``sol`` itself.  Checkpointed runs replay the recorded
-    stepsizes from each snapshot, reproducing the stored-trajectory states
-    and stage inputs bitwise, and record the segment's tape as they go.
+    ``seg`` is a dense ``Solution`` carrying its own ``step_dts`` and, with
+    ``tape``, its stage tape; ``times`` and ``states`` are its node times
+    and states (the benchmark tracer counts the latter).  Full storage
+    yields ``sol`` itself.  Checkpointed runs replay the recorded steps
+    from each snapshot, reproducing the stored-trajectory states and stage
+    inputs bitwise, and record the segment's tape as they go.
     """
     if sol.node_states is not None:
         yield sol, sol.node_times, sol.node_states
@@ -242,33 +245,11 @@ def _segments_reverse(problem, sol: Solution, theta, tableau):
     for k in range(len(store) - 1, 0, -1):
         i_a, i_b = store.node_indices[k - 1], store.node_indices[k]
         ts = sol.node_times[i_a : i_b + 1]
-        step_dts = sol.step_dts[i_a:i_b]
-        states = [np.asarray(store.states[k - 1], dtype=float)]
-        u = states[0]
-        f = np.asarray(problem.rhs(u, theta, ts[0]))
-        derivs = [f]
-        tape = None if tableau.is_embedded else []
-        for m, dt in enumerate(step_dts):
-            # the recorded stepsize, not the node-time difference, keeps the
-            # replay bitwise identical to the original trajectory
-            u, _, kst, stages = rk_step(tableau, problem.rhs, u, theta, ts[m], dt, f0=f)
-            f = kst[-1] if tableau.fsal else np.asarray(problem.rhs(u, theta, ts[m + 1]))
-            states.append(u)
-            derivs.append(f)
-            if tape is not None:
-                tape.append(stage_rows(stages))
-        arr = np.array(states, dtype=float)
-        seg = Solution(
-            times=ts,
-            states=arr,
-            node_times=ts,
-            node_states=arr,
-            node_derivs=np.array(derivs, dtype=float),
-            stats=sol.stats,
-            step_dts=step_dts,
-            stage_tape=tape,
-        )
-        yield seg, ts, arr
+        # the recorded stepsizes, not the node-time differences, keep the
+        # replay bitwise; its steps were counted when they were recorded
+        seg = _march(problem.rhs, store.states[k - 1], theta, ts[0], ts[-1], tableau,
+                     SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep="all", tape=tape)
+        yield seg, seg.node_times, seg.node_states
 
 
 def _reverse_intervals(ts, obs_times, tol):
@@ -324,7 +305,8 @@ def _reverse_sweep(problem, loss, config, theta, stats, step):
 
     lam = np.zeros(problem.n)
     peak = 0
-    for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau):
+    tape = config.variant == "discrete"
+    for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau, tape):
         tape_rows = 0 if seg.stage_tape is None else (tableau.stages - 1) * len(seg.stage_tape)
         peak = max(peak, len(ts) + tape_rows + ckpt)
         u_at = partial(dense_eval, seg)
@@ -335,24 +317,16 @@ def _reverse_sweep(problem, loss, config, theta, stats, step):
     return lam, peak
 
 
-def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats):
+def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, keep=None):
     """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left``.
 
     ``rhs(y, theta, t)`` is the reversed field ``dy/dsigma`` at time ``t``
     on the forward clock ``sigma = t_right - t``, so the stepper never sees
-    a negative stepsize.  Adds the solve's steps to ``stats`` and returns
-    its sub-solution over ``sigma``.
+    a negative stepsize.  Adds the steps to ``stats`` and returns the end
+    state, or with ``keep="all"`` the dense sub-solution over ``sigma``.
     """
-    sub_problem = OdeProblem(
-        rhs=lambda z, th, sigma: rhs(z, th, t_right - sigma),
-        u0=y,
-        tspan=(0.0, t_right - t_left),
-        theta=theta,
-    )
-    sub = solve(sub_problem, cfg, theta=theta)
-    stats.accepted_steps += sub.stats.accepted_steps
-    stats.rejected_steps += sub.stats.rejected_steps
-    return sub
+    return _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta,
+                  0.0, t_right - t_left, cfg.tableau, stats, cfg, keep=keep)
 
 
 # ---------------------------------------------------------------------
@@ -381,6 +355,10 @@ def discrete_adjoint(
             "reproducible fixed grid (euler or rk4 forward)"
         )
     problem, loss, theta = check_request(problem, loss, theta)
+    mesh, tol = _fixed_mesh(*problem.tspan, fwd.dt, fwd.max_steps)[0], span_tol(*problem.tspan)
+    for t in reversed(loss.times.tolist()):
+        if match_node(mesh, t, bisect_left(mesh, t), tol) is None:
+            raise ValueError(f"observation time {t} does not sit on the fixed grid")
     stats = SolverStats()
     problem = _counted(problem, stats)
     tableau = fwd.tableau
@@ -388,12 +366,9 @@ def discrete_adjoint(
 
     def step(seg, m, t_left, t_right, lam):
         nonlocal gradient
-        t = seg.node_times[m]
-        if t_left != t:
-            # an off-grid observation split the step
-            raise ValueError(f"observation time {t_left} does not sit on the fixed grid")
         stages = [seg.node_states[m], *seg.stage_tape[m]]
-        lam, contrib = step_vjp(problem, tableau, stages, theta, t, seg.step_dts[m], lam)
+        t, dt = seg.node_times[m], seg.step_dts[m]
+        lam, contrib = step_vjp(problem, tableau, stages, theta, t, dt, lam)
         gradient = gradient + contrib
         return lam
 
@@ -430,18 +405,17 @@ def continuous_adjoint(
 def _dense_reverse(problem, loss, config, theta, stats):
     """Interpolating and quadrature variants share this reverse sweep.
 
-    Quadrature adds each interval's Gauss-Legendre term right after its
-    costate solve, so it holds one dense costate sub-solution at a time;
-    interpolating integrates the gradient alongside the costate and reads
-    only the final state of each sub-solve, so its sub-solves keep no nodes
-    (and, on a fixed-step method, skip the last end derivative).  With
-    ``dt=inf`` the reverse solve's first attempt spans the whole interval
-    (``solve`` clips ``dt`` to the span), so a fixed-grid method takes one
-    step per interval and an adaptive one subdivides on its own estimate.
+    Quadrature adds each interval's Gauss-Legendre term of ``J_theta^T
+    lambda`` after its costate solve, holding one costate sub-solution at a
+    time; interpolating integrates the gradient with the costate and keeps
+    only each interval's end state (on a fixed-step method, it skips the
+    last end derivative).  With ``dt=inf`` the first attempt spans the whole
+    interval (the marching loop clips ``dt`` to the span), so a fixed-grid
+    method takes one step per interval and an adaptive one subdivides on
+    its own estimate.
     """
     quadrature = config.variant == "quadrature"
-    save = "all" if quadrature else "final"
-    rev = replace(config.solver_config, dt=math.inf, save=save, saveat=None)
+    rev = replace(config.solver_config, dt=math.inf)
     order = config.quadrature_order
     n = problem.n
     g = np.zeros(theta.size)
@@ -451,27 +425,29 @@ def _dense_reverse(problem, loss, config, theta, stats):
         nonlocal g, lambda_nodes
 
         def rhs(y, th, t):
-            u = dense_eval(seg, min(max(t, t_left), t_right))
+            u = dense_eval(seg, min(max(t, t_left), t_right), m)
             dlam, dg = adjoint_rhs(u, y[:n], th, t, problem)
             return -dlam if quadrature else np.concatenate([-dlam, dg])
 
-        y0 = lam if quadrature else np.concatenate([lam, g])
-        sub = _integrate_costate_interval(rhs, y0, t_left, t_right, theta, rev, stats)
-        y = sub.final_state()
         if not quadrature:
+            y = np.concatenate([lam, g])
+            y = _integrate_costate_interval(rhs, y, t_left, t_right, theta, rev, stats)
             g = y[n:]
             return y[:n]
+        sub = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats, "all")
         lambda_nodes = max(lambda_nodes, len(sub.node_times))
-        s_lo, s_hi = sub.node_times[0], sub.node_times[-1]
+        # forward state and costate at the rule's nodes, one lookup each;
+        # gauss_legendre evaluates the integrand at these same times
+        tq = _gauss_rule(t_left, t_right, order)[0]
+        sigma = np.clip(t_right - tq, sub.node_times[0], sub.node_times[-1])
+        rows = dict(zip(tq.tolist(), zip(dense_eval(seg, tq, m), dense_eval(sub, sigma))))
 
-        def integrand(tq):
-            u = dense_eval(seg, tq)
-            lam_q = dense_eval(sub, min(max(t_right - tq, s_lo), s_hi))
-            _, dg = adjoint_rhs(u, lam_q, theta, tq, problem)
-            return dg
+        def integrand(t):
+            u, lam_q = rows[t]
+            return jacobian_assembly(problem, u, theta, t)[1].T @ lam_q
 
         g = g + gauss_legendre(integrand, t_left, t_right, order)
-        return y
+        return sub.node_states[-1]
 
     lam, peak = _reverse_sweep(problem, loss, config, theta, stats, step)
     gradient = g + problem.initial_state_jacobian().T @ lam
@@ -535,7 +511,7 @@ def _backsolve(problem, loss, config, theta, stats):
     # always as a clean overflow; cap the reverse budget relative to the
     # forward cost so instability fails fast instead of grinding
     reverse_budget = min(rev.max_steps, max(10_000, 20 * sol.stats.accepted_steps))
-    rev_cfg = replace(rev, save="final", saveat=None, max_steps=reverse_budget)
+    rev_cfg = replace(rev, max_steps=reverse_budget)
     reconstruction_error = 0.0
     bound = min(MAX_RECONSTRUCTION_ERROR, 0.5 / rev.reltol)
 
@@ -558,7 +534,7 @@ def _backsolve(problem, loss, config, theta, stats):
             u = resets[t_hi]
         z0 = np.concatenate([u, lam, g])
         try:
-            sub = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev_cfg, stats)
+            z = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev_cfg, stats)
         except (NumericalBlowupError, StepsizeUnderflowError, NonConvergenceError) as err:
             raise NumericalBlowupError(
                 "backsolve reverse integration blew up (the reversed state "
@@ -567,7 +543,6 @@ def _backsolve(problem, loss, config, theta, stats):
                 t=getattr(err, "t", None),
                 dt=getattr(err, "dt", None),
             ) from err
-        z = sub.final_state()
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 
     check_reconstruction(u, problem.u0, t0)

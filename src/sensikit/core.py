@@ -185,10 +185,9 @@ class Solution:
     arrays hold the accepted integration mesh: node times are always kept,
     states and derivatives only when the solve keeps its mesh (else they
     are None), and ``dense_eval`` reads a kept mesh by cubic Hermite
-    whatever the tableau.  A fixed-step solve that keeps its nodes also
-    keeps its stage tape: ``stage_tape[m]`` holds the stage inputs
-    ``Y_2 .. Y_s`` of step ``m`` as one ``(s - 1, n)`` array (``Y_1`` is
-    node ``m``), which the discrete adjoint transposes.
+    whatever the tableau.  The discrete adjoint's solves keep their stage
+    tape: ``stage_tape[m]`` holds the stage inputs ``Y_2 .. Y_s`` of step
+    ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node ``m``).
     """
 
     times: np.ndarray
@@ -306,41 +305,61 @@ def saved_node(ts, t) -> int:
     return j
 
 
-def dense_eval(sol: Solution, t: float):
+def dense_eval(sol: Solution, t, step=None):
     """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
 
     A kept mesh, whatever its tableau, gives cubic Hermite from the
     bracketing step's endpoint states and derivatives; a time within
     ``span_tol`` of a node returns that node's state bitwise, one within it
     outside the mesh the end node's, and one further outside raises.  One
-    ``searchsorted`` serves the node match and the bracket.  A solution
-    that kept no mesh is read only at its endpoints (``saved_node``).
+    ``searchsorted`` finds the bracket; ``step``, a step ``m`` known to
+    hold ``t``, spares it.  A 1-D array ``t`` on a float mesh gives a row
+    per time, with the bits of one call per time.  A solution that kept no
+    mesh is read only at its endpoints.
     """
     if sol.node_states is None:
         return sol.states[saved_node(sol.times, t)]
     ts = sol.node_times
     tol = span_tol(ts[0], ts[-1])
-    if t < ts[0] - tol or t > ts[-1] + tol:
-        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
-    idx = int(ts.searchsorted(t))
-    node = match_node(ts, t, idx, tol)
-    if node is not None:
-        return sol.node_states[node]
-    j = min(max(idx - 1, 0), len(ts) - 2)
+    if isinstance(t, np.ndarray) and t.ndim:
+        if len(ts) < 2:  # a solve that took no step: one node, no bracket
+            return np.array([dense_eval(sol, float(x)) for x in t])
+        if step is None and (t.min() < ts[0] - tol or t.max() > ts[-1] + tol):
+            raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
+        j = ts[1:-1].searchsorted(t) if step is None else step  # the scalar bracket
+        t = t[:, None]
+        ta, tb = ts[j, None], ts[j + 1, None]
+        s = (t - ta) / (tb - ta)
+        # float_power is C pow, as ``**`` on Python floats; numpy's ``** 2``
+        # squares, which differs in the last bit
+        rows = _hermite(sol, j, s, tb - ta, np.float_power(1 - s, 2))
+        # as on the scalar path, only these times can have a node within tol
+        for i in np.flatnonzero((t - ta <= tol) | (tb - t <= tol)):
+            rows[i] = dense_eval(sol, float(t[i, 0]), step)
+        return rows
+    if step is None:
+        if t < ts[0] - tol or t > ts[-1] + tol:
+            raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
+        step = min(max(int(ts.searchsorted(t)) - 1, 0), len(ts) - 2)
     # Python floats: the same IEEE operations as on numpy scalars, without
     # numpy's per-operation scalar overhead
-    ta, tb, t = float(ts[j]), float(ts[j + 1]), float(t)
-    h = tb - ta
-    s = (t - ta) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
+    ta, tb, t = float(ts[step]), float(ts[step + 1]), float(t)
+    if t - ta <= tol or tb - t <= tol:  # only then can a node be within tol
+        node = match_node(ts, t, int(ts.searchsorted(t)), tol)
+        if node is not None:
+            return sol.node_states[node]
+    s = (t - ta) / (tb - ta)
+    return _hermite(sol, step, s, tb - ta, (1 - s) ** 2)
+
+
+def _hermite(sol: Solution, j, s, h, q):
+    """Cubic Hermite on step ``j`` of length ``h`` at fraction ``s``; ``q = (1 - s)**2``."""
+    ss = s * s
     return (
-        h00 * sol.node_states[j]
-        + (h10 * h) * sol.node_derivs[j]
-        + h01 * sol.node_states[j + 1]
-        + (h11 * h) * sol.node_derivs[j + 1]
+        ((1 + 2 * s) * q) * sol.node_states[j]
+        + ((s * q) * h) * sol.node_derivs[j]
+        + (ss * (3 - 2 * s)) * sol.node_states[j + 1]
+        + ((ss * (s - 1)) * h) * sol.node_derivs[j + 1]
     )
 
 

@@ -11,12 +11,21 @@ optionally cover the tangent coordinates of dual states so that
 sensitivity error is controlled alongside the primal error.  A kept mesh
 holds each node's state and derivative, which ``core.dense_eval`` reads by
 Hermite dense output whatever the tableau, ``saveat`` included.
+
+One marching loop, ``_march``, takes every step: ``solve``'s, those of a
+checkpoint segment's replay and those of each reverse interval of the
+adjoints.  Its step source is the controller, a fixed ``dt`` (whose mesh,
+``_fixed_mesh``, is known before the first step) or the recorded steps of
+an earlier run; it keeps what its caller asks for: the end state only,
+the node times, or every node with its derivative and, for the discrete
+adjoint, the stage tape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -59,6 +68,8 @@ class SolverConfig:
             raise ValueError("max_steps must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.dt is None and not TABLEAUS[self.method].is_embedded:
+            raise ValueError(f"method {self.method!r} is fixed-step and needs dt")
         if self.norm_mode not in (PRIMAL_ONLY, JOINT_PRIMAL_DUAL):
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
         if self.save not in ("all", "final"):
@@ -151,18 +162,6 @@ def _weighted_sum(u, weights, k, dt):
     return out
 
 
-def stage_rows(stages):
-    """The stage inputs ``Y_2 .. Y_s`` of one step as one ``(s - 1, n)`` array.
-
-    This is a step's entry on a stage tape: ``Y_1`` is the step's start
-    node, which the tape's owner already holds.
-    """
-    rest = stages[1:]
-    if rest and isinstance(rest[0], MultiDual):
-        return np.vstack(rest)
-    return np.array(rest)
-
-
 def scaled_error(u, u_hat, abstol, reltol, norm_mode=JOINT_PRIMAL_DUAL) -> float:
     """Tolerance-scaled RMS difference between two state approximations.
 
@@ -217,138 +216,151 @@ def check_reads(problem: OdeProblem, config: SolverConfig, times) -> None:
 
 
 def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
-          checkpoints=None) -> Solution:
+          checkpoints=None, *, _tape=False) -> Solution:
     """Integrate a problem over its time span under the given configuration.
 
     ``theta``/``u0`` override the problem's nominal values, which is how
     the gradient drivers push complex or dual scalars through the solver.
     ``checkpoints`` asks for snapshots on accepted nodes near that many
     uniform spans (``checkpoint_plan``), kept in ``Solution.checkpoints``.
-    A fixed-step solve that keeps its nodes also keeps their stage tape
-    (``Solution.stage_tape``); one that keeps no nodes skips the end
-    derivative of its last step, which nothing reads.
+    A solve that keeps no nodes skips the end derivative of its last step,
+    which nothing reads.  ``_tape`` keeps the stage tape of a solve that
+    keeps its nodes, for the discrete adjoint.
     """
     t0, t1 = problem.tspan
-    span = t1 - t0
     theta = problem.theta if theta is None else asarray(theta)
     u = asarray(problem.u0 if u0 is None else u0)
-    rhs = problem.rhs
-    tableau = config.tableau
-    adaptive = config.adaptive
     stats = SolverStats()
 
     def eval_rhs(state, th, tt):
         stats.rhs_evaluations += 1
-        return rhs(state, th, tt)
+        return problem.rhs(state, th, tt)
 
     if config.saveat is not None:
         grid, tol = config.saveat, span_tol(t0, t1)
         if grid[0] < t0 - tol or grid[-1] > t1 + tol:
             raise ValueError("saveat grid extends outside the time span")
-
-    if not adaptive and config.dt is None:
-        raise ValueError(f"method {config.method!r} is fixed-step and needs dt")
-    dt = config.dt if config.dt is not None else 1e-3 * span
-    dt = min(dt, span)
-
-    retain_nodes = _keeps_mesh(config)
-    tape = [] if retain_nodes and not adaptive else None
     plan = None if checkpoints is None else checkpoint_plan(problem.tspan, checkpoints)
-    store = None if checkpoints is None else CheckpointStore()
+    sol = _march(eval_rhs, u, theta, t0, t1, config.tableau, stats, config, tape=_tape,
+                 plan=plan, keep="all" if _keeps_mesh(config) else "final")
+    if config.saveat is not None:
+        sol.times = config.saveat
+        sol.states = np.vstack([dense_eval(sol, ti) for ti in config.saveat])
+    return sol
 
-    f_curr = asarray(eval_rhs(u, theta, t0))
-    node_times = [t0]
-    node_states = [u]
-    node_derivs = [f_curr]
-    step_errors = []
-    step_dts = []
 
-    if store is not None:
-        store.add(0, t0, u)
-        next_target = 1  # plan[0] is t0, already stored
+def _attempt(t, t1, end, dt, attempts, max_steps):
+    """The step tried from ``t``, ``(stepsize, end time, is_last)``: ``t + dt``,
+    clipped to ``t1`` from ``end`` on.  Raises past ``max_steps`` attempts or
+    on a ``dt`` too small to move ``t``."""
+    if attempts >= max_steps:
+        raise NonConvergenceError(f"exceeded {max_steps} step attempts at t={t!r}")
+    if dt < 1e3 * _EPS * max(abs(t), abs(t1)):
+        raise StepsizeUnderflowError(f"stepsize underflow: dt={dt!r} at t={t!r}")
+    is_last = t + dt >= end
+    return (t1 - t, t1, True) if is_last else (dt, t + dt, False)
 
-    t = t0
-    attempts = 0
-    step_index = 0
+
+@lru_cache(maxsize=1)
+def _fixed_mesh(t, t1, dt, max_steps):
+    """Node times and stepsizes of a fixed-step run, known before any step.
+
+    The last one stays cached: the discrete adjoint checks its observations
+    against it, then its forward solve, and the next request's, steps it."""
+    span = t1 - t
+    end, dt = t1 - 1e-12 * max(abs(span), 1.0), min(dt, span)
+    times, dts = [t], []
+    while t < end:
+        dt_step, t, _ = _attempt(t, t1, end, dt, len(dts), max_steps)
+        times.append(t)
+        dts.append(dt_step)
+    return tuple(times), tuple(dts)
+
+
+def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, tape=False, plan=None):
+    """Step ``u`` from ``t`` to ``t1``: the one stepping loop of every integration.
+
+    ``steps`` is a ``SolverConfig``, whose controller (embedded tableau) or
+    ``_fixed_mesh`` picks the steps, or the ``(node_times, step_dts)`` of a
+    recorded run, taken again bitwise.  ``stats`` gains the accepted and
+    rejected steps.  ``keep`` None returns the end state; ``"final"`` a
+    ``Solution`` of the node times and stepsizes and the end states;
+    ``"all"`` one of every node's state and derivative, with the stage tape
+    when ``tape``.  Unless it keeps every node, a non-FSAL tableau skips the
+    last step's end derivative.  ``plan`` holds the checkpoint snapshot
+    times.
+    """
+    span = t1 - t
     tiny = 1e-12 * max(abs(span), 1.0)
+    control = isinstance(steps, SolverConfig) and steps.adaptive
+    if control:
+        cfg, end = steps, t1 - tiny
+        dt = min(cfg.dt if cfg.dt is not None else 1e-3 * span, span)
+    else:
+        mesh, dts = (_fixed_mesh(t, t1, steps.dt, steps.max_steps)
+                     if isinstance(steps, SolverConfig) else steps)
+        end = mesh[-1]
+    nodes = keep == "all"
+    f = asarray(rhs(u, theta, t))
+    times, states, derivs, step_dts, errors = [t], [u], [f], [], []
+    taped = [] if tape and nodes else None
+    store = None if plan is None else CheckpointStore([t], [u], [0])
+    next_target = 1  # plan[0] is t0, already stored
+    attempts = m = 0
+    while t < end:
+        if control:
+            dt_step, t_new, is_last = _attempt(t, t1, end, dt, attempts, cfg.max_steps)
+            attempts += 1
+        else:
+            dt_step, t_new, is_last = dts[m], mesh[m + 1], m + 1 == len(dts)
+        u_next, u_emb, k, stages = rk_step(tableau, rhs, u, theta, t, dt_step, f0=f)
 
-    while t < t1 - tiny:
-        if attempts >= config.max_steps:
-            raise NonConvergenceError(
-                f"exceeded {config.max_steps} step attempts at t={t!r}"
-            )
-        if dt < 1e3 * _EPS * max(abs(t), abs(t1)):
-            raise StepsizeUnderflowError(f"stepsize underflow: dt={dt!r} at t={t!r}")
-        is_last = t + dt >= t1 - tiny
-        dt_attempt = t1 - t if is_last else dt
-        attempts += 1
-        u_next, u_emb, k, stages = rk_step(
-            tableau, eval_rhs, u, theta, t, dt_attempt, f0=f_curr
-        )
-
-        if adaptive:
-            err = scaled_error(u_next, u_emb, config.abstol, config.reltol, config.norm_mode)
+        if control:
+            err = scaled_error(u_next, u_emb, cfg.abstol, cfg.reltol, cfg.norm_mode)
             if not (err <= 1.0):
                 stats.rejected_steps += 1
                 if err > 1.0:
-                    dt = propose_dt(dt_attempt, 1.0 / err, tableau.order)
+                    dt = propose_dt(dt_step, 1.0 / err, tableau.order)
                 else:  # a NaN error
-                    dt = 0.5 * dt_attempt
+                    dt = 0.5 * dt_step
                 continue
-            step_errors.append(err)
-            dt = propose_dt(dt_attempt, (1.0 / err) if err > 0 else math.inf, tableau.order)
-        t_new = t1 if is_last else t + dt_attempt
+            errors.append(err)
+            dt = propose_dt(dt_step, (1.0 / err) if err > 0 else math.inf, tableau.order)
         if tableau.fsal:
-            f_next = k[-1]
-        elif is_last and not retain_nodes:
-            f_next = None  # no node keeps it and no step follows
+            f = k[-1]
+        elif is_last and not nodes:
+            f = None  # no node keeps it and no step follows
         else:
-            f_next = asarray(eval_rhs(u_next, theta, t_new))
+            f = asarray(rhs(u_next, theta, t_new))
+        m += 1
         stats.accepted_steps += 1
-        step_index += 1
-        step_dts.append(dt_attempt)
+        if control:
+            times.append(t_new)
+            step_dts.append(dt_step)
+        if nodes:
+            states.append(u_next)
+            derivs.append(f)
+            if taped is not None:
+                taped.append(np.array(stages[1:]))  # Y_1 is node m
+        if store is not None and next_target < len(plan) and t_new >= plan[next_target] - tiny:
+            store.add(m, t_new, u_next)
+            while next_target < len(plan) and plan[next_target] <= t_new + tiny:
+                next_target += 1
+        u, t = u_next, t_new
 
-        node_times.append(t_new)
-        if retain_nodes:
-            node_states.append(u_next)
-            node_derivs.append(f_next)
-            if tape is not None:
-                tape.append(stage_rows(stages))
-        if store is not None and next_target < len(plan):
-            if t_new >= plan[next_target] - tiny:
-                store.add(step_index, t_new, u_next)
-                while next_target < len(plan) and plan[next_target] <= t_new + tiny:
-                    next_target += 1
-
-        u, f_curr, t = u_next, f_next, t_new
-
+    if keep is None:
+        return u
     if store is not None and store.times[-1] < t1 - tiny:
-        store.add(step_index, t1, u)
-
-    node_times = np.asarray(node_times)
-    if retain_nodes:
-        node_state_arr = np.vstack(node_states)
-        node_deriv_arr = np.vstack(node_derivs)
-    else:
-        node_state_arr = None
-        node_deriv_arr = None
-
-    sol = Solution(
-        times=node_times if config.saveat is None else config.saveat,
-        states=node_state_arr if config.saveat is None else None,
-        node_times=node_times,
-        node_states=node_state_arr,
-        node_derivs=node_deriv_arr,
-        stats=stats,
-        step_errors=step_errors,
-        checkpoints=store,
-        step_dts=np.asarray(step_dts),
-        stage_tape=tape,
+        store.add(m, t1, u)
+    # np.array stacks float and complex rows faster; multiduals need vstack
+    stack = np.vstack if isinstance(u, MultiDual) else np.array
+    node_times = np.asarray(times if control else mesh)
+    node_states = stack(states) if nodes else None
+    return Solution(
+        times=node_times if nodes else np.array([times[0], t1]),
+        states=node_states if nodes else stack([states[0], u]),
+        node_times=node_times, node_states=node_states,
+        node_derivs=stack(derivs) if nodes else None,
+        stats=stats, step_errors=errors, checkpoints=store,
+        step_dts=np.asarray(step_dts if control else dts), stage_tape=taped,
     )
-
-    if config.saveat is not None:
-        sol.states = np.vstack([dense_eval(sol, ti) for ti in config.saveat])
-    elif config.save == "final":
-        sol.times = np.array([t0, t1])
-        sol.states = np.vstack([node_states[0], u])
-    return sol

@@ -158,7 +158,7 @@ def test_stage_tape_holds_the_stage_inputs_of_a_fresh_step(checkpoints):
     sol = _forward_pass(ent.problem, cfg, ent.problem.theta)
     theta = ent.problem.theta
     steps = 0
-    for seg, ts, states in _segments_reverse(ent.problem, sol, theta, RK4):
+    for seg, ts, states in _segments_reverse(ent.problem, sol, theta, RK4, tape=True):
         assert len(seg.stage_tape) == len(ts) - 1
         for m, rows in enumerate(seg.stage_tape):
             stages = sk.rk_step(RK4, ent.problem.rhs, states[m], theta, ts[m], seg.step_dts[m])[3]
@@ -169,12 +169,15 @@ def test_stage_tape_holds_the_stage_inputs_of_a_fresh_step(checkpoints):
 
 
 def test_stage_tape_is_kept_exactly_with_the_nodes_of_a_fixed_step_solve():
+    # on the discrete adjoint's request only: a plain solve records none
     prob = sk.make_harmonic(0.2).problem
     fixed = sk.SolverConfig(method="rk4", dt=0.1)
-    assert len(sk.solve(prob, fixed).stage_tape) == 100
-    assert len(sk.solve(prob, dataclasses.replace(fixed, saveat=[5.0, 10.0])).stage_tape) == 100
-    assert sk.solve(prob, dataclasses.replace(fixed, save="final")).stage_tape is None
+    assert len(sk.solve(prob, fixed, _tape=True).stage_tape) == 100
+    saveat = dataclasses.replace(fixed, saveat=[5.0, 10.0])
+    assert len(sk.solve(prob, saveat, _tape=True).stage_tape) == 100
+    assert sk.solve(prob, dataclasses.replace(fixed, save="final"), _tape=True).stage_tape is None
     assert sk.solve(prob, sk.SolverConfig()).stage_tape is None
+    assert sk.solve(prob, fixed).stage_tape is None
 
 
 def test_discrete_adjoint_heat1d_64_matches_forward_sensitivity():
@@ -267,6 +270,61 @@ def test_discrete_adjoint_requires_grid_aligned_observations():
     cfg = AdjointConfig(variant="discrete", solver_config=sk.SolverConfig(method="euler", dt=0.1))
     with pytest.raises(ValueError, match="fixed grid"):
         discrete_adjoint(ent.problem, loss, cfg)
+
+
+@pytest.mark.parametrize("checkpoints", [None, 4])
+def test_discrete_adjoint_refuses_an_off_grid_observation_before_any_work(checkpoints):
+    # the fixed-step mesh is known before the forward solve, so an
+    # observation off it is refused without a right-hand-side call
+    ent = sk.make_predprey(0.95)
+    calls = []
+
+    def rhs(u, theta, t):
+        calls.append(t)
+        return ent.problem.rhs(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs=rhs)
+    loss = sk.SquaredErrorLoss([2.0, 5.005], np.ones((2, 2)))
+    cfg = sk.SolverConfig(method="rk4", dt=0.01)
+    with pytest.raises(ValueError, match=r"^observation time 5\.005 does not sit on the fixed grid$"):
+        sk.gradient(problem, loss, "discrete_adjoint", cfg, checkpoints=checkpoints)
+    assert calls == []
+
+
+@pytest.mark.parametrize("checkpoints,peak", [(None, 1001), (4, 256)])
+@pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
+def test_dense_adjoints_on_a_fixed_step_method_keep_no_stage_tape(variant, checkpoints, peak):
+    # only the discrete adjoint reads a stage tape: a dense adjoint holds the
+    # forward nodes and snapshots, plus quadrature's two-node costate mesh
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(method="rk4", dt=0.01)
+    res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg, checkpoints=checkpoints)
+    assert res.peak_stored_states == peak + 2 * (variant == "quadrature")
+
+
+DOPRI = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+RK4_GRID = sk.SolverConfig(method="rk4", dt=0.01)
+# gradients (float.hex) and SolverStats (accepted, rejected, rhs, jacobian)
+# before the reverse intervals ran through the one marching loop
+PINNED = {
+    ("continuous_backsolve", DOPRI, None): (["0x1.823af44cbe02cp+7"], (482, 5, 3023, 5444)),
+    ("continuous_backsolve", DOPRI, 4): (["0x1.823af3f5f818ap+7"], (494, 5, 3098, 5594)),
+    ("continuous_interpolating", DOPRI, None): (["0x1.823af6bb8191ap+7"], (231, 32, 301, 2854)),
+    ("continuous_interpolating", DOPRI, 4): (["0x1.823af6bb8191ap+7"], (231, 32, 605, 2854)),
+    ("continuous_quadrature", DOPRI, None): (["0x1.823af57bb2300p+7"], (236, 37, 301, 5060)),
+    ("continuous_quadrature", DOPRI, 4): (["0x1.823af57bb2300p+7"], (236, 37, 605, 5060)),
+    ("discrete_adjoint", RK4_GRID, 4): (["0x1.823af34292bd1p+7"], (1000, 0, 8004, 8000)),
+}
+
+
+@pytest.mark.parametrize("method,cfg,checkpoints", list(PINNED), ids=lambda v: str(v)[:24])
+def test_reverse_pass_bits_are_pinned(method, cfg, checkpoints):
+    ent = sk.make_predprey(0.95)
+    res = sk.gradient(ent.problem, ent.loss, method, cfg, checkpoints=checkpoints)
+    s = res.stats
+    got = ([float(g).hex() for g in res.gradient],
+           (s.accepted_steps, s.rejected_steps, s.rhs_evaluations, s.jacobian_evaluations))
+    assert got == PINNED[method, cfg, checkpoints]
 
 
 def test_discrete_adjoint_euler_matches_forward_ad():

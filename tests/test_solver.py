@@ -347,6 +347,59 @@ def test_dense_eval_is_the_hermite_formula_bitwise():
             assert sk.dense_eval(sol, t + off).tobytes() == y.tobytes()
 
 
+def test_dense_eval_known_step_and_array_reads_are_the_scalar_path_bitwise():
+    # a known step spares the mesh search and an array of times is read in
+    # one expression per term: neither may change a bit of a read
+    ent = sk.make_predprey(0.95)
+    sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
+    ts = sol.node_times
+    tol = 1e-9 * max(ts[-1] - ts[0], 1.0)
+    rng = np.random.default_rng(12)
+    steps = rng.integers(0, len(ts) - 1, 500)
+    times = ts[steps] + rng.uniform(0.0, 1.0, 500) * (ts[steps + 1] - ts[steps])
+    scalar = np.array([sk.dense_eval(sol, t) for t in times])
+    known = np.array([sk.dense_eval(sol, t, m) for t, m in zip(times, steps)])
+    assert known.tobytes() == scalar.tobytes()
+    assert sk.dense_eval(sol, times).tobytes() == scalar.tobytes()
+    for m in np.unique(steps)[:50]:
+        on_step = times[steps == m]
+        assert sk.dense_eval(sol, on_step, m).tobytes() == scalar[steps == m].tobytes()
+    # within span_tol of a node, inside a step, the node state comes back
+    near = []
+    for m in (0, len(ts) // 2, len(ts) - 2):
+        near += [(ts[m], m), (ts[m] + 0.5 * tol, m), (ts[m + 1] - 0.5 * tol, m), (ts[m + 1], m)]
+    for t, m in near:
+        node = m if abs(t - ts[m]) <= tol else m + 1
+        assert sk.dense_eval(sol, t, m).tobytes() == sol.node_states[node].tobytes()
+    near_t = np.array([t for t, _ in near])
+    rows = np.array([sk.dense_eval(sol, t) for t in near_t])
+    assert sk.dense_eval(sol, near_t).tobytes() == rows.tobytes()
+    # a step shorter than 2 span_tol: both of its nodes are candidates and
+    # every read agrees with the scalar path on which one wins
+    short = sk.Solution(
+        times=None, states=None, node_times=np.array([0.0, 1.0, 1.0 + 1.5 * 2e-9, 2.0]),
+        node_states=rng.normal(size=(4, 2)), node_derivs=rng.normal(size=(4, 2)),
+        stats=sk.SolverStats(),
+    )
+    grid = np.linspace(1.0 - 3e-9, 1.0 + 6e-9, 41)
+    for m in (0, 1, 2):
+        ts_m = short.node_times
+        inside = grid[(grid >= ts_m[m]) & (grid <= ts_m[m + 1])]
+        if len(inside) == 0:
+            continue
+        rows = np.array([sk.dense_eval(short, t) for t in inside])
+        assert np.array([sk.dense_eval(short, t, m) for t in inside]).tobytes() == rows.tobytes()
+        assert sk.dense_eval(short, inside, m).tobytes() == rows.tobytes()
+    rows = np.array([sk.dense_eval(short, t) for t in grid])
+    assert sk.dense_eval(short, grid).tobytes() == rows.tobytes()
+    with pytest.raises(ValueError):
+        sk.dense_eval(sol, np.array([ts[1], ts[-1] + 2 * tol]))
+    # a solve that took no step keeps one node, which every read returns
+    still = sk.OdeProblem(rhs=lambda u, th, t: -u, u0=[1.0], tspan=(0.0, 1e-13), theta=[0.0])
+    one = sk.solve(still, sk.SolverConfig())
+    assert sk.dense_eval(one, np.array([0.0, 1e-13])).tolist() == [[1.0], [1.0]]
+
+
 def test_dense_eval_out_of_span():
     ent = sk.make_harmonic(0.2)
     sol = sk.solve(ent.problem, sk.SolverConfig())
