@@ -23,9 +23,7 @@ from .solver import (
     JOINT_PRIMAL_DUAL,
     PRIMAL_ONLY,
     SolverConfig,
-    propose_dt,
     rk_step,
-    scaled_error,
     solve,
 )
 from .tableaus import DOPRI5, EULER, RK4, ButcherTableau
@@ -35,12 +33,11 @@ from .direct import (
     forwardad_gradient,
     gradient,
 )
-from .sensitivity import forward_sensitivity, jacobian_assembly
+from .sensitivity import forward_sensitivity
 from .adjoint import (
     AdjointConfig,
     continuous_adjoint,
     discrete_adjoint,
-    step_vjp,
 )
 from .problems import CATALOG, make_harmonic, make_heat1d, make_predprey, make_problem
 
@@ -73,15 +70,11 @@ __all__ = [
     "forward_sensitivity",
     "forwardad_gradient",
     "gradient",
-    "jacobian_assembly",
     "loss_eval",
     "make_harmonic",
     "make_heat1d",
     "make_predprey",
     "make_problem",
-    "propose_dt",
     "rk_step",
-    "scaled_error",
     "solve",
-    "step_vjp",
 ]

@@ -71,7 +71,6 @@ class RunConfig:
     theta_star: float = 0.3
     grad_method: str = "forward_sensitivity"
     include_primal_only: bool = False
-    quadrature_order: int = 7
     checkpoints: Optional[int] = None
 
     def __post_init__(self):
@@ -200,7 +199,6 @@ def _solver_gradient(method, entry, config: RunConfig, epsilon=None):
         entry.problem, entry.loss, method, solver_cfg,
         epsilon=epsilon,
         checkpoints=config.checkpoints,
-        quadrature_order=config.quadrature_order,
     )
 
 
@@ -397,7 +395,6 @@ def _build_parser():
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--checkpoints", type=int)
-        p.add_argument("--quadrature-order", type=int)
         return p
 
     p_sweep = command("sweep-direct", "direct-method error sweep")

@@ -170,17 +170,16 @@ def forwardad_gradient(
 
 
 def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
-             theta=None, *, epsilon=None, checkpoints=None,
-             quadrature_order=7) -> SensitivityResult:
+             theta=None, *, epsilon=None, checkpoints=None) -> SensitivityResult:
     """Gradient of ``loss`` by the named method, one of ``METHODS``.
 
     ``config`` is the forward solver setup; the discrete adjoint needs a
     fixed-grid one.  ``epsilon`` is the perturbation of the finite-difference
     and complex-step methods (``default_epsilon`` when omitted) and is
-    ignored by the others.  ``checkpoints`` and ``quadrature_order`` go to
-    the adjoint methods.  ``forward_ad_primal_only`` is forward AD under the
-    primal-only error norm, saving at the loss's observation times; it is
-    kept to reproduce that norm's wrong gradients.  Raises ``ValueError``
+    ignored by the others; ``checkpoints`` goes to the adjoint methods.
+    ``forward_ad_primal_only`` is forward AD under the primal-only error
+    norm, saving at the loss's observation times; it is kept to reproduce
+    that norm's wrong gradients.  Raises ``ValueError``
     on an unknown method name, and what ``core.check_request`` raises on a
     bad request, before any solve.
     """
@@ -213,6 +212,5 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
         variant=method.removeprefix("continuous_").removesuffix("_adjoint"),
         solver_config=config,
         checkpoints=checkpoints,
-        quadrature_order=quadrature_order,
     )
     return continuous_adjoint(problem, loss, acfg, theta=theta)

@@ -181,9 +181,9 @@ HARMONIC_WORK = {
     "forward_ad_primal_only": [(23, 0, 139, 0, 1)] * 2,
     "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
     "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
-    "continuous_backsolve": [(50, 0, 302, 326, 2), (59, 0, 359, 440, 7)],
+    "continuous_backsolve": [(48, 3, 308, 338, 2), (50, 6, 341, 404, 7)],
     "continuous_interpolating": [(51, 5, 139, 442, 24), (51, 5, 281, 442, 14)],
-    "continuous_quadrature": [(49, 3, 139, 716, 27), (49, 3, 281, 716, 17)],
+    "continuous_quadrature": [(49, 3, 139, 555, 27), (49, 3, 281, 555, 17)],
 }
 
 

@@ -209,7 +209,7 @@ def _counting_kinds(problem):
 
 @pytest.mark.parametrize("method,rhs_calls,jac_calls", [
     ("forward_sensitivity", 205, 410),
-    ("continuous_backsolve", 302, 326),
+    ("continuous_backsolve", 308, 338),
 ])
 def test_multidual_jacobian_call_supplies_the_rhs_value(method, rhs_calls, jac_calls):
     # where the Jacobians come from a multidual right-hand side, f(u) is that
