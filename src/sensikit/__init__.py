@@ -26,7 +26,6 @@ from .solver import (
     rk_step,
     solve,
 )
-from .tableaus import DOPRI5, EULER, RK4, ButcherTableau
 from .direct import (
     complexstep_gradient,
     fd_gradient,
@@ -39,24 +38,19 @@ from .adjoint import (
     continuous_adjoint,
     discrete_adjoint,
 )
-from .problems import CATALOG, make_harmonic, make_heat1d, make_predprey, make_problem
+from .problems import make_harmonic, make_heat1d, make_predprey
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjointConfig",
-    "ButcherTableau",
-    "CATALOG",
-    "DOPRI5",
     "DualScalar",
-    "EULER",
     "IntegratedLoss",
     "JOINT_PRIMAL_DUAL",
     "LinearStateLoss",
     "MultiDual",
     "OdeProblem",
     "PRIMAL_ONLY",
-    "RK4",
     "SensitivityResult",
     "Solution",
     "SolverConfig",
@@ -74,7 +68,6 @@ __all__ = [
     "make_harmonic",
     "make_heat1d",
     "make_predprey",
-    "make_problem",
     "rk_step",
     "solve",
 ]

@@ -294,26 +294,29 @@ def _observation_jumps(loss, problem):
 
 
 def _forward_pass(problem, config: AdjointConfig, theta):
-    """Forward solve keeping every node, or the checkpoints when configured.
+    """Forward solve keeping what the variant's reverse pass reads.
 
-    Backsolve reads only the final state, so without checkpoints it keeps
-    just that; the discrete adjoint also keeps the stage tape.
+    The one place that chooses ``solve``'s storage: the node times and end
+    states for checkpoints or backsolve, every node and the stage tape for
+    the discrete adjoint, every node otherwise.
     """
-    keep_all = config.checkpoints is None and config.variant != "backsolve"
-    fwd = replace(config.solver_config, save="all" if keep_all else "final", saveat=None)
-    return solve(problem, fwd, theta=theta, checkpoints=config.checkpoints,
-                 _tape=config.variant == "discrete")
+    if config.checkpoints is not None or config.variant == "backsolve":
+        keep = "final"
+    else:
+        keep = "tape" if config.variant == "discrete" else "all"
+    return solve(problem, replace(config.solver_config, saveat=None), theta=theta,
+                 checkpoints=config.checkpoints, _keep=keep)
 
 
-def _segments_reverse(problem, sol: Solution, theta, tableau, tape=False):
+def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all"):
     """Yield ``(seg, times, states)`` per mesh segment, right to left.
 
     ``seg`` is a dense ``Solution`` carrying its own ``step_dts`` and, with
-    ``tape``, its stage tape; ``times`` and ``states`` are its node times
-    and states (the benchmark tracer counts the latter).  Full storage
-    yields ``sol`` itself.  Checkpointed runs replay the recorded steps
-    from each snapshot, reproducing the stored-trajectory states and stage
-    inputs bitwise, and record the segment's tape as they go.
+    ``keep="tape"``, its stage tape; ``times`` and ``states`` are its node
+    times and states (the benchmark tracer counts the latter).  Full
+    storage yields ``sol`` itself.  Checkpointed runs replay the recorded
+    steps from each snapshot, reproducing the stored-trajectory states and
+    stage inputs bitwise, and record the segment's tape as they go.
     """
     if sol.node_states is not None:
         yield sol, sol.node_times, sol.node_states
@@ -327,7 +330,7 @@ def _segments_reverse(problem, sol: Solution, theta, tableau, tape=False):
         # the recorded stepsizes, not the node-time differences, keep the
         # replay bitwise; its steps were counted when they were recorded
         seg = _march(problem.rhs, store.states[k - 1], theta, ts[0], ts[-1], tableau,
-                     SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep="all", tape=tape)
+                     SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep=keep)
         yield seg, seg.node_times, seg.node_states
 
 
@@ -362,17 +365,17 @@ def _reverse_intervals(ts, obs_times, tol):
     return intervals
 
 
-def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, tape=False):
+def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, keep="all"):
     """A reverse walk over the forward mesh of ``sol`` split at observations.
 
     Per interval, right to left, applies the jumps at the right end, then
     ``lam = step(seg, m, t_left, t_right, lam)``: ``seg`` is the segment's
-    dense ``Solution`` with its ``step_dts`` (and, with ``tape``, its stage
-    tape), ``m`` its step holding the interval.  Returns the costate after
-    the ``t0`` jumps and the peak count of stored forward states: the
-    state-sized vectors held at once, that is the segment's node states,
-    the ``s - 1`` stage inputs per step of its stage tape, and the
-    checkpoint snapshots.
+    dense ``Solution`` with its ``step_dts`` (and, with ``keep="tape"``,
+    its stage tape), ``m`` its step holding the interval.  Returns the
+    costate after the ``t0`` jumps and the peak count of stored forward
+    states: the state-sized vectors held at once, that is the segment's
+    node states, the ``s - 1`` stage inputs per step of its stage tape, and
+    the checkpoint snapshots.
     """
     tol = span_tol(*problem.tspan)
     obs_times, jump = _observation_jumps(loss, problem)
@@ -380,7 +383,7 @@ def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, tape=Fals
 
     lam = np.zeros(problem.n)
     peak = 0
-    for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau, tape):
+    for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau, keep):
         tape_rows = 0 if seg.stage_tape is None else (tableau.stages - 1) * len(seg.stage_tape)
         peak = max(peak, len(ts) + tape_rows + ckpt)
         u_at = partial(dense_eval, seg)
@@ -427,7 +430,7 @@ def _discrete_reverse(problem, loss, sol, theta, rev, stats):
         g = g + contrib
         return lam
 
-    lam, peak = _reverse_sweep(problem, loss, sol, theta, tableau, step, tape=True)
+    lam, peak = _reverse_sweep(problem, loss, sol, theta, tableau, step, "tape")
     return g, lam, peak, {}
 
 

@@ -70,7 +70,6 @@ class RunConfig:
     theta_init: float = 0.2
     theta_star: float = 0.3
     grad_method: str = "forward_sensitivity"
-    include_primal_only: bool = False
     checkpoints: Optional[int] = None
 
     def __post_init__(self):
@@ -267,8 +266,6 @@ def cmd_gradcheck(config: RunConfig, entries=None) -> int:
         else:
             entries = [config.make_entry()]
     methods = config.methods or GRADCHECK_METHODS
-    if config.include_primal_only:
-        methods = tuple(methods) + ("forward_ad_primal_only",)
     failures = 0
     lines = []
     for entry in entries:
@@ -406,10 +403,7 @@ def _build_parser():
 
     command("compare-adjoints", "solver-based method table")
 
-    p_chk = command("gradcheck", "pass/fail vs centered differences")
-    p_chk.add_argument("--include-primal-only", action="store_true",
-                       help="also run forward AD with the primal-only norm "
-                            "(reproduces its known failure)")
+    command("gradcheck", "pass/fail vs centered differences")
 
     p_fit = command("fit", "gradient-descent recovery demo")
     p_fit.add_argument("--alpha", type=float)
@@ -425,10 +419,10 @@ def _config_argv(command, path) -> list:
     """A config file's settings as flags of the subcommand parser ``command``.
 
     Keys are flag names (``eps-count``, or ``eps_count``) from any section.
-    A boolean flag takes a boolean word, a list flag a comma- or
-    space-separated list.  A key that is no flag of ``command`` raises
-    ``ValueError``: checked here, because argparse exits on unrecognised
-    arguments whatever ``exit_on_error`` says.
+    A list flag takes a comma- or space-separated list.  A key that is no
+    flag of ``command`` raises ``ValueError``: checked here, because
+    argparse exits on unrecognised arguments whatever ``exit_on_error``
+    says.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path, "r", encoding="utf-8") as fh:
@@ -440,10 +434,7 @@ def _config_argv(command, path) -> list:
             action = command._option_string_actions.get(flag)
             if action is None:
                 raise ValueError(f"unknown key {key!r}: {command.prog} has no flag {flag}")
-            if action.nargs == 0:
-                if parser[section].getboolean(key):
-                    argv.append(flag)
-            elif action.nargs == "+":
+            if action.nargs == "+":
                 argv += [flag, *raw.replace(",", " ").split()]
             else:
                 argv.append(f"{flag}={raw}")

@@ -2,10 +2,11 @@
 
 It also holds the one rule for placing a time on a trajectory, which the
 solver and the adjoints import: ``span_tol`` and ``match_node``; the one
-way to read a state off a solution, ``dense_eval``; and the one check of
-a gradient request, ``check_request``, which every gradient method calls
-before any solve and which turns an integrated loss into a pointwise one
-on an extended problem.  ``loss_eval`` values pointwise losses only.
+way to read a state off a solution, ``dense_eval``, on the mesh that
+every public solve keeps; and the one check of a gradient request,
+``check_request``, which every gradient method calls before any solve and
+which turns an integrated loss into a pointwise one on an extended
+problem.  ``loss_eval`` values pointwise losses only.
 """
 
 from __future__ import annotations
@@ -181,13 +182,13 @@ class SolverStats:
 class Solution:
     """Numerical trajectory plus the per-step data needed for dense output.
 
-    ``times``/``states`` reflect the configured save policy.  ``node_*``
-    arrays hold the accepted integration mesh: node times are always kept,
-    states and derivatives only when the solve keeps its mesh (else they
-    are None), and ``dense_eval`` reads a kept mesh by cubic Hermite
-    whatever the tableau.  The discrete adjoint's solves keep their stage
-    tape: ``stage_tape[m]`` holds the stage inputs ``Y_2 .. Y_s`` of step
-    ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node ``m``).
+    ``times``/``states`` are the mesh, or its dense output at ``saveat``;
+    ``node_*`` arrays hold the accepted mesh, which ``dense_eval`` reads by
+    cubic Hermite whatever the tableau.  An adjoint forward pass that keeps
+    only its end states has node times alone (node states and derivatives
+    None).  The discrete adjoint's solves keep their stage tape:
+    ``stage_tape[m]`` holds the stage inputs ``Y_2 .. Y_s`` of step ``m``
+    as one ``(s - 1, n)`` array (``Y_1`` is node ``m``).
     """
 
     times: np.ndarray
@@ -231,7 +232,8 @@ def check_request(problem: OdeProblem, loss, theta=None):
     ``span_tol``, or integrated.  A pointwise request comes back as given.
     An integrated loss comes back as the pointwise loss ``q(t1)`` on
     ``running_integral(problem, loss)``, so every method differentiates
-    observations only.  Every gradient method calls this before any solve.
+    observations only.  Every gradient method calls this before any solve;
+    every public solve keeps its mesh, so any in-span time can be read.
     """
     theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
     if theta.shape != (problem.p,):
@@ -292,33 +294,17 @@ def match_node(ts, t, idx, tol):
     return None
 
 
-def saved_node(ts, t) -> int:
-    """Index of the node of sorted ``ts`` within ``span_tol`` of ``t``, else raise.
-
-    The lookup of a solve that keeps no mesh: its nodes are its endpoints.
-    """
-    j = match_node(ts, t, int(ts.searchsorted(t)), span_tol(ts[0], ts[-1]))
-    if j is None:
-        raise ValueError(
-            f"time {t} is not a saved node and this solution has no dense output"
-        )
-    return j
-
-
 def dense_eval(sol: Solution, t, step=None):
     """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
 
-    A kept mesh, whatever its tableau, gives cubic Hermite from the
+    The solution's mesh, whatever its tableau, gives cubic Hermite from the
     bracketing step's endpoint states and derivatives; a time within
     ``span_tol`` of a node returns that node's state bitwise, one within it
     outside the mesh the end node's, and one further outside raises.  One
     ``searchsorted`` finds the bracket; ``step``, a step ``m`` known to
     hold ``t``, spares it.  A 1-D array ``t`` on a float mesh gives a row
-    per time, with the bits of one call per time.  A solution that kept no
-    mesh is read only at its endpoints.
+    per time, with the bits of one call per time.
     """
-    if sol.node_states is None:
-        return sol.states[saved_node(sol.times, t)]
     ts = sol.node_times
     tol = span_tol(ts[0], ts[-1])
     if isinstance(t, np.ndarray) and t.ndim:

@@ -20,7 +20,7 @@ from .adjoint import AdjointConfig, continuous_adjoint
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, loss_eval
 from .errors import NumericalBlowupError
 from .sensitivity import forward_sensitivity
-from .solver import PRIMAL_ONLY, SolverConfig, check_reads, solve
+from .solver import PRIMAL_ONLY, SolverConfig, solve
 
 METHODS = (
     "forward_fd",
@@ -110,11 +110,16 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     """Parameter-to-loss map through the solver, generic over scalar kind.
 
     Complex parameters lift the initial state to complex; the solver and
-    loss evaluation run unchanged on either kind.  The request and its
-    reads are checked when the map is built, before any solve.
+    loss evaluation run unchanged on either kind.  The request is checked
+    when the map is built, before any solve; as the map perturbs ``theta``
+    only, a nonzero ``u0_jacobian`` is refused there too (``ValueError``).
     """
     problem, loss, _ = check_request(problem, loss)
-    check_reads(problem, config, loss.times)
+    if np.any(problem.initial_state_jacobian()):
+        raise ValueError("unsupported configuration: finite differences and complex step "
+                         "perturb theta only, so they miss the initial state's dependence on "
+                         "theta (nonzero u0_jacobian); use forward_ad, forward_sensitivity "
+                         "or an adjoint method")
     counter = SolverStats()
 
     def fn(theta):
@@ -141,7 +146,6 @@ def forwardad_gradient(
     failure mode and is flagged in the result metadata.
     """
     problem, loss, theta = check_request(problem, loss, theta)
-    check_reads(problem, config, loss.times)
     p = theta.size
     theta_d = dual.seed(theta)
     u0_d = dual.seed_state(problem.u0, problem.u0_jacobian, p)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dual
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, dense_eval
-from .solver import SolverConfig, check_reads, solve
+from .solver import SolverConfig, solve
 
 
 def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
@@ -131,7 +131,6 @@ def forward_sensitivity(
     ``sum_i (dL/du)(t_i) s(t_i)``.
     """
     problem, loss, theta = check_request(problem, loss, theta)
-    check_reads(problem, config, loss.times)
     n, p = problem.n, theta.size
     stats = SolverStats()
     aug = augmented_problem(_counted(problem, stats))

@@ -8,17 +8,17 @@ Adaptive runs use the embedded error estimate with a scaled norm and
 elementary stepsize control (safety 0.9, step ratio clamped to [0.2, 10];
 Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4); the norm can
 optionally cover the tangent coordinates of dual states so that
-sensitivity error is controlled alongside the primal error.  A kept mesh
-holds each node's state and derivative, which ``core.dense_eval`` reads by
-Hermite dense output whatever the tableau, ``saveat`` included.
+sensitivity error is controlled alongside the primal error.  A solve keeps
+its mesh, each node's state and derivative, which ``core.dense_eval`` reads
+by Hermite dense output whatever the tableau, ``saveat`` included.
 
 One marching loop, ``_march``, takes every step: ``solve``'s, those of a
 checkpoint segment's replay and those of each reverse interval of the
 adjoints.  Its step source is the controller, a fixed ``dt`` (whose mesh,
 ``_fixed_mesh``, is known before the first step) or the recorded steps of
-an earlier run; it keeps what its caller asks for: the end state only,
-the node times, or every node with its derivative and, for the discrete
-adjoint, the stage tape.
+an earlier run; one setting, ``keep``, says what it keeps.  A public
+``solve`` keeps every node; only the adjoint forward pass asks for less
+(the node times and end states) or more (the stage tape).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import OdeProblem, Solution, SolverStats, dense_eval, saved_node, span_tol
+from .core import OdeProblem, Solution, SolverStats, dense_eval, span_tol
 from .dual import MultiDual, asarray, norm_coordinates
 from .errors import (
     NonConvergenceError,
@@ -56,7 +56,6 @@ class SolverConfig:
     reltol: float = 1e-6
     max_steps: int = 1_000_000
     norm_mode: str = JOINT_PRIMAL_DUAL
-    save: str = "all"               # all | final
     saveat: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SolverConfig:
             raise ValueError(f"method {self.method!r} is fixed-step and needs dt")
         if self.norm_mode not in (PRIMAL_ONLY, JOINT_PRIMAL_DUAL):
             raise ValueError(f"unknown norm mode {self.norm_mode!r}")
-        if self.save not in ("all", "final"):
-            raise ValueError(f"unknown save policy {self.save!r}")
         if self.saveat is not None:
             grid = np.asarray(self.saveat, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
@@ -198,34 +195,16 @@ def propose_dt(dt_prev, w, order: int) -> float:
     return min(max(0.9 * w ** (1.0 / order), 0.2), 10.0) * dt_prev
 
 
-def _keeps_mesh(config: SolverConfig) -> bool:
-    return config.save == "all" or config.saveat is not None
-
-
-def check_reads(problem: OdeProblem, config: SolverConfig, times) -> None:
-    """Raise before any solve what ``dense_eval`` at in-span ``times`` would after it.
-
-    A solve that keeps no mesh (``save="final"`` without ``saveat``) is read
-    only at its endpoints (``saved_node``); the forward gradient methods call
-    this after ``check_request``.
-    """
-    if not _keeps_mesh(config):
-        ends = np.asarray(problem.tspan, dtype=float)
-        for t in times:
-            saved_node(ends, t)
-
-
 def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
-          checkpoints=None, *, _tape=False) -> Solution:
+          checkpoints=None, *, _keep="all") -> Solution:
     """Integrate a problem over its time span under the given configuration.
 
     ``theta``/``u0`` override the problem's nominal values, which is how
     the gradient drivers push complex or dual scalars through the solver.
     ``checkpoints`` asks for snapshots on accepted nodes near that many
     uniform spans (``checkpoint_plan``), kept in ``Solution.checkpoints``.
-    A solve that keeps no nodes skips the end derivative of its last step,
-    which nothing reads.  ``_tape`` keeps the stage tape of a solve that
-    keeps its nodes, for the discrete adjoint.
+    Every node is kept, and ``saveat`` reads them by dense output; only the
+    adjoint forward pass sets ``_keep``, ``_march``'s storage setting.
     """
     t0, t1 = problem.tspan
     theta = problem.theta if theta is None else asarray(theta)
@@ -241,8 +220,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
         if grid[0] < t0 - tol or grid[-1] > t1 + tol:
             raise ValueError("saveat grid extends outside the time span")
     plan = None if checkpoints is None else checkpoint_plan(problem.tspan, checkpoints)
-    sol = _march(eval_rhs, u, theta, t0, t1, config.tableau, stats, config, tape=_tape,
-                 plan=plan, keep="all" if _keeps_mesh(config) else "final")
+    sol = _march(eval_rhs, u, theta, t0, t1, config.tableau, stats, config,
+                 keep=_keep, plan=plan)
     if config.saveat is not None:
         sol.times = config.saveat
         sol.states = np.vstack([dense_eval(sol, ti) for ti in config.saveat])
@@ -277,7 +256,7 @@ def _fixed_mesh(t, t1, dt, max_steps):
     return tuple(times), tuple(dts)
 
 
-def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, tape=False, plan=None):
+def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None):
     """Step ``u`` from ``t`` to ``t1``: the one stepping loop of every integration.
 
     ``steps`` is a ``SolverConfig``, whose controller (embedded tableau) or
@@ -285,10 +264,10 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, tape=False, p
     recorded run, taken again bitwise.  ``stats`` gains the accepted and
     rejected steps.  ``keep`` None returns the end state; ``"final"`` a
     ``Solution`` of the node times and stepsizes and the end states;
-    ``"all"`` one of every node's state and derivative, with the stage tape
-    when ``tape``.  Unless it keeps every node, a non-FSAL tableau skips the
-    last step's end derivative.  ``plan`` holds the checkpoint snapshot
-    times.
+    ``"all"`` one of every node's state and derivative; ``"tape"`` that
+    and the stage tape.  Unless it keeps every node, a non-FSAL tableau
+    skips the last step's end derivative.  ``plan`` holds the checkpoint
+    snapshot times.
     """
     span = t1 - t
     tiny = 1e-12 * max(abs(span), 1.0)
@@ -300,10 +279,10 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, tape=False, p
         mesh, dts = (_fixed_mesh(t, t1, steps.dt, steps.max_steps)
                      if isinstance(steps, SolverConfig) else steps)
         end = mesh[-1]
-    nodes = keep == "all"
+    nodes = keep in ("all", "tape")
     f = asarray(rhs(u, theta, t))
     times, states, derivs, step_dts, errors = [t], [u], [f], [], []
-    taped = [] if tape and nodes else None
+    taped = [] if keep == "tape" else None
     store = None if plan is None else CheckpointStore([t], [u], [0])
     next_target = 1  # plan[0] is t0, already stored
     attempts = m = 0

@@ -159,7 +159,7 @@ def test_stage_tape_holds_the_stage_inputs_of_a_fresh_step(checkpoints):
     sol = _forward_pass(ent.problem, cfg, ent.problem.theta)
     theta = ent.problem.theta
     steps = 0
-    for seg, ts, states in _segments_reverse(ent.problem, sol, theta, RK4, tape=True):
+    for seg, ts, states in _segments_reverse(ent.problem, sol, theta, RK4, keep="tape"):
         assert len(seg.stage_tape) == len(ts) - 1
         for m, rows in enumerate(seg.stage_tape):
             stages = sk.rk_step(RK4, ent.problem.rhs, states[m], theta, ts[m], seg.step_dts[m])[3]
@@ -173,10 +173,10 @@ def test_stage_tape_is_kept_exactly_with_the_nodes_of_a_fixed_step_solve():
     # on the discrete adjoint's request only: a plain solve records none
     prob = sk.make_harmonic(0.2).problem
     fixed = sk.SolverConfig(method="rk4", dt=0.1)
-    assert len(sk.solve(prob, fixed, _tape=True).stage_tape) == 100
+    assert len(sk.solve(prob, fixed, _keep="tape").stage_tape) == 100
     saveat = dataclasses.replace(fixed, saveat=[5.0, 10.0])
-    assert len(sk.solve(prob, saveat, _tape=True).stage_tape) == 100
-    assert sk.solve(prob, dataclasses.replace(fixed, save="final"), _tape=True).stage_tape is None
+    assert len(sk.solve(prob, saveat, _keep="tape").stage_tape) == 100
+    assert sk.solve(prob, fixed, _keep="final").stage_tape is None
     assert sk.solve(prob, sk.SolverConfig()).stage_tape is None
     assert sk.solve(prob, fixed).stage_tape is None
 
@@ -518,6 +518,26 @@ def test_backsolve_forward_pass_keeps_only_the_final_state():
     assert final.final_state().tobytes() == full.final_state().tobytes()
 
 
+@pytest.mark.parametrize("checkpoints", [None, 4])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_pass_keeps_what_the_variant_reads(variant, checkpoints):
+    # the one storage choice: checkpoints or backsolve keep the node times
+    # and end states, the discrete adjoint every node and its stage tape, the
+    # dense variants every node; each keeps it from the same solve, bitwise
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(method="rk4", dt=0.1)
+    full = sk.solve(ent.problem, cfg)
+    sol = _forward_pass(ent.problem, AdjointConfig(variant, cfg, checkpoints), ent.problem.theta)
+    keeps_nodes = checkpoints is None and variant != "backsolve"
+    assert (sol.node_states is not None) == keeps_nodes
+    assert (sol.stage_tape is not None) == (keeps_nodes and variant == "discrete")
+    assert (sol.checkpoints is not None) == (checkpoints is not None)
+    assert np.asarray(sol.node_times).tobytes() == np.asarray(full.node_times).tobytes()
+    assert sol.final_state().tobytes() == full.final_state().tobytes()
+    if keeps_nodes:
+        assert np.asarray(sol.node_states).tobytes() == np.asarray(full.node_states).tobytes()
+
+
 def test_initial_condition_adjoint_is_lambda0():
     # theta IS the initial condition (p = n, theta-free rhs): the gradient
     # reduces to lambda(t0)
@@ -598,7 +618,7 @@ def test_each_observation_jump_applies_once_with_and_without_checkpoints():
     ent = sk.make_predprey(0.95)
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     nodes = sk.solve(ent.problem, cfg).node_times
-    snaps = sk.solve(ent.problem, dataclasses.replace(cfg, save="final"), checkpoints=4)
+    snaps = sk.solve(ent.problem, cfg, checkpoints=4)
     tol = 1e-9 * 10.0
     times = np.unique(np.concatenate([
         np.linspace(0.0, 10.0, 21),                         # t0, t1 and interior

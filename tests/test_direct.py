@@ -300,30 +300,48 @@ def test_every_method_but_the_discrete_adjoint_reads_between_fixed_steps():
         assert g == pytest.approx(ref, rel=1e-4 if method == "forward_fd" else 1e-8), method
 
 
-def test_forward_methods_refuse_a_read_off_a_mesh_less_solve_before_any_work():
-    # save="final" keeps no mesh, so its solve is read only at t0 and t1:
-    # the forward methods say so before the solve; the adjoints choose their
-    # own storage and answer
-    ent = sk.make_harmonic(0.2)
+@pytest.mark.parametrize("case", ["decay", "harmonic"])
+def test_fd_and_complex_step_refuse_an_initial_state_that_depends_on_theta(case):
+    # they perturb theta only, so they would miss the du0/dtheta term: on
+    # the decay problem they returned 0.0 for exp(-1), with no warning.  They
+    # refuse before any solve; forward AD seeds du0/dtheta and answers
+    if case == "decay":  # theta is u0 of du/dt = -u
+        problem = sk.OdeProblem(rhs=lambda u, p, t: -u, u0=[1.0], tspan=(0.0, 1.0),
+                                theta=[1.0], u0_jacobian=[[1.0]])
+        loss, ref = sk.LinearStateLoss([1.0], [[1.0]]), math.exp(-1.0)
+    else:  # u1(0) moves with theta: d u1(10) / d u1(0) = cos(theta t1)
+        ent = sk.make_harmonic(0.2)
+        problem = dataclasses.replace(ent.problem, u0_jacobian=[[1.0], [0.0]])
+        loss, ref = ent.loss, REF + math.cos(0.2 * T1)
     calls = []
-    rhs = ent.problem.rhs
 
     def counting_rhs(u, theta, t):
         calls.append(t)
-        return rhs(u, theta, t)
+        return problem.rhs(u, theta, t)
 
-    problem = dataclasses.replace(ent.problem, rhs=counting_rhs)
-    loss = sk.LinearStateLoss([5.0, 10.0], [[1.0, 0.0], [1.0, 0.0]])
-    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8, save="final")
-    for method in ("forward_fd", "centered_fd", "complex_step", "forward_ad",
-                   "forward_sensitivity"):
-        with pytest.raises(ValueError, match=r"^time 5\.0 is not a saved node"):
-            sk.gradient(problem, loss, method, cfg)
-        assert calls == [], method
-    ref = sk.gradient(problem, loss, "forward_sensitivity",
-                      dataclasses.replace(cfg, save="all")).gradient[0]
-    g = sk.gradient(problem, loss, "continuous_interpolating", cfg).gradient[0]
-    assert g == pytest.approx(ref, rel=1e-6)
+    counted = dataclasses.replace(problem, rhs=counting_rhs)
+    cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
+    refusal = (r"^unsupported configuration: .*\(nonzero u0_jacobian\); "
+               r"use forward_ad, forward_sensitivity or an adjoint method$")
+    for method in ("forward_fd", "centered_fd", "complex_step"):
+        with pytest.raises(ValueError, match=refusal):
+            sk.gradient(counted, loss, method, cfg)
+    with pytest.raises(ValueError, match=refusal):
+        solver_loss_fn(counted, loss, cfg)
+    assert calls == []
+    assert sk.gradient(problem, loss, "forward_ad", cfg).gradient[0] == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("method", ["forward_fd", "centered_fd", "complex_step"])
+def test_fd_and_complex_step_answer_an_all_zero_u0_jacobian(method):
+    # only a nonzero du0/dtheta is refused: an all-zero map has no term to
+    # miss, and the answer is the one without a map, bitwise
+    ent = sk.make_harmonic(0.2)
+    problem = dataclasses.replace(ent.problem, u0_jacobian=[[0.0], [0.0]])
+    cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
+    g = sk.gradient(problem, ent.loss, method, cfg).gradient
+    assert g.tobytes() == sk.gradient(ent.problem, ent.loss, method, cfg).gradient.tobytes()
+    assert g[0] == pytest.approx(REF, rel=1e-4 if method == "forward_fd" else 1e-8)
 
 
 def test_v_shape_of_centered_fd_error():
@@ -392,16 +410,15 @@ def half_u1_squared():
     )
 
 
-@pytest.mark.parametrize("save", ["all", "final"])
 @pytest.mark.parametrize("method", METHODS)
-def test_every_method_differentiates_an_integrated_loss_whatever_it_saves(method, save):
+def test_every_method_differentiates_an_integrated_loss(method):
     # the integral is a state of the solve, under the same error control as
-    # the trajectory, so no method depends on which nodes the config saves
+    # the trajectory
     assert INTEGRATED_REF == pytest.approx(-598.1119533179168, rel=1e-14)
     ent = sk.make_harmonic(0.2)
-    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8, save=save)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     if method == "discrete_adjoint":
-        cfg = sk.SolverConfig(method="rk4", dt=0.01, save=save)
+        cfg = sk.SolverConfig(method="rk4", dt=0.01)
     res = sk.gradient(ent.problem, half_u1_squared(), method, cfg)
     rel = 1e-5 if method == "forward_fd" else 1e-6
     assert res.gradient[0] == pytest.approx(INTEGRATED_REF, rel=rel)

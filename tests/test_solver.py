@@ -281,16 +281,6 @@ def test_saveat_on_a_fixed_step_mesh_reads_dense_output():
     assert sol.states[2].tobytes() == full.node_states[-1].tobytes()
 
 
-def test_dense_eval_reads_a_mesh_less_solve_only_at_its_endpoints():
-    ent = sk.make_harmonic(0.2)
-    sol = sk.solve(ent.problem, sk.SolverConfig(method="rk4", dt=0.5, save="final"))
-    assert sol.node_states is None
-    assert sk.dense_eval(sol, 10.0).tobytes() == sol.states[-1].tobytes()
-    assert sk.dense_eval(sol, 0.0).tobytes() == sol.states[0].tobytes()
-    with pytest.raises(ValueError, match=r"^time 5\.0 is not a saved node"):
-        sk.dense_eval(sol, 5.0)
-
-
 def test_dense_eval_exact_at_nodes():
     ent = sk.make_harmonic(0.2)
     sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-9, reltol=1e-9))
@@ -420,7 +410,7 @@ def test_checkpoint_plan_endpoints():
 
 def test_checkpoint_store_snaps_to_nodes():
     ent = sk.make_harmonic(0.2)
-    cfg = sk.SolverConfig(abstol=1e-9, reltol=1e-9, save="final")
+    cfg = sk.SolverConfig(abstol=1e-9, reltol=1e-9)
     sol = sk.solve(ent.problem, cfg, checkpoints=4)
     store = sol.checkpoints
     assert store.times[0] == 0.0
@@ -437,6 +427,15 @@ def test_config_validation():
         sk.SolverConfig(abstol=-1.0)
     with pytest.raises(ValueError):
         sk.SolverConfig(norm_mode="other")
+
+
+def test_solver_config_has_no_storage_setting():
+    # every solve keeps its mesh; how much an adjoint's forward pass keeps
+    # is the method's choice, not a solver option
+    with pytest.raises(TypeError, match="save"):
+        sk.SolverConfig(save="final")
+    sol = sk.solve(sk.make_harmonic(0.2).problem, sk.SolverConfig(method="rk4", dt=0.5))
+    assert len(sol.node_states) == len(sol.node_derivs) == len(sol.node_times) == 21
 
 
 def test_rejected_steps_shrink_and_retry():
