@@ -15,6 +15,12 @@ and runs no step again.  The continuous adjoints integrate the costate ODE
 the stored or checkpoint-recomputed forward steps; quadrature the costate
 alone, then the integral by ``QUADRATURE_ORDER``-point Gauss-Legendre per
 interval; backsolve re-solving the forward state backwards with the costate.
+Every Jacobian the variants read comes from ``sensitivity.jacobian_assembly``,
+asked for what each reads: a discrete step and the interpolating field
+``J_u`` and ``J_theta``, backsolve's field ``f`` besides, quadrature's
+costate field ``J_u`` alone and its Gauss nodes ``J_theta`` alone.  A
+cheaper reverse-pass Jacobian, such as a column-compressed sparse one,
+changes that function alone.
 
 The reverse ``SolverConfig`` gives an adaptive method ``dt=inf``, so its
 first attempt spans the interval (the marching loop clips ``dt`` to it),
@@ -47,7 +53,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import dual
 from .core import (
     OdeProblem,
     SensitivityResult,
@@ -130,15 +135,16 @@ def _gauss_rule(a, b, order: int):
 _legendre_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 
-def adjoint_rhs(u, lam, theta, t, problem: OdeProblem):
+def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, *, jac_theta=True):
     """Forward-time costate and gradient-integrand derivatives.
 
     Returns ``dlambda/dt = -(df/du)^T lambda`` and the integrand
-    ``dg = (df/dtheta)^T lambda``.  The loss enters as jumps during the
+    ``dg = (df/dtheta)^T lambda``, or None for it with ``jac_theta=False``,
+    which assembles ``J_u`` alone.  The loss enters as jumps during the
     reverse traversal.
     """
-    J_u, J_theta, _ = jacobian_assembly(problem, u, theta, t)
-    return -(J_u.T @ lam), J_theta.T @ lam
+    J_u, J_theta, _ = jacobian_assembly(problem, u, theta, t, jac_theta=jac_theta)
+    return -(J_u.T @ lam), None if J_theta is None else J_theta.T @ lam
 
 
 def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
@@ -161,7 +167,7 @@ def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
     if len(stages) != s:
         raise ValueError(f"step_vjp needs the {s} stage inputs of the step, got {len(stages)}")
     theta = np.asarray(theta, dtype=float)
-    a, b, c = tableau.a_rows, tableau.b_row, tableau.c_row
+    a, b, c = tableau.a, tableau.b, tableau.c
     jacobians = [
         jacobian_assembly(problem, y, theta, t + c[i] * dt)[:2] for i, y in enumerate(stages)
     ]
@@ -179,15 +185,6 @@ def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
         lam_out = lam_out + ybar[i]
         grad = grad + J_theta.T @ kbar
     return lam_out, grad
-
-
-def _theta_jacobian(problem: OdeProblem, u, theta, t):
-    """``df/dtheta`` at a point: the problem's own when it supplies one,
-    else one multidual right-hand side seeded in ``theta`` only."""
-    if problem.rhs_jac_theta is not None:
-        return np.asarray(problem.rhs_jac_theta(u, theta, t), dtype=float)
-    p = theta.size
-    return dual.as_dual(problem.rhs(u, dual.seed_state(theta, np.eye(p), p), t), p).tangents
 
 
 # ---------------------------------------------------------------------
@@ -439,9 +436,10 @@ def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
 
     Quadrature adds each interval's Gauss-Legendre term of ``J_theta^T
     lambda`` after its costate solve, holding one costate sub-solution at a
-    time, and pays only ``J_theta`` at the rule's nodes; interpolating
-    integrates the gradient with the costate and keeps only each interval's
-    end state (on a fixed-step method, it skips the last end derivative).
+    time; its costate field pays only ``J_u`` and the rule's nodes only
+    ``J_theta``.  Interpolating integrates the gradient with the costate
+    and keeps only each interval's end state (on a fixed-step method, it
+    skips the last end derivative).
     An interval lies in one forward step, so a fixed-grid method takes one
     step per interval and an adaptive one subdivides on its own estimate.
     """
@@ -455,7 +453,7 @@ def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
 
         def rhs(y, th, t):
             u = dense_eval(seg, min(max(t, t_left), t_right), m)
-            dlam, dg = adjoint_rhs(u, y[:n], th, t, problem)
+            dlam, dg = adjoint_rhs(u, y[:n], th, t, problem, jac_theta=not quadrature)
             return -dlam if quadrature else np.concatenate([-dlam, dg])
 
         if not quadrature:
@@ -473,7 +471,7 @@ def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
 
         def integrand(t):
             u, lam_q = rows[t]
-            return _theta_jacobian(problem, u, theta, t).T @ lam_q
+            return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
 
         g = g + gauss_legendre(integrand, t_left, t_right, order)
         return sub.node_states[-1]
@@ -516,12 +514,9 @@ def _backsolve(problem, loss, sol, theta, rev, stats):
     g = np.zeros(p)
 
     def rhs(z, th, t):
-        uu, ll = z[:n], z[n : 2 * n]
-        # f(u) from the multidual Jacobian call when there is one
-        J_u, J_theta, f = jacobian_assembly(problem, uu, th, t)
-        if f is None:
-            f = problem.rhs(uu, th, t)
-        return np.concatenate([-np.asarray(f, dtype=float), J_u.T @ ll, J_theta.T @ ll])
+        ll = z[n : 2 * n]
+        J_u, J_theta, f = jacobian_assembly(problem, z[:n], th, t, f=True)
+        return np.concatenate([-f, J_u.T @ ll, J_theta.T @ ll])
 
     reconstruction_error = 0.0
     bound = min(MAX_RECONSTRUCTION_ERROR, 0.5 / rev.reltol)

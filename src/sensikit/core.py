@@ -227,10 +227,10 @@ def span_tol(t0, t1) -> float:
 def check_request(problem: OdeProblem, loss, theta=None):
     """The request ``(problem, loss, theta)`` a gradient method runs, once checked.
 
-    ``theta`` defaults to ``problem.theta`` and must have shape ``(p,)``; the
-    loss must be pointwise, with observation times in the span up to
-    ``span_tol``, or integrated.  A pointwise request comes back as given.
-    An integrated loss comes back as the pointwise loss ``q(t1)`` on
+    ``theta`` defaults to ``problem.theta`` and must have shape ``(p,)``,
+    ``p >= 1``; the loss must be pointwise, with observation times in the
+    span up to ``span_tol``, or integrated.  A pointwise request comes back
+    as given.  An integrated loss comes back as the pointwise loss ``q(t1)`` on
     ``running_integral(problem, loss)``, so every method differentiates
     observations only.  Every gradient method calls this before any solve;
     every public solve keeps its mesh, so any in-span time can be read.
@@ -238,6 +238,8 @@ def check_request(problem: OdeProblem, loss, theta=None):
     theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
     if theta.shape != (problem.p,):
         raise ValueError(f"theta must have shape {(problem.p,)}, got {theta.shape}")
+    if theta.size == 0:
+        raise ValueError("the problem has no parameters: there is no gradient to compute")
     if isinstance(loss, IntegratedLoss):
         problem = running_integral(problem, loss)
         return problem, LinearStateLoss([problem.tspan[1]], np.eye(problem.n)[-1:]), theta

@@ -168,7 +168,7 @@ def forwardad_gradient(
         stats=sol.stats,
         sensitivity_trajectory=traj,
         trajectory_times=np.asarray(sol.times),
-        peak_stored_states=len(sol.times),
+        peak_stored_states=len(sol.node_times),
         metadata=metadata,
     )
 

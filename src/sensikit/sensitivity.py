@@ -5,6 +5,12 @@ Augments the ODE with the n-by-p sensitivity equations
 so the adaptive controller holds both to the same tolerance: the scaled
 norm over the flattened augmented state is exactly the joint
 primal/tangent norm by construction.
+
+``jacobian_assembly`` is the one place a derivative of ``f`` is built,
+for these equations and for every adjoint; each caller names the parts it
+reads.  A cheaper route to the Jacobians, such as one directional
+derivative for ``(df/du) s + df/dtheta`` or column compression of a
+sparse Jacobian, is a change to that function alone.
 """
 
 from __future__ import annotations
@@ -44,41 +50,40 @@ def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
     )
 
 
-def jacobian_assembly(problem: OdeProblem, u, theta, t):
-    """Jacobians ``df/du`` and ``df/dtheta`` at a point, plus ``f`` when computed.
+def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta=True, f=False):
+    """The parts ``(J_u, J_theta, f)`` of the right-hand side at a point its caller reads.
 
-    Returns ``(J_u, J_theta, f)``.  Analytic Jacobians supplied on the
-    problem are returned verbatim; a missing one is assembled
-    column-by-column from a single multidual right-hand-side evaluation
-    seeded in the needed directions, and ``f`` is that call's value
-    coordinate.  ``f`` is None when both Jacobians are analytic and no
-    right-hand side was evaluated.
+    The one place a derivative of ``f`` is built.  ``jac_u``, ``jac_theta``
+    and ``f`` say which parts are read; a part not read comes back None
+    and is neither evaluated nor seeded.  A Jacobian the problem supplies
+    is its analytic one, returned verbatim; the missing Jacobians that are
+    read come from one multidual right-hand side seeded in exactly their
+    directions.  ``f`` is that call's value coordinate or, when no such
+    call ran, one plain right-hand side.
     """
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    n, p = u.size, theta.size
-    jac_u = problem.rhs_jac_u
-    jac_theta = problem.rhs_jac_theta
-    if jac_u is not None and jac_theta is not None:
-        return (
-            np.asarray(jac_u(u, theta, t), dtype=float),
-            np.asarray(jac_theta(u, theta, t), dtype=float),
-            None,
-        )
-    # seed only the directions we cannot get analytically
-    need_u = jac_u is None
-    need_theta = jac_theta is None
-    arity = (n if need_u else 0) + (p if need_theta else 0)
-    eye = np.eye(arity)
-    col = n if need_u else 0
-    u_in = dual.seed_state(u, eye[:n], arity) if need_u else u
-    th_in = dual.seed_state(theta, eye[col:], arity) if need_theta else theta
-    out = dual.as_dual(problem.rhs(u_in, th_in, t), arity)
-    J_u = out.tangents[:, :n] if need_u else np.asarray(jac_u(u, theta, t), dtype=float)
-    J_theta = (
-        out.tangents[:, col:] if need_theta else np.asarray(jac_theta(u, theta, t), dtype=float)
-    )
-    return J_u, J_theta, out.value
+    n = u.size
+    seed_u = jac_u and problem.rhs_jac_u is None
+    seed_theta = jac_theta and problem.rhs_jac_theta is None
+    J_u = J_theta = value = None
+    if seed_u or seed_theta:
+        arity = (n if seed_u else 0) + (theta.size if seed_theta else 0)
+        eye = np.eye(arity)
+        col = n if seed_u else 0
+        u_in = dual.seed_state(u, eye[:n], arity) if seed_u else u
+        th_in = dual.seed_state(theta, eye[col:], arity) if seed_theta else theta
+        out = dual.as_dual(problem.rhs(u_in, th_in, t), arity)
+        J_u = out.tangents[:, :n] if seed_u else None
+        J_theta = out.tangents[:, col:] if seed_theta else None
+        value = out.value
+    if jac_u and not seed_u:
+        J_u = np.asarray(problem.rhs_jac_u(u, theta, t), dtype=float)
+    if jac_theta and not seed_theta:
+        J_theta = np.asarray(problem.rhs_jac_theta(u, theta, t), dtype=float)
+    if f and value is None:
+        value = np.asarray(problem.rhs(u, theta, t), dtype=float)
+    return J_u, J_theta, value if f else None
 
 
 def sensitivity_rhs(u, s, theta, t, problem: OdeProblem):
@@ -87,11 +92,7 @@ def sensitivity_rhs(u, s, theta, t, problem: OdeProblem):
     ``f`` is read off the multidual Jacobian call when there is one, so
     each point costs one right-hand-side evaluation, not two.
     """
-    J_u, J_theta, du = jacobian_assembly(problem, u, theta, t)
-    if du is None:
-        du = np.asarray(
-            problem.rhs(np.asarray(u, dtype=float), np.asarray(theta, dtype=float), t), dtype=float
-        )
+    J_u, J_theta, du = jacobian_assembly(problem, u, theta, t, f=True)
     return du, J_u @ s + J_theta
 
 
@@ -151,5 +152,5 @@ def forward_sensitivity(
         stats=stats,
         sensitivity_trajectory=traj,
         trajectory_times=np.asarray(sol.times),
-        peak_stored_states=len(sol.times),
+        peak_stored_states=len(sol.node_times),
     )

@@ -128,7 +128,7 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a, c = tableau.a_rows, tableau.c_row
+    a, c = tableau.a, tableau.c
     k = [asarray(rhs(u, theta, t + c[0] * dt)) if f0 is None else f0]
     stages = [u]
     for i in range(1, len(c)):
@@ -140,10 +140,10 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
                 ui = ui + (dt * aij) * k[j]
         stages.append(ui)
         k.append(asarray(rhs(ui, theta, t + c[i] * dt)))
-    u_next = _weighted_sum(u, tableau.b_row, k, dt)
+    u_next = _weighted_sum(u, tableau.b, k, dt)
     u_emb = None
-    if tableau.b_hat_row is not None:
-        u_emb = _weighted_sum(u, tableau.b_hat_row, k, dt)
+    if tableau.b_hat is not None:
+        u_emb = _weighted_sum(u, tableau.b_hat, k, dt)
     if not (np.isfinite(u_next).all() and (u_emb is None or np.isfinite(u_emb).all())):
         raise NumericalBlowupError(
             f"non-finite stage value at t={t!r}, dt={dt!r}", t=t, dt=dt

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -15,25 +15,22 @@ class ButcherTableau:
     ``a`` is strictly lower triangular, ``b`` the update weights, ``b_hat``
     the lower-order embedded weights when the pair provides an error
     estimate, and ``c`` the stage abscissae.  ``order`` is the convergence
-    order of the ``b`` update.
+    order of the ``b`` update.  Each is kept as a tuple of Python floats
+    (``a`` a tuple of rows), which the steppers read without numpy's
+    per-scalar overhead.
     """
 
     name: str
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    a: tuple
+    b: tuple
+    c: tuple
     order: int
-    b_hat: Optional[np.ndarray] = None
+    b_hat: Optional[tuple] = None
     fsal: bool = False
-    a_rows: tuple = field(init=False, repr=False, compare=False)
-    b_row: tuple = field(init=False, repr=False, compare=False)
-    c_row: tuple = field(init=False, repr=False, compare=False)
-    b_hat_row: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
         s = b.size
         if a.shape != (s, s):
             raise ValueError("a must be s x s")
@@ -41,23 +38,18 @@ class ButcherTableau:
             raise ValueError("explicit tableau requires a[i, j] = 0 for i <= j")
         if abs(b.sum() - 1.0) > 1e-12:
             raise ValueError("weights b must sum to 1 (consistency)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        bh = None
+        object.__setattr__(self, "a", tuple(map(tuple, a.tolist())))
+        object.__setattr__(self, "b", tuple(b.tolist()))
+        object.__setattr__(self, "c", tuple(np.asarray(self.c, dtype=float).tolist()))
         if self.b_hat is not None:
             bh = np.asarray(self.b_hat, dtype=float)
             if bh.shape != b.shape:
                 raise ValueError("embedded weights must match stage count")
-            object.__setattr__(self, "b_hat", bh)
-        object.__setattr__(self, "a_rows", tuple(map(tuple, a.tolist())))
-        object.__setattr__(self, "b_row", tuple(b.tolist()))
-        object.__setattr__(self, "c_row", tuple(c.tolist()))
-        object.__setattr__(self, "b_hat_row", None if bh is None else tuple(bh.tolist()))
+            object.__setattr__(self, "b_hat", tuple(bh.tolist()))
 
     @property
     def stages(self) -> int:
-        return self.b.size
+        return len(self.b)
 
     @property
     def is_embedded(self) -> bool:

@@ -313,8 +313,8 @@ PINNED = {
     ("continuous_backsolve", DOPRI, 4): (["0x1.823af3f7326f6p+7"], (185, 32, 1406, 2210)),
     ("continuous_interpolating", DOPRI, None): (["0x1.823af6bb8191ap+7"], (231, 32, 301, 2854)),
     ("continuous_interpolating", DOPRI, 4): (["0x1.823af6bb8191ap+7"], (231, 32, 605, 2854)),
-    ("continuous_quadrature", DOPRI, None): (["0x1.823af57bb2300p+7"], (236, 37, 301, 4017)),
-    ("continuous_quadrature", DOPRI, 4): (["0x1.823af57bb2300p+7"], (236, 37, 605, 4017)),
+    ("continuous_quadrature", DOPRI, None): (["0x1.823af57bb2300p+7"], (236, 37, 301, 2530)),
+    ("continuous_quadrature", DOPRI, 4): (["0x1.823af57bb2300p+7"], (236, 37, 605, 2530)),
     ("discrete_adjoint", RK4_GRID, 4): (["0x1.823af34292bd1p+7"], (1000, 0, 8004, 8000)),
 }
 
@@ -689,9 +689,9 @@ def test_quadrature_holds_one_costate_sub_solution():
 
 
 def test_quadrature_integrand_evaluates_only_the_theta_jacobian():
-    # at the Gauss nodes quadrature reads J_theta alone: the analytic one,
-    # or a multidual right-hand side seeded in theta only (arity p = 1 on
-    # harmonic, where the costate field's calls are seeded in u and theta)
+    # the costate field reads J_u alone and the Gauss nodes J_theta alone:
+    # the analytic ones, or a multidual right-hand side seeded in u only
+    # (arity n = 2 on harmonic) or in theta only (arity p = 1)
     ent = sk.make_harmonic(0.2)
     calls = {"jac_u": 0, "jac_theta": 0}
 
@@ -707,18 +707,21 @@ def test_quadrature_integrand_evaluates_only_the_theta_jacobian():
     arities = []
 
     def rhs(u, theta, t):
-        if isinstance(theta, dual.MultiDual):
-            arities.append(theta.arity)
+        if isinstance(u, dual.MultiDual) or isinstance(theta, dual.MultiDual):
+            arities.append((u if isinstance(u, dual.MultiDual) else theta).arity)
         return ent.problem.rhs(u, theta, t)
 
     stripped = dataclasses.replace(ent.problem, rhs=rhs, rhs_jac_u=None, rhs_jac_theta=None)
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     a = sk.gradient(analytic, ent.loss, "continuous_quadrature", cfg)
     s = sk.gradient(stripped, ent.loss, "continuous_quadrature", cfg)
-    gauss_nodes = calls["jac_theta"] - calls["jac_u"]
-    assert gauss_nodes > 0 and gauss_nodes % 7 == 0
-    assert arities.count(1) == gauss_nodes
-    assert set(arities) == {1, 3}
+    # the one observation sits on t1: one reverse interval per forward step
+    intervals = len(sk.solve(ent.problem, cfg).node_times) - 1
+    assert calls["jac_theta"] == 7 * intervals
+    assert a.stats.jacobian_evaluations == calls["jac_u"] + calls["jac_theta"]
+    assert arities.count(1) == calls["jac_theta"]
+    assert arities.count(2) == calls["jac_u"]
+    assert set(arities) == {1, 2}
     assert abs(s.gradient[0] - a.gradient[0]) <= 1e-12 * abs(a.gradient[0])
 
 

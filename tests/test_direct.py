@@ -178,12 +178,12 @@ HARMONIC_WORK = {
     "centered_fd": [(46, 0, 278, 0, None)] * 2,
     "complex_step": [(23, 0, 139, 0, None)] * 2,
     "forward_ad": [(34, 0, 205, 0, 35)] * 2,
-    "forward_ad_primal_only": [(23, 0, 139, 0, 1)] * 2,
+    "forward_ad_primal_only": [(23, 0, 139, 0, 24)] * 2,
     "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
     "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
     "continuous_backsolve": [(48, 3, 308, 338, 2), (50, 6, 341, 404, 7)],
     "continuous_interpolating": [(51, 5, 139, 442, 24), (51, 5, 281, 442, 14)],
-    "continuous_quadrature": [(49, 3, 139, 555, 27), (49, 3, 281, 555, 17)],
+    "continuous_quadrature": [(49, 3, 139, 358, 27), (49, 3, 281, 358, 17)],
 }
 
 
@@ -199,6 +199,36 @@ def test_work_counts_on_harmonic_are_pinned(method):
         work = (s.accepted_steps, s.rejected_steps, s.rhs_evaluations,
                 s.jacobian_evaluations, res.peak_stored_states)
         assert work == expected, (method, checkpoints)
+
+
+@pytest.mark.parametrize("method", ["forward_ad", "forward_ad_primal_only", "forward_sensitivity"])
+def test_forward_methods_count_the_nodes_their_solve_holds(method):
+    # peak_stored_states counts the solve's mesh, one node per accepted step
+    # plus t0, as the adjoints count theirs, not the saved rows: primal-only
+    # forward AD saves the 101 observation times of predprey's loss but
+    # holds 51 nodes
+    ent = sk.make_predprey(0.95)
+    res = sk.gradient(ent.problem, ent.loss, method, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
+    assert res.peak_stored_states == res.stats.accepted_steps + 1
+    if method == "forward_ad_primal_only":
+        assert res.peak_stored_states == 51
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_parameter_request_is_refused_before_any_work(method):
+    calls = []
+
+    def rhs(u, theta, t):
+        calls.append(t)
+        return -u
+
+    problem = sk.OdeProblem(rhs=rhs, u0=[1.0], tspan=(0.0, 1.0), theta=np.zeros(0))
+    loss = sk.LinearStateLoss([1.0], [[1.0]])
+    cfg = sk.SolverConfig(method="rk4", dt=0.1)
+    with pytest.raises(ValueError, match="^the problem has no parameters: "
+                                         "there is no gradient to compute$"):
+        sk.gradient(problem, loss, method, cfg)
+    assert calls == []
 
 
 @pytest.mark.parametrize("method", ["continuous_interpolating", "continuous_quadrature"])

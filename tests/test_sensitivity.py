@@ -72,7 +72,7 @@ def test_jacobian_assembly_linear_rhs_multidual():
 
     prob = sk.OdeProblem(rhs=rhs, u0=np.zeros(3), tspan=(0.0, 1.0), theta=np.zeros(2))
     u, p = rng.normal(size=3), rng.normal(size=2)
-    J_u, J_t, f = jacobian_assembly(prob, u, p, 0.0)
+    J_u, J_t, f = jacobian_assembly(prob, u, p, 0.0, f=True)
     assert np.allclose(J_u, A, atol=1e-14)
     assert np.allclose(J_t, B, atol=1e-14)
     # the value coordinate of the multidual call is the float evaluation
@@ -99,6 +99,76 @@ def test_jacobian_assembly_partial_analytic():
     J_u, J_t, _ = jacobian_assembly(only_u, u, np.array([0.2]), 0.0)
     assert np.allclose(J_u, [[0.0, 1.0], [-0.04, 0.0]])
     assert np.allclose(J_t, [[0.0], [-2 * 0.2 * 0.7]], atol=1e-14)
+
+
+PARTS = ("jac_u", "jac_theta", "f")
+
+
+def _stripped(problem):
+    return dataclasses.replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
+
+
+# analytic, partly analytic and stripped Jacobians
+ASSEMBLY_CASES = [
+    pytest.param(sk.make_harmonic(0.2).problem, id="harmonic"),
+    pytest.param(dataclasses.replace(sk.make_predprey(0.95).problem, rhs_jac_theta=None),
+                 id="predprey-no-jac-theta"),
+    pytest.param(_stripped(sk.make_predprey(0.95).problem), id="predprey-stripped"),
+    pytest.param(_stripped(sk.make_heat1d(16).problem), id="heat16-stripped"),
+]
+
+
+@pytest.mark.parametrize("problem", ASSEMBLY_CASES)
+def test_each_assembly_part_alone_is_the_full_calls_bitwise(problem):
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        u = rng.normal(size=problem.n)
+        theta = problem.theta + 0.1 * rng.normal(size=problem.p)
+        t = float(rng.uniform(*problem.tspan))
+        full = jacobian_assembly(problem, u, theta, t, f=True)
+        for k, part in enumerate(PARTS):
+            alone = jacobian_assembly(problem, u, theta, t,
+                                      **{p: p == part for p in PARTS})
+            assert [x is None for x in alone] == [j != k for j in range(3)], part
+            assert alone[k].tobytes() == full[k].tobytes(), part
+
+
+@pytest.mark.parametrize("problem", ASSEMBLY_CASES)
+def test_assembly_neither_calls_nor_seeds_a_part_not_read(problem):
+    calls = {"jac_u": 0, "jac_theta": 0, "rhs": []}
+
+    def counted(key, fn):
+        if fn is None:
+            return None
+
+        def jac(u, theta, t):
+            calls[key] += 1
+            return fn(u, theta, t)
+        return jac
+
+    def rhs(u, theta, t):
+        duals = [x for x in (u, theta) if isinstance(x, MultiDual)]
+        calls["rhs"].append(duals[0].arity if duals else None)
+        return problem.rhs(u, theta, t)
+
+    counting = dataclasses.replace(
+        problem, rhs=rhs, rhs_jac_u=counted("jac_u", problem.rhs_jac_u),
+        rhs_jac_theta=counted("jac_theta", problem.rhs_jac_theta))
+    n, p = problem.n, problem.p
+    for mask in range(1, 8):
+        want = {part: bool(mask >> k & 1) for k, part in enumerate(PARTS)}
+        calls.update(jac_u=0, jac_theta=0, rhs=[])
+        out = jacobian_assembly(counting, problem.u0, problem.theta, 0.0, **want)
+        assert [x is not None for x in out] == list(want.values())
+        seed_u = want["jac_u"] and problem.rhs_jac_u is None
+        seed_theta = want["jac_theta"] and problem.rhs_jac_theta is None
+        assert calls["jac_u"] == int(want["jac_u"] and not seed_u)
+        assert calls["jac_theta"] == int(want["jac_theta"] and not seed_theta)
+        if seed_u or seed_theta:
+            # one multidual call, seeded in exactly the missing directions read
+            assert calls["rhs"] == [n * seed_u + p * seed_theta]
+        else:
+            assert calls["rhs"] == ([None] if want["f"] else [])
 
 
 def test_augmented_layout_state_then_columns():
