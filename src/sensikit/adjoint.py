@@ -14,7 +14,9 @@ and runs no step again.  The continuous adjoints integrate the costate ODE
 ``lambda^T df/dtheta``: interpolating jointly, over Hermite dense output of
 the stored or checkpoint-recomputed forward steps; quadrature the costate
 alone, then the integral by ``QUADRATURE_ORDER``-point Gauss-Legendre per
-interval; backsolve re-solving the forward state backwards with the costate.
+interval; backsolve re-solving the forward state backwards with the costate
+and checking it at each observation stop against the state its forward pass
+kept there.
 Every Jacobian the variants read comes from ``sensitivity.jacobian_assembly``,
 asked for what each reads: a discrete step and the interpolating field
 ``J_u`` and ``J_theta``, backsolve's field ``f`` besides, quadrature's
@@ -79,8 +81,9 @@ QUADRATURE_ORDER = 7
 
 # largest tolerance-scaled error (``solver.scaled_error`` under the reverse
 # tolerances) with which backsolve may reconstruct a stored forward state.
-# Stable problems read about 2 at tol 1e-8; a reversed state that blew up
-# reads the 1/reltol ceiling (1e6 and more).  From reltol 1e-3 up that
+# Stable problems read about 2 at tol 1e-8 at t0, and predprey up to about
+# 17 at its interior observation stops; a reversed state that blew up reads
+# the 1/reltol ceiling (1e6 and more).  From reltol 1e-3 up that
 # ceiling no longer clears this bound, so the check caps the bound at half
 # the ceiling.
 MAX_RECONSTRUCTION_ERROR = 1e3
@@ -217,7 +220,7 @@ def continuous_adjoint(
                 raise ValueError(f"observation time {t} does not sit on the fixed grid")
     stats = SolverStats()
     problem = _counted(problem, stats)
-    sol = _forward_pass(problem, config, theta)
+    sol = _forward_pass(problem, config, theta, loss.times)
     stats.accepted_steps += sol.stats.accepted_steps
     stats.rejected_steps += sol.stats.rejected_steps
 
@@ -290,18 +293,25 @@ def _observation_jumps(loss, problem):
     return times, jump
 
 
-def _forward_pass(problem, config: AdjointConfig, theta):
+def _forward_pass(problem, config: AdjointConfig, theta, times=()):
     """Forward solve keeping what the variant's reverse pass reads.
 
     The one place that chooses ``solve``'s storage: the node times and end
     states for checkpoints or backsolve, every node and the stage tape for
-    the discrete adjoint, every node otherwise.
+    the discrete adjoint, every node otherwise.  Backsolve's also keeps, as
+    its ``times``/``states``, the state at each observation time in
+    ``times`` more than ``span_tol`` inside the span, then at ``t1``.
     """
+    saveat = None
     if config.checkpoints is not None or config.variant == "backsolve":
         keep = "final"
+        if config.variant == "backsolve":
+            t0, t1 = problem.tspan
+            tol = span_tol(t0, t1)
+            saveat = [t for t in times if t0 + tol < t < t1 - tol] + [t1]
     else:
         keep = "tape" if config.variant == "discrete" else "all"
-    return solve(problem, replace(config.solver_config, saveat=None), theta=theta,
+    return solve(problem, replace(config.solver_config, saveat=saveat), theta=theta,
                  checkpoints=config.checkpoints, _keep=keep)
 
 
@@ -485,14 +495,16 @@ def _backsolve(problem, loss, sol, theta, rev, stats):
 
     The forward state is re-solved backwards from its stored final value;
     when checkpoints are available the reverse state is reset to each
-    snapshot, discarding accumulated reverse error.  At every reset and at
-    ``t0`` the reconstructed state is compared with the stored one; the
-    largest scaled error is reported as ``reconstruction_error``.  Unstable
-    reverse dynamics surface as a blowup error recommending the
-    interpolating variant: when the reverse solve fails, or when a
-    reconstruction error exceeds ``MAX_RECONSTRUCTION_ERROR`` or half the
-    ``1/reltol`` ceiling that a lost state's scaled error saturates at,
-    whichever is smaller.
+    snapshot, discarding accumulated reverse error.  At every interior
+    observation stop (before its jump), every reset and ``t0`` the
+    reconstructed state is compared with the stored one: the forward pass's
+    observation row, the snapshot or ``u0``.  So a lost state raises at the
+    first such stop, not after the whole reverse pass; the largest scaled
+    error is reported as ``reconstruction_error``.  Unstable reverse
+    dynamics surface as a blowup error recommending the interpolating
+    variant: when the reverse solve fails, or when a reconstruction error
+    exceeds ``MAX_RECONSTRUCTION_ERROR`` or half the ``1/reltol`` ceiling
+    that a lost state's scaled error saturates at, whichever is smaller.
     """
     obs_times, jump = _observation_jumps(loss, problem)
     t0, t1 = problem.tspan
@@ -507,6 +519,9 @@ def _backsolve(problem, loss, sol, theta, rev, stats):
     intervals = _reverse_intervals(
         sorted({t0, t1, *resets}), obs_times, span_tol(t0, t1)
     )
+    # what the reconstruction is checked against: the forward pass's rows at
+    # the interior observation times (its last row is t1's) and the snapshots
+    stored = {**dict(zip(sol.times[:-1].tolist(), sol.states[:-1])), **resets}
 
     n, p = problem.n, theta.size
     u = np.asarray(sol.final_state(), dtype=float)
@@ -534,10 +549,10 @@ def _backsolve(problem, loss, sol, theta, rev, stats):
             )
 
     for _, t_lo, t_hi in intervals:
+        if t_hi in stored:
+            check_reconstruction(u, stored[t_hi], t_hi)
         lam = jump(lam, t_hi, lambda t: u)
-        if t_hi in resets:
-            check_reconstruction(u, resets[t_hi], t_hi)
-            u = resets[t_hi]
+        u = resets.get(t_hi, u)
         z0 = np.concatenate([u, lam, g])
         try:
             z = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev, stats)
@@ -553,4 +568,6 @@ def _backsolve(problem, loss, sol, theta, rev, stats):
 
     check_reconstruction(u, problem.u0, t0)
     lam = jump(lam, t0, lambda t: u)
-    return g, lam, 2 + len(resets), {"u0_recovered": u, "reconstruction_error": reconstruction_error}
+    # the end states, the observation rows and the snapshots
+    peak = 1 + len(sol.times) + len(resets)
+    return g, lam, peak, {"u0_recovered": u, "reconstruction_error": reconstruction_error}

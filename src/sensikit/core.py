@@ -186,9 +186,10 @@ class Solution:
     ``node_*`` arrays hold the accepted mesh, which ``dense_eval`` reads by
     cubic Hermite whatever the tableau.  An adjoint forward pass that keeps
     only its end states has node times alone (node states and derivatives
-    None).  The discrete adjoint's solves keep their stage tape:
-    ``stage_tape[m]`` holds the stage inputs ``Y_2 .. Y_s`` of step ``m``
-    as one ``(s - 1, n)`` array (``Y_1`` is node ``m``).
+    None); backsolve's keeps its observation rows, then ``t1``'s, as
+    ``times``/``states``.  The discrete adjoint's solves keep their stage
+    tape: ``stage_tape[m]`` holds the stage inputs ``Y_2 .. Y_s`` of step
+    ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node ``m``).
     """
 
     times: np.ndarray
@@ -320,7 +321,8 @@ def dense_eval(sol: Solution, t, step=None):
         s = (t - ta) / (tb - ta)
         # float_power is C pow, as ``**`` on Python floats; numpy's ``** 2``
         # squares, which differs in the last bit
-        rows = _hermite(sol, j, s, tb - ta, np.float_power(1 - s, 2))
+        rows = _hermite(sol.node_states[j], sol.node_derivs[j], sol.node_states[j + 1],
+                        sol.node_derivs[j + 1], s, tb - ta, np.float_power(1 - s, 2))
         # as on the scalar path, only these times can have a node within tol
         for i in np.flatnonzero((t - ta <= tol) | (tb - t <= tol)):
             rows[i] = dense_eval(sol, float(t[i, 0]), step)
@@ -337,17 +339,23 @@ def dense_eval(sol: Solution, t, step=None):
         if node is not None:
             return sol.node_states[node]
     s = (t - ta) / (tb - ta)
-    return _hermite(sol, step, s, tb - ta, (1 - s) ** 2)
+    return _hermite(sol.node_states[step], sol.node_derivs[step], sol.node_states[step + 1],
+                    sol.node_derivs[step + 1], s, tb - ta, (1 - s) ** 2)
 
 
-def _hermite(sol: Solution, j, s, h, q):
-    """Cubic Hermite on step ``j`` of length ``h`` at fraction ``s``; ``q = (1 - s)**2``."""
+def _hermite(ua, fa, ub, fb, s, h, q):
+    """Cubic Hermite on a step of length ``h`` at fraction ``s``; ``q = (1 - s)**2``.
+
+    ``ua``, ``fa`` and ``ub``, ``fb`` are the states and derivatives at the
+    step's two ends: ``dense_eval`` reads them off a mesh, ``solver._march``
+    holds them as it steps past a ``saveat`` time.
+    """
     ss = s * s
     return (
-        ((1 + 2 * s) * q) * sol.node_states[j]
-        + ((s * q) * h) * sol.node_derivs[j]
-        + (ss * (3 - 2 * s)) * sol.node_states[j + 1]
-        + ((ss * (s - 1)) * h) * sol.node_derivs[j + 1]
+        ((1 + 2 * s) * q) * ua
+        + ((s * q) * h) * fa
+        + (ss * (3 - 2 * s)) * ub
+        + ((ss * (s - 1)) * h) * fb
     )
 
 

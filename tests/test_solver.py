@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,35 @@ def test_saveat_on_a_fixed_step_mesh_reads_dense_output():
     assert 0.25 not in full.node_times
     assert sol.states[0].tobytes() == full.node_states[0].tobytes()
     assert sol.states[2].tobytes() == full.node_states[-1].tobytes()
+
+
+@pytest.mark.parametrize("method", ["dopri5", "rk4"])
+def test_saveat_rows_kept_without_a_mesh_are_dense_eval_bitwise(method):
+    # a solve that keeps no mesh takes each saveat row as it steps past the
+    # time, with dense_eval's bits: t0, t1, a node, a time within span_tol
+    # of a node, times between nodes and one inside the last step
+    ent = sk.make_predprey(0.95)
+    cfg = (sk.SolverConfig(abstol=1e-8, reltol=1e-8) if method == "dopri5"
+           else sk.SolverConfig(method="rk4", dt=0.1))
+    full = sk.solve(ent.problem, cfg)
+    ts = full.node_times
+    inside_last = 0.5 * (ts[-2] + ts[-1])
+    grid = np.array([0.0, 0.37, ts[7], ts[9] + 4e-9, 5.55, inside_last, 10.0])
+    kept = sk.solve(ent.problem, dataclasses.replace(cfg, saveat=grid), _keep="final")
+    assert kept.node_states is None
+    assert kept.times.tobytes() == grid.tobytes()
+    for t, row in zip(grid, kept.states):
+        assert row.tobytes() == sk.dense_eval(full, t).tobytes(), t
+    # the row inside a non-FSAL last step reads the end derivative, which a
+    # solve keeping no mesh otherwise skips: one RHS call more, and counted
+    bare = sk.solve(ent.problem, cfg, _keep="final").stats.rhs_evaluations
+    extra = kept.stats.rhs_evaluations - bare
+    assert extra == (method == "rk4")
+    if method == "rk4":
+        assert bare == 4 * kept.stats.accepted_steps
+        assert kept.stats.accepted_steps == full.stats.accepted_steps == 100
+        early = sk.solve(ent.problem, dataclasses.replace(cfg, saveat=grid[:-2]), _keep="final")
+        assert early.stats.rhs_evaluations == bare
 
 
 def test_dense_eval_exact_at_nodes():
