@@ -1,10 +1,10 @@
 """Differentiable ODE solving and sensitivity-method cross-validation.
 
-The package pairs an explicit Runge-Kutta core that is generic over its
-scalar kind with every standard way of differentiating an ODE solution:
-finite differences, complex step, forward AD via dual numbers, forward
-sensitivity equations, a discrete adjoint over the solver's own step map,
-and three continuous-adjoint realizations.
+The package pairs an explicit Runge-Kutta core for real and complex
+states with every standard way of differentiating an ODE solution: finite
+differences, complex step, forward AD via dual numbers and forward
+sensitivity equations (one engine for both), a discrete adjoint over the
+solver's own step map, and three continuous-adjoint realizations.
 """
 
 from .core import (

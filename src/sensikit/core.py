@@ -362,9 +362,10 @@ def _hermite(ua, fa, ub, fb, s, h, q):
 def loss_eval(sol: Solution, loss):
     """Value of a pointwise loss on a computed trajectory, read by ``dense_eval``.
 
-    The result has the scalar kind of the trajectory (dual trajectories
-    give a dual loss).  An integrated loss raises ``TypeError``: its value
-    is the last final-state component of the solved
+    The result has the scalar kind of the trajectory, float or complex
+    (complex step differentiates through it; forward AD evaluates the loss
+    terms on multiduals itself).  An integrated loss raises ``TypeError``:
+    its value is the last final-state component of the solved
     ``running_integral(problem, loss)``, which every gradient differentiates.
     """
     if isinstance(loss, IntegratedLoss):

@@ -1,11 +1,10 @@
 """Gradient drivers, and ``gradient``: one entry point for every method.
 
 Finite differences and complex step treat the solve-plus-loss pipeline as
-a black box over real or complex scalars; forward AD re-runs the same
-pipeline on multidual scalars so the solver's own arithmetic carries the
-exact tangents.  ``gradient`` selects any of the ``METHODS`` by name: these
-drivers, forward sensitivities, the discrete adjoint and the three
-continuous adjoints.
+a black box over real or complex scalars; forward AD runs on forward
+sensitivity's engine (``sensitivity._forward_mode``).  ``gradient``
+selects any of the ``METHODS`` by name: these drivers, forward
+sensitivities, the discrete adjoint and the three continuous adjoints.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import dual
 from .adjoint import AdjointConfig, continuous_adjoint
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, loss_eval
 from .errors import NumericalBlowupError
-from .sensitivity import forward_sensitivity
+from .sensitivity import _forward_mode, forward_sensitivity
 from .solver import PRIMAL_ONLY, SolverConfig, solve
 
 METHODS = (
@@ -136,41 +134,21 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
 def forwardad_gradient(
     problem: OdeProblem, loss, config: SolverConfig, theta=None
 ) -> SensitivityResult:
-    """Gradient by running the solver on multidual scalars.
+    """Gradient by forward-mode AD of the solver and the loss.
 
-    Parameters are seeded with canonical tangents and the initial state
-    with its parameter Jacobian; the loss tangents then hold the exact
-    gradient of whatever the discrete solver computed.  Under the joint
-    error norm the adaptive result converges to the true gradient as the
-    tolerances shrink; the primal-only norm is kept to reproduce its known
-    failure mode and is flagged in the result metadata.
+    Multidual right-hand sides and loss terms give the exact gradient of
+    whatever the discrete solver computed.  Under the joint error norm the
+    adaptive result converges to the true gradient as the tolerances
+    shrink; the primal-only norm is kept to reproduce its known failure
+    mode and is flagged in the result metadata.
     """
-    problem, loss, theta = check_request(problem, loss, theta)
-    p = theta.size
-    theta_d = dual.seed(theta)
-    u0_d = dual.seed_state(problem.u0, problem.u0_jacobian, p)
-
-    sol = solve(problem, config, theta=theta_d, u0=u0_d)
-    loss_d = loss_eval(sol, loss)
-    # a copy: the loss dual's tangents may be shared with other duals
-    gradient = np.array(dual.tangents(loss_d, p), dtype=float)
-
-    traj = dual.jacobian_from_duals(sol.states, p)
-    metadata = {}
+    res = _forward_mode(problem, loss, config, theta, ad=True)
     if config.norm_mode == PRIMAL_ONLY:
-        metadata["warning"] = (
+        res.metadata["warning"] = (
             "primal-only error norm ignores tangent error; the gradient "
             "may not converge as tolerances shrink"
         )
-    return SensitivityResult(
-        gradient=gradient,
-        method="forward_ad",
-        stats=sol.stats,
-        sensitivity_trajectory=traj,
-        trajectory_times=np.asarray(sol.times),
-        peak_stored_states=len(sol.node_times),
-        metadata=metadata,
-    )
+    return res
 
 
 def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,

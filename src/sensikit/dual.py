@@ -12,21 +12,23 @@ coordinate back as a float.
 A multidual is a scalar or an array of entries: ``value`` is a Python
 float or a float array of shape ``S``, and ``tangents`` a float array of
 shape ``S + (k,)`` (the chunked layout of Revels, Lubin & Papamarkou 2016,
-arXiv 1607.07892).  ``seed``/``seed_state`` return arrays, forward AD
-integrates on one, and Jacobian assembly makes one right-hand-side call on
-one.  Each operator is written once, for whole arrays; on a scalar it
-computes the same floating-point operations, so an array entry and the
-scalar holding it give the same bits.  A generic right-hand side may use
+arXiv 1607.07892).  ``seed``/``seed_state`` return arrays, and Jacobian
+assembly makes one right-hand-side call on them; forward AD's stage
+tangents are such calls and its loss terms are evaluated on them, while
+the state it integrates stays a packed float array.  Each operator is
+written once, for whole arrays; on a scalar it computes the same
+floating-point operations, so an array entry and the scalar holding it
+give the same bits.  A generic right-hand side may use
 on a dual state: ``+ - * / **`` with plain numbers, float arrays and
 multiduals in either order, negation, ``float_matrix @ state``, integer
 indexing (a scalar), slices and index arrays (an array), ``len`` and
 iteration, ``np.concatenate`` with float operands, ``np.sum``, the ufuncs
 ``sin``, ``cos``, ``exp``, ``log``, ``sqrt`` and ``abs``, and
 ``np.array([...])`` of scalar entries.  It may not write into a dual array
-in place.  ``asarray`` is the boundary conversion the solver applies to
-every right-hand-side result: it packs an object array of multiduals
-(plain entries get zero tangents) into one array multidual and passes
-float and complex arrays through.
+in place.  ``asarray`` is the boundary conversion of a right-hand-side
+result, in Jacobian assembly (through ``as_dual``) and in ``solver.rk_step``:
+it packs an object array of multiduals (plain entries get zero tangents)
+into one array multidual and passes float and complex arrays through.
 
 Plain real operands (``int``, ``float``, numpy real scalars and arrays)
 are constants that never get a zero tangent array: ``d + c`` and ``d - c``
@@ -42,9 +44,8 @@ powers use numpy's implementations: numpy's ``exp``, ``log`` and ``power``
 differ from the ``math`` module's in the last bit for some arguments, and
 scalars and array entries must agree.
 
-Comparisons of a ``MultiDual`` look at the value coordinate only, so
-solver control flow (step acceptance, bracketing) runs unmodified on dual
-states.  Derivatives across a value-order-dependent branch are therefore
+Comparisons of a ``MultiDual`` look at the value coordinate only, so the
+control flow of a right-hand side or a loss runs unmodified on dual inputs.  Derivatives across a value-order-dependent branch are therefore
 one-sided.  ``bool`` of a scalar is always true, as for any object.
 
 Complex scalars for complex-step differentiation are the native Python /
@@ -398,23 +399,6 @@ def as_dual(x, arity):
     return x
 
 
-def norm_coordinates(u, u_hat, joint):
-    """Flat float coordinates an error norm compares, for two dual states.
-
-    At least one of ``u`` and ``u_hat`` is a ``MultiDual``; a plain one
-    counts as zero tangents.  The order is entry by entry: the value, then,
-    when ``joint``, that entry's tangents.
-    """
-    arity = (u if isinstance(u, MultiDual) else u_hat).arity
-    u, u_hat = as_dual(u, arity), as_dual(u_hat, arity)
-    if not joint:
-        return np.ravel(u.value), np.ravel(u_hat.value)
-    return tuple(
-        np.concatenate((_col(np.asarray(x.value)), x.tangents), axis=-1).ravel()
-        for x in (u, u_hat)
-    )
-
-
 def _concatenate(arrays, axis=0):
     parts = [asarray(a) for a in arrays]
     arity = next(p.arity for p in parts if isinstance(p, MultiDual))
@@ -425,11 +409,6 @@ def _concatenate(arrays, axis=0):
         np.concatenate([p.value for p in parts], axis),
         np.concatenate([p.tangents for p in parts], axis),
     )
-
-
-def _vstack(tup):
-    parts = [asarray(a) for a in tup]
-    return _concatenate([p[None] if p.ndim == 1 else p for p in parts])
 
 
 def _sum(a):
@@ -465,7 +444,7 @@ _BINARY_UFUNCS = {
     np.equal: ("__eq__", "__eq__"),
     np.not_equal: ("__ne__", "__ne__"),
 }
-_FUNCTIONS = {np.concatenate: _concatenate, np.vstack: _vstack, np.sum: _sum}
+_FUNCTIONS = {np.concatenate: _concatenate, np.sum: _sum}
 
 
 def DualScalar(value, tangent=0.0) -> MultiDual:
@@ -525,15 +504,6 @@ def seed_state(u0, u0_jacobian, p):
     if u0_jacobian.shape != (u0.size, p):
         raise ValueError(f"initial-state jacobian must be {(u0.size, p)}")
     return _dual(u0, u0_jacobian)
-
-
-def jacobian_from_duals(state, p):
-    """A copy of the tangents of a dual state: the n-by-p matrix for a vector.
-
-    Plain entries, as a right-hand side with a constant component returns,
-    give zero rows.
-    """
-    return np.array(as_dual(state, p).tangents)
 
 
 def absolute(x):

@@ -1,15 +1,20 @@
-"""Continuous forward sensitivity analysis.
+"""Forward-mode gradients: forward sensitivity and forward AD on one engine.
 
-Augments the ODE with the n-by-p sensitivity equations
-``ds/dt = (df/du) s + df/dtheta`` and solves state and sensitivity jointly,
-so the adaptive controller holds both to the same tolerance: the scaled
-norm over the flattened augmented state is exactly the joint
-primal/tangent norm by construction.
+Both solve the float state ``z = (u, S)``, the state then the columns of
+``S = du/dtheta``, with the ordinary ``solve``.  Each stage's ``dS/dt`` is
+the tangent ``J_u S + J_theta`` of the sensitivity equations, from
+``jacobian_assembly``: for forward sensitivity the analytic product where
+the problem supplies both Jacobians, else, and always for forward AD, one
+multidual call of the right-hand side of arity p.  Forward AD evaluates
+the loss terms on the multiduals ``(u, S)`` too.  A stage combination does
+to the packed state, coordinate by coordinate, what it does to a dual
+state, so this is forward AD of the solver's own arithmetic (Walther 2007,
+Comput. Optim. Appl. 36).  The error norm over ``z`` is the joint
+primal/tangent norm; forward AD under ``PRIMAL_ONLY`` narrows it to ``u``.
 
 ``jacobian_assembly`` is the one place a derivative of ``f`` is built,
 for these equations and for every adjoint; each caller names the parts it
-reads.  A cheaper route to the Jacobians, such as one directional
-derivative for ``(df/du) s + df/dtheta`` or column compression of a
+reads.  A cheaper route to the Jacobians, such as column compression of a
 sparse Jacobian, is a change to that function alone.
 """
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import dual
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, dense_eval
-from .solver import SolverConfig, solve
+from .solver import PRIMAL_ONLY, SolverConfig, solve
 
 
 def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
@@ -50,7 +55,8 @@ def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
     )
 
 
-def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta=True, f=False):
+def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta=True, f=False,
+                      u_theta=None):
     """The parts ``(J_u, J_theta, f)`` of the right-hand side at a point its caller reads.
 
     The one place a derivative of ``f`` is built.  ``jac_u``, ``jac_theta``
@@ -60,10 +66,22 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
     read come from one multidual right-hand side seeded in exactly their
     directions.  ``f`` is that call's value coordinate or, when no such
     call ran, one plain right-hand side.
+
+    ``u_theta``, an n-by-p ``du/dtheta``, asks for the forward tangent
+    ``J_u u_theta + J_theta`` in the ``J_theta`` place instead, with ``J_u``
+    None and the ``jac_*`` flags unread: the analytic product where the
+    problem supplies both Jacobians, else one multidual call of arity p,
+    ``u`` seeded by ``u_theta`` and ``theta`` by the identity.
     """
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n = u.size
+    if u_theta is not None:
+        if problem.rhs_jac_u is None or problem.rhs_jac_theta is None:
+            p = theta.size
+            out = dual.as_dual(problem.rhs(dual.seed_state(u, u_theta, p), dual.seed(theta), t), p)
+            return None, out.tangents, out.value if f else None
+        jac_u = jac_theta = True
     seed_u = jac_u and problem.rhs_jac_u is None
     seed_theta = jac_theta and problem.rhs_jac_theta is None
     J_u = J_theta = value = None
@@ -83,17 +101,19 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
         J_theta = np.asarray(problem.rhs_jac_theta(u, theta, t), dtype=float)
     if f and value is None:
         value = np.asarray(problem.rhs(u, theta, t), dtype=float)
+    if u_theta is not None:
+        J_u, J_theta = None, J_u @ u_theta + J_theta
     return J_u, J_theta, value if f else None
 
 
 def sensitivity_rhs(u, s, theta, t, problem: OdeProblem):
     """Time derivatives of state and sensitivity: ``(f, (df/du) s + df/dtheta)``.
 
-    ``f`` is read off the multidual Jacobian call when there is one, so
+    ``f`` is read off the multidual tangent call when there is one, so
     each point costs one right-hand-side evaluation, not two.
     """
-    J_u, J_theta, du = jacobian_assembly(problem, u, theta, t, f=True)
-    return du, J_u @ s + J_theta
+    _, ds, du = jacobian_assembly(problem, u, theta, t, f=True, u_theta=s)
+    return du, ds
 
 
 def _pack(u, s):
@@ -122,6 +142,48 @@ def augmented_problem(problem: OdeProblem) -> OdeProblem:
     )
 
 
+def _forward_mode(problem: OdeProblem, loss, config: SolverConfig, theta=None, *,
+                  ad=False) -> SensitivityResult:
+    """Forward sensitivity, or with ``ad`` forward AD: one packed float solve.
+
+    Forward AD drops the analytic Jacobians, so every stage tangent comes
+    from the multidual call of the user's right-hand side, differentiates
+    each observation's loss term on the multidual ``(u, S)``, and under
+    ``config.norm_mode == PRIMAL_ONLY`` controls the error of the state
+    alone.  Forward sensitivity keeps the joint norm whatever the mode.
+    The result carries ``S`` at the solve's save times.
+    """
+    problem, loss, theta = check_request(problem, loss, theta)
+    n, p = problem.n, theta.size
+    if ad:
+        problem = replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
+    stats = SolverStats()
+    sol = solve(augmented_problem(_counted(problem, stats)), config, theta=theta,
+                _norm_n=n if ad and config.norm_mode == PRIMAL_ONLY else None)
+    stats.accepted_steps = sol.stats.accepted_steps
+    stats.rejected_steps = sol.stats.rejected_steps
+
+    gradient, loss_d = np.zeros(p), 0.0
+    for i, t in enumerate(loss.times):
+        u, s = _unpack(dense_eval(sol, t), n, p)
+        if ad:  # the loss's own arithmetic, on multiduals
+            loss_d = loss_d + loss.value_at(dual.seed_state(u, s, p), i)
+        else:
+            gradient = gradient + loss.grad_u_at(u, i) @ s
+    if ad:  # a copy: the loss dual's tangents may be shared with other duals
+        gradient = np.array(dual.tangents(loss_d, p), dtype=float)
+
+    traj = np.array([_unpack(z, n, p)[1] for z in sol.states])
+    return SensitivityResult(
+        gradient=gradient,
+        method="forward_ad" if ad else "forward_sensitivity",
+        stats=stats,
+        sensitivity_trajectory=traj,
+        trajectory_times=np.asarray(sol.times),
+        peak_stored_states=len(sol.node_times),
+    )
+
+
 def forward_sensitivity(
     problem: OdeProblem, loss, config: SolverConfig, theta=None
 ) -> SensitivityResult:
@@ -131,26 +193,4 @@ def forward_sensitivity(
     save times alongside the assembled gradient
     ``sum_i (dL/du)(t_i) s(t_i)``.
     """
-    problem, loss, theta = check_request(problem, loss, theta)
-    n, p = problem.n, theta.size
-    stats = SolverStats()
-    aug = augmented_problem(_counted(problem, stats))
-
-    sol = solve(aug, config, theta=theta)
-    stats.accepted_steps = sol.stats.accepted_steps
-    stats.rejected_steps = sol.stats.rejected_steps
-
-    gradient = np.zeros(p)
-    for i, t in enumerate(loss.times):
-        u, s = _unpack(dense_eval(sol, t), n, p)
-        gradient = gradient + loss.grad_u_at(u, i) @ s
-
-    traj = np.array([_unpack(z, n, p)[1] for z in sol.states])
-    return SensitivityResult(
-        gradient=np.asarray(gradient, dtype=float),
-        method="forward_sensitivity",
-        stats=stats,
-        sensitivity_trajectory=traj,
-        trajectory_times=np.asarray(sol.times),
-        peak_stored_states=len(sol.node_times),
-    )
+    return _forward_mode(problem, loss, config, theta)

@@ -1,17 +1,14 @@
-"""Explicit Runge-Kutta integration, generic over the scalar kind.
+"""Explicit Runge-Kutta integration of float and complex states.
 
-One stepper serves plain, complex and dual states: stage algebra is
-written against float or complex numpy arrays or array ``dual.MultiDual``
-states, and every right-hand-side result passes through ``dual.asarray``,
-which packs an object array of multiduals into one array multidual.
+``solve`` refuses dual states: forward AD integrates the packed float
+state of ``sensitivity.augmented_problem``.  ``rk_step`` alone stays
+generic, so one step can be taken on ``dual.MultiDual`` states too.
 Adaptive runs use the embedded error estimate with a scaled norm and
 elementary stepsize control (safety 0.9, step ratio clamped to [0.2, 10];
-Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4); the norm can
-optionally cover the tangent coordinates of dual states so that
-sensitivity error is controlled alongside the primal error.  A solve keeps
-its mesh, each node's state and derivative, which ``core.dense_eval`` reads
-by Hermite dense output whatever the tableau; ``saveat`` rows have its bits,
-taken as the loop steps past each time, so they need no kept mesh.
+Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  A solve keeps its
+mesh, each node's state and derivative, which ``core.dense_eval`` reads
+by Hermite dense output whatever the tableau; ``saveat`` rows have its
+bits, taken as the loop steps past each time, so they need no kept mesh.
 
 One marching loop, ``_march``, takes every step: ``solve``'s, those of a
 checkpoint segment's replay and those of each reverse interval of the
@@ -34,7 +31,7 @@ import numpy as np
 # dense_eval is also named here: the benchmark's tracer looks up the
 # dense-output layer as sensikit.solver.dense_eval
 from .core import OdeProblem, Solution, SolverStats, _hermite, dense_eval, span_tol  # noqa: F401
-from .dual import MultiDual, asarray, norm_coordinates
+from .dual import MultiDual, asarray
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -58,7 +55,7 @@ class SolverConfig:
     abstol: float = 1e-6
     reltol: float = 1e-6
     max_steps: int = 1_000_000
-    norm_mode: str = JOINT_PRIMAL_DUAL
+    norm_mode: str = JOINT_PRIMAL_DUAL  # forward AD's error norm
     saveat: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -162,28 +159,18 @@ def _weighted_sum(u, weights, k, dt):
     return out
 
 
-def scaled_error(u, u_hat, abstol, reltol, norm_mode=JOINT_PRIMAL_DUAL) -> float:
+def scaled_error(u, u_hat, abstol, reltol) -> float:
     """Tolerance-scaled RMS difference between two state approximations.
 
     Each coordinate contributes ``|u_i - u_hat_i| / (abstol + reltol * M_i)``
     with ``M_i = max(|u_i|, |u_hat_i|)``; the result is the root mean square.
-    In joint mode, dual states contribute their tangent coordinates as well,
-    extending the sum over all ``n * (p + 1)`` value-and-tangent entries (a
-    plain state paired with a dual one counts as zero tangents).
     """
-    u, u_hat = asarray(u), asarray(u_hat)
+    u, u_hat = np.asarray(u), np.asarray(u_hat)
     if u.shape != u_hat.shape:
         raise ValueError("state shapes differ")
-    dual_state = isinstance(u, MultiDual) or isinstance(u_hat, MultiDual)
-    if dual_state:
-        u, u_hat = norm_coordinates(u, u_hat, norm_mode == JOINT_PRIMAL_DUAL)
     err = np.abs(u - u_hat)
     scale = abstol + reltol * np.maximum(np.abs(u), np.abs(u_hat))
     terms = (err / scale) ** 2
-    if dual_state:
-        # left to right, entry by entry, as the multidual error norm has always
-        # summed: numpy's pairwise mean would change the step sequence's bits
-        return math.sqrt(np.cumsum(terms)[-1] / terms.size)
     # np.mean's bits at a third of its cost on a small state
     return math.sqrt(terms.sum() / terms.size)
 
@@ -200,20 +187,25 @@ def propose_dt(dt_prev, w, order: int) -> float:
 
 
 def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
-          checkpoints=None, *, _keep="all") -> Solution:
+          checkpoints=None, *, _keep="all", _norm_n=None) -> Solution:
     """Integrate a problem over its time span under the given configuration.
 
     ``theta``/``u0`` override the problem's nominal values, which is how
-    the gradient drivers push complex or dual scalars through the solver.
+    complex step pushes complex scalars through the solver; a multidual
+    one raises ``TypeError`` before any right-hand-side call.
     ``checkpoints`` asks for snapshots on accepted nodes near that many
     uniform spans (``checkpoint_plan``), kept in ``Solution.checkpoints``.
     Every node is kept, and ``saveat`` rows are the dense output at those
-    times; only the adjoint forward pass sets ``_keep``, ``_march``'s
-    storage setting.
+    times.  Only the adjoint forward pass sets ``_keep``, ``_march``'s
+    storage setting, and only primal-only forward AD ``_norm_n``, the
+    count of leading coordinates its error norm covers.
     """
     t0, t1 = problem.tspan
     theta = problem.theta if theta is None else asarray(theta)
     u = asarray(problem.u0 if u0 is None else u0)
+    if isinstance(theta, MultiDual) or isinstance(u, MultiDual):
+        raise TypeError("solve integrates float and complex states only; for a forward-mode "
+                        'derivative use sk.gradient(..., "forward_ad")')
     stats = SolverStats()
 
     def eval_rhs(state, th, tt):
@@ -226,7 +218,7 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
             raise ValueError("saveat grid extends outside the time span")
     plan = None if checkpoints is None else checkpoint_plan(problem.tspan, checkpoints)
     return _march(eval_rhs, u, theta, t0, t1, config.tableau, stats, config,
-                  keep=_keep, plan=plan, saveat=config.saveat)
+                  keep=_keep, plan=plan, saveat=config.saveat, norm_n=_norm_n)
 
 
 def _attempt(t, t1, end, dt, attempts, max_steps):
@@ -257,7 +249,8 @@ def _fixed_mesh(t, t1, dt, max_steps):
     return tuple(times), tuple(dts)
 
 
-def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, saveat=None):
+def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, saveat=None,
+           norm_n=None):
     """Step ``u`` from ``t`` to ``t1``: the one stepping loop of every integration.
 
     ``steps`` is a ``SolverConfig``, whose controller (embedded tableau) or
@@ -272,7 +265,8 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     mesh, which need not be kept.  Unless it keeps every node or a
     ``saveat`` time lies inside the last step, a non-FSAL tableau skips
     that step's end derivative.  ``plan`` holds the checkpoint snapshot
-    times.
+    times; ``norm_n`` limits the controller's error norm to the first
+    ``norm_n`` coordinates.
     """
     span = t1 - t
     tiny = 1e-12 * max(abs(span), 1.0)
@@ -286,7 +280,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
                      if isinstance(steps, SolverConfig) else steps)
         end = mesh[-1]
     nodes = keep in ("all", "tape")
-    f = asarray(rhs(u, theta, t))
+    f = np.asarray(rhs(u, theta, t))
     times, states, derivs, step_dts, errors = [t], [u], [f], [], []
     taped = [] if keep == "tape" else None
     saved = []  # the rows of saveat[:len(saved)]
@@ -302,7 +296,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
         u_next, u_emb, k, stages = rk_step(tableau, rhs, u, theta, t, dt_step, f0=f)
 
         if control:
-            err = scaled_error(u_next, u_emb, cfg.abstol, cfg.reltol, cfg.norm_mode)
+            err = scaled_error(u_next[:norm_n], u_emb[:norm_n], cfg.abstol, cfg.reltol)
             if not (err <= 1.0):
                 stats.rejected_steps += 1
                 if err > 1.0:
@@ -318,7 +312,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
                 saveat is not None and any(t + tol < x < t_new - tol for x in saveat[len(saved):])):
             f = None  # no node or saveat row reads it and no step follows
         else:
-            f = asarray(rhs(u_next, theta, t_new))
+            f = np.asarray(rhs(u_next, theta, t_new))
         if saveat is not None:
             # each row as dense_eval reads it off the mesh: the node within
             # tol, the left one first, else Hermite on the step holding it
@@ -352,18 +346,16 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
         return u
     if store is not None and store.times[-1] < t1 - tiny:
         store.add(m, t1, u)
-    # np.array stacks float and complex rows faster; multiduals need vstack
-    stack = np.vstack if isinstance(u, MultiDual) else np.array
     node_times = np.asarray(times if control else mesh)
-    node_states = stack(states) if nodes else None
+    node_states = np.array(states) if nodes else None
     sol = Solution(
         times=node_times if nodes else np.array([times[0], t1]),
-        states=node_states if nodes else stack([states[0], u]),
+        states=node_states if nodes else np.array([states[0], u]),
         node_times=node_times, node_states=node_states,
-        node_derivs=stack(derivs) if nodes else None,
+        node_derivs=np.array(derivs) if nodes else None,
         stats=stats, step_errors=errors, checkpoints=store,
         step_dts=np.asarray(step_dts if control else dts), stage_tape=taped,
     )
     if saveat is not None:  # rows still untaken here: a solve that took no step
-        sol.times, sol.states = saveat, stack(saved + [u] * (len(saveat) - len(saved)))
+        sol.times, sol.states = saveat, np.array(saved + [u] * (len(saveat) - len(saved)))
     return sol

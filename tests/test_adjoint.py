@@ -117,7 +117,7 @@ def multidual_step_vjp(problem, tableau, u, theta, t, dt, lam):
     u_d = np.array([dual.MultiDual(u[i], eye[i]) for i in range(n)], dtype=object)
     th_d = np.array([dual.MultiDual(theta[j], eye[n + j]) for j in range(p)], dtype=object)
     u_next = sk.rk_step(tableau, problem.rhs, u_d, th_d, t, dt)[0]
-    jac = dual.jacobian_from_duals(u_next, n + p)
+    jac = dual.asarray(u_next).tangents
     return jac[:, :n].T @ lam, jac[:, n:].T @ lam
 
 

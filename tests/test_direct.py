@@ -155,6 +155,28 @@ def test_forwardad_predprey_norm_modes():
     assert "warning" in bad.metadata
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-12])
+def test_forward_ad_primal_only_on_predprey_is_pinned_bitwise(tol):
+    # the flagged reproduction of the primal-only failure: the primal state
+    # of predprey at a = 1 is constant, so the controller sees no error and
+    # takes the same four steps at every tolerance, and the gradient is the
+    # same wrong number
+    ent = sk.make_predprey(1.0)
+    res = sk.gradient(ent.problem, ent.loss, "forward_ad_primal_only",
+                      sk.SolverConfig(abstol=tol, reltol=tol))
+    s = res.stats
+    assert res.gradient[0] == 102984.85480239872
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (4, 0, 25)
+    assert "warning" in res.metadata
+    # forward sensitivity keeps the joint norm whatever the mode says
+    cfg = sk.SolverConfig(abstol=tol, reltol=tol)
+    joint = sk.gradient(ent.problem, ent.loss, "forward_sensitivity", cfg)
+    named = sk.gradient(ent.problem, ent.loss, "forward_sensitivity",
+                        dataclasses.replace(cfg, norm_mode=sk.PRIMAL_ONLY))
+    assert named.gradient.tobytes() == joint.gradient.tobytes()
+    assert named.gradient[0] == pytest.approx(212.71042521681443, rel=1e-3)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_gradient_dispatcher(method):
     ent = sk.make_harmonic(0.2)

@@ -302,3 +302,106 @@ def test_multidual_jacobian_call_supplies_the_rhs_value(method, rhs_calls, jac_c
         assert stripped_calls["float"] == 0
     assert s.stats.accepted_steps == a.stats.accepted_steps
     assert s.gradient.tobytes() == a.gradient.tobytes()
+
+
+def _diffusion_problem(n_cells=8, p=4):
+    # flux-form diffusion with a piecewise constant diffusivity and no
+    # analytic Jacobians: every dual operation acts on a whole array
+    segment = (np.arange(n_cells) * p) // n_cells
+
+    def rhs(u, theta, t):
+        padded = np.concatenate(([0.0], u, [0.0]))
+        flux = theta[segment] * (padded[1:] - padded[:-1])
+        return (flux[1:] - flux[:-1]) * (n_cells * n_cells)
+
+    x = np.arange(1, n_cells) / n_cells
+    problem = sk.OdeProblem(rhs=rhs, u0=np.sin(np.pi * x) + 0.5 * np.sin(2 * np.pi * x),
+                            tspan=(0.0, 0.1), theta=np.linspace(0.05, 0.15, p))
+    loss = sk.SquaredErrorLoss([0.02, 0.05, 0.1], np.full((3, n_cells - 1), 0.1))
+    return problem, loss
+
+
+def _initial_state_problem():
+    # u(0) = (theta_1, 0): the sensitivity starts at the u0_jacobian
+    problem = sk.OdeProblem(
+        rhs=lambda u, p, t: np.array([u[1], -(p[0] ** 2) * u[0] + 0.3 * np.sin(u[0])]),
+        u0=[1.2, 0.0], tspan=(0.0, 3.0), theta=[0.7, 1.2],
+        u0_jacobian=[[0.0, 1.0], [0.0, 0.0]],
+    )
+    return problem, sk.SquaredErrorLoss([1.0, 2.0, 3.0], np.full((3, 2), 0.5))
+
+
+def _integrated_problem():
+    ent = sk.make_harmonic(0.2)
+    loss = sk.IntegratedLoss(
+        h=lambda u, p: 0.5 * u[0] * u[0],
+        dh_du=lambda u, p: np.array([u[0], 0.0]),
+        dh_dtheta=lambda u, p: np.zeros(1),
+    )
+    return ent.problem, loss
+
+
+ENGINE_CASES = [
+    pytest.param(sk.make_harmonic(0.2).problem, sk.make_harmonic(0.2).loss, id="harmonic"),
+    pytest.param(_stripped(sk.make_harmonic(0.2).problem), sk.make_harmonic(0.2).loss,
+                 id="harmonic-stripped"),
+    pytest.param(*_diffusion_problem(), id="diffusion"),
+    pytest.param(*_initial_state_problem(), id="u0-jacobian"),
+    pytest.param(*_integrated_problem(), id="integrated-loss"),
+]
+
+
+@pytest.mark.parametrize("problem,loss", ENGINE_CASES)
+def test_forward_ad_and_forward_sensitivity_share_one_engine(problem, loss):
+    # both integrate the packed (u, S) float state; where the problem lacks
+    # a Jacobian, each stage tangent is one multidual call of arity p (u
+    # seeded by S, theta by the identity), never n + p
+    arities = []
+
+    def rhs(u, theta, t):
+        duals = [x for x in (u, theta) if isinstance(x, MultiDual)]
+        arities.append(duals[0].arity if duals else None)
+        return problem.rhs(u, theta, t)
+
+    recording = dataclasses.replace(problem, rhs=rhs)
+    analytic = problem.rhs_jac_u is not None and problem.rhs_jac_theta is not None
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    results = {}
+    for method in ("forward_ad", "forward_sensitivity"):
+        arities.clear()
+        results[method] = res = sk.gradient(recording, loss, method, cfg)
+        s = res.stats
+        assert s.rhs_evaluations == len(arities)
+        if method == "forward_ad" or not analytic:
+            assert set(arities) == {problem.p}
+            assert s.jacobian_evaluations == 0
+        else:
+            assert set(arities) == {None}
+    ad, fs = results["forward_ad"], results["forward_sensitivity"]
+    work = [(r.stats.accepted_steps, r.stats.rejected_steps, r.stats.rhs_evaluations)
+            for r in (ad, fs)]
+    assert work[0] == work[1]
+    assert np.max(np.abs(ad.gradient - fs.gradient)) <= 1e-13 * np.max(np.abs(fs.gradient))
+    if not analytic:  # the same tangent calls, so the same trajectory
+        assert ad.sensitivity_trajectory.tobytes() == fs.sensitivity_trajectory.tobytes()
+
+
+@pytest.mark.parametrize("problem", ASSEMBLY_CASES)
+def test_forward_tangent_part_is_the_jacobian_product(problem):
+    # with both Jacobians supplied the tangent is their product, bitwise;
+    # otherwise one arity-p multidual call gives it to rounding, and its
+    # value coordinate is f with the bits of the full assembly's
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        u = rng.normal(size=problem.n)
+        theta = problem.theta + 0.1 * rng.normal(size=problem.p)
+        t = float(rng.uniform(*problem.tspan))
+        S = rng.normal(size=(problem.n, problem.p))
+        J_u, J_t, f = jacobian_assembly(problem, u, theta, t, f=True)
+        none, tangent, value = jacobian_assembly(problem, u, theta, t, f=True, u_theta=S)
+        assert none is None
+        assert value.tobytes() == f.tobytes()
+        if problem.rhs_jac_u is not None and problem.rhs_jac_theta is not None:
+            assert tangent.tobytes() == (J_u @ S + J_t).tobytes()
+        else:
+            assert np.allclose(tangent, J_u @ S + J_t, rtol=1e-13, atol=1e-13 * np.abs(J_u).max())

@@ -88,56 +88,6 @@ def test_scaled_error_normalization_unit():
     assert scaled_error([abstol], [0.0], abstol, 0.0) == pytest.approx(1.0)
 
 
-def test_scaled_error_joint_sees_tangent_error():
-    abstol = 1e-6
-    u = np.array([MultiDual(1.0, [0.0])], dtype=object)
-    u_hat = np.array([MultiDual(1.0, [abstol])], dtype=object)
-    assert scaled_error(u, u_hat, abstol, 0.0, PRIMAL_ONLY) == 0.0
-    joint = scaled_error(u, u_hat, abstol, 0.0, JOINT_PRIMAL_DUAL)
-    n, p = 1, 1
-    assert joint == pytest.approx(math.sqrt(1.0 / (n * (p + 1))))
-    # a dual state is packed into one array multidual: each entry, plain ones
-    # included, adds its value and its p tangent coordinates (a plain entry
-    # and a plain state count as zero tangents): 2 * (1 + 2) coordinates
-    u = np.array([MultiDual(1.0, [2 * abstol, 0.0]), 0.0], dtype=object)
-    u_hat = np.array([1.0, abstol], dtype=object)
-    joint = scaled_error(u, u_hat, abstol, 0.0, JOINT_PRIMAL_DUAL)
-    assert joint == pytest.approx(math.sqrt((0.0 + 4.0 + 0.0 + 1.0 + 0.0 + 0.0) / 6.0), rel=1e-12)
-    assert scaled_error(u, u_hat, abstol, 0.0, PRIMAL_ONLY) == pytest.approx(
-        math.sqrt(1.0 / 2.0), rel=1e-12
-    )
-
-
-def test_scaled_error_defaults_to_the_joint_norm():
-    # the same default as SolverConfig.norm_mode: without a mode, equal values
-    # with different tangents are an error, not a match
-    u = MultiDual(np.array([1.0, 2.0]), np.array([[0.0], [0.0]]))
-    u_hat = MultiDual(np.array([1.0, 2.0]), np.array([[1e-3], [0.0]]))
-    assert scaled_error(u, u_hat, 1e-6, 1e-6) > 0.0
-    assert scaled_error(u, u_hat, 1e-6, 1e-6) == scaled_error(
-        u, u_hat, 1e-6, 1e-6, JOINT_PRIMAL_DUAL
-    )
-
-
-def test_scaled_error_of_dual_states_sums_left_to_right():
-    # the dual norm adds value and tangent terms entry by entry in order, as
-    # the multidual loop it replaced did; a reordered sum changes the step
-    # sequence's bits
-    rng = np.random.default_rng(4)
-    n, p = 15, 8
-    u = MultiDual(rng.normal(size=n), rng.normal(size=(n, p)))
-    u_hat = MultiDual(u.value + 1e-6 * rng.normal(size=n), u.tangents + 1e-6 * rng.normal(size=(n, p)))
-    for mode, cols in ((JOINT_PRIMAL_DUAL, p + 1), (PRIMAL_ONLY, 1)):
-        x = np.concatenate((u.value[:, None], u.tangents), axis=1)[:, :cols].ravel().tolist()
-        y = np.concatenate((u_hat.value[:, None], u_hat.tangents), axis=1)[:, :cols].ravel().tolist()
-        total = 0.0
-        for a, b in zip(x, y):
-            total += (abs(a - b) / (1e-8 + 1e-6 * max(abs(a), abs(b)))) * (
-                abs(a - b) / (1e-8 + 1e-6 * max(abs(a), abs(b)))
-            )
-        assert scaled_error(u, u_hat, 1e-8, 1e-6, mode) == math.sqrt(total / len(x))
-
-
 def test_propose_dt_elementary_doubling():
     # q = 5, w = 32: 32^(1/5) = 2, times the safety 0.9
     assert propose_dt(0.1, 32.0, 5) == pytest.approx(0.18)
@@ -212,18 +162,40 @@ def test_solve_deterministic_bitwise():
     assert a.stats == b.stats
 
 
-def test_norm_mode_changes_step_sequence_on_dual_solve():
+def test_norm_mode_changes_step_sequence_of_forward_ad():
     # constant primal solution hides all tangent error from the primal-only
     # norm, so the two controllers must walk different meshes
     ent = sk.make_predprey(1.0)
-    theta_d = sk.dual.seed(ent.problem.theta)
-    u0_d = sk.dual.seed_state(ent.problem.u0, None, 1)
-    sols = {}
+    res = {}
     for mode in (PRIMAL_ONLY, JOINT_PRIMAL_DUAL):
         cfg = sk.SolverConfig(abstol=1e-12, reltol=1e-12, norm_mode=mode)
-        sols[mode] = sk.solve(ent.problem, cfg, theta=theta_d, u0=u0_d)
-    a, b = sols[PRIMAL_ONLY].node_times, sols[JOINT_PRIMAL_DUAL].node_times
+        res[mode] = sk.forwardad_gradient(ent.problem, ent.loss, cfg)
+    a, b = res[PRIMAL_ONLY].trajectory_times, res[JOINT_PRIMAL_DUAL].trajectory_times
     assert len(a) != len(b) or not np.array_equal(a, b)
+    assert res[PRIMAL_ONLY].stats.accepted_steps < res[JOINT_PRIMAL_DUAL].stats.accepted_steps
+
+
+@pytest.mark.parametrize("method,dt", [("dopri5", None), ("rk4", 0.1)])
+@pytest.mark.parametrize("dual_arg", ["theta", "u0", "object-array-u0"])
+def test_solve_refuses_dual_states_before_any_rhs_call(method, dt, dual_arg):
+    # forward AD integrates a packed float state; a dual state reaching the
+    # solver would die in the adaptive norm or, fixed-step, silently run
+    ent = sk.make_predprey(1.0)
+    calls = []
+
+    def rhs(u, theta, t):
+        calls.append(t)
+        return ent.problem.rhs(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs=rhs)
+    args = {
+        "theta": {"theta": sk.dual.seed(problem.theta)},
+        "u0": {"u0": sk.dual.seed_state(problem.u0, None, 1)},
+        "object-array-u0": {"u0": np.array([MultiDual(x, [1.0]) for x in problem.u0])},
+    }[dual_arg]
+    with pytest.raises(TypeError, match=r'sk\.gradient\(\.\.\., "forward_ad"\)'):
+        sk.solve(problem, sk.SolverConfig(method=method, dt=dt), **args)
+    assert len(calls) == 0
 
 
 def test_fixed_step_requires_dt():
