@@ -170,6 +170,7 @@ def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
     if len(stages) != s:
         raise ValueError(f"step_vjp needs the {s} stage inputs of the step, got {len(stages)}")
     theta = np.asarray(theta, dtype=float)
+    t, dt = float(t), float(dt)  # Python floats: numpy's bits without its scalar overhead
     a, b, c = tableau.a, tableau.b, tableau.c
     jacobians = [
         jacobian_assembly(problem, y, theta, t + c[i] * dt)[:2] for i, y in enumerate(stages)

@@ -189,7 +189,9 @@ class Solution:
     None); backsolve's keeps its observation rows, then ``t1``'s, as
     ``times``/``states``.  The discrete adjoint's solves keep their stage
     tape: ``stage_tape[m]`` holds the stage inputs ``Y_2 .. Y_s`` of step
-    ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node ``m``).
+    ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node ``m``), a view of
+    the rows ``solver.rk_step`` built them in, so the tape keeps each
+    step's whole block.
     """
 
     times: np.ndarray
@@ -305,8 +307,8 @@ def dense_eval(sol: Solution, t, step=None):
     ``span_tol`` of a node returns that node's state bitwise, one within it
     outside the mesh the end node's, and one further outside raises.  One
     ``searchsorted`` finds the bracket; ``step``, a step ``m`` known to
-    hold ``t``, spares it.  A 1-D array ``t`` on a float mesh gives a row
-    per time, with the bits of one call per time.
+    hold ``t``, spares it.  A 1-D array ``t`` on a float or complex mesh
+    gives a row per time, with the bits of one call per time.
     """
     ts = sol.node_times
     tol = span_tol(ts[0], ts[-1])
@@ -360,7 +362,7 @@ def _hermite(ua, fa, ub, fb, s, h, q):
 
 
 def loss_eval(sol: Solution, loss):
-    """Value of a pointwise loss on a computed trajectory, read by ``dense_eval``.
+    """Value of a pointwise loss on a computed trajectory, read by one ``dense_eval``.
 
     The result has the scalar kind of the trajectory, float or complex
     (complex step differentiates through it; forward AD evaluates the loss
@@ -374,6 +376,6 @@ def loss_eval(sol: Solution, loss):
     if not isinstance(loss, PointwiseLoss):
         raise TypeError(f"unknown loss specification {type(loss).__name__}")
     total = 0.0
-    for i, t in enumerate(loss.times):
-        total = total + loss.value_at(dense_eval(sol, t), i)
+    for i, u in enumerate(dense_eval(sol, loss.times)):
+        total = total + loss.value_at(u, i)
     return total

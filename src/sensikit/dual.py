@@ -26,9 +26,10 @@ iteration, ``np.concatenate`` with float operands, ``np.sum``, the ufuncs
 ``sin``, ``cos``, ``exp``, ``log``, ``sqrt`` and ``abs``, and
 ``np.array([...])`` of scalar entries.  It may not write into a dual array
 in place.  ``asarray`` is the boundary conversion of a right-hand-side
-result, in Jacobian assembly (through ``as_dual``) and in ``solver.rk_step``:
-it packs an object array of multiduals (plain entries get zero tangents)
-into one array multidual and passes float and complex arrays through.
+result in Jacobian assembly (through ``as_dual``); the solver steps
+float and complex states only.  It packs an object array of multiduals
+(plain entries get zero tangents) into one array multidual and passes
+float and complex arrays through.
 
 Plain real operands (``int``, ``float``, numpy real scalars and arrays)
 are constants that never get a zero tangent array: ``d + c`` and ``d - c``

@@ -21,6 +21,7 @@ sparse Jacobian, is a change to that function alone.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,15 @@ def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
     )
 
 
+@lru_cache(maxsize=None)
+def _identity(k):
+    """The k-by-k identity every seed of arity k shares: read-only, as no
+    multidual tangent is written in place."""
+    eye = np.eye(k)
+    eye.setflags(write=False)
+    return eye
+
+
 def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta=True, f=False,
                       u_theta=None):
     """The parts ``(J_u, J_theta, f)`` of the right-hand side at a point its caller reads.
@@ -79,7 +89,8 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
     if u_theta is not None:
         if problem.rhs_jac_u is None or problem.rhs_jac_theta is None:
             p = theta.size
-            out = dual.as_dual(problem.rhs(dual.seed_state(u, u_theta, p), dual.seed(theta), t), p)
+            th_in = dual.seed_state(theta, _identity(p), p)
+            out = dual.as_dual(problem.rhs(dual.seed_state(u, u_theta, p), th_in, t), p)
             return None, out.tangents, out.value if f else None
         jac_u = jac_theta = True
     seed_u = jac_u and problem.rhs_jac_u is None
@@ -87,7 +98,7 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
     J_u = J_theta = value = None
     if seed_u or seed_theta:
         arity = (n if seed_u else 0) + (theta.size if seed_theta else 0)
-        eye = np.eye(arity)
+        eye = _identity(arity)
         col = n if seed_u else 0
         u_in = dual.seed_state(u, eye[:n], arity) if seed_u else u
         th_in = dual.seed_state(theta, eye[col:], arity) if seed_theta else theta
@@ -164,8 +175,8 @@ def _forward_mode(problem: OdeProblem, loss, config: SolverConfig, theta=None, *
     stats.rejected_steps = sol.stats.rejected_steps
 
     gradient, loss_d = np.zeros(p), 0.0
-    for i, t in enumerate(loss.times):
-        u, s = _unpack(dense_eval(sol, t), n, p)
+    for i, z in enumerate(dense_eval(sol, loss.times)):
+        u, s = _unpack(z, n, p)
         if ad:  # the loss's own arithmetic, on multiduals
             loss_d = loss_d + loss.value_at(dual.seed_state(u, s, p), i)
         else:

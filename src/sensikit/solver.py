@@ -1,8 +1,11 @@
 """Explicit Runge-Kutta integration of float and complex states.
 
-``solve`` refuses dual states: forward AD integrates the packed float
-state of ``sensitivity.augmented_problem``.  ``rk_step`` alone stays
-generic, so one step can be taken on ``dual.MultiDual`` states too.
+``solve`` and ``rk_step`` refuse dual states: forward AD integrates the
+packed float state of ``sensitivity.augmented_problem``.  A step builds
+its stage inputs, its result and its error estimate as the rows of one
+array, one array operation per stage (Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.1); each row sums its products in the order of the
+tableau's columns, so it has the bits of a sum over the tableau's entries.
 Adaptive runs use the embedded error estimate with a scaled norm and
 elementary stepsize control (safety 0.9, step ratio clamped to [0.2, 10];
 Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  A solve keeps its
@@ -16,7 +19,9 @@ adjoints.  Its step source is the controller, a fixed ``dt`` (whose mesh,
 ``_fixed_mesh``, is known before the first step) or the recorded steps of
 an earlier run; one setting, ``keep``, says what it keeps.  A public
 ``solve`` keeps every node; only the adjoint forward pass asks for less
-(the node times and end states) or more (the stage tape).
+(the node times and end states) or more (the stage tape).  A kept node,
+``saveat`` row or checkpoint is a copy of its step's row; the stage tape
+keeps views of the steps' blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import numpy as np
 # dense_eval is also named here: the benchmark's tracer looks up the
 # dense-output layer as sensikit.solver.dense_eval
 from .core import OdeProblem, Solution, SolverStats, _hermite, dense_eval, span_tol  # noqa: F401
-from .dual import MultiDual, asarray
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -122,41 +126,40 @@ def rk_step(tableau, rhs, u, theta, t, dt, f0=None):
     tableaus without an embedded pair, ``k`` holds the stage derivatives
     ``f(Y_i, t + c_i dt)`` and ``stages`` the stage inputs ``Y_i``, with
     ``stages[0]`` the state ``u`` itself.  ``f0`` short-circuits the first
-    stage when the caller already holds ``rhs(u, theta, t)``.  Finiteness is
-    checked once, on ``u_next`` and ``u_embedded``: a non-finite stage feeds
-    a weighted sum or a later stage, so it reaches one of them.
+    stage when the caller already holds ``rhs(u, theta, t)``.  The stage
+    inputs and results are the rows of one block, one per row of
+    ``tableau.step_rows``, each stage derivative added to every later row
+    at once (a zero coefficient adds a signed zero); ``u_next``,
+    ``u_embedded`` and ``stages`` are views of it, which a caller keeping
+    one copies.  Finiteness is checked once, on the result rows: a
+    non-finite stage feeds a later row, so it reaches one of them.  A
+    multidual ``u`` or ``theta`` raises ``TypeError`` before any
+    right-hand-side call.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a, c = tableau.a, tableau.c
-    k = [asarray(rhs(u, theta, t + c[0] * dt)) if f0 is None else f0]
-    stages = [u]
-    for i in range(1, len(c)):
-        ui = u
-        row = a[i]
-        for j in range(i):
-            aij = row[j]
-            if aij != 0.0:
-                ui = ui + (dt * aij) * k[j]
-        stages.append(ui)
-        k.append(asarray(rhs(ui, theta, t + c[i] * dt)))
-    u_next = _weighted_sum(u, tableau.b, k, dt)
-    u_emb = None
-    if tableau.b_hat is not None:
-        u_emb = _weighted_sum(u, tableau.b_hat, k, dt)
-    if not (np.isfinite(u_next).all() and (u_emb is None or np.isfinite(u_emb).all())):
+    _refuse_duals("rk_step", u, theta)
+    c, s = tableau.c, tableau.stages
+    dE = dt * tableau.step_rows
+    k = [np.asarray(rhs(u, theta, t + c[0] * dt)) if f0 is None else f0]
+    U = u + dE[:, 0, None] * k[0]
+    for i in range(1, s):
+        k.append(np.asarray(rhs(U[i], theta, t + c[i] * dt)))
+        later = U[i + 1:]  # += on a name: no write back through U's __setitem__
+        later += dE[i + 1:, i, None] * k[i]
+    first = s - 1 if tableau.fsal else s  # the row of u_next
+    if not np.isfinite(U[first:]).all():
         raise NumericalBlowupError(
             f"non-finite stage value at t={t!r}, dt={dt!r}", t=t, dt=dt
         )
-    return u_next, u_emb, k, stages
+    return U[first], (None if tableau.b_hat is None else U[-1]), k, U[:s]
 
 
-def _weighted_sum(u, weights, k, dt):
-    out = u
-    for w, ki in zip(weights, k):
-        if w != 0.0:
-            out = out + (dt * w) * ki
-    return out
+def _refuse_duals(caller, u, theta):
+    """Raise ``TypeError`` on a state or parameter vector of multiduals (an object array)."""
+    if np.asarray(u).dtype.hasobject or np.asarray(theta).dtype.hasobject:
+        raise TypeError(f"{caller} steps float and complex states only; for a forward-mode "
+                        'derivative use sk.gradient(..., "forward_ad")')
 
 
 def scaled_error(u, u_hat, abstol, reltol) -> float:
@@ -201,11 +204,9 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
     count of leading coordinates its error norm covers.
     """
     t0, t1 = problem.tspan
-    theta = problem.theta if theta is None else asarray(theta)
-    u = asarray(problem.u0 if u0 is None else u0)
-    if isinstance(theta, MultiDual) or isinstance(u, MultiDual):
-        raise TypeError("solve integrates float and complex states only; for a forward-mode "
-                        'derivative use sk.gradient(..., "forward_ad")')
+    theta = problem.theta if theta is None else np.asarray(theta)
+    u = np.asarray(problem.u0 if u0 is None else u0)
+    _refuse_duals("solve", u, theta)
     stats = SolverStats()
 
     def eval_rhs(state, th, tt):
@@ -320,9 +321,9 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             while len(saved) < len(saveat) and (is_last or saveat[len(saved)] <= tb):
                 x = float(saveat[len(saved)])
                 if x - ta <= tol:
-                    saved.append(u)
+                    saved.append(u.copy())
                 elif tb - x <= tol:
-                    saved.append(u_next)
+                    saved.append(u_next.copy())
                 else:
                     s = (x - ta) / (tb - ta)
                     saved.append(_hermite(u, k[0], u_next, f, s, tb - ta, (1 - s) ** 2))
@@ -332,12 +333,13 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             times.append(t_new)
             step_dts.append(dt_step)
         if nodes:
-            states.append(u_next)
+            # a view would hold the step's whole block, which only the tape keeps
+            states.append(u_next if taped is not None else u_next.copy())
             derivs.append(f)
             if taped is not None:
-                taped.append(np.array(stages[1:]))  # Y_1 is node m
+                taped.append(stages[1:])  # Y_1 is node m
         if store is not None and next_target < len(plan) and t_new >= plan[next_target] - tiny:
-            store.add(m, t_new, u_next)
+            store.add(m, t_new, u_next.copy())
             while next_target < len(plan) and plan[next_target] <= t_new + tiny:
                 next_target += 1
         u, t = u_next, t_new
@@ -345,7 +347,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     if keep is None:
         return u
     if store is not None and store.times[-1] < t1 - tiny:
-        store.add(m, t1, u)
+        store.add(m, t1, u.copy())
     node_times = np.asarray(times if control else mesh)
     node_states = np.array(states) if nodes else None
     sol = Solution(

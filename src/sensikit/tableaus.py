@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,7 +18,9 @@ class ButcherTableau:
     estimate, and ``c`` the stage abscissae.  ``order`` is the convergence
     order of the ``b`` update.  Each is kept as a tuple of Python floats
     (``a`` a tuple of rows), which the steppers read without numpy's
-    per-scalar overhead.
+    per-scalar overhead.  A first-same-as-last (``fsal``) tableau's last
+    row of ``a`` is ``b`` and its last abscissa 1: its last stage input is
+    the step's result and its last stage the derivative there.
     """
 
     name: str
@@ -46,6 +49,21 @@ class ButcherTableau:
             if bh.shape != b.shape:
                 raise ValueError("embedded weights must match stage count")
             object.__setattr__(self, "b_hat", tuple(bh.tolist()))
+        if self.fsal and (self.a[-1] != self.b or self.c[-1] != 1.0):
+            raise ValueError("a first-same-as-last tableau needs a[-1] = b and c[-1] = 1")
+
+    @cached_property
+    def step_rows(self) -> np.ndarray:
+        """One step's coefficient rows, read-only, as ``solver.rk_step`` builds them:
+        zero (for ``u``), ``a[1:]``, ``b`` unless FSAL and ``b_hat`` if any."""
+        rows = [(0.0,) * self.stages, *self.a[1:]]
+        if not self.fsal:
+            rows.append(self.b)
+        if self.b_hat is not None:
+            rows.append(self.b_hat)
+        out = np.array(rows)
+        out.setflags(write=False)
+        return out
 
     @property
     def stages(self) -> int:

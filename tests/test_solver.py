@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,96 @@ def test_rk_step_blowup_carries_location():
         rk_step(EULER, rhs, np.array([1.0]), np.zeros(1), 2.0, 0.5)
     assert err.value.t == 2.0
     assert err.value.dt == 0.5
+
+
+def per_entry_rk_step(tableau, rhs, u, theta, t, dt, f0=None):
+    """Reference step: one array update per nonzero tableau coefficient."""
+    a, c = tableau.a, tableau.c
+    k = [np.asarray(rhs(u, theta, t + c[0] * dt)) if f0 is None else f0]
+    stages = [u]
+    for i in range(1, len(c)):
+        ui = u
+        for j in range(i):
+            if a[i][j] != 0.0:
+                ui = ui + (dt * a[i][j]) * k[j]
+        stages.append(ui)
+        k.append(np.asarray(rhs(ui, theta, t + c[i] * dt)))
+
+    def weighted_sum(weights):
+        out = u
+        for w, kj in zip(weights, k):
+            if w != 0.0:
+                out = out + (dt * w) * kj
+        return out
+
+    u_emb = None if tableau.b_hat is None else weighted_sum(tableau.b_hat)
+    return weighted_sum(tableau.b), u_emb, k, stages
+
+
+@pytest.mark.parametrize("tableau", [EULER, RK4, DOPRI5], ids=["euler", "rk4", "dopri5"])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_rk_step_is_the_per_entry_step_bitwise(tableau, kind):
+    # the stage rows build up in one array, one operation per stage; every
+    # row must keep the bits of the per-entry sums in the order of j
+    def rhs(u, theta, t):
+        return theta[0] * np.sin(u) - t * u[::-1] + theta[1] * u * u
+
+    rng = np.random.default_rng(21)
+    theta = rng.normal(size=2)
+    for _ in range(20):
+        u = rng.normal(size=5)
+        if kind is complex:
+            u = u + 1j * rng.normal(size=5)
+        t, dt = rng.uniform(-1.0, 1.0), rng.uniform(1e-3, 0.2)
+        for f0 in (None, np.asarray(rhs(u, theta, t)) + rng.normal(size=5)):
+            got = rk_step(tableau, rhs, u, theta, t, dt, f0=f0)
+            want = per_entry_rk_step(tableau, rhs, u, theta, t, dt, f0=f0)
+            assert got[0].dtype == kind
+            assert got[0].tobytes() == want[0].tobytes()
+            if tableau.b_hat is None:
+                assert got[1] is None
+            else:
+                assert got[1].tobytes() == want[1].tobytes()
+            assert len(got[2]) == len(want[2]) == tableau.stages
+            for kg, kw in zip(got[2], want[2]):
+                assert kg.tobytes() == kw.tobytes()
+            assert got[3].shape == (tableau.stages, 5)
+            assert got[3].tobytes() == np.array(want[3]).tobytes()
+
+
+@pytest.mark.parametrize("tableau", [RK4, DOPRI5], ids=["rk4", "dopri5"])
+@pytest.mark.parametrize("dual_arg", ["u", "theta", "object-array-u"])
+def test_rk_step_refuses_dual_states_before_any_rhs_call(tableau, dual_arg):
+    calls = []
+
+    def rhs(u, theta, t):
+        calls.append(t)
+        return -theta[0] * u
+
+    u, theta = np.array([1.0, 2.0]), np.array([0.5])
+    args = {
+        "u": (sk.dual.seed_state(u, None, 1), theta),
+        "theta": (u, sk.dual.seed(theta)),
+        "object-array-u": (np.array([MultiDual(x, [1.0]) for x in u]), theta),
+    }[dual_arg]
+    with pytest.raises(TypeError, match=r'sk\.gradient\(\.\.\., "forward_ad"\)'):
+        rk_step(tableau, rhs, *args, 0.0, 0.1)
+    assert len(calls) == 0
+
+
+def test_solve_peak_memory_stays_near_its_returned_mesh():
+    # a step's rows are views of its whole block: a kept node must be a
+    # copy, or every node would hold all s + 1 rows of its step
+    ent = sk.make_heat1d(64)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    tracemalloc.start()
+    try:
+        sol = sk.solve(ent.problem, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.stats.accepted_steps == 242
+    assert peak <= 2.5 * (sol.node_states.nbytes + sol.node_derivs.nbytes)
 
 
 def test_scaled_error_zero_for_equal_states():
@@ -390,6 +481,34 @@ def test_dense_eval_known_step_and_array_reads_are_the_scalar_path_bitwise():
     still = sk.OdeProblem(rhs=lambda u, th, t: -u, u0=[1.0], tspan=(0.0, 1e-13), theta=[0.0])
     one = sk.solve(still, sk.SolverConfig())
     assert sk.dense_eval(one, np.array([0.0, 1e-13])).tolist() == [[1.0], [1.0]]
+
+
+def test_dense_eval_array_reads_on_a_complex_mesh_are_the_scalar_path_bitwise():
+    # complex step's loss reads every observation with one array call:
+    # its rows must be the per-time calls' bits, near nodes and at the
+    # span's ends included
+    ent = sk.make_predprey(0.95)
+    theta = ent.problem.theta + 1e-3j
+    sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8), theta=theta,
+                   u0=ent.problem.u0.astype(complex))
+    ts = sol.node_times
+    assert sol.node_states.dtype == complex and np.abs(sol.node_states.imag).max() > 1e-4
+    tol = 1e-9 * max(ts[-1] - ts[0], 1.0)
+    rng = np.random.default_rng(13)
+    steps = rng.integers(0, len(ts) - 1, 300)
+    times = ts[steps] + rng.uniform(0.0, 1.0, 300) * (ts[steps + 1] - ts[steps])
+    near = [ts[0] - 0.5 * tol, ts[0], ts[0] + 0.5 * tol, ts[4] - 0.5 * tol, ts[4],
+            ts[9] + 0.5 * tol, ts[-1] - 0.5 * tol, ts[-1], ts[-1] + 0.5 * tol]
+    times = np.sort(np.concatenate([times, near]))
+    rows = np.array([sk.dense_eval(sol, t) for t in times])
+    assert sk.dense_eval(sol, times).tobytes() == rows.tobytes()
+    # loss_eval's one array read sums the terms of the per-time reads
+    loss = ent.loss
+    assert loss.times[0] == 0.0 and loss.times[-1] == 10.0
+    want = 0.0
+    for i, t in enumerate(loss.times):
+        want = want + loss.value_at(sk.dense_eval(sol, t), i)
+    assert np.complex128(sk.loss_eval(sol, loss)).tobytes() == np.complex128(want).tobytes()
 
 
 def test_dense_eval_out_of_span():
