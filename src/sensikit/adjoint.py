@@ -382,8 +382,8 @@ def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, keep="all
     its stage tape), ``m`` its step holding the interval.  Returns the
     costate after the ``t0`` jumps and the peak count of stored forward
     states: the state-sized vectors held at once, that is the segment's
-    node states, the ``s - 1`` stage inputs per step of its stage tape, and
-    the checkpoint snapshots.
+    node states, the ``len(tableau.step_rows)`` rows of the block each step
+    of its stage tape pins, and the checkpoint snapshots.
     """
     tol = span_tol(*problem.tspan)
     obs_times, jump = _observation_jumps(loss, problem)
@@ -392,7 +392,7 @@ def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, keep="all
     lam = np.zeros(problem.n)
     peak = 0
     for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau, keep):
-        tape_rows = 0 if seg.stage_tape is None else (tableau.stages - 1) * len(seg.stage_tape)
+        tape_rows = 0 if seg.stage_tape is None else len(tableau.step_rows) * len(seg.stage_tape)
         peak = max(peak, len(ts) + tape_rows + ckpt)
         u_at = partial(dense_eval, seg)
         for m, t_left, t_right in _reverse_intervals(ts, obs_times, tol):

@@ -3,10 +3,10 @@
 Subcommands reproduce the standard verification experiments as CSV
 artifacts: ``sweep-direct`` scans the direct methods over a stepsize grid
 against analytic references, ``compare-adjoints`` tabulates every
-solver-based gradient method, ``gradcheck`` pass/fails each method against
-centered finite differences, and ``fit`` runs plain gradient descent on
-self-generated data.  Plotting stays out of process; every command emits
-deterministic CSV.
+solver-based gradient method and ``gradcheck`` pass/fails each method,
+both against forward sensitivity at tolerance 1e-12 whatever the command's
+tolerance, and ``fit`` runs plain gradient descent on self-generated data.
+Plotting stays out of process; every command emits deterministic CSV.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ COMPARE_HEADER = (
     "jacobian_evaluations"
 )
 FIT_HEADER = "iteration,theta,loss,grad_norm"
+
+REFERENCE_TOL = 1e-12  # abstol = reltol of the forward-sensitivity reference
 
 ADJOINT_METHODS = (
     "forward_sensitivity",
@@ -201,29 +203,38 @@ def _solver_gradient(method, entry, config: RunConfig, epsilon=None):
     )
 
 
-def _reference_gradient(entry, config: RunConfig):
-    if entry.analytic_gradient is not None:
-        return np.asarray(entry.analytic_gradient(), dtype=float)
-    return _solver_gradient("centered_fd", entry, config).gradient
+def _reference_gradient(entry):
+    """Forward sensitivity of ``entry`` at tolerance ``REFERENCE_TOL``."""
+    cfg = SolverConfig(abstol=REFERENCE_TOL, reltol=REFERENCE_TOL)
+    return gradient(entry.problem, entry.loss, "forward_sensitivity", cfg).gradient
+
+
+def _compare(entry, config: RunConfig, methods, epsilon=None):
+    """Yield ``(method, result, rel_err)`` per method against one reference
+    gradient: ``result`` is a ``SensitivityResult``, or the ``SensikitError``
+    the method raised (``rel_err`` then nan)."""
+    ref = _reference_gradient(entry)
+    for method in methods:
+        try:
+            res = _solver_gradient(method, entry, config, epsilon=epsilon)
+        except SensikitError as err:
+            yield method, err, np.nan
+            continue
+        yield method, res, _rel_error(res.gradient, ref)
 
 
 def cmd_compare_adjoints(config: RunConfig) -> int:
     entry = config.make_entry()
-    ref = _reference_gradient(entry, config)
-    methods = config.methods or ADJOINT_METHODS
     rows = []
-    for method in methods:
-        try:
-            res = _solver_gradient(method, entry, config)
-        except SensikitError as err:
-            rows.append((method, "nan", "nan", "0", "0", f"blowup: {type(err).__name__}", "0"))
+    for method, res, rel_err in _compare(entry, config, config.methods or ADJOINT_METHODS):
+        if isinstance(res, SensikitError):
+            rows.append((method, "nan", "nan", "0", "0", f"blowup: {type(res).__name__}", "0"))
             continue
-        grad = res.gradient
         rows.append(
             (
                 method,
-                ";".join(fmt(g) for g in grad),
-                fmt(_rel_error(grad, ref)),
+                ";".join(fmt(g) for g in res.gradient),
+                fmt(rel_err),
                 str(res.stats.rhs_evaluations),
                 str(res.peak_stored_states or 0),
                 "ok",
@@ -238,27 +249,18 @@ def cmd_compare_adjoints(config: RunConfig) -> int:
 # gradcheck
 
 
-GRADCHECK_METHODS = (
-    "forward_fd",
-    "complex_step",
-    "forward_ad",
-    "forward_sensitivity",
-    "discrete_adjoint",
-    "continuous_backsolve",
-    "continuous_interpolating",
-    "continuous_quadrature",
-)
+GRADCHECK_METHODS = ("forward_fd", "complex_step", "forward_ad", *ADJOINT_METHODS)
 
 GRADCHECK_TOLERANCE = 1e-3
 
 
 def cmd_gradcheck(config: RunConfig, entries=None) -> int:
-    """Compare every applicable method against centered finite differences.
+    """Compare every applicable method against forward sensitivity at tolerance 1e-12.
 
     Prints one PASS/FAIL line per (problem, method); a method that raises a
     numerical failure (such as an unstable backsolve) is reported and
-    skipped rather than failed.  Exits
-    nonzero when any accuracy comparison fails.
+    skipped rather than failed.  Exits nonzero when any accuracy comparison
+    fails.
     """
     if entries is None:
         if config.problem == "all":
@@ -276,17 +278,11 @@ def cmd_gradcheck(config: RunConfig, entries=None) -> int:
         # its truncation error (order eps^2) far below the gate and matches
         # the complex-step requests of bench/workloads.py.
         eps = default_epsilon("centered_fd", entry.problem.theta)
-        ref = _solver_gradient("centered_fd", entry, config, epsilon=eps).gradient
-        for method in methods:
-            try:
-                grad = _solver_gradient(method, entry, config, epsilon=eps).gradient
-            except SensikitError as err:
-                lines.append(
-                    f"SKIP  {entry.id:10s} {method:28s} "
-                    f"(inapplicable: {type(err).__name__})"
-                )
+        for method, res, err_rel in _compare(entry, config, methods, epsilon=eps):
+            if isinstance(res, SensikitError):
+                lines.append(f"SKIP  {entry.id:10s} {method:28s} "
+                             f"(inapplicable: {type(res).__name__})")
                 continue
-            err_rel = _rel_error(grad, ref)
             ok = err_rel <= GRADCHECK_TOLERANCE
             failures += 0 if ok else 1
             lines.append(
@@ -401,9 +397,9 @@ def _build_parser():
     p_sweep.add_argument("--tolerances", type=float, nargs="+",
                          help="solver-mode tolerance panels")
 
-    command("compare-adjoints", "solver-based method table")
+    command("compare-adjoints", "solver-based method table vs forward sensitivity at tol 1e-12")
 
-    command("gradcheck", "pass/fail vs centered differences")
+    command("gradcheck", "pass/fail vs forward sensitivity at tol 1e-12")
 
     p_fit = command("fit", "gradient-descent recovery demo")
     p_fit.add_argument("--alpha", type=float)

@@ -300,10 +300,6 @@ class MultiDual:
         v = np.sqrt(self.value)
         return _dual(_val(v), self.tangents / _col(2.0 * v))
 
-    def isfinite(self):
-        """Finiteness of the value coordinates, as ``np.isfinite`` gives it."""
-        return np.isfinite(self.value)
-
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
             return NotImplemented
@@ -429,7 +425,6 @@ _UNARY_UFUNCS = {
     np.exp: "exp",
     np.log: "log",
     np.sqrt: "sqrt",
-    np.isfinite: "isfinite",
 }
 _BINARY_UFUNCS = {
     np.add: ("__add__", "__radd__"),

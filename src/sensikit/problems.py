@@ -120,7 +120,10 @@ def make_heat1d(n_cells: int = 64, theta: float = 0.1, t1: float = 0.5) -> Catal
     boundaries.  The initial profile ``sin(pi x)`` makes the solution
     separable: ``u(x, t) = exp(-pi^2 theta t) sin(pi x)``, so the canonical
     center-node loss ``u(1/2, t1)`` has the closed-form derivative
-    ``-pi^2 t1 u(1/2, t1)``.
+    ``-pi^2 t1 u(1/2, t1)``.  That ``analytic_gradient`` is the PDE's, not
+    the limit of the method-of-lines ODE the solvers integrate: it sits
+    1.63e-3 relative off the ODE's gradient at ``n_cells = 16`` and 1.0e-4
+    at 64.
     """
     if n_cells < 3:
         raise ValueError("need at least 3 cells for an interior stencil")

@@ -189,6 +189,18 @@ def test_stage_tape_is_kept_exactly_with_the_nodes_of_a_fixed_step_solve():
     assert sk.solve(prob, fixed).stage_tape is None
 
 
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_discrete_adjoint_counts_the_rows_its_stage_tape_pins(method):
+    # each tape entry is a view of its step's whole block, so the peak counts
+    # the block's rows, not only the s - 1 stage inputs the view shows
+    ent = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(method=method, dt=0.01)
+    sol = sk.solve(ent.problem, cfg, _keep="tape")
+    pinned = sum(len(rows.base) for rows in sol.stage_tape)
+    res = sk.gradient(ent.problem, ent.loss, "discrete_adjoint", cfg)
+    assert res.peak_stored_states - len(sol.node_times) == pinned > 0
+
+
 def test_discrete_adjoint_heat1d_64_matches_forward_sensitivity():
     # 63 states: the full-step multidual push took seconds here
     ent = sk.make_heat1d(64)

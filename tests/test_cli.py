@@ -284,3 +284,49 @@ def test_config_file_list_flags(tmp_path):
     assert run_main(["sweep-direct", "--config", str(cfg), "--out", str(out)]) == 0
     tags = {r["method"].split("/")[1] for r in read_csv(out)}
     assert tags == {"analytic", "solver-1e-06", "solver-1e-12"}
+
+
+def _verdicts(out):
+    # {(problem, method): "PASS" | "FAIL" | "SKIP"} of a gradcheck report
+    return {(ln.split()[1], ln.split()[2]): ln.split()[0] for ln in out.splitlines()}
+
+
+def test_gradcheck_judges_every_method_against_one_tight_reference(capsys):
+    # at a loose command tolerance the reference stays forward sensitivity at
+    # 1e-12, so the right methods pass and forward FD's error shows
+    rc = run_main(["gradcheck", "--problem", "all", "--heat-n", "16",
+                   "--abstol", "1e-6", "--reltol", "1e-6"])
+    verdicts = _verdicts(capsys.readouterr().out)
+    right = ["forward_ad", "forward_sensitivity", "discrete_adjoint",
+             "continuous_interpolating", "continuous_quadrature"]
+    for problem in ("harmonic", "heat1d", "predprey"):
+        for method in right:
+            assert verdicts[problem, method] == "PASS", (problem, method)
+    for problem in ("harmonic", "predprey"):
+        assert verdicts[problem, "continuous_backsolve"] == "PASS", problem
+    for problem in ("heat1d", "predprey"):
+        assert verdicts[problem, "forward_fd"] == "FAIL", problem
+    assert rc == cli.EXIT_GRADCHECK_FAILED
+
+
+@pytest.mark.parametrize("flags", [["--problem", "predprey"],
+                                   ["--problem", "heat1d", "--heat-n", "16"]])
+def test_compare_adjoints_errors_are_against_the_tight_reference(tmp_path, flags):
+    # the methods differentiate the ODE: heat1d's closed form is the PDE's,
+    # 1.63e-3 off the n = 16 ODE's gradient
+    out = tmp_path / "cmp.csv"
+    rc = run_main(["compare-adjoints", *flags, "--abstol", "1e-6", "--reltol", "1e-6",
+                   "--out", str(out)])
+    assert rc == 0
+    ok = [r for r in read_csv(out) if r["status"] == "ok"]
+    assert len(ok) >= 4
+    for r in ok:
+        assert float(r["abs_rel_error"]) <= 1e-5, r["method"]
+
+
+@pytest.mark.parametrize("problem", ["harmonic", "predprey", "heat1d"])
+def test_reference_gradient_is_forward_sensitivity_at_tol_1e_12(problem):
+    entry = cli.RunConfig(command="gradcheck", problem=problem, heat_n=16).make_entry()
+    cfg = sk.SolverConfig(abstol=1e-12, reltol=1e-12)
+    direct = sk.gradient(entry.problem, entry.loss, "forward_sensitivity", cfg).gradient
+    assert cli._reference_gradient(entry).tobytes() == direct.tobytes()

@@ -202,7 +202,7 @@ HARMONIC_WORK = {
     "forward_ad": [(34, 0, 205, 0, 35)] * 2,
     "forward_ad_primal_only": [(23, 0, 139, 0, 24)] * 2,
     "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
-    "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
+    "discrete_adjoint": [(1000, 0, 4001, 8000, 6001), (1000, 0, 8004, 8000, 1506)],
     "continuous_backsolve": [(48, 3, 308, 338, 2), (50, 6, 341, 404, 7)],
     "continuous_interpolating": [(51, 5, 139, 442, 24), (51, 5, 281, 442, 14)],
     "continuous_quadrature": [(49, 3, 139, 358, 27), (49, 3, 281, 358, 17)],
