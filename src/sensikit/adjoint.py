@@ -39,10 +39,11 @@ of the running integral ``q' = h`` (``core.check_request``), so its
 interpolating and quadrature adjoints share one reverse sweep over the
 forward mesh split at the observation times; each of its intervals lies
 in one forward step, which ``dense_eval`` reads without a mesh search.
-Reverse intervals run ``solve``'s own loop, ``solver._march``, on the
-reversed field over a forward-oriented clock, with no set-up.  Checkpoint
-segments rerun the recorded forward steps from their snapshots bitwise, so
-the gradients are independent of the checkpoint count.
+The forward pass runs ``solve``'s own loop, ``solver._march``, and so do
+the reverse intervals, on the reversed field over a forward-oriented clock,
+with no set-up.  Checkpoint segments rerun the recorded forward steps from
+their snapshots bitwise, so the gradients are independent of the
+checkpoint count.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .errors import (
     StepsizeUnderflowError,
 )
 from .sensitivity import _counted, jacobian_assembly
-from .solver import SolverConfig, _fixed_mesh, _march, scaled_error, solve
+from .solver import SolverConfig, _fixed_mesh, _march, checkpoint_plan, scaled_error
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 
@@ -221,16 +222,14 @@ def continuous_adjoint(
                 raise ValueError(f"observation time {t} does not sit on the fixed grid")
     stats = SolverStats()
     problem = _counted(problem, stats)
-    sol = _forward_pass(problem, config, theta, loss.times)
-    stats.accepted_steps += sol.stats.accepted_steps
-    stats.rejected_steps += sol.stats.rejected_steps
+    sol = _forward_pass(problem, config, theta, loss.times, stats)
 
     # an adaptive first attempt spans the interval; a fixed step keeps its
     # dt, as backsolve's intervals span many forward steps.  Unstable reverse
     # dynamics show as unbounded reverse work, not always as a clean
     # overflow, so the budget relative to the forward cost makes them fail fast
     rev = replace(fwd, dt=math.inf if fwd.adaptive else fwd.dt,
-                  max_steps=min(fwd.max_steps, max(10_000, 20 * sol.stats.accepted_steps)))
+                  max_steps=min(fwd.max_steps, max(10_000, 20 * stats.accepted_steps)))
     if discrete:
         g, lam, peak, extra = _discrete_reverse(problem, loss, sol, theta, rev, stats)
     elif config.variant == "backsolve":
@@ -294,26 +293,27 @@ def _observation_jumps(loss, problem):
     return times, jump
 
 
-def _forward_pass(problem, config: AdjointConfig, theta, times=()):
+def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
     """Forward solve keeping what the variant's reverse pass reads.
 
-    The one place that chooses ``solve``'s storage: the node times and end
-    states for checkpoints or backsolve, every node and the stage tape for
-    the discrete adjoint, every node otherwise.  Backsolve's also keeps, as
-    its ``times``/``states``, the state at each observation time in
-    ``times`` more than ``span_tol`` inside the span, then at ``t1``.
+    The one place that chooses the forward storage; it runs ``_march`` on
+    the request's counted problem and ``stats``: the node times and end
+    states, and the snapshots of ``checkpoint_plan``, for checkpoints or
+    backsolve; every node and the stage tape for the discrete adjoint;
+    every node otherwise.  Backsolve's also keeps, as its ``times``/
+    ``states``, the state at each observation time in ``times`` more than
+    ``span_tol`` inside the span, then at ``t1``.
     """
+    fwd, (t0, t1) = config.solver_config, problem.tspan
+    plan = None if config.checkpoints is None else checkpoint_plan((t0, t1), config.checkpoints)
     saveat = None
-    if config.checkpoints is not None or config.variant == "backsolve":
-        keep = "final"
-        if config.variant == "backsolve":
-            t0, t1 = problem.tspan
-            tol = span_tol(t0, t1)
-            saveat = [t for t in times if t0 + tol < t < t1 - tol] + [t1]
-    else:
-        keep = "tape" if config.variant == "discrete" else "all"
-    return solve(problem, replace(config.solver_config, saveat=saveat), theta=theta,
-                 checkpoints=config.checkpoints, _keep=keep)
+    if config.variant == "backsolve":
+        tol = span_tol(t0, t1)
+        saveat = np.array([t for t in times if t0 + tol < t < t1 - tol] + [t1], dtype=float)
+    keep = ("final" if plan is not None or saveat is not None
+            else "tape" if config.variant == "discrete" else "all")
+    return _march(problem.rhs, problem.u0, theta, t0, t1, fwd.tableau, stats, fwd,
+                  keep=keep, plan=plan, saveat=saveat)
 
 
 def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all"):

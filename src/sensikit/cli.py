@@ -362,52 +362,53 @@ def cmd_fit(config: RunConfig) -> int:
 # argument parsing
 
 
+# every flag's add_argument keywords; a subcommand registers the ones it reads
+_FLAGS = {
+    **dict.fromkeys(("abstol", "reltol", "eps-min", "eps-max", "alpha", "gtol", "theta-init",
+                     "theta-star"), dict(type=float)),
+    **dict.fromkeys(("heat-n", "checkpoints", "eps-count", "max-iters"), dict(type=int)),
+    "problem": dict(help="problem id (or 'all' for gradcheck)"),
+    "theta": dict(type=float, help="override the problem parameter"),
+    "dt": dict(type=float, help="fixed stepsize for the discrete adjoint forward pass"),
+    "method": dict(dest="methods", help="comma-separated method list",
+                   type=lambda s: tuple(m.strip() for m in s.split(",") if m.strip())),
+    "out": dict(help="output path (default stdout)"),
+    "config": dict(help="key-value config file"),
+    "tolerances": dict(type=float, nargs="+", help="solver-mode tolerance panels"),
+    "grad-method": dict(),
+}
+
+_SOLVER_FLAGS = "problem theta heat-n abstol reltol dt method out config checkpoints"
+
+# subcommand -> (help, the flags its handler reads)
+_COMMANDS = {
+    "sweep-direct": ("direct-method error sweep",
+                     "problem theta heat-n out config eps-min eps-max eps-count tolerances"),
+    "compare-adjoints": ("solver-based method table vs forward sensitivity at tol 1e-12",
+                         _SOLVER_FLAGS),
+    "gradcheck": ("pass/fail vs forward sensitivity at tol 1e-12", _SOLVER_FLAGS),
+    "fit": ("gradient-descent recovery demo", "problem abstol reltol out config alpha "
+            "max-iters gtol theta-init theta-star grad-method"),
+}
+
+
 def _build_parser():
     """The top-level parser and its subcommand parsers, by name.
 
-    Flags have no defaults (``argparse.SUPPRESS``): an absent flag leaves
-    its ``RunConfig`` default in place.
+    Each subcommand takes only the flags in its ``_COMMANDS`` entry, so a
+    flag it would not read exits 2.  Flags have no defaults
+    (``argparse.SUPPRESS``): an absent flag leaves its ``RunConfig``
+    default in place.
     """
     parser = argparse.ArgumentParser(
         prog="sensikit",
         description="gradient-method benchmarks over the built-in ODE problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help):
+    for name, (help, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        p.add_argument("--problem", help="problem id (or 'all' for gradcheck)")
-        p.add_argument("--theta", type=float, help="override the problem parameter")
-        p.add_argument("--heat-n", type=int)
-        p.add_argument("--abstol", type=float)
-        p.add_argument("--reltol", type=float)
-        p.add_argument("--dt", type=float,
-                       help="fixed stepsize for the discrete adjoint forward pass")
-        p.add_argument("--method", dest="methods", help="comma-separated method list",
-                       type=lambda s: tuple(m.strip() for m in s.split(",") if m.strip()))
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--config", help="key-value config file")
-        p.add_argument("--checkpoints", type=int)
-        return p
-
-    p_sweep = command("sweep-direct", "direct-method error sweep")
-    p_sweep.add_argument("--eps-min", type=float)
-    p_sweep.add_argument("--eps-max", type=float)
-    p_sweep.add_argument("--eps-count", type=int)
-    p_sweep.add_argument("--tolerances", type=float, nargs="+",
-                         help="solver-mode tolerance panels")
-
-    command("compare-adjoints", "solver-based method table vs forward sensitivity at tol 1e-12")
-
-    command("gradcheck", "pass/fail vs forward sensitivity at tol 1e-12")
-
-    p_fit = command("fit", "gradient-descent recovery demo")
-    p_fit.add_argument("--alpha", type=float)
-    p_fit.add_argument("--max-iters", type=int)
-    p_fit.add_argument("--gtol", type=float)
-    p_fit.add_argument("--theta-init", type=float)
-    p_fit.add_argument("--theta-star", type=float)
-    p_fit.add_argument("--grad-method")
+        for flag in flags.split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
     return parser, sub.choices
 
 

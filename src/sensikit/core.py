@@ -184,14 +184,15 @@ class Solution:
 
     ``times``/``states`` are the mesh, or its dense output at ``saveat``;
     ``node_*`` arrays hold the accepted mesh, which ``dense_eval`` reads by
-    cubic Hermite whatever the tableau.  An adjoint forward pass that keeps
-    only its end states has node times alone (node states and derivatives
-    None); backsolve's keeps its observation rows, then ``t1``'s, as
-    ``times``/``states``.  The discrete adjoint's solves keep their stage
-    tape: ``stage_tape[m]`` holds the stage inputs ``Y_2 .. Y_s`` of step
-    ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node ``m``), a view of
-    the rows ``solver.rk_step`` built them in, so the tape keeps each
-    step's whole block.
+    cubic Hermite whatever the tableau; ``solve`` keeps all of them.  An
+    adjoint forward pass keeping only its end states has node times alone
+    (node states and derivatives None) and, checkpointed, its snapshots;
+    backsolve's keeps its observation rows, then ``t1``'s, as
+    ``times``/``states``.  The discrete adjoint's forward pass and replays
+    keep their stage tape: ``stage_tape[m]`` holds the stage inputs ``Y_2
+    .. Y_s`` of step ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node
+    ``m``), a view of the rows ``solver.rk_step`` built them in, so the
+    tape keeps each step's whole block.
     """
 
     times: np.ndarray
@@ -201,7 +202,7 @@ class Solution:
     node_derivs: Optional[np.ndarray]
     stats: SolverStats
     step_errors: list = field(default_factory=list)
-    checkpoints: Optional[object] = None  # CheckpointStore when requested
+    checkpoints: Optional[object] = None  # CheckpointStore of a checkpointed forward pass
     step_dts: Optional[np.ndarray] = None  # exact accepted stepsizes, in order
     stage_tape: Optional[list] = None  # per step, its stage inputs after the first
 

@@ -107,10 +107,11 @@ def complexstep_gradient(loss_fn, theta, eps) -> np.ndarray:
 def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     """Parameter-to-loss map through the solver, generic over scalar kind.
 
-    Complex parameters lift the initial state to complex; the solver and
-    loss evaluation run unchanged on either kind.  The request is checked
-    when the map is built, before any solve; as the map perturbs ``theta``
-    only, a nonzero ``u0_jacobian`` is refused there too (``ValueError``).
+    Complex parameters make the solve's states complex (numpy promotes the
+    float initial state at the first step); the solver and loss evaluation
+    run unchanged on either kind.  The request is checked when the map is
+    built, before any solve; as the map perturbs ``theta`` only, a nonzero
+    ``u0_jacobian`` is refused there too (``ValueError``).
     """
     problem, loss, _ = check_request(problem, loss)
     if np.any(problem.initial_state_jacobian()):
@@ -121,9 +122,7 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     counter = SolverStats()
 
     def fn(theta):
-        theta = np.asarray(theta)
-        u0 = problem.u0.astype(complex) if np.iscomplexobj(theta) else None
-        sol = solve(problem, config, theta=theta, u0=u0)
+        sol = solve(problem, config, theta=theta)
         counter.merge(sol.stats)
         return loss_eval(sol, loss)
 

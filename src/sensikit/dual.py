@@ -25,11 +25,13 @@ indexing (a scalar), slices and index arrays (an array), ``len`` and
 iteration, ``np.concatenate`` with float operands, ``np.sum``, the ufuncs
 ``sin``, ``cos``, ``exp``, ``log``, ``sqrt`` and ``abs``, and
 ``np.array([...])`` of scalar entries.  It may not write into a dual array
-in place.  ``asarray`` is the boundary conversion of a right-hand-side
-result in Jacobian assembly (through ``as_dual``); the solver steps
-float and complex states only.  It packs an object array of multiduals
-(plain entries get zero tangents) into one array multidual and passes
-float and complex arrays through.
+in place, nor take ``float()`` of an entry (``math`` functions and
+``np.asarray(..., dtype=float)`` do): that drops the tangents, so it raises
+``AnalyticityError`` (a ``ValueError`` through numpy).  ``asarray`` is the
+boundary conversion of a right-hand-side result in Jacobian assembly
+(through ``as_dual``); the solver steps float and complex states only.  It
+packs an object array of multiduals (plain entries get zero tangents) into
+one array multidual and passes float and complex arrays through.
 
 Plain real operands (``int``, ``float``, numpy real scalars and arrays)
 are constants that never get a zero tangent array: ``d + c`` and ``d - c``
@@ -277,7 +279,8 @@ class MultiDual:
         return hash(self.value)
 
     def __float__(self):
-        return self.value
+        raise AnalyticityError("float() of a multidual drops its tangents; use numpy's functions "
+                               "(np.sin, not math.sin; no dtype=float) or centered_fd")
 
     def sin(self):
         return _dual(_val(np.sin(self.value)), self.tangents * _col(np.cos(self.value)))

@@ -10,7 +10,7 @@ class NonSmoothPointError(SensikitError, ArithmeticError):
 
 
 class AnalyticityError(SensikitError, TypeError):
-    """A non-analytic primitive was reached on the complex-step path."""
+    """A non-analytic primitive on the complex-step path, or ``float()`` of a multidual."""
 
 
 class NumericalBlowupError(SensikitError, ArithmeticError):

@@ -13,15 +13,16 @@ mesh, each node's state and derivative, which ``core.dense_eval`` reads
 by Hermite dense output whatever the tableau; ``saveat`` rows have its
 bits, taken as the loop steps past each time, so they need no kept mesh.
 
-One marching loop, ``_march``, takes every step: ``solve``'s, those of a
-checkpoint segment's replay and those of each reverse interval of the
-adjoints.  Its step source is the controller, a fixed ``dt`` (whose mesh,
-``_fixed_mesh``, is known before the first step) or the recorded steps of
-an earlier run; one setting, ``keep``, says what it keeps.  A public
-``solve`` keeps every node; only the adjoint forward pass asks for less
-(the node times and end states) or more (the stage tape).  A kept node,
-``saveat`` row or checkpoint is a copy of its step's row; the stage tape
-keeps views of the steps' blocks.
+One marching loop, ``_march``, takes every step: ``solve``'s, those of the
+adjoint forward pass, of a checkpoint segment's replay and of each reverse
+interval of the adjoints.  Its step source is the controller, a fixed
+``dt`` (whose mesh, ``_fixed_mesh``, is known before the first step) or the
+recorded steps of an earlier run; one setting, ``keep``, says what it
+keeps.  ``solve`` keeps every node; the adjoint forward pass calls
+``_march`` itself to keep less (the node times and end states, with
+checkpoint snapshots) or more (the stage tape).  A kept node, ``saveat``
+row or checkpoint is a copy of its step's row; the stage tape keeps views
+of the steps' blocks.
 """
 
 from __future__ import annotations
@@ -189,24 +190,19 @@ def propose_dt(dt_prev, w, order: int) -> float:
     return min(max(0.9 * w ** (1.0 / order), 0.2), 10.0) * dt_prev
 
 
-def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
-          checkpoints=None, *, _keep="all", _norm_n=None) -> Solution:
+def solve(problem: OdeProblem, config: SolverConfig, theta=None, *, _norm_n=None) -> Solution:
     """Integrate a problem over its time span under the given configuration.
 
-    ``theta``/``u0`` override the problem's nominal values, which is how
-    complex step pushes complex scalars through the solver; a multidual
-    one raises ``TypeError`` before any right-hand-side call.
-    ``checkpoints`` asks for snapshots on accepted nodes near that many
-    uniform spans (``checkpoint_plan``), kept in ``Solution.checkpoints``.
-    Every node is kept, and ``saveat`` rows are the dense output at those
-    times.  Only the adjoint forward pass sets ``_keep``, ``_march``'s
-    storage setting, and only primal-only forward AD ``_norm_n``, the
-    count of leading coordinates its error norm covers.
+    ``theta`` overrides the problem's nominal parameters; complex ones give
+    complex states, which is how complex step pushes complex scalars
+    through the solver, and a multidual one raises ``TypeError`` before any
+    right-hand-side call.  Every node is kept, and ``saveat`` rows are the
+    dense output at those times.  Only primal-only forward AD sets
+    ``_norm_n``, the count of leading coordinates its error norm covers.
     """
     t0, t1 = problem.tspan
     theta = problem.theta if theta is None else np.asarray(theta)
-    u = np.asarray(problem.u0 if u0 is None else u0)
-    _refuse_duals("solve", u, theta)
+    _refuse_duals("solve", problem.u0, theta)
     stats = SolverStats()
 
     def eval_rhs(state, th, tt):
@@ -217,9 +213,8 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, u0=None,
         grid, tol = config.saveat, span_tol(t0, t1)
         if grid[0] < t0 - tol or grid[-1] > t1 + tol:
             raise ValueError("saveat grid extends outside the time span")
-    plan = None if checkpoints is None else checkpoint_plan(problem.tspan, checkpoints)
-    return _march(eval_rhs, u, theta, t0, t1, config.tableau, stats, config,
-                  keep=_keep, plan=plan, saveat=config.saveat, norm_n=_norm_n)
+    return _march(eval_rhs, problem.u0, theta, t0, t1, config.tableau, stats, config,
+                  keep="all", saveat=config.saveat, norm_n=_norm_n)
 
 
 def _attempt(t, t1, end, dt, attempts, max_steps):

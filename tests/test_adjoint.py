@@ -164,7 +164,7 @@ def test_stage_tape_holds_the_stage_inputs_of_a_fresh_step(checkpoints):
     ent = sk.make_predprey(0.95)
     fwd = sk.SolverConfig(method="rk4", dt=0.05)
     cfg = AdjointConfig(variant="discrete", solver_config=fwd, checkpoints=checkpoints)
-    sol = _forward_pass(ent.problem, cfg, ent.problem.theta)
+    sol = _forward_pass(ent.problem, cfg, ent.problem.theta, (), sk.SolverStats())
     theta = ent.problem.theta
     steps = 0
     for seg, ts, states in _segments_reverse(ent.problem, sol, theta, RK4, keep="tape"):
@@ -181,10 +181,14 @@ def test_stage_tape_is_kept_exactly_with_the_nodes_of_a_fixed_step_solve():
     # on the discrete adjoint's request only: a plain solve records none
     prob = sk.make_harmonic(0.2).problem
     fixed = sk.SolverConfig(method="rk4", dt=0.1)
-    assert len(sk.solve(prob, fixed, _keep="tape").stage_tape) == 100
-    saveat = dataclasses.replace(fixed, saveat=[5.0, 10.0])
-    assert len(sk.solve(prob, saveat, _keep="tape").stage_tape) == 100
-    assert sk.solve(prob, fixed, _keep="final").stage_tape is None
+
+    def march(keep, saveat=None):
+        return sk.solver._march(prob.rhs, prob.u0, prob.theta, *prob.tspan, RK4,
+                                sk.SolverStats(), fixed, keep=keep, saveat=saveat)
+
+    assert len(march("tape").stage_tape) == 100
+    assert len(march("tape", np.array([5.0, 10.0])).stage_tape) == 100
+    assert march("final").stage_tape is None
     assert sk.solve(prob, sk.SolverConfig()).stage_tape is None
     assert sk.solve(prob, fixed).stage_tape is None
 
@@ -195,7 +199,8 @@ def test_discrete_adjoint_counts_the_rows_its_stage_tape_pins(method):
     # the block's rows, not only the s - 1 stage inputs the view shows
     ent = sk.make_harmonic(0.2)
     cfg = sk.SolverConfig(method=method, dt=0.01)
-    sol = sk.solve(ent.problem, cfg, _keep="tape")
+    discrete = AdjointConfig(variant="discrete", solver_config=cfg)
+    sol = _forward_pass(ent.problem, discrete, ent.problem.theta, (), sk.SolverStats())
     pinned = sum(len(rows.base) for rows in sol.stage_tape)
     res = sk.gradient(ent.problem, ent.loss, "discrete_adjoint", cfg)
     assert res.peak_stored_states - len(sol.node_times) == pinned > 0
@@ -543,10 +548,10 @@ def test_backsolve_forward_pass_keeps_the_final_state_and_the_observation_rows()
     # no mesh: the rows at the observation times inside the span, then t1's
     ent = sk.make_predprey(0.95)
     theta, times = ent.problem.theta, ent.loss.times
-    full = _forward_pass(ent.problem, AdjointConfig(solver_config=tight()), theta, times)
-    final = _forward_pass(
-        ent.problem, AdjointConfig(variant="backsolve", solver_config=tight()), theta, times
-    )
+    full = _forward_pass(ent.problem, AdjointConfig(solver_config=tight()), theta, times,
+                         sk.SolverStats())
+    final = _forward_pass(ent.problem, AdjointConfig(variant="backsolve", solver_config=tight()),
+                          theta, times, sk.SolverStats())
     assert full.node_states is not None
     assert final.node_states is None
     assert final.times.tolist() == times[1:].tolist() and len(final.states) == 100
@@ -604,7 +609,8 @@ def test_forward_pass_keeps_what_the_variant_reads(variant, checkpoints):
     ent = sk.make_predprey(0.95)
     cfg = sk.SolverConfig(method="rk4", dt=0.1)
     full = sk.solve(ent.problem, cfg)
-    sol = _forward_pass(ent.problem, AdjointConfig(variant, cfg, checkpoints), ent.problem.theta)
+    sol = _forward_pass(ent.problem, AdjointConfig(variant, cfg, checkpoints), ent.problem.theta,
+                        (), sk.SolverStats())
     keeps_nodes = checkpoints is None and variant != "backsolve"
     assert (sol.node_states is not None) == keeps_nodes
     assert (sol.stage_tape is not None) == (keeps_nodes and variant == "discrete")
@@ -695,7 +701,8 @@ def test_each_observation_jump_applies_once_with_and_without_checkpoints():
     ent = sk.make_predprey(0.95)
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     nodes = sk.solve(ent.problem, cfg).node_times
-    snaps = sk.solve(ent.problem, cfg, checkpoints=4)
+    snaps = _forward_pass(ent.problem, AdjointConfig(solver_config=cfg, checkpoints=4),
+                          ent.problem.theta, (), sk.SolverStats())
     tol = 1e-9 * 10.0
     times = np.unique(np.concatenate([
         np.linspace(0.0, 10.0, 21),                         # t0, t1 and interior

@@ -277,6 +277,27 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys, key):
     assert repr(key) in capsys.readouterr().err
 
 
+# the flags a subcommand does not read: sweep-direct's --tolerances panels
+# override --abstol/--reltol, and fit reads --theta-init, --theta-star and
+# --grad-method instead
+UNREAD_FLAGS = [
+    *(("sweep-direct", flag) for flag in ("abstol", "reltol", "dt", "method", "checkpoints")),
+    *(("fit", flag) for flag in ("theta", "heat-n", "dt", "method", "checkpoints")),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    # an unknown problem stops at once a run that accepted the flag
+    with pytest.raises(SystemExit) as err:
+        run_main([command, f"--{flag}", "1", "--problem", "nosuch"])
+    assert err.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\n{flag} = 1\nproblem = nosuch\n")
+    assert run_main([command, "--config", str(cfg)]) == cli.EXIT_BAD_CONFIG
+    assert repr(flag) in capsys.readouterr().err
+
+
 def test_config_file_list_flags(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("[run]\neps-count = 2\ntolerances = 1e-6, 1e-12\n")

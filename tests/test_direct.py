@@ -102,6 +102,43 @@ def test_absolute_guard_raises_on_complex():
         complexstep_gradient(loss, np.array([1.7]), 1e-10)
 
 
+def _float_state_rhs(u, p, t):
+    u = np.asarray(u, dtype=float)  # float() of every entry
+    return -p[0] * u
+
+
+def _math_sin_rhs(u, p, t):
+    return np.array([math.sin(u[0]) * p[0], -u[1]])
+
+
+@pytest.mark.parametrize("method", ["forward_ad", "forward_sensitivity",
+                                    "continuous_interpolating", "continuous_quadrature"])
+@pytest.mark.parametrize("rhs,error,match", [
+    (_float_state_rhs, ValueError, "setting an array element"),
+    (_math_sin_rhs, sk.errors.AnalyticityError, r"float\(\) of a multidual drops its tangents"),
+], ids=["float-state", "math-sin"])
+def test_float_of_a_multidual_raises_instead_of_dropping_its_tangents(method, rhs, error, match):
+    # float() of a multidual used to return its value: on the first
+    # right-hand side these methods returned -2.1574916 where the exact
+    # -3 exp(-0.7) is -1.4897559, and on the second math.sin lost the
+    # tangent of u, all without an error
+    problem = sk.OdeProblem(rhs=rhs, u0=[1.0, 2.0], tspan=(0.0, 1.0), theta=[0.7])
+    loss = sk.LinearStateLoss([1.0], [[1.0, 1.0]])
+    cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
+    with pytest.raises(error, match=match):
+        sk.gradient(problem, loss, method, cfg)
+
+
+def test_float_of_a_multidual_names_the_alternatives():
+    with pytest.raises(sk.errors.AnalyticityError, match="numpy's functions.*centered_fd"):
+        float(sk.dual.MultiDual(0.5, [1.0]))
+    problem = sk.OdeProblem(rhs=_float_state_rhs, u0=[1.0, 2.0], tspan=(0.0, 1.0), theta=[0.7])
+    loss = sk.LinearStateLoss([1.0], [[1.0, 1.0]])
+    cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
+    fd = sk.gradient(problem, loss, "centered_fd", cfg).gradient[0]
+    assert fd == pytest.approx(-3.0 * math.exp(-0.7), rel=1e-8)
+
+
 def test_default_epsilons():
     assert np.allclose(default_epsilon("centered_fd", [0.2]), 1e-6)
     assert np.allclose(default_epsilon("centered_fd", [50.0]), 5e-5)

@@ -15,6 +15,7 @@ from sensikit.errors import (
 from sensikit.solver import (
     JOINT_PRIMAL_DUAL,
     PRIMAL_ONLY,
+    _march,
     checkpoint_plan,
     propose_dt,
     rk_step,
@@ -25,6 +26,18 @@ from sensikit.tableaus import DOPRI5, EULER, RK4
 
 def exp_rhs(u, p, t):
     return u
+
+
+def march(problem, cfg, **kwargs):
+    """``solver._march`` over the problem's span, its RHS calls counted."""
+    stats = sk.SolverStats()
+
+    def rhs(u, theta, t):
+        stats.rhs_evaluations += 1
+        return problem.rhs(u, theta, t)
+
+    return _march(rhs, problem.u0, problem.theta, *problem.tspan, cfg.tableau, stats, cfg,
+                  **kwargs)
 
 
 def test_euler_step_exponential():
@@ -267,10 +280,11 @@ def test_norm_mode_changes_step_sequence_of_forward_ad():
 
 
 @pytest.mark.parametrize("method,dt", [("dopri5", None), ("rk4", 0.1)])
-@pytest.mark.parametrize("dual_arg", ["theta", "u0", "object-array-u0"])
+@pytest.mark.parametrize("dual_arg", ["theta", "object-array-theta"])
 def test_solve_refuses_dual_states_before_any_rhs_call(method, dt, dual_arg):
-    # forward AD integrates a packed float state; a dual state reaching the
-    # solver would die in the adaptive norm or, fixed-step, silently run
+    # forward AD integrates a packed float state; a dual parameter vector
+    # reaching the solver would die in the adaptive norm or, fixed-step,
+    # silently run.  OdeProblem casts u0 to float, so theta is the only way in
     ent = sk.make_predprey(1.0)
     calls = []
 
@@ -279,13 +293,12 @@ def test_solve_refuses_dual_states_before_any_rhs_call(method, dt, dual_arg):
         return ent.problem.rhs(u, theta, t)
 
     problem = dataclasses.replace(ent.problem, rhs=rhs)
-    args = {
-        "theta": {"theta": sk.dual.seed(problem.theta)},
-        "u0": {"u0": sk.dual.seed_state(problem.u0, None, 1)},
-        "object-array-u0": {"u0": np.array([MultiDual(x, [1.0]) for x in problem.u0])},
+    theta = {
+        "theta": sk.dual.seed(problem.theta),
+        "object-array-theta": np.array([MultiDual(x, [1.0]) for x in problem.theta]),
     }[dual_arg]
     with pytest.raises(TypeError, match=r'sk\.gradient\(\.\.\., "forward_ad"\)'):
-        sk.solve(problem, sk.SolverConfig(method=method, dt=dt), **args)
+        sk.solve(problem, sk.SolverConfig(method=method, dt=dt), theta=theta)
     assert len(calls) == 0
 
 
@@ -357,20 +370,20 @@ def test_saveat_rows_kept_without_a_mesh_are_dense_eval_bitwise(method):
     ts = full.node_times
     inside_last = 0.5 * (ts[-2] + ts[-1])
     grid = np.array([0.0, 0.37, ts[7], ts[9] + 4e-9, 5.55, inside_last, 10.0])
-    kept = sk.solve(ent.problem, dataclasses.replace(cfg, saveat=grid), _keep="final")
+    kept = march(ent.problem, cfg, keep="final", saveat=grid)
     assert kept.node_states is None
     assert kept.times.tobytes() == grid.tobytes()
     for t, row in zip(grid, kept.states):
         assert row.tobytes() == sk.dense_eval(full, t).tobytes(), t
     # the row inside a non-FSAL last step reads the end derivative, which a
     # solve keeping no mesh otherwise skips: one RHS call more, and counted
-    bare = sk.solve(ent.problem, cfg, _keep="final").stats.rhs_evaluations
+    bare = march(ent.problem, cfg, keep="final").stats.rhs_evaluations
     extra = kept.stats.rhs_evaluations - bare
     assert extra == (method == "rk4")
     if method == "rk4":
         assert bare == 4 * kept.stats.accepted_steps
         assert kept.stats.accepted_steps == full.stats.accepted_steps == 100
-        early = sk.solve(ent.problem, dataclasses.replace(cfg, saveat=grid[:-2]), _keep="final")
+        early = march(ent.problem, cfg, keep="final", saveat=grid[:-2])
         assert early.stats.rhs_evaluations == bare
 
 
@@ -489,8 +502,7 @@ def test_dense_eval_array_reads_on_a_complex_mesh_are_the_scalar_path_bitwise():
     # span's ends included
     ent = sk.make_predprey(0.95)
     theta = ent.problem.theta + 1e-3j
-    sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8), theta=theta,
-                   u0=ent.problem.u0.astype(complex))
+    sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8), theta=theta)
     ts = sol.node_times
     assert sol.node_states.dtype == complex and np.abs(sol.node_states.imag).max() > 1e-4
     tol = 1e-9 * max(ts[-1] - ts[0], 1.0)
@@ -509,6 +521,24 @@ def test_dense_eval_array_reads_on_a_complex_mesh_are_the_scalar_path_bitwise():
     for i, t in enumerate(loss.times):
         want = want + loss.value_at(sk.dense_eval(sol, t), i)
     assert np.complex128(sk.loss_eval(sol, loss)).tobytes() == np.complex128(want).tobytes()
+
+
+def test_solve_with_complex_theta_alone_integrates_complex_states():
+    # complex step passes theta only: numpy promotes the float u0 at the
+    # first step, so the nodes and the saveat rows come back complex and
+    # carry the derivative in their imaginary parts
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    eps = 1e-20
+    theta = ent.problem.theta + 1j * eps
+    sol = sk.solve(ent.problem, cfg, theta=theta)
+    saved = sk.solve(ent.problem, dataclasses.replace(cfg, saveat=ent.loss.times), theta=theta)
+    assert sol.node_states.dtype == saved.states.dtype == complex
+    assert np.abs(saved.states.imag).max() > 0
+    want = sk.forward_sensitivity(ent.problem, ent.loss, cfg).gradient[0]
+    for s in (sol, saved):
+        got = np.imag(sk.loss_eval(s, ent.loss)) / eps
+        assert abs(got - want) <= 1e-6 * abs(want)
 
 
 def test_dense_eval_out_of_span():
@@ -532,7 +562,7 @@ def test_checkpoint_plan_endpoints():
 def test_checkpoint_store_snaps_to_nodes():
     ent = sk.make_harmonic(0.2)
     cfg = sk.SolverConfig(abstol=1e-9, reltol=1e-9)
-    sol = sk.solve(ent.problem, cfg, checkpoints=4)
+    sol = march(ent.problem, cfg, keep="final", plan=checkpoint_plan(ent.problem.tspan, 4))
     store = sol.checkpoints
     assert store.times[0] == 0.0
     assert store.times[-1] == 10.0
