@@ -382,8 +382,8 @@ def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, keep="all
     its stage tape), ``m`` its step holding the interval.  Returns the
     costate after the ``t0`` jumps and the peak count of stored forward
     states: the state-sized vectors held at once, that is the segment's
-    node states, the ``len(tableau.step_rows)`` rows of the block each step
-    of its stage tape pins, and the checkpoint snapshots.
+    node states, the ``s - 1`` stage inputs each step of its stage tape
+    holds, and the checkpoint snapshots.
     """
     tol = span_tol(*problem.tspan)
     obs_times, jump = _observation_jumps(loss, problem)
@@ -392,7 +392,7 @@ def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, keep="all
     lam = np.zeros(problem.n)
     peak = 0
     for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau, keep):
-        tape_rows = 0 if seg.stage_tape is None else len(tableau.step_rows) * len(seg.stage_tape)
+        tape_rows = 0 if seg.stage_tape is None else (tableau.stages - 1) * len(seg.stage_tape)
         peak = max(peak, len(ts) + tape_rows + ckpt)
         u_at = partial(dense_eval, seg)
         for m, t_left, t_right in _reverse_intervals(ts, obs_times, tol):
@@ -402,16 +402,18 @@ def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, keep="all
     return lam, peak
 
 
-def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, keep=None):
+def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, saveat=None):
     """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left``.
 
     ``rhs(y, theta, t)`` is the reversed field ``dy/dsigma`` at time ``t``
     on the forward clock ``sigma = t_right - t``, so the stepper never sees
     a negative stepsize.  Adds the steps to ``stats`` and returns the end
-    state, or with ``keep="all"`` the dense sub-solution over ``sigma``.
+    state or, given sorted ``sigma`` values ``saveat``, its rows there.
     """
-    return _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta,
-                  0.0, t_right - t_left, cfg.tableau, stats, cfg, keep=keep)
+    sol = _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta, 0.0,
+                 t_right - t_left, cfg.tableau, stats, cfg,
+                 keep=None if saveat is None else "final", saveat=saveat)
+    return sol if saveat is None else sol.states
 
 
 # ---------------------------------------------------------------------
@@ -446,21 +448,20 @@ def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
     """Interpolating and quadrature variants share this reverse sweep.
 
     Quadrature adds each interval's Gauss-Legendre term of ``J_theta^T
-    lambda`` after its costate solve, holding one costate sub-solution at a
-    time; its costate field pays only ``J_u`` and the rule's nodes only
-    ``J_theta``.  Interpolating integrates the gradient with the costate
-    and keeps only each interval's end state (on a fixed-step method, it
-    skips the last end derivative).
+    lambda`` after its costate solve, which returns its rows at the rule's
+    nodes and the interval's end only; its costate field pays only ``J_u``
+    and the rule's nodes only ``J_theta``.  Interpolating integrates the
+    gradient with the costate and keeps only each interval's end state (on
+    a fixed-step method, it skips the last end derivative).
     An interval lies in one forward step, so a fixed-grid method takes one
     step per interval and an adaptive one subdivides on its own estimate.
     """
     order = QUADRATURE_ORDER
     n = problem.n
     g = np.zeros(theta.size)
-    lambda_nodes = 0  # the largest costate sub-solution held
 
     def step(seg, m, t_left, t_right, lam):
-        nonlocal g, lambda_nodes
+        nonlocal g
 
         def rhs(y, th, t):
             u = dense_eval(seg, min(max(t, t_left), t_right), m)
@@ -472,23 +473,23 @@ def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
             y = _integrate_costate_interval(rhs, y, t_left, t_right, theta, rev, stats)
             g = y[n:]
             return y[:n]
-        sub = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats, "all")
-        lambda_nodes = max(lambda_nodes, len(sub.node_times))
-        # forward state and costate at the rule's nodes, one lookup each;
-        # gauss_legendre evaluates the integrand at these same times
+        # forward state and costate at the rule's nodes, the latter in sigma
+        # order (the nodes reversed) then the interval's end; gauss_legendre
+        # evaluates the integrand at these same times
         tq = _gauss_rule(t_left, t_right, order)[0]
-        sigma = np.clip(t_right - tq, sub.node_times[0], sub.node_times[-1])
-        rows = dict(zip(tq.tolist(), zip(dense_eval(seg, tq, m), dense_eval(sub, sigma))))
+        lams = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats,
+                                           np.append(t_right - tq[::-1], t_right - t_left))
+        rows = dict(zip(tq.tolist(), zip(dense_eval(seg, tq, m), lams[-2::-1])))
 
         def integrand(t):
             u, lam_q = rows[t]
             return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
 
         g = g + gauss_legendre(integrand, t_left, t_right, order)
-        return sub.node_states[-1]
+        return lams[-1]
 
     lam, peak = _reverse_sweep(problem, loss, sol, theta, rev.tableau, step)
-    return g, lam, peak + lambda_nodes, {}
+    return g, lam, peak, {}
 
 
 def _backsolve(problem, loss, sol, theta, rev, stats):

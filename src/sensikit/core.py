@@ -191,8 +191,8 @@ class Solution:
     ``times``/``states``.  The discrete adjoint's forward pass and replays
     keep their stage tape: ``stage_tape[m]`` holds the stage inputs ``Y_2
     .. Y_s`` of step ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node
-    ``m``), a view of the rows ``solver.rk_step`` built them in, so the
-    tape keeps each step's whole block.
+    ``m``), a copy of those rows of the block ``solver.rk_step`` built
+    them in; no kept row is a view of that block.
     """
 
     times: np.ndarray

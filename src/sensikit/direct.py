@@ -141,13 +141,7 @@ def forwardad_gradient(
     shrink; the primal-only norm is kept to reproduce its known failure
     mode and is flagged in the result metadata.
     """
-    res = _forward_mode(problem, loss, config, theta, ad=True)
-    if config.norm_mode == PRIMAL_ONLY:
-        res.metadata["warning"] = (
-            "primal-only error norm ignores tangent error; the gradient "
-            "may not converge as tolerances shrink"
-        )
-    return res
+    return _forward_mode(problem, loss, config, theta, ad=True)
 
 
 def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import dual
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, dense_eval
+from .errors import AnalyticityError
 from .solver import PRIMAL_ONLY, SolverConfig, solve
 
 
@@ -65,6 +66,17 @@ def _identity(k):
     return eye
 
 
+def _dual_rhs(problem: OdeProblem, u, theta, t, arity):
+    """``problem.rhs`` at multidual ``u``, ``theta`` as multiduals of ``arity``, raising the
+    ``AnalyticityError`` that numpy wraps in a ``ValueError`` (``float()`` of an entry)."""
+    try:
+        return dual.as_dual(problem.rhs(u, theta, t), arity)
+    except ValueError as err:
+        if isinstance(err.__cause__, AnalyticityError):
+            raise err.__cause__ from None
+        raise
+
+
 def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta=True, f=False,
                       u_theta=None):
     """The parts ``(J_u, J_theta, f)`` of the right-hand side at a point its caller reads.
@@ -90,7 +102,7 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
         if problem.rhs_jac_u is None or problem.rhs_jac_theta is None:
             p = theta.size
             th_in = dual.seed_state(theta, _identity(p), p)
-            out = dual.as_dual(problem.rhs(dual.seed_state(u, u_theta, p), th_in, t), p)
+            out = _dual_rhs(problem, dual.seed_state(u, u_theta, p), th_in, t, p)
             return None, out.tangents, out.value if f else None
         jac_u = jac_theta = True
     seed_u = jac_u and problem.rhs_jac_u is None
@@ -102,7 +114,7 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
         col = n if seed_u else 0
         u_in = dual.seed_state(u, eye[:n], arity) if seed_u else u
         th_in = dual.seed_state(theta, eye[col:], arity) if seed_theta else theta
-        out = dual.as_dual(problem.rhs(u_in, th_in, t), arity)
+        out = _dual_rhs(problem, u_in, th_in, t, arity)
         J_u = out.tangents[:, :n] if seed_u else None
         J_theta = out.tangents[:, col:] if seed_theta else None
         value = out.value
@@ -161,16 +173,20 @@ def _forward_mode(problem: OdeProblem, loss, config: SolverConfig, theta=None, *
     from the multidual call of the user's right-hand side, differentiates
     each observation's loss term on the multidual ``(u, S)``, and under
     ``config.norm_mode == PRIMAL_ONLY`` controls the error of the state
-    alone.  Forward sensitivity keeps the joint norm whatever the mode.
-    The result carries ``S`` at the solve's save times.
+    alone, a choice the result's ``metadata["warning"]`` flags.  Forward
+    sensitivity keeps the joint norm whatever the mode.  The result
+    carries ``S`` at the solve's save times.
     """
     problem, loss, theta = check_request(problem, loss, theta)
     n, p = problem.n, theta.size
     if ad:
         problem = replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
+    primal_only = ad and config.norm_mode == PRIMAL_ONLY
+    metadata = {"warning": "primal-only error norm ignores tangent error; the gradient "
+                           "may not converge as tolerances shrink"} if primal_only else {}
     stats = SolverStats()
     sol = solve(augmented_problem(_counted(problem, stats)), config, theta=theta,
-                _norm_n=n if ad and config.norm_mode == PRIMAL_ONLY else None)
+                _norm_n=n if primal_only else None)
     stats.accepted_steps = sol.stats.accepted_steps
     stats.rejected_steps = sol.stats.rejected_steps
 
@@ -184,7 +200,8 @@ def _forward_mode(problem: OdeProblem, loss, config: SolverConfig, theta=None, *
     if ad:  # a copy: the loss dual's tangents may be shared with other duals
         gradient = np.array(dual.tangents(loss_d, p), dtype=float)
 
-    traj = np.array([_unpack(z, n, p)[1] for z in sol.states])
+    # row k is S at times[k]: _unpack of every saved state at once
+    traj = np.ascontiguousarray(sol.states[:, n:].reshape(-1, p, n).transpose(0, 2, 1))
     return SensitivityResult(
         gradient=gradient,
         method="forward_ad" if ad else "forward_sensitivity",
@@ -192,6 +209,7 @@ def _forward_mode(problem: OdeProblem, loss, config: SolverConfig, theta=None, *
         sensitivity_trajectory=traj,
         trajectory_times=np.asarray(sol.times),
         peak_stored_states=len(sol.node_times),
+        metadata=metadata,
     )
 
 

@@ -20,9 +20,9 @@ interval of the adjoints.  Its step source is the controller, a fixed
 recorded steps of an earlier run; one setting, ``keep``, says what it
 keeps.  ``solve`` keeps every node; the adjoint forward pass calls
 ``_march`` itself to keep less (the node times and end states, with
-checkpoint snapshots) or more (the stage tape).  A kept node, ``saveat``
-row or checkpoint is a copy of its step's row; the stage tape keeps views
-of the steps' blocks.
+checkpoint snapshots) or more (the stage tape).  Whatever it keeps, a
+node, ``saveat`` row, checkpoint or stage-tape entry, is a copy of its
+step's rows, so no kept row holds a step's block.
 """
 
 from __future__ import annotations
@@ -328,11 +328,10 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             times.append(t_new)
             step_dts.append(dt_step)
         if nodes:
-            # a view would hold the step's whole block, which only the tape keeps
-            states.append(u_next if taped is not None else u_next.copy())
+            states.append(u_next.copy())
             derivs.append(f)
             if taped is not None:
-                taped.append(stages[1:])  # Y_1 is node m
+                taped.append(stages[1:].copy())  # Y_1 is node m
         if store is not None and next_target < len(plan) and t_new >= plan[next_target] - tiny:
             store.add(m, t_new, u_next.copy())
             while next_target < len(plan) and plan[next_target] <= t_new + tiny:

@@ -195,15 +195,20 @@ def test_stage_tape_is_kept_exactly_with_the_nodes_of_a_fixed_step_solve():
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_discrete_adjoint_counts_the_rows_its_stage_tape_pins(method):
-    # each tape entry is a view of its step's whole block, so the peak counts
-    # the block's rows, not only the s - 1 stage inputs the view shows
+    # each tape entry is a copy of the s - 1 stage inputs step_vjp reads, not
+    # a view holding its step's whole block, and the peak counts those rows:
+    # 1001 nodes + 3 x 1000 on rk4, the nodes alone on euler
     ent = sk.make_harmonic(0.2)
     cfg = sk.SolverConfig(method=method, dt=0.01)
+    tableau = cfg.tableau
     discrete = AdjointConfig(variant="discrete", solver_config=cfg)
     sol = _forward_pass(ent.problem, discrete, ent.problem.theta, (), sk.SolverStats())
-    pinned = sum(len(rows.base) for rows in sol.stage_tape)
+    assert len(sol.stage_tape) == 1000
+    for rows in sol.stage_tape:
+        assert rows.shape == (tableau.stages - 1, ent.problem.n) and rows.base is None
     res = sk.gradient(ent.problem, ent.loss, "discrete_adjoint", cfg)
-    assert res.peak_stored_states - len(sol.node_times) == pinned > 0
+    expected = len(sol.node_times) + (tableau.stages - 1) * len(sol.stage_tape)
+    assert res.peak_stored_states == expected == {"rk4": 4001, "euler": 1001}[method]
 
 
 def test_discrete_adjoint_heat1d_64_matches_forward_sensitivity():
@@ -321,11 +326,11 @@ def test_discrete_adjoint_refuses_an_off_grid_observation_before_any_work(checkp
 @pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
 def test_dense_adjoints_on_a_fixed_step_method_keep_no_stage_tape(variant, checkpoints, peak):
     # only the discrete adjoint reads a stage tape: a dense adjoint holds the
-    # forward nodes and snapshots, plus quadrature's two-node costate mesh
+    # forward nodes and snapshots
     ent = sk.make_predprey(0.95)
     cfg = sk.SolverConfig(method="rk4", dt=0.01)
     res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg, checkpoints=checkpoints)
-    assert res.peak_stored_states == peak + 2 * (variant == "quadrature")
+    assert res.peak_stored_states == peak
 
 
 DOPRI = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
@@ -758,9 +763,10 @@ def test_variants_match_centered_fd_on_predprey(variant):
     assert abs(res.gradient[0] - fd[0]) / abs(fd[0]) <= 1e-4
 
 
-def test_quadrature_holds_one_costate_sub_solution():
-    # quadrature stores the forward mesh plus one interval's costate
-    # sub-solution at a time: a few nodes, however many intervals there are
+def test_quadrature_stores_what_interpolating_stores():
+    # quadrature's costate solve returns only its rows at the Gauss nodes and
+    # the interval's end, which are working rows: it keeps no costate mesh,
+    # so its peak is the forward storage, as interpolating's is
     ent = sk.make_predprey(0.95)
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     for ck in (None, 4):
@@ -768,8 +774,7 @@ def test_quadrature_holds_one_costate_sub_solution():
                              checkpoints=ck)
         quad = sk.gradient(ent.problem, ent.loss, "continuous_quadrature", cfg,
                            checkpoints=ck)
-        assert interp.peak_stored_states < quad.peak_stored_states
-        assert quad.peak_stored_states <= interp.peak_stored_states + 5
+        assert quad.peak_stored_states == interp.peak_stored_states, ck
 
 
 def test_quadrature_integrand_evaluates_only_the_theta_jacobian():

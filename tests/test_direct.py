@@ -111,21 +111,24 @@ def _math_sin_rhs(u, p, t):
     return np.array([math.sin(u[0]) * p[0], -u[1]])
 
 
-@pytest.mark.parametrize("method", ["forward_ad", "forward_sensitivity",
-                                    "continuous_interpolating", "continuous_quadrature"])
-@pytest.mark.parametrize("rhs,error,match", [
-    (_float_state_rhs, ValueError, "setting an array element"),
-    (_math_sin_rhs, sk.errors.AnalyticityError, r"float\(\) of a multidual drops its tangents"),
-], ids=["float-state", "math-sin"])
-def test_float_of_a_multidual_raises_instead_of_dropping_its_tangents(method, rhs, error, match):
+@pytest.mark.parametrize("method", ["forward_ad", "forward_sensitivity", "continuous_backsolve",
+                                    "continuous_interpolating", "continuous_quadrature",
+                                    "discrete_adjoint"])
+@pytest.mark.parametrize("rhs", [_float_state_rhs, _math_sin_rhs], ids=["float-state", "math-sin"])
+def test_float_of_a_multidual_raises_instead_of_dropping_its_tangents(method, rhs):
     # float() of a multidual used to return its value: on the first
     # right-hand side these methods returned -2.1574916 where the exact
     # -3 exp(-0.7) is -1.4897559, and on the second math.sin lost the
-    # tangent of u, all without an error
+    # tangent of u, all without an error.  numpy wraps the first one's
+    # error in "setting an array element with a sequence"; the error
+    # itself is raised
     problem = sk.OdeProblem(rhs=rhs, u0=[1.0, 2.0], tspan=(0.0, 1.0), theta=[0.7])
     loss = sk.LinearStateLoss([1.0], [[1.0, 1.0]])
     cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
-    with pytest.raises(error, match=match):
+    if method == "discrete_adjoint":
+        cfg = sk.SolverConfig(method="rk4", dt=0.1)
+    with pytest.raises(sk.errors.AnalyticityError,
+                       match=r"float\(\) of a multidual drops its tangents"):
         sk.gradient(problem, loss, method, cfg)
 
 
@@ -239,10 +242,10 @@ HARMONIC_WORK = {
     "forward_ad": [(34, 0, 205, 0, 35)] * 2,
     "forward_ad_primal_only": [(23, 0, 139, 0, 24)] * 2,
     "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
-    "discrete_adjoint": [(1000, 0, 4001, 8000, 6001), (1000, 0, 8004, 8000, 1506)],
+    "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
     "continuous_backsolve": [(48, 3, 308, 338, 2), (50, 6, 341, 404, 7)],
     "continuous_interpolating": [(51, 5, 139, 442, 24), (51, 5, 281, 442, 14)],
-    "continuous_quadrature": [(49, 3, 139, 358, 27), (49, 3, 281, 358, 17)],
+    "continuous_quadrature": [(49, 3, 139, 358, 24), (49, 3, 281, 358, 14)],
 }
 
 
