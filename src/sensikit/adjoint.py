@@ -14,9 +14,9 @@ and runs no step again.  The continuous adjoints integrate the costate ODE
 ``lambda^T df/dtheta``: interpolating jointly, over Hermite dense output of
 the stored or checkpoint-recomputed forward steps; quadrature the costate
 alone, then the integral by ``QUADRATURE_ORDER``-point Gauss-Legendre per
-interval; backsolve re-solving the forward state backwards with the costate
-and checking it at each observation stop against the state its forward pass
-kept there.
+forward step; backsolve re-solving the forward state backwards with the
+costate and checking it at each observation stop against the state its
+forward pass kept there.
 Every Jacobian the variants read comes from ``sensitivity.jacobian_assembly``,
 asked for what each reads: a discrete step and the interpolating field
 ``J_u`` and ``J_theta``, backsolve's field ``f`` besides, quadrature's
@@ -35,15 +35,17 @@ the state of the stop that time snapped to: the mesh node within
 ``core.span_tol`` of it, as in every other method, or the time itself.
 An integrated loss reaches the adjoints as the one observation ``q(t1)``
 of the running integral ``q' = h`` (``core.check_request``), so its
-``dh`` terms are rows of the extended Jacobians.  The discrete,
-interpolating and quadrature adjoints share one reverse sweep over the
-forward mesh split at the observation times; each of its intervals lies
-in one forward step, which ``dense_eval`` reads without a mesh search.
-The forward pass runs ``solve``'s own loop, ``solver._march``, and so do
-the reverse intervals, on the reversed field over a forward-oriented clock,
-with no set-up.  Checkpoint segments rerun the recorded forward steps from
-their snapshots bitwise, so the gradients are independent of the
-checkpoint count.
+``dh`` terms are rows of the extended Jacobians.  The discrete adjoint
+walks the forward steps right to left; interpolating and quadrature make
+one costate solve per observation interval, as backsolve does, reading the
+forward state across the forward steps inside it by ``dense_eval`` over
+the whole mesh.  The forward pass runs ``solve``'s own loop,
+``solver._march``, and so do the reverse intervals, on the reversed field
+over a forward-oriented clock, with no set-up.  Checkpoint segments rerun
+the recorded forward steps from their snapshots bitwise, the dense
+adjoints' when the reverse pass first reads inside them, over the same
+observation intervals as full storage, so the gradients are independent of
+the checkpoint count.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .solver import SolverConfig, _fixed_mesh, _march, checkpoint_plan, scaled_e
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 
 # Gauss-Legendre points of the quadrature variant's gradient integral per
-# reverse interval
+# forward step (clipped to its observation interval)
 QUADRATURE_ORDER = 7
 
 # largest tolerance-scaled error (``solver.scaled_error`` under the reverse
@@ -316,90 +318,149 @@ def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
                   keep=keep, plan=plan, saveat=saveat)
 
 
+def _replay(problem, sol: Solution, theta, tableau, k, keep="all"):
+    """Segment ``k`` of a checkpointed forward pass, from snapshot ``k`` to ``k + 1``.
+
+    Reruns the recorded steps, so its node states, derivatives and (with
+    ``keep="tape"``) stage tape have the bits of a full-storage forward
+    pass; its steps were counted when they were recorded, its right-hand
+    sides are counted again.
+    """
+    store = sol.checkpoints
+    i_a, i_b = store.node_indices[k], store.node_indices[k + 1]
+    ts = sol.node_times[i_a : i_b + 1]
+    # the recorded stepsizes, not the node-time differences, keep it bitwise
+    return _march(problem.rhs, store.states[k], theta, ts[0], ts[-1], tableau,
+                  SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep=keep)
+
+
 def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all"):
     """Yield ``(seg, times, states)`` per mesh segment, right to left.
 
     ``seg`` is a dense ``Solution`` carrying its own ``step_dts`` and, with
     ``keep="tape"``, its stage tape; ``times`` and ``states`` are its node
     times and states (the benchmark tracer counts the latter).  Full
-    storage yields ``sol`` itself.  Checkpointed runs replay the recorded
-    steps from each snapshot, reproducing the stored-trajectory states and
-    stage inputs bitwise, and record the segment's tape as they go.
+    storage yields ``sol`` itself; checkpointed runs yield each segment's
+    ``_replay``.
     """
     if sol.node_states is not None:
         yield sol, sol.node_times, sol.node_states
         return
-    store = sol.checkpoints
-    if store is None:
+    if sol.checkpoints is None:
         raise ValueError("reverse pass needs stored nodes or checkpoints")
-    for k in range(len(store) - 1, 0, -1):
-        i_a, i_b = store.node_indices[k - 1], store.node_indices[k]
-        ts = sol.node_times[i_a : i_b + 1]
-        # the recorded stepsizes, not the node-time differences, keep the
-        # replay bitwise; its steps were counted when they were recorded
-        seg = _march(problem.rhs, store.states[k - 1], theta, ts[0], ts[-1], tableau,
-                     SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep=keep)
+    for k in range(len(sol.checkpoints) - 2, -1, -1):
+        seg = _replay(problem, sol, theta, tableau, k, keep)
         yield seg, seg.node_times, seg.node_states
 
 
-def _reverse_intervals(ts, obs_times, tol):
-    """Split mesh steps at interior observation times, keep reverse order.
+class _SegmentReader:
+    """``dense_eval`` over the whole forward mesh of a checkpointed pass.
 
-    Returns a list of ``(m, t_left, t_right)`` covering [ts[0], ts[-1]],
-    rightmost first, with every observation time on an endpoint and ``m``
-    the index of the step ``[ts[m], ts[m + 1]]`` holding the interval.
+    A read replays the segment holding it unless that segment is held, and
+    then keeps it and the segment to its right: a reverse attempt that
+    crosses a snapshot leftwards, then is rejected and starts again from
+    its right end, finds both held, so a pass whose observation intervals
+    are shorter than a segment replays each segment once.  ``drop_right_of``
+    lets go of the segments no later read reaches.  The node within the
+    full span's ``span_tol`` of a time is found on the full mesh, as
+    ``dense_eval`` on a full-storage pass finds it, never by a segment's
+    own tolerance, so every read has the bits of that pass.  ``peak``
+    counts the nodes of the segments held at once plus the snapshots.
+    """
+
+    def __init__(self, problem, sol: Solution, theta, tableau):
+        self.replay = partial(_replay, problem, sol, theta, tableau)
+        self.nodes = sol.node_times.tolist()
+        self.bounds = sol.checkpoints.node_indices  # node index of each snapshot
+        self.snapshots = len(sol.checkpoints)
+        self.tol = span_tol(self.nodes[0], self.nodes[-1])
+        self.held = {}  # segment index -> its replay
+        self.peak = 0
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):  # a row per time, as dense_eval's array read
+            return np.array([self(x) for x in t.tolist()])
+        i = bisect_left(self.nodes, t)
+        j = match_node(self.nodes, t, i, self.tol)
+        if j is None:  # Hermite on step i - 1
+            return dense_eval(self._segment(self._starting_by(i - 1)), t)
+        k = self._starting_by(j)
+        if j == self.bounds[k] and k and k not in self.held:
+            k -= 1  # a snapshot node also ends the segment to its left
+        return self._segment(k).node_states[j - self.bounds[k]]
+
+    def _starting_by(self, i):
+        """The last segment starting at or before node ``i``."""
+        return min(max(bisect_right(self.bounds, i) - 1, 0), len(self.bounds) - 2)
+
+    def drop_right_of(self, t):
+        """Let go of the segments starting at or after ``t``, which reads up to ``t`` skip."""
+        self.held = {k: s for k, s in self.held.items() if self.nodes[self.bounds[k]] < t}
+
+    def _segment(self, k):
+        seg = self.held.get(k)
+        if seg is None:
+            seg = self.replay(k)
+            self.held = {k: seg, **{r: s for r, s in self.held.items() if r == k + 1}}
+            self.peak = max(self.peak, self.snapshots
+                            + sum(len(s.node_times) for s in self.held.values()))
+        return seg
+
+
+def _reverse_intervals(ts, obs_times, tol):
+    """Split the mesh ``ts`` at interior observation times, keep reverse order.
+
+    Returns ``(t_left, t_right)`` pairs covering [ts[0], ts[-1]], rightmost
+    first, with every node and every observation time on an endpoint.
     ``obs_times`` is sorted; an observation time within ``tol`` of a node,
     or of an observation time added before it, snaps onto that point.
     """
     nodes = np.asarray(ts, dtype=float).tolist()
-    lo, hi = nodes[0], nodes[-1]
     added = []  # ascending, as obs_times is
-    first = bisect_right(obs_times, lo - tol)
-    last = bisect_left(obs_times, hi + tol)
+    first = bisect_right(obs_times, nodes[0] - tol)
+    last = bisect_left(obs_times, nodes[-1] + tol)
     for t in obs_times[first:last]:
         if (match_node(nodes, t, bisect_left(nodes, t), tol) is None
                 and match_node(added, t, bisect_left(added, t), tol) is None):
             added.append(t)
-    intervals = []
-    k = len(added)
-    for m in range(len(nodes) - 2, -1, -1):
-        t_right = nodes[m + 1]
-        # an added time is no node, so it lies strictly inside one step
-        while k and added[k - 1] > nodes[m]:
-            k -= 1
-            intervals.append((m, added[k], t_right))
-            t_right = added[k]
-        intervals.append((m, nodes[m], t_right))
-    return intervals
+    points = sorted(nodes + added)
+    return [(points[i], points[i + 1]) for i in range(len(points) - 2, -1, -1)]
 
 
-def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step, keep="all"):
-    """A reverse walk over the forward mesh of ``sol`` split at observations.
+def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step):
+    """The dense adjoints' reverse walk, one costate solve per observation interval.
 
-    Per interval, right to left, applies the jumps at the right end, then
-    ``lam = step(seg, m, t_left, t_right, lam)``: ``seg`` is the segment's
-    dense ``Solution`` with its ``step_dts`` (and, with ``keep="tape"``,
-    its stage tape), ``m`` its step holding the interval.  Returns the
-    costate after the ``t0`` jumps and the peak count of stored forward
-    states: the state-sized vectors held at once, that is the segment's
-    node states, the ``s - 1`` stage inputs each step of its stage tape
-    holds, and the checkpoint snapshots.
+    Each observation stops the walk at the forward node within ``span_tol``
+    of it, else at its own time; the intervals between stops (and ``t0``,
+    ``t1``) come from the forward node times, which every storage mode
+    keeps, so they do not depend on the checkpoint count.  Per interval,
+    right to left, applies the jumps at the right end, then
+    ``lam = step(u_at, t_left, t_right, lam)``, where ``u_at`` reads the
+    forward state at any time of the mesh: ``dense_eval`` on a full-storage
+    pass, a ``_SegmentReader`` on a checkpointed one.  Returns the costate
+    after the ``t0`` jumps and the peak count of stored forward states: the
+    nodes of the mesh, or of the segments held at once plus the snapshots.
     """
-    tol = span_tol(*problem.tspan)
     obs_times, jump = _observation_jumps(loss, problem)
-    ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
+    nodes = sol.node_times.tolist()
+    tol = span_tol(*problem.tspan)
+    stops = []
+    for t in obs_times:
+        j = match_node(nodes, t, bisect_left(nodes, t), tol)
+        stops.append(t if j is None else nodes[j])
+    if sol.node_states is not None:
+        u_at, reader = partial(dense_eval, sol), None
+    else:
+        u_at = reader = _SegmentReader(problem, sol, theta, tableau)
 
     lam = np.zeros(problem.n)
-    peak = 0
-    for seg, ts, _ in _segments_reverse(problem, sol, theta, tableau, keep):
-        tape_rows = 0 if seg.stage_tape is None else (tableau.stages - 1) * len(seg.stage_tape)
-        peak = max(peak, len(ts) + tape_rows + ckpt)
-        u_at = partial(dense_eval, seg)
-        for m, t_left, t_right in _reverse_intervals(ts, obs_times, tol):
-            lam = jump(lam, t_right, u_at)
-            lam = step(seg, m, t_left, t_right, lam)
+    for t_left, t_right in _reverse_intervals([nodes[0], nodes[-1]], sorted(stops), tol):
+        if reader is not None:
+            reader.drop_right_of(t_right)
+        lam = jump(lam, t_right, u_at)
+        lam = step(u_at, t_left, t_right, lam)
     lam = jump(lam, problem.tspan[0], lambda t: problem.u0)
-    return lam, peak
+    return lam, len(nodes) if reader is None else reader.peak
 
 
 def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, saveat=None):
@@ -427,45 +488,49 @@ def _discrete_reverse(problem, loss, sol, theta, rev, stats):
 
     Each step is ``step_vjp``'s stage recursion (Hager 2000, Sandu 2006)
     over the stage inputs on its segment's tape, with one Jacobian pair
-    per stage; the reverse pass evaluates no right-hand side.
+    per stage; the reverse pass evaluates no right-hand side.  The
+    observations sit on nodes (checked before any work), so the jumps at
+    a node read its state.  The peak counts a segment's nodes, the ``s - 1``
+    stage inputs of each of its steps and the checkpoint snapshots.
     """
     tableau = rev.tableau
-    g = np.zeros(theta.size)
-
-    def step(seg, m, t_left, t_right, lam):
-        nonlocal g
-        stages = [seg.node_states[m], *seg.stage_tape[m]]
-        t, dt = seg.node_times[m], seg.step_dts[m]
-        lam, contrib = step_vjp(problem, tableau, stages, theta, t, dt, lam)
-        g = g + contrib
-        return lam
-
-    lam, peak = _reverse_sweep(problem, loss, sol, theta, tableau, step, "tape")
+    _, jump = _observation_jumps(loss, problem)
+    ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
+    lam, g, peak = np.zeros(problem.n), np.zeros(theta.size), 0
+    for seg, ts, states in _segments_reverse(problem, sol, theta, tableau, "tape"):
+        peak = max(peak, len(ts) + (tableau.stages - 1) * len(seg.stage_tape) + ckpt)
+        for m in range(len(ts) - 2, -1, -1):
+            lam = jump(lam, ts[m + 1], lambda t, u=states[m + 1]: u)
+            stages = [states[m], *seg.stage_tape[m]]
+            lam, contrib = step_vjp(problem, tableau, stages, theta, ts[m], seg.step_dts[m], lam)
+            g = g + contrib
+    lam = jump(lam, problem.tspan[0], lambda t: problem.u0)
     return g, lam, peak, {}
 
 
 def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
     """Interpolating and quadrature variants share this reverse sweep.
 
-    Quadrature adds each interval's Gauss-Legendre term of ``J_theta^T
-    lambda`` after its costate solve, which returns its rows at the rule's
-    nodes and the interval's end only; its costate field pays only ``J_u``
-    and the rule's nodes only ``J_theta``.  Interpolating integrates the
-    gradient with the costate and keeps only each interval's end state (on
-    a fixed-step method, it skips the last end derivative).
-    An interval lies in one forward step, so a fixed-grid method takes one
-    step per interval and an adaptive one subdivides on its own estimate.
+    Each makes one costate solve per observation interval, reading the
+    forward state by Hermite dense output across the forward steps inside
+    it.  Interpolating integrates the gradient with the costate and keeps
+    only the interval's end state (on a fixed-step method, it skips the
+    last end derivative).  Quadrature's costate field pays only ``J_u``;
+    its solve returns the costate at the rule's nodes on every forward
+    step inside the interval (each step clipped to the interval) and at the
+    interval's end, and ``gauss_legendre`` then adds each step's term of
+    ``J_theta^T lambda``, its nodes paying only ``J_theta``.
     """
     order = QUADRATURE_ORDER
     n = problem.n
+    nodes = sol.node_times.tolist()
     g = np.zeros(theta.size)
 
-    def step(seg, m, t_left, t_right, lam):
+    def step(u_at, t_left, t_right, lam):
         nonlocal g
 
         def rhs(y, th, t):
-            u = dense_eval(seg, min(max(t, t_left), t_right), m)
-            dlam, dg = adjoint_rhs(u, y[:n], th, t, problem, jac_theta=not quadrature)
+            dlam, dg = adjoint_rhs(u_at(t), y[:n], th, t, problem, jac_theta=not quadrature)
             return -dlam if quadrature else np.concatenate([-dlam, dg])
 
         if not quadrature:
@@ -473,19 +538,22 @@ def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
             y = _integrate_costate_interval(rhs, y, t_left, t_right, theta, rev, stats)
             g = y[n:]
             return y[:n]
-        # forward state and costate at the rule's nodes, the latter in sigma
+        ends = [t_left, *nodes[bisect_right(nodes, t_left) : bisect_left(nodes, t_right)], t_right]
+        pieces = list(zip(ends[:-1], ends[1:]))
+        # forward state and costate at the rules' nodes, the latter in sigma
         # order (the nodes reversed) then the interval's end; gauss_legendre
         # evaluates the integrand at these same times
-        tq = _gauss_rule(t_left, t_right, order)[0]
+        tq = np.concatenate([_gauss_rule(a, b, order)[0] for a, b in pieces])
         lams = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats,
                                            np.append(t_right - tq[::-1], t_right - t_left))
-        rows = dict(zip(tq.tolist(), zip(dense_eval(seg, tq, m), lams[-2::-1])))
+        rows = dict(zip(tq.tolist(), zip(u_at(tq), lams[-2::-1])))
 
         def integrand(t):
             u, lam_q = rows[t]
             return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
 
-        g = g + gauss_legendre(integrand, t_left, t_right, order)
+        for a, b in pieces:
+            g = g + gauss_legendre(integrand, a, b, order)
         return lams[-1]
 
     lam, peak = _reverse_sweep(problem, loss, sol, theta, rev.tableau, step)
@@ -550,7 +618,7 @@ def _backsolve(problem, loss, sol, theta, rev, stats):
                 t=t,
             )
 
-    for _, t_lo, t_hi in intervals:
+    for t_lo, t_hi in intervals:
         if t_hi in stored:
             check_reconstruction(u, stored[t_hi], t_hi)
         lam = jump(lam, t_hi, lambda t: u)

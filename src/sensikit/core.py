@@ -300,25 +300,27 @@ def match_node(ts, t, idx, tol):
     return None
 
 
-def dense_eval(sol: Solution, t, step=None):
+def dense_eval(sol: Solution, t):
     """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
 
     The solution's mesh, whatever its tableau, gives cubic Hermite from the
     bracketing step's endpoint states and derivatives; a time within
     ``span_tol`` of a node returns that node's state bitwise, one within it
     outside the mesh the end node's, and one further outside raises.  One
-    ``searchsorted`` finds the bracket; ``step``, a step ``m`` known to
-    hold ``t``, spares it.  A 1-D array ``t`` on a float or complex mesh
-    gives a row per time, with the bits of one call per time.
+    ``searchsorted`` over the whole mesh finds the bracket, so a read may
+    fall in any step: interpolating and quadrature read the stage times of
+    an observation interval, across many forward steps, through it.  A 1-D
+    array ``t`` on a float or complex mesh gives a row per time, with the
+    bits of one call per time.
     """
     ts = sol.node_times
     tol = span_tol(ts[0], ts[-1])
     if isinstance(t, np.ndarray) and t.ndim:
         if len(ts) < 2:  # a solve that took no step: one node, no bracket
             return np.array([dense_eval(sol, float(x)) for x in t])
-        if step is None and (t.min() < ts[0] - tol or t.max() > ts[-1] + tol):
+        if t.min() < ts[0] - tol or t.max() > ts[-1] + tol:
             raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
-        j = ts[1:-1].searchsorted(t) if step is None else step  # the scalar bracket
+        j = ts[1:-1].searchsorted(t)  # the scalar bracket
         t = t[:, None]
         ta, tb = ts[j, None], ts[j + 1, None]
         s = (t - ta) / (tb - ta)
@@ -328,17 +330,17 @@ def dense_eval(sol: Solution, t, step=None):
                         sol.node_derivs[j + 1], s, tb - ta, np.float_power(1 - s, 2))
         # as on the scalar path, only these times can have a node within tol
         for i in np.flatnonzero((t - ta <= tol) | (tb - t <= tol)):
-            rows[i] = dense_eval(sol, float(t[i, 0]), step)
+            rows[i] = dense_eval(sol, float(t[i, 0]))
         return rows
-    if step is None:
-        if t < ts[0] - tol or t > ts[-1] + tol:
-            raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
-        step = min(max(int(ts.searchsorted(t)) - 1, 0), len(ts) - 2)
+    if t < ts[0] - tol or t > ts[-1] + tol:
+        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
+    idx = int(ts.searchsorted(t))
+    step = min(max(idx - 1, 0), len(ts) - 2)
     # Python floats: the same IEEE operations as on numpy scalars, without
     # numpy's per-operation scalar overhead
     ta, tb, t = float(ts[step]), float(ts[step + 1]), float(t)
     if t - ta <= tol or tb - t <= tol:  # only then can a node be within tol
-        node = match_node(ts, t, int(ts.searchsorted(t)), tol)
+        node = match_node(ts, t, idx, tol)
         if node is not None:
             return sol.node_states[node]
     s = (t - ta) / (tb - ta)

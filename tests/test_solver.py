@@ -443,9 +443,9 @@ def test_dense_eval_is_the_hermite_formula_bitwise():
             assert sk.dense_eval(sol, t + off).tobytes() == y.tobytes()
 
 
-def test_dense_eval_known_step_and_array_reads_are_the_scalar_path_bitwise():
-    # a known step spares the mesh search and an array of times is read in
-    # one expression per term: neither may change a bit of a read
+def test_dense_eval_array_reads_are_the_scalar_path_bitwise():
+    # an array of times is read in one expression per term: that may not
+    # change a bit of a read
     ent = sk.make_predprey(0.95)
     sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
     ts = sol.node_times
@@ -454,19 +454,17 @@ def test_dense_eval_known_step_and_array_reads_are_the_scalar_path_bitwise():
     steps = rng.integers(0, len(ts) - 1, 500)
     times = ts[steps] + rng.uniform(0.0, 1.0, 500) * (ts[steps + 1] - ts[steps])
     scalar = np.array([sk.dense_eval(sol, t) for t in times])
-    known = np.array([sk.dense_eval(sol, t, m) for t, m in zip(times, steps)])
-    assert known.tobytes() == scalar.tobytes()
     assert sk.dense_eval(sol, times).tobytes() == scalar.tobytes()
     for m in np.unique(steps)[:50]:
         on_step = times[steps == m]
-        assert sk.dense_eval(sol, on_step, m).tobytes() == scalar[steps == m].tobytes()
+        assert sk.dense_eval(sol, on_step).tobytes() == scalar[steps == m].tobytes()
     # within span_tol of a node, inside a step, the node state comes back
     near = []
     for m in (0, len(ts) // 2, len(ts) - 2):
         near += [(ts[m], m), (ts[m] + 0.5 * tol, m), (ts[m + 1] - 0.5 * tol, m), (ts[m + 1], m)]
     for t, m in near:
         node = m if abs(t - ts[m]) <= tol else m + 1
-        assert sk.dense_eval(sol, t, m).tobytes() == sol.node_states[node].tobytes()
+        assert sk.dense_eval(sol, t).tobytes() == sol.node_states[node].tobytes()
     near_t = np.array([t for t, _ in near])
     rows = np.array([sk.dense_eval(sol, t) for t in near_t])
     assert sk.dense_eval(sol, near_t).tobytes() == rows.tobytes()
@@ -478,14 +476,6 @@ def test_dense_eval_known_step_and_array_reads_are_the_scalar_path_bitwise():
         stats=sk.SolverStats(),
     )
     grid = np.linspace(1.0 - 3e-9, 1.0 + 6e-9, 41)
-    for m in (0, 1, 2):
-        ts_m = short.node_times
-        inside = grid[(grid >= ts_m[m]) & (grid <= ts_m[m + 1])]
-        if len(inside) == 0:
-            continue
-        rows = np.array([sk.dense_eval(short, t) for t in inside])
-        assert np.array([sk.dense_eval(short, t, m) for t in inside]).tobytes() == rows.tobytes()
-        assert sk.dense_eval(short, inside, m).tobytes() == rows.tobytes()
     rows = np.array([sk.dense_eval(short, t) for t in grid])
     assert sk.dense_eval(short, grid).tobytes() == rows.tobytes()
     with pytest.raises(ValueError):
