@@ -43,9 +43,9 @@ the whole mesh.  The forward pass runs ``solve``'s own loop,
 ``solver._march``, and so do the reverse intervals, on the reversed field
 over a forward-oriented clock, with no set-up.  Checkpoint segments rerun
 the recorded forward steps from their snapshots bitwise, the dense
-adjoints' when the reverse pass first reads inside them, over the same
-observation intervals as full storage, so the gradients are independent of
-the checkpoint count.
+adjoints' when a reverse read first needs a state no snapshot holds, over
+the same observation intervals as full storage, so the gradients are
+independent of the checkpoint count.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -63,6 +64,8 @@ from .core import (
     SensitivityResult,
     Solution,
     SolverStats,
+    _step_end,
+    _step_read,
     check_request,
     dense_eval,
     match_node,
@@ -97,9 +100,9 @@ class AdjointConfig:
     """Adjoint variant selection plus solver settings.
 
     ``solver_config`` drives the forward solve and every reverse
-    integration.  ``checkpoints`` bounds forward storage: snapshots are
-    kept at that many uniform spans and the trajectory between them is
-    recomputed on demand (backsolve resets its reconstruction to them).
+    integration.  ``checkpoints``, an integer of at least 1, bounds forward
+    storage: snapshots are kept at that many uniform spans and the trajectory
+    between them is recomputed on demand (backsolve resets to them).
     """
 
     variant: str = "interpolating"
@@ -109,8 +112,9 @@ class AdjointConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown adjoint variant {self.variant!r}")
-        if self.checkpoints is not None and self.checkpoints < 1:
-            raise ValueError("checkpoint count must be at least 1")
+        ck = self.checkpoints
+        if ck is not None and (isinstance(ck, bool) or not isinstance(ck, Integral) or ck < 1):
+            raise ValueError(f"checkpoint count must be an integer of at least 1, got {ck!r}")
 
 
 def gauss_legendre(fn, a, b, order: int):
@@ -326,11 +330,10 @@ def _replay(problem, sol: Solution, theta, tableau, k, keep="all"):
     pass; its steps were counted when they were recorded, its right-hand
     sides are counted again.
     """
-    store = sol.checkpoints
-    i_a, i_b = store.node_indices[k], store.node_indices[k + 1]
+    i_a, i_b = list(sol.checkpoints)[k : k + 2]
     ts = sol.node_times[i_a : i_b + 1]
     # the recorded stepsizes, not the node-time differences, keep it bitwise
-    return _march(problem.rhs, store.states[k], theta, ts[0], ts[-1], tableau,
+    return _march(problem.rhs, sol.checkpoints[i_a], theta, ts[0], ts[-1], tableau,
                   SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep=keep)
 
 
@@ -356,23 +359,22 @@ def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all"):
 class _SegmentReader:
     """``dense_eval`` over the whole forward mesh of a checkpointed pass.
 
-    A read replays the segment holding it unless that segment is held, and
-    then keeps it and the segment to its right: a reverse attempt that
-    crosses a snapshot leftwards, then is rejected and starts again from
-    its right end, finds both held, so a pass whose observation intervals
-    are shorter than a segment replays each segment once.  ``drop_right_of``
-    lets go of the segments no later read reaches.  The node within the
-    full span's ``span_tol`` of a time is found on the full mesh, as
-    ``dense_eval`` on a full-storage pass finds it, never by a segment's
-    own tolerance, so every read has the bits of that pass.  ``peak``
-    counts the nodes of the segments held at once plus the snapshots.
+    A read takes ``dense_eval``'s step and rule on the full mesh, so it has
+    a full-storage pass's bits.  One returning a snapshot node's state takes
+    the snapshot; any other reads the segment holding the step, replaying it
+    unless it is held, then keeps it and the segment to its right: a reverse
+    attempt that crosses a snapshot leftwards, then is rejected and starts
+    again from its right end, finds both held, so a pass whose observation
+    intervals are shorter than a segment replays each segment once.
+    ``drop_right_of`` lets go of the segments no later read reaches.
+    ``peak`` counts the nodes of the segments held at once plus the snapshots.
     """
 
     def __init__(self, problem, sol: Solution, theta, tableau):
         self.replay = partial(_replay, problem, sol, theta, tableau)
         self.nodes = sol.node_times.tolist()
-        self.bounds = sol.checkpoints.node_indices  # node index of each snapshot
-        self.snapshots = len(sol.checkpoints)
+        self.snapshots = sol.checkpoints
+        self.bounds = list(sol.checkpoints)  # node index of each snapshot
         self.tol = span_tol(self.nodes[0], self.nodes[-1])
         self.held = {}  # segment index -> its replay
         self.peak = 0
@@ -380,18 +382,15 @@ class _SegmentReader:
     def __call__(self, t):
         if isinstance(t, np.ndarray):  # a row per time, as dense_eval's array read
             return np.array([self(x) for x in t.tolist()])
-        i = bisect_left(self.nodes, t)
-        j = match_node(self.nodes, t, i, self.tol)
-        if j is None:  # Hermite on step i - 1
-            return dense_eval(self._segment(self._starting_by(i - 1)), t)
-        k = self._starting_by(j)
-        if j == self.bounds[k] and k and k not in self.held:
-            k -= 1  # a snapshot node also ends the segment to its left
-        return self._segment(k).node_states[j - self.bounds[k]]
-
-    def _starting_by(self, i):
-        """The last segment starting at or before node ``i``."""
-        return min(max(bisect_right(self.bounds, i) - 1, 0), len(self.bounds) - 2)
+        i = min(max(bisect_left(self.nodes, t) - 1, 0), len(self.nodes) - 2)  # dense_eval's step
+        ta, tb = self.nodes[i], self.nodes[i + 1]
+        end = _step_end(ta, tb, t, self.tol)
+        if end is not None and i + end in self.snapshots:
+            return self.snapshots[i + end]
+        k = bisect_right(self.bounds, i) - 1  # the segment holding step i
+        seg, j = self._segment(k), i - self.bounds[k]
+        return _step_read(ta, tb, seg.node_states[j], seg.node_derivs[j], seg.node_states[j + 1],
+                          seg.node_derivs[j + 1], t, self.tol)
 
     def drop_right_of(self, t):
         """Let go of the segments starting at or after ``t``, which reads up to ``t`` skip."""
@@ -402,7 +401,7 @@ class _SegmentReader:
         if seg is None:
             seg = self.replay(k)
             self.held = {k: seg, **{r: s for r, s in self.held.items() if r == k + 1}}
-            self.peak = max(self.peak, self.snapshots
+            self.peak = max(self.peak, len(self.snapshots)
                             + sum(len(s.node_times) for s in self.held.values()))
         return seg
 
@@ -579,12 +578,8 @@ def _backsolve(problem, loss, sol, theta, rev, stats):
     obs_times, jump = _observation_jumps(loss, problem)
     t0, t1 = problem.tspan
 
-    resets = {}
-    if sol.checkpoints is not None:
-        resets = {
-            float(t): np.asarray(u, dtype=float)
-            for t, u in zip(sol.checkpoints.times, sol.checkpoints.states)
-        }
+    # the snapshots by time
+    resets = {float(sol.node_times[i]): u for i, u in (sol.checkpoints or {}).items()}
 
     intervals = _reverse_intervals(
         sorted({t0, t1, *resets}), obs_times, span_tol(t0, t1)

@@ -2,11 +2,11 @@
 
 It also holds the one rule for placing a time on a trajectory, which the
 solver and the adjoints import: ``span_tol`` and ``match_node``; the one
-way to read a state off a solution, ``dense_eval``, on the mesh that
-every public solve keeps; and the one check of a gradient request,
-``check_request``, which every gradient method calls before any solve and
-which turns an integrated loss into a pointwise one on an extended
-problem.  ``loss_eval`` values pointwise losses only.
+rule for reading a state off a step, ``_step_read``, which ``dense_eval``
+applies on the mesh every public solve keeps; and the one check of a
+gradient request, ``check_request``, which every gradient method calls
+before any solve and which turns an integrated loss into a pointwise one
+on an extended problem.  ``loss_eval`` values pointwise losses only.
 """
 
 from __future__ import annotations
@@ -186,8 +186,9 @@ class Solution:
     ``node_*`` arrays hold the accepted mesh, which ``dense_eval`` reads by
     cubic Hermite whatever the tableau; ``solve`` keeps all of them.  An
     adjoint forward pass keeping only its end states has node times alone
-    (node states and derivatives None) and, checkpointed, its snapshots;
-    backsolve's keeps its observation rows, then ``t1``'s, as
+    (node states and derivatives None) and, checkpointed, its snapshots as
+    ``checkpoints``: ``{i: node i's state}`` from node 0 to the last, in
+    order.  Backsolve's keeps its observation rows, then ``t1``'s, as
     ``times``/``states``.  The discrete adjoint's forward pass and replays
     keep their stage tape: ``stage_tape[m]`` holds the stage inputs ``Y_2
     .. Y_s`` of step ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node
@@ -202,7 +203,7 @@ class Solution:
     node_derivs: Optional[np.ndarray]
     stats: SolverStats
     step_errors: list = field(default_factory=list)
-    checkpoints: Optional[object] = None  # CheckpointStore of a checkpointed forward pass
+    checkpoints: Optional[dict] = None  # node index -> snapshot state, when checkpointed
     step_dts: Optional[np.ndarray] = None  # exact accepted stepsizes, in order
     stage_tape: Optional[list] = None  # per step, its stage inputs after the first
 
@@ -303,11 +304,11 @@ def match_node(ts, t, idx, tol):
 def dense_eval(sol: Solution, t):
     """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
 
-    The solution's mesh, whatever its tableau, gives cubic Hermite from the
-    bracketing step's endpoint states and derivatives; a time within
-    ``span_tol`` of a node returns that node's state bitwise, one within it
-    outside the mesh the end node's, and one further outside raises.  One
-    ``searchsorted`` over the whole mesh finds the bracket, so a read may
+    One ``searchsorted`` over the whole mesh, whatever its tableau, finds
+    the step holding ``t`` (the first or last step for a time outside the
+    mesh within ``span_tol``; one further outside raises), and
+    ``_step_read`` reads it: the state of an end within ``span_tol``, the
+    left one first, bitwise, else cubic Hermite.  So a read may
     fall in any step: interpolating and quadrature read the stage times of
     an observation interval, across many forward steps, through it.  A 1-D
     array ``t`` on a float or complex mesh gives a row per time, with the
@@ -328,33 +329,39 @@ def dense_eval(sol: Solution, t):
         # squares, which differs in the last bit
         rows = _hermite(sol.node_states[j], sol.node_derivs[j], sol.node_states[j + 1],
                         sol.node_derivs[j + 1], s, tb - ta, np.float_power(1 - s, 2))
-        # as on the scalar path, only these times can have a node within tol
+        # only these times can read an end of their step (_step_end)
         for i in np.flatnonzero((t - ta <= tol) | (tb - t <= tol)):
             rows[i] = dense_eval(sol, float(t[i, 0]))
         return rows
     if t < ts[0] - tol or t > ts[-1] + tol:
         raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
-    idx = int(ts.searchsorted(t))
-    step = min(max(idx - 1, 0), len(ts) - 2)
+    step = min(max(int(ts.searchsorted(t)) - 1, 0), len(ts) - 2)
     # Python floats: the same IEEE operations as on numpy scalars, without
     # numpy's per-operation scalar overhead
-    ta, tb, t = float(ts[step]), float(ts[step + 1]), float(t)
-    if t - ta <= tol or tb - t <= tol:  # only then can a node be within tol
-        node = match_node(ts, t, idx, tol)
-        if node is not None:
-            return sol.node_states[node]
+    return _step_read(float(ts[step]), float(ts[step + 1]), sol.node_states[step],
+                      sol.node_derivs[step], sol.node_states[step + 1], sol.node_derivs[step + 1],
+                      float(t), tol)
+
+
+def _step_end(ta, tb, t, tol):
+    """The read rule: the end of step [ta, tb] within ``tol`` of ``t``, 0 first, or None."""
+    return 0 if t - ta <= tol else 1 if tb - t <= tol else None
+
+
+def _step_read(ta, tb, ua, fa, ub, fb, t, tol):
+    """State at ``t`` on step [ta, tb]: the ``_step_end`` end's state itself, else cubic Hermite.
+
+    ``ua``, ``fa`` and ``ub``, ``fb`` are the ends' states and derivatives.
+    """
+    end = _step_end(ta, tb, t, tol)
+    if end is not None:
+        return ub if end else ua
     s = (t - ta) / (tb - ta)
-    return _hermite(sol.node_states[step], sol.node_derivs[step], sol.node_states[step + 1],
-                    sol.node_derivs[step + 1], s, tb - ta, (1 - s) ** 2)
+    return _hermite(ua, fa, ub, fb, s, tb - ta, (1 - s) ** 2)
 
 
 def _hermite(ua, fa, ub, fb, s, h, q):
-    """Cubic Hermite on a step of length ``h`` at fraction ``s``; ``q = (1 - s)**2``.
-
-    ``ua``, ``fa`` and ``ub``, ``fb`` are the states and derivatives at the
-    step's two ends: ``dense_eval`` reads them off a mesh, ``solver._march``
-    holds them as it steps past a ``saveat`` time.
-    """
+    """Cubic Hermite on a step of length ``h`` at fraction(s) ``s``; ``q = (1 - s)**2``."""
     ss = s * s
     return (
         ((1 + 2 * s) * q) * ua

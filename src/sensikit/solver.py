@@ -11,7 +11,7 @@ elementary stepsize control (safety 0.9, step ratio clamped to [0.2, 10];
 Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  A solve keeps its
 mesh, each node's state and derivative, which ``core.dense_eval`` reads
 by Hermite dense output whatever the tableau; ``saveat`` rows have its
-bits, taken as the loop steps past each time, so they need no kept mesh.
+bits (``core._step_read``), taken as the loop steps past each time.
 
 One marching loop, ``_march``, takes every step: ``solve``'s, those of the
 adjoint forward pass, of a checkpoint segment's replay and of each reverse
@@ -20,15 +20,15 @@ interval of the adjoints.  Its step source is the controller, a fixed
 recorded steps of an earlier run; one setting, ``keep``, says what it
 keeps.  ``solve`` keeps every node; the adjoint forward pass calls
 ``_march`` itself to keep less (the node times and end states, with
-checkpoint snapshots) or more (the stage tape).  Whatever it keeps, a
-node, ``saveat`` row, checkpoint or stage-tape entry, is a copy of its
-step's rows, so no kept row holds a step's block.
+checkpoint snapshots by node index) or more (the stage tape).  Whatever it
+keeps, a node, ``saveat`` row, checkpoint or stage-tape entry, is a copy of
+its step's rows, so no kept row holds a step's block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -36,7 +36,7 @@ import numpy as np
 
 # dense_eval is also named here: the benchmark's tracer looks up the
 # dense-output layer as sensikit.solver.dense_eval
-from .core import OdeProblem, Solution, SolverStats, _hermite, dense_eval, span_tol  # noqa: F401
+from .core import OdeProblem, Solution, SolverStats, _step_read, dense_eval, span_tol  # noqa: F401
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -89,27 +89,6 @@ class SolverConfig:
     @property
     def adaptive(self) -> bool:
         return self.tableau.is_embedded
-
-
-@dataclass
-class CheckpointStore:
-    """Forward-state snapshots taken at (approximately) planned times.
-
-    Snapshots sit on accepted integration nodes, so replaying the recorded
-    stepsizes from a snapshot reproduces the original trajectory bitwise.
-    """
-
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    node_indices: list = field(default_factory=list)
-
-    def add(self, index, t, u):
-        self.node_indices.append(index)
-        self.times.append(t)
-        self.states.append(u)
-
-    def __len__(self):
-        return len(self.times)
 
 
 def checkpoint_plan(tspan, count: int) -> np.ndarray:
@@ -260,9 +239,9 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     step holding it is accepted: the bits of ``dense_eval`` on the kept
     mesh, which need not be kept.  Unless it keeps every node or a
     ``saveat`` time lies inside the last step, a non-FSAL tableau skips
-    that step's end derivative.  ``plan`` holds the checkpoint snapshot
-    times; ``norm_n`` limits the controller's error norm to the first
-    ``norm_n`` coordinates.
+    that step's end derivative.  ``plan`` holds the checkpoint times: the
+    first node at or past each, and the last, join node 0 in ``checkpoints``.
+    ``norm_n`` limits the controller's error norm to its first coordinates.
     """
     span = t1 - t
     tiny = 1e-12 * max(abs(span), 1.0)
@@ -280,7 +259,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     times, states, derivs, step_dts, errors = [t], [u], [f], [], []
     taped = [] if keep == "tape" else None
     saved = []  # the rows of saveat[:len(saved)]
-    store = None if plan is None else CheckpointStore([t], [u], [0])
+    snaps = None if plan is None else {0: u}
     next_target = 1  # plan[0] is t0, already stored
     attempts = m = 0
     while t < end:
@@ -310,18 +289,11 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
         else:
             f = np.asarray(rhs(u_next, theta, t_new))
         if saveat is not None:
-            # each row as dense_eval reads it off the mesh: the node within
-            # tol, the left one first, else Hermite on the step holding it
+            # each row as dense_eval reads it off the mesh, by its step rule
             ta, tb = float(t), float(t_new)
             while len(saved) < len(saveat) and (is_last or saveat[len(saved)] <= tb):
-                x = float(saveat[len(saved)])
-                if x - ta <= tol:
-                    saved.append(u.copy())
-                elif tb - x <= tol:
-                    saved.append(u_next.copy())
-                else:
-                    s = (x - ta) / (tb - ta)
-                    saved.append(_hermite(u, k[0], u_next, f, s, tb - ta, (1 - s) ** 2))
+                row = _step_read(ta, tb, u, k[0], u_next, f, float(saveat[len(saved)]), tol)
+                saved.append(row.copy() if row is u or row is u_next else row)
         m += 1
         stats.accepted_steps += 1
         if control:
@@ -332,16 +304,16 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             derivs.append(f)
             if taped is not None:
                 taped.append(stages[1:].copy())  # Y_1 is node m
-        if store is not None and next_target < len(plan) and t_new >= plan[next_target] - tiny:
-            store.add(m, t_new, u_next.copy())
+        if snaps is not None and next_target < len(plan) and t_new >= plan[next_target] - tiny:
+            snaps[m] = u_next.copy()
             while next_target < len(plan) and plan[next_target] <= t_new + tiny:
                 next_target += 1
         u, t = u_next, t_new
 
     if keep is None:
         return u
-    if store is not None and store.times[-1] < t1 - tiny:
-        store.add(m, t1, u.copy())
+    if snaps is not None and m not in snaps:  # the last node, t1, is a snapshot too
+        snaps[m] = u.copy()
     node_times = np.asarray(times if control else mesh)
     node_states = np.array(states) if nodes else None
     sol = Solution(
@@ -349,7 +321,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
         states=node_states if nodes else np.array([states[0], u]),
         node_times=node_times, node_states=node_states,
         node_derivs=np.array(derivs) if nodes else None,
-        stats=stats, step_errors=errors, checkpoints=store,
+        stats=stats, step_errors=errors, checkpoints=snaps,
         step_dts=np.asarray(step_dts if control else dts), stage_tape=taped,
     )
     if saveat is not None:  # rows still untaken here: a solve that took no step

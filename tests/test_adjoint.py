@@ -708,6 +708,21 @@ def test_dense_adjoints_make_one_costate_solve_per_observation_interval(variant,
         assert res.stats.rhs_evaluations == rhs, ck
 
 
+@pytest.mark.parametrize("variant,rhs", [("interpolating", (354, 130)), ("quadrature", (476, 151))])
+def test_reads_at_snapshot_nodes_replay_no_segment(variant, rhs):
+    # a read that returns a snapshot node's state takes the snapshot, which
+    # has that node's bits, so it replays no segment: a reader that replayed
+    # a segment holding the node made 386 and 508 RHS calls on harmonic and
+    # 156 and 177 on heat1d n = 16, at 16 checkpoints
+    cases = ((sk.make_harmonic(0.2), 1e-8), (sk.make_heat1d(16), 1e-6))
+    for (ent, tol), want in zip(cases, rhs):
+        cfg = sk.SolverConfig(abstol=tol, reltol=tol)
+        full = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg)
+        res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg, checkpoints=16)
+        assert res.stats.rhs_evaluations == want
+        assert res.gradient.tobytes() == full.gradient.tobytes()
+
+
 def test_quadrature_jacobian_calls_fall_with_one_costate_solve_per_interval():
     # the costate pays J_u per reverse stage and the Gauss nodes J_theta, 7
     # per forward step: with one costate solve per forward step this read
@@ -750,7 +765,7 @@ def test_segment_reader_reads_the_bits_of_full_storage():
     # right to left, each segment replays once; then the array read,
     # left to right, finds segment 0 held and replays the other three
     assert replays == [3, 2, 1, 0, 2, 3]
-    seg_nodes = np.diff(ckpt.checkpoints.node_indices) + 1
+    seg_nodes = np.diff(list(ckpt.checkpoints)) + 1
     assert reader.peak == 5 + max(seg_nodes[:-1] + seg_nodes[1:])
 
 
@@ -799,7 +814,7 @@ def test_each_observation_jump_applies_once_with_and_without_checkpoints():
         # within tol of each other: the middle one is within tol of both
         # interval ends the other two make
         [4.33, 4.33 + 0.6 * tol, 4.33 + 1.2 * tol],
-        snaps.checkpoints.times[1:-1],                      # checkpoint segment ends
+        snaps.node_times[list(snaps.checkpoints)[1:-1]],    # checkpoint segment ends
     ]))
     # the squared error's gradient reads the state, so it also checks that a
     # jump reads the node an observation snapped to, not a Hermite value of
@@ -928,6 +943,26 @@ def test_adjoint_config_validation():
         AdjointConfig(variant="mystery")
     with pytest.raises(ValueError):
         AdjointConfig(checkpoints=0)
+
+
+@pytest.mark.parametrize("checkpoints", [True, False, 2.5, 4.0, "4", 0, -1])
+def test_checkpoint_count_must_be_an_integer_of_at_least_one(checkpoints):
+    # True once meant 1 checkpoint, and a float failed inside the forward
+    # pass with numpy's TypeError
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        AdjointConfig(checkpoints=checkpoints)
+    ent = sk.make_harmonic(0.2)
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        sk.gradient(ent.problem, ent.loss, "continuous_interpolating", tight(),
+                    checkpoints=checkpoints)
+
+
+def test_checkpoint_count_may_be_a_numpy_integer():
+    ent = sk.make_harmonic(0.2)
+    want = sk.gradient(ent.problem, ent.loss, "continuous_interpolating", tight(), checkpoints=4)
+    got = sk.gradient(ent.problem, ent.loss, "continuous_interpolating", tight(),
+                      checkpoints=np.int64(4))
+    assert got.gradient.tobytes() == want.gradient.tobytes()
 
 
 def test_unknown_loss_kind_rejected():

@@ -550,15 +550,20 @@ def test_checkpoint_plan_endpoints():
 
 
 def test_checkpoint_store_snaps_to_nodes():
+    # the snapshots are a map from node index to state, from the first node
+    # to the last in order, each with the bits of that node in a full solve;
+    # a snapshot's time is its node's time
     ent = sk.make_harmonic(0.2)
     cfg = sk.SolverConfig(abstol=1e-9, reltol=1e-9)
+    full = sk.solve(ent.problem, cfg)
     sol = march(ent.problem, cfg, keep="final", plan=checkpoint_plan(ent.problem.tspan, 4))
-    store = sol.checkpoints
-    assert store.times[0] == 0.0
-    assert store.times[-1] == 10.0
-    assert np.all(np.diff(store.times) > 0)
-    for idx, t in zip(store.node_indices, store.times):
-        assert sol.node_times[idx] == t
+    snaps = sol.checkpoints
+    nodes = list(snaps)
+    assert nodes[0] == 0 and nodes[-1] == len(full.node_times) - 1
+    assert np.all(np.diff(nodes) > 0) and len(nodes) == 5
+    assert sol.node_times[nodes[0]] == 0.0 and sol.node_times[nodes[-1]] == 10.0
+    for i, u in snaps.items():
+        assert u.tobytes() == full.node_states[i].tobytes()
 
 
 def test_config_validation():
