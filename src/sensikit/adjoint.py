@@ -30,22 +30,22 @@ and a fixed-step method its own ``dt``, as backsolve's intervals span many
 forward steps; its step budget is capped relative to the forward cost.
 
 The loss enters the reverse pass as jumps: traversed in reverse, the
-costate is incremented at each observation time by the loss gradient at
-the state of the stop that time snapped to: the mesh node within
-``core.span_tol`` of it, as in every other method, or the time itself.
+costate is incremented at each observation's stop by the loss gradient at
+the state there: ``_observation_jumps`` places it once per request on the
+forward node its read returns (``core._node_at``), else at its own time.
 An integrated loss reaches the adjoints as the one observation ``q(t1)``
 of the running integral ``q' = h`` (``core.check_request``), so its
 ``dh`` terms are rows of the extended Jacobians.  The discrete adjoint
-walks the forward steps right to left; interpolating and quadrature make
-one costate solve per observation interval, as backsolve does, reading the
-forward state across the forward steps inside it by ``dense_eval`` over
-the whole mesh.  The forward pass runs ``solve``'s own loop,
-``solver._march``, and so do the reverse intervals, on the reversed field
-over a forward-oriented clock, with no set-up.  Checkpoint segments rerun
-the recorded forward steps from their snapshots bitwise, the dense
-adjoints' when a reverse read first needs a state no snapshot holds, over
-the same observation intervals as full storage, so the gradients are
-independent of the checkpoint count.
+walks the forward steps right to left; the continuous ones make one
+costate solve per interval between the stops, ``t0``, ``t1`` and
+(backsolve) the snapshots, the dense ones reading the forward state in it
+by ``dense_eval`` over the whole mesh.  The forward pass and the reverse
+intervals run ``solve``'s own loop, ``solver._march``, the latter on the
+reversed field over a forward-oriented clock.  Checkpoint segments rerun
+the recorded forward steps from their snapshots bitwise, in
+``_segments_reverse`` alone; the dense adjoints' when a reverse read first
+needs a state no snapshot holds, over the same intervals as full storage,
+so the gradients are independent of the checkpoint count.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ from .core import (
     SensitivityResult,
     Solution,
     SolverStats,
+    _node_at,
     _step_end,
     _step_read,
     check_request,
     dense_eval,
-    match_node,
     span_tol,
 )
 from .errors import (
@@ -221,14 +221,18 @@ def continuous_adjoint(
             "reproducible fixed grid (euler or rk4 forward)"
         )
     problem, loss, theta = check_request(problem, loss, theta)
-    if discrete:
-        mesh, tol = _fixed_mesh(*problem.tspan, fwd.dt, fwd.max_steps)[0], span_tol(*problem.tspan)
-        for t in reversed(loss.times.tolist()):
-            if match_node(mesh, t, bisect_left(mesh, t), tol) is None:
-                raise ValueError(f"observation time {t} does not sit on the fixed grid")
+    tol = span_tol(*problem.tspan)
+    if discrete:  # its grid, and so every stop, is known before any step
+        mesh = _fixed_mesh(*problem.tspan, fwd.dt, fwd.max_steps)[0]
+        obs = _observation_jumps(loss, mesh, tol)
+        off = set(obs[0].values()).difference(mesh)  # a stop off the grid is a time
+        if off:
+            raise ValueError(f"observation time {max(off)} does not sit on the fixed grid")
     stats = SolverStats()
     problem = _counted(problem, stats)
     sol = _forward_pass(problem, config, theta, loss.times, stats)
+    if not discrete:
+        obs = _observation_jumps(loss, sol.node_times.tolist(), tol)
 
     # an adaptive first attempt spans the interval; a fixed step keeps its
     # dt, as backsolve's intervals span many forward steps.  Unstable reverse
@@ -237,11 +241,11 @@ def continuous_adjoint(
     rev = replace(fwd, dt=math.inf if fwd.adaptive else fwd.dt,
                   max_steps=min(fwd.max_steps, max(10_000, 20 * stats.accepted_steps)))
     if discrete:
-        g, lam, peak, extra = _discrete_reverse(problem, loss, sol, theta, rev, stats)
+        g, lam, peak, extra = _discrete_reverse(problem, obs, sol, theta, rev, stats)
     elif config.variant == "backsolve":
-        g, lam, peak, extra = _backsolve(problem, loss, sol, theta, rev, stats)
+        g, lam, peak, extra = _backsolve(problem, obs, sol, theta, rev, stats)
     else:
-        g, lam, peak, extra = _dense_reverse(problem, loss, sol, theta, rev, stats,
+        g, lam, peak, extra = _dense_reverse(problem, obs, sol, theta, rev, stats,
                                              config.variant == "quadrature")
     gradient = g + problem.initial_state_jacobian().T @ lam
     return SensitivityResult(
@@ -271,23 +275,30 @@ def discrete_adjoint(
 # shared reverse-pass plumbing
 
 
-def _observation_jumps(loss, problem):
-    """Sorted observation times and their jump cursor.
+def _observation_jumps(loss, nodes, tol):
+    """Each observation's stop on the forward mesh ``nodes``, and the jump cursor.
 
+    Every reverse pass stops for an observation at the node a read at its
+    time returns (``core._node_at``), else at the previous observation's
+    stop if within ``tol``, else at its own time.  ``stops`` maps each time
+    to its stop, in order (the losses sort their times and reject repeats,
+    so a time's position is its loss index).
     ``jump(lam, t, u_at)`` adds the loss gradient at ``u_at(t)``, the state
-    at the stop ``t``, of every observation at or after ``t - tol`` not yet
-    applied.  Reverse traversal reaches the stops in decreasing order, so
-    a cursor tells what is applied.  The losses sort their times and reject
-    repeats, so a time's position is its loss index.
+    at the stop ``t``, of every observation whose stop is at or after ``t``
+    and not yet applied: the reverse pass reaches the stops in decreasing
+    order, so a cursor tells what is applied.
     """
-    tol = span_tol(*problem.tspan)
-    times = loss.times.tolist()
-    cursor = len(times)  # times[cursor:] are applied
+    stops, prev = {}, -math.inf
+    for t in loss.times.tolist():
+        j = _node_at(nodes, t, tol)
+        prev = stops[t] = nodes[j] if j is not None else prev if t - prev <= tol else t
+    at = list(stops.values())
+    cursor = len(at)  # at[cursor:] are applied
 
     def jump(lam, t, u_at):
         nonlocal cursor
         k = cursor
-        while k and times[k - 1] >= t - tol:
+        while k and at[k - 1] >= t:
             k -= 1
         if k < cursor:
             u = np.asarray(u_at(t), dtype=float)
@@ -296,7 +307,7 @@ def _observation_jumps(loss, problem):
             cursor = k
         return lam
 
-    return times, jump
+    return stops, jump
 
 
 def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
@@ -322,37 +333,27 @@ def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
                   keep=keep, plan=plan, saveat=saveat)
 
 
-def _replay(problem, sol: Solution, theta, tableau, k, keep="all"):
-    """Segment ``k`` of a checkpointed forward pass, from snapshot ``k`` to ``k + 1``.
-
-    Reruns the recorded steps, so its node states, derivatives and (with
-    ``keep="tape"``) stage tape have the bits of a full-storage forward
-    pass; its steps were counted when they were recorded, its right-hand
-    sides are counted again.
-    """
-    i_a, i_b = list(sol.checkpoints)[k : k + 2]
-    ts = sol.node_times[i_a : i_b + 1]
-    # the recorded stepsizes, not the node-time differences, keep it bitwise
-    return _march(problem.rhs, sol.checkpoints[i_a], theta, ts[0], ts[-1], tableau,
-                  SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep=keep)
-
-
-def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all"):
-    """Yield ``(seg, times, states)`` per mesh segment, right to left.
+def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all", last=None):
+    """Yield ``(seg, times, states)`` per mesh segment, from segment ``last`` leftwards.
 
     ``seg`` is a dense ``Solution`` carrying its own ``step_dts`` and, with
     ``keep="tape"``, its stage tape; ``times`` and ``states`` are its node
     times and states (the benchmark tracer counts the latter).  Full
-    storage yields ``sol`` itself; checkpointed runs yield each segment's
-    ``_replay``.
+    storage yields ``sol`` itself.  Checkpointed, segment ``k`` runs from
+    snapshot ``k`` to ``k + 1`` (``last`` defaults to the rightmost) and
+    reruns the recorded steps, so its nodes and stage tape have the bits of
+    a full-storage pass; its right-hand sides are counted again.
     """
     if sol.node_states is not None:
         yield sol, sol.node_times, sol.node_states
         return
-    if sol.checkpoints is None:
-        raise ValueError("reverse pass needs stored nodes or checkpoints")
-    for k in range(len(sol.checkpoints) - 2, -1, -1):
-        seg = _replay(problem, sol, theta, tableau, k, keep)
+    bounds = list(sol.checkpoints)  # node index of each snapshot
+    for k in range(len(bounds) - 2 if last is None else last, -1, -1):
+        i_a, i_b = bounds[k : k + 2]
+        ts = sol.node_times[i_a : i_b + 1]
+        # the recorded stepsizes, not the node-time differences, keep it bitwise
+        seg = _march(problem.rhs, sol.checkpoints[i_a], theta, ts[0], ts[-1], tableau,
+                     SolverStats(), (ts, sol.step_dts[i_a:i_b]), keep=keep)
         yield seg, seg.node_times, seg.node_states
 
 
@@ -366,12 +367,13 @@ class _SegmentReader:
     attempt that crosses a snapshot leftwards, then is rejected and starts
     again from its right end, finds both held, so a pass whose observation
     intervals are shorter than a segment replays each segment once.
+    ``replay(k)`` is segment ``k`` as ``_segments_reverse`` yields it.
     ``drop_right_of`` lets go of the segments no later read reaches.
     ``peak`` counts the nodes of the segments held at once plus the snapshots.
     """
 
     def __init__(self, problem, sol: Solution, theta, tableau):
-        self.replay = partial(_replay, problem, sol, theta, tableau)
+        self.replay = lambda k: next(_segments_reverse(problem, sol, theta, tableau, last=k))[0]
         self.nodes = sol.node_times.tolist()
         self.snapshots = sol.checkpoints
         self.bounds = list(sol.checkpoints)  # node index of each snapshot
@@ -406,60 +408,39 @@ class _SegmentReader:
         return seg
 
 
-def _reverse_intervals(ts, obs_times, tol):
-    """Split the mesh ``ts`` at interior observation times, keep reverse order.
-
-    Returns ``(t_left, t_right)`` pairs covering [ts[0], ts[-1]], rightmost
-    first, with every node and every observation time on an endpoint.
-    ``obs_times`` is sorted; an observation time within ``tol`` of a node,
-    or of an observation time added before it, snaps onto that point.
-    """
-    nodes = np.asarray(ts, dtype=float).tolist()
-    added = []  # ascending, as obs_times is
-    first = bisect_right(obs_times, nodes[0] - tol)
-    last = bisect_left(obs_times, nodes[-1] + tol)
-    for t in obs_times[first:last]:
-        if (match_node(nodes, t, bisect_left(nodes, t), tol) is None
-                and match_node(added, t, bisect_left(added, t), tol) is None):
-            added.append(t)
-    points = sorted(nodes + added)
-    return [(points[i], points[i + 1]) for i in range(len(points) - 2, -1, -1)]
+def _reverse_intervals(points):
+    """The ``(t_left, t_right)`` pairs between the distinct ``points``, rightmost first."""
+    points = sorted(set(points))
+    return list(zip(points[:-1], points[1:]))[::-1]
 
 
-def _reverse_sweep(problem, loss, sol: Solution, theta, tableau, step):
+def _reverse_sweep(problem, obs, sol: Solution, theta, tableau, step):
     """The dense adjoints' reverse walk, one costate solve per observation interval.
 
-    Each observation stops the walk at the forward node within ``span_tol``
-    of it, else at its own time; the intervals between stops (and ``t0``,
-    ``t1``) come from the forward node times, which every storage mode
-    keeps, so they do not depend on the checkpoint count.  Per interval,
-    right to left, applies the jumps at the right end, then
+    The intervals run between ``t0``, ``t1`` and the stops of ``obs``
+    (``_observation_jumps``), which lie on the forward node times every
+    storage mode keeps, so they do not depend on the checkpoint count.  Per
+    interval, right to left, applies the jumps at the right end, then
     ``lam = step(u_at, t_left, t_right, lam)``, where ``u_at`` reads the
     forward state at any time of the mesh: ``dense_eval`` on a full-storage
     pass, a ``_SegmentReader`` on a checkpointed one.  Returns the costate
     after the ``t0`` jumps and the peak count of stored forward states: the
     nodes of the mesh, or of the segments held at once plus the snapshots.
     """
-    obs_times, jump = _observation_jumps(loss, problem)
-    nodes = sol.node_times.tolist()
-    tol = span_tol(*problem.tspan)
-    stops = []
-    for t in obs_times:
-        j = match_node(nodes, t, bisect_left(nodes, t), tol)
-        stops.append(t if j is None else nodes[j])
+    stops, jump = obs
     if sol.node_states is not None:
         u_at, reader = partial(dense_eval, sol), None
     else:
         u_at = reader = _SegmentReader(problem, sol, theta, tableau)
 
     lam = np.zeros(problem.n)
-    for t_left, t_right in _reverse_intervals([nodes[0], nodes[-1]], sorted(stops), tol):
+    for t_left, t_right in _reverse_intervals([*problem.tspan, *stops.values()]):
         if reader is not None:
             reader.drop_right_of(t_right)
         lam = jump(lam, t_right, u_at)
         lam = step(u_at, t_left, t_right, lam)
     lam = jump(lam, problem.tspan[0], lambda t: problem.u0)
-    return lam, len(nodes) if reader is None else reader.peak
+    return lam, len(sol.node_times) if reader is None else reader.peak
 
 
 def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, saveat=None):
@@ -477,12 +458,13 @@ def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, save
 
 
 # ---------------------------------------------------------------------
-# the reverse passes: each takes the counted problem, the loss, the
-# forward solution, theta, the reverse config and the request's stats, and
-# returns (g, lambda(t0), peak stored states, extra metadata)
+# the reverse passes: each takes the counted problem, the observations'
+# stops and jump cursor (``_observation_jumps``), the forward solution,
+# theta, the reverse config and the request's stats, and returns
+# (g, lambda(t0), peak stored states, extra metadata)
 
 
-def _discrete_reverse(problem, loss, sol, theta, rev, stats):
+def _discrete_reverse(problem, obs, sol, theta, rev, stats):
     """Transposed solver steps, right to left, over the forward stage tape.
 
     Each step is ``step_vjp``'s stage recursion (Hager 2000, Sandu 2006)
@@ -493,7 +475,7 @@ def _discrete_reverse(problem, loss, sol, theta, rev, stats):
     stage inputs of each of its steps and the checkpoint snapshots.
     """
     tableau = rev.tableau
-    _, jump = _observation_jumps(loss, problem)
+    jump = obs[1]
     ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
     lam, g, peak = np.zeros(problem.n), np.zeros(theta.size), 0
     for seg, ts, states in _segments_reverse(problem, sol, theta, tableau, "tape"):
@@ -507,7 +489,7 @@ def _discrete_reverse(problem, loss, sol, theta, rev, stats):
     return g, lam, peak, {}
 
 
-def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
+def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
     """Interpolating and quadrature variants share this reverse sweep.
 
     Each makes one costate solve per observation interval, reading the
@@ -555,38 +537,38 @@ def _dense_reverse(problem, loss, sol, theta, rev, stats, quadrature):
             g = g + gauss_legendre(integrand, a, b, order)
         return lams[-1]
 
-    lam, peak = _reverse_sweep(problem, loss, sol, theta, rev.tableau, step)
+    lam, peak = _reverse_sweep(problem, obs, sol, theta, rev.tableau, step)
     return g, lam, peak, {}
 
 
-def _backsolve(problem, loss, sol, theta, rev, stats):
+def _backsolve(problem, obs, sol, theta, rev, stats):
     """Joint reverse integration of state, costate, and gradient integral.
 
     The forward state is re-solved backwards from its stored final value;
     when checkpoints are available the reverse state is reset to each
-    snapshot, discarding accumulated reverse error.  At every interior
+    snapshot, discarding accumulated reverse error.  Its intervals run
+    between the stops, ``t0``, ``t1`` and the snapshots.  At every interior
     observation stop (before its jump), every reset and ``t0`` the
     reconstructed state is compared with the stored one: the forward pass's
-    observation row, the snapshot or ``u0``.  So a lost state raises at the
-    first such stop, not after the whole reverse pass; the largest scaled
+    row of the first observation at that stop, the snapshot or ``u0``.  So
+    a lost state raises at the first such stop, not after the whole reverse
+    pass; the largest scaled
     error is reported as ``reconstruction_error``.  Unstable reverse
     dynamics surface as a blowup error recommending the interpolating
     variant: when the reverse solve fails, or when a reconstruction error
     exceeds ``MAX_RECONSTRUCTION_ERROR`` or half the ``1/reltol`` ceiling
     that a lost state's scaled error saturates at, whichever is smaller.
     """
-    obs_times, jump = _observation_jumps(loss, problem)
+    stops, jump = obs
     t0, t1 = problem.tspan
-
     # the snapshots by time
     resets = {float(sol.node_times[i]): u for i, u in (sol.checkpoints or {}).items()}
-
-    intervals = _reverse_intervals(
-        sorted({t0, t1, *resets}), obs_times, span_tol(t0, t1)
-    )
+    intervals = _reverse_intervals([t0, t1, *stops.values(), *resets])
     # what the reconstruction is checked against: the forward pass's rows at
-    # the interior observation times (its last row is t1's) and the snapshots
-    stored = {**dict(zip(sol.times[:-1].tolist(), sol.states[:-1])), **resets}
+    # the interior observation times (its last row is t1's) by their stops,
+    # the first row at a stop, its state, winning; and the snapshots
+    rows = zip(sol.times[-2::-1].tolist(), sol.states[-2::-1])
+    stored = {**{stops[t]: row for t, row in rows}, **resets}
 
     n, p = problem.n, theta.size
     u = np.asarray(sol.final_state(), dtype=float)

@@ -1,9 +1,11 @@
 """Problem, loss, and solution data model shared by all gradient methods.
 
 It also holds the one rule for placing a time on a trajectory, which the
-solver and the adjoints import: ``span_tol`` and ``match_node``; the one
-rule for reading a state off a step, ``_step_read``, which ``dense_eval``
-applies on the mesh every public solve keeps; and the one check of a
+solver and the adjoints import: a time within ``span_tol`` of an end of
+the step holding it sits on that end, the left one first (``_step_end``),
+and ``_node_at`` names that node on a mesh; the one rule for reading a
+state off a step, ``_step_read``, which ``dense_eval`` applies on the mesh
+every public solve keeps; and the one check of a
 gradient request, ``check_request``, which every gradient method calls
 before any solve and which turns an integrated loss into a pointwise one
 on an extended problem.  ``loss_eval`` values pointwise losses only.
@@ -11,6 +13,7 @@ on an extended problem.  ``loss_eval`` values pointwise losses only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -90,6 +93,8 @@ def _observations(times, values, weights, values_ok, values_error, vector_weight
     if not values_ok(times, values):
         raise ValueError(values_error)
     m = len(times)
+    if m == 0:  # it would have no gradient to compute
+        raise ValueError("a pointwise loss needs at least one observation time")
     weights = np.asarray(np.ones(m) if weights is None else weights, dtype=float)
     if weights.ndim == 0 or not vector_weights:
         weights = np.broadcast_to(weights, (m,)).astype(float)
@@ -290,17 +295,6 @@ def running_integral(problem: OdeProblem, loss: IntegratedLoss) -> OdeProblem:
     )
 
 
-def match_node(ts, t, idx, tol):
-    """Index of a node of sorted ``ts`` within ``tol`` of ``t``, or None.
-
-    ``idx`` is ``bisect_left(ts, t)``, which ``ts.searchsorted(t)`` equals.
-    """
-    for j in (idx - 1, idx, idx + 1):
-        if 0 <= j < len(ts) and abs(ts[j] - t) <= tol:
-            return j
-    return None
-
-
 def dense_eval(sol: Solution, t):
     """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
 
@@ -346,6 +340,13 @@ def dense_eval(sol: Solution, t):
 def _step_end(ta, tb, t, tol):
     """The read rule: the end of step [ta, tb] within ``tol`` of ``t``, 0 first, or None."""
     return 0 if t - ta <= tol else 1 if tb - t <= tol else None
+
+
+def _node_at(ts, t, tol):
+    """Index in sorted ``ts`` of the node a read at ``t`` returns (``_step_end``), or None."""
+    step = min(max(bisect_left(ts, t) - 1, 0), len(ts) - 2)
+    end = _step_end(ts[step], ts[step + 1], t, tol)
+    return None if end is None else step + end
 
 
 def _step_read(ta, tb, ua, fa, ub, fb, t, tol):

@@ -36,7 +36,8 @@ import numpy as np
 
 # dense_eval is also named here: the benchmark's tracer looks up the
 # dense-output layer as sensikit.solver.dense_eval
-from .core import OdeProblem, Solution, SolverStats, _step_read, dense_eval, span_tol  # noqa: F401
+from .core import (OdeProblem, Solution, SolverStats, _step_end, _step_read,  # noqa: F401
+                   dense_eval, span_tol)
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -283,9 +284,9 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             dt = propose_dt(dt_step, (1.0 / err) if err > 0 else math.inf, tableau.order)
         if tableau.fsal:
             f = k[-1]
-        elif is_last and not nodes and not (
-                saveat is not None and any(t + tol < x < t_new - tol for x in saveat[len(saved):])):
-            f = None  # no node or saveat row reads it and no step follows
+        elif is_last and not nodes and not (saveat is not None and any(
+                _step_end(t, t_new, x, tol) is None for x in saveat[len(saved):])):
+            f = None  # no node or Hermite saveat row reads it and no step follows
         else:
             f = np.asarray(rhs(u_next, theta, t_new))
         if saveat is not None:

@@ -14,7 +14,6 @@ from sensikit.adjoint import (
     VARIANTS,
     AdjointConfig,
     _forward_pass,
-    _reverse_intervals,
     _segments_reverse,
     adjoint_rhs,
     continuous_adjoint,
@@ -769,35 +768,67 @@ def test_segment_reader_reads_the_bits_of_full_storage():
     assert reader.peak == 5 + max(seg_nodes[:-1] + seg_nodes[1:])
 
 
-def _reverse_intervals_by_scan(ts, obs_times, tol):
-    # reference: every observation time checked against every point so far
-    points = set(float(t) for t in ts)
-    for t in obs_times:
-        if ts[0] - tol < t < ts[-1] + tol:
-            if not [q for q in points if abs(q - t) <= tol]:
-                points.add(t)
-    mesh = sorted(points)
-    return [(mesh[i], mesh[i + 1]) for i in range(len(mesh) - 2, -1, -1)]
-
-
-def test_reverse_intervals_match_a_full_scan():
+def test_each_observation_stops_at_the_node_its_read_returns():
+    # an observation stops every reverse pass at the node whose state
+    # dense_eval returns bitwise at its time, else at its own time; within
+    # tol of the observation before it, at that one's stop
     ts = np.array([0.0, 0.7, 1.3, 2.0, 3.1, 4.0])
     tol = 1e-9 * 4.0
-    obs = sorted([
-        -0.5 * tol, 0.7, 2.0, 4.0,              # on (or within tol of) the ends and nodes
-        0.35, 2.5, 3.6,                          # off the mesh
-        1.3 + 0.9 * tol, 3.1 - 0.5 * tol,        # within tol of a node
-        2.8, 2.8 + 0.6 * tol, 2.8 + 1.2 * tol,   # within tol of each other
-        1.3 + 1.5 * tol,                         # just outside tol of a node
-    ])
-    for seg in (ts, ts[1:4], ts[2:5], ts[4:], ts[[0, -1]]):
-        assert _reverse_intervals(seg, obs, tol) == _reverse_intervals_by_scan(seg, obs, tol)
-    mesh = [t_left for t_left, _ in _reverse_intervals(ts, obs, tol)[::-1]] + [4.0]
-    # near-node times snap onto the node; in the cluster at 2.8 the second
-    # time snaps onto the first, and the third, 1.2 tol from the first, stays
-    assert 2.8 in mesh and 2.8 + 0.6 * tol not in mesh and 2.8 + 1.2 * tol in mesh
-    assert 1.3 + 1.5 * tol in mesh and 1.3 + 0.9 * tol not in mesh
-    assert 0.35 in mesh and 2.5 in mesh and 3.6 in mesh
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(6, 2))
+    sol = sk.Solution(times=ts, states=states, node_times=ts, node_states=states,
+                      node_derivs=rng.normal(size=(6, 2)), stats=sk.SolverStats())
+    want = {
+        -0.5 * tol: 0.0, 0.7: 0.7, 2.0: 2.0, 4.0: 4.0,   # on the ends and nodes
+        4.0 + 0.5 * tol: 4.0,                            # outside the span within tol
+        0.35: 0.35, 2.5: 2.5, 3.6: 3.6,                  # off the mesh
+        1.3 + 0.9 * tol: 1.3, 3.1 - 0.5 * tol: 3.1,      # within tol of a node
+        2.8: 2.8, 2.8 + 0.6 * tol: 2.8,                  # within tol of each other,
+        2.8 + 1.2 * tol: 2.8 + 1.2 * tol,                # but 1.2 tol from the first
+        1.3 + 1.5 * tol: 1.3 + 1.5 * tol,                # just outside tol of a node
+    }
+    times = sorted(want)
+    loss = record_jumps(sk.LinearStateLoss(times, np.ones((len(times), 2))))
+    stops, jump = adjoint_module._observation_jumps(loss, ts.tolist(), tol)
+    assert stops == {t: want[t] for t in times}
+    node = dict(zip(ts.tolist(), states))
+    for t, stop in stops.items():
+        read = sk.dense_eval(sol, t).tobytes()
+        if stop in node:
+            assert read == node[stop].tobytes(), t
+        else:
+            assert read not in [u.tobytes() for u in states], t
+    # the cursor applies each observation once, at its stop
+    for stop in sorted(set(stops.values()), reverse=True):
+        before = len(loss.applied)
+        jump(np.zeros(2), stop, lambda t: np.zeros(2))
+        assert [stops[times[i]] for i in loss.applied[before:]] == [stop] * (len(loss.applied) - before)
+    assert sorted(loss.applied) == list(range(len(times)))
+
+
+@pytest.mark.parametrize("cfg", [sk.SolverConfig(method="rk4", dt=0.01),
+                                 sk.SolverConfig(abstol=1e-8, reltol=1e-8)], ids=["rk4", "dopri5"])
+def test_continuous_adjoints_solve_over_the_same_intervals(cfg, monkeypatch):
+    # every continuous adjoint stops at the same stops: predprey's 101
+    # observations make 100 costate solves.  On rk4 they sit within tol of
+    # nodes, where backsolve stopped at the observation time itself, next
+    # to the node, and took a reverse step over the sliver between them
+    ent = sk.make_predprey(0.95)
+    solves = []
+    integrate = adjoint_module._integrate_costate_interval
+
+    def counted(*args, **kwargs):
+        solves.append(args[2:4])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(adjoint_module, "_integrate_costate_interval", counted)
+    pairs = {}
+    for variant in ("backsolve", "interpolating", "quadrature"):
+        solves.clear()
+        sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg)
+        pairs[variant] = list(solves)
+    assert len(pairs["interpolating"]) == 100
+    assert pairs["backsolve"] == pairs["interpolating"] == pairs["quadrature"]
 
 
 def test_each_observation_jump_applies_once_with_and_without_checkpoints():

@@ -183,3 +183,23 @@ def test_tracer_sees_the_discrete_adjoint_read_its_stage_tape():
     assert summary["replay_steps"] == 1000
     plain = sk.gradient(entry.problem, entry.loss, "discrete_adjoint", cfg, checkpoints=4)
     assert res.gradient.tobytes() == plain.gradient.tobytes()
+
+
+def test_tracer_sees_the_dense_adjoints_replay_checkpoint_segments():
+    # a checkpointed dense adjoint replays a segment when a reverse read
+    # first needs a state no snapshot holds, through the same generator as
+    # the discrete adjoint, so the tracer counts those steps as replay
+    tracing = _load_tracing()
+    entry = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    for method in ("continuous_interpolating", "continuous_quadrature"):
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            res = sk.gradient(entry.problem, entry.loss, method, cfg, checkpoints=4)
+        finally:
+            tracer.uninstall()
+        assert tracer.absent == []
+        assert tracer.summary()["replay_steps"] > 0, method
+        plain = sk.gradient(entry.problem, entry.loss, method, cfg, checkpoints=4)
+        assert res.gradient.tobytes() == plain.gradient.tobytes()

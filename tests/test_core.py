@@ -86,6 +86,15 @@ def test_loss_out_of_span_rejected(harmonic_solution):
         loss_eval(sol, loss)
 
 
+@pytest.mark.parametrize("loss_type", [SquaredErrorLoss, LinearStateLoss])
+def test_a_pointwise_loss_of_no_observation_is_refused_when_built(loss_type):
+    # it has no gradient to compute: the forward methods failed after
+    # solving, on a reduction of an empty array, and the adjoints solved
+    # and returned 0
+    with pytest.raises(ValueError, match="at least one observation time"):
+        loss_type([], np.empty((0, 2)))
+
+
 def test_loss_grad_matches_finite_difference():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sensikit as sk
+from sensikit.core import _step_end, span_tol
 from sensikit.dual import MultiDual
 from sensikit.errors import (
     NonConvergenceError,
@@ -385,6 +386,25 @@ def test_saveat_rows_kept_without_a_mesh_are_dense_eval_bitwise(method):
         assert kept.stats.accepted_steps == full.stats.accepted_steps == 100
         early = march(ent.problem, cfg, keep="final", saveat=grid[:-2])
         assert early.stats.rhs_evaluations == bare
+
+
+def test_a_saveat_row_a_rounding_past_tol_into_the_last_step_reads_its_end_derivative():
+    # t + tol < x and x - t > tol disagree for some x: the read rule
+    # (core._step_end) takes Hermite there, so the last step must keep its
+    # end derivative.  Deciding by the first form, a backsolve with an
+    # observation at such an x raised TypeError on a None derivative
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(method="rk4", dt=0.1)
+    full = sk.solve(ent.problem, cfg)
+    t, tol = full.node_times[-2], span_tol(*ent.problem.tspan)
+    x = float(t + tol)
+    assert not t + tol < x and _step_end(t, full.node_times[-1], x, tol) is None
+    kept = march(ent.problem, cfg, keep="final", saveat=np.array([x, 10.0]))
+    assert kept.states[0].tobytes() == sk.dense_eval(full, x).tobytes()
+    loss = sk.LinearStateLoss([x, 10.0], np.ones((2, 2)))
+    res = sk.gradient(ent.problem, loss, "continuous_backsolve", cfg)
+    ref = sk.gradient(ent.problem, loss, "continuous_interpolating", cfg)
+    assert res.gradient == pytest.approx(ref.gradient, rel=1e-6)
 
 
 def test_dense_eval_exact_at_nodes():
