@@ -38,14 +38,15 @@ of the running integral ``q' = h`` (``core.check_request``), so its
 ``dh`` terms are rows of the extended Jacobians.  The discrete adjoint
 walks the forward steps right to left; the continuous ones make one
 costate solve per interval between the stops, ``t0``, ``t1`` and
-(backsolve) the snapshots, the dense ones reading the forward state in it
-by ``dense_eval`` over the whole mesh.  The forward pass and the reverse
-intervals run ``solve``'s own loop, ``solver._march``, the latter on the
-reversed field over a forward-oriented clock.  Checkpoint segments rerun
-the recorded forward steps from their snapshots bitwise, in
-``_segments_reverse`` alone; the dense adjoints' when a reverse read first
-needs a state no snapshot holds, over the same intervals as full storage,
-so the gradients are independent of the checkpoint count.
+(backsolve) the snapshots, the dense ones in one loop that builds its
+fields once per request and reads the forward state by ``dense_eval`` over
+the whole mesh.  The forward pass and the reverse intervals run ``solve``'s
+own loop, ``solver._march``, the latter on the reversed field over a
+forward-oriented clock.  Checkpoint segments rerun the recorded forward
+steps from their snapshots bitwise, in ``_segments_reverse`` alone; the
+dense adjoints' when a reverse read first needs a state no snapshot holds,
+over the same intervals as full storage, so the gradients are independent
+of the checkpoint count.
 """
 
 from __future__ import annotations
@@ -283,10 +284,10 @@ def _observation_jumps(loss, nodes, tol):
     stop if within ``tol``, else at its own time.  ``stops`` maps each time
     to its stop, in order (the losses sort their times and reject repeats,
     so a time's position is its loss index).
-    ``jump(lam, t, u_at)`` adds the loss gradient at ``u_at(t)``, the state
-    at the stop ``t``, of every observation whose stop is at or after ``t``
-    and not yet applied: the reverse pass reaches the stops in decreasing
-    order, so a cursor tells what is applied.
+    ``jump(lam, t, u)`` adds the loss gradient at ``u``, the state at the
+    stop ``t``, of every observation whose stop is at or after ``t`` and not
+    yet applied: the reverse pass reaches the stops in decreasing order, so
+    a cursor tells what is applied.
     """
     stops, prev = {}, -math.inf
     for t in loss.times.tolist():
@@ -295,16 +296,14 @@ def _observation_jumps(loss, nodes, tol):
     at = list(stops.values())
     cursor = len(at)  # at[cursor:] are applied
 
-    def jump(lam, t, u_at):
+    def jump(lam, t, u):
         nonlocal cursor
         k = cursor
         while k and at[k - 1] >= t:
             k -= 1
-        if k < cursor:
-            u = np.asarray(u_at(t), dtype=float)
-            for i in range(k, cursor):
-                lam = lam + loss.grad_u_at(u, i)
-            cursor = k
+        for i in range(k, cursor):
+            lam = lam + loss.grad_u_at(u, i)
+        cursor = k
         return lam
 
     return stops, jump
@@ -414,35 +413,6 @@ def _reverse_intervals(points):
     return list(zip(points[:-1], points[1:]))[::-1]
 
 
-def _reverse_sweep(problem, obs, sol: Solution, theta, tableau, step):
-    """The dense adjoints' reverse walk, one costate solve per observation interval.
-
-    The intervals run between ``t0``, ``t1`` and the stops of ``obs``
-    (``_observation_jumps``), which lie on the forward node times every
-    storage mode keeps, so they do not depend on the checkpoint count.  Per
-    interval, right to left, applies the jumps at the right end, then
-    ``lam = step(u_at, t_left, t_right, lam)``, where ``u_at`` reads the
-    forward state at any time of the mesh: ``dense_eval`` on a full-storage
-    pass, a ``_SegmentReader`` on a checkpointed one.  Returns the costate
-    after the ``t0`` jumps and the peak count of stored forward states: the
-    nodes of the mesh, or of the segments held at once plus the snapshots.
-    """
-    stops, jump = obs
-    if sol.node_states is not None:
-        u_at, reader = partial(dense_eval, sol), None
-    else:
-        u_at = reader = _SegmentReader(problem, sol, theta, tableau)
-
-    lam = np.zeros(problem.n)
-    for t_left, t_right in _reverse_intervals([*problem.tspan, *stops.values()]):
-        if reader is not None:
-            reader.drop_right_of(t_right)
-        lam = jump(lam, t_right, u_at)
-        lam = step(u_at, t_left, t_right, lam)
-    lam = jump(lam, problem.tspan[0], lambda t: problem.u0)
-    return lam, len(sol.node_times) if reader is None else reader.peak
-
-
 def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, saveat=None):
     """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left``.
 
@@ -460,8 +430,9 @@ def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, save
 # ---------------------------------------------------------------------
 # the reverse passes: each takes the counted problem, the observations'
 # stops and jump cursor (``_observation_jumps``), the forward solution,
-# theta, the reverse config and the request's stats, and returns
-# (g, lambda(t0), peak stored states, extra metadata)
+# theta, the reverse config and the request's stats, hands each jump the
+# state it holds at the stop, and returns (g, lambda(t0), peak stored
+# states, extra metadata)
 
 
 def _discrete_reverse(problem, obs, sol, theta, rev, stats):
@@ -481,64 +452,73 @@ def _discrete_reverse(problem, obs, sol, theta, rev, stats):
     for seg, ts, states in _segments_reverse(problem, sol, theta, tableau, "tape"):
         peak = max(peak, len(ts) + (tableau.stages - 1) * len(seg.stage_tape) + ckpt)
         for m in range(len(ts) - 2, -1, -1):
-            lam = jump(lam, ts[m + 1], lambda t, u=states[m + 1]: u)
+            lam = jump(lam, ts[m + 1], states[m + 1])
             stages = [states[m], *seg.stage_tape[m]]
             lam, contrib = step_vjp(problem, tableau, stages, theta, ts[m], seg.step_dts[m], lam)
             g = g + contrib
-    lam = jump(lam, problem.tspan[0], lambda t: problem.u0)
+    lam = jump(lam, problem.tspan[0], problem.u0)
     return g, lam, peak, {}
 
 
 def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
-    """Interpolating and quadrature variants share this reverse sweep.
+    """Interpolating and quadrature variants: one costate solve per observation interval.
 
-    Each makes one costate solve per observation interval, reading the
-    forward state by Hermite dense output across the forward steps inside
-    it.  Interpolating integrates the gradient with the costate and keeps
-    only the interval's end state (on a fixed-step method, it skips the
-    last end derivative).  Quadrature's costate field pays only ``J_u``;
-    its solve returns the costate at the rule's nodes on every forward
-    step inside the interval (each step clipped to the interval) and at the
-    interval's end, and ``gauss_legendre`` then adds each step's term of
-    ``J_theta^T lambda``, its nodes paying only ``J_theta``.
+    The intervals run between ``t0``, ``t1`` and the stops of ``obs``
+    (``_observation_jumps``), which lie on the forward node times every
+    storage mode keeps, so they do not depend on the checkpoint count.  Right
+    to left, each applies the jumps at its right end, then solves the
+    costate across it, reading the forward state ``u_at`` at any time of the
+    mesh by Hermite dense output: ``dense_eval`` on a full-storage pass, a
+    ``_SegmentReader`` on a checkpointed one.  Interpolating integrates the
+    gradient with the costate and keeps only the interval's end state (on a
+    fixed-step method, it skips the last end derivative).  Quadrature's
+    costate field pays only ``J_u``; its solve returns the costate at the
+    rule's nodes on every forward step inside the interval (each step
+    clipped to the interval) and at the interval's end, and
+    ``gauss_legendre`` then adds each step's term of ``J_theta^T lambda``,
+    its nodes paying only ``J_theta``.  The peak counts the nodes of the
+    mesh, or of the segments held at once plus the snapshots.
     """
-    order = QUADRATURE_ORDER
+    stops, jump = obs
     n = problem.n
     nodes = sol.node_times.tolist()
-    g = np.zeros(theta.size)
+    if sol.node_states is not None:
+        u_at, reader = partial(dense_eval, sol), None
+    else:
+        u_at = reader = _SegmentReader(problem, sol, theta, rev.tableau)
 
-    def step(u_at, t_left, t_right, lam):
-        nonlocal g
+    def rhs(y, th, t):
+        dlam, dg = adjoint_rhs(u_at(t), y[:n], th, t, problem, jac_theta=not quadrature)
+        return -dlam if quadrature else np.concatenate([-dlam, dg])
 
-        def rhs(y, th, t):
-            dlam, dg = adjoint_rhs(u_at(t), y[:n], th, t, problem, jac_theta=not quadrature)
-            return -dlam if quadrature else np.concatenate([-dlam, dg])
+    def integrand(t):  # reads the interval's Gauss-node rows in order
+        u, lam_q = next(rows)
+        return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
 
+    lam, g = np.zeros(n), np.zeros(theta.size)
+    for t_left, t_right in _reverse_intervals([*problem.tspan, *stops.values()]):
+        if reader is not None:
+            reader.drop_right_of(t_right)
+        lam = jump(lam, t_right, u_at(t_right))
         if not quadrature:
-            y = np.concatenate([lam, g])
-            y = _integrate_costate_interval(rhs, y, t_left, t_right, theta, rev, stats)
-            g = y[n:]
-            return y[:n]
+            y = _integrate_costate_interval(rhs, np.concatenate([lam, g]), t_left, t_right,
+                                            theta, rev, stats)
+            lam, g = y[:n], y[n:]
+            continue
         ends = [t_left, *nodes[bisect_right(nodes, t_left) : bisect_left(nodes, t_right)], t_right]
         pieces = list(zip(ends[:-1], ends[1:]))
         # forward state and costate at the rules' nodes, the latter in sigma
         # order (the nodes reversed) then the interval's end; gauss_legendre
-        # evaluates the integrand at these same times
-        tq = np.concatenate([_gauss_rule(a, b, order)[0] for a, b in pieces])
+        # evaluates the integrand at these same times, in this order
+        tq = np.concatenate([_gauss_rule(a, b, QUADRATURE_ORDER)[0] for a, b in pieces])
         lams = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats,
                                            np.append(t_right - tq[::-1], t_right - t_left))
-        rows = dict(zip(tq.tolist(), zip(u_at(tq), lams[-2::-1])))
-
-        def integrand(t):
-            u, lam_q = rows[t]
-            return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
-
+        rows = zip(u_at(tq), lams[-2::-1])
         for a, b in pieces:
-            g = g + gauss_legendre(integrand, a, b, order)
-        return lams[-1]
-
-    lam, peak = _reverse_sweep(problem, obs, sol, theta, rev.tableau, step)
-    return g, lam, peak, {}
+            g = g + gauss_legendre(integrand, a, b, QUADRATURE_ORDER)
+        lam = lams[-1]
+    lam = jump(lam, problem.tspan[0], problem.u0)
+    return g, lam, len(nodes) if reader is None else reader.peak, {}
 
 
 def _backsolve(problem, obs, sol, theta, rev, stats):
@@ -598,7 +578,7 @@ def _backsolve(problem, obs, sol, theta, rev, stats):
     for t_lo, t_hi in intervals:
         if t_hi in stored:
             check_reconstruction(u, stored[t_hi], t_hi)
-        lam = jump(lam, t_hi, lambda t: u)
+        lam = jump(lam, t_hi, u)
         u = resets.get(t_hi, u)
         z0 = np.concatenate([u, lam, g])
         try:
@@ -614,7 +594,7 @@ def _backsolve(problem, obs, sol, theta, rev, stats):
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 
     check_reconstruction(u, problem.u0, t0)
-    lam = jump(lam, t0, lambda t: u)
+    lam = jump(lam, t0, u)
     # the end states, the observation rows and the snapshots
     peak = 1 + len(sol.times) + len(resets)
     return g, lam, peak, {"u0_recovered": u, "reconstruction_error": reconstruction_error}

@@ -313,8 +313,6 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
 
     if keep is None:
         return u
-    if snaps is not None and m not in snaps:  # the last node, t1, is a snapshot too
-        snaps[m] = u.copy()
     node_times = np.asarray(times if control else mesh)
     node_states = np.array(states) if nodes else None
     sol = Solution(

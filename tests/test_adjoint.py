@@ -625,6 +625,26 @@ def test_forward_pass_keeps_what_the_variant_reads(variant, checkpoints):
         assert np.asarray(sol.node_states).tobytes() == np.asarray(full.node_states).tobytes()
 
 
+@pytest.mark.parametrize("cfg", [
+    sk.SolverConfig(abstol=1e-6, reltol=1e-6), sk.SolverConfig(abstol=1e-8, reltol=1e-8),
+    sk.SolverConfig(method="rk4", dt=0.01), sk.SolverConfig(method="rk4", dt=0.003)],
+    ids=["dopri5-1e-6", "dopri5-1e-8", "rk4-0.01", "rk4-0.003"])
+@pytest.mark.parametrize("make", [lambda: sk.make_harmonic(0.2), lambda: sk.make_predprey(0.95),
+                                  lambda: sk.make_heat1d(16)], ids=["harmonic", "predprey", "heat16"])
+def test_last_snapshot_is_the_last_node_with_the_final_state(make, cfg):
+    # the plan ends at t1 and only the last step reaches it, so the last
+    # node is always a snapshot, with the bits of solve's final state
+    problem = make().problem
+    full = sk.solve(problem, cfg)
+    for checkpoints in (1, 2, 3, 4, 7, 16, 64, 1000):
+        for variant in ("interpolating", "backsolve", "discrete"):
+            sol = _forward_pass(problem, AdjointConfig(variant, cfg, checkpoints), problem.theta,
+                                (), sk.SolverStats())
+            last = len(sol.node_times) - 1
+            assert list(sol.checkpoints)[-1] == last, (checkpoints, variant)
+            assert sol.checkpoints[last].tobytes() == full.final_state().tobytes()
+
+
 def test_initial_condition_adjoint_is_lambda0():
     # theta IS the initial condition (p = n, theta-free rhs): the gradient
     # reduces to lambda(t0)
@@ -801,9 +821,31 @@ def test_each_observation_stops_at_the_node_its_read_returns():
     # the cursor applies each observation once, at its stop
     for stop in sorted(set(stops.values()), reverse=True):
         before = len(loss.applied)
-        jump(np.zeros(2), stop, lambda t: np.zeros(2))
+        jump(np.zeros(2), stop, np.zeros(2))
         assert [stops[times[i]] for i in loss.applied[before:]] == [stop] * (len(loss.applied) - before)
     assert sorted(loss.applied) == list(range(len(times)))
+
+
+@pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
+def test_a_loss_without_an_observation_at_t1_replays_each_segment_once(variant, monkeypatch):
+    # the reverse pass still stops at t1 and reads the state there for its
+    # jumps, none here: the last node is a snapshot, so that read replays
+    # nothing, and each of the 4 segments replays once, right to left
+    ent = sk.make_harmonic(0.2)
+    loss = sk.SquaredErrorLoss([2.5, 5.0, 7.3], np.ones((3, 2)))
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    replays = []
+    segments = adjoint_module._segments_reverse
+
+    def spy(*args, **kwargs):
+        replays.append(kwargs.get("last"))
+        return segments(*args, **kwargs)
+
+    monkeypatch.setattr(adjoint_module, "_segments_reverse", spy)
+    res = sk.gradient(ent.problem, loss, f"continuous_{variant}", cfg, checkpoints=4)
+    assert replays == [3, 2, 1, 0]
+    assert res.stats.rhs_evaluations == 281
+    assert res.peak_stored_states == 20
 
 
 @pytest.mark.parametrize("cfg", [sk.SolverConfig(method="rk4", dt=0.01),

@@ -351,3 +351,43 @@ def test_reference_gradient_is_forward_sensitivity_at_tol_1e_12(problem):
     cfg = sk.SolverConfig(abstol=1e-12, reltol=1e-12)
     direct = sk.gradient(entry.problem, entry.loss, "forward_sensitivity", cfg).gradient
     assert cli._reference_gradient(entry).tobytes() == direct.tobytes()
+
+
+def test_theta_sets_predprey_a(capsys):
+    # --theta is predprey's a: 193.115... is the a = 0.95 gradient, 212.710...
+    # the default a = 1's
+    rc = run_main(["compare-adjoints", "--problem", "predprey", "--theta", "0.95",
+                   "--method", "forward_sensitivity"])
+    assert rc == 0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert float(row["gradient"]) == pytest.approx(193.11513718215019, rel=1e-12)
+
+
+def test_compare_adjoints_prints_the_csv_it_writes(tmp_path, capsys):
+    args = ["compare-adjoints", "--problem", "harmonic", "--abstol", "1e-8",
+            "--reltol", "1e-8", "--method", "forward_sensitivity,continuous_interpolating"]
+    out = tmp_path / "cmp.csv"
+    assert run_main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_main(args) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_gradcheck_out_writes_the_report_it_prints(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    rc = run_main(["gradcheck", "--problem", "harmonic", "--abstol", "1e-8", "--reltol", "1e-8",
+                   "--method", "forward_sensitivity,continuous_quadrature", "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert printed.count("PASS") == 2
+    assert out.read_text() == printed
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep-direct", "--eps-count", "1"], "epsilon grid needs at least 2 points"),
+    (["compare-adjoints", "--abstol", "0"], "tolerances must be positive"),
+    (["gradcheck", "--reltol", "-1"], "tolerances must be positive"),
+])
+def test_a_bad_run_config_exits_2_with_its_message(capsys, argv, message):
+    assert run_main(argv) == cli.EXIT_BAD_CONFIG == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
