@@ -11,9 +11,6 @@ from .core import (
     IntegratedLoss,
     LinearStateLoss,
     OdeProblem,
-    SensitivityResult,
-    Solution,
-    SolverStats,
     SquaredErrorLoss,
     dense_eval,
     loss_eval,
@@ -23,16 +20,10 @@ from .solver import (
     JOINT_PRIMAL_DUAL,
     PRIMAL_ONLY,
     SolverConfig,
-    rk_step,
     solve,
 )
-from .direct import (
-    complexstep_gradient,
-    fd_gradient,
-    forwardad_gradient,
-    gradient,
-)
-from .sensitivity import forward_sensitivity
+from .direct import complexstep_gradient, fd_gradient, gradient
+from .sensitivity import forward_sensitivity, forwardad_gradient
 from .adjoint import (
     AdjointConfig,
     continuous_adjoint,
@@ -51,10 +42,7 @@ __all__ = [
     "MultiDual",
     "OdeProblem",
     "PRIMAL_ONLY",
-    "SensitivityResult",
-    "Solution",
     "SolverConfig",
-    "SolverStats",
     "SquaredErrorLoss",
     "complexstep_gradient",
     "continuous_adjoint",
@@ -68,6 +56,5 @@ __all__ = [
     "make_harmonic",
     "make_heat1d",
     "make_predprey",
-    "rk_step",
     "solve",
 ]

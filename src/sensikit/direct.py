@@ -1,14 +1,15 @@
 """Gradient drivers, and ``gradient``: one entry point for every method.
 
 Finite differences and complex step treat the solve-plus-loss pipeline as
-a black box over real or complex scalars; forward AD runs on forward
-sensitivity's engine (``sensitivity._forward_mode``).  ``gradient``
-selects any of the ``METHODS`` by name: these drivers, forward
-sensitivities, the discrete adjoint and the three continuous adjoints.
+a black box over real or complex scalars.  ``gradient`` selects any of the
+``METHODS`` by name: these drivers, forward AD and forward sensitivities
+(``sensitivity``), the discrete adjoint and the three continuous adjoints
+(``adjoint``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ import numpy as np
 from .adjoint import AdjointConfig, continuous_adjoint
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, loss_eval
 from .errors import NumericalBlowupError
-from .sensitivity import _forward_mode, forward_sensitivity
+from .sensitivity import forward_sensitivity, forwardad_gradient
 from .solver import PRIMAL_ONLY, SolverConfig, solve
 
 METHODS = (
@@ -95,9 +96,10 @@ def complexstep_gradient(loss_fn, theta, eps) -> np.ndarray:
     for i in range(theta.size):
         z = theta.astype(complex)
         z[i] += 1j * eps[i]
-        val = loss_fn(z)
-        grad[i] = np.imag(val) / eps[i]
-        if not math.isfinite(grad[i]):
+        val = complex(loss_fn(z))
+        grad[i] = val.imag / eps[i]
+        # both parts: a non-finite real part leaves Im(L) / eps a number
+        if not (cmath.isfinite(val) and math.isfinite(grad[i])):
             raise NumericalBlowupError(
                 f"non-finite loss while perturbing component {i}"
             )
@@ -130,20 +132,6 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     return fn
 
 
-def forwardad_gradient(
-    problem: OdeProblem, loss, config: SolverConfig, theta=None
-) -> SensitivityResult:
-    """Gradient by forward-mode AD of the solver and the loss.
-
-    Multidual right-hand sides and loss terms give the exact gradient of
-    whatever the discrete solver computed.  Under the joint error norm the
-    adaptive result converges to the true gradient as the tolerances
-    shrink; the primal-only norm is kept to reproduce its known failure
-    mode and is flagged in the result metadata.
-    """
-    return _forward_mode(problem, loss, config, theta, ad=True)
-
-
 def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
              theta=None, *, epsilon=None, checkpoints=None) -> SensitivityResult:
     """Gradient of ``loss`` by the named method, one of ``METHODS``.
@@ -153,10 +141,9 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
     and complex-step methods (``default_epsilon`` when omitted) and is
     ignored by the others; ``checkpoints`` goes to the adjoint methods.
     ``forward_ad_primal_only`` is forward AD under the primal-only error
-    norm, saving at the loss's observation times; it is kept to reproduce
-    that norm's wrong gradients.  Raises ``ValueError``
-    on an unknown method name, and what ``core.check_request`` raises on a
-    bad request, before any solve.
+    norm and nothing else; it is kept to reproduce that norm's wrong
+    gradients.  Raises ``ValueError`` on an unknown method name, and what
+    ``core.check_request`` raises on a bad request, before any solve.
     """
     if method not in METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
@@ -177,7 +164,7 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
     if method == "forward_ad":
         return forwardad_gradient(problem, loss, config, theta=theta)
     if method == "forward_ad_primal_only":
-        config = replace(config, norm_mode=PRIMAL_ONLY, saveat=loss.times)
+        config = replace(config, norm_mode=PRIMAL_ONLY)
         res = forwardad_gradient(problem, loss, config, theta=theta)
         res.method = method
         return res

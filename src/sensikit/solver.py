@@ -1,9 +1,9 @@
 """Explicit Runge-Kutta integration of float and complex states.
 
 ``solve`` and ``rk_step`` refuse dual states: forward AD integrates the
-packed float state of ``sensitivity.augmented_problem``.  A step builds
-its stage inputs, its result and its error estimate as the rows of one
-array, one array operation per stage (Hairer, Norsett & Wanner, Solving
+packed float state ``(u, S)`` of ``sensitivity._forward_mode``.  A step
+builds its stage inputs, its result and its error estimate as the rows of
+one array, one array operation per stage (Hairer, Norsett & Wanner, Solving
 ODEs I, sec. II.1); each row sums its products in the order of the
 tableau's columns, so it has the bits of a sum over the tableau's entries.
 Adaptive runs use the embedded error estimate with a scaled norm and

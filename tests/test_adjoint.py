@@ -8,7 +8,7 @@ import pytest
 import sensikit as sk
 from sensikit import adjoint as adjoint_module
 from sensikit import dual
-from sensikit.core import check_request
+from sensikit.core import Solution, SolverStats, check_request
 from sensikit.adjoint import (
     MAX_RECONSTRUCTION_ERROR,
     VARIANTS,
@@ -22,6 +22,7 @@ from sensikit.adjoint import (
     step_vjp,
 )
 from sensikit.errors import NumericalBlowupError
+from sensikit.solver import rk_step
 from sensikit.tableaus import DOPRI5, EULER, RK4
 
 ANALYTIC = (10.0 / 0.2) * math.cos(2.0) - math.sin(2.0) / 0.04
@@ -70,7 +71,7 @@ def test_step_vjp_euler_linear():
     prob = sk.OdeProblem(rhs=rhs, u0=np.ones(2), tspan=(0.0, 1.0), theta=np.zeros(1))
     lam = rng.normal(size=2)
     dt = 0.125
-    stages = sk.rk_step(EULER, rhs, np.array([0.3, -0.7]), prob.theta, 0.0, dt)[3]
+    stages = rk_step(EULER, rhs, np.array([0.3, -0.7]), prob.theta, 0.0, dt)[3]
     lam_prop, contrib = step_vjp(prob, EULER, stages, prob.theta, 0.0, dt, lam)
     expect = (np.eye(2) + dt * A).T @ lam
     assert np.allclose(lam_prop, expect, atol=1e-13)
@@ -80,10 +81,18 @@ def test_step_vjp_euler_linear():
 def test_step_vjp_zero_costate():
     ent = sk.make_harmonic(0.2)
     th = ent.problem.theta
-    stages = sk.rk_step(RK4, ent.problem.rhs, np.array([1.0, 0.0]), th, 0.0, 0.1)[3]
+    stages = rk_step(RK4, ent.problem.rhs, np.array([1.0, 0.0]), th, 0.0, 0.1)[3]
     lam_prop, contrib = step_vjp(ent.problem, RK4, stages, th, 0.0, 0.1, np.zeros(2))
     assert np.array_equal(lam_prop, np.zeros(2))
     assert np.array_equal(contrib, np.zeros(1))
+
+
+def test_step_vjp_refuses_the_wrong_stage_count():
+    ent = sk.make_harmonic(0.2)
+    th = ent.problem.theta
+    stages = rk_step(EULER, ent.problem.rhs, np.array([1.0, 0.0]), th, 0.0, 0.1)[3]
+    with pytest.raises(ValueError, match="^step_vjp needs the 4 stage inputs of the step, got 1$"):
+        step_vjp(ent.problem, RK4, stages, th, 0.0, 0.1, np.ones(2))
 
 
 def test_step_vjp_matches_fd_of_step_map():
@@ -91,11 +100,11 @@ def test_step_vjp_matches_fd_of_step_map():
     u = np.array([0.8, -0.3])
     lam = np.array([1.3, 0.4])
     dt = 0.05
-    stages = sk.rk_step(RK4, ent.problem.rhs, u, ent.problem.theta, 0.0, dt)[3]
+    stages = rk_step(RK4, ent.problem.rhs, u, ent.problem.theta, 0.0, dt)[3]
     lam_prop, contrib = step_vjp(ent.problem, RK4, stages, ent.problem.theta, 0.0, dt, lam)
 
     def step_map(uu, th):
-        return sk.rk_step(RK4, ent.problem.rhs, uu, th, 0.0, dt)[0]
+        return rk_step(RK4, ent.problem.rhs, uu, th, 0.0, dt)[0]
 
     h = 1e-7
     for j in range(2):
@@ -120,7 +129,7 @@ def complex_step_vjp(problem, tableau, u, theta, t, dt, lam, eps=1e-20):
     for j in range(n + p):
         h = np.zeros(n + p, dtype=complex)
         h[j] = eps * 1j
-        u_next = sk.rk_step(tableau, problem.rhs, u + h[:n], theta + h[n:], t, dt)[0]
+        u_next = rk_step(tableau, problem.rhs, u + h[:n], theta + h[n:], t, dt)[0]
         cols.append(u_next.imag / eps)
     jac = np.array(cols).T
     return jac[:, :n].T @ lam, jac[:, n:].T @ lam
@@ -135,7 +144,7 @@ def test_step_vjp_matches_multidual_step_push(tableau, jacobians):
         problem = dataclasses.replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
     u = np.array([0.8, -0.3])
     lam = np.array([1.3, 0.4])
-    stages = sk.rk_step(tableau, problem.rhs, u, problem.theta, 0.7, 0.05)[3]
+    stages = rk_step(tableau, problem.rhs, u, problem.theta, 0.7, 0.05)[3]
     got = step_vjp(problem, tableau, stages, problem.theta, 0.7, 0.05, lam)
     want = complex_step_vjp(problem, tableau, u, problem.theta, 0.7, 0.05, lam)
     for g, w in zip(got, want):
@@ -163,13 +172,13 @@ def test_stage_tape_holds_the_stage_inputs_of_a_fresh_step(checkpoints):
     ent = sk.make_predprey(0.95)
     fwd = sk.SolverConfig(method="rk4", dt=0.05)
     cfg = AdjointConfig(variant="discrete", solver_config=fwd, checkpoints=checkpoints)
-    sol = _forward_pass(ent.problem, cfg, ent.problem.theta, (), sk.SolverStats())
+    sol = _forward_pass(ent.problem, cfg, ent.problem.theta, (), SolverStats())
     theta = ent.problem.theta
     steps = 0
     for seg, ts, states in _segments_reverse(ent.problem, sol, theta, RK4, keep="tape"):
         assert len(seg.stage_tape) == len(ts) - 1
         for m, rows in enumerate(seg.stage_tape):
-            stages = sk.rk_step(RK4, ent.problem.rhs, states[m], theta, ts[m], seg.step_dts[m])[3]
+            stages = rk_step(RK4, ent.problem.rhs, states[m], theta, ts[m], seg.step_dts[m])[3]
             assert rows.shape == (RK4.stages - 1, ent.problem.n)
             assert np.array(stages[1:]).tobytes() == rows.tobytes()
             steps += 1
@@ -183,7 +192,7 @@ def test_stage_tape_is_kept_exactly_with_the_nodes_of_a_fixed_step_solve():
 
     def march(keep, saveat=None):
         return sk.solver._march(prob.rhs, prob.u0, prob.theta, *prob.tspan, RK4,
-                                sk.SolverStats(), fixed, keep=keep, saveat=saveat)
+                                SolverStats(), fixed, keep=keep, saveat=saveat)
 
     assert len(march("tape").stage_tape) == 100
     assert len(march("tape", np.array([5.0, 10.0])).stage_tape) == 100
@@ -201,7 +210,7 @@ def test_discrete_adjoint_counts_the_rows_its_stage_tape_pins(method):
     cfg = sk.SolverConfig(method=method, dt=0.01)
     tableau = cfg.tableau
     discrete = AdjointConfig(variant="discrete", solver_config=cfg)
-    sol = _forward_pass(ent.problem, discrete, ent.problem.theta, (), sk.SolverStats())
+    sol = _forward_pass(ent.problem, discrete, ent.problem.theta, (), SolverStats())
     assert len(sol.stage_tape) == 1000
     for rows in sol.stage_tape:
         assert rows.shape == (tableau.stages - 1, ent.problem.n) and rows.base is None
@@ -553,9 +562,9 @@ def test_backsolve_forward_pass_keeps_the_final_state_and_the_observation_rows()
     ent = sk.make_predprey(0.95)
     theta, times = ent.problem.theta, ent.loss.times
     full = _forward_pass(ent.problem, AdjointConfig(solver_config=tight()), theta, times,
-                         sk.SolverStats())
+                         SolverStats())
     final = _forward_pass(ent.problem, AdjointConfig(variant="backsolve", solver_config=tight()),
-                          theta, times, sk.SolverStats())
+                          theta, times, SolverStats())
     assert full.node_states is not None
     assert final.node_states is None
     assert final.times.tolist() == times[1:].tolist() and len(final.states) == 100
@@ -614,7 +623,7 @@ def test_forward_pass_keeps_what_the_variant_reads(variant, checkpoints):
     cfg = sk.SolverConfig(method="rk4", dt=0.1)
     full = sk.solve(ent.problem, cfg)
     sol = _forward_pass(ent.problem, AdjointConfig(variant, cfg, checkpoints), ent.problem.theta,
-                        (), sk.SolverStats())
+                        (), SolverStats())
     keeps_nodes = checkpoints is None and variant != "backsolve"
     assert (sol.node_states is not None) == keeps_nodes
     assert (sol.stage_tape is not None) == (keeps_nodes and variant == "discrete")
@@ -639,7 +648,7 @@ def test_last_snapshot_is_the_last_node_with_the_final_state(make, cfg):
     for checkpoints in (1, 2, 3, 4, 7, 16, 64, 1000):
         for variant in ("interpolating", "backsolve", "discrete"):
             sol = _forward_pass(problem, AdjointConfig(variant, cfg, checkpoints), problem.theta,
-                                (), sk.SolverStats())
+                                (), SolverStats())
             last = len(sol.node_times) - 1
             assert list(sol.checkpoints)[-1] == last, (checkpoints, variant)
             assert sol.checkpoints[last].tobytes() == full.final_state().tobytes()
@@ -765,7 +774,7 @@ def test_segment_reader_reads_the_bits_of_full_storage():
 
     def forward(checkpoints):
         cfg = AdjointConfig(solver_config=fwd, checkpoints=checkpoints)
-        return _forward_pass(ent.problem, cfg, theta, (), sk.SolverStats())
+        return _forward_pass(ent.problem, cfg, theta, (), SolverStats())
 
     full, ckpt = forward(None), forward(4)
     reader = adjoint_module._SegmentReader(ent.problem, ckpt, theta, DOPRI5)
@@ -796,8 +805,8 @@ def test_each_observation_stops_at_the_node_its_read_returns():
     tol = 1e-9 * 4.0
     rng = np.random.default_rng(5)
     states = rng.normal(size=(6, 2))
-    sol = sk.Solution(times=ts, states=states, node_times=ts, node_states=states,
-                      node_derivs=rng.normal(size=(6, 2)), stats=sk.SolverStats())
+    sol = Solution(times=ts, states=states, node_times=ts, node_states=states,
+                      node_derivs=rng.normal(size=(6, 2)), stats=SolverStats())
     want = {
         -0.5 * tol: 0.0, 0.7: 0.7, 2.0: 2.0, 4.0: 4.0,   # on the ends and nodes
         4.0 + 0.5 * tol: 4.0,                            # outside the span within tol
@@ -878,7 +887,7 @@ def test_each_observation_jump_applies_once_with_and_without_checkpoints():
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     nodes = sk.solve(ent.problem, cfg).node_times
     snaps = _forward_pass(ent.problem, AdjointConfig(solver_config=cfg, checkpoints=4),
-                          ent.problem.theta, (), sk.SolverStats())
+                          ent.problem.theta, (), SolverStats())
     tol = 1e-9 * 10.0
     times = np.unique(np.concatenate([
         np.linspace(0.0, 10.0, 21),                         # t0, t1 and interior

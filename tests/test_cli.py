@@ -387,6 +387,7 @@ def test_gradcheck_out_writes_the_report_it_prints(tmp_path, capsys):
     (["sweep-direct", "--eps-count", "1"], "epsilon grid needs at least 2 points"),
     (["compare-adjoints", "--abstol", "0"], "tolerances must be positive"),
     (["gradcheck", "--reltol", "-1"], "tolerances must be positive"),
+    (["fit", "--problem", "predprey"], "the fit demo is wired to the harmonic problem"),
 ])
 def test_a_bad_run_config_exits_2_with_its_message(capsys, argv, message):
     assert run_main(argv) == cli.EXIT_BAD_CONFIG == 2

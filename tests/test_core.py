@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,3 +137,28 @@ def test_loss_eval_refuses_an_integrated_loss_for_its_running_integral():
         loss_eval(sk.solve(prob, cfg), loss)
     q = sk.solve(running_integral(prob, loss), cfg).final_state()[-1]
     assert q == pytest.approx(4.0, rel=1e-12)
+
+
+CORE_INPUT_CHECKS = [
+    pytest.param(lambda: sk.make_harmonic(0.2).problem.with_theta([0.1, 0.2]), ValueError,
+                 "expected 1 parameters, got 2", id="with-theta-size"),
+    pytest.param(lambda: SquaredErrorLoss([1.0, 2.0], np.zeros((3, 2))), ValueError,
+                 "one target state per observation time", id="squared-target-count"),
+    pytest.param(lambda: LinearStateLoss([1.0, 2.0], [[1.0, 0.0]]), ValueError,
+                 "one coefficient vector per observation time", id="linear-target-count"),
+    pytest.param(lambda: SquaredErrorLoss([1.0, 2.0], np.zeros((2, 2)), np.ones((3, 2))),
+                 ValueError, "one weight (scalar or per-component vector) per observation",
+                 id="weight-shape"),
+    pytest.param(lambda: LinearStateLoss([1.0], [[1.0]], [-1.0]), ValueError,
+                 "weights must be non-negative", id="negative-weight"),
+    pytest.param(lambda: SquaredErrorLoss([1.0, 1.0], np.zeros((2, 2))), ValueError,
+                 "observation times must be distinct", id="repeated-times"),
+    pytest.param(lambda: loss_eval(None, object()), TypeError,
+                 "unknown loss specification object", id="loss-eval-type"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", CORE_INPUT_CHECKS)
+def test_core_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,38 @@ def test_fd_propagates_nonfinite_with_component():
 
     with pytest.raises(NumericalBlowupError, match="component 1"):
         fd_gradient(fn, np.array([1.0, 2.0]), 1e-3, scheme="centered")
+
+
+@pytest.mark.parametrize("loss", [lambda th: float("nan") + th[0],
+                                  lambda th: float("inf") + 3 * th[0]], ids=["nan", "inf"])
+@pytest.mark.parametrize("method", ["complex_step", "centered_fd"])
+def test_a_non_finite_loss_raises_whatever_its_imaginary_part(method, loss):
+    # the perturbed loss is NaN or infinite, yet Im(L) / eps alone reads 1
+    # and 3: complex step checks both parts, as finite differences do
+    with pytest.raises(NumericalBlowupError,
+                       match="^non-finite loss while perturbing component 0$"):
+        if method == "complex_step":
+            complexstep_gradient(loss, np.array([1.0]), 1e-12)
+        else:
+            fd_gradient(loss, np.array([1.0]), 1e-6)
+
+
+DIRECT_INPUT_CHECKS = [
+    pytest.param(lambda: fd_gradient(lambda th: 0.0, [1.0], 1e-6, scheme="backward"),
+                 ValueError, "unknown finite-difference scheme 'backward'", id="fd-scheme"),
+    pytest.param(lambda: fd_gradient(lambda th: 0.0, [1.0], 0.0), ValueError,
+                 "eps must be positive", id="fd-eps-0"),
+    pytest.param(lambda: fd_gradient(lambda th: math.nan, [1.0], 1e-6, scheme="forward"),
+                 NumericalBlowupError, "loss is non-finite at the base point", id="fd-base-nan"),
+    pytest.param(lambda: complexstep_gradient(lambda th: th[0], [1.0], -1e-12), ValueError,
+                 "eps must be positive", id="complex-step-negative-eps"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", DIRECT_INPUT_CHECKS)
+def test_direct_input_checks_raise_their_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_complexstep_quadratic():
@@ -269,9 +302,9 @@ def test_work_counts_on_harmonic_are_pinned(method):
 @pytest.mark.parametrize("method", ["forward_ad", "forward_ad_primal_only", "forward_sensitivity"])
 def test_forward_methods_count_the_nodes_their_solve_holds(method):
     # peak_stored_states counts the solve's mesh, one node per accepted step
-    # plus t0, as the adjoints count theirs, not the saved rows: primal-only
-    # forward AD saves the 101 observation times of predprey's loss but
-    # holds 51 nodes
+    # plus t0, as the adjoints count theirs, not the loss's observations:
+    # primal-only forward AD reads predprey's 101 observation times off 51
+    # nodes
     ent = sk.make_predprey(0.95)
     res = sk.gradient(ent.problem, ent.loss, method, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
     assert res.peak_stored_states == res.stats.accepted_steps + 1

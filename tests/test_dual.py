@@ -500,3 +500,8 @@ def test_boundary_packing():
     # restores it
     assert not hasattr(MultiDual, "__array__")
     _assert_entries_bitwise(dual.asarray(np.asarray(d)), _entries(d))
+
+
+def test_seed_state_refuses_a_jacobian_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^initial-state jacobian must be \(2, 1\)$"):
+        dual.seed_state([1.0, 2.0], np.zeros((1, 2)), 1)

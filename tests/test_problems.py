@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,3 +114,19 @@ def test_make_problem_dispatch():
         make_problem("lorenz")
 
 
+
+
+PROBLEM_INPUT_CHECKS = [
+    pytest.param(lambda: sk.make_harmonic(0.0),
+                 "theta = 0 is singular: the analytic solution degenerates", id="harmonic-theta-0"),
+    pytest.param(lambda: sk.make_heat1d(2, 0.1), "need at least 3 cells for an interior stencil",
+                 id="heat1d-cells"),
+    pytest.param(lambda: sk.make_heat1d(16, 0.0), "diffusivity must be positive",
+                 id="heat1d-theta-0"),
+]
+
+
+@pytest.mark.parametrize("call,message", PROBLEM_INPUT_CHECKS)
+def test_problem_input_checks_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

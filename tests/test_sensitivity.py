@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,12 +7,7 @@ import pytest
 
 import sensikit as sk
 from sensikit.dual import MultiDual
-from sensikit.sensitivity import (
-    augmented_problem,
-    forward_sensitivity,
-    jacobian_assembly,
-    sensitivity_rhs,
-)
+from sensikit.sensitivity import forward_sensitivity, jacobian_assembly
 
 
 def test_sensitivity_rhs_zero_when_autonomous_constant():
@@ -22,7 +18,7 @@ def test_sensitivity_rhs_zero_when_autonomous_constant():
         theta=[0.3],
     )
     s = np.zeros((2, 1))
-    du, ds = sensitivity_rhs(prob.u0, s, prob.theta, 0.0, prob)
+    _, ds, du = jacobian_assembly(prob, prob.u0, prob.theta, 0.0, f=True, u_theta=s)
     assert np.array_equal(ds, np.zeros((2, 1)))
 
 
@@ -30,7 +26,7 @@ def test_sensitivity_rhs_harmonic_formula():
     ent = sk.make_harmonic(0.2)
     u = np.array([1.5, -0.3])
     s = np.array([[2.0], [1.0]])
-    du, ds = sensitivity_rhs(u, s, ent.problem.theta, 0.0, ent.problem)
+    _, ds, du = jacobian_assembly(ent.problem, u, ent.problem.theta, 0.0, f=True, u_theta=s)
     J = np.array([[0.0, 1.0], [-0.04, 0.0]])
     Jt = np.array([[0.0], [-2 * 0.2 * u[0]]])
     assert np.allclose(du, [u[1], -0.04 * u[0]])
@@ -41,7 +37,8 @@ def test_sensitivity_stays_zero_without_parameter_dependence():
     prob = sk.OdeProblem(
         rhs=lambda u, p, t: -u, u0=[1.0], tspan=(0.0, 1.0), theta=[0.5]
     )
-    du, ds = sensitivity_rhs(np.array([1.0]), np.zeros((1, 1)), prob.theta, 0.0, prob)
+    _, ds, du = jacobian_assembly(prob, np.array([1.0]), prob.theta, 0.0, f=True,
+                                  u_theta=np.zeros((1, 1)))
     assert np.array_equal(ds, np.zeros((1, 1)))
 
 
@@ -172,11 +169,18 @@ def test_assembly_neither_calls_nor_seeds_a_part_not_read(problem):
 
 
 def test_augmented_layout_state_then_columns():
-    ent = sk.make_harmonic(0.2)
-    aug = augmented_problem(ent.problem)
-    assert aug.u0.shape == (4,)
-    assert np.array_equal(aug.u0[:2], ent.problem.u0)
-    assert np.array_equal(aug.u0[2:], np.zeros(2))
+    # the packed state starts at u0 then the columns of du0/dtheta, so the
+    # first sensitivity row is the initial-state Jacobian, column by column
+    problem = sk.OdeProblem(
+        rhs=lambda u, p, t: np.array([u[1] * p[0], -u[0] * p[1]]),
+        u0=[1.0, 0.5], tspan=(0.0, 1.0), theta=[0.3, 0.7],
+        u0_jacobian=[[0.0, 1.0], [2.0, 0.0]],
+    )
+    loss = sk.LinearStateLoss([1.0], [[1.0, 0.0]])
+    res = forward_sensitivity(problem, loss, sk.SolverConfig(method="rk4", dt=0.1))
+    assert res.trajectory_times[0] == 0.0
+    assert res.sensitivity_trajectory.shape == (11, 2, 2)
+    assert np.array_equal(res.sensitivity_trajectory[0], problem.initial_state_jacobian())
 
 
 def test_forward_sensitivity_harmonic_gradient():
@@ -405,3 +409,43 @@ def test_forward_tangent_part_is_the_jacobian_product(problem):
             assert tangent.tobytes() == (J_u @ S + J_t).tobytes()
         else:
             assert np.allclose(tangent, J_u @ S + J_t, rtol=1e-13, atol=1e-13 * np.abs(J_u).max())
+
+
+def _heat16_stripped():
+    ent = sk.make_heat1d(16)
+    return _stripped(ent.problem), ent.loss
+
+
+def _predprey():
+    ent = sk.make_predprey(0.95)
+    return ent.problem, ent.loss
+
+
+# gradients (float.hex), SolverStats (accepted, rejected, rhs, jacobian),
+# peak stored states and a digest of the sensitivity_trajectory bytes of
+# each forward method at dopri5 tol 1e-8: predprey a = 0.95 on its analytic
+# Jacobians, heat1d n = 16 stripped of them (the multidual tangent path).
+# A change of their bits or work fails here and is re-pinned on purpose
+FORWARD_PINNED = {
+    ("forward_ad", "predprey"): (["0x1.823af1c7f5d2bp+7"], (81, 0, 487, 0), 82,
+                                 "7f1d0248951853e0"),
+    ("forward_sensitivity", "predprey"): (["0x1.823af1c7f5d26p+7"], (81, 0, 487, 974), 82,
+                                          "dca9b36fde849267"),
+    ("forward_ad", "heat16-stripped"): (["-0x1.80fee7e050997p+1"], (15, 2, 103, 0), 16,
+                                        "94faa9bcc2696adc"),
+    ("forward_sensitivity", "heat16-stripped"): (["-0x1.80fee7e050997p+1"], (15, 2, 103, 0),
+                                                 16, "94faa9bcc2696adc"),
+}
+FORWARD_CASES = {"predprey": _predprey, "heat16-stripped": _heat16_stripped}
+
+
+@pytest.mark.parametrize("method,case", list(FORWARD_PINNED))
+def test_forward_mode_bits_are_pinned(method, case):
+    problem, loss = FORWARD_CASES[case]()
+    res = sk.gradient(problem, loss, method, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
+    s = res.stats
+    got = ([float(g).hex() for g in res.gradient],
+           (s.accepted_steps, s.rejected_steps, s.rhs_evaluations, s.jacobian_evaluations),
+           res.peak_stored_states,
+           hashlib.sha256(res.sensitivity_trajectory.tobytes()).hexdigest()[:16])
+    assert got == FORWARD_PINNED[method, case]

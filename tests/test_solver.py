@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import sensikit as sk
-from sensikit.core import _step_end, span_tol
+from sensikit.core import Solution, SolverStats, _step_end, span_tol
 from sensikit.dual import MultiDual
 from sensikit.errors import (
     NonConvergenceError,
@@ -22,7 +23,7 @@ from sensikit.solver import (
     rk_step,
     scaled_error,
 )
-from sensikit.tableaus import DOPRI5, EULER, RK4
+from sensikit.tableaus import DOPRI5, EULER, RK4, ButcherTableau
 
 
 def exp_rhs(u, p, t):
@@ -31,7 +32,7 @@ def exp_rhs(u, p, t):
 
 def march(problem, cfg, **kwargs):
     """``solver._march`` over the problem's span, its RHS calls counted."""
-    stats = sk.SolverStats()
+    stats = SolverStats()
 
     def rhs(u, theta, t):
         stats.rhs_evaluations += 1
@@ -490,10 +491,10 @@ def test_dense_eval_array_reads_are_the_scalar_path_bitwise():
     assert sk.dense_eval(sol, near_t).tobytes() == rows.tobytes()
     # a step shorter than 2 span_tol: both of its nodes are candidates and
     # every read agrees with the scalar path on which one wins
-    short = sk.Solution(
+    short = Solution(
         times=None, states=None, node_times=np.array([0.0, 1.0, 1.0 + 1.5 * 2e-9, 2.0]),
         node_states=rng.normal(size=(4, 2)), node_derivs=rng.normal(size=(4, 2)),
-        stats=sk.SolverStats(),
+        stats=SolverStats(),
     )
     grid = np.linspace(1.0 - 3e-9, 1.0 + 6e-9, 41)
     rows = np.array([sk.dense_eval(short, t) for t in grid])
@@ -629,3 +630,56 @@ def test_nan_error_estimate_halves_the_step(monkeypatch):
     sol = sk.solve(problem, sk.SolverConfig(dt=0.1))
     assert sol.stats.rejected_steps == 1
     assert sol.step_dts[0] == 0.05
+
+
+def _harmonic_solve_past_the_span():
+    ent = sk.make_harmonic(0.2)
+    sk.solve(ent.problem, sk.SolverConfig(saveat=[5.0, 11.0]))
+
+
+# input checks no other test reaches: each raises its message before any step
+SOLVER_INPUT_CHECKS = [
+    pytest.param(lambda: sk.SolverConfig(max_steps=0), "max_steps must be positive",
+                 id="config-max-steps-0"),
+    pytest.param(lambda: sk.SolverConfig(method="rk4", dt=-1), "dt must be positive",
+                 id="config-negative-dt"),
+    pytest.param(lambda: sk.SolverConfig(saveat=[1.0, 0.5]),
+                 "saveat grid must be 1-D and strictly increasing", id="config-decreasing-saveat"),
+    pytest.param(_harmonic_solve_past_the_span, "saveat grid extends outside the time span",
+                 id="solve-saveat-outside-span"),
+    pytest.param(lambda: rk_step(RK4, exp_rhs, np.array([1.0]), np.zeros(1), 0.0, 0.0),
+                 "dt must be positive", id="rk-step-dt-0"),
+    pytest.param(lambda: scaled_error(np.zeros(2), np.zeros(3), 1e-6, 1e-6),
+                 "state shapes differ", id="scaled-error-shapes"),
+    pytest.param(lambda: propose_dt(0.0, 1.0, 5), "dt_prev must be positive",
+                 id="propose-dt-0"),
+]
+
+
+@pytest.mark.parametrize("call,message", SOLVER_INPUT_CHECKS)
+def test_solver_input_checks_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _tableau(**fields):
+    euler = dict(name="t", a=((0.0,),), b=(1.0,), c=(0.0,), order=1)
+    return lambda: ButcherTableau(**{**euler, **fields})
+
+
+TABLEAU_CHECKS = [
+    pytest.param(_tableau(a=((0.0, 0.0),)), "a must be s x s", id="a-shape"),
+    pytest.param(_tableau(a=((1.0,),)), "explicit tableau requires a[i, j] = 0 for i <= j",
+                 id="implicit"),
+    pytest.param(_tableau(b=(0.5,)), "weights b must sum to 1 (consistency)", id="b-sum"),
+    pytest.param(_tableau(b_hat=(0.5, 0.5)), "embedded weights must match stage count",
+                 id="b-hat-size"),
+    pytest.param(_tableau(fsal=True), "a first-same-as-last tableau needs a[-1] = b and c[-1] = 1",
+                 id="fsal-rows"),
+]
+
+
+@pytest.mark.parametrize("build,message", TABLEAU_CHECKS)
+def test_butcher_tableau_checks_raise_their_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
