@@ -11,7 +11,7 @@ stage tape of the forward solve or of a checkpoint segment's replay, so
 it returns the exact derivative of the discretized loss on a fixed grid
 and runs no step again.  The continuous adjoints integrate the costate ODE
 ``dlambda/dt = -(df/du)^T lambda`` and the integral of
-``lambda^T df/dtheta``: interpolating jointly, over Hermite dense output of
+``lambda^T df/dtheta``: interpolating jointly, over the Hermite rows of
 the stored or checkpoint-recomputed forward steps; quadrature the costate
 alone, then the integral by ``QUADRATURE_ORDER``-point Gauss-Legendre per
 forward step; backsolve re-solving the forward state backwards with the
@@ -65,9 +65,10 @@ from .core import (
     SensitivityResult,
     Solution,
     SolverStats,
+    _counted,
+    _horner,
     _node_at,
     _step_end,
-    _step_read,
     check_request,
     dense_eval,
     span_tol,
@@ -77,7 +78,7 @@ from .errors import (
     NumericalBlowupError,
     StepsizeUnderflowError,
 )
-from .sensitivity import _counted, jacobian_assembly
+from .sensitivity import jacobian_assembly
 from .solver import SolverConfig, _fixed_mesh, _march, checkpoint_plan, scaled_error
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
@@ -359,13 +360,14 @@ def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all", last=N
 class _SegmentReader:
     """``dense_eval`` over the whole forward mesh of a checkpointed pass.
 
-    A read takes ``dense_eval``'s step and rule on the full mesh, so it has
-    a full-storage pass's bits.  One returning a snapshot node's state takes
-    the snapshot; any other reads the segment holding the step, replaying it
-    unless it is held, then keeps it and the segment to its right: a reverse
-    attempt that crosses a snapshot leftwards, then is rejected and starts
-    again from its right end, finds both held, so a pass whose observation
-    intervals are shorter than a segment replays each segment once.
+    A read takes ``dense_eval``'s step, rule and ``s`` on the full mesh, so
+    it has a full-storage pass's bits.  One returning a snapshot node's
+    state takes the snapshot; any other reads the segment holding the step
+    (a node's state or its ``dense_rows``), replaying it unless it is held,
+    then keeps it and the segment to its right: a reverse attempt that
+    crosses a snapshot leftwards, then is rejected and starts again from its
+    right end, finds both held, so a pass whose observation intervals are
+    shorter than a segment replays each segment once.
     ``replay(k)`` is segment ``k`` as ``_segments_reverse`` yields it.
     ``drop_right_of`` lets go of the segments no later read reaches.
     ``peak`` counts the nodes of the segments held at once plus the snapshots.
@@ -390,8 +392,9 @@ class _SegmentReader:
             return self.snapshots[i + end]
         k = bisect_right(self.bounds, i) - 1  # the segment holding step i
         seg, j = self._segment(k), i - self.bounds[k]
-        return _step_read(ta, tb, seg.node_states[j], seg.node_derivs[j], seg.node_states[j + 1],
-                          seg.node_derivs[j + 1], t, self.tol)
+        if end is not None:
+            return seg.node_states[j + end]
+        return _horner(seg.dense_rows[j], (t - ta) / (tb - ta))
 
     def drop_right_of(self, t):
         """Let go of the segments starting at or after ``t``, which reads up to ``t`` skip."""
@@ -468,7 +471,7 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
     storage mode keeps, so they do not depend on the checkpoint count.  Right
     to left, each applies the jumps at its right end, then solves the
     costate across it, reading the forward state ``u_at`` at any time of the
-    mesh by Hermite dense output: ``dense_eval`` on a full-storage pass, a
+    mesh by its Hermite rows: ``dense_eval`` on a full-storage pass, a
     ``_SegmentReader`` on a checkpointed one.  Interpolating integrates the
     gradient with the costate and keeps only the interval's end state (on a
     fixed-step method, it skips the last end derivative).  Quadrature's

@@ -3,9 +3,9 @@
 It also holds the one rule for placing a time on a trajectory, which the
 solver and the adjoints import: a time within ``span_tol`` of an end of
 the step holding it sits on that end, the left one first (``_step_end``),
-and ``_node_at`` names that node on a mesh; the one rule for reading a
-state off a step, ``_step_read``, which ``dense_eval`` applies on the mesh
-every public solve keeps; and the one check of a
+and ``_node_at`` names that node on a mesh; the one dense output off the
+nodes, a step's Hermite rows built by ``_hermite_rows`` and read by
+``_horner``; the one RHS counter, ``_counted``; and the one check of a
 gradient request, ``check_request``, which every gradient method calls
 before any solve and which turns an integrated loss into a pointwise one
 on an extended problem.  ``loss_eval`` values pointwise losses only.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,6 +93,8 @@ def _observations(times, values, weights, values_ok, values_error, vector_weight
     values = np.asarray(values, dtype=float)
     if not values_ok(times, values):
         raise ValueError(values_error)
+    if not np.isfinite(times).all():  # NaN compares false, so no later check refuses it
+        raise ValueError("observation times must be finite")
     m = len(times)
     if m == 0:  # it would have no gradient to compute
         raise ValueError("a pointwise loss needs at least one observation time")
@@ -183,13 +186,39 @@ class SolverStats:
         self.jacobian_evaluations += other.jacobian_evaluations
 
 
+def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
+    """The problem with its RHS and analytic Jacobian calls counted in ``stats``."""
+    rhs = problem.rhs
+
+    def counted_rhs(u, theta, t):
+        stats.rhs_evaluations += 1
+        return rhs(u, theta, t)
+
+    def counted_jac(jac):
+        if jac is None:
+            return None
+
+        def counted(u, theta, t):
+            stats.jacobian_evaluations += 1
+            return jac(u, theta, t)
+
+        return counted
+
+    return replace(
+        problem,
+        rhs=counted_rhs,
+        rhs_jac_u=counted_jac(problem.rhs_jac_u),
+        rhs_jac_theta=counted_jac(problem.rhs_jac_theta),
+    )
+
+
 @dataclass
 class Solution:
     """Numerical trajectory plus the per-step data needed for dense output.
 
     ``times``/``states`` are the mesh, or its dense output at ``saveat``;
     ``node_*`` arrays hold the accepted mesh, which ``dense_eval`` reads by
-    cubic Hermite whatever the tableau; ``solve`` keeps all of them.  An
+    its ``dense_rows``, whatever the tableau; ``solve`` keeps all of them.  An
     adjoint forward pass keeping only its end states has node times alone
     (node states and derivatives None) and, checkpointed, its snapshots as
     ``checkpoints``: ``{i: node i's state}`` from node 0 to the last, in
@@ -214,6 +243,12 @@ class Solution:
 
     def final_state(self):
         return self.states[-1]
+
+    @cached_property
+    def dense_rows(self):
+        """``dense_rows[m]``: step m's ``_hermite_rows``, derived from the nodes on first read."""
+        ys, fs, h = self.node_states, self.node_derivs, np.diff(self.node_times)[:, None]
+        return np.stack(_hermite_rows(ys[:-1], fs[:-1], ys[1:], fs[1:], h), axis=1)
 
 
 @dataclass
@@ -300,41 +335,39 @@ def dense_eval(sol: Solution, t):
 
     One ``searchsorted`` over the whole mesh, whatever its tableau, finds
     the step holding ``t`` (the first or last step for a time outside the
-    mesh within ``span_tol``; one further outside raises), and
-    ``_step_read`` reads it: the state of an end within ``span_tol``, the
-    left one first, bitwise, else cubic Hermite.  So a read may
-    fall in any step: interpolating and quadrature read the stage times of
-    an observation interval, across many forward steps, through it.  A 1-D
-    array ``t`` on a float or complex mesh gives a row per time, with the
-    bits of one call per time.
+    mesh within ``span_tol``; one further outside, or NaN, raises).  An end
+    within ``span_tol``, the left one first (``_step_end``), gives its state
+    bitwise, else ``_horner`` evaluates the step's Hermite rows.  So a read
+    may fall in any step: interpolating and quadrature read the stage times
+    of an observation interval, across many forward steps, through it.  A
+    scalar ``t`` reads ``sol.dense_rows``; a 1-D array or list builds the
+    rows of the steps it reads only, a row per time with a scalar read's bits.
     """
     ts = sol.node_times
     tol = span_tol(ts[0], ts[-1])
+    t = np.asarray(t, dtype=float) if isinstance(t, (list, tuple)) else t
     if isinstance(t, np.ndarray) and t.ndim:
-        if len(ts) < 2:  # a solve that took no step: one node, no bracket
-            return np.array([dense_eval(sol, float(x)) for x in t])
-        if t.min() < ts[0] - tol or t.max() > ts[-1] + tol:
+        if t.ndim > 1:
+            raise ValueError(f"dense_eval reads a time or 1-D times, got shape {t.shape}")
+        if not (ts[0] - tol <= t.min() and t.max() <= ts[-1] + tol):  # NaN fails too
             raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
+        ys, fs = sol.node_states, sol.node_derivs
+        if len(ts) < 2:  # a solve that took no step: its one node is every read
+            return np.repeat(ys, len(t), axis=0)
         j = ts[1:-1].searchsorted(t)  # the scalar bracket
-        t = t[:, None]
-        ta, tb = ts[j, None], ts[j + 1, None]
-        s = (t - ta) / (tb - ta)
-        # float_power is C pow, as ``**`` on Python floats; numpy's ``** 2``
-        # squares, which differs in the last bit
-        rows = _hermite(sol.node_states[j], sol.node_derivs[j], sol.node_states[j + 1],
-                        sol.node_derivs[j + 1], s, tb - ta, np.float_power(1 - s, 2))
-        # only these times can read an end of their step (_step_end)
-        for i in np.flatnonzero((t - ta <= tol) | (tb - t <= tol)):
-            rows[i] = dense_eval(sol, float(t[i, 0]))
-        return rows
-    if t < ts[0] - tol or t > ts[-1] + tol:
+        t, ta, tb = t[:, None], ts[j, None], ts[j + 1, None]
+        ya, yb, off, h = ys[j], ys[j + 1], t - ta, tb - ta
+        read = _horner(_hermite_rows(ya, fs[j], yb, fs[j + 1], h), off / h)
+        return np.where(off <= tol, ya, np.where(tb - t <= tol, yb, read))
+    t = float(t)  # Python floats: numpy's bits without its per-operation scalar overhead
+    if not ts[0] - tol <= t <= ts[-1] + tol:
         raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
     step = min(max(int(ts.searchsorted(t)) - 1, 0), len(ts) - 2)
-    # Python floats: the same IEEE operations as on numpy scalars, without
-    # numpy's per-operation scalar overhead
-    return _step_read(float(ts[step]), float(ts[step + 1]), sol.node_states[step],
-                      sol.node_derivs[step], sol.node_states[step + 1], sol.node_derivs[step + 1],
-                      float(t), tol)
+    ta, tb = float(ts[step]), float(ts[step + 1])
+    end = _step_end(ta, tb, t, tol)
+    if end is not None:
+        return sol.node_states[step + end]
+    return _horner(sol.dense_rows[step], (t - ta) / (tb - ta))
 
 
 def _step_end(ta, tb, t, tol):
@@ -349,27 +382,18 @@ def _node_at(ts, t, tol):
     return None if end is None else step + end
 
 
-def _step_read(ta, tb, ua, fa, ub, fb, t, tol):
-    """State at ``t`` on step [ta, tb]: the ``_step_end`` end's state itself, else cubic Hermite.
-
-    ``ua``, ``fa`` and ``ub``, ``fb`` are the ends' states and derivatives.
-    """
-    end = _step_end(ta, tb, t, tol)
-    if end is not None:
-        return ub if end else ua
-    s = (t - ta) / (tb - ta)
-    return _hermite(ua, fa, ub, fb, s, tb - ta, (1 - s) ** 2)
+def _hermite_rows(ua, fa, ub, fb, h):
+    """Power-basis rows ``(c0, c1, c2, c3)`` in ``s = (t - ta) / h`` of the cubic Hermite
+    of a step of length ``h`` whose ends hold states ``ua``, ``ub`` and derivatives ``fa``,
+    ``fb``, elementwise over any leading axes (``h`` broadcast against them)."""
+    d, ha, hb = ub - ua, h * fa, h * fb
+    return ua, ha, 3 * d - 2 * ha - hb, ha + hb - 2 * d
 
 
-def _hermite(ua, fa, ub, fb, s, h, q):
-    """Cubic Hermite on a step of length ``h`` at fraction(s) ``s``; ``q = (1 - s)**2``."""
-    ss = s * s
-    return (
-        ((1 + 2 * s) * q) * ua
-        + ((s * q) * h) * fa
-        + (ss * (3 - 2 * s)) * ub
-        + ((ss * (s - 1)) * h) * fb
-    )
+def _horner(rows, s):
+    """``c0 + s (c1 + s (c2 + s c3))`` of ``rows``: elementwise ufuncs, no BLAS."""
+    c0, c1, c2, c3 = rows
+    return c0 + s * (c1 + s * (c2 + s * c3))
 
 
 def loss_eval(sol: Solution, loss):

@@ -28,35 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import dual
-from .core import OdeProblem, SensitivityResult, SolverStats, check_request, dense_eval
+from .core import OdeProblem, SensitivityResult, SolverStats, _counted, check_request, dense_eval
 from .errors import AnalyticityError
 from .solver import PRIMAL_ONLY, SolverConfig, solve
-
-
-def _counted(problem: OdeProblem, stats: SolverStats) -> OdeProblem:
-    """The problem with its RHS and analytic Jacobian calls counted in ``stats``."""
-    rhs = problem.rhs
-
-    def counted_rhs(u, theta, t):
-        stats.rhs_evaluations += 1
-        return rhs(u, theta, t)
-
-    def counted_jac(jac):
-        if jac is None:
-            return None
-
-        def counted(u, theta, t):
-            stats.jacobian_evaluations += 1
-            return jac(u, theta, t)
-
-        return counted
-
-    return replace(
-        problem,
-        rhs=counted_rhs,
-        rhs_jac_u=counted_jac(problem.rhs_jac_u),
-        rhs_jac_theta=counted_jac(problem.rhs_jac_theta),
-    )
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ elementary stepsize control (safety 0.9, step ratio clamped to [0.2, 10];
 Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  A solve keeps its
 mesh, each node's state and derivative, which ``core.dense_eval`` reads
 by Hermite dense output whatever the tableau; ``saveat`` rows have its
-bits (``core._step_read``), taken as the loop steps past each time.
+bits (its read rule and step rows), taken as the loop steps past each time.
 
 One marching loop, ``_march``, takes every step: ``solve``'s, those of the
 adjoint forward pass, of a checkpoint segment's replay and of each reverse
@@ -36,8 +36,8 @@ import numpy as np
 
 # dense_eval is also named here: the benchmark's tracer looks up the
 # dense-output layer as sensikit.solver.dense_eval
-from .core import (OdeProblem, Solution, SolverStats, _step_end, _step_read,  # noqa: F401
-                   dense_eval, span_tol)
+from .core import (OdeProblem, Solution, SolverStats, _counted, _hermite_rows,  # noqa: F401
+                   _horner, _step_end, dense_eval, span_tol)
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -184,17 +184,12 @@ def solve(problem: OdeProblem, config: SolverConfig, theta=None, *, _norm_n=None
     theta = problem.theta if theta is None else np.asarray(theta)
     _refuse_duals("solve", problem.u0, theta)
     stats = SolverStats()
-
-    def eval_rhs(state, th, tt):
-        stats.rhs_evaluations += 1
-        return problem.rhs(state, th, tt)
-
     if config.saveat is not None:
         grid, tol = config.saveat, span_tol(t0, t1)
         if grid[0] < t0 - tol or grid[-1] > t1 + tol:
             raise ValueError("saveat grid extends outside the time span")
-    return _march(eval_rhs, problem.u0, theta, t0, t1, config.tableau, stats, config,
-                  keep="all", saveat=config.saveat, norm_n=_norm_n)
+    return _march(_counted(problem, stats).rhs, problem.u0, theta, t0, t1, config.tableau, stats,
+                  config, keep="all", saveat=config.saveat, norm_n=_norm_n)
 
 
 def _attempt(t, t1, end, dt, attempts, max_steps):
@@ -236,10 +231,10 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     ``Solution`` of the node times and stepsizes and the end states;
     ``"all"`` one of every node's state and derivative; ``"tape"`` that
     and the stage tape.  ``saveat``, sorted times in the span, makes the
-    ``Solution``'s ``times``/``states`` the state at each, taken as the
-    step holding it is accepted: the bits of ``dense_eval`` on the kept
-    mesh, which need not be kept.  Unless it keeps every node or a
-    ``saveat`` time lies inside the last step, a non-FSAL tableau skips
+    ``Solution``'s ``times``/``states`` the state at each, taken from the
+    step's rows as the step holding it is accepted: the bits of ``dense_eval``
+    on the kept mesh, which need not be kept.  Unless it keeps every node
+    or a ``saveat`` time lies inside the last step, a non-FSAL tableau skips
     that step's end derivative.  ``plan`` holds the checkpoint times: the
     first node at or past each, and the last, join node 0 in ``checkpoints``.
     ``norm_n`` limits the controller's error norm to its first coordinates.
@@ -291,10 +286,14 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             f = np.asarray(rhs(u_next, theta, t_new))
         if saveat is not None:
             # each row as dense_eval reads it off the mesh, by its step rule
-            ta, tb = float(t), float(t_new)
+            ta, tb, rows = float(t), float(t_new), None
             while len(saved) < len(saveat) and (is_last or saveat[len(saved)] <= tb):
-                row = _step_read(ta, tb, u, k[0], u_next, f, float(saveat[len(saved)]), tol)
-                saved.append(row.copy() if row is u or row is u_next else row)
+                x = float(saveat[len(saved)])
+                side = _step_end(ta, tb, x, tol)  # not ``end``: the loop's bound
+                if side is None and rows is None:
+                    rows = _hermite_rows(u, k[0], u_next, f, tb - ta)
+                saved.append(_horner(rows, (x - ta) / (tb - ta)) if side is None
+                             else (u_next if side else u).copy())
         m += 1
         stats.accepted_steps += 1
         if control:

@@ -96,6 +96,16 @@ def test_a_pointwise_loss_of_no_observation_is_refused_when_built(loss_type):
         loss_type([], np.empty((0, 2)))
 
 
+@pytest.mark.parametrize("loss_type", [SquaredErrorLoss, LinearStateLoss])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_observation_time_is_refused_when_built(loss_type, bad):
+    # NaN compares false with every bound, so the span and distinctness
+    # checks let it through: on harmonic, interpolating returned [0.], the
+    # forward methods [nan], and the other methods raised foreign errors
+    with pytest.raises(ValueError, match="^observation times must be finite$"):
+        loss_type([5.0, bad], np.ones((2, 2)))
+
+
 def test_loss_grad_matches_finite_difference():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -429,7 +429,7 @@ def _predprey():
 FORWARD_PINNED = {
     ("forward_ad", "predprey"): (["0x1.823af1c7f5d2bp+7"], (81, 0, 487, 0), 82,
                                  "7f1d0248951853e0"),
-    ("forward_sensitivity", "predprey"): (["0x1.823af1c7f5d26p+7"], (81, 0, 487, 974), 82,
+    ("forward_sensitivity", "predprey"): (["0x1.823af1c7f5d27p+7"], (81, 0, 487, 974), 82,
                                           "dca9b36fde849267"),
     ("forward_ad", "heat16-stripped"): (["-0x1.80fee7e050997p+1"], (15, 2, 103, 0), 16,
                                         "94faa9bcc2696adc"),

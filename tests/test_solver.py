@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sensikit as sk
-from sensikit.core import Solution, SolverStats, _step_end, span_tol
+from sensikit.core import Solution, SolverStats, _hermite_rows, _horner, _step_end, span_tol
 from sensikit.dual import MultiDual
 from sensikit.errors import (
     NonConvergenceError,
@@ -433,26 +433,54 @@ def test_dense_eval_midpoint_accuracy():
 
 
 def test_dense_eval_is_the_hermite_formula_bitwise():
-    # the cubic Hermite interpolant written out on numpy scalars, in the
-    # order dense_eval evaluates it: one mesh search per call and Python
-    # float coefficients must not change a bit
-    ent = sk.make_predprey(0.95)
-    sol = sk.solve(ent.problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
-    ts, ys, fs = sol.node_times, sol.node_states, sol.node_derivs
+    # the builder's rows are the step's cubic Hermite by its properties, and
+    # every off-node read of dense_eval is the one evaluator on them
     rng = np.random.default_rng(11)
+    ua, fa, ub, fb = rng.normal(size=(4, 3))
+    h = 0.37
+    rows = _hermite_rows(ua, fa, ub, fb, h)
+    eps = np.finfo(float).eps
+    # end values: s = 0 returns ua bitwise, s = 1 returns ub to rounding
+    assert _horner(rows, 0.0).tobytes() == ua.tobytes()
+    assert np.abs(_horner(rows, 1.0) - ub).max() <= 8 * eps * np.abs(rows).max()
+    # end slopes, d/dt = (d/ds) / h: fa at s = 0, fb at s = 1
+    c0, c1, c2, c3 = rows
+    assert np.abs(c1 / h - fa).max() <= 2 * eps * np.abs(fa).max()
+    assert np.abs((c1 + 2 * c2 + 3 * c3) / h - fb).max() <= 32 * eps * np.abs(rows).max() / h
+    # a cubic is reproduced exactly, up to rounding
+    a = rng.normal(size=(4, 3))
+    ta = 1.3
+
+    def cubic(t):
+        return a[0] + t * (a[1] + t * (a[2] + t * a[3]))
+
+    def slope(t):
+        return a[1] + t * (2 * a[2] + t * 3 * a[3])
+
+    rows = _hermite_rows(cubic(ta), slope(ta), cubic(ta + h), slope(ta + h), h)
+    for s in np.linspace(0.0, 1.0, 11):
+        assert np.abs(_horner(rows, s) - cubic(ta + s * h)).max() <= 1e-13, s
+    # order 4 on exact harmonic node data: halving h divides the error by 16
+    ent = sk.make_harmonic(0.2)
+    errors = []
+    for n_steps in (10, 20, 40):
+        ts = np.linspace(0.0, 10.0, n_steps + 1)
+        ys = np.array([ent.analytic_solution(t) for t in ts])
+        fs = np.array([ent.problem.rhs(y, ent.problem.theta, t) for y, t in zip(ys, ts)])
+        rows = _hermite_rows(ys[:-1], fs[:-1], ys[1:], fs[1:], np.diff(ts)[:, None])
+        mid = 0.5 * (ts[:-1] + ts[1:])
+        exact = np.array([ent.analytic_solution(t) for t in mid])
+        errors.append(np.abs(_horner(rows, 0.5) - exact).max())
+    assert all(3.9 < math.log2(e / e_half) < 4.1 for e, e_half in zip(errors, errors[1:])), errors
+    # dense_eval off the nodes reads the builder's rows by the evaluator, bitwise
+    sol = sk.solve(sk.make_predprey(0.95).problem, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
+    ts, ys, fs = sol.node_times, sol.node_states, sol.node_derivs
     steps = rng.integers(0, len(ts) - 1, 500)
     for j, frac in zip(steps, rng.uniform(0.01, 0.99, 500)):
-        ta, tb = ts[j], ts[j + 1]
+        ta, tb = float(ts[j]), float(ts[j + 1])
         t = ta + frac * (tb - ta)
-        h = tb - ta
-        s = (t - ta) / h
-        expected = (
-            ((1 + 2 * s) * (1 - s) ** 2) * ys[j]
-            + ((s * (1 - s) ** 2) * h) * fs[j]
-            + (s * s * (3 - 2 * s)) * ys[j + 1]
-            + ((s * s * (s - 1)) * h) * fs[j + 1]
-        )
-        assert sk.dense_eval(sol, t).tobytes() == expected.tobytes()
+        rows = _hermite_rows(ys[j], fs[j], ys[j + 1], fs[j + 1], tb - ta)
+        assert sk.dense_eval(sol, t).tobytes() == _horner(rows, (t - ta) / (tb - ta)).tobytes()
     # within half the node tolerance of a node the node state comes back
     tol = 1e-9 * max(ts[-1] - ts[0], 1.0)
     for j in (1, len(ts) // 2, len(ts) - 2):
@@ -561,6 +589,19 @@ def test_dense_eval_out_of_span():
     for t in (-2 * tol, 10.0 + 2 * tol):
         with pytest.raises(ValueError):
             sk.dense_eval(sol, t)
+
+
+def test_dense_eval_reads_a_time_or_a_1d_sequence_of_times():
+    # a NaN time fails the span check instead of reading a NaN row, a list
+    # reads as a 1-D array, and a 2-D array is refused by its shape
+    sol = sk.solve(sk.make_harmonic(0.2).problem, sk.SolverConfig())
+    for t in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="outside solution span"):
+            sk.dense_eval(sol, t)
+    times = [1.0, sol.node_times[3], 2.5]
+    assert sk.dense_eval(sol, times).tobytes() == sk.dense_eval(sol, np.array(times)).tobytes()
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        sk.dense_eval(sol, np.ones((2, 2)))
 
 
 def test_checkpoint_plan_endpoints():
