@@ -32,7 +32,7 @@ forward steps; its step budget is capped relative to the forward cost.
 The loss enters the reverse pass as jumps: traversed in reverse, the
 costate is incremented at each observation's stop by the loss gradient at
 the state there: ``_observation_jumps`` places it once per request on the
-forward node its read returns (``core._node_at``), else at its own time.
+forward node its read returns (``core._locate``), else at its own time.
 An integrated loss reaches the adjoints as the one observation ``q(t1)``
 of the running integral ``q' = h`` (``core.check_request``), so its
 ``dh`` terms are rows of the extended Jacobians.  The discrete adjoint
@@ -41,12 +41,12 @@ costate solve per interval between the stops, ``t0``, ``t1`` and
 (backsolve) the snapshots, the dense ones in one loop that builds its
 fields once per request and reads the forward state by ``dense_eval`` over
 the whole mesh.  The forward pass and the reverse intervals run ``solve``'s
-own loop, ``solver._march``, the latter on the reversed field over a
-forward-oriented clock.  Checkpoint segments rerun the recorded forward
-steps from their snapshots bitwise, in ``_segments_reverse`` alone; the
-dense adjoints' when a reverse read first needs a state no snapshot holds,
-over the same intervals as full storage, so the gradients are independent
-of the checkpoint count.
+own loop, ``solver._march``, the latter on the reversed field over the
+clock ``sigma = t_right - t`` (``_integrate_costate_interval``).  Checkpoint
+segments rerun the recorded forward steps from their snapshots bitwise, in
+``_segments_reverse`` alone; the dense adjoints' when a reverse read first
+needs a state no snapshot holds, over the same intervals as full storage,
+so the gradients are independent of the checkpoint count.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ from .core import (
     SolverStats,
     _counted,
     _horner,
-    _node_at,
-    _step_end,
+    _locate,
     check_request,
     dense_eval,
     span_tol,
@@ -148,15 +147,15 @@ _legendre_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 
 def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, *, jac_theta=True):
-    """Forward-time costate and gradient-integrand derivatives.
+    """Costate and gradient-integrand derivatives on the reversed clock.
 
-    Returns ``dlambda/dt = -(df/du)^T lambda`` and the integrand
+    Returns ``dlambda/dsigma = (df/du)^T lambda`` on the clock ``sigma =
+    t_right - t`` that ``_integrate_costate_interval`` steps, and the integrand
     ``dg = (df/dtheta)^T lambda``, or None for it with ``jac_theta=False``,
-    which assembles ``J_u`` alone.  The loss enters as jumps during the
-    reverse traversal.
+    which assembles ``J_u`` alone.  The loss enters as jumps.
     """
     J_u, J_theta, _ = jacobian_assembly(problem, u, theta, t, jac_theta=jac_theta)
-    return -(J_u.T @ lam), None if J_theta is None else J_theta.T @ lam
+    return J_u.T @ lam, None if J_theta is None else J_theta.T @ lam
 
 
 def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
@@ -281,7 +280,7 @@ def _observation_jumps(loss, nodes, tol):
     """Each observation's stop on the forward mesh ``nodes``, and the jump cursor.
 
     Every reverse pass stops for an observation at the node a read at its
-    time returns (``core._node_at``), else at the previous observation's
+    time returns (``core._locate``), else at the previous observation's
     stop if within ``tol``, else at its own time.  ``stops`` maps each time
     to its stop, in order (the losses sort their times and reject repeats,
     so a time's position is its loss index).
@@ -292,8 +291,8 @@ def _observation_jumps(loss, nodes, tol):
     """
     stops, prev = {}, -math.inf
     for t in loss.times.tolist():
-        j = _node_at(nodes, t, tol)
-        prev = stops[t] = nodes[j] if j is not None else prev if t - prev <= tol else t
+        j, end, _, _ = _locate(nodes, t, tol)
+        prev = stops[t] = nodes[j + end] if end is not None else prev if t - prev <= tol else t
     at = list(stops.values())
     cursor = len(at)  # at[cursor:] are applied
 
@@ -360,7 +359,7 @@ def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all", last=N
 class _SegmentReader:
     """``dense_eval`` over the whole forward mesh of a checkpointed pass.
 
-    A read takes ``dense_eval``'s step, rule and ``s`` on the full mesh, so
+    A read takes ``dense_eval``'s ``_locate`` and ``s`` on the full mesh, so
     it has a full-storage pass's bits.  One returning a snapshot node's
     state takes the snapshot; any other reads the segment holding the step
     (a node's state or its ``dense_rows``), replaying it unless it is held,
@@ -385,9 +384,7 @@ class _SegmentReader:
     def __call__(self, t):
         if isinstance(t, np.ndarray):  # a row per time, as dense_eval's array read
             return np.array([self(x) for x in t.tolist()])
-        i = min(max(bisect_left(self.nodes, t) - 1, 0), len(self.nodes) - 2)  # dense_eval's step
-        ta, tb = self.nodes[i], self.nodes[i + 1]
-        end = _step_end(ta, tb, t, self.tol)
+        i, end, ta, tb = _locate(self.nodes, t, self.tol)  # dense_eval's step and end
         if end is not None and i + end in self.snapshots:
             return self.snapshots[i + end]
         k = bisect_right(self.bounds, i) - 1  # the segment holding step i
@@ -416,18 +413,19 @@ def _reverse_intervals(points):
     return list(zip(points[:-1], points[1:]))[::-1]
 
 
-def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, saveat=None):
+def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, at=None):
     """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left``.
 
-    ``rhs(y, theta, t)`` is the reversed field ``dy/dsigma`` at time ``t``
-    on the forward clock ``sigma = t_right - t``, so the stepper never sees
-    a negative stepsize.  Adds the steps to ``stats`` and returns the end
-    state or, given sorted ``sigma`` values ``saveat``, its rows there.
+    ``rhs(y, theta, t)`` is the reversed field ``dy/dsigma`` at time ``t``;
+    only this function converts times to the clock ``sigma = t_right - t``
+    that the stepper steps forwards.  Adds the steps to ``stats`` and returns
+    the end state or, given sorted times ``at``, ``(end state, rows at at)``.
     """
+    saveat = None if at is None else np.append(t_right - at[::-1], t_right - t_left)
     sol = _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta, 0.0,
                  t_right - t_left, cfg.tableau, stats, cfg,
-                 keep=None if saveat is None else "final", saveat=saveat)
-    return sol if saveat is None else sol.states
+                 keep=None if at is None else "final", saveat=saveat)
+    return sol if at is None else (sol.states[-1], sol.states[-2::-1])
 
 
 # ---------------------------------------------------------------------
@@ -492,7 +490,7 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
 
     def rhs(y, th, t):
         dlam, dg = adjoint_rhs(u_at(t), y[:n], th, t, problem, jac_theta=not quadrature)
-        return -dlam if quadrature else np.concatenate([-dlam, dg])
+        return dlam if quadrature else np.concatenate([dlam, dg])
 
     def integrand(t):  # reads the interval's Gauss-node rows in order
         u, lam_q = next(rows)
@@ -510,16 +508,13 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
             continue
         ends = [t_left, *nodes[bisect_right(nodes, t_left) : bisect_left(nodes, t_right)], t_right]
         pieces = list(zip(ends[:-1], ends[1:]))
-        # forward state and costate at the rules' nodes, the latter in sigma
-        # order (the nodes reversed) then the interval's end; gauss_legendre
-        # evaluates the integrand at these same times, in this order
+        # the forward state and costate at the rules' nodes, in gauss_legendre's order
         tq = np.concatenate([_gauss_rule(a, b, QUADRATURE_ORDER)[0] for a, b in pieces])
-        lams = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats,
-                                           np.append(t_right - tq[::-1], t_right - t_left))
-        rows = zip(u_at(tq), lams[-2::-1])
+        lam, lams = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats,
+                                                at=tq)
+        rows = zip(u_at(tq), lams)
         for a, b in pieces:
             g = g + gauss_legendre(integrand, a, b, QUADRATURE_ORDER)
-        lam = lams[-1]
     lam = jump(lam, problem.tspan[0], problem.u0)
     return g, lam, len(nodes) if reader is None else reader.peak, {}
 

@@ -3,8 +3,8 @@
 It also holds the one rule for placing a time on a trajectory, which the
 solver and the adjoints import: a time within ``span_tol`` of an end of
 the step holding it sits on that end, the left one first (``_step_end``),
-and ``_node_at`` names that node on a mesh; the one dense output off the
-nodes, a step's Hermite rows built by ``_hermite_rows`` and read by
+and ``_locate`` places every scalar read on a mesh; the one dense output
+off the nodes, a step's Hermite rows built by ``_hermite_rows`` and read by
 ``_horner``; the one RHS counter, ``_counted``; and the one check of a
 gradient request, ``check_request``, which every gradient method calls
 before any solve and which turns an integrated loss into a pointwise one
@@ -54,12 +54,18 @@ class OdeProblem:
         object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         t0, t1 = self.tspan
+        if not np.isfinite(self.tspan).all():  # an infinite end has no mesh to step
+            raise ValueError(f"tspan must be finite, got {self.tspan}")
         if not t1 > t0:
             raise ValueError(f"tspan must be increasing, got {self.tspan}")
+        if not np.isfinite(self.u0).all():
+            raise ValueError(f"u0 must be finite, got {self.u0}")
         if self.u0_jacobian is not None:
             j = np.asarray(self.u0_jacobian, dtype=float)
             if j.shape != (self.n, self.p):
                 raise ValueError(f"u0_jacobian must have shape {(self.n, self.p)}")
+            if not np.isfinite(j).all():
+                raise ValueError("u0_jacobian must be finite")
             object.__setattr__(self, "u0_jacobian", j)
 
     @property
@@ -105,6 +111,8 @@ def _observations(times, values, weights, values_ok, values_error, vector_weight
         raise ValueError("one weight (scalar or per-component vector) per observation")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
+    if not np.isfinite(weights).all():  # NaN passes the check above
+        raise ValueError("weights must be finite")
     order = np.argsort(times, kind="stable")
     times = times[order]
     if np.any(np.diff(times) <= 0):
@@ -272,9 +280,9 @@ def span_tol(t0, t1) -> float:
 def check_request(problem: OdeProblem, loss, theta=None):
     """The request ``(problem, loss, theta)`` a gradient method runs, once checked.
 
-    ``theta`` defaults to ``problem.theta`` and must have shape ``(p,)``,
-    ``p >= 1``; the loss must be pointwise, with observation times in the
-    span up to ``span_tol``, or integrated.  A pointwise request comes back
+    ``theta`` defaults to ``problem.theta`` and must be finite, of shape
+    ``(p,)``, ``p >= 1``; the loss must be pointwise, with observation times
+    in the span up to ``span_tol``, or integrated.  A pointwise request comes back
     as given.  An integrated loss comes back as the pointwise loss ``q(t1)`` on
     ``running_integral(problem, loss)``, so every method differentiates
     observations only.  Every gradient method calls this before any solve;
@@ -285,6 +293,8 @@ def check_request(problem: OdeProblem, loss, theta=None):
         raise ValueError(f"theta must have shape {(problem.p,)}, got {theta.shape}")
     if theta.size == 0:
         raise ValueError("the problem has no parameters: there is no gradient to compute")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta must be finite, got {theta}")
     if isinstance(loss, IntegratedLoss):
         problem = running_integral(problem, loss)
         return problem, LinearStateLoss([problem.tspan[1]], np.eye(problem.n)[-1:]), theta
@@ -333,15 +343,16 @@ def running_integral(problem: OdeProblem, loss: IntegratedLoss) -> OdeProblem:
 def dense_eval(sol: Solution, t):
     """State at ``t``: the one trajectory lookup of ``solve`` and the gradients.
 
-    One ``searchsorted`` over the whole mesh, whatever its tableau, finds
+    One bisection over the whole mesh, whatever its tableau, finds
     the step holding ``t`` (the first or last step for a time outside the
     mesh within ``span_tol``; one further outside, or NaN, raises).  An end
     within ``span_tol``, the left one first (``_step_end``), gives its state
     bitwise, else ``_horner`` evaluates the step's Hermite rows.  So a read
     may fall in any step: interpolating and quadrature read the stage times
     of an observation interval, across many forward steps, through it.  A
-    scalar ``t`` reads ``sol.dense_rows``; a 1-D array or list builds the
-    rows of the steps it reads only, a row per time with a scalar read's bits.
+    scalar ``t`` reads ``sol.dense_rows`` at ``_locate``'s step; a 1-D array
+    or list builds the rows of the steps it reads only, a row per time with
+    a scalar read's bits, and no times read a ``(0, n)`` block.
     """
     ts = sol.node_times
     tol = span_tol(ts[0], ts[-1])
@@ -349,7 +360,7 @@ def dense_eval(sol: Solution, t):
     if isinstance(t, np.ndarray) and t.ndim:
         if t.ndim > 1:
             raise ValueError(f"dense_eval reads a time or 1-D times, got shape {t.shape}")
-        if not (ts[0] - tol <= t.min() and t.max() <= ts[-1] + tol):  # NaN fails too
+        if t.size and not (ts[0] - tol <= t.min() and t.max() <= ts[-1] + tol):  # NaN fails too
             raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
         ys, fs = sol.node_states, sol.node_derivs
         if len(ts) < 2:  # a solve that took no step: its one node is every read
@@ -362,9 +373,7 @@ def dense_eval(sol: Solution, t):
     t = float(t)  # Python floats: numpy's bits without its per-operation scalar overhead
     if not ts[0] - tol <= t <= ts[-1] + tol:
         raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
-    step = min(max(int(ts.searchsorted(t)) - 1, 0), len(ts) - 2)
-    ta, tb = float(ts[step]), float(ts[step + 1])
-    end = _step_end(ta, tb, t, tol)
+    step, end, ta, tb = _locate(ts, t, tol)
     if end is not None:
         return sol.node_states[step + end]
     return _horner(sol.dense_rows[step], (t - ta) / (tb - ta))
@@ -375,11 +384,12 @@ def _step_end(ta, tb, t, tol):
     return 0 if t - ta <= tol else 1 if tb - t <= tol else None
 
 
-def _node_at(ts, t, tol):
-    """Index in sorted ``ts`` of the node a read at ``t`` returns (``_step_end``), or None."""
+def _locate(ts, t, tol):
+    """``(step, end, ta, tb)``: the step ``[ta, tb]`` (floats) of sorted ``ts`` holding ``t``,
+    clamped to the first or last, and ``_step_end``'s end of it, so the read's node or None."""
     step = min(max(bisect_left(ts, t) - 1, 0), len(ts) - 2)
-    end = _step_end(ts[step], ts[step + 1], t, tol)
-    return None if end is None else step + end
+    ta, tb = float(ts[step]), float(ts[step + 1])
+    return step, _step_end(ta, tb, t, tol), ta, tb
 
 
 def _hermite_rows(ua, fa, ub, fb, h):

@@ -44,6 +44,16 @@ def default_epsilon(method: str, theta) -> np.ndarray:
     return 1e-6 * np.maximum(1.0, np.abs(theta))
 
 
+def _perturbations(eps, theta):
+    """``eps`` as one stepsize per component of ``theta``, each positive and finite."""
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), theta.shape)
+    if np.any(eps <= 0):
+        raise ValueError("eps must be positive")
+    if not np.isfinite(eps).all():  # NaN passes the check above
+        raise ValueError("eps must be finite")
+    return eps
+
+
 def fd_gradient(loss_fn, theta, eps, scheme="centered") -> np.ndarray:
     """Finite-difference gradient of a scalar function of the parameters.
 
@@ -54,9 +64,7 @@ def fd_gradient(loss_fn, theta, eps, scheme="centered") -> np.ndarray:
     if scheme not in ("forward", "centered"):
         raise ValueError(f"unknown finite-difference scheme {scheme!r}")
     theta = np.asarray(theta, dtype=float)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), theta.shape)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be positive")
+    eps = _perturbations(eps, theta)
     grad = np.zeros_like(theta)
     base = loss_fn(theta) if scheme == "forward" else None
     if base is not None and not math.isfinite(base):
@@ -89,9 +97,7 @@ def complexstep_gradient(loss_fn, theta, eps) -> np.ndarray:
     built from locally analytic primitives.
     """
     theta = np.asarray(theta, dtype=float)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), theta.shape)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be positive")
+    eps = _perturbations(eps, theta)
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         z = theta.astype(complex)

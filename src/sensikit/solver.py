@@ -67,11 +67,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in TABLEAUS:
             raise ValueError(f"unknown method {self.method!r}")
+        # NaN fails these (the tolerances' second); an infinite dt is one attempt per span
         if self.abstol <= 0 or self.reltol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_steps <= 0:
+        if not (math.isfinite(self.abstol) and math.isfinite(self.reltol)):
+            raise ValueError(f"tolerances must be finite, got abstol={self.abstol!r}, "
+                             f"reltol={self.reltol!r}")
+        if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.dt is None and not TABLEAUS[self.method].is_embedded:
             raise ValueError(f"method {self.method!r} is fixed-step and needs dt")
@@ -81,6 +85,8 @@ class SolverConfig:
             grid = np.asarray(self.saveat, dtype=float)
             if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
                 raise ValueError("saveat grid must be 1-D and strictly increasing")
+            if not np.isfinite(grid).all():
+                raise ValueError("saveat times must be finite")
             object.__setattr__(self, "saveat", grid)
 
     @property

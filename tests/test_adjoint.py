@@ -261,7 +261,7 @@ def test_adjoint_rhs_zero_costate():
     problem, _, theta = check_request(ent.problem, loss)
     lam = np.array([0.0, 0.0, 1.0])
     dlam, dg = adjoint_rhs(np.array([1.0, 0.0, 0.0]), lam, theta, 0.0, problem)
-    assert np.array_equal(dlam, -np.array([1.0, 0.0, 0.0]))
+    assert np.array_equal(dlam, np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(dg, [2.5])
 
 
@@ -273,7 +273,7 @@ def test_adjoint_rhs_linear_transpose():
     )
     lam = rng.normal(size=3)
     dlam, _ = adjoint_rhs(np.ones(3), lam, prob.theta, 0.0, prob)
-    assert np.allclose(dlam, -A.T @ lam, atol=1e-12)
+    assert np.allclose(dlam, A.T @ lam, atol=1e-12)
 
 
 def test_adjoint_rhs_harmonic_transpose():
@@ -281,7 +281,7 @@ def test_adjoint_rhs_harmonic_transpose():
     lam = np.array([2.0, -1.0])
     dlam, dg = adjoint_rhs(np.array([1.0, 0.0]), lam, ent.problem.theta, 0.0, ent.problem)
     J = np.array([[0.0, 1.0], [-0.04, 0.0]])
-    assert np.allclose(dlam, -J.T @ lam)
+    assert np.allclose(dlam, J.T @ lam)
     assert np.allclose(dg, np.array([[0.0, -0.4]]) @ lam)
 
 

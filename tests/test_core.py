@@ -106,6 +106,62 @@ def test_a_non_finite_observation_time_is_refused_when_built(loss_type, bad):
         loss_type([5.0, bad], np.ones((2, 2)))
 
 
+def _rhs_never_called(u, theta, t):
+    raise AssertionError("a refused setting reached the right-hand side")
+
+
+def _gradient_with_epsilon(method, eps, theta=None):
+    problem = sk.OdeProblem(_rhs_never_called, [1.0], (0.0, 1.0), [1.0])
+    loss = LinearStateLoss([1.0], [[1.0]])
+    return sk.gradient(problem, loss, method, sk.SolverConfig(), theta, epsilon=eps)
+
+
+# each let NaN or infinity through a check written ``x <= 0`` (NaN compares
+# false) or no check at all: NaN saveat rows, a [0, nan] mesh, a tolerance
+# error blamed on stepsize underflow, no step budget, a one-node solve of an
+# infinite span, a NaN gradient, or a "non-finite stage value"
+NON_FINITE_SETTINGS = [
+    pytest.param(lambda: sk.SolverConfig(saveat=[1.0, math.nan]), "saveat times must be finite",
+                 id="saveat-nan-row"),
+    pytest.param(lambda: sk.SolverConfig(saveat=[math.nan]), "saveat times must be finite",
+                 id="saveat-nan"),
+    pytest.param(lambda: sk.SolverConfig(method="rk4", dt=math.nan), "dt must be positive",
+                 id="dt-nan"),
+    pytest.param(lambda: sk.SolverConfig(abstol=math.nan),
+                 "tolerances must be finite, got abstol=nan, reltol=1e-06", id="abstol-nan"),
+    pytest.param(lambda: sk.SolverConfig(reltol=math.inf),
+                 "tolerances must be finite, got abstol=1e-06, reltol=inf", id="reltol-inf"),
+    pytest.param(lambda: sk.SolverConfig(max_steps=math.nan), "max_steps must be positive",
+                 id="max-steps-nan"),
+    pytest.param(lambda: sk.OdeProblem(_rhs_never_called, [1.0], (0.0, math.inf), [1.0]),
+                 "tspan must be finite, got (0.0, inf)", id="tspan-infinite-end"),
+    pytest.param(lambda: sk.OdeProblem(_rhs_never_called, [1.0], (-math.inf, 1.0), [1.0]),
+                 "tspan must be finite, got (-inf, 1.0)", id="tspan-infinite-start"),
+    pytest.param(lambda: sk.OdeProblem(_rhs_never_called, [math.nan], (0.0, 1.0), [1.0]),
+                 "u0 must be finite, got [nan]", id="u0-nan"),
+    pytest.param(lambda: sk.OdeProblem(_rhs_never_called, [1.0], (0.0, 1.0), [1.0],
+                                       u0_jacobian=[[math.inf]]),
+                 "u0_jacobian must be finite", id="u0-jacobian-inf"),
+    pytest.param(lambda: SquaredErrorLoss([1.0], [[0.0]], [math.nan]), "weights must be finite",
+                 id="weight-nan"),
+    pytest.param(lambda: _gradient_with_epsilon("centered_fd", None, theta=[math.nan]),
+                 "theta must be finite, got [nan]", id="theta-nan"),
+    pytest.param(lambda: _gradient_with_epsilon("centered_fd", math.nan), "eps must be finite",
+                 id="fd-epsilon-nan"),
+    pytest.param(lambda: _gradient_with_epsilon("complex_step", math.nan), "eps must be finite",
+                 id="complex-step-epsilon-nan"),
+]
+
+
+@pytest.mark.parametrize("call,message", NON_FINITE_SETTINGS)
+def test_a_nan_or_infinite_setting_is_refused_before_any_rhs_call(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    # an infinite dt stays legal: the adjoints' reverse config spans each
+    # interval's first attempt with it
+    assert sk.SolverConfig(dt=math.inf).dt == math.inf
+
+
 def test_loss_grad_matches_finite_difference():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import sensikit as sk
-from sensikit.core import Solution, SolverStats, _hermite_rows, _horner, _step_end, span_tol
+from sensikit.core import (Solution, SolverStats, _hermite_rows, _horner, _locate, _step_end,
+                           span_tol)
 from sensikit.dual import MultiDual
 from sensikit.errors import (
     NonConvergenceError,
@@ -602,6 +603,37 @@ def test_dense_eval_reads_a_time_or_a_1d_sequence_of_times():
     assert sk.dense_eval(sol, times).tobytes() == sk.dense_eval(sol, np.array(times)).tobytes()
     with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
         sk.dense_eval(sol, np.ones((2, 2)))
+
+
+def test_dense_eval_reads_no_times_as_an_empty_block_of_the_mesh_dtype():
+    # the span check's t.min() raised numpy's zero-size reduction error
+    problem = sk.make_harmonic(0.2).problem
+    for theta in (problem.theta, problem.theta + 1e-20j):
+        sol = sk.solve(problem, sk.SolverConfig(), theta)
+        for t in ([], (), np.array([])):
+            block = sk.dense_eval(sol, t)
+            assert block.shape == (0, 2) and block.dtype == sol.node_states.dtype
+
+
+def test_locate_places_a_read_on_its_step_and_end():
+    # (step, end, ta, tb): the step holding t, the first or last for a time
+    # outside the span, and the end a read returns, the left one first
+    ts = [0.0, 0.5, 1.25, 2.0]
+    tol = span_tol(0.0, 2.0)
+    for mesh in (ts, np.array(ts)):
+        assert _locate(mesh, 0.0, tol) == (0, 0, 0.0, 0.5)  # span ends
+        assert _locate(mesh, 2.0, tol) == (2, 1, 1.25, 2.0)
+        assert _locate(mesh, -tol, tol) == (0, 0, 0.0, 0.5)  # outside, within tol
+        assert _locate(mesh, 2.0 + tol, tol) == (2, 1, 1.25, 2.0)
+        assert _locate(mesh, 0.5, tol) == (0, 1, 0.0, 0.5)  # on a node: its left step
+        assert _locate(mesh, 0.5 - tol / 2, tol) == (0, 1, 0.0, 0.5)  # tol/2 either side
+        assert _locate(mesh, 0.5 + tol / 2, tol) == (1, 0, 0.5, 1.25)
+        assert _locate(mesh, 1.25 - 2 * tol, tol) == (1, None, 0.5, 1.25)  # off the nodes
+        assert _locate(mesh, 1.25 + 2 * tol, tol) == (2, None, 1.25, 2.0)
+        assert all(type(x) is float for x in _locate(mesh, 1.0, tol)[2:])
+    for t, placed in ((0.0, (0, 0)), (1.0, (0, 1)), (-1e-9, (0, 0)), (1.0 + 1e-9, (0, 1)),
+                      (5e-10, (0, 0)), (1.0 - 5e-10, (0, 1)), (0.5, (0, None))):
+        assert _locate([0.0, 1.0], t, span_tol(0.0, 1.0)) == (*placed, 0.0, 1.0)  # 2-node mesh
 
 
 def test_checkpoint_plan_endpoints():
