@@ -46,7 +46,10 @@ clock ``sigma = t_right - t`` (``_integrate_costate_interval``).  Checkpoint
 segments rerun the recorded forward steps from their snapshots bitwise, in
 ``_segments_reverse`` alone; the dense adjoints' when a reverse read first
 needs a state no snapshot holds, over the same intervals as full storage,
-so the gradients are independent of the checkpoint count.
+so the gradients are independent of the checkpoint count.  The dense
+adjoints' costate field (``adjoint_rhs``) is linear in the costate, so it
+reads the forward state and assembles its Jacobians once per distinct field
+time.
 """
 
 from __future__ import annotations
@@ -146,16 +149,32 @@ def _gauss_rule(a, b, order: int):
 _legendre_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 
-def adjoint_rhs(u, lam, theta, t, problem: OdeProblem, *, jac_theta=True):
-    """Costate and gradient-integrand derivatives on the reversed clock.
+def adjoint_rhs(problem: OdeProblem, u_at, *, jac_theta=True):
+    """The dense adjoints' costate field on the reversed clock, built once per request.
 
-    Returns ``dlambda/dsigma = (df/du)^T lambda`` on the clock ``sigma =
-    t_right - t`` that ``_integrate_costate_interval`` steps, and the integrand
-    ``dg = (df/dtheta)^T lambda``, or None for it with ``jac_theta=False``,
-    which assembles ``J_u`` alone.  The loss enters as jumps.
+    Returns ``rhs(y, theta, t)``: ``dlambda/dsigma = (df/du)^T lambda`` for
+    ``lambda = y[:n]`` on the clock ``sigma = t_right - t`` that
+    ``_integrate_costate_interval`` steps, followed, with ``jac_theta``, by
+    the integrand ``dg = (df/dtheta)^T lambda``; without it ``J_u`` alone is
+    assembled.  ``u_at(t)`` reads the forward state.  The field is linear in
+    lambda and ``theta`` is the request's throughout, so it keeps the
+    Jacobians of the last time it read and reads the state and assembles
+    only at a new ``t``: stages that share a time (DOPRI5's last two, rk4's
+    middle two) and the shared ends of adjacent intervals pay once.  The
+    loss enters as jumps.
     """
-    J_u, J_theta, _ = jacobian_assembly(problem, u, theta, t, jac_theta=jac_theta)
-    return J_u.T @ lam, None if J_theta is None else J_theta.T @ lam
+    n = problem.n
+    kept = (math.nan, None, None)  # (t, J_u, J_theta) of the last time read; nan equals no t
+
+    def rhs(y, theta, t):
+        nonlocal kept
+        if t != kept[0]:
+            kept = (t, *jacobian_assembly(problem, u_at(t), theta, t, jac_theta=jac_theta)[:2])
+        _, J_u, J_theta = kept
+        lam = y[:n]
+        return J_u.T @ lam if J_theta is None else np.concatenate([J_u.T @ lam, J_theta.T @ lam])
+
+    return rhs
 
 
 def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
@@ -478,7 +497,9 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
     clipped to the interval) and at the interval's end, and
     ``gauss_legendre`` then adds each step's term of ``J_theta^T lambda``,
     its nodes paying only ``J_theta``.  The peak counts the nodes of the
-    mesh, or of the segments held at once plus the snapshots.
+    mesh, or of the segments held at once plus the snapshots.  The costate
+    field, built once per request by ``adjoint_rhs``, reads the state and
+    assembles once per distinct field time, across stages and intervals.
     """
     stops, jump = obs
     n = problem.n
@@ -488,9 +509,7 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
     else:
         u_at = reader = _SegmentReader(problem, sol, theta, rev.tableau)
 
-    def rhs(y, th, t):
-        dlam, dg = adjoint_rhs(u_at(t), y[:n], th, t, problem, jac_theta=not quadrature)
-        return dlam if quadrature else np.concatenate([dlam, dg])
+    rhs = adjoint_rhs(problem, u_at, jac_theta=not quadrature)
 
     def integrand(t):  # reads the interval's Gauss-node rows in order
         u, lam_q = next(rows)

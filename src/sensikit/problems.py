@@ -78,6 +78,8 @@ def make_predprey(a: float = 1.0, saveat_step: float = 0.1) -> CatalogEntry:
     adaptive solver with a primal-only error norm produces a badly wrong
     gradient while sensitivity-aware control recovers the reference value.
     """
+    if not (math.isfinite(saveat_step) and saveat_step > 0):
+        raise ValueError(f"saveat_step must be positive and finite, got {saveat_step!r}")
 
     def rhs(u, p, t):
         return np.array([p[0] * u[0] - u[0] * u[1], -p[0] * u[1] + u[0] * u[1]])

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -75,6 +76,8 @@ class SolverConfig:
                              f"reltol={self.reltol!r}")
         if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, Integral):
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.dt is None and not TABLEAUS[self.method].is_embedded:

@@ -260,7 +260,8 @@ def test_adjoint_rhs_zero_costate():
     ent = sk.make_harmonic(0.2)
     problem, _, theta = check_request(ent.problem, loss)
     lam = np.array([0.0, 0.0, 1.0])
-    dlam, dg = adjoint_rhs(np.array([1.0, 0.0, 0.0]), lam, theta, 0.0, problem)
+    rhs = adjoint_rhs(problem, lambda t: np.array([1.0, 0.0, 0.0]))
+    dlam, dg = np.split(rhs(np.concatenate([lam, [0.0]]), theta, 0.0), [3])
     assert np.array_equal(dlam, np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(dg, [2.5])
 
@@ -272,14 +273,15 @@ def test_adjoint_rhs_linear_transpose():
         rhs=lambda u, p, t: A @ u, u0=np.ones(3), tspan=(0.0, 1.0), theta=np.zeros(1)
     )
     lam = rng.normal(size=3)
-    dlam, _ = adjoint_rhs(np.ones(3), lam, prob.theta, 0.0, prob)
+    dlam = adjoint_rhs(prob, lambda t: np.ones(3), jac_theta=False)(lam, prob.theta, 0.0)
     assert np.allclose(dlam, A.T @ lam, atol=1e-12)
 
 
 def test_adjoint_rhs_harmonic_transpose():
     ent = sk.make_harmonic(0.2)
     lam = np.array([2.0, -1.0])
-    dlam, dg = adjoint_rhs(np.array([1.0, 0.0]), lam, ent.problem.theta, 0.0, ent.problem)
+    rhs = adjoint_rhs(ent.problem, lambda t: np.array([1.0, 0.0]))
+    dlam, dg = np.split(rhs(np.concatenate([lam, [0.0]]), ent.problem.theta, 0.0), [2])
     J = np.array([[0.0, 1.0], [-0.04, 0.0]])
     assert np.allclose(dlam, J.T @ lam)
     assert np.allclose(dg, np.array([[0.0, -0.4]]) @ lam)
@@ -349,10 +351,10 @@ RK4_GRID = sk.SolverConfig(method="rk4", dt=0.01)
 PINNED = {
     ("continuous_backsolve", DOPRI, None): (["0x1.823af44ed4b3bp+7"], (182, 32, 1385, 2168)),
     ("continuous_backsolve", DOPRI, 4): (["0x1.823af3f7326f6p+7"], (185, 32, 1406, 2210)),
-    ("continuous_interpolating", DOPRI, None): (["0x1.823af6bc0476ep+7"], (196, 46, 301, 2504)),
-    ("continuous_interpolating", DOPRI, 4): (["0x1.823af6bc0476ep+7"], (196, 46, 605, 2504)),
-    ("continuous_quadrature", DOPRI, None): (["0x1.823af50ab738dp+7"], (200, 50, 301, 2343)),
-    ("continuous_quadrature", DOPRI, 4): (["0x1.823af50ab738dp+7"], (200, 50, 605, 2343)),
+    ("continuous_interpolating", DOPRI, None): (["0x1.823af6bc0476ep+7"], (196, 46, 301, 1922)),
+    ("continuous_interpolating", DOPRI, 4): (["0x1.823af6bc0476ep+7"], (196, 46, 605, 1922)),
+    ("continuous_quadrature", DOPRI, None): (["0x1.823af50ab738dp+7"], (200, 50, 301, 2044)),
+    ("continuous_quadrature", DOPRI, 4): (["0x1.823af50ab738dp+7"], (200, 50, 605, 2044)),
     ("discrete_adjoint", RK4_GRID, 4): (["0x1.823af34292bd1p+7"], (1000, 0, 8004, 8000)),
 }
 
@@ -752,15 +754,42 @@ def test_reads_at_snapshot_nodes_replay_no_segment(variant, rhs):
 
 
 def test_quadrature_jacobian_calls_fall_with_one_costate_solve_per_interval():
-    # the costate pays J_u per reverse stage and the Gauss nodes J_theta, 7
-    # per forward step: with one costate solve per forward step this read
-    # 2,530 on predprey and 558 on heat1d n = 16 (-7.4% and -20%)
+    # the costate pays J_u per distinct reverse stage time and the Gauss
+    # nodes J_theta, 7 per forward step: with one costate solve per forward
+    # step this read 2,530 on predprey and 558 on heat1d n = 16, and 2,343
+    # and 445 while the field assembled at every stage
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     calls = {}
     for name, ent in (("predprey", sk.make_predprey(0.95)), ("heat16", sk.make_heat1d(16))):
         res = sk.gradient(ent.problem, ent.loss, "continuous_quadrature", cfg)
         calls[name] = res.stats.jacobian_evaluations
-    assert calls == {"predprey": 2343, "heat16": 445}
+    assert calls == {"predprey": 2044, "heat16": 385}
+
+
+@pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
+@pytest.mark.parametrize("cfg", [sk.SolverConfig(abstol=1e-8, reltol=1e-8),
+                                 sk.SolverConfig(method="rk4", dt=0.05)], ids=["dopri5", "rk4"])
+def test_costate_field_assembles_once_per_time(variant, cfg):
+    # the field is linear in the costate, so it keeps the last time's
+    # Jacobians: DOPRI5's last two stages, rk4's middle two and the shared
+    # ends of adjacent intervals assemble once.  Quadrature's Gauss nodes
+    # read J_theta alone, so every J_u call is the costate field's
+    ent = sk.make_predprey(0.95)
+    times = []
+
+    def jac_u(u, theta, t):
+        times.append(t)
+        return ent.problem.rhs_jac_u(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs_jac_u=jac_u)
+    method = f"continuous_{variant}"
+    sk.gradient(problem, ent.loss, method, cfg)
+    assert times and all(a != b for a, b in zip(times, times[1:]))
+    # no kept Jacobian outlives its request
+    fresh = {th: sk.gradient(ent.problem, ent.loss, method, cfg, theta=[th]) for th in (1.05, 0.95)}
+    for th in (0.95, 1.05, 0.95):
+        res = sk.gradient(ent.problem, ent.loss, method, cfg, theta=[th])
+        assert _bits(res) == _bits(fresh[th])
 
 
 def test_segment_reader_reads_the_bits_of_full_storage():

@@ -249,6 +249,7 @@ def test_fit_divergence_flushes_trace_and_exits_3(tmp_path):
     assert losses[-1] > losses[0]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compare_adjoints_warns_on_cfl_violation(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     rc = run_main(["compare-adjoints", "--problem", "heat1d", "--heat-n", "96",

@@ -280,8 +280,8 @@ HARMONIC_WORK = {
     "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
     "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
     "continuous_backsolve": [(48, 3, 308, 338, 2), (50, 6, 341, 404, 7)],
-    "continuous_interpolating": [(45, 3, 139, 302, 24), (45, 3, 392, 302, 20)],
-    "continuous_quadrature": [(44, 3, 139, 306, 24), (44, 3, 454, 306, 20)],
+    "continuous_interpolating": [(45, 3, 139, 252, 24), (45, 3, 392, 252, 20)],
+    "continuous_quadrature": [(44, 3, 139, 282, 24), (44, 3, 454, 282, 20)],
 }
 
 
@@ -342,11 +342,13 @@ def test_dense_adjoints_take_one_reverse_step_per_fixed_grid_interval(method):
 
 def test_fixed_step_reverse_solves_skip_the_unread_end_derivative():
     # a solve that keeps no nodes skips the non-FSAL derivative after its
-    # last step: interpolating's one-step rk4 costate intervals pay 4
-    # Jacobian pairs each, not 5, and backsolve's state-costate intervals
-    # (one RHS and one Jacobian pair per evaluation) pay 4 evaluations per
-    # step and nothing per interval; the forward pass with checkpoints
-    # keeps no nodes either
+    # last step, and the costate field assembles once per distinct time:
+    # interpolating's one-step rk4 costate intervals pay 2 Jacobian pairs
+    # each after the first's 3, not 4 or 5, as rk4's middle stages share the
+    # half-step time and each interval starts where the one to its right
+    # stopped.  Backsolve's state-costate intervals (one RHS and one
+    # Jacobian pair per evaluation) pay 4 evaluations per step and nothing
+    # per interval; the forward pass with checkpoints keeps no nodes either
     ent = sk.make_harmonic(0.2)
     cfg = sk.SolverConfig(method="rk4", dt=0.05)
     work = {}
@@ -354,7 +356,7 @@ def test_fixed_step_reverse_solves_skip_the_unread_end_derivative():
                                 ("continuous_backsolve", 4)):
         s = sk.gradient(ent.problem, ent.loss, method, cfg, checkpoints=checkpoints).stats
         work[method] = (s.rhs_evaluations, s.jacobian_evaluations)
-    assert work == {"continuous_interpolating": (801, 1600), "continuous_backsolve": (1600, 1600)}
+    assert work == {"continuous_interpolating": (801, 802), "continuous_backsolve": (1600, 1600)}
 
 
 @pytest.mark.parametrize("times", [(5.0, 10.0 + 5e-9), (-5e-9, 5.0)])

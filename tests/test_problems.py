@@ -123,6 +123,10 @@ PROBLEM_INPUT_CHECKS = [
                  id="heat1d-cells"),
     pytest.param(lambda: sk.make_heat1d(16, 0.0), "diffusivity must be positive",
                  id="heat1d-theta-0"),
+    *(pytest.param(lambda step=step: sk.make_predprey(0.95, step),
+                   f"saveat_step must be positive and finite, got {step!r}",
+                   id=f"predprey-saveat-step-{step}")
+      for step in (0.0, -0.1, math.nan, math.inf, -math.inf)),
 ]
 
 

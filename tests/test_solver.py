@@ -84,6 +84,7 @@ def test_rk_step_raises_on_a_non_finite_stage_with_zero_weights():
     assert calls[1] == 2.0 + 0.2 * 0.5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rk_step_blowup_carries_location():
     def rhs(u, p, t):
         return np.array([math.inf])
@@ -322,6 +323,9 @@ def test_max_steps_exceeded():
     ent = sk.make_harmonic(0.2)
     with pytest.raises(NonConvergenceError):
         sk.solve(ent.problem, sk.SolverConfig(method="euler", dt=1e-6, max_steps=100))
+    # a numpy integer is a step budget too
+    with pytest.raises(NonConvergenceError, match="^exceeded 100 step attempts at t="):
+        sk.solve(ent.problem, sk.SolverConfig(method="euler", dt=1e-6, max_steps=np.int64(100)))
 
 
 def test_stepsize_underflow():
@@ -714,6 +718,10 @@ def _harmonic_solve_past_the_span():
 SOLVER_INPUT_CHECKS = [
     pytest.param(lambda: sk.SolverConfig(max_steps=0), "max_steps must be positive",
                  id="config-max-steps-0"),
+    pytest.param(lambda: sk.SolverConfig(max_steps=True), "max_steps must be an integer, got True",
+                 id="config-max-steps-bool"),
+    pytest.param(lambda: sk.SolverConfig(max_steps=2.5), "max_steps must be an integer, got 2.5",
+                 id="config-max-steps-fraction"),
     pytest.param(lambda: sk.SolverConfig(method="rk4", dt=-1), "dt must be positive",
                  id="config-negative-dt"),
     pytest.param(lambda: sk.SolverConfig(saveat=[1.0, 0.5]),
