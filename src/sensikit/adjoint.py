@@ -28,6 +28,10 @@ The reverse ``SolverConfig`` gives an adaptive method ``dt=inf``, so its
 first attempt spans the interval (the marching loop clips ``dt`` to it),
 and a fixed-step method its own ``dt``, as backsolve's intervals span many
 forward steps; its step budget is capped relative to the forward cost.
+Interpolating alone loosens its tolerances by
+``INTERPOLATING_REVERSE_TOL_FACTOR``: its gradient error is almost all
+forward-read error, while quadrature's Gauss-node rows read the reverse
+steps and backsolve's reverse pass reconstructs the state.
 
 The loss enters the reverse pass as jumps: traversed in reverse, the
 costate is incremented at each observation's stop by the loss gradient at
@@ -55,6 +59,7 @@ time.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -89,6 +94,13 @@ VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 # forward step (clipped to its observation interval)
 QUADRATURE_ORDER = 7
 
+# the interpolating variant steps its costate intervals at this multiple of
+# the request's abstol and reltol.  With the forward pass at 1e-13, its
+# gradient error on the catalog and diffusion-fit at tol 1e-6 to 1e-10 stays
+# within 2 tol at this factor, or within its error at factor 1 where that is
+# higher (harmonic at 1e-6 reads 0.6, 1.6 and 2.6 tol at factors 1, 3 and 5)
+INTERPOLATING_REVERSE_TOL_FACTOR = 3
+
 # largest tolerance-scaled error (``solver.scaled_error`` under the reverse
 # tolerances) with which backsolve may reconstruct a stored forward state.
 # Stable problems read about 2 at tol 1e-8 at t0, and predprey up to about
@@ -104,7 +116,9 @@ class AdjointConfig:
     """Adjoint variant selection plus solver settings.
 
     ``solver_config`` drives the forward solve and every reverse
-    integration.  ``checkpoints``, an integer of at least 1, bounds forward
+    integration; the interpolating variant's reverse integration runs at
+    ``INTERPOLATING_REVERSE_TOL_FACTOR`` times its ``abstol`` and
+    ``reltol``.  ``checkpoints``, an integer of at least 1, bounds forward
     storage: snapshots are kept at that many uniform spans and the trajectory
     between them is recomputed on demand (backsolve resets to them).
     """
@@ -490,7 +504,8 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
     costate across it, reading the forward state ``u_at`` at any time of the
     mesh by its Hermite rows: ``dense_eval`` on a full-storage pass, a
     ``_SegmentReader`` on a checkpointed one.  Interpolating integrates the
-    gradient with the costate and keeps only the interval's end state (on a
+    gradient with the costate at ``INTERPOLATING_REVERSE_TOL_FACTOR`` times
+    ``rev``'s tolerances and keeps only the interval's end state (on a
     fixed-step method, it skips the last end derivative).  Quadrature's
     costate field pays only ``J_u``; its solve returns the costate at the
     rule's nodes on every forward step inside the interval (each step
@@ -504,6 +519,10 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
     stops, jump = obs
     n = problem.n
     nodes = sol.node_times.tolist()
+    if not quadrature:  # capped, so a finite request tolerance stays finite
+        factor, cap = INTERPOLATING_REVERSE_TOL_FACTOR, sys.float_info.max
+        rev = replace(rev, abstol=min(rev.abstol * factor, cap),
+                      reltol=min(rev.reltol * factor, cap))
     if sol.node_states is not None:
         u_at, reader = partial(dense_eval, sol), None
     else:

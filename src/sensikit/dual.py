@@ -400,15 +400,24 @@ def as_dual(x, arity):
 
 
 def _concatenate(arrays, axis=0):
+    # each part converted once: a multidual gives its coordinates, a plain
+    # part its float values and zero tangents
     parts = [asarray(a) for a in arrays]
     arity = next(p.arity for p in parts if isinstance(p, MultiDual))
-    parts = [as_dual(p, arity) for p in parts]
+    values, tangents = [], []
+    for p in parts:
+        if isinstance(p, MultiDual):
+            if p.arity != arity:
+                raise ValueError(f"mixed multidual arities {p.arity} and {arity}")
+            values.append(p.value)
+            tangents.append(p.tangents)
+        else:
+            p = np.asarray(p, dtype=float)
+            values.append(p)
+            tangents.append(np.zeros(p.shape + (arity,)))
     if axis < 0:
-        axis += parts[0].ndim
-    return _dual(
-        np.concatenate([p.value for p in parts], axis),
-        np.concatenate([p.tangents for p in parts], axis),
-    )
+        axis += tangents[0].ndim - 1
+    return _dual(np.concatenate(values, axis), np.concatenate(tangents, axis))
 
 
 def _sum(a):

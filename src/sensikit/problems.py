@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +32,8 @@ def make_harmonic(theta: float = 0.2, t1: float = 10.0) -> CatalogEntry:
     the canonical loss is ``u1(t1)``, whose closed-form derivative is
     ``(t1/theta) cos(theta t1) - sin(theta t1)/theta^2``.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if theta == 0.0:
         raise ValueError("theta = 0 is singular: the analytic solution degenerates")
 
@@ -78,6 +81,8 @@ def make_predprey(a: float = 1.0, saveat_step: float = 0.1) -> CatalogEntry:
     adaptive solver with a primal-only error norm produces a badly wrong
     gradient while sensitivity-aware control recovers the reference value.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a!r}")
     if not (math.isfinite(saveat_step) and saveat_step > 0):
         raise ValueError(f"saveat_step must be positive and finite, got {saveat_step!r}")
 
@@ -127,8 +132,12 @@ def make_heat1d(n_cells: int = 64, theta: float = 0.1, t1: float = 0.5) -> Catal
     1.63e-3 relative off the ODE's gradient at ``n_cells = 16`` and 1.0e-4
     at 64.
     """
+    if isinstance(n_cells, bool) or not isinstance(n_cells, Integral):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
     if n_cells < 3:
         raise ValueError("need at least 3 cells for an interior stencil")
+    if not math.isfinite(theta):
+        raise ValueError(f"diffusivity must be finite, got {theta!r}")
     if theta <= 0:
         raise ValueError("diffusivity must be positive")
     dx = 1.0 / n_cells

@@ -127,7 +127,24 @@ PROBLEM_INPUT_CHECKS = [
                    f"saveat_step must be positive and finite, got {step!r}",
                    id=f"predprey-saveat-step-{step}")
       for step in (0.0, -0.1, math.nan, math.inf, -math.inf)),
+    *(pytest.param(lambda cells=cells: sk.make_heat1d(cells, 0.1),
+                   f"n_cells must be an integer, got {cells!r}", id=f"heat1d-cells-{cells}")
+      for cells in (3.5, 16.0, True)),
+    *(pytest.param(lambda theta=theta: sk.make_heat1d(16, theta),
+                   f"diffusivity must be finite, got {theta!r}", id=f"heat1d-theta-{theta}")
+      for theta in (math.nan, math.inf)),
+    *(pytest.param(lambda theta=theta: sk.make_harmonic(theta),
+                   f"theta must be finite, got {theta!r}", id=f"harmonic-theta-{theta}")
+      for theta in (math.nan, math.inf, -math.inf)),
+    *(pytest.param(lambda a=a: sk.make_predprey(a), f"a must be finite, got {a!r}",
+                   id=f"predprey-a-{a}")
+      for a in (math.nan, math.inf)),
 ]
+
+
+def test_heat1d_takes_a_numpy_integer_cell_count():
+    ent = sk.make_heat1d(np.int64(16), 0.1)
+    assert ent.problem.n == 15 and ent.params["n_cells"] == 16
 
 
 @pytest.mark.parametrize("call,message", PROBLEM_INPUT_CHECKS)
