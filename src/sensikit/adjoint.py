@@ -35,8 +35,8 @@ steps and backsolve's reverse pass reconstructs the state.
 
 The loss enters the reverse pass as jumps: traversed in reverse, the
 costate is incremented at each observation's stop by the loss gradient at
-the state there: ``_observation_jumps`` places it once per request on the
-forward node its read returns (``core._locate``), else at its own time.
+the state there: ``_observation_stops`` tables the stops once per request,
+each the forward node its read returns (``core._locate``) or its own time.
 An integrated loss reaches the adjoints as the one observation ``q(t1)``
 of the running integral ``q' = h`` (``core.check_request``), so its
 ``dh`` terms are rows of the extended Jacobians.  The discrete adjoint
@@ -258,15 +258,15 @@ def continuous_adjoint(
     tol = span_tol(*problem.tspan)
     if discrete:  # its grid, and so every stop, is known before any step
         mesh = _fixed_mesh(*problem.tspan, fwd.dt, fwd.max_steps)[0]
-        obs = _observation_jumps(loss, mesh, tol)
-        off = set(obs[0].values()).difference(mesh)  # a stop off the grid is a time
+        stops = _observation_stops(loss, mesh, tol)
+        off = set(stops).difference(mesh)  # a stop off the grid is a time
         if off:
             raise ValueError(f"observation time {max(off)} does not sit on the fixed grid")
     stats = SolverStats()
     problem = _counted(problem, stats)
     sol = _forward_pass(problem, config, theta, loss.times, stats)
     if not discrete:
-        obs = _observation_jumps(loss, sol.node_times.tolist(), tol)
+        stops = _observation_stops(loss, sol.node_times.tolist(), tol)
 
     # an adaptive first attempt spans the interval; a fixed step keeps its
     # dt, as backsolve's intervals span many forward steps.  Unstable reverse
@@ -275,11 +275,11 @@ def continuous_adjoint(
     rev = replace(fwd, dt=math.inf if fwd.adaptive else fwd.dt,
                   max_steps=min(fwd.max_steps, max(10_000, 20 * stats.accepted_steps)))
     if discrete:
-        g, lam, peak, extra = _discrete_reverse(problem, obs, sol, theta, rev, stats)
+        g, lam, peak, extra = _discrete_reverse(problem, loss, stops, sol, theta, rev, stats)
     elif config.variant == "backsolve":
-        g, lam, peak, extra = _backsolve(problem, obs, sol, theta, rev, stats)
+        g, lam, peak, extra = _backsolve(problem, loss, stops, sol, theta, rev, stats)
     else:
-        g, lam, peak, extra = _dense_reverse(problem, obs, sol, theta, rev, stats,
+        g, lam, peak, extra = _dense_reverse(problem, loss, stops, sol, theta, rev, stats,
                                              config.variant == "quadrature")
     gradient = g + problem.initial_state_jacobian().T @ lam
     return SensitivityResult(
@@ -309,37 +309,28 @@ def discrete_adjoint(
 # shared reverse-pass plumbing
 
 
-def _observation_jumps(loss, nodes, tol):
-    """Each observation's stop on the forward mesh ``nodes``, and the jump cursor.
+def _observation_stops(loss, nodes, tol):
+    """Each stop on the forward mesh ``nodes`` -> the indices of its observations, in order.
 
     Every reverse pass stops for an observation at the node a read at its
     time returns (``core._locate``), else at the previous observation's
-    stop if within ``tol``, else at its own time.  ``stops`` maps each time
-    to its stop, in order (the losses sort their times and reject repeats,
-    so a time's position is its loss index).
-    ``jump(lam, t, u)`` adds the loss gradient at ``u``, the state at the
-    stop ``t``, of every observation whose stop is at or after ``t`` and not
-    yet applied: the reverse pass reaches the stops in decreasing order, so
-    a cursor tells what is applied.
+    stop if within ``tol``, else at its own time (the losses sort their
+    times and reject repeats, so a time's position is its loss index).  So
+    each stop is a node or a reverse interval's end, which a pass looks up.
     """
     stops, prev = {}, -math.inf
-    for t in loss.times.tolist():
+    for i, t in enumerate(loss.times.tolist()):
         j, end, _, _ = _locate(nodes, t, tol)
-        prev = stops[t] = nodes[j + end] if end is not None else prev if t - prev <= tol else t
-    at = list(stops.values())
-    cursor = len(at)  # at[cursor:] are applied
+        prev = nodes[j + end] if end is not None else prev if t - prev <= tol else t
+        stops.setdefault(prev, []).append(i)
+    return stops
 
-    def jump(lam, t, u):
-        nonlocal cursor
-        k = cursor
-        while k and at[k - 1] >= t:
-            k -= 1
-        for i in range(k, cursor):
-            lam = lam + loss.grad_u_at(u, i)
-        cursor = k
-        return lam
 
-    return stops, jump
+def _jump(loss, lam, observed, u):
+    """``lam`` plus the loss gradient at ``u``, the state at a stop, of its ``observed``."""
+    for i in observed:
+        lam = lam + loss.grad_u_at(u, i)
+    return lam
 
 
 def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
@@ -462,14 +453,14 @@ def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, at=N
 
 
 # ---------------------------------------------------------------------
-# the reverse passes: each takes the counted problem, the observations'
-# stops and jump cursor (``_observation_jumps``), the forward solution,
-# theta, the reverse config and the request's stats, hands each jump the
-# state it holds at the stop, and returns (g, lambda(t0), peak stored
-# states, extra metadata)
+# the reverse passes: each takes the counted problem, the loss and its stop
+# table (``_observation_stops``), the forward solution, theta, the reverse
+# config and the request's stats, applies at each stop it reaches the jumps
+# of the observations the table holds there (``_jump``) at the state it
+# holds, and returns (g, lambda(t0), peak stored states, extra metadata)
 
 
-def _discrete_reverse(problem, obs, sol, theta, rev, stats):
+def _discrete_reverse(problem, loss, stops, sol, theta, rev, stats):
     """Transposed solver steps, right to left, over the forward stage tape.
 
     Each step is ``step_vjp``'s stage recursion (Hager 2000, Sandu 2006)
@@ -480,25 +471,24 @@ def _discrete_reverse(problem, obs, sol, theta, rev, stats):
     stage inputs of each of its steps and the checkpoint snapshots.
     """
     tableau = rev.tableau
-    jump = obs[1]
     ckpt = len(sol.checkpoints) if sol.checkpoints is not None else 0
     lam, g, peak = np.zeros(problem.n), np.zeros(theta.size), 0
     for seg, ts, states in _segments_reverse(problem, sol, theta, tableau, "tape"):
         peak = max(peak, len(ts) + (tableau.stages - 1) * len(seg.stage_tape) + ckpt)
         for m in range(len(ts) - 2, -1, -1):
-            lam = jump(lam, ts[m + 1], states[m + 1])
+            lam = _jump(loss, lam, stops.get(ts[m + 1], ()), states[m + 1])
             stages = [states[m], *seg.stage_tape[m]]
             lam, contrib = step_vjp(problem, tableau, stages, theta, ts[m], seg.step_dts[m], lam)
             g = g + contrib
-    lam = jump(lam, problem.tspan[0], problem.u0)
+    lam = _jump(loss, lam, stops.get(problem.tspan[0], ()), problem.u0)
     return g, lam, peak, {}
 
 
-def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
+def _dense_reverse(problem, loss, stops, sol, theta, rev, stats, quadrature):
     """Interpolating and quadrature variants: one costate solve per observation interval.
 
-    The intervals run between ``t0``, ``t1`` and the stops of ``obs``
-    (``_observation_jumps``), which lie on the forward node times every
+    The intervals run between ``t0``, ``t1`` and the stops in the table
+    (``_observation_stops``), which lie on the forward node times every
     storage mode keeps, so they do not depend on the checkpoint count.  Right
     to left, each applies the jumps at its right end, then solves the
     costate across it, reading the forward state ``u_at`` at any time of the
@@ -516,7 +506,6 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
     field, built once per request by ``adjoint_rhs``, reads the state and
     assembles once per distinct field time, across stages and intervals.
     """
-    stops, jump = obs
     n = problem.n
     nodes = sol.node_times.tolist()
     if not quadrature:  # capped, so a finite request tolerance stays finite
@@ -535,10 +524,10 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
         return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
 
     lam, g = np.zeros(n), np.zeros(theta.size)
-    for t_left, t_right in _reverse_intervals([*problem.tspan, *stops.values()]):
+    for t_left, t_right in _reverse_intervals([*problem.tspan, *stops]):
         if reader is not None:
             reader.drop_right_of(t_right)
-        lam = jump(lam, t_right, u_at(t_right))
+        lam = _jump(loss, lam, stops.get(t_right, ()), u_at(t_right))
         if not quadrature:
             y = _integrate_costate_interval(rhs, np.concatenate([lam, g]), t_left, t_right,
                                             theta, rev, stats)
@@ -553,11 +542,11 @@ def _dense_reverse(problem, obs, sol, theta, rev, stats, quadrature):
         rows = zip(u_at(tq), lams)
         for a, b in pieces:
             g = g + gauss_legendre(integrand, a, b, QUADRATURE_ORDER)
-    lam = jump(lam, problem.tspan[0], problem.u0)
+    lam = _jump(loss, lam, stops.get(problem.tspan[0], ()), problem.u0)
     return g, lam, len(nodes) if reader is None else reader.peak, {}
 
 
-def _backsolve(problem, obs, sol, theta, rev, stats):
+def _backsolve(problem, loss, stops, sol, theta, rev, stats):
     """Joint reverse integration of state, costate, and gradient integral.
 
     The forward state is re-solved backwards from its stored final value;
@@ -575,16 +564,15 @@ def _backsolve(problem, obs, sol, theta, rev, stats):
     exceeds ``MAX_RECONSTRUCTION_ERROR`` or half the ``1/reltol`` ceiling
     that a lost state's scaled error saturates at, whichever is smaller.
     """
-    stops, jump = obs
     t0, t1 = problem.tspan
     # the snapshots by time
     resets = {float(sol.node_times[i]): u for i, u in (sol.checkpoints or {}).items()}
-    intervals = _reverse_intervals([t0, t1, *stops.values(), *resets])
-    # what the reconstruction is checked against: the forward pass's rows at
-    # the interior observation times (its last row is t1's) by their stops,
-    # the first row at a stop, its state, winning; and the snapshots
-    rows = zip(sol.times[-2::-1].tolist(), sol.states[-2::-1])
-    stored = {**{stops[t]: row for t, row in rows}, **resets}
+    intervals = _reverse_intervals([t0, t1, *stops, *resets])
+    # what the reconstruction is checked against: the forward pass's row of
+    # each stop's first observation, if it kept one (it keeps the interior
+    # ones', then t1's), and the snapshots
+    rows, times = dict(zip(sol.times[:-1].tolist(), sol.states)), loss.times.tolist()
+    stored = {**{s: rows[times[i]] for s, (i, *_) in stops.items() if times[i] in rows}, **resets}
 
     n, p = problem.n, theta.size
     u = np.asarray(sol.final_state(), dtype=float)
@@ -614,7 +602,7 @@ def _backsolve(problem, obs, sol, theta, rev, stats):
     for t_lo, t_hi in intervals:
         if t_hi in stored:
             check_reconstruction(u, stored[t_hi], t_hi)
-        lam = jump(lam, t_hi, u)
+        lam = _jump(loss, lam, stops.get(t_hi, ()), u)
         u = resets.get(t_hi, u)
         z0 = np.concatenate([u, lam, g])
         try:
@@ -630,7 +618,7 @@ def _backsolve(problem, obs, sol, theta, rev, stats):
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 
     check_reconstruction(u, problem.u0, t0)
-    lam = jump(lam, t0, u)
+    lam = _jump(loss, lam, stops.get(t0, ()), u)
     # the end states, the observation rows and the snapshots
     peak = 1 + len(sol.times) + len(resets)
     return g, lam, peak, {"u0_recovered": u, "reconstruction_error": reconstruction_error}

@@ -52,7 +52,7 @@ class OdeProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+        object.__setattr__(self, "theta", _real_theta(self.theta))
         t0, t1 = self.tspan
         if not np.isfinite(self.tspan).all():  # an infinite end has no mesh to step
             raise ValueError(f"tspan must be finite, got {self.tspan}")
@@ -86,6 +86,13 @@ class OdeProblem:
         if self.u0_jacobian is None:
             return np.zeros((self.n, self.p))
         return self.u0_jacobian
+
+
+def _real_theta(theta):
+    """``theta`` as a float array; a complex one, whose imaginary part float() drops, raises."""
+    if np.iscomplexobj(theta):
+        raise TypeError(f"theta must be real, got complex values {np.asarray(theta)}")
+    return np.asarray(theta, dtype=float)
 
 
 def _observations(times, values, weights, values_ok, values_error, vector_weights):
@@ -280,15 +287,16 @@ def span_tol(t0, t1) -> float:
 def check_request(problem: OdeProblem, loss, theta=None):
     """The request ``(problem, loss, theta)`` a gradient method runs, once checked.
 
-    ``theta`` defaults to ``problem.theta`` and must be finite, of shape
-    ``(p,)``, ``p >= 1``; the loss must be pointwise, with observation times
-    in the span up to ``span_tol``, or integrated.  A pointwise request comes back
-    as given.  An integrated loss comes back as the pointwise loss ``q(t1)`` on
-    ``running_integral(problem, loss)``, so every method differentiates
-    observations only.  Every gradient method calls this before any solve;
+    ``theta`` defaults to ``problem.theta`` and must be real and finite, of
+    shape ``(p,)``, ``p >= 1``; the loss must be pointwise, with observation
+    times in the span up to ``span_tol`` and targets, per-component weights
+    and coefficients of shape ``(m, n)``, or integrated.  A pointwise request
+    comes back as given.  An integrated loss comes back as the pointwise loss
+    ``q(t1)`` on ``running_integral(problem, loss)``, so every method
+    differentiates observations only.  Every gradient method calls this before any solve;
     every public solve keeps its mesh, so any in-span time can be read.
     """
-    theta = problem.theta if theta is None else np.asarray(theta, dtype=float)
+    theta = problem.theta if theta is None else _real_theta(theta)
     if theta.shape != (problem.p,):
         raise ValueError(f"theta must have shape {(problem.p,)}, got {theta.shape}")
     if theta.size == 0:
@@ -304,6 +312,16 @@ def check_request(problem: OdeProblem, loss, theta=None):
     tol = span_tol(t0, t1)
     if np.any(loss.times < t0 - tol) or np.any(loss.times > t1 + tol):
         raise ValueError(f"observation times fall outside the time span {problem.tspan}")
+    if isinstance(loss, SquaredErrorLoss):  # scalar weights stay one per observation time
+        weights = np.asarray(loss.weights)
+        rows = {"targets": loss.targets, **({"weights": weights} if weights.ndim > 1 else {})}
+    else:
+        rows = {"coefficients": loss.coeffs}
+    shape = (len(loss.times), problem.n)
+    for name, a in rows.items():
+        if a.shape != shape:
+            raise ValueError(f"loss {name} must have shape {shape}, one {problem.n}-entry row "
+                             f"per observation time, got {a.shape}")
     return problem, loss, theta
 
 

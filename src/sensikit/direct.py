@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from .adjoint import AdjointConfig, continuous_adjoint
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, loss_eval
-from .errors import NumericalBlowupError
+from .errors import AnalyticityError, NumericalBlowupError
 from .sensitivity import forward_sensitivity, forwardad_gradient
 from .solver import PRIMAL_ONLY, SolverConfig, solve
 
@@ -33,6 +34,10 @@ METHODS = (
     "continuous_interpolating",
     "continuous_quadrature",
 )
+
+# numpy warns, and drops the imaginary part, on float() of a complex scalar
+# (numpy.exceptions from 1.25 on, the top level before 2.0)
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 
 def default_epsilon(method: str, theta) -> np.ndarray:
@@ -94,7 +99,9 @@ def complexstep_gradient(loss_fn, theta, eps) -> np.ndarray:
 
     Free of subtractive cancellation, so ``eps`` can sit near machine
     precision; the whole pipeline must be evaluable on complex scalars and
-    built from locally analytic primitives.
+    built from locally analytic primitives.  ``float()`` of a complex
+    scalar, which ``math.sin`` or ``np.asarray(u, dtype=float)`` take,
+    raises ``AnalyticityError`` rather than drop the perturbation.
     """
     theta = np.asarray(theta, dtype=float)
     eps = _perturbations(eps, theta)
@@ -102,7 +109,15 @@ def complexstep_gradient(loss_fn, theta, eps) -> np.ndarray:
     for i in range(theta.size):
         z = theta.astype(complex)
         z[i] += 1j * eps[i]
-        val = complex(loss_fn(z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", _ComplexWarning)
+            try:
+                val = complex(loss_fn(z))
+            except _ComplexWarning as err:
+                raise AnalyticityError(
+                    "float() of a complex number drops the complex step's perturbation; use "
+                    "numpy's functions (np.sin, not math.sin; no dtype=float) or centered_fd"
+                ) from err
         grad[i] = val.imag / eps[i]
         # both parts: a non-finite real part leaves Im(L) / eps a number
         if not (cmath.isfinite(val) and math.isfinite(grad[i])):

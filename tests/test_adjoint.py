@@ -603,9 +603,9 @@ def test_backsolve_fails_at_the_first_observation_stop_that_lost_the_state(monke
     seen = {}
     backsolve = adjoint_module._backsolve
 
-    def spy(problem, loss, sol, theta, rev, stats):
+    def spy(problem, loss, stops, sol, theta, rev, stats):
         seen.update(stats=stats, forward=sol.stats.accepted_steps)
-        return backsolve(problem, loss, sol, theta, rev, stats)
+        return backsolve(problem, loss, stops, sol, theta, rev, stats)
 
     monkeypatch.setattr(adjoint_module, "_backsolve", spy)
     with pytest.raises(NumericalBlowupError, match="interpolating") as err:
@@ -815,10 +815,11 @@ def test_interpolating_reverse_pass_alone_errs_within_two_tol(case, tol):
     problem = _counted(problem, stats)
     fwd = AdjointConfig(solver_config=sk.SolverConfig(abstol=1e-13, reltol=1e-13))
     sol = _forward_pass(problem, fwd, theta, loss.times, stats)
-    obs = adjoint_module._observation_jumps(loss, sol.node_times.tolist(),
-                                          span_tol(*problem.tspan))
+    stops = adjoint_module._observation_stops(loss, sol.node_times.tolist(),
+                                              span_tol(*problem.tspan))
     rev = sk.SolverConfig(abstol=tol, reltol=tol, dt=math.inf)
-    g, lam, _, _ = adjoint_module._dense_reverse(problem, obs, sol, theta, rev, stats, False)
+    g, lam, _, _ = adjoint_module._dense_reverse(problem, loss, stops, sol, theta, rev, stats,
+                                                 False)
     grad = g + problem.initial_state_jacobian().T @ lam
     assert abs(grad[0] - ref) <= 2.0 * tol * abs(ref)
 
@@ -887,7 +888,8 @@ def test_each_observation_stops_at_the_node_its_read_returns():
     }
     times = sorted(want)
     loss = record_jumps(sk.LinearStateLoss(times, np.ones((len(times), 2))))
-    stops, jump = adjoint_module._observation_jumps(loss, ts.tolist(), tol)
+    table = adjoint_module._observation_stops(loss, ts.tolist(), tol)
+    stops = {times[i]: stop for stop, at in table.items() for i in at}
     assert stops == {t: want[t] for t in times}
     node = dict(zip(ts.tolist(), states))
     for t, stop in stops.items():
@@ -896,10 +898,10 @@ def test_each_observation_stops_at_the_node_its_read_returns():
             assert read == node[stop].tobytes(), t
         else:
             assert read not in [u.tobytes() for u in states], t
-    # the cursor applies each observation once, at its stop
+    # the table applies each observation once, at its stop
     for stop in sorted(set(stops.values()), reverse=True):
         before = len(loss.applied)
-        jump(np.zeros(2), stop, np.zeros(2))
+        adjoint_module._jump(loss, np.zeros(2), table.get(stop, ()), np.zeros(2))
         assert [stops[times[i]] for i in loss.applied[before:]] == [stop] * (len(loss.applied) - before)
     assert sorted(loss.applied) == list(range(len(times)))
 

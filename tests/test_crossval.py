@@ -7,11 +7,16 @@ eigendecomposition.  That oracle is independent of every integration and
 differentiation path in the library.
 """
 
+import dataclasses
+import math
+import os
+
 import numpy as np
 import pytest
 
 import sensikit as sk
 from sensikit.adjoint import AdjointConfig, continuous_adjoint, discrete_adjoint
+from sensikit.errors import AnalyticityError
 
 T_FINAL = 1.5
 THETA = 0.7
@@ -91,3 +96,124 @@ def test_gradient_against_matrix_exponential(linear_case, method):
         ).gradient
         tol = 1e-6
     assert abs(grad[0] - reference) / abs(reference) <= tol
+
+
+# -- exact relations on fixed grids, over seeded random systems ---------
+#
+# On an rk4 or euler grid that holds the observations, forward AD
+# differentiates the discrete solution exactly, and so do forward
+# sensitivity (its sensitivity equations ride on the same stages), the
+# discrete adjoint (the transposed stage recursion) and complex step at a
+# step far below rounding.  Each must match forward AD to rounding.  The
+# tier-1 run takes the short list; SENSIKIT_CROSSVAL_SEEDS sets the count.
+
+SEEDS = range(int(os.environ.get("SENSIKIT_CROSSVAL_SEEDS", "16")))
+EXACT = 1e-12
+
+
+def random_system(seed):
+    """A seeded small nonlinear system, its loss and its fixed-step config.
+
+    ``f(u, theta, t) = sum_k theta_k (A_k u + b_k cos t) + c * sin(u)``,
+    the forcing and sine terms each drawn in or out, with n in 2..4 and p
+    in 1..3.  Returns ``(problem, jac_problem, loss, cfg)``: the problem
+    without and with analytic Jacobians, a squared-error, linear or
+    integrated loss observed on grid nodes, and an rk4 or euler grid.
+    """
+    rng = np.random.default_rng([seed, 35])
+    n, p = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    A = rng.normal(scale=0.6, size=(p, n, n))
+    b = rng.normal(size=(p, n)) * (rng.random() < 0.5)
+    c = rng.normal(size=n) * (rng.random() < 0.5)
+
+    def rhs(u, theta, t):
+        du = c * np.sin(u)
+        for k in range(p):
+            du = du + theta[k] * (A[k] @ u + b[k] * math.cos(t))
+        return du
+
+    def jac_u(u, theta, t):
+        return np.tensordot(theta, A, axes=1) + np.diag(c * np.cos(u))
+
+    def jac_theta(u, theta, t):
+        return np.stack([A[k] @ u + b[k] * math.cos(t) for k in range(p)], axis=1)
+
+    u0_jacobian = rng.normal(size=(n, p)) if rng.random() < 0.25 else None
+    problem = sk.OdeProblem(rhs=rhs, u0=rng.normal(size=n), tspan=(0.0, 1.0),
+                            theta=rng.uniform(0.5, 1.5, p), u0_jacobian=u0_jacobian)
+    jac_problem = dataclasses.replace(problem, rhs_jac_u=jac_u, rhs_jac_theta=jac_theta)
+
+    method, dt = ("rk4", 0.1) if rng.random() < 0.5 else ("euler", 0.05)
+    steps = round(1.0 / dt)
+    times = np.sort(rng.choice(np.arange(1, steps + 1), size=int(rng.integers(1, 4)),
+                               replace=False)) * dt
+    kind = ("squared", "linear", "integrated")[int(rng.integers(3))]
+    if kind == "squared":
+        weights = rng.uniform(0.5, 2.0, (len(times), n) if rng.random() < 0.5 else len(times))
+        loss = sk.SquaredErrorLoss(times, rng.normal(size=(len(times), n)), weights)
+    elif kind == "linear":
+        loss = sk.LinearStateLoss(times, rng.normal(size=(len(times), n)))
+    else:
+        w, e_u, e_theta = rng.uniform(0.5, 2.0, n), np.eye(n)[0], np.eye(p)[0]
+        loss = sk.IntegratedLoss(
+            h=lambda u, th: 0.5 * np.sum(w * u * u) + th[0] * u[0],
+            dh_du=lambda u, th: w * u + th[0] * e_u,
+            dh_dtheta=lambda u, th: u[0] * e_theta,
+        )
+    return problem, jac_problem, loss, sk.SolverConfig(method=method, dt=dt)
+
+
+def _counting(problem, calls):
+    rhs = problem.rhs
+
+    def counted(u, theta, t):
+        calls.append(t)
+        return rhs(u, theta, t)
+
+    return dataclasses.replace(problem, rhs=counted)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exact_methods_match_forward_ad_on_fixed_grids(seed):
+    problem, jac_problem, loss, cfg = random_system(seed)
+    ref = sk.gradient(problem, loss, "forward_ad", cfg).gradient
+    scale = np.linalg.norm(ref)
+    grads = {
+        "forward_sensitivity": sk.gradient(problem, loss, "forward_sensitivity", cfg),
+        "forward_sensitivity, analytic Jacobians":
+            sk.gradient(jac_problem, loss, "forward_sensitivity", cfg),
+        "discrete_adjoint": sk.gradient(problem, loss, "discrete_adjoint", cfg),
+        "discrete_adjoint, 4 checkpoints":
+            sk.gradient(problem, loss, "discrete_adjoint", cfg, checkpoints=4),
+    }
+    calls = []
+    if problem.u0_jacobian is None:
+        grads["complex_step"] = sk.gradient(problem, loss, "complex_step", cfg, epsilon=1e-20)
+    else:  # they perturb theta only, so they refuse before any solve
+        for method in ("forward_fd", "centered_fd", "complex_step"):
+            with pytest.raises(ValueError, match="u0_jacobian"):
+                sk.gradient(_counting(problem, calls), loss, method, cfg)
+        assert calls == []
+    for name, res in grads.items():
+        assert np.linalg.norm(res.gradient - ref) <= EXACT * scale, name
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_float_taking_rhs_is_refused_by_every_method_but_fd(seed):
+    # float() of each state entry: every method that evaluates the
+    # right-hand side on multiduals or complex numbers raises rather than
+    # drop their tangents or imaginary parts; FD evaluates it on floats
+    # only and answers, close to forward AD on the numpy-only original
+    problem, _, loss, cfg = random_system(seed)
+    problem = dataclasses.replace(problem, u0_jacobian=None)
+    rhs = problem.rhs
+    floats = dataclasses.replace(problem, rhs=lambda u, th, t: rhs(np.asarray(u, dtype=float),
+                                                                  th, t))
+    for method in sk.direct.METHODS:
+        if method.endswith("_fd"):
+            continue
+        with pytest.raises(AnalyticityError):
+            sk.gradient(floats, loss, method, cfg)
+    ref = sk.gradient(problem, loss, "forward_ad", cfg).gradient
+    fd = sk.gradient(floats, loss, "centered_fd", cfg).gradient
+    assert np.linalg.norm(fd - ref) <= 1e-6 * np.linalg.norm(ref)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,30 @@ def test_float_of_a_multidual_names_the_alternatives():
     cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
     fd = sk.gradient(problem, loss, "centered_fd", cfg).gradient[0]
     assert fd == pytest.approx(-3.0 * math.exp(-0.7), rel=1e-8)
+
+
+@pytest.mark.parametrize("case", ["float-state", "math-sin", "math-sin-loss"])
+def test_complex_step_refuses_what_drops_the_imaginary_part(case):
+    # float() of a numpy complex scalar only warns, and drops the imaginary
+    # part, so with warnings not escalated complex step returned -2.1574916
+    # on the first right-hand side, where the exact -3 exp(-0.7) is
+    # -1.4897559, and 0.9515277 on the second against centered FD's
+    # 0.9954650, with no error.  An integrated loss's h is evaluated on the
+    # same complex states
+    rhs = _math_sin_rhs if case == "math-sin" else _float_state_rhs
+    problem = sk.OdeProblem(rhs=rhs, u0=[1.0, 2.0], tspan=(0.0, 1.0), theta=[0.7])
+    loss = sk.LinearStateLoss([1.0], [[1.0, 1.0]])
+    if case == "math-sin-loss":
+        problem = dataclasses.replace(problem, rhs=lambda u, p, t: -p[0] * u)
+        loss = sk.IntegratedLoss(h=lambda u, th: math.sin(u[0]),
+                                 dh_du=lambda u, th: np.array([math.cos(u[0]), 0.0]),
+                                 dh_dtheta=lambda u, th: np.zeros(1))
+    cfg = sk.SolverConfig(abstol=1e-10, reltol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(sk.errors.AnalyticityError, match="numpy's functions.*centered_fd"):
+            sk.gradient(problem, loss, "complex_step", cfg)
+        assert np.isfinite(sk.gradient(problem, loss, "centered_fd", cfg).gradient).all()
 
 
 def test_default_epsilons():
@@ -378,10 +403,15 @@ def test_every_method_places_observations_by_one_span_rule(times):
             sk.gradient(ent.problem, late, method, c)
 
 
-@pytest.mark.parametrize("case", ["theta_shape", "late_observation", "unknown_loss"])
+@pytest.mark.parametrize("case", ["theta_shape", "late_observation", "unknown_loss",
+                                  "short_targets", "short_weight_rows", "short_coefficients",
+                                  "long_coefficients", "complex_theta", "complex_theta_zero_imag"])
 def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
     # one check before any solve: the same exception and text from all ten
-    # methods, after no RHS call
+    # methods, after no RHS call.  A target, weight row or coefficient row
+    # of the wrong length used to broadcast into a wrong gradient (one
+    # entry) or fail in numpy after a full solve (three), and a complex
+    # theta lost its imaginary part with only a ComplexWarning
     ent = sk.make_predprey(0.95)
     calls = []
     rhs = ent.problem.rhs
@@ -399,6 +429,12 @@ def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
             sk.SquaredErrorLoss([5.0, 10.0 + 2e-8], [[1.1, 0.9], [0.8, 1.2]]), None
         ),
         "unknown_loss": (object(), None),
+        "short_targets": (sk.SquaredErrorLoss([5.0], [[0.5]]), None),
+        "short_weight_rows": (sk.SquaredErrorLoss([5.0], [[0.5, 0.5]], weights=[[1.0]]), None),
+        "short_coefficients": (sk.LinearStateLoss([5.0], [[1.0]]), None),
+        "long_coefficients": (sk.LinearStateLoss([5.0], [[1.0, 1.0, 1.0]]), None),
+        "complex_theta": (ent.loss, np.array([0.95 + 1e-3j])),
+        "complex_theta_zero_imag": (ent.loss, np.array([0.95 + 0j])),
     }[case]
     raised = set()
     for method in METHODS:
