@@ -28,10 +28,11 @@ The reverse ``SolverConfig`` gives an adaptive method ``dt=inf``, so its
 first attempt spans the interval (the marching loop clips ``dt`` to it),
 and a fixed-step method its own ``dt``, as backsolve's intervals span many
 forward steps; its step budget is capped relative to the forward cost.
-Interpolating alone loosens its tolerances by
-``INTERPOLATING_REVERSE_TOL_FACTOR``: its gradient error is almost all
-forward-read error, while quadrature's Gauss-node rows read the reverse
-steps and backsolve's reverse pass reconstructs the state.
+On an adaptive method interpolating alone scales the request's tolerances,
+by ``INTERPOLATING_FORWARD_TOL_FACTOR`` in its forward pass and
+``INTERPOLATING_REVERSE_TOL_FACTOR`` in its reverse intervals: its gradient
+error is mostly forward-read error, while quadrature's Gauss-node rows
+read the reverse steps and backsolve's reverse pass reconstructs the state.
 
 The loss enters the reverse pass as jumps: traversed in reverse, the
 costate is incremented at each observation's stop by the loss gradient at
@@ -94,12 +95,19 @@ VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 # forward step (clipped to its observation interval)
 QUADRATURE_ORDER = 7
 
-# the interpolating variant steps its costate intervals at this multiple of
-# the request's abstol and reltol.  With the forward pass at 1e-13, its
-# gradient error on the catalog and diffusion-fit at tol 1e-6 to 1e-10 stays
-# within 2 tol at this factor, or within its error at factor 1 where that is
-# higher (harmonic at 1e-6 reads 0.6, 1.6 and 2.6 tol at factors 1, 3 and 5)
-INTERPOLATING_REVERSE_TOL_FACTOR = 3
+# on an adaptive method the interpolating variant runs its forward pass at
+# the first multiple of the request's abstol and reltol and its costate
+# intervals at the second.  Its gradient error is the forward pass's read
+# error plus the reverse pass's step error, and at factors (1, 3) the first
+# was at least 3 times the second (harmonic at 1e-6: 5.5 against 1.7 tol).
+# Of the pairs in {1, 0.5, 0.3, 0.1} x {3, 5, 10, 30} whose error on
+# harmonic, predprey a = 0.95 and 1, heat1d n = 16 and diffusion-fit at tol
+# 1e-6, 1e-8 and 1e-10 stays within max(its error at (1, 3), tol), (0.3, 10)
+# and (0.5, 10) are the fastest on the benchmark pools, tied within noise;
+# (0.3, 10) errs less.  (0.3, 30) fails the rule: harmonic at 1e-6 errs by
+# 14 tol
+INTERPOLATING_FORWARD_TOL_FACTOR = 0.3
+INTERPOLATING_REVERSE_TOL_FACTOR = 10
 
 # largest tolerance-scaled error (``solver.scaled_error`` under the reverse
 # tolerances) with which backsolve may reconstruct a stored forward state.
@@ -116,11 +124,13 @@ class AdjointConfig:
     """Adjoint variant selection plus solver settings.
 
     ``solver_config`` drives the forward solve and every reverse
-    integration; the interpolating variant's reverse integration runs at
-    ``INTERPOLATING_REVERSE_TOL_FACTOR`` times its ``abstol`` and
-    ``reltol``.  ``checkpoints``, an integer of at least 1, bounds forward
-    storage: snapshots are kept at that many uniform spans and the trajectory
-    between them is recomputed on demand (backsolve resets to them).
+    integration; on an adaptive method the interpolating variant runs its
+    forward solve at ``INTERPOLATING_FORWARD_TOL_FACTOR`` and its reverse
+    integration at ``INTERPOLATING_REVERSE_TOL_FACTOR`` times its
+    ``abstol`` and ``reltol``.  ``checkpoints``, an integer of at least 1,
+    bounds forward storage: snapshots are kept at that many uniform spans
+    and the trajectory between them is recomputed on demand (backsolve
+    resets to them).
     """
 
     variant: str = "interpolating"
@@ -262,9 +272,13 @@ def continuous_adjoint(
         off = set(stops).difference(mesh)  # a stop off the grid is a time
         if off:
             raise ValueError(f"observation time {max(off)} does not sit on the fixed grid")
+    # interpolating on an adaptive method scales the request's tolerances
+    rescale = config.variant == "interpolating" and fwd.adaptive
     stats = SolverStats()
     problem = _counted(problem, stats)
-    sol = _forward_pass(problem, config, theta, loss.times, stats)
+    forward = (replace(config, solver_config=_scaled(fwd, INTERPOLATING_FORWARD_TOL_FACTOR))
+               if rescale else config)
+    sol = _forward_pass(problem, forward, theta, loss.times, stats)
     if not discrete:
         stops = _observation_stops(loss, sol.node_times.tolist(), tol)
 
@@ -274,6 +288,8 @@ def continuous_adjoint(
     # overflow, so the budget relative to the forward cost makes them fail fast
     rev = replace(fwd, dt=math.inf if fwd.adaptive else fwd.dt,
                   max_steps=min(fwd.max_steps, max(10_000, 20 * stats.accepted_steps)))
+    if rescale:
+        rev = _scaled(rev, INTERPOLATING_REVERSE_TOL_FACTOR)
     if discrete:
         g, lam, peak, extra = _discrete_reverse(problem, loss, stops, sol, theta, rev, stats)
     elif config.variant == "backsolve":
@@ -326,6 +342,19 @@ def _observation_stops(loss, nodes, tol):
     return stops
 
 
+def _scaled(cfg: SolverConfig, factor) -> SolverConfig:
+    """``cfg`` at ``factor`` times its ``abstol`` and ``reltol``.
+
+    Each stays a legal tolerance: floored at the smallest positive float, so
+    a tiny request tolerance does not become 0, and capped at the largest,
+    so a huge one does not become infinite.
+    """
+    def bound(tol):
+        return min(max(tol * factor, math.ulp(0.0)), sys.float_info.max)
+
+    return replace(cfg, abstol=bound(cfg.abstol), reltol=bound(cfg.reltol))
+
+
 def _jump(loss, lam, observed, u):
     """``lam`` plus the loss gradient at ``u``, the state at a stop, of its ``observed``."""
     for i in observed:
@@ -337,12 +366,13 @@ def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
     """Forward solve keeping what the variant's reverse pass reads.
 
     The one place that chooses the forward storage; it runs ``_march`` on
-    the request's counted problem and ``stats``: the node times and end
-    states, and the snapshots of ``checkpoint_plan``, for checkpoints or
-    backsolve; every node and the stage tape for the discrete adjoint;
-    every node otherwise.  Backsolve's also keeps, as its ``times``/
-    ``states``, the state at each observation time in ``times`` more than
-    ``span_tol`` inside the span, then at ``t1``.
+    the request's counted problem and ``stats`` under ``config``'s solver
+    settings as given (``continuous_adjoint`` scales interpolating's).  It
+    keeps the node times and end states, and the snapshots of
+    ``checkpoint_plan``, for checkpoints or backsolve; every node and the
+    stage tape for the discrete adjoint; every node otherwise.  Backsolve's
+    also keeps, as its ``times``/``states``, the state at each observation
+    time in ``times`` more than ``span_tol`` inside the span, then at ``t1``.
     """
     fwd, (t0, t1) = config.solver_config, problem.tspan
     plan = None if config.checkpoints is None else checkpoint_plan((t0, t1), config.checkpoints)
@@ -494,9 +524,10 @@ def _dense_reverse(problem, loss, stops, sol, theta, rev, stats, quadrature):
     costate across it, reading the forward state ``u_at`` at any time of the
     mesh by its Hermite rows: ``dense_eval`` on a full-storage pass, a
     ``_SegmentReader`` on a checkpointed one.  Interpolating integrates the
-    gradient with the costate at ``INTERPOLATING_REVERSE_TOL_FACTOR`` times
-    ``rev``'s tolerances and keeps only the interval's end state (on a
-    fixed-step method, it skips the last end derivative).  Quadrature's
+    gradient with the costate under ``rev`` (on an adaptive method at
+    ``INTERPOLATING_REVERSE_TOL_FACTOR`` times the request's tolerances) and
+    keeps only the interval's end state (on a fixed-step method, it skips
+    the last end derivative).  Quadrature's
     costate field pays only ``J_u``; its solve returns the costate at the
     rule's nodes on every forward step inside the interval (each step
     clipped to the interval) and at the interval's end, and
@@ -508,10 +539,6 @@ def _dense_reverse(problem, loss, stops, sol, theta, rev, stats, quadrature):
     """
     n = problem.n
     nodes = sol.node_times.tolist()
-    if not quadrature:  # capped, so a finite request tolerance stays finite
-        factor, cap = INTERPOLATING_REVERSE_TOL_FACTOR, sys.float_info.max
-        rev = replace(rev, abstol=min(rev.abstol * factor, cap),
-                      reltol=min(rev.reltol * factor, cap))
     if sol.node_states is not None:
         u_at, reader = partial(dense_eval, sol), None
     else:

@@ -51,8 +51,8 @@ class OdeProblem:
     rhs_jac_theta: Optional[Callable] = None  # (u, theta, t) -> n x p
 
     def __post_init__(self):
-        object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
-        object.__setattr__(self, "theta", _real_theta(self.theta))
+        object.__setattr__(self, "u0", _real(self.u0, "u0"))
+        object.__setattr__(self, "theta", _real(self.theta, "theta"))
         t0, t1 = self.tspan
         if not np.isfinite(self.tspan).all():  # an infinite end has no mesh to step
             raise ValueError(f"tspan must be finite, got {self.tspan}")
@@ -61,7 +61,7 @@ class OdeProblem:
         if not np.isfinite(self.u0).all():
             raise ValueError(f"u0 must be finite, got {self.u0}")
         if self.u0_jacobian is not None:
-            j = np.asarray(self.u0_jacobian, dtype=float)
+            j = _real(self.u0_jacobian, "u0_jacobian")
             if j.shape != (self.n, self.p):
                 raise ValueError(f"u0_jacobian must have shape {(self.n, self.p)}")
             if not np.isfinite(j).all():
@@ -88,22 +88,22 @@ class OdeProblem:
         return self.u0_jacobian
 
 
-def _real_theta(theta):
-    """``theta`` as a float array; a complex one, whose imaginary part float() drops, raises."""
-    if np.iscomplexobj(theta):
-        raise TypeError(f"theta must be real, got complex values {np.asarray(theta)}")
-    return np.asarray(theta, dtype=float)
+def _real(x, name):
+    """Input ``name`` as a float array; a complex one, whose imaginary part float() drops, raises."""
+    if np.iscomplexobj(x):
+        raise TypeError(f"{name} must be real, got complex values {np.asarray(x)}")
+    return np.asarray(x, dtype=float)
 
 
-def _observations(times, values, weights, values_ok, values_error, vector_weights):
-    """Checked float times, values and weights of a pointwise loss, sorted by time.
+def _observations(times, values, weights, values_ok, values_error, vector_weights, name):
+    """Checked float times, values (the loss's ``name``) and weights of a pointwise loss.
 
     ``values_ok(times, values)`` holds when there is one value per time.
     Weights default to ones; a scalar applies to every time, and
     ``vector_weights`` also admits one per-component vector per time.
     """
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    values = _real(values, name)
     if not values_ok(times, values):
         raise ValueError(values_error)
     if not np.isfinite(times).all():  # NaN compares false, so no later check refuses it
@@ -111,7 +111,7 @@ def _observations(times, values, weights, values_ok, values_error, vector_weight
     m = len(times)
     if m == 0:  # it would have no gradient to compute
         raise ValueError("a pointwise loss needs at least one observation time")
-    weights = np.asarray(np.ones(m) if weights is None else weights, dtype=float)
+    weights = _real(np.ones(m) if weights is None else weights, "weights")
     if weights.ndim == 0 or not vector_weights:
         weights = np.broadcast_to(weights, (m,)).astype(float)
     elif weights.ndim not in (1, 2) or weights.shape[0] != m:
@@ -136,7 +136,7 @@ class SquaredErrorLoss:
     def __init__(self, times, targets, weights=None):
         self.times, self.targets, weights = _observations(
             times, targets, weights, lambda t, v: t.ndim == 1 and len(t) == len(v),
-            "one target state per observation time", vector_weights=True)
+            "one target state per observation time", vector_weights=True, name="targets")
         self.weights = list(weights)
 
     def value_at(self, u, i):
@@ -157,7 +157,8 @@ class LinearStateLoss:
     def __init__(self, times, coeffs, weights=None):
         self.times, self.coeffs, self.weights = _observations(
             times, coeffs, weights, lambda t, v: v.ndim == 2 and len(v) == len(t),
-            "one coefficient vector per observation time", vector_weights=False)
+            "one coefficient vector per observation time", vector_weights=False,
+            name="coefficients")
 
     def value_at(self, u, i):
         return self.weights[i] * np.sum(self.coeffs[i] * u)
@@ -296,7 +297,7 @@ def check_request(problem: OdeProblem, loss, theta=None):
     differentiates observations only.  Every gradient method calls this before any solve;
     every public solve keeps its mesh, so any in-span time can be read.
     """
-    theta = problem.theta if theta is None else _real_theta(theta)
+    theta = problem.theta if theta is None else _real(theta, "theta")
     if theta.shape != (problem.p,):
         raise ValueError(f"theta must have shape {(problem.p,)}, got {theta.shape}")
     if theta.size == 0:

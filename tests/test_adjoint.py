@@ -1,6 +1,10 @@
 import copy
 import dataclasses
+import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,8 +355,8 @@ RK4_GRID = sk.SolverConfig(method="rk4", dt=0.01)
 PINNED = {
     ("continuous_backsolve", DOPRI, None): (["0x1.823af44ed4b3bp+7"], (182, 32, 1385, 2168)),
     ("continuous_backsolve", DOPRI, 4): (["0x1.823af3f7326f6p+7"], (185, 32, 1406, 2210)),
-    ("continuous_interpolating", DOPRI, None): (["0x1.823af6baf6a4ep+7"], (161, 11, 301, 1222)),
-    ("continuous_interpolating", DOPRI, 4): (["0x1.823af6baf6a4ep+7"], (161, 11, 605, 1222)),
+    ("continuous_interpolating", DOPRI, None): (["0x1.823af48b206e2p+7"], (163, 0, 379, 1002)),
+    ("continuous_interpolating", DOPRI, 4): (["0x1.823af48b206e2p+7"], (163, 0, 761, 1002)),
     ("continuous_quadrature", DOPRI, None): (["0x1.823af50ab738dp+7"], (200, 50, 301, 2044)),
     ("continuous_quadrature", DOPRI, 4): (["0x1.823af50ab738dp+7"], (200, 50, 605, 2044)),
     ("discrete_adjoint", RK4_GRID, 4): (["0x1.823af34292bd1p+7"], (1000, 0, 8004, 8000)),
@@ -712,16 +716,37 @@ def test_dense_adjoints_are_bitwise_equal_across_checkpoint_counts(variant):
         assert len(set(grads.values())) == 1, grads
 
 
+def _forward_work(ent, variant, tol, checkpoints):
+    """RHS calls of a dense variant's forward pass plus one replay of each segment.
+
+    Interpolating's forward pass runs at ``INTERPOLATING_FORWARD_TOL_FACTOR``
+    times the request's tolerances.  A DOPRI5 replay of a segment of m steps
+    makes 1 + 6 m calls, so replaying each of k segments once adds
+    k + 6 * steps.  Returns that total and the forward pass's step count.
+    """
+    if variant == "interpolating":
+        tol = tol * adjoint_module.INTERPOLATING_FORWARD_TOL_FACTOR
+    fwd = sk.SolverConfig(abstol=tol, reltol=tol)
+    stats = sk.solve(ent.problem, fwd).stats
+    total = stats.rhs_evaluations
+    if checkpoints is not None:
+        cfg = AdjointConfig(solver_config=fwd, checkpoints=checkpoints)
+        snaps = _forward_pass(ent.problem, cfg, ent.problem.theta, (), SolverStats()).checkpoints
+        total += len(snaps) - 1 + (DOPRI5.stages - 1) * stats.accepted_steps
+    return total, stats.accepted_steps
+
+
 @pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
 def test_dense_adjoints_make_one_costate_solve_per_observation_interval(variant, monkeypatch):
     # predprey's 101 observations bound 100 intervals; one costate solve per
     # forward step as well made 149.  A checkpointed pass keeps the same
-    # intervals, and each of its 4 segments replays once (605 RHS calls:
-    # the forward 301 and a replay of each step); a reader that held one
-    # segment replayed the segments at snapshots again (897)
+    # intervals, and each of its segments replays once (at tol 1e-8,
+    # quadrature's 4 checkpoints read 605 RHS calls: the forward 301 and a
+    # replay of each step), down to one checkpoint per forward step; a reader
+    # that held one segment replayed the segments at snapshots again (897)
     ent = sk.make_predprey(0.95)
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
-    full_steps = sk.solve(ent.problem, cfg).stats.accepted_steps
+    full_steps = _forward_work(ent, variant, 1e-8, None)[1]
     solves = []
     integrate = adjoint_module._integrate_costate_interval
 
@@ -730,7 +755,8 @@ def test_dense_adjoints_make_one_costate_solve_per_observation_interval(variant,
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(adjoint_module, "_integrate_costate_interval", counted)
-    for ck, rhs in ((None, 301), (4, 605), (full_steps, 649)):
+    for ck in (None, 4, full_steps):
+        rhs = _forward_work(ent, variant, 1e-8, ck)[0]
         solves.clear()
         res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg, checkpoints=ck)
         assert len(solves) == 100, ck
@@ -738,18 +764,21 @@ def test_dense_adjoints_make_one_costate_solve_per_observation_interval(variant,
         assert res.stats.rhs_evaluations == rhs, ck
 
 
-@pytest.mark.parametrize("variant,rhs", [("interpolating", (354, 130)), ("quadrature", (476, 151))])
+@pytest.mark.parametrize("variant,rhs", [("interpolating", (78, 35)), ("quadrature", (183, 49))])
 def test_reads_at_snapshot_nodes_replay_no_segment(variant, rhs):
     # a read that returns a snapshot node's state takes the snapshot, which
-    # has that node's bits, so it replays no segment: a reader that replayed
-    # a segment holding the node made 386 and 508 RHS calls on harmonic and
-    # 156 and 177 on heat1d n = 16, at 16 checkpoints
+    # has that node's bits, so it replays no segment.  At 16 checkpoints a
+    # segment may still replay more than once (ROADMAP item 16): ``rhs``
+    # counts the calls beyond the forward pass and one replay of each
+    # segment.  A reader that replayed a segment holding the node made 32
+    # more on harmonic (both variants) and 26 more on heat1d n = 16, with
+    # the forward pass at the request's tolerances
     cases = ((sk.make_harmonic(0.2), 1e-8), (sk.make_heat1d(16), 1e-6))
-    for (ent, tol), want in zip(cases, rhs):
+    for (ent, tol), extra in zip(cases, rhs):
         cfg = sk.SolverConfig(abstol=tol, reltol=tol)
         full = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg)
         res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg, checkpoints=16)
-        assert res.stats.rhs_evaluations == want
+        assert res.stats.rhs_evaluations == _forward_work(ent, variant, tol, 16)[0] + extra
         assert res.gradient.tobytes() == full.gradient.tobytes()
 
 
@@ -792,18 +821,89 @@ def test_costate_field_assembles_once_per_time(variant, cfg):
         assert _bits(res) == _bits(fresh[th])
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@functools.cache
+def _error_catalog():
+    """(name, problem, loss, reference gradient) of each case the factors were swept on.
+
+    Harmonic's reference is its closed form, diffusion-fit's (``default_rng(7)``,
+    p = 8, from the benchmark's workloads) its matrix-exponential gradient and
+    the others' forward sensitivity at tol 1e-13.
+    """
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    # registered, as its dataclasses look their module up
+    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    ref_cfg = sk.SolverConfig(abstol=1e-13, reltol=1e-13)
+    harmonic = sk.make_harmonic(0.2)
+    cases = [("harmonic", harmonic.problem, harmonic.loss, np.array([ANALYTIC]))]
+    for name, ent in (("predprey 0.95", sk.make_predprey(0.95)),
+                      ("predprey 1", sk.make_predprey(1.0)), ("heat1d 16", sk.make_heat1d(16))):
+        ref = sk.gradient(ent.problem, ent.loss, "forward_sensitivity", ref_cfg).gradient
+        cases.append((name, ent.problem, ent.loss, ref))
+    problem, loss = wl.diffusion_fit_problem(np.random.default_rng(7), 8)
+    cases.append(("diffusion-fit", problem, loss,
+                  wl.diffusion_fit_gradient(problem, loss, problem.theta)))
+    return cases
+
+
+def _interpolating_errors():
+    """Max-norm relative error of interpolating per catalog case at tol 1e-6, 1e-8 and 1e-10."""
+    errors = {}
+    for name, problem, loss, ref in _error_catalog():
+        for tol in (1e-6, 1e-8, 1e-10):
+            cfg = sk.SolverConfig(abstol=tol, reltol=tol)
+            g = sk.gradient(problem, loss, "continuous_interpolating", cfg).gradient
+            errors[name, tol] = np.max(np.abs(g - ref)) / np.max(np.abs(ref))
+    return errors
+
+
+def _worse_than_at_the_old_factors(monkeypatch, forward, reverse):
+    """The cells where interpolating at these factors errs above max(its error at (1, 3), tol)."""
+    monkeypatch.setattr(adjoint_module, "INTERPOLATING_FORWARD_TOL_FACTOR", 1)
+    monkeypatch.setattr(adjoint_module, "INTERPOLATING_REVERSE_TOL_FACTOR", 3)
+    old = _interpolating_errors()
+    monkeypatch.setattr(adjoint_module, "INTERPOLATING_FORWARD_TOL_FACTOR", forward)
+    monkeypatch.setattr(adjoint_module, "INTERPOLATING_REVERSE_TOL_FACTOR", reverse)
+    new = _interpolating_errors()
+    return {cell: (new[cell], old[cell]) for cell in new
+            if not new[cell] <= max(old[cell], cell[1])}
+
+
+def test_interpolating_errs_no_more_than_at_its_old_factors(monkeypatch):
+    # interpolating's gradient error is the forward pass's read error plus
+    # the reverse pass's step error.  At factors (1, 3) the forward read
+    # carried most of it (5.5 against 1.7 tol on harmonic at 1e-6, 720
+    # against 5.6 on diffusion-fit at 1e-10), so the shipped factors move
+    # the budget to the forward pass.  The rule that chose them: no catalog
+    # cell errs above max(its error at (1, 3), tol)
+    shipped = (adjoint_module.INTERPOLATING_FORWARD_TOL_FACTOR,
+               adjoint_module.INTERPOLATING_REVERSE_TOL_FACTOR)
+    assert _worse_than_at_the_old_factors(monkeypatch, *shipped) == {}
+
+
+def test_the_factor_rule_refuses_a_reverse_factor_of_30(monkeypatch):
+    # the rule is not vacuous: at (0.3, 30) harmonic at 1e-6 errs by 1.4e-5
+    # against 3.9e-6 at (1, 3), and predprey a = 1 at 1e-10 by 2.0e-10
+    worse = _worse_than_at_the_old_factors(monkeypatch, 0.3, 30)
+    assert {("harmonic", 1e-6), ("predprey 1", 1e-10)} <= set(worse), worse
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 @pytest.mark.parametrize("case", ["harmonic", "predprey"])
 def test_interpolating_reverse_pass_alone_errs_within_two_tol(case, tol):
-    # the interpolating reverse pass runs at INTERPOLATING_REVERSE_TOL_FACTOR
-    # times the request's tolerances.  With the forward pass at 1e-13 its
-    # reads err by next to nothing, so the gradient error below is the
-    # reverse pass's own.  Its bound, 2 tol, is the median error over tol of
-    # forward reads by DOPRI5's own continuous extension on seeded random
-    # small ODEs: a reverse pass within it stays below the forward-read error
-    # of a forward pass at tol.  Harmonic reads 0.60, 1.65 and 2.59 tol at
-    # factors 1, 3 and 5 at tol 1e-6; predprey 0.95 reads 0.43 tol or less
-    # (its reference's floor at 1e-10)
+    # the interpolating reverse pass's own step error, stepped at 3 times
+    # tol, stays within 2 tol.  With the forward pass at 1e-13 its reads err
+    # by next to nothing, so the gradient error below is the reverse pass's
+    # own.  This pins the reverse integration's accuracy against the
+    # tolerance it steps at, not the shipped split: at the shipped
+    # INTERPOLATING_REVERSE_TOL_FACTOR (10) the reverse half reads 4-6 tol on
+    # harmonic, and the tighter forward pass pays for it (see
+    # test_interpolating_errs_no_more_than_at_its_old_factors).  Harmonic
+    # reads 1.65 tol at 1e-6; predprey 0.95 reads 0.43 tol or less (its
+    # reference's floor at 1e-10)
     if case == "harmonic":
         ent, ref = sk.make_harmonic(0.2), ANALYTIC
     else:
@@ -817,7 +917,7 @@ def test_interpolating_reverse_pass_alone_errs_within_two_tol(case, tol):
     sol = _forward_pass(problem, fwd, theta, loss.times, stats)
     stops = adjoint_module._observation_stops(loss, sol.node_times.tolist(),
                                               span_tol(*problem.tspan))
-    rev = sk.SolverConfig(abstol=tol, reltol=tol, dt=math.inf)
+    rev = adjoint_module._scaled(sk.SolverConfig(abstol=tol, reltol=tol, dt=math.inf), 3)
     g, lam, _, _ = adjoint_module._dense_reverse(problem, loss, stops, sol, theta, rev, stats,
                                                  False)
     grad = g + problem.initial_state_jacobian().T @ lam
@@ -831,6 +931,32 @@ def test_interpolating_reverse_tolerances_stay_finite():
     cfg = sk.SolverConfig(abstol=1e308, reltol=1e-6)
     res = sk.gradient(ent.problem, ent.loss, "continuous_interpolating", cfg)
     assert np.isfinite(res.gradient).all()
+
+
+def test_interpolating_forward_tolerances_stay_positive():
+    # the tightened forward tolerances are floored at the smallest positive
+    # float: 0.3 * 5e-324 rounds to 0.0, which SolverConfig refuses, though
+    # the request itself is legal
+    assert adjoint_module.INTERPOLATING_FORWARD_TOL_FACTOR * 5e-324 == 0.0
+    ent = sk.make_harmonic(0.2)
+    cfg = sk.SolverConfig(abstol=5e-324, reltol=1e-6)
+    res = sk.gradient(ent.problem, ent.loss, "continuous_interpolating", cfg)
+    assert res.gradient[0] == pytest.approx(ANALYTIC, rel=1e-4)
+
+
+@pytest.mark.parametrize("cfg", [sk.SolverConfig(method="rk4", dt=0.05),
+                                 sk.SolverConfig(method="euler", dt=0.01)], ids=["rk4", "euler"])
+def test_interpolating_on_a_fixed_step_method_ignores_the_factors(cfg, monkeypatch):
+    # a fixed step has no tolerance to scale: both passes keep the request's
+    # config, so the factors move no bit or count
+    ent = sk.make_predprey(0.95)
+    shipped = {ck: _bits(sk.gradient(ent.problem, ent.loss, "continuous_interpolating", cfg,
+                                     checkpoints=ck)) for ck in (None, 4)}
+    monkeypatch.setattr(adjoint_module, "INTERPOLATING_FORWARD_TOL_FACTOR", 1)
+    monkeypatch.setattr(adjoint_module, "INTERPOLATING_REVERSE_TOL_FACTOR", 3)
+    for ck in (None, 4):
+        res = sk.gradient(ent.problem, ent.loss, "continuous_interpolating", cfg, checkpoints=ck)
+        assert _bits(res) == shipped[ck], ck
 
 
 def test_segment_reader_reads_the_bits_of_full_storage():
@@ -910,7 +1036,9 @@ def test_each_observation_stops_at_the_node_its_read_returns():
 def test_a_loss_without_an_observation_at_t1_replays_each_segment_once(variant, monkeypatch):
     # the reverse pass still stops at t1 and reads the state there for its
     # jumps, none here: the last node is a snapshot, so that read replays
-    # nothing, and each of the 4 segments replays once, right to left
+    # nothing, and each of the 4 segments replays once, right to left.  The
+    # peak is the 5 snapshots and two segments' nodes of the variant's
+    # forward mesh (interpolating's is the denser)
     ent = sk.make_harmonic(0.2)
     loss = sk.SquaredErrorLoss([2.5, 5.0, 7.3], np.ones((3, 2)))
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
@@ -924,8 +1052,8 @@ def test_a_loss_without_an_observation_at_t1_replays_each_segment_once(variant, 
     monkeypatch.setattr(adjoint_module, "_segments_reverse", spy)
     res = sk.gradient(ent.problem, loss, f"continuous_{variant}", cfg, checkpoints=4)
     assert replays == [3, 2, 1, 0]
-    assert res.stats.rhs_evaluations == 281
-    assert res.peak_stored_states == 20
+    assert res.stats.rhs_evaluations == _forward_work(ent, variant, 1e-8, 4)[0]
+    assert res.peak_stored_states == {"interpolating": 23, "quadrature": 20}[variant]
 
 
 @pytest.mark.parametrize("cfg", [sk.SolverConfig(method="rk4", dt=0.01),
@@ -1014,12 +1142,21 @@ def test_variants_match_centered_fd_on_predprey(variant):
     assert abs(res.gradient[0] - fd[0]) / abs(fd[0]) <= 1e-4
 
 
-def test_quadrature_stores_what_interpolating_stores():
+def test_quadrature_stores_what_interpolating_stores(monkeypatch):
     # quadrature's costate solve returns only its rows at the Gauss nodes and
     # the interval's end, which are working rows: it keeps no costate mesh,
-    # so its peak is the forward storage, as interpolating's is
+    # so its peak is the forward storage, as interpolating's is.  On the same
+    # forward mesh the two store alike; interpolating's own forward pass, at
+    # INTERPOLATING_FORWARD_TOL_FACTOR times the request's tolerances, keeps
+    # more nodes: 64 against 51 at full storage, 39 against 33 at 4 checkpoints
     ent = sk.make_predprey(0.95)
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    for ck, more in ((None, (64, 51)), (4, (39, 33))):
+        peaks = tuple(sk.gradient(ent.problem, ent.loss, f"continuous_{v}", cfg,
+                                  checkpoints=ck).peak_stored_states
+                      for v in ("interpolating", "quadrature"))
+        assert peaks == more, ck
+    monkeypatch.setattr(adjoint_module, "INTERPOLATING_FORWARD_TOL_FACTOR", 1)
     for ck in (None, 4):
         interp = sk.gradient(ent.problem, ent.loss, "continuous_interpolating", cfg,
                              checkpoints=ck)

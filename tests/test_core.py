@@ -228,3 +228,35 @@ CORE_INPUT_CHECKS = [
 def test_core_input_checks_raise_their_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _build_with(name, value):
+    """Build the problem or loss that takes ``value`` as its input ``name``."""
+    rhs = sk.make_harmonic(0.2).problem.rhs
+    if name in ("u0", "u0_jacobian"):
+        extra = {"u0": value} if name == "u0" else {"u0": [0.0, 1.0], "u0_jacobian": value}
+        return sk.OdeProblem(rhs=rhs, tspan=(0.0, 10.0), theta=[0.2], **extra)
+    if name == "coefficients":
+        return LinearStateLoss([5.0], value)
+    if name == "weights":
+        return SquaredErrorLoss([5.0], [[0.5, 0.5]], weights=value)
+    return SquaredErrorLoss([5.0], value)
+
+
+@pytest.mark.parametrize("form", ["numpy", "list"])
+@pytest.mark.parametrize("name,value", [
+    ("u0", [1 + 1e-3j, 0.0]),
+    ("u0_jacobian", [[1e-3j], [0.0]]),
+    ("targets", [[0.5 + 1j, 0.5]]),
+    ("coefficients", [[1.0 + 0j, 0.0]]),
+    ("weights", [1.0 + 1e-3j]),
+])
+def test_a_complex_input_is_refused_when_built(name, value, form):
+    # these inputs are converted to float arrays, which drops an imaginary
+    # part with only a ComplexWarning (a numpy array) or fails in numpy's
+    # float() (a list of Python complex numbers); theta's rule names the input
+    if form == "numpy":
+        value = np.array(value)
+    with pytest.raises(TypeError, match=rf"^{name} must be real, got complex values "):
+        _build_with(name, value)
+    assert _build_with(name, np.real(np.array(value))) is not None

@@ -217,3 +217,52 @@ def test_a_float_taking_rhs_is_refused_by_every_method_but_fd(seed):
     ref = sk.gradient(problem, loss, "forward_ad", cfg).gradient
     fd = sk.gradient(floats, loss, "centered_fd", cfg).gradient
     assert np.linalg.norm(fd - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+# -- every method's error falls with the tolerance (ROADMAP item 18) ----
+
+# error over tol bound per method, on dopri5 at tol 1e-6, 1e-8 and 1e-10.
+# Measured, in units of tol (1e-6 / 1e-8 / 1e-10), against harmonic's closed
+# form and forward sensitivity at tol 1e-13 elsewhere:
+#   forward sensitivity  harmonic 0.28 / 0.31 / 0.30, predprey 0.95 2.1 / 5.9 / 13.2,
+#                        heat1d 16 0.18 / 0.66 / 0.14
+#   interpolating        harmonic 3.3 / 0.003 / 12.9, predprey 0.95 2.4 / 5.1 / 11.7,
+#                        heat1d 16 0.21 / 2.2 / (21.9)
+#   quadrature           harmonic 11.1 / 29.2 / 75.1, predprey 0.95 6.5 / 7.0 / 17.4,
+#                        heat1d 16 3.4 / 5.3 / (36.7)
+# Each C is twice the method's largest cell, rounded up to 30 or 150, so a
+# cell fails when its error grows by more than 2x.  The ratio grows as tol
+# shrinks on predprey and in the dense adjoints: Hermite reads of the
+# forward state are one order below the step (ROADMAP item 6).  The dense
+# adjoints' heat1d cells at 1e-10 (bracketed) are left out for that reason:
+# at its former tolerance factors interpolating read 37 tol there, so they
+# would set C by that defect; item 6 adds them once it is fixed
+ERROR_OVER_TOL = {"forward_sensitivity": 30.0, "continuous_interpolating": 30.0,
+                  "continuous_quadrature": 150.0}
+
+
+@pytest.fixture(scope="module")
+def tolerance_catalog():
+    tight = sk.SolverConfig(abstol=1e-13, reltol=1e-13)
+    harmonic = sk.make_harmonic(0.2)
+    cases = [("harmonic", harmonic, np.array([(10.0 / 0.2) * math.cos(2.0)
+                                              - math.sin(2.0) / 0.04]))]
+    for name, ent in (("predprey 0.95", sk.make_predprey(0.95)), ("heat1d 16", sk.make_heat1d(16))):
+        cases.append((name, ent, sk.gradient(ent.problem, ent.loss, "forward_sensitivity",
+                                             tight).gradient))
+    return cases
+
+
+@pytest.mark.parametrize("method", list(ERROR_OVER_TOL))
+def test_error_stays_within_c_tol_as_tol_shrinks(method, tolerance_catalog):
+    over = {}
+    for name, ent, ref in tolerance_catalog:
+        for tol in (1e-6, 1e-8, 1e-10):
+            if name == "heat1d 16" and tol == 1e-10 and method != "forward_sensitivity":
+                continue
+            cfg = sk.SolverConfig(abstol=tol, reltol=tol)
+            g = sk.gradient(ent.problem, ent.loss, method, cfg).gradient
+            ratio = np.max(np.abs(g - ref)) / np.max(np.abs(ref)) / tol
+            if not ratio <= ERROR_OVER_TOL[method]:
+                over[name, tol] = ratio
+    assert over == {}

@@ -305,7 +305,7 @@ HARMONIC_WORK = {
     "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
     "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
     "continuous_backsolve": [(48, 3, 308, 338, 2), (50, 6, 341, 404, 7)],
-    "continuous_interpolating": [(41, 3, 139, 212, 24), (41, 3, 392, 212, 20)],
+    "continuous_interpolating": [(42, 3, 169, 172, 29), (42, 3, 476, 172, 23)],
     "continuous_quadrature": [(44, 3, 139, 282, 24), (44, 3, 454, 282, 20)],
 }
 
