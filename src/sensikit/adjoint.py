@@ -140,9 +140,13 @@ class AdjointConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown adjoint variant {self.variant!r}")
-        ck = self.checkpoints
-        if ck is not None and (isinstance(ck, bool) or not isinstance(ck, Integral) or ck < 1):
-            raise ValueError(f"checkpoint count must be an integer of at least 1, got {ck!r}")
+        check_checkpoints(self.checkpoints)
+
+
+def check_checkpoints(ck):
+    """Refuse a checkpoint count ``ck`` other than None or an integer of at least 1."""
+    if ck is not None and (isinstance(ck, bool) or not isinstance(ck, Integral) or ck < 1):
+        raise ValueError(f"checkpoint count must be an integer of at least 1, got {ck!r}")
 
 
 def gauss_legendre(fn, a, b, order: int):

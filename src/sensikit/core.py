@@ -53,6 +53,11 @@ class OdeProblem:
     def __post_init__(self):
         object.__setattr__(self, "u0", _real(self.u0, "u0"))
         object.__setattr__(self, "theta", _real(self.theta, "theta"))
+        for name in ("u0", "theta"):  # any other shape fails inside each method its own way
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {getattr(self, name).shape}")
+        if np.shape(self.tspan) != (2,):
+            raise ValueError(f"tspan must be two ends (t0, t1), got {self.tspan}")
         t0, t1 = self.tspan
         if not np.isfinite(self.tspan).all():  # an infinite end has no mesh to step
             raise ValueError(f"tspan must be finite, got {self.tspan}")

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .adjoint import AdjointConfig, continuous_adjoint
+from .adjoint import AdjointConfig, check_checkpoints, continuous_adjoint
 from .core import OdeProblem, SensitivityResult, SolverStats, check_request, loss_eval
 from .errors import AnalyticityError, NumericalBlowupError
 from .sensitivity import forward_sensitivity, forwardad_gradient
@@ -51,7 +51,12 @@ def default_epsilon(method: str, theta) -> np.ndarray:
 
 def _perturbations(eps, theta):
     """``eps`` as one stepsize per component of ``theta``, each positive and finite."""
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), theta.shape)
+    eps = np.asarray(eps, dtype=float)
+    try:
+        eps = np.broadcast_to(eps, theta.shape)
+    except ValueError:  # numpy's message names neither eps nor the shape it needs
+        raise ValueError(f"eps must be a scalar or of shape {theta.shape}, "
+                         f"got shape {eps.shape}") from None
     if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     if not np.isfinite(eps).all():  # NaN passes the check above
@@ -164,11 +169,16 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
     ``forward_ad_primal_only`` is forward AD under the primal-only error
     norm and nothing else; it is kept to reproduce that norm's wrong
     gradients.  Raises ``ValueError`` on an unknown method name, and what
-    ``core.check_request`` raises on a bad request, before any solve.
+    ``core.check_request`` raises on a bad request, before any solve; every
+    method checks ``checkpoints`` and ``epsilon`` too, read or not, so a bad
+    one gets the same error from all of them.
     """
     if method not in METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
     problem, loss, theta = check_request(problem, loss, theta)
+    check_checkpoints(checkpoints)
+    if epsilon is not None:
+        _perturbations(epsilon, theta)
     if method in ("forward_fd", "centered_fd", "complex_step"):
         eps = default_epsilon(method, theta) if epsilon is None else epsilon
         fn = solver_loss_fn(problem, loss, config)

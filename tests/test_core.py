@@ -221,6 +221,16 @@ CORE_INPUT_CHECKS = [
                  "observation times must be distinct", id="repeated-times"),
     pytest.param(lambda: loss_eval(None, object()), TypeError,
                  "unknown loss specification object", id="loss-eval-type"),
+    # each was built, then failed inside every method with a foreign error
+    # (an IndexError, numpy's concatenate, or theta's shape blamed on a
+    # theta the caller never passed) or in tuple unpacking
+    pytest.param(lambda: sk.OdeProblem(_rhs_never_called, [[1.0, 1.0]], (0.0, 1.0), [1.0]),
+                 ValueError, "u0 must be 1-D, got shape (1, 2)", id="u0-2d"),
+    pytest.param(lambda: sk.OdeProblem(_rhs_never_called, [1.0], (0.0, 1.0), [[1.0]]),
+                 ValueError, "theta must be 1-D, got shape (1, 1)", id="theta-2d"),
+    pytest.param(lambda: sk.OdeProblem(_rhs_never_called, [1.0], (0.0, 1.0, 2.0), [1.0]),
+                 ValueError, "tspan must be two ends (t0, t1), got (0.0, 1.0, 2.0)",
+                 id="tspan-three-ends"),
 ]
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import sensikit as sk
 from sensikit.adjoint import AdjointConfig, continuous_adjoint, discrete_adjoint
-from sensikit.errors import AnalyticityError
+from sensikit.errors import AnalyticityError, SensikitError
 
 T_FINAL = 1.5
 THETA = 0.7
@@ -225,20 +225,44 @@ def test_a_float_taking_rhs_is_refused_by_every_method_but_fd(seed):
 # Measured, in units of tol (1e-6 / 1e-8 / 1e-10), against harmonic's closed
 # form and forward sensitivity at tol 1e-13 elsewhere:
 #   forward sensitivity  harmonic 0.28 / 0.31 / 0.30, predprey 0.95 2.1 / 5.9 / 13.2,
-#                        heat1d 16 0.18 / 0.66 / 0.14
+#                        predprey 1 1.8 / 3.4 / 11.3, heat1d 16 0.18 / 0.66 / 0.14
+#   forward AD           harmonic 0.28 / 0.31 / 0.30, predprey 0.95 2.1 / 5.9 / 13.2,
+#                        predprey 1 1.8 / 3.4 / 11.3, heat1d 16 0.19 / 0.67 / 0.14
+#   complex step         harmonic 1.41 / 1.33 / 1.26, predprey 0.95 3.7 / 5.9 / 14.4,
+#                        (predprey 1 4.8e8 / 4.8e10 / 2.0e12, heat1d 16 43 / 155 / 57)
+#   backsolve            harmonic 0.07 / 0.47 / 0.66, predprey 0.95 3.3 / 4.1 / 4.3,
+#                        predprey 1 0.002 / 0.12 / 0.04; heat1d 16 raises at every tol
 #   interpolating        harmonic 3.3 / 0.003 / 12.9, predprey 0.95 2.4 / 5.1 / 11.7,
-#                        heat1d 16 0.21 / 2.2 / (21.9)
+#                        predprey 1 0.002 / 0.16 / 0.62, heat1d 16 0.21 / 2.2 / (21.9)
 #   quadrature           harmonic 11.1 / 29.2 / 75.1, predprey 0.95 6.5 / 7.0 / 17.4,
-#                        heat1d 16 3.4 / 5.3 / (36.7)
+#                        predprey 1 0.14 / 8.6 / 16.3, heat1d 16 3.4 / 5.3 / (36.7)
 # Each C is twice the method's largest cell, rounded up to 30 or 150, so a
-# cell fails when its error grows by more than 2x.  The ratio grows as tol
-# shrinks on predprey and in the dense adjoints: Hermite reads of the
-# forward state are one order below the step (ROADMAP item 6).  The dense
-# adjoints' heat1d cells at 1e-10 (bracketed) are left out for that reason:
-# at its former tolerance factors interpolating read 37 tol there, so they
-# would set C by that defect; item 6 adds them once it is fixed
-ERROR_OVER_TOL = {"forward_sensitivity": 30.0, "continuous_interpolating": 30.0,
+# cell fails when its error grows by more than 2x.  The cells in RAISES
+# must raise a SensikitError, which is not a silent wrong gradient; any
+# other cell that raises fails.  The ratio grows as tol shrinks on
+# predprey and in the dense adjoints: Hermite reads of the
+# forward state are one order below the step (ROADMAP item 6).  The
+# bracketed cells are left out (WAITING) rather than set C by a defect:
+# complex step inherits the primal-only norm's failure at a = 1 and reads
+# 43-155 tol on heat1d (item 1); the dense adjoints' heat1d cells at 1e-10
+# read 37 tol at interpolating's former tolerance factors (item 6).  Each
+# item adds its cells once it is fixed
+ERROR_OVER_TOL = {"forward_sensitivity": 30.0, "forward_ad": 30.0, "complex_step": 30.0,
+                  "continuous_backsolve": 30.0, "continuous_interpolating": 30.0,
                   "continuous_quadrature": 150.0}
+TOLS = (1e-6, 1e-8, 1e-10)
+WAITING = {
+    "complex_step": {(name, tol) for name in ("predprey 1", "heat1d 16") for tol in TOLS},
+    "continuous_interpolating": {("heat1d 16", 1e-10)},
+    "continuous_quadrature": {("heat1d 16", 1e-10)},
+}
+# backsolve cannot rebuild heat1d's forward state in reverse at any tol
+RAISES = {"continuous_backsolve": {("heat1d 16", tol) for tol in TOLS}}
+
+
+def _error_over_tol(ent, ref, method, tol):
+    g = sk.gradient(ent.problem, ent.loss, method, sk.SolverConfig(abstol=tol, reltol=tol)).gradient
+    return np.max(np.abs(g - ref)) / np.max(np.abs(ref)) / tol
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +271,8 @@ def tolerance_catalog():
     harmonic = sk.make_harmonic(0.2)
     cases = [("harmonic", harmonic, np.array([(10.0 / 0.2) * math.cos(2.0)
                                               - math.sin(2.0) / 0.04]))]
-    for name, ent in (("predprey 0.95", sk.make_predprey(0.95)), ("heat1d 16", sk.make_heat1d(16))):
+    for name, ent in (("predprey 0.95", sk.make_predprey(0.95)),
+                      ("predprey 1", sk.make_predprey(1.0)), ("heat1d 16", sk.make_heat1d(16))):
         cases.append((name, ent, sk.gradient(ent.problem, ent.loss, "forward_sensitivity",
                                              tight).gradient))
     return cases
@@ -257,12 +282,62 @@ def tolerance_catalog():
 def test_error_stays_within_c_tol_as_tol_shrinks(method, tolerance_catalog):
     over = {}
     for name, ent, ref in tolerance_catalog:
-        for tol in (1e-6, 1e-8, 1e-10):
-            if name == "heat1d 16" and tol == 1e-10 and method != "forward_sensitivity":
+        for tol in TOLS:
+            if (name, tol) in WAITING.get(method, ()):
                 continue
-            cfg = sk.SolverConfig(abstol=tol, reltol=tol)
-            g = sk.gradient(ent.problem, ent.loss, method, cfg).gradient
-            ratio = np.max(np.abs(g - ref)) / np.max(np.abs(ref)) / tol
+            if (name, tol) in RAISES.get(method, ()):
+                with pytest.raises(SensikitError):
+                    _error_over_tol(ent, ref, method, tol)
+                continue
+            ratio = _error_over_tol(ent, ref, method, tol)
             if not ratio <= ERROR_OVER_TOL[method]:
                 over[name, tol] = ratio
     assert over == {}
+
+
+def test_primal_only_forward_ad_fails_at_the_constant_solution(tolerance_catalog):
+    # the pinned reproduction of the paper's failure mode: on predprey a = 1
+    # the primal is constant, so a norm of the primal alone leaves the
+    # tangent's error uncontrolled.  It reads 4.8e8 tol at 1e-6 and 100x
+    # more per 2 decades of tol
+    [(_, ent, ref)] = [case for case in tolerance_catalog if case[0] == "predprey 1"]
+    for tol in TOLS:
+        assert _error_over_tol(ent, ref, "forward_ad_primal_only", tol) > 1e8
+
+
+# observed order log2(err(dt) / err(dt / 2)) of each method on harmonic,
+# against its closed form.  Measured: rk4 at dt 0.2 -> 0.025 reads
+# 3.97-4.06 and euler at dt 0.02 -> 0.005 reads 1.00-1.09, for every
+# method but FD, whose error meets its floor (forward FD stays at 2.2e-7,
+# centered FD's last rk4 ratio is 1.33).  Backsolve must raise on euler at
+# dt 0.02 and 0.01 (FIXED_STEP_RAISES), and any other raise fails; an
+# order needs both of its steps
+FIXED_STEP_ORDERS = {"rk4": (4, (0.2, 0.1, 0.05, 0.025)), "euler": (1, (0.02, 0.01, 0.005))}
+FIXED_STEP_RAISES = {("continuous_backsolve", "euler", dt) for dt in (0.02, 0.01)}
+
+
+@pytest.mark.parametrize("scheme", list(FIXED_STEP_ORDERS))
+def test_fixed_step_errors_fall_at_the_tableau_order(scheme):
+    order, dts = FIXED_STEP_ORDERS[scheme]
+    ent = sk.make_harmonic(0.2)
+    ref = ent.analytic_gradient()[0]
+    off = {}
+    for method in sk.direct.METHODS:
+        if method.endswith("_fd"):
+            continue
+        errors = []
+        for dt in dts:
+            cfg = sk.SolverConfig(method=scheme, dt=dt)
+            if (method, scheme, dt) in FIXED_STEP_RAISES:
+                with pytest.raises(SensikitError):
+                    sk.gradient(ent.problem, ent.loss, method, cfg)
+                errors.append(None)
+                continue
+            g = sk.gradient(ent.problem, ent.loss, method, cfg)
+            errors.append(abs(g.gradient[0] - ref) / abs(ref))
+        for dt, coarse, fine in zip(dts, errors, errors[1:]):
+            if coarse is not None and fine is not None:
+                observed = math.log2(coarse / fine)
+                if not abs(observed - order) <= 0.2:
+                    off[method, dt] = observed
+    assert off == {}

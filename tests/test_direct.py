@@ -288,40 +288,30 @@ def test_gradient_dispatcher(method):
         sk.gradient(ent.problem, ent.loss, "sideways", cfg)
 
 
-# (accepted steps, rejected steps, RHS calls, Jacobian calls, peak stored
-# states) per method on harmonic: dopri5 at tol 1e-8, the discrete adjoint
-# on rk4 dt 0.01; the pair is (all nodes kept, 4 checkpoints).  The
-# discrete adjoint's peak counts its stage tape, 3 stage inputs per step
-# of the segment held: 1001 nodes + 3000, and 251 + 750 + 5 checkpoints.
-# The dense adjoints' one observation interval (t1's) spans the four
-# segments, so a first attempt across it and quadrature's Gauss-node reads
-# replay some segments twice, and their peak counts two segments held
-HARMONIC_WORK = {
-    "forward_fd": [(46, 0, 278, 0, None)] * 2,
-    "centered_fd": [(46, 0, 278, 0, None)] * 2,
-    "complex_step": [(23, 0, 139, 0, None)] * 2,
-    "forward_ad": [(34, 0, 205, 0, 35)] * 2,
-    "forward_ad_primal_only": [(23, 0, 139, 0, 24)] * 2,
-    "forward_sensitivity": [(34, 0, 205, 410, 35)] * 2,
-    "discrete_adjoint": [(1000, 0, 4001, 8000, 4001), (1000, 0, 8004, 8000, 1006)],
-    "continuous_backsolve": [(48, 3, 308, 338, 2), (50, 6, 341, 404, 7)],
-    "continuous_interpolating": [(42, 3, 169, 172, 29), (42, 3, 476, 172, 23)],
-    "continuous_quadrature": [(44, 3, 139, 282, 24), (44, 3, 454, 282, 20)],
-}
+def _work_and_bits(res):
+    s = res.stats
+    return (res.gradient.tobytes(), res.peak_stored_states,
+            (s.accepted_steps, s.rejected_steps, s.rhs_evaluations, s.jacobian_evaluations),
+            {k: np.asarray(v).tobytes() for k, v in res.metadata.items()})
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_work_counts_on_harmonic_are_pinned(method):
+def test_a_valid_setting_a_method_does_not_read_changes_nothing(method):
+    # checkpoints bound the adjoints' storage and epsilon is FD's and
+    # complex step's perturbation; a method that reads neither ignores a
+    # valid value of it, so the command line can pass both to every method
     ent = sk.make_harmonic(0.2)
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     if method == "discrete_adjoint":
         cfg = sk.SolverConfig(method="rk4", dt=0.01)
-    for checkpoints, expected in zip((None, 4), HARMONIC_WORK[method]):
-        res = sk.gradient(ent.problem, ent.loss, method, cfg, checkpoints=checkpoints)
-        s = res.stats
-        work = (s.accepted_steps, s.rejected_steps, s.rhs_evaluations,
-                s.jacobian_evaluations, res.peak_stored_states)
-        assert work == expected, (method, checkpoints)
+    unread = {}
+    if not (method == "discrete_adjoint" or method.startswith("continuous_")):
+        unread["checkpoints"] = 4
+    if method not in ("forward_fd", "centered_fd", "complex_step"):
+        unread["epsilon"] = 1e-3
+    want = sk.gradient(ent.problem, ent.loss, method, cfg)
+    got = sk.gradient(ent.problem, ent.loss, method, cfg, **unread)
+    assert _work_and_bits(got) == _work_and_bits(want)
 
 
 @pytest.mark.parametrize("method", ["forward_ad", "forward_ad_primal_only", "forward_sensitivity"])
@@ -405,13 +395,17 @@ def test_every_method_places_observations_by_one_span_rule(times):
 
 @pytest.mark.parametrize("case", ["theta_shape", "late_observation", "unknown_loss",
                                   "short_targets", "short_weight_rows", "short_coefficients",
-                                  "long_coefficients", "complex_theta", "complex_theta_zero_imag"])
+                                  "long_coefficients", "complex_theta", "complex_theta_zero_imag",
+                                  "zero_checkpoints", "fractional_checkpoints", "long_epsilon",
+                                  "negative_epsilon", "nan_epsilon"])
 def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
     # one check before any solve: the same exception and text from all ten
     # methods, after no RHS call.  A target, weight row or coefficient row
     # of the wrong length used to broadcast into a wrong gradient (one
     # entry) or fail in numpy after a full solve (three), and a complex
-    # theta lost its imaginary part with only a ComplexWarning
+    # theta lost its imaginary part with only a ComplexWarning.  A bad
+    # checkpoint count was refused by the adjoints only and a bad epsilon by
+    # FD and complex step only (a long one in numpy); the others ran
     ent = sk.make_predprey(0.95)
     calls = []
     rhs = ent.problem.rhs
@@ -435,12 +429,19 @@ def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
         "long_coefficients": (sk.LinearStateLoss([5.0], [[1.0, 1.0, 1.0]]), None),
         "complex_theta": (ent.loss, np.array([0.95 + 1e-3j])),
         "complex_theta_zero_imag": (ent.loss, np.array([0.95 + 0j])),
-    }[case]
+    }.get(case, (ent.loss, None))
+    settings = {
+        "zero_checkpoints": {"checkpoints": 0},
+        "fractional_checkpoints": {"checkpoints": 2.5},
+        "long_epsilon": {"epsilon": [1e-6, 1e-6]},
+        "negative_epsilon": {"epsilon": -1.0},
+        "nan_epsilon": {"epsilon": math.nan},
+    }.get(case, {})
     raised = set()
     for method in METHODS:
         c = rk4 if method == "discrete_adjoint" else cfg
         with pytest.raises((TypeError, ValueError)) as err:
-            sk.gradient(problem, loss, method, c, theta=theta)
+            sk.gradient(problem, loss, method, c, theta=theta, **settings)
         raised.add((type(err.value), str(err.value)))
         assert calls == [], method
     assert len(raised) == 1, raised

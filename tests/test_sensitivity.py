@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 import sensikit as sk
 from sensikit.dual import MultiDual
 from sensikit.sensitivity import forward_sensitivity, jacobian_assembly
+from shared import stripped
 
 
 def test_sensitivity_rhs_zero_when_autonomous_constant():
@@ -101,17 +101,13 @@ def test_jacobian_assembly_partial_analytic():
 PARTS = ("jac_u", "jac_theta", "f")
 
 
-def _stripped(problem):
-    return dataclasses.replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
-
-
 # analytic, partly analytic and stripped Jacobians
 ASSEMBLY_CASES = [
     pytest.param(sk.make_harmonic(0.2).problem, id="harmonic"),
     pytest.param(dataclasses.replace(sk.make_predprey(0.95).problem, rhs_jac_theta=None),
                  id="predprey-no-jac-theta"),
-    pytest.param(_stripped(sk.make_predprey(0.95).problem), id="predprey-stripped"),
-    pytest.param(_stripped(sk.make_heat1d(16).problem), id="heat16-stripped"),
+    pytest.param(stripped(sk.make_predprey(0.95).problem), id="predprey-stripped"),
+    pytest.param(stripped(sk.make_heat1d(16).problem), id="heat16-stripped"),
 ]
 
 
@@ -347,7 +343,7 @@ def _integrated_problem():
 
 ENGINE_CASES = [
     pytest.param(sk.make_harmonic(0.2).problem, sk.make_harmonic(0.2).loss, id="harmonic"),
-    pytest.param(_stripped(sk.make_harmonic(0.2).problem), sk.make_harmonic(0.2).loss,
+    pytest.param(stripped(sk.make_harmonic(0.2).problem), sk.make_harmonic(0.2).loss,
                  id="harmonic-stripped"),
     pytest.param(*_diffusion_problem(), id="diffusion"),
     pytest.param(*_initial_state_problem(), id="u0-jacobian"),
@@ -409,43 +405,3 @@ def test_forward_tangent_part_is_the_jacobian_product(problem):
             assert tangent.tobytes() == (J_u @ S + J_t).tobytes()
         else:
             assert np.allclose(tangent, J_u @ S + J_t, rtol=1e-13, atol=1e-13 * np.abs(J_u).max())
-
-
-def _heat16_stripped():
-    ent = sk.make_heat1d(16)
-    return _stripped(ent.problem), ent.loss
-
-
-def _predprey():
-    ent = sk.make_predprey(0.95)
-    return ent.problem, ent.loss
-
-
-# gradients (float.hex), SolverStats (accepted, rejected, rhs, jacobian),
-# peak stored states and a digest of the sensitivity_trajectory bytes of
-# each forward method at dopri5 tol 1e-8: predprey a = 0.95 on its analytic
-# Jacobians, heat1d n = 16 stripped of them (the multidual tangent path).
-# A change of their bits or work fails here and is re-pinned on purpose
-FORWARD_PINNED = {
-    ("forward_ad", "predprey"): (["0x1.823af1c7f5d2bp+7"], (81, 0, 487, 0), 82,
-                                 "7f1d0248951853e0"),
-    ("forward_sensitivity", "predprey"): (["0x1.823af1c7f5d27p+7"], (81, 0, 487, 974), 82,
-                                          "dca9b36fde849267"),
-    ("forward_ad", "heat16-stripped"): (["-0x1.80fee7e050997p+1"], (15, 2, 103, 0), 16,
-                                        "94faa9bcc2696adc"),
-    ("forward_sensitivity", "heat16-stripped"): (["-0x1.80fee7e050997p+1"], (15, 2, 103, 0),
-                                                 16, "94faa9bcc2696adc"),
-}
-FORWARD_CASES = {"predprey": _predprey, "heat16-stripped": _heat16_stripped}
-
-
-@pytest.mark.parametrize("method,case", list(FORWARD_PINNED))
-def test_forward_mode_bits_are_pinned(method, case):
-    problem, loss = FORWARD_CASES[case]()
-    res = sk.gradient(problem, loss, method, sk.SolverConfig(abstol=1e-8, reltol=1e-8))
-    s = res.stats
-    got = ([float(g).hex() for g in res.gradient],
-           (s.accepted_steps, s.rejected_steps, s.rhs_evaluations, s.jacobian_evaluations),
-           res.peak_stored_states,
-           hashlib.sha256(res.sensitivity_trajectory.tobytes()).hexdigest()[:16])
-    assert got == FORWARD_PINNED[method, case]
