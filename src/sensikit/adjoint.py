@@ -24,10 +24,14 @@ costate field ``J_u`` alone and its Gauss nodes ``J_theta`` alone.  A
 cheaper reverse-pass Jacobian, such as a column-compressed sparse one,
 changes that function alone.
 
-The reverse ``SolverConfig`` gives an adaptive method ``dt=inf``, so its
-first attempt spans the interval (the marching loop clips ``dt`` to it),
-and a fixed-step method its own ``dt``, as backsolve's intervals span many
-forward steps; its step budget is capped relative to the forward cost.
+On an adaptive method the reverse pass continues one stepsize controller
+across its stops: the reverse ``SolverConfig``'s ``dt`` is the step the
+forward pass's controller carries out of its last step, and each reverse
+interval starts from the step the one before it carried out (``_march``'s
+``carry``), so an interval's first attempt is rarely rejected and a
+checkpointed pass reads the segments right to left.  A fixed-step method
+keeps its own ``dt``, as backsolve's intervals span many forward steps.
+The reverse step budget is capped relative to the forward cost.
 On an adaptive method interpolating alone scales the request's tolerances,
 by ``INTERPOLATING_FORWARD_TOL_FACTOR`` in its forward pass and
 ``INTERPOLATING_REVERSE_TOL_FACTOR`` in its reverse intervals: its gradient
@@ -77,6 +81,7 @@ from .core import (
     _counted,
     _horner,
     _locate,
+    _read_times,
     check_request,
     dense_eval,
     span_tol,
@@ -282,15 +287,18 @@ def continuous_adjoint(
     problem = _counted(problem, stats)
     forward = (replace(config, solver_config=_scaled(fwd, INTERPOLATING_FORWARD_TOL_FACTOR))
                if rescale else config)
-    sol = _forward_pass(problem, forward, theta, loss.times, stats)
+    carry = [None]
+    sol = _forward_pass(problem, forward, theta, loss.times, stats, carry=carry)
     if not discrete:
         stops = _observation_stops(loss, sol.node_times.tolist(), tol)
 
-    # an adaptive first attempt spans the interval; a fixed step keeps its
-    # dt, as backsolve's intervals span many forward steps.  Unstable reverse
-    # dynamics show as unbounded reverse work, not always as a clean
-    # overflow, so the budget relative to the forward cost makes them fail fast
-    rev = replace(fwd, dt=math.inf if fwd.adaptive else fwd.dt,
+    # an adaptive reverse pass starts from the step the forward pass's
+    # controller carries out and carries its own across the stops; a fixed
+    # step keeps its dt, as backsolve's intervals span many forward steps.
+    # Unstable reverse dynamics show as unbounded reverse work, not always
+    # as a clean overflow, so the budget relative to the forward cost makes
+    # them fail fast
+    rev = replace(fwd, dt=fwd.dt if carry[0] is None else carry[0],
                   max_steps=min(fwd.max_steps, max(10_000, 20 * stats.accepted_steps)))
     if rescale:
         rev = _scaled(rev, INTERPOLATING_REVERSE_TOL_FACTOR)
@@ -366,7 +374,7 @@ def _jump(loss, lam, observed, u):
     return lam
 
 
-def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
+def _forward_pass(problem, config: AdjointConfig, theta, times, stats, carry=None):
     """Forward solve keeping what the variant's reverse pass reads.
 
     The one place that chooses the forward storage; it runs ``_march`` on
@@ -377,6 +385,7 @@ def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
     stage tape for the discrete adjoint; every node otherwise.  Backsolve's
     also keeps, as its ``times``/``states``, the state at each observation
     time in ``times`` more than ``span_tol`` inside the span, then at ``t1``.
+    ``carry`` is ``_march``'s, so it receives the step the controller carries out.
     """
     fwd, (t0, t1) = config.solver_config, problem.tspan
     plan = None if config.checkpoints is None else checkpoint_plan((t0, t1), config.checkpoints)
@@ -387,7 +396,7 @@ def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
     keep = ("final" if plan is not None or saveat is not None
             else "tape" if config.variant == "discrete" else "all")
     return _march(problem.rhs, problem.u0, theta, t0, t1, fwd.tableau, stats, fwd,
-                  keep=keep, plan=plan, saveat=saveat)
+                  keep=keep, plan=plan, saveat=saveat, carry=carry)
 
 
 def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all", last=None):
@@ -417,14 +426,17 @@ def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all", last=N
 class _SegmentReader:
     """``dense_eval`` over the whole forward mesh of a checkpointed pass.
 
-    A read takes ``dense_eval``'s ``_locate`` and ``s`` on the full mesh, so
-    it has a full-storage pass's bits.  One returning a snapshot node's
-    state takes the snapshot; any other reads the segment holding the step
-    (a node's state or its ``dense_rows``), replaying it unless it is held,
-    then keeps it and the segment to its right: a reverse attempt that
-    crosses a snapshot leftwards, then is rejected and starts again from its
-    right end, finds both held, so a pass whose observation intervals are
-    shorter than a segment replays each segment once.
+    A read takes ``dense_eval``'s checks, ``_locate`` and ``s`` on the full
+    mesh, so it has a full-storage pass's bits and refuses what
+    ``dense_eval`` refuses.  One returning a snapshot node's state takes the
+    snapshot; any other reads the segment holding the step (a node's state
+    or its ``dense_rows``), replaying it unless it is held, then keeps it
+    and the segment to its right: a reverse attempt that crosses a snapshot
+    leftwards, then is rejected and starts again from its right end, finds
+    both held.  ``read_ahead`` names the times of the next array read, which
+    each segment answers while it is held, so quadrature's Gauss-node rows
+    replay no segment its costate solve held.  A pass whose reverse steps
+    read the segments right to left replays each once.
     ``replay(k)`` is segment ``k`` as ``_segments_reverse`` yields it.
     ``drop_right_of`` lets go of the segments no later read reaches.
     ``peak`` counts the nodes of the segments held at once plus the snapshots.
@@ -435,25 +447,56 @@ class _SegmentReader:
         self.nodes = sol.node_times.tolist()
         self.snapshots = sol.checkpoints
         self.bounds = list(sol.checkpoints)  # node index of each snapshot
-        self.tol = span_tol(self.nodes[0], self.nodes[-1])
         self.held = {}  # segment index -> its replay
+        self.ahead = {}  # time read ahead -> its row, None until its segment is held
+        self.pending = {}  # segment index -> the reads ahead it holds, as (t, _locate's)
         self.peak = 0
 
     def __call__(self, t):
+        t, tol = _read_times(self.nodes, t)
         if isinstance(t, np.ndarray):  # a row per time, as dense_eval's array read
-            return np.array([self(x) for x in t.tolist()])
-        i, end, ta, tb = _locate(self.nodes, t, self.tol)  # dense_eval's step and end
+            self.read_ahead(t)
+            for k in sorted(self.pending):  # the segments no read held yet, left to right
+                self._segment(k)
+            rows, self.ahead = self.ahead, {}
+            return (np.array([rows[x] for x in t.tolist()]) if t.size
+                    else np.empty((0, len(self.snapshots[0]))))
+        i, end, _, _ = where = _locate(self.nodes, t, tol)  # dense_eval's step and end
         if end is not None and i + end in self.snapshots:
             return self.snapshots[i + end]
         k = bisect_right(self.bounds, i) - 1  # the segment holding step i
-        seg, j = self._segment(k), i - self.bounds[k]
-        if end is not None:
-            return seg.node_states[j + end]
-        return _horner(seg.dense_rows[j], (t - ta) / (tb - ta))
+        return self._read(self._segment(k), k, t, where)
+
+    def read_ahead(self, ts):
+        """Have each segment answer the reads at times ``ts`` it holds while the reader holds it."""
+        ts, tol = _read_times(self.nodes, ts)
+        for t in ts.tolist():
+            if t in self.ahead:
+                continue
+            i, end, _, _ = where = _locate(self.nodes, t, tol)
+            if end is not None and i + end in self.snapshots:
+                self.ahead[t] = self.snapshots[i + end]
+            else:
+                self.ahead[t] = None
+                self.pending.setdefault(bisect_right(self.bounds, i) - 1, []).append((t, where))
+        for k, seg in self.held.items():
+            self._answer(k, seg)
 
     def drop_right_of(self, t):
         """Let go of the segments starting at or after ``t``, which reads up to ``t`` skip."""
         self.held = {k: s for k, s in self.held.items() if self.nodes[self.bounds[k]] < t}
+
+    def _read(self, seg, k, t, where):
+        """The read at ``t`` in segment ``k``, ``seg``, of ``_locate``'s ``where``."""
+        i, end, ta, tb = where
+        j = i - self.bounds[k]
+        if end is not None:
+            return seg.node_states[j + end]
+        return _horner(seg.dense_rows[j], (t - ta) / (tb - ta))
+
+    def _answer(self, k, seg):
+        for t, where in self.pending.pop(k, ()):
+            self.ahead[t] = self._read(seg, k, t, where)
 
     def _segment(self, k):
         seg = self.held.get(k)
@@ -462,6 +505,7 @@ class _SegmentReader:
             self.held = {k: seg, **{r: s for r, s in self.held.items() if r == k + 1}}
             self.peak = max(self.peak, len(self.snapshots)
                             + sum(len(s.node_times) for s in self.held.values()))
+        self._answer(k, seg)
         return seg
 
 
@@ -471,18 +515,21 @@ def _reverse_intervals(points):
     return list(zip(points[:-1], points[1:]))[::-1]
 
 
-def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, at=None):
+def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, at=None,
+                                carry=None):
     """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left``.
 
     ``rhs(y, theta, t)`` is the reversed field ``dy/dsigma`` at time ``t``;
     only this function converts times to the clock ``sigma = t_right - t``
     that the stepper steps forwards.  Adds the steps to ``stats`` and returns
     the end state or, given sorted times ``at``, ``(end state, rows at at)``.
+    ``carry`` is ``_march``'s: the step an adaptive controller starts from
+    and carries on to the next interval.
     """
     saveat = None if at is None else np.append(t_right - at[::-1], t_right - t_left)
     sol = _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta, 0.0,
                  t_right - t_left, cfg.tableau, stats, cfg,
-                 keep=None if at is None else "final", saveat=saveat)
+                 keep=None if at is None else "final", saveat=saveat, carry=carry)
     return sol if at is None else (sol.states[-1], sol.states[-2::-1])
 
 
@@ -536,10 +583,12 @@ def _dense_reverse(problem, loss, stops, sol, theta, rev, stats, quadrature):
     rule's nodes on every forward step inside the interval (each step
     clipped to the interval) and at the interval's end, and
     ``gauss_legendre`` then adds each step's term of ``J_theta^T lambda``,
-    its nodes paying only ``J_theta``.  The peak counts the nodes of the
-    mesh, or of the segments held at once plus the snapshots.  The costate
-    field, built once per request by ``adjoint_rhs``, reads the state and
-    assembles once per distinct field time, across stages and intervals.
+    its nodes paying only ``J_theta``; a checkpointed pass names those
+    nodes to the reader before the solve (``read_ahead``).  The peak counts
+    the nodes of the mesh, or of the segments held at once plus the
+    snapshots.  The costate field, built once per request by
+    ``adjoint_rhs``, reads the state and assembles once per distinct field
+    time, across stages and intervals.
     """
     n = problem.n
     nodes = sol.node_times.tolist()
@@ -555,21 +604,24 @@ def _dense_reverse(problem, loss, stops, sol, theta, rev, stats, quadrature):
         return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
 
     lam, g = np.zeros(n), np.zeros(theta.size)
+    carry = [None]  # from rev.dt, the controller's step across the intervals
     for t_left, t_right in _reverse_intervals([*problem.tspan, *stops]):
         if reader is not None:
             reader.drop_right_of(t_right)
         lam = _jump(loss, lam, stops.get(t_right, ()), u_at(t_right))
         if not quadrature:
             y = _integrate_costate_interval(rhs, np.concatenate([lam, g]), t_left, t_right,
-                                            theta, rev, stats)
+                                            theta, rev, stats, carry=carry)
             lam, g = y[:n], y[n:]
             continue
         ends = [t_left, *nodes[bisect_right(nodes, t_left) : bisect_left(nodes, t_right)], t_right]
         pieces = list(zip(ends[:-1], ends[1:]))
         # the forward state and costate at the rules' nodes, in gauss_legendre's order
         tq = np.concatenate([_gauss_rule(a, b, QUADRATURE_ORDER)[0] for a, b in pieces])
+        if reader is not None:
+            reader.read_ahead(tq)  # each segment the costate solve holds answers its rows
         lam, lams = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats,
-                                                at=tq)
+                                                at=tq, carry=carry)
         rows = zip(u_at(tq), lams)
         for a, b in pieces:
             g = g + gauss_legendre(integrand, a, b, QUADRATURE_ORDER)
@@ -615,6 +667,7 @@ def _backsolve(problem, loss, stops, sol, theta, rev, stats):
         J_u, J_theta, f = jacobian_assembly(problem, z[:n], th, t, f=True)
         return np.concatenate([-f, J_u.T @ ll, J_theta.T @ ll])
 
+    carry = [None]  # from rev.dt, the controller's step across the intervals
     reconstruction_error = 0.0
     bound = min(MAX_RECONSTRUCTION_ERROR, 0.5 / rev.reltol)
 
@@ -637,7 +690,7 @@ def _backsolve(problem, loss, stops, sol, theta, rev, stats):
         u = resets.get(t_hi, u)
         z0 = np.concatenate([u, lam, g])
         try:
-            z = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev, stats)
+            z = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev, stats, carry=carry)
         except (NumericalBlowupError, StepsizeUnderflowError, NonConvergenceError) as err:
             raise NumericalBlowupError(
                 "backsolve reverse integration blew up (the reversed state "

@@ -34,7 +34,7 @@ EXIT_NUMERICAL = 3
 SWEEP_HEADER = "method,epsilon,gradient,abs_rel_error,rhs_evaluations"
 COMPARE_HEADER = (
     "method,gradient,abs_rel_error,rhs_evaluations,peak_stored_states,status,"
-    "jacobian_evaluations"
+    "jacobian_evaluations,accepted_steps,rejected_steps"
 )
 FIT_HEADER = "iteration,theta,loss,grad_norm"
 
@@ -228,7 +228,8 @@ def cmd_compare_adjoints(config: RunConfig) -> int:
     rows = []
     for method, res, rel_err in _compare(entry, config, config.methods or ADJOINT_METHODS):
         if isinstance(res, SensikitError):
-            rows.append((method, "nan", "nan", "0", "0", f"blowup: {type(res).__name__}", "0"))
+            status = f"blowup: {type(res).__name__}"
+            rows.append((method, "nan", "nan", "0", "0", status, "0", "0", "0"))
             continue
         rows.append(
             (
@@ -239,6 +240,8 @@ def cmd_compare_adjoints(config: RunConfig) -> int:
                 str(res.peak_stored_states or 0),
                 "ok",
                 str(res.stats.jacobian_evaluations),
+                str(res.stats.accepted_steps),
+                str(res.stats.rejected_steps),
             )
         )
     _write_rows(config.out, COMPARE_HEADER, rows)

@@ -379,13 +379,8 @@ def dense_eval(sol: Solution, t):
     a scalar read's bits, and no times read a ``(0, n)`` block.
     """
     ts = sol.node_times
-    tol = span_tol(ts[0], ts[-1])
-    t = np.asarray(t, dtype=float) if isinstance(t, (list, tuple)) else t
-    if isinstance(t, np.ndarray) and t.ndim:
-        if t.ndim > 1:
-            raise ValueError(f"dense_eval reads a time or 1-D times, got shape {t.shape}")
-        if t.size and not (ts[0] - tol <= t.min() and t.max() <= ts[-1] + tol):  # NaN fails too
-            raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
+    t, tol = _read_times(ts, t)
+    if isinstance(t, np.ndarray):
         ys, fs = sol.node_states, sol.node_derivs
         if len(ts) < 2:  # a solve that took no step: its one node is every read
             return np.repeat(ys, len(t), axis=0)
@@ -394,13 +389,30 @@ def dense_eval(sol: Solution, t):
         ya, yb, off, h = ys[j], ys[j + 1], t - ta, tb - ta
         read = _horner(_hermite_rows(ya, fs[j], yb, fs[j + 1], h), off / h)
         return np.where(off <= tol, ya, np.where(tb - t <= tol, yb, read))
-    t = float(t)  # Python floats: numpy's bits without its per-operation scalar overhead
-    if not ts[0] - tol <= t <= ts[-1] + tol:
-        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
     step, end, ta, tb = _locate(ts, t, tol)
     if end is not None:
         return sol.node_states[step + end]
     return _horner(sol.dense_rows[step], (t - ta) / (tb - ta))
+
+
+def _read_times(ts, t):
+    """``(t, tol)``: the checked times of a read on the mesh ``ts`` and its ``span_tol``.
+
+    ``t`` comes back a 1-D float array, from an array, list or tuple, or a
+    Python float; one more than ``tol`` outside the mesh, or NaN, raises.
+    """
+    tol = span_tol(ts[0], ts[-1])
+    t = np.asarray(t, dtype=float) if isinstance(t, (list, tuple)) else t
+    if isinstance(t, np.ndarray) and t.ndim:
+        if t.ndim > 1:
+            raise ValueError(f"dense_eval reads a time or 1-D times, got shape {t.shape}")
+        if t.size and not (ts[0] - tol <= t.min() and t.max() <= ts[-1] + tol):  # NaN fails too
+            raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
+        return t, tol
+    t = float(t)  # Python floats: numpy's bits without its per-operation scalar overhead
+    if not ts[0] - tol <= t <= ts[-1] + tol:
+        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
+    return t, tol
 
 
 def _step_end(ta, tb, t, tol):

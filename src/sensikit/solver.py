@@ -22,7 +22,9 @@ keeps.  ``solve`` keeps every node; the adjoint forward pass calls
 ``_march`` itself to keep less (the node times and end states, with
 checkpoint snapshots by node index) or more (the stage tape).  Whatever it
 keeps, a node, ``saveat`` row, checkpoint or stage-tape entry, is a copy of
-its step's rows, so no kept row holds a step's block.
+its step's rows, so no kept row holds a step's block.  A controller may
+continue the step of the run before it (``carry``): the adjoints' reverse
+intervals do.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def _fixed_mesh(t, t1, dt, max_steps):
 
 
 def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, saveat=None,
-           norm_n=None):
+           norm_n=None, carry=None):
     """Step ``u`` from ``t`` to ``t1``: the one stepping loop of every integration.
 
     ``steps`` is a ``SolverConfig``, whose controller (embedded tableau) or
@@ -247,6 +249,11 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     that step's end derivative.  ``plan`` holds the checkpoint times: the
     first node at or past each, and the last, join node 0 in ``checkpoints``.
     ``norm_n`` limits the controller's error norm to its first coordinates.
+    ``carry``, a one-entry list, continues a controller across runs: an
+    entry other than None is the first attempt in place of ``steps.dt``, and
+    a run that steps leaves in it the step it carries out, the larger of its
+    last attempt before ``_attempt`` clipped it to ``t1`` and the proposal
+    after it (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).
     """
     span = t1 - t
     tiny = 1e-12 * max(abs(span), 1.0)
@@ -254,7 +261,8 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     control = isinstance(steps, SolverConfig) and steps.adaptive
     if control:
         cfg, end = steps, t1 - tiny
-        dt = min(cfg.dt if cfg.dt is not None else 1e-3 * span, span)
+        dt = cfg.dt if carry is None or carry[0] is None else carry[0]
+        dt = min(dt if dt is not None else 1e-3 * span, span)
     else:
         mesh, dts = (_fixed_mesh(t, t1, steps.dt, steps.max_steps)
                      if isinstance(steps, SolverConfig) else steps)
@@ -269,6 +277,7 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
     attempts = m = 0
     while t < end:
         if control:
+            tried = dt
             dt_step, t_new, is_last = _attempt(t, t1, end, dt, attempts, cfg.max_steps)
             attempts += 1
         else:
@@ -319,6 +328,8 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
                 next_target += 1
         u, t = u_next, t_new
 
+    if control and carry is not None and m:
+        carry[0] = max(tried, dt)
     if keep is None:
         return u
     node_times = np.asarray(times if control else mesh)

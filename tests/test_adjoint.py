@@ -684,8 +684,35 @@ def test_dense_adjoints_are_bitwise_equal_across_checkpoint_counts(variant):
         full_steps = sk.solve(ent.problem, cfg).stats.accepted_steps
         grads = {ck: sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg,
                                  checkpoints=ck).gradient.tobytes()
-                 for ck in (None, 1, 4, 16, full_steps)}
+                 for ck in (None, 1, 4, 16, 64, full_steps)}
         assert len(set(grads.values())) == 1, grads
+
+
+@pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
+def test_four_checkpoints_replay_each_segment_once(variant):
+    # one checkpoint replays the whole mesh once; four replay each of their
+    # segments once, so they make one DOPRI5 first-stage call per extra
+    # segment more.  A dt=inf first attempt of each costate solve read the
+    # far-left segment first: harmonic read 476 (interpolating) and 454
+    # (quadrature), heat1d n = 16 248 and 280, against 341, 281, 179 and 167
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    for ent in (sk.make_harmonic(0.2), sk.make_heat1d(16)):
+        rhs = {ck: sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg,
+                               checkpoints=ck).stats.rhs_evaluations for ck in (1, 4)}
+        assert rhs[4] == rhs[1] + 3, rhs
+
+
+@pytest.mark.parametrize("variant", ["quadrature", "backsolve"])
+def test_reverse_intervals_carry_the_controller_step(variant):
+    # each reverse interval starts from the step the controller carried out
+    # of the one before it (the first from the forward pass), not from a
+    # first attempt spanning the interval, which 100 intervals of predprey
+    # mostly rejected: 50 rejections (quadrature) and 32 (backsolve) with
+    # it, 4 each carried
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg)
+    assert res.stats.rejected_steps <= 5
 
 
 def _forward_work(ent, variant, tol, checkpoints):
@@ -736,15 +763,19 @@ def test_dense_adjoints_make_one_costate_solve_per_observation_interval(variant,
         assert res.stats.rhs_evaluations == rhs, ck
 
 
-@pytest.mark.parametrize("variant,rhs", [("interpolating", (78, 35)), ("quadrature", (183, 49))])
+@pytest.mark.parametrize("variant,rhs", [("interpolating", (0, 0)), ("quadrature", (0, 14))])
 def test_reads_at_snapshot_nodes_replay_no_segment(variant, rhs):
     # a read that returns a snapshot node's state takes the snapshot, which
     # has that node's bits, so it replays no segment.  At 16 checkpoints a
-    # segment may still replay more than once (ROADMAP item 16): ``rhs``
-    # counts the calls beyond the forward pass and one replay of each
-    # segment.  A reader that replayed a segment holding the node made 32
-    # more on harmonic (both variants) and 26 more on heat1d n = 16, with
-    # the forward pass at the request's tolerances
+    # segment may still replay more than once: ``rhs`` counts the calls
+    # beyond the forward pass and one replay of each segment.  Heat1d's one
+    # quadrature interval spans its 5 segments; the carried first attempt
+    # reads segments 3 and 2, is rejected and reads 4, which lets go of both,
+    # so each replays again (14).  With a dt=inf first attempt, which read
+    # the far-left segment first, these read (78, 35) and (183, 49).  A
+    # reader that replayed a segment holding the node made 32 more on
+    # harmonic (both variants) and 26 more on heat1d n = 16, with the
+    # forward pass at the request's tolerances
     cases = ((sk.make_harmonic(0.2), 1e-8), (sk.make_heat1d(16), 1e-6))
     for (ent, tol), extra in zip(cases, rhs):
         cfg = sk.SolverConfig(abstol=tol, reltol=tol)
@@ -757,14 +788,15 @@ def test_reads_at_snapshot_nodes_replay_no_segment(variant, rhs):
 def test_quadrature_jacobian_calls_fall_with_one_costate_solve_per_interval():
     # the costate pays J_u per distinct reverse stage time and the Gauss
     # nodes J_theta, 7 per forward step: with one costate solve per forward
-    # step this read 2,530 on predprey and 558 on heat1d n = 16, and 2,343
-    # and 445 while the field assembled at every stage
+    # step this read 2,530 on predprey and 558 on heat1d n = 16, 2,343 and
+    # 445 while the field assembled at every stage, and 2,044 and 385 while
+    # each interval's controller started from a dt=inf attempt
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     calls = {}
     for name, ent in (("predprey", sk.make_predprey(0.95)), ("heat16", sk.make_heat1d(16))):
         res = sk.gradient(ent.problem, ent.loss, "continuous_quadrature", cfg)
         calls[name] = res.stats.jacobian_evaluations
-    assert calls == {"predprey": 2044, "heat16": 385}
+    assert calls == {"predprey": 1944, "heat16": 375}
 
 
 @pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
@@ -957,6 +989,32 @@ def test_segment_reader_reads_the_bits_of_full_storage():
     assert replays == [3, 2, 1, 0, 2, 3]
     seg_nodes = np.diff(list(ckpt.checkpoints)) + 1
     assert reader.peak == 5 + max(seg_nodes[:-1] + seg_nodes[1:])
+
+
+def test_segment_reader_refuses_what_dense_eval_refuses():
+    # the reader claims dense_eval's reads, so it takes its checks: a time
+    # outside the span raises (it read the last step's cubic extrapolated,
+    # [4.546, -0.416] at t = 20 on harmonic), no times read a (0, n) block
+    # (not (0,)) and a list reads as an array (it raised TypeError)
+    ent = sk.make_harmonic(0.2)
+    theta = ent.problem.theta
+
+    def forward(checkpoints):
+        cfg = AdjointConfig(solver_config=sk.SolverConfig(abstol=1e-8, reltol=1e-8),
+                            checkpoints=checkpoints)
+        return _forward_pass(ent.problem, cfg, theta, (), SolverStats())
+
+    full, ckpt = forward(None), forward(4)
+    reader = adjoint_module._SegmentReader(ent.problem, ckpt, theta, DOPRI5)
+    for t in (20.0, -1.0, math.nan, [5.0, 20.0], np.array([[1.0]])):
+        with pytest.raises(ValueError) as want:
+            sk.dense_eval(full, t)
+        with pytest.raises(ValueError) as got:
+            reader(t)
+        assert str(got.value) == str(want.value), t
+    for t in (np.array([]), [], [2.0, 7.5], (0.0, 10.0)):
+        assert reader(t).shape == sk.dense_eval(full, t).shape, t
+        assert reader(t).tobytes() == sk.dense_eval(full, t).tobytes(), t
 
 
 def test_each_observation_stops_at_the_node_its_read_returns():

@@ -88,7 +88,7 @@ def test_compare_adjoints_harmonic(tmp_path):
     assert rc == 0
     assert out.read_text().splitlines()[0] == (
         "method,gradient,abs_rel_error,rhs_evaluations,peak_stored_states,status,"
-        "jacobian_evaluations"
+        "jacobian_evaluations,accepted_steps,rejected_steps"
     )
     rows = read_csv(out)
     assert [r["method"] for r in rows] == list(cli.ADJOINT_METHODS)
@@ -96,6 +96,7 @@ def test_compare_adjoints_harmonic(tmp_path):
         assert r["status"] == "ok"
         assert abs(float(r["gradient"]) - (-43.539778)) <= 1e-4 * 43.54
         assert int(r["jacobian_evaluations"]) > 0
+        assert int(r["accepted_steps"]) > 0 and int(r["rejected_steps"]) >= 0
 
 
 def test_compare_adjoints_predprey(tmp_path):

@@ -157,8 +157,9 @@ NON_FINITE_SETTINGS = [
 def test_a_nan_or_infinite_setting_is_refused_before_any_rhs_call(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
-    # an infinite dt stays legal: the adjoints' reverse config spans each
-    # interval's first attempt with it
+    # an infinite dt stays legal: an adaptive solve's first attempt then
+    # spans the whole span (the marching loop clips dt to it); the adjoints'
+    # reverse intervals no longer use it, as they carry the controller's step
     assert sk.SolverConfig(dt=math.inf).dt == math.inf
 
 

@@ -34,7 +34,7 @@ def test_readme_quick_start_prints_its_commented_results():
             expected.append(comment)
             code = f"print(repr({code.strip()}))"
         lines.append(code)
-    assert expected == ["array([-43.53977744])", "array([-43.5397775])"]
+    assert expected == ["array([-43.53977747])", "array([-43.5397775])"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)], cwd=ROOT, env=env,

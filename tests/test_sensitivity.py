@@ -279,7 +279,7 @@ def _counting_kinds(problem):
 
 @pytest.mark.parametrize("method,rhs_calls,jac_calls", [
     ("forward_sensitivity", 205, 410),
-    ("continuous_backsolve", 308, 338),
+    ("continuous_backsolve", 296, 314),
 ])
 def test_multidual_jacobian_call_supplies_the_rhs_value(method, rhs_calls, jac_calls):
     # where the Jacobians come from a multidual right-hand side, f(u) is that
