@@ -38,11 +38,12 @@ are constants that never get a zero tangent array: ``d + c`` and ``d - c``
 keep ``d.tangents``, ``c - d``, ``d * c`` and ``d / c`` build one new
 array.  Tangent arrays may therefore be shared between duals (and with the
 rows a dual was seeded from); no code writes one in place.  Operator
-results are built through ``_dual``, which skips the type conversion and
-shape check of the constructor.  A scalar's value coordinate stays a
-Python float, so dividing by a zero scalar raises ``ZeroDivisionError``,
-while array division follows numpy (``inf``/``nan`` and a warning, which
-the solver reports as a non-finite stage).  Elementary functions and
+results skip the type conversion and shape check of the constructor:
+``_dual`` builds them, and ``+ - *`` with a Python float or a multidual
+of their own shape, and indexing, build theirs inline.  A scalar's value
+coordinate stays a Python float, so dividing by a zero scalar raises
+``ZeroDivisionError``, while array division follows numpy (``inf``/``nan``
+and a warning, which the solver reports as a non-finite stage).  Elementary functions and
 powers use numpy's implementations: numpy's ``exp``, ``log`` and ``power``
 differ from the ``math`` module's in the last bit for some arguments, and
 scalars and array entries must agree.
@@ -131,7 +132,11 @@ class MultiDual:
         return (self[i] for i in range(len(self.value)))
 
     def __getitem__(self, key):
-        return _dual(_val(self.value[key]), self.tangents[key])
+        v = self.value[key]
+        d = _new(MultiDual)
+        d.value = v if isinstance(v, np.ndarray) and v.ndim else float(v)
+        d.tangents = self.tangents[key]
+        return d
 
     def __bool__(self):
         # a scalar is true, as any object; an array is a sequence
@@ -141,7 +146,8 @@ class MultiDual:
         """``other`` as a multidual of this arity or a float constant; None if unsupported.
 
         ``+ - * /`` skip the call for a Python float or a multidual of their
-        own shape, the common operands.
+        own shape, the common operands; ``+ - *`` then build their result
+        inline, as ``_dual`` does.
         """
         if isinstance(other, MultiDual):
             if other.tangents.shape[-1] != self.tangents.shape[-1]:
@@ -157,8 +163,17 @@ class MultiDual:
         return None
 
     def __add__(self, other):
-        o = (other if type(other) is float or type(other) is MultiDual
-             and other.tangents.shape == self.tangents.shape else self._operand(other))
+        if type(other) is float:
+            d = _new(MultiDual)
+            d.value = self.value + other
+            d.tangents = self.tangents
+            return d
+        if type(other) is MultiDual and other.tangents.shape == self.tangents.shape:
+            d = _new(MultiDual)
+            d.value = self.value + other.value
+            d.tangents = self.tangents + other.tangents
+            return d
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         if isinstance(o, MultiDual):
@@ -168,8 +183,17 @@ class MultiDual:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = (other if type(other) is float or type(other) is MultiDual
-             and other.tangents.shape == self.tangents.shape else self._operand(other))
+        if type(other) is float:
+            d = _new(MultiDual)
+            d.value = self.value - other
+            d.tangents = self.tangents
+            return d
+        if type(other) is MultiDual and other.tangents.shape == self.tangents.shape:
+            d = _new(MultiDual)
+            d.value = self.value - other.value
+            d.tangents = self.tangents - other.tangents
+            return d
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         if isinstance(o, MultiDual):
@@ -185,8 +209,20 @@ class MultiDual:
         return _spread(o - self.value, -self.tangents)
 
     def __mul__(self, other):
-        o = (other if type(other) is float or type(other) is MultiDual
-             and other.tangents.shape == self.tangents.shape else self._operand(other))
+        if type(other) is float:
+            d = _new(MultiDual)
+            d.value = self.value * other
+            d.tangents = self.tangents * other
+            return d
+        if type(other) is MultiDual and other.tangents.shape == self.tangents.shape:
+            a, b = self.value, other.value
+            d = _new(MultiDual)
+            d.value = a * b
+            if type(a) is not float:  # arrays of one shape: a column per entry
+                a, b = a[..., None], b[..., None]
+            d.tangents = a * other.tangents + self.tangents * b
+            return d
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         if isinstance(o, MultiDual):
@@ -321,6 +357,9 @@ class MultiDual:
         return fn(*args, **kwargs)
 
 
+_new = object.__new__
+
+
 def _dual(value, tangents):
     """A ``MultiDual`` from its coordinates, skipping ``__init__``.
 
@@ -328,7 +367,7 @@ def _dual(value, tangents):
     a float array of that shape plus one axis), so the hot path pays no
     conversion.
     """
-    d = object.__new__(MultiDual)
+    d = _new(MultiDual)
     d.value = value
     d.tangents = tangents
     return d

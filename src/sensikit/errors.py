@@ -13,11 +13,8 @@ class AnalyticityError(SensikitError, TypeError):
     """A non-analytic primitive on the complex-step path, or ``float()`` of a multidual."""
 
 
-class NumericalBlowupError(SensikitError, ArithmeticError):
-    """A non-finite value appeared during integration.
-
-    Carries the time and stepsize at which the blowup was detected.
-    """
+class _StepError(SensikitError):
+    """A failure of the stepping loop, carrying the time ``t`` and stepsize ``dt`` it stood at."""
 
     def __init__(self, message, t=None, dt=None):
         super().__init__(message)
@@ -25,11 +22,15 @@ class NumericalBlowupError(SensikitError, ArithmeticError):
         self.dt = dt
 
 
-class StepsizeUnderflowError(SensikitError, ArithmeticError):
+class NumericalBlowupError(_StepError, ArithmeticError):
+    """A non-finite value appeared during integration."""
+
+
+class StepsizeUnderflowError(_StepError, ArithmeticError):
     """The adaptive controller shrank the stepsize below resolvable size."""
 
 
-class NonConvergenceError(SensikitError, RuntimeError):
+class NonConvergenceError(_StepError, RuntimeError):
     """The step budget was exhausted before reaching the end of the span."""
 
 

@@ -208,9 +208,9 @@ def _attempt(t, t1, end, dt, attempts, max_steps):
     clipped to ``t1`` from ``end`` on.  Raises past ``max_steps`` attempts or
     on a ``dt`` too small to move ``t``."""
     if attempts >= max_steps:
-        raise NonConvergenceError(f"exceeded {max_steps} step attempts at t={t!r}")
+        raise NonConvergenceError(f"exceeded {max_steps} step attempts at t={t!r}", t=t, dt=dt)
     if dt < 1e3 * _EPS * max(abs(t), abs(t1)):
-        raise StepsizeUnderflowError(f"stepsize underflow: dt={dt!r} at t={t!r}")
+        raise StepsizeUnderflowError(f"stepsize underflow: dt={dt!r} at t={t!r}", t=t, dt=dt)
     is_last = t + dt >= end
     return (t1 - t, t1, True) if is_last else (dt, t + dt, False)
 

@@ -22,7 +22,7 @@ from sensikit.adjoint import (
     gauss_legendre,
     step_vjp,
 )
-from sensikit.errors import NumericalBlowupError
+from sensikit.errors import NonConvergenceError, NumericalBlowupError
 from sensikit.solver import rk_step
 from sensikit.tableaus import DOPRI5, EULER, RK4
 from shared import workloads
@@ -51,6 +51,22 @@ def test_gauss_legendre_sine():
     # 7-node truncation bound: pi^15 (7!)^4 / (15 (14!)^3) = 1.87e-12
     val = gauss_legendre(lambda x: np.array([math.sin(x)]), 0.0, math.pi, 7)
     assert val[0] == pytest.approx(2.0, abs=2e-12)
+
+
+def test_gauss_legendre_at_the_shipped_order_is_exact_to_degree_seven():
+    # quadrature's integrand has degree 6 on a piece where the costate and
+    # the forward state are single cubic Hermite reads (QUADRATURE_ORDER's
+    # comment).  A k-point rule is exact to degree 2k - 1: the shipped
+    # order integrates a seeded degree-7 polynomial to rounding and misses
+    # a degree-8 one, so 3 points (exact to 5) fail the first check
+    rng = np.random.default_rng(39)
+    a, b = 0.3, 1.1
+    for degree, exact in ((7, True), (8, False)):
+        poly = np.polynomial.Polynomial(rng.standard_normal(degree + 1))
+        want = poly.integ()(b) - poly.integ()(a)
+        got = gauss_legendre(lambda x: np.array([poly(x)]), a, b,
+                             adjoint_module.QUADRATURE_ORDER)[0]
+        assert (abs(got - want) <= 1e-14 * np.abs(poly.coef).sum()) == exact, degree
 
 
 def test_gauss_legendre_validation():
@@ -491,6 +507,24 @@ def test_backsolve_heat1d_16_raises_instead_of_a_wrong_gradient(tol):
     assert err.value.t == ent.problem.tspan[0]
 
 
+def test_a_failed_reverse_solve_reports_a_forward_time():
+    # at tol 1e-8 backsolve's reverse solve of heat1d n = 16 runs out of
+    # step attempts near t = 0.0025.  It stepped the clock sigma = t_right -
+    # t, and the refusal used to name sigma = 0.4975 in its message, with
+    # t None; the time is in its t, its message and its cause's
+    ent = sk.make_heat1d(n_cells=16)
+    with pytest.raises(NumericalBlowupError, match="interpolating") as err:
+        sk.gradient(ent.problem, ent.loss, "continuous_backsolve",
+                    sk.SolverConfig(abstol=1e-8, reltol=1e-8))
+    t = err.value.t
+    assert ent.problem.tspan[0] <= t <= ent.problem.tspan[1]
+    assert t == pytest.approx(0.0025, abs=1e-4)
+    assert f"at t={t!r}]" in str(err.value)
+    cause = err.value.__cause__
+    assert isinstance(cause, NonConvergenceError)
+    assert (cause.t, cause.dt) == (t, err.value.dt) and str(cause).endswith(f"at t={t!r}")
+
+
 @pytest.mark.parametrize("tol", [1e-2, 1e-3])
 @pytest.mark.parametrize("a", [0.9, 1.1])
 def test_backsolve_loose_tolerance_keeps_stable_gradients(a, tol):
@@ -787,16 +821,17 @@ def test_reads_at_snapshot_nodes_replay_no_segment(variant, rhs):
 
 def test_quadrature_jacobian_calls_fall_with_one_costate_solve_per_interval():
     # the costate pays J_u per distinct reverse stage time and the Gauss
-    # nodes J_theta, 7 per forward step: with one costate solve per forward
-    # step this read 2,530 on predprey and 558 on heat1d n = 16, 2,343 and
-    # 445 while the field assembled at every stage, and 2,044 and 385 while
-    # each interval's controller started from a dt=inf attempt
+    # nodes J_theta, QUADRATURE_ORDER (4) per forward step: with one costate
+    # solve per forward step and 7 nodes this read 2,530 on predprey and 558
+    # on heat1d n = 16, 2,343 and 445 while the field assembled at every
+    # stage, 2,044 and 385 while each interval's controller started from a
+    # dt=inf attempt, and 1,944 and 375 at 7 nodes
     cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
     calls = {}
     for name, ent in (("predprey", sk.make_predprey(0.95)), ("heat16", sk.make_heat1d(16))):
         res = sk.gradient(ent.problem, ent.loss, "continuous_quadrature", cfg)
         calls[name] = res.stats.jacobian_evaluations
-    assert calls == {"predprey": 1944, "heat16": 375}
+    assert calls == {"predprey": 1497, "heat16": 339}
 
 
 @pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
@@ -847,13 +882,18 @@ def _error_catalog():
     return cases
 
 
-def _interpolating_errors():
-    """Max-norm relative error of interpolating per catalog case at tol 1e-6, 1e-8 and 1e-10."""
+def _catalog_errors(method, skip=()):
+    """Max-norm relative error of ``method`` per catalog case outside ``skip``.
+
+    At tol 1e-6, 1e-8 and 1e-10, keyed ``(case name, tol)``.
+    """
     errors = {}
     for name, problem, loss, ref in _error_catalog():
+        if name in skip:
+            continue
         for tol in (1e-6, 1e-8, 1e-10):
             cfg = sk.SolverConfig(abstol=tol, reltol=tol)
-            g = sk.gradient(problem, loss, "continuous_interpolating", cfg).gradient
+            g = sk.gradient(problem, loss, method, cfg).gradient
             errors[name, tol] = np.max(np.abs(g - ref)) / np.max(np.abs(ref))
     return errors
 
@@ -862,10 +902,10 @@ def _worse_than_at_the_old_factors(monkeypatch, forward, reverse):
     """The cells where interpolating at these factors errs above max(its error at (1, 3), tol)."""
     monkeypatch.setattr(adjoint_module, "INTERPOLATING_FORWARD_TOL_FACTOR", 1)
     monkeypatch.setattr(adjoint_module, "INTERPOLATING_REVERSE_TOL_FACTOR", 3)
-    old = _interpolating_errors()
+    old = _catalog_errors("continuous_interpolating")
     monkeypatch.setattr(adjoint_module, "INTERPOLATING_FORWARD_TOL_FACTOR", forward)
     monkeypatch.setattr(adjoint_module, "INTERPOLATING_REVERSE_TOL_FACTOR", reverse)
-    new = _interpolating_errors()
+    new = _catalog_errors("continuous_interpolating")
     return {cell: (new[cell], old[cell]) for cell in new
             if not new[cell] <= max(old[cell], cell[1])}
 
@@ -887,6 +927,53 @@ def test_the_factor_rule_refuses_a_reverse_factor_of_30(monkeypatch):
     # against 3.9e-6 at (1, 3), and predprey a = 1 at 1e-10 by 2.0e-10
     worse = _worse_than_at_the_old_factors(monkeypatch, 0.3, 30)
     assert {("harmonic", 1e-6), ("predprey 1", 1e-10)} <= set(worse), worse
+
+
+# quadrature's error in tol at 4 and at 7 Gauss nodes per forward step, as
+# measured when QUADRATURE_ORDER went from 7 to 4 (3 nodes read 23.41 on
+# predprey a = 1 at 1e-10 and 18.02 on a = 0.95 at 1e-10)
+QUADRATURE_NODE_SWEEP = {  # cell: (4 nodes, 7 nodes)
+    ("harmonic", 1e-6): (11.08, 11.10), ("harmonic", 1e-8): (29.20, 29.25),
+    ("harmonic", 1e-10): (75.08, 75.07),
+    ("predprey 0.95", 1e-6): (6.509, 6.509), ("predprey 0.95", 1e-8): (7.987, 7.978),
+    ("predprey 0.95", 1e-10): (17.19, 17.27),
+    ("predprey 1", 1e-6): (0.1415, 0.1415), ("predprey 1", 1e-8): (6.992, 6.992),
+    ("predprey 1", 1e-10): (9.851, 16.32),
+    ("heat1d 16", 1e-6): (3.379, 3.380), ("heat1d 16", 1e-8): (5.298, 5.313),
+    ("heat1d 16", 1e-10): (36.65, 36.67),
+}
+
+
+def _worse_than_at_seven_gauss_nodes(monkeypatch, order):
+    """The cells where quadrature at ``order`` nodes errs above max(factor x its error at 7, tol).
+
+    ``factor`` is the largest 4-node/7-node ratio of the measured sweep,
+    rounded up to the next percent (1.01): the rule that chose 4 nodes.
+    """
+    factor = math.ceil(100 * max(a / b for a, b in QUADRATURE_NODE_SWEEP.values())) / 100
+    skip = ("diffusion-fit",)
+    monkeypatch.setattr(adjoint_module, "QUADRATURE_ORDER", 7)
+    old = _catalog_errors("continuous_quadrature", skip)
+    monkeypatch.setattr(adjoint_module, "QUADRATURE_ORDER", order)
+    new = _catalog_errors("continuous_quadrature", skip)
+    assert set(new) == set(QUADRATURE_NODE_SWEEP)
+    return {cell: (new[cell], old[cell]) for cell in new
+            if not new[cell] <= max(factor * old[cell], cell[1])}
+
+
+def test_quadrature_errs_no_more_than_at_seven_gauss_nodes(monkeypatch):
+    # the shipped rule is the fewest nodes exact for the integrand on a
+    # piece (QUADRATURE_ORDER's comment); the extra 3 of the old 7 bought
+    # no accuracy on the catalog
+    shipped = adjoint_module.QUADRATURE_ORDER
+    assert _worse_than_at_seven_gauss_nodes(monkeypatch, shipped) == {}
+
+
+def test_the_node_rule_refuses_three_gauss_nodes(monkeypatch):
+    # the rule is not vacuous: at 3 nodes predprey a = 1 at 1e-10 errs by
+    # 23.4 tol against 16.3 at 7
+    worse = _worse_than_at_seven_gauss_nodes(monkeypatch, 3)
+    assert ("predprey 1", 1e-10) in worse, worse
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
@@ -1219,7 +1306,7 @@ def test_quadrature_integrand_evaluates_only_the_theta_jacobian():
     # the one observation sits on t1: one reverse interval, and the rule
     # applied on each forward step inside it
     steps = len(sk.solve(ent.problem, cfg).node_times) - 1
-    assert calls["jac_theta"] == 7 * steps
+    assert calls["jac_theta"] == adjoint_module.QUADRATURE_ORDER * steps
     assert a.stats.jacobian_evaluations == calls["jac_u"] + calls["jac_theta"]
     assert arities.count(1) == calls["jac_theta"]
     assert arities.count(2) == calls["jac_u"]
@@ -1230,11 +1317,12 @@ def test_quadrature_integrand_evaluates_only_the_theta_jacobian():
 def test_quadrature_order_convergence(monkeypatch):
     ent = sk.make_harmonic(0.2)
     cfg = AdjointConfig(variant="quadrature", solver_config=tight())
+    shipped = sk.adjoint.QUADRATURE_ORDER
     vals = {}
-    for order in (7, 15):
+    for order in (shipped, 15):
         monkeypatch.setattr(sk.adjoint, "QUADRATURE_ORDER", order)
         vals[order] = continuous_adjoint(ent.problem, ent.loss, cfg).gradient[0]
-    assert abs(vals[7] - vals[15]) <= 1e-9 * abs(ANALYTIC)
+    assert abs(vals[shipped] - vals[15]) <= 1e-9 * abs(ANALYTIC)
 
 
 def test_integrated_loss_adjoint():

@@ -324,8 +324,11 @@ def test_max_steps_exceeded():
     with pytest.raises(NonConvergenceError):
         sk.solve(ent.problem, sk.SolverConfig(method="euler", dt=1e-6, max_steps=100))
     # a numpy integer is a step budget too
-    with pytest.raises(NonConvergenceError, match="^exceeded 100 step attempts at t="):
+    with pytest.raises(NonConvergenceError, match="^exceeded 100 step attempts at t=") as err:
         sk.solve(ent.problem, sk.SolverConfig(method="euler", dt=1e-6, max_steps=np.int64(100)))
+    # it carries the time and stepsize it stood at, as a blowup does
+    assert err.value.t == pytest.approx(1e-4) and err.value.dt == 1e-6
+    assert str(err.value).endswith(f"at t={err.value.t!r}")
 
 
 def test_stepsize_underflow():
@@ -334,8 +337,9 @@ def test_stepsize_underflow():
         return np.array([1.0 / (1e-300 + abs(t - 0.5) ** 8)])
 
     prob = sk.OdeProblem(rhs=spiky, u0=[0.0], tspan=(0.0, 1.0), theta=[0.0])
-    with pytest.raises((StepsizeUnderflowError, NonConvergenceError)):
+    with pytest.raises((StepsizeUnderflowError, NonConvergenceError)) as err:
         sk.solve(prob, sk.SolverConfig(abstol=1e-12, reltol=1e-12))
+    assert 0.0 <= err.value.t <= 1.0 and err.value.dt > 0
 
 
 def test_saveat_via_dense_output():
