@@ -87,11 +87,7 @@ from .core import (
     dense_eval,
     span_tol,
 )
-from .errors import (
-    NonConvergenceError,
-    NumericalBlowupError,
-    StepsizeUnderflowError,
-)
+from .errors import NumericalBlowupError, _StepError
 from .sensitivity import jacobian_assembly
 from .solver import SolverConfig, _fixed_mesh, _march, checkpoint_plan, scaled_error
 
@@ -281,7 +277,7 @@ def continuous_adjoint(
             "unsupported configuration: the discrete adjoint requires a "
             "reproducible fixed grid (euler or rk4 forward)"
         )
-    problem, loss, theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta, fwd.saveat)
     tol = span_tol(*problem.tspan)
     if discrete:  # its grid, and so every stop, is known before any step
         mesh = _fixed_mesh(*problem.tspan, fwd.dt, fwd.max_steps)[0]
@@ -541,7 +537,7 @@ def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, at=N
         sol = _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta, 0.0,
                      t_right - t_left, cfg.tableau, stats, cfg,
                      keep=None if at is None else "final", saveat=saveat, carry=carry)
-    except (NumericalBlowupError, StepsizeUnderflowError, NonConvergenceError) as err:
+    except _StepError as err:
         if err.t is not None:
             sigma, err.t = err.t, t_right - err.t
             err.args = (str(err).replace(f"at t={sigma!r}", f"at t={err.t!r}"),)
@@ -707,13 +703,12 @@ def _backsolve(problem, loss, stops, sol, theta, rev, stats):
         z0 = np.concatenate([u, lam, g])
         try:
             z = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev, stats, carry=carry)
-        except (NumericalBlowupError, StepsizeUnderflowError, NonConvergenceError) as err:
+        except _StepError as err:
             raise NumericalBlowupError(
                 "backsolve reverse integration blew up (the reversed state "
                 "dynamics are unstable); use the interpolating adjoint "
                 f"variant instead [{type(err).__name__}: {err}]",
-                t=getattr(err, "t", None),
-                dt=getattr(err, "dt", None),
+                t=err.t, dt=err.dt,
             ) from err
         u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
 

@@ -117,10 +117,11 @@ def _observations(times, values, weights, values_ok, values_error, vector_weight
     if m == 0:  # it would have no gradient to compute
         raise ValueError("a pointwise loss needs at least one observation time")
     weights = _real(np.ones(m) if weights is None else weights, "weights")
-    if weights.ndim == 0 or not vector_weights:
-        weights = np.broadcast_to(weights, (m,)).astype(float)
-    elif weights.ndim not in (1, 2) or weights.shape[0] != m:
-        raise ValueError("one weight (scalar or per-component vector) per observation")
+    if weights.ndim == 0:
+        weights = np.full(m, weights)
+    elif weights.ndim > (2 if vector_weights else 1) or weights.shape[0] != m:
+        raise ValueError("one weight (scalar or per-component vector) per observation"
+                         if vector_weights else "one scalar weight per observation")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     if not np.isfinite(weights).all():  # NaN passes the check above
@@ -290,16 +291,24 @@ def span_tol(t0, t1) -> float:
     return 1e-9 * max(abs(t1 - t0), 1.0)
 
 
-def check_request(problem: OdeProblem, loss, theta=None):
+def check_saveat(saveat, tspan) -> None:
+    """Refuse a ``saveat`` grid reaching outside ``tspan`` by more than ``span_tol``."""
+    tol = span_tol(*tspan)
+    if saveat is not None and (saveat[0] < tspan[0] - tol or saveat[-1] > tspan[1] + tol):
+        raise ValueError("saveat grid extends outside the time span")
+
+
+def check_request(problem: OdeProblem, loss, theta=None, saveat=None):
     """The request ``(problem, loss, theta)`` a gradient method runs, once checked.
 
     ``theta`` defaults to ``problem.theta`` and must be real and finite, of
-    shape ``(p,)``, ``p >= 1``; the loss must be pointwise, with observation
-    times in the span up to ``span_tol`` and targets, per-component weights
-    and coefficients of shape ``(m, n)``, or integrated.  A pointwise request
-    comes back as given.  An integrated loss comes back as the pointwise loss
-    ``q(t1)`` on ``running_integral(problem, loss)``, so every method
-    differentiates observations only.  Every gradient method calls this before any solve;
+    shape ``(p,)``, ``p >= 1``; a ``saveat`` grid in the span (``check_saveat``);
+    the loss must be pointwise, with observation times in the span up to
+    ``span_tol`` and targets, per-component weights and coefficients of
+    shape ``(m, n)``, or integrated.  A pointwise request comes back as
+    given.  An integrated loss comes back as the pointwise loss ``q(t1)`` on
+    ``running_integral(problem, loss)``, so every method differentiates
+    observations only.  Every gradient method calls this before any solve;
     every public solve keeps its mesh, so any in-span time can be read.
     """
     theta = problem.theta if theta is None else _real(theta, "theta")
@@ -309,6 +318,7 @@ def check_request(problem: OdeProblem, loss, theta=None):
         raise ValueError("the problem has no parameters: there is no gradient to compute")
     if not np.isfinite(theta).all():
         raise ValueError(f"theta must be finite, got {theta}")
+    check_saveat(saveat, problem.tspan)
     if isinstance(loss, IntegratedLoss):
         problem = running_integral(problem, loss)
         return problem, LinearStateLoss([problem.tspan[1]], np.eye(problem.n)[-1:]), theta

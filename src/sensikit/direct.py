@@ -141,7 +141,7 @@ def solver_loss_fn(problem: OdeProblem, loss, config: SolverConfig):
     built, before any solve; as the map perturbs ``theta`` only, a nonzero
     ``u0_jacobian`` is refused there too (``ValueError``).
     """
-    problem, loss, _ = check_request(problem, loss)
+    problem, loss, _ = check_request(problem, loss, saveat=config.saveat)
     if np.any(problem.initial_state_jacobian()):
         raise ValueError("unsupported configuration: finite differences and complex step "
                          "perturb theta only, so they miss the initial state's dependence on "
@@ -170,12 +170,12 @@ def gradient(problem: OdeProblem, loss, method: str, config: SolverConfig,
     norm and nothing else; it is kept to reproduce that norm's wrong
     gradients.  Raises ``ValueError`` on an unknown method name, and what
     ``core.check_request`` raises on a bad request, before any solve; every
-    method checks ``checkpoints`` and ``epsilon`` too, read or not, so a bad
-    one gets the same error from all of them.
+    method checks ``checkpoints``, ``epsilon`` and ``config.saveat`` too,
+    read or not, so a bad one gets the same error from all of them.
     """
     if method not in METHODS:
         raise ValueError(f"unknown gradient method {method!r}")
-    problem, loss, theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta, config.saveat)
     check_checkpoints(checkpoints)
     if epsilon is not None:
         _perturbations(epsilon, theta)

@@ -1,10 +1,10 @@
 """Forward-mode gradients: forward sensitivity and forward AD on one engine.
 
 ``forward_sensitivity`` and ``forwardad_gradient`` both run
-``_forward_mode``, which solves the float state ``z = (u, S)``, the state
-then the columns of ``S = du/dtheta``, with the ordinary ``solve``; the
-packed field it hands the solver is built there.  Each stage's ``dS/dt`` is
-the tangent ``J_u S + J_theta`` of the sensitivity equations, from
+``_forward_mode``, which steps the float state ``z = (u, S)``, the state
+then the columns of ``S = du/dtheta``, through the solver's ``_march``; the
+packed field it steps is built there.  Each stage's ``dS/dt`` is the
+tangent ``J_u S + J_theta`` of the sensitivity equations, from
 ``jacobian_assembly``: for forward sensitivity the analytic product where
 the problem supplies both Jacobians, else, and always for forward AD, one
 multidual call of the right-hand side of arity p.  Forward AD evaluates
@@ -30,7 +30,7 @@ import numpy as np
 from . import dual
 from .core import OdeProblem, SensitivityResult, SolverStats, _counted, check_request, dense_eval
 from .errors import AnalyticityError
-from .solver import PRIMAL_ONLY, SolverConfig, solve
+from .solver import PRIMAL_ONLY, SolverConfig, _march
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +117,7 @@ def _forward_mode(problem: OdeProblem, loss, config: SolverConfig, theta=None, *
     sensitivity keeps the joint norm whatever the mode.  The result
     carries ``S`` at the solve's save times.
     """
-    problem, loss, theta = check_request(problem, loss, theta)
+    problem, loss, theta = check_request(problem, loss, theta, config.saveat)
     n, p = problem.n, theta.size
     if ad:
         problem = replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
@@ -134,10 +134,8 @@ def _forward_mode(problem: OdeProblem, loss, config: SolverConfig, theta=None, *
         return np.concatenate([du, dS.ravel(order="F")])
 
     z0 = np.concatenate([problem.u0, problem.initial_state_jacobian().ravel(order="F")])
-    sol = solve(OdeProblem(rhs=field, u0=z0, tspan=problem.tspan, theta=problem.theta),
-                config, theta=theta, _norm_n=n if primal_only else None)
-    stats.accepted_steps = sol.stats.accepted_steps
-    stats.rejected_steps = sol.stats.rejected_steps
+    sol = _march(field, z0, theta, *problem.tspan, config.tableau, stats, config, keep="all",
+                 saveat=config.saveat, norm_n=n if primal_only else None)
 
     gradient, loss_d = np.zeros(p), 0.0
     for i, z in enumerate(dense_eval(sol, loss.times)):

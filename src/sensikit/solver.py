@@ -13,18 +13,18 @@ mesh, each node's state and derivative, which ``core.dense_eval`` reads
 by Hermite dense output whatever the tableau; ``saveat`` rows have its
 bits (its read rule and step rows), taken as the loop steps past each time.
 
-One marching loop, ``_march``, takes every step: ``solve``'s, those of the
-adjoint forward pass, of a checkpoint segment's replay and of each reverse
-interval of the adjoints.  Its step source is the controller, a fixed
-``dt`` (whose mesh, ``_fixed_mesh``, is known before the first step) or the
-recorded steps of an earlier run; one setting, ``keep``, says what it
-keeps.  ``solve`` keeps every node; the adjoint forward pass calls
-``_march`` itself to keep less (the node times and end states, with
-checkpoint snapshots by node index) or more (the stage tape).  Whatever it
-keeps, a node, ``saveat`` row, checkpoint or stage-tape entry, is a copy of
-its step's rows, so no kept row holds a step's block.  A controller may
-continue the step of the run before it (``carry``): the adjoints' reverse
-intervals do.
+One marching loop, ``_march``, takes every step: those of ``solve``, of
+the forward-mode engine's packed ``(u, S)`` solve, of the adjoint forward
+pass, of a checkpoint segment's replay and of each reverse interval of the
+adjoints.  Its step source is the controller, a fixed ``dt`` (whose mesh,
+``_fixed_mesh``, is known before the first step) or the recorded steps of
+an earlier run; one setting, ``keep``, says what it keeps: every node for
+``solve`` and the engine (under the engine's error norm, ``norm_n``),
+less for the adjoint forward pass (the node times and end states, with
+checkpoint snapshots by node index) or more (the stage tape).  A kept
+node, ``saveat`` row, checkpoint or stage-tape entry is a copy of its
+step's rows, so none holds a step's block.  A controller may continue the
+step of the run before it (``carry``): the adjoints' reverse intervals do.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 # dense_eval is also named here: the benchmark's tracer looks up the
 # dense-output layer as sensikit.solver.dense_eval
 from .core import (OdeProblem, Solution, SolverStats, _counted, _hermite_rows,  # noqa: F401
-                   _horner, _step_end, dense_eval, span_tol)
+                   _horner, _step_end, check_saveat, dense_eval, span_tol)
 from .errors import (
     NonConvergenceError,
     NumericalBlowupError,
@@ -181,26 +181,21 @@ def propose_dt(dt_prev, w, order: int) -> float:
     return min(max(0.9 * w ** (1.0 / order), 0.2), 10.0) * dt_prev
 
 
-def solve(problem: OdeProblem, config: SolverConfig, theta=None, *, _norm_n=None) -> Solution:
+def solve(problem: OdeProblem, config: SolverConfig, theta=None) -> Solution:
     """Integrate a problem over its time span under the given configuration.
 
     ``theta`` overrides the problem's nominal parameters; complex ones give
     complex states, which is how complex step pushes complex scalars
     through the solver, and a multidual one raises ``TypeError`` before any
-    right-hand-side call.  Every node is kept, and ``saveat`` rows are the
-    dense output at those times.  Only primal-only forward AD sets
-    ``_norm_n``, the count of leading coordinates its error norm covers.
+    right-hand-side call.  Every node is kept, and ``saveat`` rows, at
+    times in the span (``core.check_saveat``), are the dense output there.
     """
-    t0, t1 = problem.tspan
     theta = problem.theta if theta is None else np.asarray(theta)
     _refuse_duals("solve", problem.u0, theta)
+    check_saveat(config.saveat, problem.tspan)
     stats = SolverStats()
-    if config.saveat is not None:
-        grid, tol = config.saveat, span_tol(t0, t1)
-        if grid[0] < t0 - tol or grid[-1] > t1 + tol:
-            raise ValueError("saveat grid extends outside the time span")
-    return _march(_counted(problem, stats).rhs, problem.u0, theta, t0, t1, config.tableau, stats,
-                  config, keep="all", saveat=config.saveat, norm_n=_norm_n)
+    return _march(_counted(problem, stats).rhs, problem.u0, theta, *problem.tspan, config.tableau,
+                  stats, config, keep="all", saveat=config.saveat)
 
 
 def _attempt(t, t1, end, dt, attempts, max_steps):

@@ -216,6 +216,11 @@ CORE_INPUT_CHECKS = [
     pytest.param(lambda: SquaredErrorLoss([1.0, 2.0], np.zeros((2, 2)), np.ones((3, 2))),
                  ValueError, "one weight (scalar or per-component vector) per observation",
                  id="weight-shape"),
+    # each failed in numpy's broadcast_to, whose message named neither input
+    pytest.param(lambda: LinearStateLoss([1.0], [[1.0, 0.0]], weights=[[1.0, 2.0]]), ValueError,
+                 "one scalar weight per observation", id="linear-weight-rows"),
+    pytest.param(lambda: LinearStateLoss([1.0, 2.0], np.eye(2), weights=[1.0, 2.0, 3.0]),
+                 ValueError, "one scalar weight per observation", id="linear-weight-count"),
     pytest.param(lambda: LinearStateLoss([1.0], [[1.0]], [-1.0]), ValueError,
                  "weights must be non-negative", id="negative-weight"),
     pytest.param(lambda: SquaredErrorLoss([1.0, 1.0], np.zeros((2, 2))), ValueError,

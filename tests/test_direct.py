@@ -397,7 +397,7 @@ def test_every_method_places_observations_by_one_span_rule(times):
                                   "short_targets", "short_weight_rows", "short_coefficients",
                                   "long_coefficients", "complex_theta", "complex_theta_zero_imag",
                                   "zero_checkpoints", "fractional_checkpoints", "long_epsilon",
-                                  "negative_epsilon", "nan_epsilon"])
+                                  "negative_epsilon", "nan_epsilon", "saveat_outside_span"])
 def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
     # one check before any solve: the same exception and text from all ten
     # methods, after no RHS call.  A target, weight row or coefficient row
@@ -405,7 +405,9 @@ def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
     # entry) or fail in numpy after a full solve (three), and a complex
     # theta lost its imaginary part with only a ComplexWarning.  A bad
     # checkpoint count was refused by the adjoints only and a bad epsilon by
-    # FD and complex step only (a long one in numpy); the others ran
+    # FD and complex step only (a long one in numpy); the others ran.  A
+    # saveat grid past the span was refused by the solves only: the
+    # adjoints, which read no saveat, returned a gradient
     ent = sk.make_predprey(0.95)
     calls = []
     rhs = ent.problem.rhs
@@ -415,8 +417,9 @@ def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
         return rhs(u, theta, t)
 
     problem = dataclasses.replace(ent.problem, rhs=counting_rhs)
-    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
-    rk4 = sk.SolverConfig(method="rk4", dt=0.01)
+    grid = {"saveat": [0.0, 20.0]} if case == "saveat_outside_span" else {}
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8, **grid)
+    rk4 = sk.SolverConfig(method="rk4", dt=0.01, **grid)
     loss, theta = {
         "theta_shape": (ent.loss, np.array([0.95, 3.0])),
         "late_observation": (
@@ -445,6 +448,21 @@ def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
         raised.add((type(err.value), str(err.value)))
         assert calls == [], method
     assert len(raised) == 1, raised
+
+
+def test_the_functions_behind_gradient_refuse_a_saveat_grid_past_the_span():
+    # the span rule sits in core.check_request, so each method's own entry
+    # point refuses such a grid too, though only the forward methods read it
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(method="rk4", dt=0.01, saveat=[0.0, 20.0])
+    adjoint = sk.AdjointConfig(variant="interpolating", solver_config=cfg)
+    for run in (lambda: sk.forward_sensitivity(ent.problem, ent.loss, cfg),
+                lambda: sk.forwardad_gradient(ent.problem, ent.loss, cfg),
+                lambda: sk.continuous_adjoint(ent.problem, ent.loss, adjoint),
+                lambda: sk.discrete_adjoint(ent.problem, ent.loss, adjoint),
+                lambda: solver_loss_fn(ent.problem, ent.loss, cfg)):
+        with pytest.raises(ValueError, match="^saveat grid extends outside the time span$"):
+            run()
 
 
 def test_every_method_but_the_discrete_adjoint_reads_between_fixed_steps():
