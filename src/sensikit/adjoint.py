@@ -161,9 +161,9 @@ def check_checkpoints(ck):
 def gauss_legendre(fn, a, b, order: int):
     """Fixed-order Gauss-Legendre quadrature of a vector integrand on [a, b].
 
-    The rule is computed once per order (``leggauss`` solves an
-    eigenproblem) and reused by later calls; the last few orders used stay
-    cached.
+    The rule on [-1, 1] is computed once per order (``leggauss`` solves an
+    eigenproblem), and the last 256 rules on [a, b] stay cached: a
+    quadrature piece builds its rule once, to name its costate rows.
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -175,6 +175,7 @@ def gauss_legendre(fn, a, b, order: int):
     return total
 
 
+@lru_cache(maxsize=256)
 def _gauss_rule(a, b, order: int):
     """Nodes and weights of the order-``order`` Gauss-Legendre rule on [a, b]."""
     nodes, weights = _legendre_rule(order)
@@ -352,7 +353,7 @@ def _observation_stops(loss, nodes, tol):
     """
     stops, prev = {}, -math.inf
     for i, t in enumerate(loss.times.tolist()):
-        j, end, _, _ = _locate(nodes, t, tol)
+        j, end, _ = _locate(nodes, t, tol)
         prev = nodes[j + end] if end is not None else prev if t - prev <= tol else t
         stops.setdefault(prev, []).append(i)
     return stops
@@ -448,7 +449,7 @@ class _SegmentReader:
 
     def __init__(self, problem, sol: Solution, theta, tableau):
         self.replay = lambda k: next(_segments_reverse(problem, sol, theta, tableau, last=k))[0]
-        self.nodes = sol.node_times.tolist()
+        self.nodes, self.tol = sol._mesh  # as dense_eval's scalar reads
         self.snapshots = sol.checkpoints
         self.bounds = list(sol.checkpoints)  # node index of each snapshot
         self.held = {}  # segment index -> its replay
@@ -457,27 +458,26 @@ class _SegmentReader:
         self.peak = 0
 
     def __call__(self, t):
-        t, tol = _read_times(self.nodes, t)
-        if isinstance(t, np.ndarray):  # a row per time, as dense_eval's array read
-            self.read_ahead(t)
+        if type(t) is not float and (isinstance(t, (list, tuple)) or getattr(t, "ndim", 0)):
+            t = self.read_ahead(t)  # a row per time, as dense_eval's array read
             for k in sorted(self.pending):  # the segments no read held yet, left to right
                 self._segment(k)
             rows, self.ahead = self.ahead, {}
             return (np.array([rows[x] for x in t.tolist()]) if t.size
                     else np.empty((0, len(self.snapshots[0]))))
-        i, end, _, _ = where = _locate(self.nodes, t, tol)  # dense_eval's step and end
+        i, end, _ = where = _locate(self.nodes, t, self.tol)  # dense_eval's step and end
         if end is not None and i + end in self.snapshots:
             return self.snapshots[i + end]
         k = bisect_right(self.bounds, i) - 1  # the segment holding step i
-        return self._read(self._segment(k), k, t, where)
+        return self._read(self._segment(k), k, where)
 
     def read_ahead(self, ts):
-        """Have each segment answer the reads at times ``ts`` it holds while the reader holds it."""
-        ts, tol = _read_times(self.nodes, ts)
+        """Let each segment answer the reads at ``ts`` it holds while held; returns them checked."""
+        ts, _ = _read_times(self.nodes, ts)
         for t in ts.tolist():
             if t in self.ahead:
                 continue
-            i, end, _, _ = where = _locate(self.nodes, t, tol)
+            i, end, _ = where = _locate(self.nodes, t, self.tol)
             if end is not None and i + end in self.snapshots:
                 self.ahead[t] = self.snapshots[i + end]
             else:
@@ -485,22 +485,21 @@ class _SegmentReader:
                 self.pending.setdefault(bisect_right(self.bounds, i) - 1, []).append((t, where))
         for k, seg in self.held.items():
             self._answer(k, seg)
+        return ts
 
     def drop_right_of(self, t):
         """Let go of the segments starting at or after ``t``, which reads up to ``t`` skip."""
         self.held = {k: s for k, s in self.held.items() if self.nodes[self.bounds[k]] < t}
 
-    def _read(self, seg, k, t, where):
-        """The read at ``t`` in segment ``k``, ``seg``, of ``_locate``'s ``where``."""
-        i, end, ta, tb = where
+    def _read(self, seg, k, where):
+        """The read ``_locate`` placed at ``where`` on the full mesh, in segment ``k``, ``seg``."""
+        i, end, s = where
         j = i - self.bounds[k]
-        if end is not None:
-            return seg.node_states[j + end]
-        return _horner(seg.dense_rows[j], (t - ta) / (tb - ta))
+        return seg.node_states[j + end] if s is None else _horner(seg.dense_rows[j], s)
 
     def _answer(self, k, seg):
         for t, where in self.pending.pop(k, ()):
-            self.ahead[t] = self._read(seg, k, t, where)
+            self.ahead[t] = self._read(seg, k, where)
 
     def _segment(self, k):
         seg = self.held.get(k)

@@ -3,7 +3,7 @@
 It also holds the one rule for placing a time on a trajectory, which the
 solver and the adjoints import: a time within ``span_tol`` of an end of
 the step holding it sits on that end, the left one first (``_step_end``),
-and ``_locate`` places every scalar read on a mesh; the one dense output
+and ``_locate`` places every scalar read on a cached mesh; the one dense output
 off the nodes, a step's Hermite rows built by ``_hermite_rows`` and read by
 ``_horner``; the one RHS counter, ``_counted``; and the one check of a
 gradient request, ``check_request``, which every gradient method calls
@@ -268,9 +268,15 @@ class Solution:
 
     @cached_property
     def dense_rows(self):
-        """``dense_rows[m]``: step m's ``_hermite_rows``, derived from the nodes on first read."""
+        """``dense_rows[m]``: step m's ``_hermite_rows`` tuple, built from the nodes when read."""
         ys, fs, h = self.node_states, self.node_derivs, np.diff(self.node_times)[:, None]
-        return np.stack(_hermite_rows(ys[:-1], fs[:-1], ys[1:], fs[1:], h), axis=1)
+        return list(zip(*_hermite_rows(ys[:-1], fs[:-1], ys[1:], fs[1:], h)))
+
+    @cached_property
+    def _mesh(self):
+        """``(nodes, tol)``: the node times as floats and their ``span_tol``, on first read."""
+        nodes = self.node_times.tolist()
+        return nodes, span_tol(nodes[0], nodes[-1])
 
 
 @dataclass
@@ -384,14 +390,14 @@ def dense_eval(sol: Solution, t):
     bitwise, else ``_horner`` evaluates the step's Hermite rows.  So a read
     may fall in any step: interpolating and quadrature read the stage times
     of an observation interval, across many forward steps, through it.  A
-    scalar ``t`` reads ``sol.dense_rows`` at ``_locate``'s step; a 1-D array
-    or list builds the rows of the steps it reads only, a row per time with
-    a scalar read's bits, and no times read a ``(0, n)`` block.
+    scalar ``t`` reads ``sol.dense_rows`` at ``_locate``'s step of the mesh
+    cached on ``sol`` (``Solution._mesh``); a 1-D array or list builds the
+    rows of the steps it reads only, a row per time with a scalar read's
+    bits, and no times read a ``(0, n)`` block.
     """
-    ts = sol.node_times
-    t, tol = _read_times(ts, t)
-    if isinstance(t, np.ndarray):
-        ys, fs = sol.node_states, sol.node_derivs
+    if type(t) is not float and (isinstance(t, (list, tuple)) or getattr(t, "ndim", 0)):
+        ts, ys, fs = sol.node_times, sol.node_states, sol.node_derivs
+        t, tol = _read_times(ts, t)
         if len(ts) < 2:  # a solve that took no step: its one node is every read
             return np.repeat(ys, len(t), axis=0)
         j = ts[1:-1].searchsorted(t)  # the scalar bracket
@@ -399,29 +405,20 @@ def dense_eval(sol: Solution, t):
         ya, yb, off, h = ys[j], ys[j + 1], t - ta, tb - ta
         read = _horner(_hermite_rows(ya, fs[j], yb, fs[j + 1], h), off / h)
         return np.where(off <= tol, ya, np.where(tb - t <= tol, yb, read))
-    step, end, ta, tb = _locate(ts, t, tol)
-    if end is not None:
-        return sol.node_states[step + end]
-    return _horner(sol.dense_rows[step], (t - ta) / (tb - ta))
+    nodes, tol = sol._mesh
+    step, end, s = _locate(nodes, float(t), tol)  # a float: numpy's bits, none of its overhead
+    return sol.node_states[step + end] if s is None else _horner(sol.dense_rows[step], s)
 
 
 def _read_times(ts, t):
-    """``(t, tol)``: the checked times of a read on the mesh ``ts`` and its ``span_tol``.
-
-    ``t`` comes back a 1-D float array, from an array, list or tuple, or a
-    Python float; one more than ``tol`` outside the mesh, or NaN, raises.
-    """
+    """``(t, tol)``: the times of an array read on the mesh ``ts``, checked, as a 1-D float
+    array, and its ``span_tol``; one more than ``tol`` outside the mesh, or NaN, raises."""
     tol = span_tol(ts[0], ts[-1])
-    t = np.asarray(t, dtype=float) if isinstance(t, (list, tuple)) else t
-    if isinstance(t, np.ndarray) and t.ndim:
-        if t.ndim > 1:
-            raise ValueError(f"dense_eval reads a time or 1-D times, got shape {t.shape}")
-        if t.size and not (ts[0] - tol <= t.min() and t.max() <= ts[-1] + tol):  # NaN fails too
-            raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
-        return t, tol
-    t = float(t)  # Python floats: numpy's bits without its per-operation scalar overhead
-    if not ts[0] - tol <= t <= ts[-1] + tol:
-        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"dense_eval reads a time or 1-D times, got shape {t.shape}")
+    if t.size and not (ts[0] - tol <= t.min() and t.max() <= ts[-1] + tol):  # NaN fails too
+        raise ValueError(f"times {t} outside solution span [{ts[0]}, {ts[-1]}]")
     return t, tol
 
 
@@ -431,11 +428,15 @@ def _step_end(ta, tb, t, tol):
 
 
 def _locate(ts, t, tol):
-    """``(step, end, ta, tb)``: the step ``[ta, tb]`` (floats) of sorted ``ts`` holding ``t``,
-    clamped to the first or last, and ``_step_end``'s end of it, so the read's node or None."""
+    """``(step, end, s)``: the step ``[ta, tb]`` of sorted ``ts`` holding ``t``, clamped to the
+    first or last; ``_step_end``'s end of it, the node a read returns, or None; with no end,
+    ``s = (t - ta) / (tb - ta)``, else None.  One more than ``tol`` outside or NaN raises."""
+    if not ts[0] - tol <= t <= ts[-1] + tol:
+        raise ValueError(f"time {t} outside solution span [{ts[0]}, {ts[-1]}]")
     step = min(max(bisect_left(ts, t) - 1, 0), len(ts) - 2)
     ta, tb = float(ts[step]), float(ts[step + 1])
-    return step, _step_end(ta, tb, t, tol), ta, tb
+    end = _step_end(ta, tb, t, tol)
+    return step, end, None if end is not None else (t - ta) / (tb - ta)
 
 
 def _hermite_rows(ua, fa, ub, fb, h):

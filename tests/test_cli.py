@@ -163,6 +163,13 @@ def test_gradcheck_zero_parameter_problem_vacuous(capsys):
     assert out == ""
 
 
+def test_rel_error_against_a_zero_reference_is_the_absolute_norm():
+    # a zero reference has no norm to divide by, so the error is absolute
+    assert cli._rel_error([3.0, -4.0], [0.0, 0.0]) == 5.0
+    assert cli._rel_error(-2.0, 0.0) == 2.0
+    assert cli._rel_error([3.0, -4.0], [6.0, -8.0]) == 0.5
+
+
 def test_fit_recovers_target(tmp_path):
     out = tmp_path / "fit.csv"
     rc = run_main(["fit", "--problem", "harmonic", "--abstol", "1e-8",

@@ -12,6 +12,7 @@ from sensikit.core import (
     loss_eval,
     running_integral,
 )
+from sensikit.direct import METHODS
 
 
 @pytest.fixture
@@ -177,6 +178,22 @@ def test_loss_grad_matches_finite_difference():
             e[j] = h
             fd = (loss.value_at(u + e, 0) - loss.value_at(u - e, 0)) / (2 * h)
             assert g[j] == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("loss_type", [SquaredErrorLoss, LinearStateLoss])
+def test_a_scalar_weight_weighs_each_observation_as_the_spelled_out_weights(loss_type):
+    # a scalar weight applies to every observation time: the loss and every
+    # method's gradient have the bits of one weight per time
+    ent = sk.make_harmonic(0.2)
+    times, values = [1.0, 2.5, 4.0], [[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]]
+    scalar = loss_type(times, values, weights=2.0)
+    spelled = loss_type(times, values, weights=np.full(3, 2.0))
+    cfg = sk.SolverConfig(method="rk4", dt=0.25)  # every observation on the discrete grid
+    sol = sk.solve(ent.problem, cfg)
+    assert float(loss_eval(sol, scalar)).hex() == float(loss_eval(sol, spelled)).hex()
+    for method in METHODS:
+        got = sk.gradient(ent.problem, scalar, method, cfg).gradient
+        assert got.tobytes() == sk.gradient(ent.problem, spelled, method, cfg).gradient.tobytes()
 
 
 def test_linear_state_loss_selects_components(harmonic_solution):

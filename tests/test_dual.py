@@ -505,3 +505,92 @@ def test_boundary_packing():
 def test_seed_state_refuses_a_jacobian_of_the_wrong_shape():
     with pytest.raises(ValueError, match=r"^initial-state jacobian must be \(2, 1\)$"):
         dual.seed_state([1.0, 2.0], np.zeros((1, 2)), 1)
+
+
+def test_reflected_operators_match_their_closed_forms():
+    # c - d, c / d and c ** d with a plain number or a float array on the
+    # left: value and tangents by their closed forms, and each entry of an
+    # array multidual has the bits of the scalar multidual holding it
+    d = _dual_array(_POSITIVE_VALUES)
+    v, t = d.value, d.tangents
+    for c in (2.5, np.array([0.5, 1.5, 2.0, 3.0, 0.25])):
+        cv = np.broadcast_to(c, v.shape)
+        for got, value, tangents in (
+            (c - d, cv - v, -t),
+            (c / d, cv / v, -(cv / v**2)[:, None] * t),
+            (c ** d, cv**v, (cv**v * np.log(cv))[:, None] * t),
+        ):
+            assert np.allclose(got.value, value, rtol=1e-15, atol=0.0)
+            assert np.allclose(got.tangents, tangents, rtol=1e-14, atol=0.0)
+        for op in (operator.sub, operator.truediv, operator.pow):
+            _assert_entries_bitwise(op(c, d), [op(float(cv[i]), e)
+                                               for i, e in enumerate(_entries(d))])
+    x = DualScalar(2.0, 3.0)
+    assert (5.0 - x).value == 3.0 and (5.0 - x).tangent == -3.0
+    assert (1.0 / x).value == 0.5 and (1.0 / x).tangent == -0.75
+    assert (4.0 ** x).value == 16.0 and (4.0 ** x).tangent == pytest.approx(48 * math.log(4.0))
+    for base in (0.0, -2.0, np.array([1.0, -1.0, 2.0, 2.0, 2.0])):
+        with pytest.raises(NonSmoothPointError, match="positive base"):
+            base ** d
+
+
+def test_reflected_operators_pack_an_object_array_on_the_left():
+    # an object array of scalar multiduals on the left packs into one array
+    # multidual, which then takes the operator's own two-dual rule
+    left = np.array([MultiDual(2.0, [1.0, 0.0]), MultiDual(3.0, [0.0, 1.0])], dtype=object)
+    right = MultiDual([1.5, 0.5], [[0.5, -1.0], [2.0, 0.25]])
+    for op in (operator.sub, operator.truediv, operator.pow):
+        got, want = op(left, right), op(dual.asarray(left), right)
+        assert got.value.tobytes() == want.value.tobytes(), op.__name__
+        assert got.tangents.tobytes() == want.tangents.tobytes(), op.__name__
+
+
+def test_a_scalar_multidual_hashes_as_its_value():
+    # it compares by its value coordinate, so it hashes by it too; an
+    # array's value is an array, which has no hash
+    d = MultiDual(1.5, [1.0, 2.0])
+    assert hash(d) == hash(1.5) and d == 1.5
+    assert {d: "kept"}[1.5] == "kept" and len({d, MultiDual(1.5, [0.0, 0.0])}) == 1
+    with pytest.raises(TypeError):
+        hash(_dual_array())
+
+
+def test_an_unsupported_operand_or_numpy_call_raises_type_error():
+    # every operator and numpy hook returns NotImplemented on what it does
+    # not support, so Python or numpy raises TypeError, never a value
+    for d in (MultiDual(1.5, [1.0, 2.0]), _dual_array(_POSITIVE_VALUES)):
+        for bad in ("a", None, [1.0], object()):
+            for op in _ARITH_OPS + [operator.pow]:
+                with pytest.raises(TypeError):
+                    op(d, bad)
+                with pytest.raises(TypeError):
+                    op(bad, d)
+        with pytest.raises(TypeError):
+            np.eye(5, dtype=complex) @ d
+    d = _dual_array()
+    for call in (lambda: np.eye(5) @ MultiDual(1.5, [1.0]),  # a scalar has no matmul
+                 lambda: np.tan(d), lambda: np.arctan2(d, 1.0),  # ufuncs it lacks
+                 lambda: np.add.reduce(d), lambda: np.add(d, 1.0, out=np.empty(5)),
+                 lambda: np.mean(d)):  # a numpy function it lacks
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_the_boundary_helpers_on_their_remaining_inputs():
+    # packing an object array of plain entries keeps its shape as floats;
+    # as_dual refuses another arity; np.concatenate takes a negative axis;
+    # value and tangents read a multidual and a plain number; absolute takes
+    # a float array
+    packed = dual.asarray(np.array([[1, 2.5], [3, 4]], dtype=object))
+    assert packed.dtype == np.float64 and packed.tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    with pytest.raises(ValueError, match="mixed multidual arities 2 and 3"):
+        dual.as_dual(MultiDual(1.0, [1.0, 2.0]), 3)
+    d, tail = MultiDual([1.0, 2.0], [[1.0], [0.5]]), np.array([3.0])
+    last, first = np.concatenate([d, tail], axis=-1), np.concatenate([d, tail], axis=0)
+    assert last.value.tobytes() == first.value.tobytes()
+    assert last.tangents.tobytes() == first.tangents.tobytes()
+    assert dual.value(MultiDual(1.5, [2.0])) == 1.5 and dual.value(2.0 + 3.0j) == 2.0
+    assert dual.tangents(2.0, 3).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="arity required"):
+        dual.tangents(2.0)
+    assert dual.absolute(np.array([-1.5, 2.0])).tolist() == [1.5, 2.0]

@@ -98,6 +98,22 @@ def test_jacobian_assembly_partial_analytic():
     assert np.allclose(J_t, [[0.0], [-2 * 0.2 * 0.7]], atol=1e-14)
 
 
+def test_a_value_error_of_the_rhs_without_an_analyticity_cause_reaches_the_caller():
+    # the multidual call unwraps only the AnalyticityError numpy wraps in a
+    # ValueError; any other ValueError of the right-hand side comes back as it is
+    for cause in (None, KeyError("state"), ValueError("inner")):
+        raised = ValueError("the rhs refuses this state")
+        raised.__cause__ = cause
+
+        def rhs(u, theta, t, raised=raised):
+            raise raised
+
+        problem = sk.OdeProblem(rhs=rhs, u0=[1.0], tspan=(0.0, 1.0), theta=[0.5])
+        with pytest.raises(ValueError) as err:
+            jacobian_assembly(problem, problem.u0, problem.theta, 0.0)
+        assert err.value is raised and err.value.__cause__ is cause
+
+
 PARTS = ("jac_u", "jac_theta", "f")
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sensikit as sk
+from sensikit.adjoint import AdjointConfig, _forward_pass, _SegmentReader
 from sensikit.core import (Solution, SolverStats, _hermite_rows, _horner, _locate, _step_end,
                            span_tol)
 from sensikit.dual import MultiDual
@@ -624,24 +625,70 @@ def test_dense_eval_reads_no_times_as_an_empty_block_of_the_mesh_dtype():
 
 
 def test_locate_places_a_read_on_its_step_and_end():
-    # (step, end, ta, tb): the step holding t, the first or last for a time
-    # outside the span, and the end a read returns, the left one first
+    # (step, end, s): the step holding t, the first or last for a time
+    # outside the span, and the end a read returns, the left one first, or
+    # else t's place s in the step; a time further outside raises
     ts = [0.0, 0.5, 1.25, 2.0]
     tol = span_tol(0.0, 2.0)
     for mesh in (ts, np.array(ts)):
-        assert _locate(mesh, 0.0, tol) == (0, 0, 0.0, 0.5)  # span ends
-        assert _locate(mesh, 2.0, tol) == (2, 1, 1.25, 2.0)
-        assert _locate(mesh, -tol, tol) == (0, 0, 0.0, 0.5)  # outside, within tol
-        assert _locate(mesh, 2.0 + tol, tol) == (2, 1, 1.25, 2.0)
-        assert _locate(mesh, 0.5, tol) == (0, 1, 0.0, 0.5)  # on a node: its left step
-        assert _locate(mesh, 0.5 - tol / 2, tol) == (0, 1, 0.0, 0.5)  # tol/2 either side
-        assert _locate(mesh, 0.5 + tol / 2, tol) == (1, 0, 0.5, 1.25)
-        assert _locate(mesh, 1.25 - 2 * tol, tol) == (1, None, 0.5, 1.25)  # off the nodes
-        assert _locate(mesh, 1.25 + 2 * tol, tol) == (2, None, 1.25, 2.0)
-        assert all(type(x) is float for x in _locate(mesh, 1.0, tol)[2:])
+        assert _locate(mesh, 0.0, tol) == (0, 0, None)  # span ends
+        assert _locate(mesh, 2.0, tol) == (2, 1, None)
+        assert _locate(mesh, -tol, tol) == (0, 0, None)  # outside, within tol
+        assert _locate(mesh, 2.0 + tol, tol) == (2, 1, None)
+        assert _locate(mesh, 0.5, tol) == (0, 1, None)  # on a node: its left step
+        assert _locate(mesh, 0.5 - tol / 2, tol) == (0, 1, None)  # tol/2 either side
+        assert _locate(mesh, 0.5 + tol / 2, tol) == (1, 0, None)
+        for t, step, ta, tb in ((1.25 - 2 * tol, 1, 0.5, 1.25), (1.25 + 2 * tol, 2, 1.25, 2.0),
+                                (1.0, 1, 0.5, 1.25)):  # off the nodes
+            assert _locate(mesh, t, tol) == (step, None, (t - ta) / (tb - ta))
+            assert type(_locate(mesh, t, tol)[2]) is float
+        for t in (-2 * tol, 2.0 + 2 * tol, math.nan):
+            with pytest.raises(ValueError, match="outside solution span"):
+                _locate(mesh, t, tol)
     for t, placed in ((0.0, (0, 0)), (1.0, (0, 1)), (-1e-9, (0, 0)), (1.0 + 1e-9, (0, 1)),
-                      (5e-10, (0, 0)), (1.0 - 5e-10, (0, 1)), (0.5, (0, None))):
-        assert _locate([0.0, 1.0], t, span_tol(0.0, 1.0)) == (*placed, 0.0, 1.0)  # 2-node mesh
+                      (5e-10, (0, 0)), (1.0 - 5e-10, (0, 1))):
+        assert _locate([0.0, 1.0], t, span_tol(0.0, 1.0)) == (*placed, None)  # 2-node mesh
+    assert _locate([0.0, 1.0], 0.5, span_tol(0.0, 1.0)) == (0, None, 0.5)
+
+
+@pytest.mark.parametrize("method", ["dopri5", "rk4"])
+def test_scalar_reads_have_the_bits_of_the_array_read_and_the_step_rows(method):
+    # a scalar dense_eval reads the mesh its Solution caches: it returns the
+    # array read's row and, off the nodes, _horner of the step's dense_rows
+    # bitwise; within tol of a node or an end, that node's state.  A
+    # checkpointed pass's reader, on 1 and 4 checkpoints, reads the same bits
+    ent = sk.make_predprey(0.95)
+    fwd = (sk.SolverConfig(abstol=1e-8, reltol=1e-8) if method == "dopri5"
+           else sk.SolverConfig(method="rk4", dt=0.25))
+    theta = ent.problem.theta
+
+    def forward(checkpoints):
+        cfg = AdjointConfig(solver_config=fwd, checkpoints=checkpoints)
+        return _forward_pass(ent.problem, cfg, theta, (), SolverStats())
+
+    full = forward(None)
+    ts, ys = full.node_times, full.node_states
+    t0, t1 = float(ts[0]), float(ts[-1])
+    tol = span_tol(t0, t1)
+    inner = ts[1:-1]
+    times = np.concatenate([
+        np.random.default_rng(11).uniform(t0, t1, 200),                # seeded
+        inner, inner - 0.5 * tol, inner + 0.9 * tol, inner + 2 * tol,  # at and near nodes
+        [t0, t1, t0 - 0.5 * tol, t1 + 0.9 * tol],                      # the ends, and outside
+    ])
+    block = sk.dense_eval(full, times)
+    for t, row in zip(times.tolist(), block):
+        got = sk.dense_eval(full, t)
+        j = min(max(int(np.searchsorted(ts, t)) - 1, 0), len(ts) - 2)
+        ta, tb = float(ts[j]), float(ts[j + 1])
+        want = (ys[j] if t - ta <= tol else ys[j + 1] if tb - t <= tol
+                else _horner(full.dense_rows[j], (t - ta) / (tb - ta)))
+        assert got.tobytes() == row.tobytes() == want.tobytes(), t
+    for checkpoints in (1, 4):
+        reader = _SegmentReader(ent.problem, forward(checkpoints), theta, fwd.tableau)
+        for t, row in zip(times.tolist()[::-1], block[::-1]):
+            assert reader(t).tobytes() == row.tobytes(), (checkpoints, t)
+        assert reader(times).tobytes() == block.tobytes(), checkpoints
 
 
 def test_checkpoint_plan_endpoints():
