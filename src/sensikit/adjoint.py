@@ -25,17 +25,17 @@ costate field ``J_u`` alone and its Gauss nodes ``J_theta`` alone.  A
 cheaper reverse-pass Jacobian, such as a column-compressed sparse one,
 changes that function alone.
 
-On an adaptive method the reverse pass continues one stepsize controller
-across its stops: the reverse ``SolverConfig``'s ``dt`` is the step the
-forward pass's controller carries out of its last step, and each reverse
-interval starts from the step the one before it carried out (``_march``'s
-``carry``), so an interval's first attempt is rarely rejected and a
+Each continuous reverse pass is one march from ``t1`` to ``t0`` that stops
+at the observations.  On an adaptive method its ``SolverConfig``'s ``dt``
+is the step the forward pass's controller carries out of its last steps,
+and each stretch between stops starts from the step the one before it
+carried out, so a stretch's first attempt is rarely rejected and a
 checkpointed pass reads the segments right to left.  A fixed-step method
-keeps its own ``dt``, as backsolve's intervals span many forward steps.
+keeps its own ``dt``, as backsolve's stretches span many forward steps.
 The reverse step budget is capped relative to the forward cost.
 On an adaptive method interpolating alone scales the request's tolerances,
 by ``INTERPOLATING_FORWARD_TOL_FACTOR`` in its forward pass and
-``INTERPOLATING_REVERSE_TOL_FACTOR`` in its reverse intervals: its gradient
+``INTERPOLATING_REVERSE_TOL_FACTOR`` in its reverse pass: its gradient
 error is mostly forward-read error, while quadrature's Gauss-node rows
 read the reverse steps and backsolve's reverse pass reconstructs the state.
 
@@ -46,20 +46,18 @@ each the forward node its read returns (``core._locate``) or its own time.
 An integrated loss reaches the adjoints as the one observation ``q(t1)``
 of the running integral ``q' = h`` (``core.check_request``), so its
 ``dh`` terms are rows of the extended Jacobians.  The discrete adjoint
-walks the forward steps right to left; the continuous ones make one
-costate solve per interval between the stops, ``t0``, ``t1`` and
-(backsolve) the snapshots, the dense ones in one loop that builds its
-fields once per request and reads the forward state by ``dense_eval`` over
-the whole mesh.  The forward pass and the reverse intervals run ``solve``'s
-own loop, ``solver._march``, the latter on the reversed field over the
-clock ``sigma = t_right - t`` (``_integrate_costate_interval``).  Checkpoint
-segments rerun the recorded forward steps from their snapshots bitwise, in
-``_segments_reverse`` alone; the dense adjoints' when a reverse read first
-needs a state no snapshot holds, over the same intervals as full storage,
-so the gradients are independent of the checkpoint count.  The dense
-adjoints' costate field (``adjoint_rhs``) is linear in the costate, so it
-reads the forward state and assembles its Jacobians once per distinct field
-time.
+walks the forward steps right to left; the continuous ones apply the jumps
+at the stops of their one costate solve (``_integrate_costate_interval``),
+which runs ``solve``'s own loop, ``solver._march``, on the reversed field
+over the clock ``sigma = t1 - t``; the dense ones build their fields once
+per request and read the forward state by ``dense_eval`` over the whole
+mesh.  Checkpoint segments rerun the recorded forward steps from their
+snapshots bitwise, in ``_segments_reverse`` alone; the dense adjoints' when
+a reverse read first needs a state no snapshot holds, at the same stops as
+full storage, so the gradients are independent of the checkpoint count.
+The dense adjoints' costate field (``adjoint_rhs``) is linear in the
+costate, so it reads the forward state and assembles its Jacobians once per
+distinct field time.
 """
 
 from __future__ import annotations
@@ -89,7 +87,8 @@ from .core import (
 )
 from .errors import NumericalBlowupError, _StepError
 from .sensitivity import jacobian_assembly
-from .solver import SolverConfig, _fixed_mesh, _march, checkpoint_plan, scaled_error
+from .solver import (SolverConfig, _fixed_mesh, _march, checkpoint_plan, propose_dt,
+                     scaled_error)
 
 VARIANTS = ("discrete", "backsolve", "interpolating", "quadrature")
 
@@ -106,7 +105,7 @@ QUADRATURE_ORDER = 4
 
 # on an adaptive method the interpolating variant runs its forward pass at
 # the first multiple of the request's abstol and reltol and its costate
-# intervals at the second.  Its gradient error is the forward pass's read
+# solve at the second.  Its gradient error is the forward pass's read
 # error plus the reverse pass's step error, and at factors (1, 3) the first
 # was at least 3 times the second (harmonic at 1e-6: 5.5 against 1.7 tol).
 # Of the pairs in {1, 0.5, 0.3, 0.1} x {3, 5, 10, 30} whose error on
@@ -162,8 +161,7 @@ def gauss_legendre(fn, a, b, order: int):
     """Fixed-order Gauss-Legendre quadrature of a vector integrand on [a, b].
 
     The rule on [-1, 1] is computed once per order (``leggauss`` solves an
-    eigenproblem), and the last 256 rules on [a, b] stay cached: a
-    quadrature piece builds its rule once, to name its costate rows.
+    eigenproblem).
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -175,9 +173,8 @@ def gauss_legendre(fn, a, b, order: int):
     return total
 
 
-@lru_cache(maxsize=256)
 def _gauss_rule(a, b, order: int):
-    """Nodes and weights of the order-``order`` Gauss-Legendre rule on [a, b]."""
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [a, b], or per row."""
     nodes, weights = _legendre_rule(order)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * nodes, half * weights
@@ -198,8 +195,7 @@ def adjoint_rhs(problem: OdeProblem, u_at, *, jac_theta=True):
     lambda and ``theta`` is the request's throughout, so it keeps the
     Jacobians of the last time it read and reads the state and assembles
     only at a new ``t``: stages that share a time (DOPRI5's last two, rk4's
-    middle two) and the shared ends of adjacent intervals pay once.  The
-    loss enters as jumps.
+    middle two) and a stop's two sides pay once.  The loss enters as jumps.
     """
     n = problem.n
     kept = (math.nan, None, None)  # (t, J_u, J_theta) of the last time read; nan equals no t
@@ -292,18 +288,18 @@ def continuous_adjoint(
     problem = _counted(problem, stats)
     forward = (replace(config, solver_config=_scaled(fwd, INTERPOLATING_FORWARD_TOL_FACTOR))
                if rescale else config)
-    carry = [None]
-    sol = _forward_pass(problem, forward, theta, loss.times, stats, carry=carry)
+    sol = _forward_pass(problem, forward, theta, loss.times, stats)
     if not discrete:
         stops = _observation_stops(loss, sol.node_times.tolist(), tol)
 
-    # an adaptive reverse pass starts from the step the forward pass's
-    # controller carries out and carries its own across the stops; a fixed
-    # step keeps its dt, as backsolve's intervals span many forward steps.
-    # Unstable reverse dynamics show as unbounded reverse work, not always
-    # as a clean overflow, so the budget relative to the forward cost makes
-    # them fail fast
-    rev = replace(fwd, dt=fwd.dt if carry[0] is None else carry[0],
+    # an adaptive reverse pass starts from the step the forward controller
+    # carries out, the larger of its proposals after its last two steps; a
+    # fixed step keeps its dt.  Unstable reverse dynamics show as unbounded
+    # reverse work, not always as a clean overflow, so the budget relative to
+    # the forward cost makes them fail fast
+    handoff = [propose_dt(h, 1.0 / e if e > 0 else math.inf, fwd.tableau.order)
+               for h, e in zip(sol.step_dts[-2:].tolist(), sol.step_errors[-2:])]
+    rev = replace(fwd, dt=max(handoff, default=fwd.dt),
                   max_steps=min(fwd.max_steps, max(10_000, 20 * stats.accepted_steps)))
     if rescale:
         rev = _scaled(rev, INTERPOLATING_REVERSE_TOL_FACTOR)
@@ -349,7 +345,7 @@ def _observation_stops(loss, nodes, tol):
     time returns (``core._locate``), else at the previous observation's
     stop if within ``tol``, else at its own time (the losses sort their
     times and reject repeats, so a time's position is its loss index).  So
-    each stop is a node or a reverse interval's end, which a pass looks up.
+    each stop is a node or a time the reverse march ends a step at.
     """
     stops, prev = {}, -math.inf
     for i, t in enumerate(loss.times.tolist()):
@@ -379,7 +375,7 @@ def _jump(loss, lam, observed, u):
     return lam
 
 
-def _forward_pass(problem, config: AdjointConfig, theta, times, stats, carry=None):
+def _forward_pass(problem, config: AdjointConfig, theta, times, stats):
     """Forward solve keeping what the variant's reverse pass reads.
 
     The one place that chooses the forward storage; it runs ``_march`` on
@@ -390,7 +386,6 @@ def _forward_pass(problem, config: AdjointConfig, theta, times, stats, carry=Non
     stage tape for the discrete adjoint; every node otherwise.  Backsolve's
     also keeps, as its ``times``/``states``, the state at each observation
     time in ``times`` more than ``span_tol`` inside the span, then at ``t1``.
-    ``carry`` is ``_march``'s, so it receives the step the controller carries out.
     """
     fwd, (t0, t1) = config.solver_config, problem.tspan
     plan = None if config.checkpoints is None else checkpoint_plan((t0, t1), config.checkpoints)
@@ -401,7 +396,7 @@ def _forward_pass(problem, config: AdjointConfig, theta, times, stats, carry=Non
     keep = ("final" if plan is not None or saveat is not None
             else "tape" if config.variant == "discrete" else "all")
     return _march(problem.rhs, problem.u0, theta, t0, t1, fwd.tableau, stats, fwd,
-                  keep=keep, plan=plan, saveat=saveat, carry=carry)
+                  keep=keep, plan=plan, saveat=saveat)
 
 
 def _segments_reverse(problem, sol: Solution, theta, tableau, keep="all", last=None):
@@ -512,36 +507,28 @@ class _SegmentReader:
         return seg
 
 
-def _reverse_intervals(points):
-    """The ``(t_left, t_right)`` pairs between the distinct ``points``, rightmost first."""
-    points = sorted(set(points))
-    return list(zip(points[:-1], points[1:]))[::-1]
-
-
-def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, at=None,
-                                carry=None):
-    """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left``.
+def _integrate_costate_interval(rhs, y, t_left, t_right, theta, cfg, stats, stops=(),
+                                jump=None, at=None):
+    """Integrate ``rhs`` backwards from ``y`` at ``t_right`` to ``t_left`` in one march.
 
     ``rhs(y, theta, t)`` is the reversed field ``dy/dsigma`` at time ``t``;
     only this function converts times to the clock ``sigma = t_right - t``
-    that the stepper steps forwards.  Adds the steps to ``stats`` and returns
-    the end state or, given sorted times ``at``, ``(end state, rows at at)``.
-    ``carry`` is ``_march``'s: the step an adaptive controller starts from
-    and carries on to the next interval.  A step failure raised on the clock
-    is raised again with its time ``t_right - sigma``, in its ``t`` and its
-    message.
+    that ``_march`` steps forwards: ``stops``, right to left, and the sorted
+    ``at`` become its ``stops`` and ``saveat``, so ``jump`` gets the rows at
+    ``at`` right to left.  Adds the steps to ``stats``; returns the end
+    state.  A step failure is raised again with its time ``t_right - sigma``
+    in its ``t`` and message; a jump's own, which carries no ``dt``, as it is.
     """
-    saveat = None if at is None else np.append(t_right - at[::-1], t_right - t_left)
     try:
-        sol = _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta, 0.0,
-                     t_right - t_left, cfg.tableau, stats, cfg,
-                     keep=None if at is None else "final", saveat=saveat, carry=carry)
+        return _march(lambda z, th, sigma: rhs(z, th, t_right - sigma), y, theta, 0.0,
+                      t_right - t_left, cfg.tableau, stats, cfg,
+                      saveat=None if at is None else t_right - at[::-1],
+                      stops=[float(t_right - s) for s in stops], jump=jump)
     except _StepError as err:
-        if err.t is not None:
+        if err.dt is not None:
             sigma, err.t = err.t, t_right - err.t
             err.args = (str(err).replace(f"at t={sigma!r}", f"at t={err.t!r}"),)
         raise
-    return sol if at is None else (sol.states[-1], sol.states[-2::-1])
 
 
 # ---------------------------------------------------------------------
@@ -577,142 +564,144 @@ def _discrete_reverse(problem, loss, stops, sol, theta, rev, stats):
 
 
 def _dense_reverse(problem, loss, stops, sol, theta, rev, stats, quadrature):
-    """Interpolating and quadrature variants: one costate solve per observation interval.
+    """Interpolating and quadrature variants: one costate solve from ``t1`` to ``t0``.
 
-    The intervals run between ``t0``, ``t1`` and the stops in the table
-    (``_observation_stops``), which lie on the forward node times every
-    storage mode keeps, so they do not depend on the checkpoint count.  Right
-    to left, each applies the jumps at its right end, then solves the
-    costate across it, reading the forward state ``u_at`` at any time of the
-    mesh by its Hermite rows: ``dense_eval`` on a full-storage pass, a
-    ``_SegmentReader`` on a checkpointed one.  Interpolating integrates the
+    The solve ends a step at each stop of the table (``_observation_stops``),
+    on the forward node times every storage mode keeps, so the stops do not
+    depend on the checkpoint count.  It reads the forward state ``u_at`` at
+    any time of the mesh by its Hermite rows: ``dense_eval`` on a
+    full-storage pass, a ``_SegmentReader`` on a checkpointed one, which
+    lets go at each stop of the segments no later read reaches.  Interpolating integrates the
     gradient with the costate under ``rev`` (on an adaptive method at
-    ``INTERPOLATING_REVERSE_TOL_FACTOR`` times the request's tolerances) and
-    keeps only the interval's end state (on a fixed-step method, it skips
-    the last end derivative).  Quadrature's
-    costate field pays only ``J_u``; its solve returns the costate at the
-    rule's nodes on every forward step inside the interval (each step
-    clipped to the interval) and at the interval's end, and
-    ``gauss_legendre`` then adds each step's term of ``J_theta^T lambda``,
-    its nodes paying only ``J_theta``; a checkpointed pass names those
-    nodes to the reader before the solve (``read_ahead``).  The peak counts
-    the nodes of the mesh, or of the segments held at once plus the
+    ``INTERPOLATING_REVERSE_TOL_FACTOR`` times the request's tolerances).
+    Quadrature's costate field pays only ``J_u``; its solve takes the
+    costate at the rule's nodes on every forward step (split at the stops),
+    and at each stop ``gauss_legendre`` adds the terms of ``J_theta^T
+    lambda`` of the interval it leaves, its nodes paying only ``J_theta``; a
+    checkpointed pass names the next interval's nodes to the reader
+    (``read_ahead``), so their rows live within one interval.  The peak
+    counts the nodes of the mesh, or of the segments held at once plus the
     snapshots.  The costate field, built once per request by
-    ``adjoint_rhs``, reads the state and assembles once per distinct field
-    time, across stages and intervals.
+    ``adjoint_rhs``, reads the state and assembles once per distinct time.
     """
-    n = problem.n
+    n, (t0, t1) = problem.n, problem.tspan
     nodes = sol.node_times.tolist()
     if sol.node_states is not None:
         u_at, reader = partial(dense_eval, sol), None
     else:
         u_at = reader = _SegmentReader(problem, sol, theta, rev.tableau)
-
     rhs = adjoint_rhs(problem, u_at, jac_theta=not quadrature)
+    points = [t1, *sorted(set(stops) - {t0, t1}, reverse=True), t0]  # right to left
+    # quadrature's pieces, the forward steps split at the stops, and their rules' nodes
+    ends = sorted({*nodes, *points})
+    e = np.array(ends)[:, None]
+    tq = _gauss_rule(e[:-1], e[1:], QUADRATURE_ORDER)[0].ravel() if quadrature else None
 
-    def integrand(t):  # reads the interval's Gauss-node rows in order
+    def interval(k):  # the pieces between points[k + 1] and points[k], and their nodes
+        a, b = bisect_left(ends, points[k + 1]), bisect_left(ends, points[k])
+        return zip(ends[a:b], ends[a + 1:b + 1]), tq[QUADRATURE_ORDER * a : QUADRATURE_ORDER * b]
+
+    def arrive(k, lam):  # lam after the jumps at points[k]
+        if k == len(points) - 1:
+            return _jump(loss, lam, stops.get(t0, ()), problem.u0)
+        if reader is not None:
+            reader.drop_right_of(points[k])
+        lam = _jump(loss, lam, stops.get(points[k], ()), u_at(points[k]))
+        if quadrature and reader is not None:
+            reader.read_ahead(interval(k)[1])  # each segment the solve holds answers its rows
+        return lam
+
+    def integrand(rows, t):  # reads the interval's Gauss-node rows in order
         u, lam_q = next(rows)
         return jacobian_assembly(problem, u, theta, t, jac_u=False)[1].T @ lam_q
 
-    lam, g = np.zeros(n), np.zeros(theta.size)
-    carry = [None]  # from rev.dt, the controller's step across the intervals
-    for t_left, t_right in _reverse_intervals([*problem.tspan, *stops]):
-        if reader is not None:
-            reader.drop_right_of(t_right)
-        lam = _jump(loss, lam, stops.get(t_right, ()), u_at(t_right))
+    g = np.zeros(theta.size)
+
+    def jump(i, y, lams):
+        nonlocal g
         if not quadrature:
-            y = _integrate_costate_interval(rhs, np.concatenate([lam, g]), t_left, t_right,
-                                            theta, rev, stats, carry=carry)
-            lam, g = y[:n], y[n:]
-            continue
-        ends = [t_left, *nodes[bisect_right(nodes, t_left) : bisect_left(nodes, t_right)], t_right]
-        pieces = list(zip(ends[:-1], ends[1:]))
-        # the forward state and costate at the rules' nodes, in gauss_legendre's order
-        tq = np.concatenate([_gauss_rule(a, b, QUADRATURE_ORDER)[0] for a, b in pieces])
-        if reader is not None:
-            reader.read_ahead(tq)  # each segment the costate solve holds answers its rows
-        lam, lams = _integrate_costate_interval(rhs, lam, t_left, t_right, theta, rev, stats,
-                                                at=tq, carry=carry)
-        rows = zip(u_at(tq), lams)
+            return np.concatenate([arrive(i + 1, y[:n]), y[n:]])
+        pieces, ts = interval(i)
+        rows = zip(u_at(ts), reversed(lams))  # in gauss_legendre's order
         for a, b in pieces:
-            g = g + gauss_legendre(integrand, a, b, QUADRATURE_ORDER)
-    lam = _jump(loss, lam, stops.get(problem.tspan[0], ()), problem.u0)
+            g = g + gauss_legendre(partial(integrand, rows), a, b, QUADRATURE_ORDER)
+        return arrive(i + 1, y)
+
+    lam = arrive(0, np.zeros(n))
+    y = _integrate_costate_interval(rhs, lam if quadrature else np.concatenate([lam, g]), t0, t1,
+                                    theta, rev, stats, stops=points[1:-1], jump=jump, at=tq)
+    lam, g = (y, g) if quadrature else (y[:n], y[n:])
     return g, lam, len(nodes) if reader is None else reader.peak, {}
 
 
 def _backsolve(problem, loss, stops, sol, theta, rev, stats):
     """Joint reverse integration of state, costate, and gradient integral.
 
-    The forward state is re-solved backwards from its stored final value;
-    when checkpoints are available the reverse state is reset to each
-    snapshot, discarding accumulated reverse error.  Its intervals run
-    between the stops, ``t0``, ``t1`` and the snapshots.  At every interior
-    observation stop (before its jump), every reset and ``t0`` the
-    reconstructed state is compared with the stored one: the forward pass's
-    row of the first observation at that stop, the snapshot or ``u0``.  So
-    a lost state raises at the first such stop, not after the whole reverse
-    pass; the largest scaled
+    The forward state is re-solved backwards from its stored final value in
+    one march from ``t1`` to ``t0``; when checkpoints are available the
+    reverse state is reset to each snapshot, discarding accumulated reverse
+    error.  The march stops at the observation stops and the snapshots.  At
+    every interior observation stop (before its jump), every reset and
+    ``t0`` the reconstructed state is compared with the stored one: the
+    forward pass's row of the first observation at that stop, the snapshot
+    or ``u0``.  So a lost state raises at the first such stop, not after the
+    whole reverse pass; the largest scaled
     error is reported as ``reconstruction_error``.  Unstable reverse
     dynamics surface as a blowup error recommending the interpolating
     variant: when the reverse solve fails, or when a reconstruction error
     exceeds ``MAX_RECONSTRUCTION_ERROR`` or half the ``1/reltol`` ceiling
     that a lost state's scaled error saturates at, whichever is smaller.
     """
-    t0, t1 = problem.tspan
-    # the snapshots by time
-    resets = {float(sol.node_times[i]): u for i, u in (sol.checkpoints or {}).items()}
-    intervals = _reverse_intervals([t0, t1, *stops, *resets])
+    n, (t0, t1) = problem.n, problem.tspan
+    # the snapshots by time, after t0's
+    resets = {float(sol.node_times[i]): u for i, u in (sol.checkpoints or {}).items() if i}
+    points = [t1, *sorted({*stops, *resets} - {t0, t1}, reverse=True), t0]  # right to left
     # what the reconstruction is checked against: the forward pass's row of
     # each stop's first observation, if it kept one (it keeps the interior
-    # ones', then t1's), and the snapshots
+    # ones', then t1's), the snapshots and u0
     rows, times = dict(zip(sol.times[:-1].tolist(), sol.states)), loss.times.tolist()
-    stored = {**{s: rows[times[i]] for s, (i, *_) in stops.items() if times[i] in rows}, **resets}
-
-    n, p = problem.n, theta.size
-    u = np.asarray(sol.final_state(), dtype=float)
-    lam = np.zeros(n)
-    g = np.zeros(p)
+    stored = {**{s: rows[times[i]] for s, (i, *_) in stops.items() if times[i] in rows},
+              **resets, t0: problem.u0}
 
     def rhs(z, th, t):
         ll = z[n : 2 * n]
         J_u, J_theta, f = jacobian_assembly(problem, z[:n], th, t, f=True)
         return np.concatenate([-f, J_u.T @ ll, J_theta.T @ ll])
 
-    carry = [None]  # from rev.dt, the controller's step across the intervals
     reconstruction_error = 0.0
     bound = min(MAX_RECONSTRUCTION_ERROR, 0.5 / rev.reltol)
 
-    def check_reconstruction(u, stored, t):
+    def jump(i, z, _):
         nonlocal reconstruction_error
-        err = scaled_error(u, stored, rev.abstol, rev.reltol)
-        reconstruction_error = max(reconstruction_error, err)
-        if not err <= bound:
-            raise NumericalBlowupError(
-                f"backsolve reconstructed the forward state at t={t!r} with "
-                f"scaled error {err:.3g} (the reversed state dynamics are "
-                "unstable); use the interpolating adjoint variant instead",
-                t=t,
-            )
+        u, t = z[:n], points[i + 1]
+        if t in stored:
+            err = scaled_error(u, stored[t], rev.abstol, rev.reltol)
+            reconstruction_error = max(reconstruction_error, err)
+            if not err <= bound:
+                raise NumericalBlowupError(
+                    f"backsolve reconstructed the forward state at t={t!r} with "
+                    f"scaled error {err:.3g} (the reversed state dynamics are "
+                    "unstable); use the interpolating adjoint variant instead",
+                    t=t,
+                )
+        lam = _jump(loss, z[n : 2 * n], stops.get(t, ()), u)
+        return np.concatenate([resets.get(t, u), lam, z[2 * n :]])
 
-    for t_lo, t_hi in intervals:
-        if t_hi in stored:
-            check_reconstruction(u, stored[t_hi], t_hi)
-        lam = _jump(loss, lam, stops.get(t_hi, ()), u)
-        u = resets.get(t_hi, u)
-        z0 = np.concatenate([u, lam, g])
-        try:
-            z = _integrate_costate_interval(rhs, z0, t_lo, t_hi, theta, rev, stats, carry=carry)
-        except _StepError as err:
-            raise NumericalBlowupError(
-                "backsolve reverse integration blew up (the reversed state "
-                "dynamics are unstable); use the interpolating adjoint "
-                f"variant instead [{type(err).__name__}: {err}]",
-                t=err.t, dt=err.dt,
-            ) from err
-        u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
-
-    check_reconstruction(u, problem.u0, t0)
-    lam = _jump(loss, lam, stops.get(t0, ()), u)
+    u = np.asarray(sol.final_state(), dtype=float)
+    z = np.concatenate([u, _jump(loss, np.zeros(n), stops.get(t1, ()), u), np.zeros(theta.size)])
+    try:
+        z = _integrate_costate_interval(rhs, z, t0, t1, theta, rev, stats, stops=points[1:-1],
+                                        jump=jump)
+    except _StepError as err:
+        if err.dt is None:  # the reconstruction check's own refusal
+            raise
+        raise NumericalBlowupError(
+            "backsolve reverse integration blew up (the reversed state "
+            "dynamics are unstable); use the interpolating adjoint "
+            f"variant instead [{type(err).__name__}: {err}]",
+            t=err.t, dt=err.dt,
+        ) from err
     # the end states, the observation rows and the snapshots
-    peak = 1 + len(sol.times) + len(resets)
+    peak = 1 + len(sol.times) + len(sol.checkpoints or ())
+    u, lam, g = z[:n], z[n : 2 * n], z[2 * n :]
     return g, lam, peak, {"u0_recovered": u, "reconstruction_error": reconstruction_error}

@@ -249,7 +249,9 @@ class Solution:
     keep their stage tape: ``stage_tape[m]`` holds the stage inputs ``Y_2
     .. Y_s`` of step ``m`` as one ``(s - 1, n)`` array (``Y_1`` is node
     ``m``), a copy of those rows of the block ``solver.rk_step`` built
-    them in; no kept row is a view of that block.
+    them in; no kept row is a view of that block.  ``step_errors`` holds an
+    adaptive run's scaled error per accepted step: with ``step_dts``, it
+    gives an adjoint's reverse pass the controller's last proposals.
     """
 
     times: np.ndarray
@@ -258,7 +260,7 @@ class Solution:
     node_states: Optional[np.ndarray]
     node_derivs: Optional[np.ndarray]
     stats: SolverStats
-    step_errors: list = field(default_factory=list)
+    step_errors: list = field(default_factory=list)  # Python floats, one per accepted step
     checkpoints: Optional[dict] = None  # node index -> snapshot state, when checkpointed
     step_dts: Optional[np.ndarray] = None  # exact accepted stepsizes, in order
     stage_tape: Optional[list] = None  # per step, its stage inputs after the first
@@ -389,7 +391,7 @@ def dense_eval(sol: Solution, t):
     within ``span_tol``, the left one first (``_step_end``), gives its state
     bitwise, else ``_horner`` evaluates the step's Hermite rows.  So a read
     may fall in any step: interpolating and quadrature read the stage times
-    of an observation interval, across many forward steps, through it.  A
+    of their reverse steps, across many forward steps, through it.  A
     scalar ``t`` reads ``sol.dense_rows`` at ``_locate``'s step of the mesh
     cached on ``sol`` (``Solution._mesh``); a 1-D array or list builds the
     rows of the steps it reads only, a row per time with a scalar read's

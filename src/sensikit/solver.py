@@ -15,21 +15,21 @@ bits (its read rule and step rows), taken as the loop steps past each time.
 
 One marching loop, ``_march``, takes every step: those of ``solve``, of
 the forward-mode engine's packed ``(u, S)`` solve, of the adjoint forward
-pass, of a checkpoint segment's replay and of each reverse interval of the
-adjoints.  Its step source is the controller, a fixed ``dt`` (whose mesh,
-``_fixed_mesh``, is known before the first step) or the recorded steps of
+pass, of a checkpoint segment's replay and of each adjoint's reverse pass.
+Its step source is the controller, a fixed ``dt`` or the recorded steps of
 an earlier run; one setting, ``keep``, says what it keeps: every node for
 ``solve`` and the engine (under the engine's error norm, ``norm_n``),
 less for the adjoint forward pass (the node times and end states, with
 checkpoint snapshots by node index) or more (the stage tape).  A kept
 node, ``saveat`` row, checkpoint or stage-tape entry is a copy of its
-step's rows, so none holds a step's block.  A controller may continue the
-step of the run before it (``carry``): the adjoints' reverse intervals do.
+step's rows, so none holds a step's block.  A run may end steps at stops
+and jump there: an adjoint's reverse pass does, at its observations.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -214,8 +214,9 @@ def _attempt(t, t1, end, dt, attempts, max_steps):
 def _fixed_mesh(t, t1, dt, max_steps):
     """Node times and stepsizes of a fixed-step run, known before any step.
 
-    The last one stays cached: the discrete adjoint checks its observations
-    against it, then its forward solve, and the next request's, steps it."""
+    ``_march`` takes the same ``_attempt`` steps, so a fixed-step solve has
+    these bits.  The last one stays cached for the discrete adjoint, which
+    checks each request's observations against it before any step."""
     span = t1 - t
     end, dt = t1 - 1e-12 * max(abs(span), 1.0), min(dt, span)
     times, dts = [t], []
@@ -227,107 +228,114 @@ def _fixed_mesh(t, t1, dt, max_steps):
 
 
 def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, saveat=None,
-           norm_n=None, carry=None):
+           norm_n=None, stops=(), jump=None):
     """Step ``u`` from ``t`` to ``t1``: the one stepping loop of every integration.
 
     ``steps`` is a ``SolverConfig``, whose controller (embedded tableau) or
-    ``_fixed_mesh`` picks the steps, or the ``(node_times, step_dts)`` of a
-    recorded run, taken again bitwise.  ``stats`` gains the accepted and
-    rejected steps.  ``keep`` None returns the end state; ``"final"`` a
-    ``Solution`` of the node times and stepsizes and the end states;
-    ``"all"`` one of every node's state and derivative; ``"tape"`` that
-    and the stage tape.  ``saveat``, sorted times in the span, makes the
-    ``Solution``'s ``times``/``states`` the state at each, taken from the
-    step's rows as the step holding it is accepted: the bits of ``dense_eval``
-    on the kept mesh, which need not be kept.  Unless it keeps every node
-    or a ``saveat`` time lies inside the last step, a non-FSAL tableau skips
-    that step's end derivative.  ``plan`` holds the checkpoint times: the
-    first node at or past each, and the last, join node 0 in ``checkpoints``.
-    ``norm_n`` limits the controller's error norm to its first coordinates.
-    ``carry``, a one-entry list, continues a controller across runs: an
-    entry other than None is the first attempt in place of ``steps.dt``, and
-    a run that steps leaves in it the step it carries out, the larger of its
-    last attempt before ``_attempt`` clipped it to ``t1`` and the proposal
-    after it (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).
+    fixed ``dt`` picks the steps through ``_attempt``, or the
+    ``(node_times, step_dts)`` of a recorded run, taken again bitwise.
+    ``stats`` gains the accepted and rejected steps.  ``keep`` None returns
+    the end state; ``"final"`` a ``Solution`` of the node times and
+    stepsizes and the end states; ``"all"`` one of every node's state and
+    derivative; ``"tape"`` that and the stage tape.  ``saveat``, sorted
+    times in the span, makes the ``Solution``'s ``times``/``states`` the
+    state at each, taken from the step's rows as the step holding it is
+    accepted: the bits of ``dense_eval`` on the kept mesh, which need not be
+    kept.  Unless it keeps every node or a ``saveat`` time lies inside the
+    last step, a non-FSAL tableau skips that step's end derivative.
+    ``plan`` holds the checkpoint times: the first node at or past each, and
+    the last, join node 0 in ``checkpoints``.  ``norm_n`` limits the
+    controller's error norm to its first coordinates.
+
+    ``stops``, sorted times inside the span, end a configured run's steps,
+    each at a node, bitwise.  At each and at ``t1``, ``jump(i, u, rows)``
+    returns the state to go on from, given the stop's index and the
+    ``saveat`` rows taken since the stop before, which the run then drops.
+    Each stretch starts as a run of its own: the derivative read again, its
+    own ``max_steps``, a first attempt no longer than it and, under control,
+    the larger of the last attempt before ``_attempt`` clipped it to the
+    stop and the proposal after it (Hairer, Norsett & Wanner, Solving ODEs
+    I, sec. II.4).
     """
-    span = t1 - t
-    tiny = 1e-12 * max(abs(span), 1.0)
-    tol = span_tol(t, t1)
-    control = isinstance(steps, SolverConfig) and steps.adaptive
-    if control:
-        cfg, end = steps, t1 - tiny
-        dt = cfg.dt if carry is None or carry[0] is None else carry[0]
-        dt = min(dt if dt is not None else 1e-3 * span, span)
+    tiny, tol = 1e-12 * max(abs(t1 - t), 1.0), span_tol(t, t1)
+    if isinstance(steps, SolverConfig):
+        mesh, control = None, steps.adaptive
+        dt = steps.dt if steps.dt is not None else 1e-3 * (t1 - t)
     else:
-        mesh, dts = (_fixed_mesh(t, t1, steps.dt, steps.max_steps)
-                     if isinstance(steps, SolverConfig) else steps)
-        end = mesh[-1]
+        (mesh, dts), control = steps, False
     nodes = keep in ("all", "tape")
+    grid = [] if saveat is None else saveat.tolist()
     f = np.asarray(rhs(u, theta, t))
     times, states, derivs, step_dts, errors = [t], [u], [f], [], []
     taped = [] if keep == "tape" else None
-    saved = []  # the rows of saveat[:len(saved)]
+    saved, rows = 0, []  # the count of saveat rows taken, and those since the last stop
     snaps = None if plan is None else {0: u}
     next_target = 1  # plan[0] is t0, already stored
-    attempts = m = 0
-    while t < end:
-        if control:
-            tried = dt
-            dt_step, t_new, is_last = _attempt(t, t1, end, dt, attempts, cfg.max_steps)
-            attempts += 1
+    for i, b in enumerate([*stops, t1]):
+        final, attempts = i == len(stops), 0
+        if mesh is None:
+            end, dt = b - 1e-12 * max(b - t, 1.0), min(dt if control else steps.dt, b - t)
         else:
-            dt_step, t_new, is_last = dts[m], mesh[m + 1], m + 1 == len(dts)
-        u_next, u_emb, k, stages = rk_step(tableau, rhs, u, theta, t, dt_step, f0=f)
-
-        if control:
-            err = scaled_error(u_next[:norm_n], u_emb[:norm_n], cfg.abstol, cfg.reltol)
-            if not (err <= 1.0):
-                stats.rejected_steps += 1
-                if err > 1.0:
-                    dt = propose_dt(dt_step, 1.0 / err, tableau.order)
-                else:  # a NaN error
-                    dt = 0.5 * dt_step
-                continue
-            errors.append(err)
-            dt = propose_dt(dt_step, (1.0 / err) if err > 0 else math.inf, tableau.order)
-        if tableau.fsal:
-            f = k[-1]
-        elif is_last and not nodes and not (saveat is not None and any(
-                _step_end(t, t_new, x, tol) is None for x in saveat[len(saved):])):
-            f = None  # no node or Hermite saveat row reads it and no step follows
-        else:
-            f = np.asarray(rhs(u_next, theta, t_new))
-        if saveat is not None:
-            # each row as dense_eval reads it off the mesh, by its step rule
-            ta, tb, rows = float(t), float(t_new), None
-            while len(saved) < len(saveat) and (is_last or saveat[len(saved)] <= tb):
-                x = float(saveat[len(saved)])
-                side = _step_end(ta, tb, x, tol)  # not ``end``: the loop's bound
-                if side is None and rows is None:
-                    rows = _hermite_rows(u, k[0], u_next, f, tb - ta)
-                saved.append(_horner(rows, (x - ta) / (tb - ta)) if side is None
-                             else (u_next if side else u).copy())
-        m += 1
-        stats.accepted_steps += 1
-        if control:
+            end = mesh[-1]
+        while t < end:
+            if mesh is None:
+                dt_step, t_new, is_last = _attempt(t, b, end, dt, attempts, steps.max_steps)
+                attempts += 1
+            else:
+                m = len(step_dts)
+                dt_step, t_new, is_last = dts[m], mesh[m + 1], m + 1 == len(dts)
+            u_next, u_emb, k, stages = rk_step(tableau, rhs, u, theta, t, dt_step, f0=f)
+            if control:
+                err = scaled_error(u_next[:norm_n], u_emb[:norm_n], steps.abstol, steps.reltol)
+                if not (err <= 1.0):
+                    stats.rejected_steps += 1
+                    if err > 1.0:
+                        dt = propose_dt(dt_step, 1.0 / err, tableau.order)
+                    else:  # a NaN error
+                        dt = 0.5 * dt_step
+                    continue
+                errors.append(err)
+                proposal = propose_dt(dt_step, (1.0 / err) if err > 0 else math.inf, tableau.order)
+                # past a step clipped to its stop, the larger of the attempt and the proposal
+                dt = max(dt, proposal) if is_last else proposal
+            # this step's saveat rows, those up to its end and past t1 the rest, each
+            # as dense_eval reads it off the mesh, by its step rule (not ``end``: the loop's)
+            ta, tb = float(t), float(t_new)
+            take = len(grid) if is_last and final else bisect_right(grid, tb, saved)
+            sides = [_step_end(ta, tb, x, tol) for x in grid[saved:take]] if take > saved else ()
+            if tableau.fsal:
+                f = k[-1]
+            elif is_last and not nodes and None not in sides:
+                f = None  # no node or Hermite saveat row reads it and no step follows
+            else:
+                f = np.asarray(rhs(u_next, theta, t_new))
+            if sides:
+                hermite = _hermite_rows(u, k[0], u_next, f, tb - ta) if None in sides else None
+                rows += [_horner(hermite, (x - ta) / (tb - ta)) if side is None
+                         else (u_next if side else u).copy()
+                         for x, side in zip(grid[saved:take], sides)]
+                saved = take
+            stats.accepted_steps += 1
             times.append(t_new)
             step_dts.append(dt_step)
-        if nodes:
-            states.append(u_next.copy())
-            derivs.append(f)
-            if taped is not None:
-                taped.append(stages[1:].copy())  # Y_1 is node m
-        if snaps is not None and next_target < len(plan) and t_new >= plan[next_target] - tiny:
-            snaps[m] = u_next.copy()
-            while next_target < len(plan) and plan[next_target] <= t_new + tiny:
-                next_target += 1
-        u, t = u_next, t_new
+            if nodes:
+                states.append(u_next.copy())
+                derivs.append(f)
+                if taped is not None:
+                    taped.append(stages[1:].copy())  # Y_1 is the step's first node
+            if snaps is not None and next_target < len(plan) and t_new >= plan[next_target] - tiny:
+                snaps[len(step_dts)] = u_next.copy()
+                while next_target < len(plan) and plan[next_target] <= t_new + tiny:
+                    next_target += 1
+            u, t = u_next, t_new
+        if jump is not None:
+            u, rows = jump(i, u, rows), []
+        if not final:
+            f = np.asarray(rhs(u, theta, t))
 
-    if control and carry is not None and m:
-        carry[0] = max(tried, dt)
     if keep is None:
         return u
-    node_times = np.asarray(times if control else mesh)
+    node_times = np.asarray(times)
     node_states = np.array(states) if nodes else None
     sol = Solution(
         times=node_times if nodes else np.array([times[0], t1]),
@@ -335,8 +343,8 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
         node_times=node_times, node_states=node_states,
         node_derivs=np.array(derivs) if nodes else None,
         stats=stats, step_errors=errors, checkpoints=snaps,
-        step_dts=np.asarray(step_dts if control else dts), stage_tape=taped,
+        step_dts=np.asarray(step_dts), stage_tape=taped,
     )
     if saveat is not None:  # rows still untaken here: a solve that took no step
-        sol.times, sol.states = saveat, np.array(saved + [u] * (len(saveat) - len(saved)))
+        sol.times, sol.states = saveat, np.array(rows + [u] * (len(saveat) - len(rows)))
     return sol

@@ -749,6 +749,24 @@ def test_reverse_intervals_carry_the_controller_step(variant):
     assert res.stats.rejected_steps <= 5
 
 
+@pytest.mark.parametrize("variant,budget", [("quadrature", 179), ("backsolve", 153)])
+def test_max_steps_bounds_each_reverse_stretch_between_stops(variant, budget):
+    # predprey makes 50 forward attempts and 180 (quadrature) or 154
+    # (backsolve) reverse ones over 100 stretches between its stops.  The
+    # budget holds per stretch, as it did per interval: one short of the
+    # pass's total still returns the default budget's gradient bytes
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    free = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg)
+    forward = sk.solve(ent.problem, cfg).stats
+    attempts = free.stats.accepted_steps + free.stats.rejected_steps
+    assert forward.accepted_steps + forward.rejected_steps == 50
+    assert attempts - 50 == budget + 1
+    tight = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}",
+                        dataclasses.replace(cfg, max_steps=budget))
+    assert tight.gradient.tobytes() == free.gradient.tobytes()
+
+
 def _forward_work(ent, variant, tol, checkpoints):
     """RHS calls of a dense variant's forward pass plus one replay of each segment.
 
@@ -769,31 +787,48 @@ def _forward_work(ent, variant, tol, checkpoints):
     return total, stats.accepted_steps
 
 
-@pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
-def test_dense_adjoints_make_one_costate_solve_per_observation_interval(variant, monkeypatch):
-    # predprey's 101 observations bound 100 intervals; one costate solve per
-    # forward step as well made 149.  A checkpointed pass keeps the same
-    # intervals, and each of its segments replays once (at tol 1e-8,
-    # quadrature's 4 checkpoints read 605 RHS calls: the forward 301 and a
-    # replay of each step), down to one checkpoint per forward step; a reader
-    # that held one segment replayed the segments at snapshots again (897)
-    ent = sk.make_predprey(0.95)
-    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
-    full_steps = _forward_work(ent, variant, 1e-8, None)[1]
+def _spy_costate_solves(monkeypatch):
+    """Log each ``_integrate_costate_interval`` call as ``[t_left, t_right, jump times]``."""
     solves = []
     integrate = adjoint_module._integrate_costate_interval
 
-    def counted(*args, **kwargs):
-        solves.append(args[2:4])
-        return integrate(*args, **kwargs)
+    def spy(rhs, y, t_left, t_right, *args, stops=(), jump=None, **kwargs):
+        solve = [t_left, t_right, []]
+        solves.append(solve)
 
-    monkeypatch.setattr(adjoint_module, "_integrate_costate_interval", counted)
+        def logged(i, z, rows):
+            solve[2].append([*stops, t_left][i])
+            return jump(i, z, rows)
+
+        return integrate(rhs, y, t_left, t_right, *args, stops=stops, jump=logged, **kwargs)
+
+    monkeypatch.setattr(adjoint_module, "_integrate_costate_interval", spy)
+    return solves
+
+
+# the times of predprey's jumps inside a costate solve; t1's comes before it
+PREDPREY_STOPS = [round(10.0 - 0.1 * i, 9) for i in range(1, 101)]
+
+
+@pytest.mark.parametrize("variant", ["interpolating", "quadrature"])
+def test_dense_adjoints_make_one_costate_solve_per_pass(variant, monkeypatch):
+    # one costate solve from t1 to t0 jumps at predprey's 99 interior
+    # observations and t0; one solve per interval between them made 100.
+    # A checkpointed pass keeps the same stops, and each of its segments
+    # replays once (at tol 1e-8, quadrature's 4 checkpoints read 605 RHS
+    # calls: the forward 301 and a replay of each step), down to one
+    # checkpoint per forward step; a reader that held one segment replayed
+    # the segments at snapshots again (897)
+    ent = sk.make_predprey(0.95)
+    cfg = sk.SolverConfig(abstol=1e-8, reltol=1e-8)
+    full_steps = _forward_work(ent, variant, 1e-8, None)[1]
+    solves = _spy_costate_solves(monkeypatch)
     for ck in (None, 4, full_steps):
         rhs = _forward_work(ent, variant, 1e-8, ck)[0]
         solves.clear()
         res = sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg, checkpoints=ck)
-        assert len(solves) == 100, ck
-        assert [round(t_right, 9) for _, t_right in solves] == [round(10.0 - 0.1 * i, 9) for i in range(100)]
+        assert [solve[:2] for solve in solves] == [[0.0, 10.0]], ck
+        assert [round(t, 9) for t in solves[0][2]] == PREDPREY_STOPS, ck
         assert res.stats.rhs_evaluations == rhs, ck
 
 
@@ -1170,26 +1205,21 @@ def test_a_loss_without_an_observation_at_t1_replays_each_segment_once(variant, 
 @pytest.mark.parametrize("cfg", [sk.SolverConfig(method="rk4", dt=0.01),
                                  sk.SolverConfig(abstol=1e-8, reltol=1e-8)], ids=["rk4", "dopri5"])
 def test_continuous_adjoints_solve_over_the_same_intervals(cfg, monkeypatch):
-    # every continuous adjoint stops at the same stops: predprey's 101
-    # observations make 100 costate solves.  On rk4 they sit within tol of
-    # nodes, where backsolve stopped at the observation time itself, next
-    # to the node, and took a reverse step over the sliver between them
+    # every continuous adjoint makes one costate solve that jumps at the
+    # same stops: predprey's 99 interior observations and t0.  On rk4 they
+    # sit within tol of nodes, where backsolve stopped at the observation
+    # time itself, next to the node, and took a reverse step over the
+    # sliver between them
     ent = sk.make_predprey(0.95)
-    solves = []
-    integrate = adjoint_module._integrate_costate_interval
-
-    def counted(*args, **kwargs):
-        solves.append(args[2:4])
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(adjoint_module, "_integrate_costate_interval", counted)
-    pairs = {}
+    solves = _spy_costate_solves(monkeypatch)
+    jumps = {}
     for variant in ("backsolve", "interpolating", "quadrature"):
         solves.clear()
         sk.gradient(ent.problem, ent.loss, f"continuous_{variant}", cfg)
-        pairs[variant] = list(solves)
-    assert len(pairs["interpolating"]) == 100
-    assert pairs["backsolve"] == pairs["interpolating"] == pairs["quadrature"]
+        assert len(solves) == 1, variant
+        jumps[variant] = solves[0][2]
+    assert [round(t, 9) for t in jumps["interpolating"]] == PREDPREY_STOPS
+    assert jumps["backsolve"] == jumps["interpolating"] == jumps["quadrature"]
 
 
 def test_each_observation_jump_applies_once_with_and_without_checkpoints():

@@ -160,7 +160,8 @@ def test_a_nan_or_infinite_setting_is_refused_before_any_rhs_call(call, message)
         call()
     # an infinite dt stays legal: an adaptive solve's first attempt then
     # spans the whole span (the marching loop clips dt to it); the adjoints'
-    # reverse intervals no longer use it, as they carry the controller's step
+    # reverse passes no longer use it, as they start from the forward
+    # controller's step
     assert sk.SolverConfig(dt=math.inf).dt == math.inf
 
 

@@ -19,6 +19,7 @@ from sensikit.errors import (
 from sensikit.solver import (
     JOINT_PRIMAL_DUAL,
     PRIMAL_ONLY,
+    _fixed_mesh,
     _march,
     checkpoint_plan,
     propose_dt,
@@ -397,6 +398,70 @@ def test_saveat_rows_kept_without_a_mesh_are_dense_eval_bitwise(method):
         assert kept.stats.accepted_steps == full.stats.accepted_steps == 100
         early = march(ent.problem, cfg, keep="final", saveat=grid[:-2])
         assert early.stats.rhs_evaluations == bare
+
+
+STOPS = [1.0 / 3.0, 2.5, 2.5 + 1e-7, 7.123]
+
+
+@pytest.mark.parametrize("method", ["dopri5", "rk4"])
+def test_each_stop_of_a_march_is_a_node_time_bitwise(method):
+    # a run with stops ends a step at each, on the clock it steps: the node
+    # times hold them bitwise, even a stop 1e-7 past the one before
+    ent = sk.make_predprey(0.95)
+    cfg = (sk.SolverConfig(abstol=1e-8, reltol=1e-8) if method == "dopri5"
+           else sk.SolverConfig(method="rk4", dt=0.1))
+    sol = march(ent.problem, cfg, keep="final", stops=STOPS)
+    nodes = sol.node_times.tolist()
+    assert all(s in nodes for s in STOPS)
+    assert nodes[0] == 0.0 and nodes[-1] == 10.0
+    assert np.all(np.diff(sol.node_times) > 0)
+    # a stretch starts from a first attempt no longer than it; on a fixed
+    # step, the step after a stop is dt again, not what the stop clipped
+    assert sol.step_dts[nodes.index(2.5)] == pytest.approx(1e-7)
+    if method == "rk4":
+        assert [sol.step_dts[nodes.index(s)] for s in STOPS[::2]] == [0.1, 0.1]
+
+
+@pytest.mark.parametrize("method", ["dopri5", "rk4"])
+def test_a_jump_gets_the_saveat_rows_taken_since_the_stop_before(method):
+    # with stops and saveat, each jump receives the rows at the saveat times
+    # since the stop before (a time on a stop goes with that stop), and the
+    # run then drops them; a jump returning its state changes nothing
+    ent = sk.make_predprey(0.95)
+    cfg = (sk.SolverConfig(abstol=1e-8, reltol=1e-8) if method == "dopri5"
+           else sk.SolverConfig(method="rk4", dt=0.1))
+    grid = np.array([0.05, 1.0 / 3.0, 0.4, 1.7, 2.5 + 5e-8, 4.0, 7.123, 9.99, 10.0])
+    whole = march(ent.problem, cfg, keep="final", saveat=grid, stops=STOPS)
+    seen = []
+
+    def jump(i, u, rows):
+        seen.append((i, [r.tobytes() for r in rows]))
+        return u
+
+    end = march(ent.problem, cfg, saveat=grid, stops=STOPS, jump=jump)
+    assert end.tobytes() == whole.final_state().tobytes()
+    bounds = [0, 2, 4, 5, 7, 9]  # grid[bounds[i]:bounds[i + 1]] lies up to stop i, then t1
+    assert [i for i, _ in seen] == [0, 1, 2, 3, 4]
+    for i, rows in seen:
+        assert rows == [r.tobytes() for r in whole.states[bounds[i] : bounds[i + 1]]], i
+
+
+@pytest.mark.parametrize("method,dt,tspan", [("rk4", 0.01, (0.0, 10.0)), ("rk4", 0.3, (0.0, 10.0)),
+                                             ("euler", 0.05, (0.0, 10.0)),
+                                             ("rk4", 0.1, (0.3, 7.0))])
+def test_a_fixed_step_solve_steps_the_fixed_mesh_bitwise(method, dt, tspan):
+    # the discrete adjoint checks its observations against _fixed_mesh
+    # before any step, then stops at them on its forward solve's nodes: the
+    # two meshes must agree bitwise, a clipped last step included (0.3 on
+    # [0, 10] leaves a step of 0.1)
+    ent = sk.make_harmonic(0.2)
+    problem = dataclasses.replace(ent.problem, tspan=tspan)
+    sol = sk.solve(problem, sk.SolverConfig(method=method, dt=dt))
+    times, dts = _fixed_mesh(*tspan, dt, 1_000_000)
+    assert sol.node_times.tobytes() == np.array(times).tobytes()
+    assert sol.step_dts.tobytes() == np.array(dts).tobytes()
+    if dt == 0.3:
+        assert dts[-1] == pytest.approx(0.1) and dts[-2] == 0.3
 
 
 def test_a_saveat_row_a_rounding_past_tol_into_the_last_step_reads_its_end_derivative():
