@@ -16,14 +16,15 @@ bits (its read rule and step rows), taken as the loop steps past each time.
 One marching loop, ``_march``, takes every step: those of ``solve``, of
 the forward-mode engine's packed ``(u, S)`` solve, of the adjoint forward
 pass, of a checkpoint segment's replay and of each adjoint's reverse pass.
-Its step source is the controller, a fixed ``dt`` or the recorded steps of
-an earlier run; one setting, ``keep``, says what it keeps: every node for
-``solve`` and the engine (under the engine's error norm, ``norm_n``),
-less for the adjoint forward pass (the node times and end states, with
-checkpoint snapshots by node index) or more (the stage tape).  A kept
-node, ``saveat`` row, checkpoint or stage-tape entry is a copy of its
-step's rows, so none holds a step's block.  A run may end steps at stops
-and jump there: an adjoint's reverse pass does, at its observations.
+Its steps come from the controller or a grid known before the first step,
+a fixed ``dt``'s or an earlier run's; one setting, ``keep``, says what it
+keeps: every node for ``solve`` and the engine (under the engine's error
+norm, ``norm_n``), less for the adjoint forward pass (the node times and
+end states, with checkpoint snapshots by node index) or more (the stage
+tape).  A kept node, ``saveat`` row, checkpoint or stage-tape entry is a
+copy of its step's rows, so none holds a step's block.  A run may end
+steps at stops and jump there: an adjoint's reverse pass does, at its
+observations.
 """
 
 from __future__ import annotations
@@ -214,11 +215,10 @@ def _attempt(t, t1, end, dt, attempts, max_steps):
 def _fixed_mesh(t, t1, dt, max_steps):
     """Node times and stepsizes of a fixed-step run, known before any step.
 
-    ``_march`` takes the same ``_attempt`` steps, so a fixed-step solve has
-    these bits.  The last one stays cached for the discrete adjoint, which
-    checks each request's observations against it before any step."""
-    span = t1 - t
-    end, dt = t1 - 1e-12 * max(abs(span), 1.0), min(dt, span)
+    The grid every fixed-step ``_march`` stretch steps, built by ``_attempt``
+    before its first right-hand-side call.  It keeps one grid cached: the
+    discrete adjoint checks its observations against it, then steps it."""
+    end, dt = t1 - 1e-12 * max(t1 - t, 1.0), min(dt, t1 - t)
     times, dts = [t], []
     while t < end:
         dt_step, t, _ = _attempt(t, t1, end, dt, len(dts), max_steps)
@@ -231,59 +231,61 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
            norm_n=None, stops=(), jump=None):
     """Step ``u`` from ``t`` to ``t1``: the one stepping loop of every integration.
 
-    ``steps`` is a ``SolverConfig``, whose controller (embedded tableau) or
-    fixed ``dt`` picks the steps through ``_attempt``, or the
-    ``(node_times, step_dts)`` of a recorded run, taken again bitwise.
-    ``stats`` gains the accepted and rejected steps.  ``keep`` None returns
-    the end state; ``"final"`` a ``Solution`` of the node times and
-    stepsizes and the end states; ``"all"`` one of every node's state and
-    derivative; ``"tape"`` that and the stage tape.  ``saveat``, sorted
-    times in the span, makes the ``Solution``'s ``times``/``states`` the
-    state at each, taken from the step's rows as the step holding it is
-    accepted: the bits of ``dense_eval`` on the kept mesh, which need not be
-    kept.  Unless it keeps every node or a ``saveat`` time lies inside the
-    last step, a non-FSAL tableau skips that step's end derivative.
-    ``plan`` holds the checkpoint times: the first node at or past each, and
-    the last, join node 0 in ``checkpoints``.  ``norm_n`` limits the
-    controller's error norm to its first coordinates.
+    ``steps`` is a ``SolverConfig``, whose controller (embedded tableau)
+    picks the steps through ``_attempt`` and whose fixed ``dt`` steps
+    ``_fixed_mesh``'s grid, or the ``(node_times, step_dts)`` of a recorded
+    run, taken again bitwise.  ``stats`` gains the accepted and rejected
+    steps.  ``keep`` None returns the end state; ``"final"`` a ``Solution``
+    of the node times and stepsizes and the end states; ``"all"`` one of
+    every node's state and derivative; ``"tape"`` that and the stage tape.
+    ``saveat``, sorted times in the span, makes the ``Solution``'s
+    ``times``/``states`` the state at each, taken from the step's rows as
+    the step holding it is accepted: the bits of ``dense_eval`` on the kept
+    mesh, which need not be kept.  Unless it keeps every node or a
+    ``saveat`` time lies inside the last step, a non-FSAL tableau skips that
+    step's end derivative.  ``plan`` holds the checkpoint times: the first
+    node at or past each, and the last, join node 0 in ``checkpoints``.
+    ``norm_n`` limits the controller's error norm to its first coordinates.
 
     ``stops``, sorted times inside the span, end a configured run's steps,
     each at a node, bitwise.  At each and at ``t1``, ``jump(i, u, rows)``
     returns the state to go on from, given the stop's index and the
     ``saveat`` rows taken since the stop before, which the run then drops.
-    Each stretch starts as a run of its own: the derivative read again, its
-    own ``max_steps``, a first attempt no longer than it and, under control,
-    the larger of the last attempt before ``_attempt`` clipped it to the
-    stop and the proposal after it (Hairer, Norsett & Wanner, Solving ODEs
-    I, sec. II.4).
+    Each stretch starts as a run of its own: its grid built, then its
+    derivative read, its own ``max_steps``, a first attempt no longer than
+    it and, under control, the larger of the last attempt before
+    ``_attempt`` clipped it to the stop and the proposal after it (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.4).
     """
     tiny, tol = 1e-12 * max(abs(t1 - t), 1.0), span_tol(t, t1)
-    if isinstance(steps, SolverConfig):
-        mesh, control = None, steps.adaptive
+    control = isinstance(steps, SolverConfig) and steps.adaptive
+    if control:
         dt = steps.dt if steps.dt is not None else 1e-3 * (t1 - t)
-    else:
-        (mesh, dts), control = steps, False
     nodes = keep in ("all", "tape")
     grid = [] if saveat is None else saveat.tolist()
-    f = np.asarray(rhs(u, theta, t))
-    times, states, derivs, step_dts, errors = [t], [u], [f], [], []
+    times, states, derivs, step_dts, errors = [t], [u], [], [], []
     taped = [] if keep == "tape" else None
     saved, rows = 0, []  # the count of saveat rows taken, and those since the last stop
     snaps = None if plan is None else {0: u}
     next_target = 1  # plan[0] is t0, already stored
     for i, b in enumerate([*stops, t1]):
         final, attempts = i == len(stops), 0
-        if mesh is None:
-            end, dt = b - 1e-12 * max(b - t, 1.0), min(dt if control else steps.dt, b - t)
-        else:
+        if control:
+            end, dt = b - 1e-12 * max(b - t, 1.0), min(dt, b - t)
+        else:  # raises on a grid over budget or underflowing before the read below
+            mesh, dts = (steps if not isinstance(steps, SolverConfig)
+                         else _fixed_mesh(t, b, steps.dt, steps.max_steps))
             end = mesh[-1]
+        f = np.asarray(rhs(u, theta, t))
+        if i == 0:
+            derivs.append(f)
         while t < end:
-            if mesh is None:
+            if control:
                 dt_step, t_new, is_last = _attempt(t, b, end, dt, attempts, steps.max_steps)
-                attempts += 1
             else:
-                m = len(step_dts)
-                dt_step, t_new, is_last = dts[m], mesh[m + 1], m + 1 == len(dts)
+                dt_step, t_new = dts[attempts], mesh[attempts + 1]
+                is_last = t_new == end
+            attempts += 1
             u_next, u_emb, k, stages = rk_step(tableau, rhs, u, theta, t, dt_step, f0=f)
             if control:
                 err = scaled_error(u_next[:norm_n], u_emb[:norm_n], steps.abstol, steps.reltol)
@@ -330,8 +332,6 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             u, t = u_next, t_new
         if jump is not None:
             u, rows = jump(i, u, rows), []
-        if not final:
-            f = np.asarray(rhs(u, theta, t))
 
     if keep is None:
         return u

@@ -15,7 +15,7 @@ from sensikit.direct import (
     forwardad_gradient,
     solver_loss_fn,
 )
-from sensikit.errors import NumericalBlowupError
+from sensikit.errors import NonConvergenceError, NumericalBlowupError, StepsizeUnderflowError
 
 THETA = np.array([0.2])
 T1 = 10.0
@@ -448,6 +448,32 @@ def test_every_method_rejects_a_bad_request_alike_before_any_work(case):
         raised.add((type(err.value), str(err.value)))
         assert calls == [], method
     assert len(raised) == 1, raised
+
+
+@pytest.mark.parametrize("method,dt,max_steps,error,message", [
+    ("euler", 1e-6, 100, NonConvergenceError,
+     "exceeded 100 step attempts at t=9.999999999999982e-05"),
+    ("rk4", 1e-300, 1_000_000, StepsizeUnderflowError, "stepsize underflow: dt=1e-300 at t=0.0"),
+])
+def test_every_method_refuses_a_fixed_grid_over_budget_or_underflowing_before_any_rhs_call(
+        method, dt, max_steps, error, message):
+    # every fixed-step run builds its grid before its first derivative read,
+    # so all ten methods refuse alike after no RHS call, with the error a
+    # step would raise, as the discrete adjoint's off-grid check does
+    ent = sk.make_harmonic(0.2)
+    calls = []
+    rhs = ent.problem.rhs
+
+    def counting_rhs(u, theta, t):
+        calls.append(t)
+        return rhs(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs=counting_rhs)
+    cfg = sk.SolverConfig(method=method, dt=dt, max_steps=max_steps)
+    for name in METHODS:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sk.gradient(problem, ent.loss, name, cfg)
+        assert calls == [], name
 
 
 def test_the_functions_behind_gradient_refuse_a_saveat_grid_past_the_span():

@@ -344,6 +344,54 @@ def test_stepsize_underflow():
     assert 0.0 <= err.value.t <= 1.0 and err.value.dt > 0
 
 
+@pytest.mark.parametrize("method,dt,max_steps,error,message", [
+    ("euler", 1e-6, 100, NonConvergenceError,
+     "exceeded 100 step attempts at t=9.999999999999982e-05"),
+    ("rk4", 1e-300, 1_000_000, StepsizeUnderflowError, "stepsize underflow: dt=1e-300 at t=0.0"),
+])
+def test_a_fixed_grid_over_budget_or_underflowing_is_refused_before_any_rhs_call(
+        method, dt, max_steps, error, message):
+    # a fixed-step run builds its grid before it reads its first derivative,
+    # so a grid longer than max_steps or a dt too small to move t is refused
+    # with the error a step would raise, after no RHS call
+    ent = sk.make_harmonic(0.2)
+    calls = []
+    rhs = ent.problem.rhs
+
+    def counting_rhs(u, theta, t):
+        calls.append(t)
+        return rhs(u, theta, t)
+
+    problem = dataclasses.replace(ent.problem, rhs=counting_rhs)
+    cfg = sk.SolverConfig(method=method, dt=dt, max_steps=max_steps)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        sk.solve(problem, cfg)
+    assert calls == []
+
+
+def test_a_second_discrete_adjoint_request_steps_the_grid_its_check_built(monkeypatch):
+    # the discrete adjoint's off-grid check and every fixed-step run read one
+    # cached _fixed_mesh grid: a cold request builds it once, in 1,000
+    # _attempt calls, and a second request on the same grid makes none
+    ent = sk.make_predprey(1.0)
+    cfg = sk.SolverConfig(method="rk4", dt=0.01)
+    attempts = []
+    attempt = sk.solver._attempt
+
+    def counting_attempt(*args):
+        attempts.append(args[0])
+        return attempt(*args)
+
+    monkeypatch.setattr(sk.solver, "_attempt", counting_attempt)
+    _fixed_mesh.cache_clear()
+    first = sk.gradient(ent.problem, ent.loss, "discrete_adjoint", cfg)
+    assert len(attempts) == 1000
+    attempts.clear()
+    second = sk.gradient(ent.problem, ent.loss, "discrete_adjoint", cfg)
+    assert attempts == []
+    assert second.gradient.tobytes() == first.gradient.tobytes()
+
+
 def test_saveat_via_dense_output():
     ent = sk.make_harmonic(0.2)
     grid = np.linspace(0.0, 10.0, 41)
@@ -450,10 +498,10 @@ def test_a_jump_gets_the_saveat_rows_taken_since_the_stop_before(method):
                                              ("euler", 0.05, (0.0, 10.0)),
                                              ("rk4", 0.1, (0.3, 7.0))])
 def test_a_fixed_step_solve_steps_the_fixed_mesh_bitwise(method, dt, tspan):
-    # the discrete adjoint checks its observations against _fixed_mesh
-    # before any step, then stops at them on its forward solve's nodes: the
-    # two meshes must agree bitwise, a clipped last step included (0.3 on
-    # [0, 10] leaves a step of 0.1)
+    # _fixed_mesh is the grid every fixed-step run steps and the one the
+    # discrete adjoint checks its observations against before any step; it
+    # is pinned here as a solve's nodes and stepsizes, bitwise, a clipped
+    # last step included (0.3 on [0, 10] leaves a step of 0.1)
     ent = sk.make_harmonic(0.2)
     problem = dataclasses.replace(ent.problem, tspan=tspan)
     sol = sk.solve(problem, sk.SolverConfig(method=method, dt=dt))

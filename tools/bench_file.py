@@ -12,7 +12,8 @@ untraced reports) the file holds the median, the quartiles and their
 distance (the IQR, quartiles by linear interpolation) over the seeds found,
 and each seed's value.  Per workload it also holds one traced run's layer
 metrics (unscaled), its bitwise check and absent layers, and the
-environment the reports name: the Python and numpy versions and ``nproc``.
+environment the reports name: the Python and numpy versions and ``nproc``
+(reports naming two are refused).
 """
 
 import argparse
@@ -31,18 +32,30 @@ def _reports(directory, trace):
 
 
 def _spread(values):
+    """Median, quartiles and IQR of ``values``; one value is all three, IQR 0."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def _environment(reports):
+    """The one environment every report names; raises if two differ."""
+    seen = {tuple((k, r["environment"][k]) for k in ("python", "numpy", "nproc"))
+            for r in reports}
+    if len(seen) > 1:
+        raise ValueError(f"the reports name different environments: {sorted(seen)}")
+    return dict(seen.pop()) if seen else {}
+
+
 def bench_file(label, commit, runs, traced):
     untraced, layers = _reports(runs, 0), _reports(traced, 1)
-    environment = {}
+    environment = _environment([r for by_seed in (*untraced.values(), *layers.values())
+                                for r in by_seed.values()])
     workloads = {}
     for workload, by_seed in sorted(untraced.items()):
         seeds = sorted(by_seed)
         first = by_seed[seeds[0]]
-        environment = {k: first["environment"][k] for k in ("python", "numpy", "nproc")}
         names = list(first["metrics"])
         metrics = {}
         for name in names:
