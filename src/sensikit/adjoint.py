@@ -219,10 +219,13 @@ def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
     recursion of Hager (2000) and Sandu (2006).  ``stages`` holds the
     step's ``s`` stage inputs ``Y_i`` as ``rk_step`` returns them, with
     ``Y_1 = u``; the discrete adjoint reads them off a stage tape, so the
-    step does not run again.  Each stage costs one ``jacobian_assembly``
-    at ``(Y_i, t + c_i dt)``, and the stages are traversed in reverse:
+    step does not run again.  ``t`` and ``dt`` are Python floats and
+    ``theta`` and ``lam_in`` float arrays.  The sweep traverses the stages in
+    reverse, walking the tableau's nonzero couplings (``reverse_couplings``),
+    and assembles a stage's Jacobians, one ``jacobian_assembly`` at
+    ``(Y_i, t + c_i dt)``, when it reaches that stage:
 
-        kbar_i = dt b_i lam + sum_(j>i) dt a_ji Ybar_j
+        kbar_i = dt b_i lam + sum_(j>i, a_ji != 0) dt a_ji Ybar_j
         Ybar_i = J_u(Y_i)^T kbar_i
 
     giving ``lam + sum_i Ybar_i`` and ``sum_i J_theta(Y_i)^T kbar_i``.
@@ -230,25 +233,16 @@ def step_vjp(problem: OdeProblem, tableau, stages, theta, t, dt, lam_in):
     s = tableau.stages
     if len(stages) != s:
         raise ValueError(f"step_vjp needs the {s} stage inputs of the step, got {len(stages)}")
-    theta = np.asarray(theta, dtype=float)
-    t, dt = float(t), float(dt)  # Python floats: numpy's bits without its scalar overhead
-    a, b, c = tableau.a, tableau.b, tableau.c
-    jacobians = [
-        jacobian_assembly(problem, y, theta, t + c[i] * dt)[:2] for i, y in enumerate(stages)
-    ]
-    lam = np.asarray(lam_in, dtype=float)
-    ybar = [None] * s
-    lam_out = lam
-    grad = np.zeros(theta.size)
-    for i in range(s - 1, -1, -1):
-        kbar = (dt * b[i]) * lam
-        for j in range(i + 1, s):
-            if a[j][i] != 0.0:
-                kbar = kbar + (dt * a[j][i]) * ybar[j]
-        J_u, J_theta = jacobians[i]
-        ybar[i] = J_u.T @ kbar
+    lam_out, ybar, grad = lam_in, [None] * s, np.zeros(theta.size)
+    for i, b_i, c_i, couplings in tableau.reverse_couplings:
+        kbar = (dt * b_i) * lam_in
+        for j, a_ji in couplings:
+            kbar = kbar + (dt * a_ji) * ybar[j]
+        J_u, J_theta, _ = jacobian_assembly(problem, stages[i], theta, t + c_i * dt)
+        # J.T @ kbar's bits: by the method at half its cost unless J is strided (multidual)
+        ybar[i] = kbar.dot(J_u) if J_u.flags.forc else kbar @ J_u
         lam_out = lam_out + ybar[i]
-        grad = grad + J_theta.T @ kbar
+        grad = grad + (kbar.dot(J_theta) if J_theta.flags.forc else kbar @ J_theta)
     return lam_out, grad
 
 
@@ -270,10 +264,8 @@ def continuous_adjoint(
     fwd = config.solver_config
     discrete = config.variant == "discrete"
     if discrete and fwd.adaptive:
-        raise ValueError(
-            "unsupported configuration: the discrete adjoint requires a "
-            "reproducible fixed grid (euler or rk4 forward)"
-        )
+        raise ValueError("unsupported configuration: the discrete adjoint requires a "
+                         "reproducible fixed grid (euler or rk4 forward)")
     problem, loss, theta = check_request(problem, loss, theta, fwd.saveat)
     tol = span_tol(*problem.tspan)
     if discrete:  # its grid, and so every stop, is known before any step
@@ -554,10 +546,11 @@ def _discrete_reverse(problem, loss, stops, sol, theta, rev, stats):
     lam, g, peak = np.zeros(problem.n), np.zeros(theta.size), 0
     for seg, ts, states in _segments_reverse(problem, sol, theta, tableau, "tape"):
         peak = max(peak, len(ts) + (tableau.stages - 1) * len(seg.stage_tape) + ckpt)
+        ts, dts = ts.tolist(), seg.step_dts.tolist()  # step_vjp's Python floats
         for m in range(len(ts) - 2, -1, -1):
             lam = _jump(loss, lam, stops.get(ts[m + 1], ()), states[m + 1])
             stages = [states[m], *seg.stage_tape[m]]
-            lam, contrib = step_vjp(problem, tableau, stages, theta, ts[m], seg.step_dts[m], lam)
+            lam, contrib = step_vjp(problem, tableau, stages, theta, ts[m], dts[m], lam)
             g = g + contrib
     lam = _jump(loss, lam, stops.get(problem.tspan[0], ()), problem.u0)
     return g, lam, peak, {}

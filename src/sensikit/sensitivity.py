@@ -63,7 +63,7 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
     is its analytic one, returned verbatim; the missing Jacobians that are
     read come from one multidual right-hand side seeded in exactly their
     directions.  ``f`` is that call's value coordinate or, when no such
-    call ran, one plain right-hand side.
+    call ran, one plain right-hand side.  ``u`` and ``theta`` are float arrays.
 
     ``u_theta``, an n-by-p ``du/dtheta``, asks for the forward tangent
     ``J_u u_theta + J_theta`` in the ``J_theta`` place instead, with ``J_u``
@@ -71,9 +71,6 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
     problem supplies both Jacobians, else one multidual call of arity p,
     ``u`` seeded by ``u_theta`` and ``theta`` by the identity.
     """
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    n = u.size
     if u_theta is not None:
         if problem.rhs_jac_u is None or problem.rhs_jac_theta is None:
             p = theta.size
@@ -85,13 +82,13 @@ def jacobian_assembly(problem: OdeProblem, u, theta, t, *, jac_u=True, jac_theta
     seed_theta = jac_theta and problem.rhs_jac_theta is None
     J_u = J_theta = value = None
     if seed_u or seed_theta:
-        arity = (n if seed_u else 0) + (theta.size if seed_theta else 0)
+        col = u.size if seed_u else 0  # the tangents' first theta column
+        arity = col + (theta.size if seed_theta else 0)
         eye = _identity(arity)
-        col = n if seed_u else 0
-        u_in = dual.seed_state(u, eye[:n], arity) if seed_u else u
+        u_in = dual.seed_state(u, eye[:col], arity) if seed_u else u
         th_in = dual.seed_state(theta, eye[col:], arity) if seed_theta else theta
         out = _dual_rhs(problem, u_in, th_in, t, arity)
-        J_u = out.tangents[:, :n] if seed_u else None
+        J_u = out.tangents[:, :col] if seed_u else None
         J_theta = out.tangents[:, col:] if seed_theta else None
         value = out.value
     if jac_u and not seed_u:

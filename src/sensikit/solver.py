@@ -216,8 +216,8 @@ def _fixed_mesh(t, t1, dt, max_steps):
     """Node times and stepsizes of a fixed-step run, known before any step.
 
     The grid every fixed-step ``_march`` stretch steps, built by ``_attempt``
-    before its first right-hand-side call.  It keeps one grid cached: the
-    discrete adjoint checks its observations against it, then steps it."""
+    before its first right-hand-side call.  It keeps a forward run's grid cached:
+    the discrete adjoint checks its observations against it, then steps it."""
     end, dt = t1 - 1e-12 * max(t1 - t, 1.0), min(dt, t1 - t)
     times, dts = [t], []
     while t < end:
@@ -274,7 +274,8 @@ def _march(rhs, u, theta, t, t1, tableau, stats, steps, keep=None, plan=None, sa
             end, dt = b - 1e-12 * max(b - t, 1.0), min(dt, b - t)
         else:  # raises on a grid over budget or underflowing before the read below
             mesh, dts = (steps if not isinstance(steps, SolverConfig)
-                         else _fixed_mesh(t, b, steps.dt, steps.max_steps))
+                         else (_fixed_mesh.__wrapped__ if stops or jump else _fixed_mesh)(
+                             t, b, steps.dt, steps.max_steps))
             end = mesh[-1]
         f = np.asarray(rhs(u, theta, t))
         if i == 0:

@@ -20,7 +20,8 @@ class ButcherTableau:
     (``a`` a tuple of rows), which the steppers read without numpy's
     per-scalar overhead.  A first-same-as-last (``fsal``) tableau's last
     row of ``a`` is ``b`` and its last abscissa 1: its last stage input is
-    the step's result and its last stage the derivative there.
+    the step's result and its last stage the derivative there.  Two tables
+    are cached from these, the step's rows and the reverse stage couplings.
     """
 
     name: str
@@ -64,6 +65,14 @@ class ButcherTableau:
         out = np.array(rows)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def reverse_couplings(self) -> tuple:
+        """What ``adjoint.step_vjp``'s reverse sweep walks: per stage, last first,
+        ``(i, b_i, c_i, ((j, a_ji), ...))`` over the nonzero ``a_ji``, ``j > i``."""
+        return tuple((i, self.b[i], self.c[i], tuple((j, row[i]) for j, row in enumerate(self.a)
+                                                     if j > i and row[i] != 0.0))
+                     for i in reversed(range(self.stages)))
 
     @property
     def stages(self) -> int:

@@ -23,6 +23,7 @@ from sensikit.adjoint import (
     step_vjp,
 )
 from sensikit.errors import NonConvergenceError, NumericalBlowupError
+from sensikit.sensitivity import jacobian_assembly
 from sensikit.solver import rk_step
 from sensikit.tableaus import DOPRI5, EULER, RK4
 from shared import workloads
@@ -167,6 +168,111 @@ def test_step_vjp_matches_multidual_step_push(tableau, jacobians):
     want = complex_step_vjp(problem, tableau, u, problem.theta, 0.7, 0.05, lam)
     for g, w in zip(got, want):
         assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+
+
+def stage_by_stage_vjp(problem, tableau, stages, theta, t, dt, lam_in):
+    """The transposed stage recursion in its first form: every stage's Jacobians
+    assembled first, then a sweep over every ``a[j][i]``, each applied as ``J.T @ kbar``."""
+    s = tableau.stages
+    theta = np.asarray(theta, dtype=float)
+    t, dt = float(t), float(dt)
+    a, b, c = tableau.a, tableau.b, tableau.c
+    jacobians = [
+        jacobian_assembly(problem, y, theta, t + c[i] * dt)[:2] for i, y in enumerate(stages)
+    ]
+    lam = np.asarray(lam_in, dtype=float)
+    ybar = [None] * s
+    lam_out = lam
+    grad = np.zeros(theta.size)
+    for i in range(s - 1, -1, -1):
+        kbar = (dt * b[i]) * lam
+        for j in range(i + 1, s):
+            if a[j][i] != 0.0:
+                kbar = kbar + (dt * a[j][i]) * ybar[j]
+        J_u, J_theta = jacobians[i]
+        ybar[i] = J_u.T @ kbar
+        lam_out = lam_out + ybar[i]
+        grad = grad + J_theta.T @ kbar
+    return lam_out, grad
+
+
+def random_system(rng, n, p, nonlinear):
+    """A seeded n-state, p-parameter problem with analytic Jacobians."""
+    A = rng.normal(size=(n, n)) / math.sqrt(n)
+    B = rng.normal(size=(n, p))
+    if nonlinear:
+        def rhs(u, th, t):
+            return A @ u + (B @ th) * np.sin(u) - 0.1 * u * u
+
+        def jac_u(u, th, t):
+            return A + np.diag((B @ th) * np.cos(u) - 0.2 * u)
+
+        def jac_theta(u, th, t):
+            return np.sin(u)[:, None] * B
+    else:
+        def rhs(u, th, t):
+            return A @ u + B @ th
+
+        def jac_u(u, th, t):
+            return A
+
+        def jac_theta(u, th, t):
+            return B
+    return sk.OdeProblem(rhs=rhs, u0=rng.normal(size=n), tspan=(0.0, 1.0),
+                         theta=rng.normal(size=p), rhs_jac_u=jac_u, rhs_jac_theta=jac_theta)
+
+
+@pytest.mark.parametrize("tableau", [EULER, RK4, DOPRI5], ids=["euler", "rk4", "dopri5"])
+@pytest.mark.parametrize("jacobians", ["analytic", "multidual"])
+def test_step_vjp_has_the_bits_of_the_stage_by_stage_recursion(tableau, jacobians):
+    # the coupling-table sweep assembles each stage's Jacobians as it reaches
+    # the stage and applies them as np.dot(kbar, J): byte for byte the first
+    # form's Jacobian list and J.T @ kbar, on seeded linear and nonlinear systems
+    rng = np.random.default_rng(44)
+    for nonlinear in (False, True):
+        for n in (1, 2, 5, 15):
+            for p in (1, 3, 8):
+                problem = random_system(rng, n, p, nonlinear)
+                if jacobians == "multidual":
+                    problem = dataclasses.replace(problem, rhs_jac_u=None, rhs_jac_theta=None)
+                t, dt = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.01, 0.2))
+                stages = rk_step(tableau, problem.rhs, problem.u0, problem.theta, t, dt)[3]
+                lam = rng.normal(size=n)
+                got = step_vjp(problem, tableau, stages, problem.theta, t, dt, lam)
+                want = stage_by_stage_vjp(problem, tableau, stages, problem.theta, t, dt, lam)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (nonlinear, n, p)
+
+
+@pytest.mark.parametrize("tableau", [EULER, RK4, DOPRI5], ids=["euler", "rk4", "dopri5"])
+def test_step_vjp_assembles_each_stage_once_when_its_sweep_reaches_it(tableau, monkeypatch):
+    problem = sk.make_predprey(0.95).problem
+    assemble = adjoint_module.jacobian_assembly
+    calls = []
+
+    def counting_assembly(problem, u, theta, t, **kwargs):
+        calls.append((u.tobytes(), t))
+        return assemble(problem, u, theta, t, **kwargs)
+
+    monkeypatch.setattr(adjoint_module, "jacobian_assembly", counting_assembly)
+    t, dt = 0.7, 0.05
+    stages = rk_step(tableau, problem.rhs, np.array([1.1, 0.9]), problem.theta, t, dt)[3]
+    step_vjp(problem, tableau, stages, problem.theta, t, dt, np.array([0.3, -0.2]))
+    # s calls, one at each (Y_i, t + c_i dt), last stage first
+    assert calls == [(stages[i].tobytes(), t + tableau.c[i] * dt)
+                     for i in range(tableau.stages - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("tableau", [EULER, RK4, DOPRI5], ids=["euler", "rk4", "dopri5"])
+def test_reverse_couplings_list_exactly_the_nonzero_a_ji(tableau):
+    table = tableau.reverse_couplings
+    assert [(i, b_i, c_i) for i, b_i, c_i, _ in table] == [
+        (i, tableau.b[i], tableau.c[i]) for i in range(tableau.stages - 1, -1, -1)]
+    listed = [(j, i, a_ji) for i, _, _, couplings in table for j, a_ji in couplings]
+    a = np.array(tableau.a)
+    assert sorted(listed) == sorted((j, i, a[j, i]) for j, i in zip(*np.nonzero(a)))
+    for _, _, _, couplings in table:  # ascending j, the order of each kbar's sum
+        assert [j for j, _ in couplings] == sorted(j for j, _ in couplings)
 
 
 def test_discrete_adjoint_non_finite_stage_raises_in_forward_pass():

@@ -83,3 +83,65 @@ def test_reports_naming_different_environments_are_refused(tmp_path):
                  environment={**ENV, "numpy": "1.26.4"})
     with pytest.raises(ValueError, match="^the reports name different environments"):
         load_tool().bench_file("x", "abc", tmp_path, tmp_path)
+
+
+def bench(label, workloads):
+    """A BENCH file's dict; ``workloads`` maps workload to ``{metric: (median, iqr)}``."""
+    return {"label": label, "commit": "abc", "environment": {}, "workloads": {
+        w: {"metrics": {k: {"unit": "ms", "median": m, "q1": m, "q3": m + i, "iqr": i}
+                        for k, (m, i) in metrics.items()}}
+        for w, metrics in workloads.items()}}
+
+
+def test_compare_rows_follow_the_benchmark_order_with_the_relative_change():
+    benchmark = {"workloads": [{"name": "lv"}, {"name": "df"}],
+                 "end_to_end": [{"name": "grads_per_s"}, {"name": "grad_ms_p50"}]}
+    old = bench("pr1", {"df": {"grad_ms_p50": (20.0, 0.5), "grads_per_s": (40.0, 1.0)},
+                        "lv": {"grad_ms_p50": (16.0, 0.25), "grads_per_s": (50.0, 2.0)}})
+    new = bench("pr2", {"df": {"grad_ms_p50": (21.0, 0.5), "grads_per_s": (40.0, 1.5)},
+                        "lv": {"grad_ms_p50": (12.0, 0.125), "grads_per_s": (55.0, 1.0)}})
+    assert load_tool().compare(old, new, benchmark) == [
+        ("lv", "grads_per_s", "50 (2)", "55 (1)", "+10.0%"),
+        ("lv", "grad_ms_p50", "16 (0.25)", "12 (0.125)", "-25.0%"),
+        ("df", "grads_per_s", "40 (1)", "40 (1.5)", "+0.0%"),
+        ("df", "grad_ms_p50", "20 (0.5)", "21 (0.5)", "+5.0%"),
+    ]
+
+
+def test_compare_prints_a_metric_one_file_lacks_as_missing():
+    benchmark = {"workloads": [{"name": "lv"}, {"name": "heat"}],
+                 "end_to_end": [{"name": "grads_per_s"}, {"name": "fail_frac"}]}
+    old = bench("pr1", {"lv": {"grads_per_s": (50.0, 2.0), "fail_frac": (0.0, 0.0)}})
+    new = bench("pr2", {"lv": {"fail_frac": (0.25, 0.0)}, "heat": {"grads_per_s": (9.0, 0.5)}})
+    assert load_tool().compare(old, new, benchmark) == [
+        ("lv", "grads_per_s", "50 (2)", "missing", "missing"),
+        ("lv", "fail_frac", "0 (0)", "0.25 (0)", "n/a"),
+        ("heat", "grads_per_s", "missing", "9 (0.5)", "missing"),
+        ("heat", "fail_frac", "missing", "missing", "missing"),
+    ]
+
+
+def test_compare_from_the_command_line_prints_every_benchmark_row(tmp_path, capsys):
+    tool = load_tool()
+    benchmark = json.loads(tool.BENCHMARK.read_text(encoding="utf-8"))
+    names = [m["name"] for m in benchmark["end_to_end"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    old, new = tmp_path / "BENCH_a.json", tmp_path / "BENCH_b.json"
+    old.write_text(json.dumps(bench("a", {w: {k: (1.0, 0.0) for k in names}
+                                          for w in workloads})), encoding="utf-8")
+    new.write_text(json.dumps(bench("b", {workloads[0]: {names[0]: (2.0, 0.0)}})),
+                   encoding="utf-8")
+    tool.main(["--compare", str(old), str(new)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["workload", "metric", "a", "median", "(IQR)", "b", "median",
+                                "(IQR)", "change"]
+    assert len(lines) == 1 + len(workloads) * len(names)
+    assert lines[1].split() == [workloads[0], names[0], "1", "(0)", "2", "(0)", "+100.0%"]
+    assert lines[2].split() == [workloads[0], names[1], "1", "(0)", "missing", "missing"]
+
+
+def test_assembling_without_the_compare_mode_needs_every_assembly_argument(capsys):
+    with pytest.raises(SystemExit):
+        load_tool().main(["--label", "x", "--commit", "abc"])
+    assert capsys.readouterr().err.rstrip().endswith(
+        "error: the following arguments are required: --runs, --traced, --out")

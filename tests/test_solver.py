@@ -392,6 +392,29 @@ def test_a_second_discrete_adjoint_request_steps_the_grid_its_check_built(monkey
     assert second.gradient.tobytes() == first.gradient.tobytes()
 
 
+def test_a_fixed_step_reverse_pass_leaves_the_forward_grid_cached(monkeypatch):
+    # a continuous adjoint's reverse pass stops at every observation and
+    # builds each stretch's grid uncached, so the one cached grid stays its
+    # forward pass's, and a discrete-adjoint request after it steps that grid
+    # in no _attempt call (an evicting reverse pass costs it 1,000)
+    ent = sk.make_predprey(1.0)
+    cfg = sk.SolverConfig(method="rk4", dt=0.01)
+    attempts = []
+    attempt = sk.solver._attempt
+
+    def counting_attempt(*args):
+        attempts.append(args[0])
+        return attempt(*args)
+
+    monkeypatch.setattr(sk.solver, "_attempt", counting_attempt)
+    _fixed_mesh.cache_clear()
+    sk.gradient(ent.problem, ent.loss, "continuous_interpolating", cfg)
+    assert _fixed_mesh.cache_info().misses == 1
+    attempts.clear()
+    sk.gradient(ent.problem, ent.loss, "discrete_adjoint", cfg)
+    assert attempts == []
+
+
 def test_saveat_via_dense_output():
     ent = sk.make_harmonic(0.2)
     grid = np.linspace(0.0, 10.0, 41)

@@ -14,12 +14,22 @@ and each seed's value.  Per workload it also holds one traced run's layer
 metrics (unscaled), its bitwise check and absent layers, and the
 environment the reports name: the Python and numpy versions and ``nproc``
 (reports naming two are refused).
+
+Two BENCH files compare with::
+
+    python3 tools/bench_file.py --compare BENCH_pr43.json BENCH_pr44.json
+
+which prints, per workload and end-to-end metric in ``BENCHMARK.json``'s
+order, each file's median and IQR and the relative change of the medians;
+a metric one file lacks reads ``missing``.
 """
 
 import argparse
 import json
 import statistics
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _reports(directory, trace):
@@ -78,14 +88,50 @@ def bench_file(label, commit, runs, traced):
             "workloads": workloads}
 
 
+def compare(old, new, benchmark):
+    """Rows ``(workload, metric, old, new, change)`` of the BENCH dicts ``old`` and ``new``.
+
+    One row per workload and end-to-end metric of ``benchmark`` (the parsed
+    ``BENCHMARK.json``), in its order: each file's ``median (IQR)``, and the
+    change of the medians relative to ``old``'s; ``missing`` where a file
+    lacks the metric, and a change of ``n/a`` from a median of 0.
+    """
+    rows = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        for metric in (m["name"] for m in benchmark["end_to_end"]):
+            a, b = (f["workloads"].get(workload, {}).get("metrics", {}).get(metric)
+                    for f in (old, new))
+            cells = ["missing" if x is None else f"{x['median']:.4g} ({x['iqr']:.3g})"
+                     for x in (a, b)]
+            change = ("missing" if a is None or b is None else "n/a" if a["median"] == 0
+                      else f"{(b['median'] - a['median']) / abs(a['median']):+.1%}")
+            rows.append((workload, metric, *cells, change))
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--commit", required=True)
-    ap.add_argument("--runs", required=True, help="directory of untraced reports")
-    ap.add_argument("--traced", required=True, help="directory of traced reports")
-    ap.add_argument("--out", required=True)
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="print the end-to-end rows of two BENCH files instead")
+    ap.add_argument("--label")
+    ap.add_argument("--commit")
+    ap.add_argument("--runs", help="directory of untraced reports")
+    ap.add_argument("--traced", help="directory of traced reports")
+    ap.add_argument("--out")
     args = ap.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(f).read_text(encoding="utf-8")) for f in args.compare)
+        rows = compare(old, new, json.loads(BENCHMARK.read_text(encoding="utf-8")))
+        rows.insert(0, ("workload", "metric", f"{old['label']} median (IQR)",
+                        f"{new['label']} median (IQR)", "change"))
+        widths = [max(len(r[k]) for r in rows) for k in range(5)]
+        for row in rows:
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        return
+    missing = [f"--{k}" for k in ("label", "commit", "runs", "traced", "out")
+               if getattr(args, k) is None]
+    if missing:
+        ap.error(f"the following arguments are required: {', '.join(missing)}")
     data = bench_file(args.label, args.commit, args.runs, args.traced)
     Path(args.out).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
